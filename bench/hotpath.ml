@@ -57,15 +57,9 @@ let budgets =
     ("fence_seq_cst", 10);
     ("det_read", 1);
     ("det_write", 1);
-    (* Run-context recycling and prefix snapshots: whole-run costs on
-       arena-backed contexts. ctx_reset is an empty program on a
-       recycled arena + world — the per-run setup floor; the snapshot
-       rows run fig1 with a capture at tick 4 / a resume from that
-       snapshot, so their budgets bound "fig1 run + snapshot
-       machinery" (a plain fig1 run allocates ~1k words). *)
+    (* Run-context recycling: ctx_reset is an empty program on a
+       recycled arena + world — the per-run setup floor. *)
     ("ctx_reset", 600);
-    ("snapshot_take", 3_000);
-    ("snapshot_restore", 3_000);
     (* Tracing: disabled must be free (the interpreter threads a trace
        through every run, so this is the budget that keeps observability
        off the hot path); enabled writes into preallocated rings. *)
@@ -80,11 +74,10 @@ let budgets =
     (* Predictive analysis: run_decisions_off pins the zero-cost claim
        — a fig1 run on a recycled arena with decision capture off
        (Random strategy) must allocate no more than it did before the
-       capture machinery existed (the plain-run floor, same class as
-       the snapshot rows); run_decisions_on is the same run under
-       Guided with capture live, whose budget bounds the metadata cost;
-       predict_analyze is the offline pass itself on that recording's
-       input. *)
+       capture machinery existed (the plain-run floor); run_decisions_on
+       is the same run under Guided with capture live, whose budget
+       bounds the metadata cost; predict_analyze is the offline pass
+       itself on that recording's input. *)
     ("run_decisions_off", 3_000);
     ("run_decisions_on", 4_500);
     ("predict_analyze", 4_000);
@@ -215,26 +208,6 @@ let op_benches ~iters =
      bench_run "ctx_reset" (fun () ->
          T11r_env.World.reset world ~seed:1L;
          ignore (Tsan11rec.Interp.run ~world ~arena run_conf empty)));
-    (let arena = Tsan11rec.Interp.create_arena () in
-     let world = T11r_env.World.create ~seed:1L () in
-     let build = T11r_litmus.Registry.fig1.build in
-     bench_run "snapshot_take" (fun () ->
-         T11r_env.World.reset world ~seed:1L;
-         ignore
-           (Tsan11rec.Interp.run_capturing ~world ~arena ~at:4 run_conf
-              (build ()))));
-    (let arena = Tsan11rec.Interp.create_arena () in
-     let world = T11r_env.World.create ~seed:1L () in
-     let build = T11r_litmus.Registry.fig1.build in
-     T11r_env.World.reset world ~seed:1L;
-     let _, sn =
-       Tsan11rec.Interp.run_capturing ~world ~arena ~at:4 run_conf (build ())
-     in
-     let snap = Option.get sn in
-     bench_run "snapshot_restore" (fun () ->
-         T11r_env.World.reset world ~seed:1L;
-         ignore
-           (Tsan11rec.Interp.run ~world ~arena ~resume:snap run_conf (build ()))));
     (let arena = Tsan11rec.Interp.create_arena () in
      let world = T11r_env.World.create ~seed:1L () in
      let build = T11r_litmus.Registry.fig1.build in

@@ -888,27 +888,16 @@ let coverage () =
             instance = (fun i -> (world_of t i, e.build ()));
           }
         in
-        let guided_hunt t ~fork_prefixes =
-          T11r_harness.Guided.hunt (guided_spec t) ~rounds:(budget / batch)
-            ~batch ~jobs:!jobs
-            ~salt:(Int64.of_int ((t * 7919) + 1))
-            ~stop_on_race:true ~fork_prefixes ()
-        in
-        (* The litmus workloads are syscall- and signal-free, so guided
-           scheduling cannot be steered by the per-index worlds and
-           prefix forking is sound here — the hunts below measure the
-           optimised path the campaign engine actually ships. *)
         let guided_trial t =
-          let g = guided_hunt t ~fork_prefixes:true in
+          let g =
+            T11r_harness.Guided.hunt (guided_spec t) ~rounds:(budget / batch)
+              ~batch ~jobs:!jobs
+              ~salt:(Int64.of_int ((t * 7919) + 1))
+              ~stop_on_race:true ()
+          in
           match g.T11r_harness.Guided.g_first_race with
           | Some i -> i + 1
           | None -> budget
-        in
-        (* Forking must be invisible in the report: one trial per
-           benchmark is re-run without it and the digests compared. *)
-        let fork_identical =
-          T11r_harness.Guided.digest (guided_hunt 1 ~fork_prefixes:true)
-          = T11r_harness.Guided.digest (guided_hunt 1 ~fork_prefixes:false)
         in
         let ts = List.init trials (fun t -> t + 1) in
         let rnd = median (List.map random_trial ts) in
@@ -922,19 +911,16 @@ let coverage () =
              else if gd > rnd then "RANDOM"
              else "tie");
           ];
-        (name, rnd, gd, fork_identical))
+        (name, rnd, gd))
       names
   in
   Table.print t;
-  let wins = List.length (List.filter (fun (_, r, g, _) -> g < r) rows) in
+  let wins = List.length (List.filter (fun (_, r, g) -> g < r) rows) in
   (* The headline: total median runs to expose every benchmark's race —
      a whole-suite budget, so one easy benchmark cannot mask a hunter
      that burns its budget on the hard ones. *)
-  let total_random = List.fold_left (fun a (_, r, _, _) -> a + r) 0 rows in
-  let total_guided = List.fold_left (fun a (_, _, g, _) -> a + g) 0 rows in
-  let fork_digest_identical =
-    List.for_all (fun (_, _, _, fi) -> fi) rows
-  in
+  let total_random = List.fold_left (fun a (_, r, _) -> a + r) 0 rows in
+  let total_guided = List.fold_left (fun a (_, _, g) -> a + g) 0 rows in
   Fmt.pr
     "guided wins %d/%d benchmarks (total median runs-to-race: random %d, \
      guided %d)@.@."
@@ -951,22 +937,19 @@ let coverage () =
       \  \"guided_wins\": %d,\n\
       \  \"total_median_runs_random\": %d,\n\
       \  \"total_median_runs_guided\": %d,\n\
-      \  \"guided_beats_random\": %b,\n\
-      \  \"fork_digest_identical\": %b\n\
+      \  \"guided_beats_random\": %b\n\
        }\n"
       !smoke trials budget batch
       (String.concat ",\n"
          (List.map
-            (fun (name, r, g, fi) ->
+            (fun (name, r, g) ->
               Printf.sprintf
                 "    {\"benchmark\": \"%s\", \"median_runs_random\": %d, \
-                 \"median_runs_guided\": %d, \"guided_wins\": %b, \
-                 \"fork_digest_identical\": %b}"
-                (json_escape name) r g (g < r) fi)
+                 \"median_runs_guided\": %d, \"guided_wins\": %b}"
+                (json_escape name) r g (g < r))
             rows))
       wins total_random total_guided
       (total_guided < total_random)
-      fork_digest_identical
   in
   let oc = open_out "BENCH_coverage.json" in
   output_string oc json;

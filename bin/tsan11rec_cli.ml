@@ -578,20 +578,8 @@ let batch_arg =
     & info [ "batch" ] ~docv:"N"
         ~doc:"With $(b,--guided): candidates bred and run per round.")
 
-let fork_prefixes_flag =
-  Arg.(
-    value & flag
-    & info [ "fork-prefixes" ]
-        ~doc:
-          "With $(b,--guided): fork candidate families that share a seed \
-           pair and a schedule-prefix head from one interpreter snapshot \
-           per domain instead of re-executing the shared head every run. \
-           The report digest is bit-identical either way. Only sound for \
-           workloads whose schedule cannot be steered by environment \
-           timing (the syscall-free litmus suite qualifies).")
-
 let hunt_cmd =
-  let run name co guided corpus batch fork_prefixes =
+  let run name co guided corpus batch =
     install_sigint ();
     let w = lookup_workload name in
     let base =
@@ -628,8 +616,7 @@ let hunt_cmd =
       let rounds = max 1 ((co.co_runs + batch - 1) / batch) in
       let g =
         Guided.hunt spec ~rounds ~batch ~jobs:co.co_jobs ?corpus_dir:corpus
-          ~fork_prefixes ~deadline_s:co.co_deadline
-          ?tick_budget:co.co_tick_budget ~cancel ()
+          ~deadline_s:co.co_deadline ?tick_budget:co.co_tick_budget ~cancel ()
       in
       Fmt.pr "%a" Guided.pp g;
       if g.Guided.g_interrupted then begin
@@ -711,7 +698,7 @@ let hunt_cmd =
             Strategy; Runs; Env_seed; Fault_p; Jobs; Deadline; Tick_budget;
             Retries; Journal;
           ]
-      $ guided_flag $ corpus_arg $ batch_arg $ fork_prefixes_flag)
+      $ guided_flag $ corpus_arg $ batch_arg)
 
 let explore_cmd =
   let run name co =

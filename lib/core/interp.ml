@@ -137,11 +137,7 @@ type ctx = {
   world : World.t;
   mem : Atomics.t;
   det : Detector.t;
-  (* [lockorder], [obs] and [cov] are mutable for snapshot resume: while
-     fast-forwarding the deterministic prefix they point at shared
-     disabled instances, and the snapshot's state is installed at the
-     fork tick. Everything else runs normally during fast-forward. *)
-  mutable lockorder : Lockorder.t;
+  lockorder : Lockorder.t;
   rng : Prng.t;
   choose : int -> int;  (* scheduler PRNG draw, shared with the memory model *)
   mutable tvec : thread option array;  (* index = tid; dense, threads never leave *)
@@ -180,8 +176,8 @@ type ctx = {
   mutable desync_count : int;
   mutable desyncs : divergence list;  (* first 64, reversed *)
   (* observability *)
-  mutable obs : Trace.t;  (* Trace.disabled unless conf.trace_events *)
-  mutable cov : Coverage.t;  (* Coverage.disabled unless conf.coverage *)
+  obs : Trace.t;  (* Trace.disabled unless conf.trace_events *)
+  cov : Coverage.t;  (* Coverage.disabled unless conf.coverage *)
   mutable last_cs_start : int;  (* start of the current critical section *)
   mutable waits : int;
   mutable preemptions : int;
@@ -1629,27 +1625,6 @@ let create_arena () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots                                                            *)
-
-(* What a snapshot physically holds: the fork tick, the seeds it is
-   valid for, and copies of exactly the state that resume suppresses
-   while fast-forwarding (lock-order graph, coverage bits, trace ring).
-   Everything else — scheduler vector, vclock epochs, store windows,
-   detector shadow arrays, PRNG bytes, world state — is reproduced by
-   deterministically re-executing the prefix, because OCaml effect
-   continuations are one-shot: a parked fiber cannot be copied, so the
-   machine state attached to fibers can only be rebuilt by running.
-   Restore therefore costs a prefix re-execution with the pure
-   observers off, plus an O(state) install of these copies. *)
-type snapshot = {
-  sn_tick : int;
-  sn_seeds : int64 * int64;
-  sn_lockorder : Lockorder.t;
-  sn_cov : Coverage.t;
-  sn_obs : Trace.t;
-}
-
-(* ------------------------------------------------------------------ *)
 (* Main loop                                                            *)
 
 let make_ctx ?arena conf world replay_demo =
@@ -1960,15 +1935,11 @@ let to_predict_input (r : result) =
 let corrupt_demo_result c =
   result_of_outcome (Corrupt_demo (Demo.corruption_to_string c))
 
-let run_internal ?world ?arena ?resume ?capture_at conf (program : Api.program)
-    =
+let run ?world ?arena conf (program : Api.program) =
   (* Generated names must be a function of the program alone, not of
      prior runs on this domain — see Api.reset_auto_names. *)
   Api.reset_auto_names ();
-  let world = match world with Some w -> Some w | None -> None in
-  let world =
-    match world with Some w -> w | None -> World.create ()
-  in
+  let world = match world with Some w -> w | None -> World.create () in
   World.set_forbid_opaque_ioctl world
     (conf.Conf.forbid_opaque_ioctl
     || (match conf.Conf.mode with
@@ -1976,62 +1947,13 @@ let run_internal ?world ?arena ?resume ?capture_at conf (program : Api.program)
        | _ -> not conf.Conf.policy.Policy.ignore_ioctl)
        && List.mem Syscall.Ioctl conf.Conf.policy.Policy.record_kinds);
   match
-    (match conf.Conf.mode with
-    | Conf.Replay dir -> Ok (Some (Demo.load ~dir))
-    | _ -> Ok None)
+    match conf.Conf.mode with
+    | Conf.Replay dir -> Some (Demo.load ~dir)
+    | _ -> None
   with
-  | exception Demo.Corrupt c -> (corrupt_demo_result c, None)
-  | Error _ -> assert false
-  | Ok replay_demo ->
+  | exception Demo.Corrupt c -> corrupt_demo_result c
+  | replay_demo ->
   let ctx = make_ctx ?arena conf world replay_demo in
-  (* Snapshot resume: fast-forward the deterministic prefix with the
-     pure observer layers (trace, coverage, lock-order graph) replaced
-     by shared disabled instances, then install the snapshot's copies
-     at the fork tick. Everything that feeds back into execution —
-     detector (whose report charge advances thread time), atomics,
-     vclocks, PRNG, world, demo recording — runs normally, so the
-     machine state at the fork tick is bit-identical to the capturing
-     run's. *)
-  let real_cov = ctx.cov in
-  let real_obs = ctx.obs in
-  let ff_until =
-    match resume with
-    | None -> -1
-    | Some s ->
-        if Prng.seeds ctx.rng <> s.sn_seeds then
-          invalid_arg "Interp.run: snapshot was captured under other seeds";
-        ctx.lockorder <- Lockorder.disabled;
-        ctx.cov <- Coverage.disabled;
-        ctx.obs <- Trace.disabled;
-        s.sn_tick
-  in
-  let installed = ref (ff_until < 0) in
-  let install s =
-    ctx.lockorder <- Lockorder.copy s.sn_lockorder;
-    Coverage.restore ~src:s.sn_cov ~dst:real_cov;
-    ctx.cov <- real_cov;
-    Trace.restore ~src:s.sn_obs ~dst:real_obs;
-    ctx.obs <- real_obs
-  in
-  let captured = ref None in
-  let snap_hook () =
-    if not !installed && ctx.tick >= ff_until then begin
-      (match resume with Some s -> install s | None -> ());
-      installed := true
-    end;
-    match capture_at with
-    | Some at when ctx.tick = at && !installed && Option.is_none !captured ->
-        captured :=
-          Some
-            {
-              sn_tick = at;
-              sn_seeds = Prng.seeds ctx.rng;
-              sn_lockorder = Lockorder.copy ctx.lockorder;
-              sn_cov = Coverage.copy ctx.cov;
-              sn_obs = Trace.copy ctx.obs;
-            }
-    | _ -> ()
-  in
   let finish outcome =
     let decisions =
       if ctx.dec_on then Array.of_list (List.rev ctx.decisions) else [||]
@@ -2183,18 +2105,7 @@ let run_internal ?world ?arena ?resume ?capture_at conf (program : Api.program)
         a.a_tvec <- ctx.tvec;
         a.a_ready <- ctx.ready_scratch
     | None -> ());
-    (if not !installed then
-       (* The fork tick was never reached: the snapshot's precondition
-          (same seeds, conf, world behaviour and schedule prefix as the
-          capturing run) was violated, or supervision cut the run short
-          mid-prefix. Only the latter is legitimate. *)
-       match outcome with
-       | Timeout | Tick_limit -> ()
-       | _ ->
-           invalid_arg
-             "Interp.run: snapshot fork tick never reached — resumed run \
-              diverged from the capturing run");
-    (finish outcome, !captured)
+    finish outcome
   in
   try
     let _main =
@@ -2205,7 +2116,6 @@ let run_internal ?world ?arena ?resume ?capture_at conf (program : Api.program)
       match ctx.finished with
       | Some o -> o
       | None ->
-          snap_hook ();
           if ctx.tick >= conf.Conf.max_ticks then Tick_limit
           else if
             (* Supervision backstop for wedged runs; checked every 64
@@ -2333,19 +2243,5 @@ let run_internal ?world ?arena ?resume ?capture_at conf (program : Api.program)
               d.div_tid d.div_site d.div_expected d.div_actual))
   | Unsupported_run msg -> finish (Unsupported_app msg)
   | World.Unsupported msg -> finish (Unsupported_app msg)
-
-module Snapshot = struct
-  type t = snapshot
-
-  let tick s = s.sn_tick
-  let seeds s = s.sn_seeds
-end
-
-let run ?world ?arena ?resume conf program =
-  fst (run_internal ?world ?arena ?resume conf program)
-
-let run_capturing ?world ?arena ?resume ~at conf program =
-  if at < 0 then invalid_arg "Interp.run_capturing: negative fork tick";
-  run_internal ?world ?arena ?resume ~capture_at:at conf program
 
 let completed r = r.outcome = Completed

@@ -169,39 +169,9 @@ type arena
 
 val create_arena : unit -> arena
 
-(** Snapshots of deterministic machine state at a chosen tick, for
-    forking many runs off a shared schedule prefix.
-
-    A snapshot holds the fork tick, the scheduler seeds it is valid
-    for, and copies of the pure observer state (lock-order graph,
-    coverage bits, trace ring). Resuming re-executes the prefix
-    deterministically with those observers suppressed — OCaml effect
-    continuations are one-shot, so parked fibers cannot be copied and
-    the fiber-attached machine state can only be rebuilt by running —
-    then installs the copies at the fork tick in O(state). The resumed
-    run's result is bit-identical to an uninterrupted run.
-
-    Validity precondition: the resuming run must execute the same
-    schedule prefix as the capturing run — same seeds (checked), same
-    configuration up to the decisions beyond the fork tick, and a
-    world whose behaviour the prefix cannot observe differently (the
-    guided strategy ignores arrival jitter, so syscall-free programs
-    may share across per-index world seeds; anything else should share
-    only across identical worlds). *)
-module Snapshot : sig
-  type t
-
-  val tick : t -> int
-  (** The fork tick the snapshot was captured at. *)
-
-  val seeds : t -> int64 * int64
-  (** Scheduler seeds of the capturing run (resume re-checks them). *)
-end
-
 val run :
   ?world:T11r_env.World.t ->
   ?arena:arena ->
-  ?resume:Snapshot.t ->
   Conf.t ->
   T11r_vm.Api.program ->
   result
@@ -209,24 +179,7 @@ val run :
     to a fresh wall-seeded world; experiments pass seeded worlds. In
     [Record dir] mode the demo is also saved to [dir]; in [Replay dir]
     mode it is loaded from [dir] and enforced. [arena] recycles run
-    state (see {!arena}); [resume] fast-forwards to a snapshot's fork
-    tick (see {!Snapshot}).
-    @raise Invalid_argument if [resume]'s seeds do not match the run's,
-    or if the fork tick is never reached (a violated sharing
-    precondition), except when supervision ends the run first. *)
-
-val run_capturing :
-  ?world:T11r_env.World.t ->
-  ?arena:arena ->
-  ?resume:Snapshot.t ->
-  at:int ->
-  Conf.t ->
-  T11r_vm.Api.program ->
-  result * Snapshot.t option
-(** Like {!run}, additionally capturing a snapshot at the first arrival
-    at tick [at] (before that tick's scheduling decision). [None] if
-    the run ended before reaching [at]. Capturing is observationally
-    free: the result is bit-identical to {!run}'s. *)
+    state (see {!arena}). *)
 
 val completed : result -> bool
 (** [outcome = Completed]. *)

@@ -64,23 +64,6 @@ let spec ~label ?base_conf ?(setup_world = fun _ -> ()) build =
       setup_world w;
       build)
 
-(* -- prefix sharing --------------------------------------------------- *)
-
-(* A share key names a schedule prefix several runs are promised to
-   execute identically: the scheduler seeds plus the head of guided
-   decisions. The first run of a group a domain executes captures an
-   [Interp.Snapshot.t] at tick [Array.length k_head]; later runs of the
-   same group on that domain resume from it. Snapshot resume is
-   bit-identical to fresh execution, so sharing never changes a digest
-   — only wall clock. The cache is one slot per domain, invalidated
-   across campaigns by a generation counter. *)
-type share_key = { k_seeds : int64 * int64; k_head : int array }
-
-let share_generation = Atomic.make 0
-
-let dls_snap : (int * share_key * Interp.Snapshot.t) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
 (* ------------------------------------------------------------------ *)
 
 type observer = { on_run : int -> Interp.result -> unit }
@@ -368,10 +351,9 @@ let journal_results path =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let run s ~n ?(jobs = 1) ?(first = 0) ?(deadline_s = 0.) ?tick_budget
-    ?(retries = 0) ?(backoff_s = 0.05) ?journal ?share ?cancel observers =
+    ?(retries = 0) ?(backoff_s = 0.05) ?journal ?cancel observers =
   if n < 1 then invalid_arg "Campaign.run: n < 1";
   let t0 = Unix.gettimeofday () in
-  let generation = 1 + Atomic.fetch_and_add share_generation 1 in
   let conf_of i =
     let c = s.conf i in
     let c =
@@ -416,22 +398,7 @@ let run s ~n ?(jobs = 1) ?(first = 0) ?(deadline_s = 0.) ?tick_budget
                 let world, program = s.instance i in
                 let arena = domain_arena () in
                 let conf = conf_of i in
-                match Option.bind share (fun f -> f i) with
-                | None -> Interp.run ~world ~arena conf program
-                | Some key -> (
-                    let slot = Domain.DLS.get dls_snap in
-                    match !slot with
-                    | Some (g, k, snap) when g = generation && k = key ->
-                        Interp.run ~world ~arena ~resume:snap conf program
-                    | _ ->
-                        let r, sn =
-                          Interp.run_capturing ~world ~arena
-                            ~at:(Array.length key.k_head) conf program
-                        in
-                        (match sn with
-                        | Some snap -> slot := Some (generation, key, snap)
-                        | None -> ());
-                        r))
+                Interp.run ~world ~arena conf program)
           with
           | r -> r
           | exception e ->

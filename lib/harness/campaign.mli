@@ -59,17 +59,6 @@ val recycled_world : seed:int64 -> T11r_env.World.t
     [recycled_world] call on this domain — build and run the instance
     before requesting another. *)
 
-(** {1 Prefix sharing} *)
-
-type share_key = { k_seeds : int64 * int64; k_head : int array }
-(** Names a schedule prefix a group of runs executes identically:
-    scheduler seeds plus the shared head of guided decisions. Runs
-    mapping to the same key fork from one {!Tsan11rec.Interp.Snapshot}
-    captured at tick [Array.length k_head] instead of each replaying
-    the whole prefix. The caller asserts the sharing precondition (see
-    {!Tsan11rec.Interp.Snapshot}): same seeds — checked — and a prefix
-    whose execution is identical across the group's worlds. *)
-
 (** {1 Running} *)
 
 type observer = { on_run : int -> Tsan11rec.Interp.result -> unit }
@@ -146,7 +135,6 @@ val run :
   ?retries:int ->
   ?backoff_s:float ->
   ?journal:string ->
-  ?share:(int -> share_key option) ->
   ?cancel:(unit -> bool) ->
   observer list ->
   report
@@ -173,11 +161,6 @@ val run :
       runs are not re-executed — this is [--resume]. Resumed, retried
       and [jobs]-varied campaigns all produce bit-identical digests:
       aggregation replays journal entries in run-index order.
-    - [share i] maps run [i] to the {!share_key} of its prefix group
-      (or [None] for no sharing): grouped runs fork from one snapshot
-      per worker domain instead of replaying the shared prefix each.
-      Results — and therefore digests — are bit-identical with and
-      without [share], at every [jobs].
     - [cancel] is polled between runs (SIGINT draining): when it turns
       true the campaign stops claiming work, finishes in-flight runs,
       flushes the journal and returns a partial report with

@@ -146,55 +146,6 @@ let mutate parent rng =
       in
       { p with c_strategy = S_guided prefix }
 
-(* -- prefix-sharing groups ------------------------------------------- *)
-
-let lcp_length a b =
-  let n = min (Array.length a) (Array.length b) in
-  let i = ref 0 in
-  while !i < n && a.(!i) = b.(!i) do
-    incr i
-  done;
-  !i
-
-(* Group a candidate batch for snapshot forking: candidates carrying
-   the same seed pair and guided prefixes that agree on a nonempty
-   head will schedule identically up to that head's length, so they
-   can fork from one snapshot. Seed-splice and strategy-switch
-   mutations keep the parent's seeds, so such families are common in a
-   bred batch. Pure data in, pure data out — the assignment is a
-   function of the batch alone, whatever order the runs execute in. *)
-let shared_heads (cands : candidate array) =
-  let out = Array.make (Array.length cands) None in
-  let groups : ((int64 * int64) * (int * int array) list ref) list ref =
-    ref []
-  in
-  Array.iteri
-    (fun i c ->
-      match c.c_strategy with
-      | S_guided p when Array.length p > 0 -> (
-          let key = (c.c_seed1, c.c_seed2) in
-          match List.assoc_opt key !groups with
-          | Some members -> members := (i, p) :: !members
-          | None -> groups := (key, ref [ (i, p) ]) :: !groups)
-      | _ -> ())
-    cands;
-  List.iter
-    (fun ((s1, s2), members) ->
-      match List.rev !members with
-      | (_, p0) :: (_ :: _ as rest) ->
-          let l =
-            List.fold_left
-              (fun acc (_, p) -> min acc (lcp_length p0 p))
-              (Array.length p0) rest
-          in
-          if l >= 1 then begin
-            let head = Array.sub p0 0 l in
-            List.iter (fun (i, _) -> out.(i) <- Some (s1, s2, head)) !members
-          end
-      | _ -> ())
-    !groups;
-  out
-
 (* -- persistence ----------------------------------------------------- *)
 
 (* Marshal of pure data only (variants, ints, int64s, strings);

@@ -86,17 +86,6 @@ val mutate : entry -> T11r_util.Prng.t -> candidate
     splicing in the style of [Systematic]'s frontier expansion
     (out-of-range prefix values are clamped by the interpreter). *)
 
-val lcp_length : int array -> int array -> int
-(** Longest common prefix length of two decision arrays. *)
-
-val shared_heads : candidate array -> (int64 * int64 * int array) option array
-(** Per-index prefix-sharing assignment for a bred batch: index [i]
-    gets [Some (seed1, seed2, head)] when at least two candidates
-    carry that exact seed pair and guided prefixes agreeing on the
-    nonempty [head] — such a family schedules identically for
-    [Array.length head] ticks and can fork from one snapshot. [None]
-    for everything else. A pure function of the batch. *)
-
 (** {2 Persistence} *)
 
 val to_payload : t -> string

@@ -328,8 +328,8 @@ let report_of_state ~label ~batch ~wall_s ~interrupted st =
   }
 
 let hunt (s : Campaign.spec) ?(rounds = 8) ?(batch = 32) ?(jobs = 1)
-    ?corpus_dir ?(salt = 0L) ?(stop_on_race = false) ?(fork_prefixes = false)
-    ?deadline_s ?tick_budget ?cancel () =
+    ?corpus_dir ?(salt = 0L) ?(stop_on_race = false) ?deadline_s ?tick_budget
+    ?cancel () =
   if rounds < 1 then invalid_arg "Guided.hunt: rounds < 1";
   if batch < 1 then invalid_arg "Guided.hunt: batch < 1";
   let t0 = Unix.gettimeofday () in
@@ -352,26 +352,9 @@ let hunt (s : Campaign.spec) ?(rounds = 8) ?(batch = 32) ?(jobs = 1)
       let cands, corpus = breed st.st_corpus ~round:r ~batch ~salt in
       let first = r * batch in
       let journal = Option.map (fun dir -> round_journal_path dir r) corpus_dir in
-      (* Prefix forking (opt-in): candidate families breeding keeps on
-         one seed pair fork the round's runs from per-domain snapshots
-         of their common guided head. Results are bit-identical either
-         way; the caller asserts the sharing precondition across the
-         per-index worlds (see [Campaign.share_key]). *)
-      let share =
-        if not fork_prefixes then None
-        else begin
-          let heads = Corpus.shared_heads cands in
-          Some
-            (fun i ->
-              match heads.(i - first) with
-              | Some (s1, s2, head) ->
-                  Some { Campaign.k_seeds = (s1, s2); k_head = head }
-              | None -> None)
-        end
-      in
       let rep =
         Campaign.run (round_spec s cands ~first) ~n:batch ~jobs ~first
-          ?deadline_s ?tick_budget ?journal ?share ?cancel []
+          ?deadline_s ?tick_budget ?journal ?cancel []
       in
       if rep.Campaign.supervision.Campaign.sup_interrupted then (st, true)
       else begin

@@ -46,7 +46,6 @@ val hunt :
   ?corpus_dir:string ->
   ?salt:int64 ->
   ?stop_on_race:bool ->
-  ?fork_prefixes:bool ->
   ?deadline_s:float ->
   ?tick_budget:int ->
   ?cancel:(unit -> bool) ->
@@ -58,14 +57,6 @@ val hunt :
     hunts; [?stop_on_race] ends the hunt at the first round that found
     a race (the runs-to-first-race experiment); [?cancel] is polled
     between rounds and inside each round's campaign.
-
-    [?fork_prefixes] (default off) forks candidate families that share
-    a seed pair and a guided-prefix head from per-domain snapshots
-    instead of re-executing the shared head per run. Digests are
-    bit-identical with and without it; enable it only when the spec's
-    per-index worlds cannot steer the shared head (guided scheduling
-    ignores arrival jitter, so syscall-free, signal-free workloads
-    qualify — see [Tsan11rec.Interp.Snapshot]).
 
     @raise Invalid_argument when [rounds < 1], [batch < 1], or
     [?corpus_dir] holds a journal from a different hunt or schema. *)

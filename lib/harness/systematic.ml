@@ -32,21 +32,6 @@ type journal_header = {
   jh_seed2 : int64;
 }
 
-(* Sibling prefix sharing: the explorer descends into siblings that
-   differ only in their last decision, and wave order runs siblings
-   back to back — so each domain keeps one snapshot captured at the
-   parent's depth and forks the rest of the family from it. Unlike the
-   guided-hunt case this is sound unconditionally: every run uses the
-   same seeds, the same world seed and the same build, so identical
-   decision prefixes execute identically. The generation counter keeps
-   a snapshot from one [explore] call from ever matching in a later
-   one. *)
-let explore_generation = Atomic.make 0
-
-let dls_sibling :
-    (int * int array * Interp.Snapshot.t) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
 (* ------------------------------------------------------------------ *)
 (* The dependence relation over captured decisions.
 
@@ -173,7 +158,6 @@ let explore ?(max_runs = 2000) ?(jobs = 1) ?(dpor = true) ?(deadline_s = 0.)
     ?tick_budget ?(world_seed = 7L) ?(seeds = (11L, 13L)) ?journal ?cancel
     ~build () =
   let s1, s2 = seeds in
-  let generation = 1 + Atomic.fetch_and_add explore_generation 1 in
   let cancelled = match cancel with Some c -> c | None -> fun () -> false in
   (* Pending executions by normalized prefix: journal-loaded entries
      plus speculative wave results, consumed (and removed) when the
@@ -262,28 +246,11 @@ let explore ?(max_runs = 2000) ?(jobs = 1) ?(dpor = true) ?(deadline_s = 0.)
       | Some b -> Conf.with_max_ticks conf b
       | None -> conf
     in
-    let len = Array.length prefix in
     let r =
       Outcome.protect (fun () ->
           let world = Campaign.recycled_world ~seed:world_seed in
           let arena = Campaign.domain_arena () in
-          if len < 2 then Interp.run ~world ~arena conf (build ())
-          else begin
-            let parent = Array.sub prefix 0 (len - 1) in
-            let slot = Domain.DLS.get dls_sibling in
-            match !slot with
-            | Some (g, p, snap) when g = generation && p = parent ->
-                Interp.run ~world ~arena ~resume:snap conf (build ())
-            | _ ->
-                let r, sn =
-                  Interp.run_capturing ~world ~arena ~at:(len - 1) conf
-                    (build ())
-                in
-                (match sn with
-                | Some snap -> slot := Some (generation, parent, snap)
-                | None -> ());
-                r
-          end)
+          Interp.run ~world ~arena conf (build ()))
     in
     (r, Array.of_list (List.rev !observed))
   in

@@ -30,9 +30,8 @@
     distinct races as the exhaustive walk ([~dpor:false]) whenever both
     exhaust the space — usually in far fewer runs.
 
-    Execution reuses the snapshot machinery: sibling prefixes fork from
-    a shared per-domain snapshot of the parent prefix instead of
-    re-running it from scratch. With [jobs > 1] the analysis itself
+    Every prefix is a plain {!Interp.run} from tick 0 on the domain's
+    recycled arena and world. With [jobs > 1] the analysis itself
     stays strictly sequential; extra workers speculatively pre-execute
     the prefixes the walk is predicted to need next (pending backtrack
     children, deepest first), so every counter, every journal byte and

@@ -56,44 +56,6 @@ let enabled t = t.on
 
 let reset t = t.n <- 0
 
-let copy t =
-  if not t.on then disabled
-  else
-    {
-      on = true;
-      cap = t.cap;
-      kinds = Bytes.copy t.kinds;
-      ticks = Array.copy t.ticks;
-      tids = Array.copy t.tids;
-      tss = Array.copy t.tss;
-      durs = Array.copy t.durs;
-      labels = Array.copy t.labels;
-      n = t.n;
-    }
-
-(* Overwrite [dst] with [src]'s events. Requires matching capacity when
-   both are enabled (the interpreter only restores snapshots into rings
-   built from the same [Conf.trace_capacity]). *)
-let restore ~src ~dst =
-  if dst.on then begin
-    if not src.on then dst.n <- 0
-    else begin
-      if src.cap <> dst.cap then
-        invalid_arg "Trace.restore: capacity mismatch";
-      (* Slot layout is a function of the absolute event index ([i mod
-         cap]), so copying the occupied slots verbatim — all of them
-         once the ring has wrapped — reproduces the ring exactly. *)
-      let live = min src.n src.cap in
-      Bytes.blit src.kinds 0 dst.kinds 0 live;
-      Array.blit src.ticks 0 dst.ticks 0 live;
-      Array.blit src.tids 0 dst.tids 0 live;
-      Array.blit src.tss 0 dst.tss 0 live;
-      Array.blit src.durs 0 dst.durs 0 live;
-      Array.blit src.labels 0 dst.labels 0 live;
-      dst.n <- src.n
-    end
-  end
-
 let kind_code = function
   | Sched -> 0
   | Op -> 1

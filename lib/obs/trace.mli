@@ -44,16 +44,6 @@ val enabled : t -> bool
 val reset : t -> unit
 (** Forget all events in place, keeping the ring's storage. *)
 
-val copy : t -> t
-(** Independent copy ({!disabled} copies to itself). Labels are shared
-    by reference (strings are immutable). *)
-
-val restore : src:t -> dst:t -> unit
-(** Overwrite [dst]'s contents with [src]'s (no-op when [dst] is
-    {!disabled}; empties [dst] when only [src] is disabled).
-    @raise Invalid_argument if both are enabled with different
-    capacities. *)
-
 val emit :
   t -> kind -> tick:int -> tid:int -> label:string -> ts:int -> dur:int -> unit
 (** Record one event. Allocation-free: ints are stored unboxed and the

@@ -29,19 +29,6 @@ let reset t =
     t.marks <- 0
   end
 
-let copy t =
-  if not t.on then disabled
-  else { on = true; bits = Bytes.copy t.bits; marks = t.marks }
-
-(* Overwrite [dst] with [src]'s state ([dst] must be enabled when [src]
-   is — snapshot restore into a same-shaped collector). *)
-let restore ~src ~dst =
-  if dst.on then begin
-    if src.on then Bytes.blit src.bits 0 dst.bits 0 size_bytes
-    else Bytes.fill dst.bits 0 size_bytes '\000';
-    dst.marks <- src.marks
-  end
-
 let mark t h =
   if t.on then begin
     let b = h land (size_bits - 1) in

@@ -30,14 +30,6 @@ val reset : t -> unit
 (** Clear all bits and the mark counter in place (no-op on
     {!disabled}). *)
 
-val copy : t -> t
-(** Independent copy; {!disabled} copies to itself. *)
-
-val restore : src:t -> dst:t -> unit
-(** Overwrite [dst]'s bits and mark count with [src]'s (no-op when
-    [dst] is {!disabled}) — snapshot restore into a recycled
-    collector. *)
-
 val mark : t -> int -> unit
 (** Set the bit addressed by a site hash (mod the bitmap width). One
     branch and no allocation when the collector is {!disabled}. *)
@@ -63,7 +55,7 @@ type summary = string
 val empty : summary
 
 val summarize : t -> summary
-(** Snapshot a collector. {!empty} for a {!disabled} collector. *)
+(** Freeze a collector's bits. {!empty} for a {!disabled} collector. *)
 
 val union : summary -> summary -> summary
 (** Bitwise or — commutative and associative with identity {!empty},

@@ -2,7 +2,6 @@ type edge = { from_lock : string; to_lock : string; witness_tid : int }
 type cycle = edge list
 
 type t = {
-  on : bool; (* [disabled] ignores acquire/release notifications *)
   (* lock -> locks it has been held under, with witness info *)
   edges : (int, (int * edge) list ref) Hashtbl.t;  (* from -> [(to, edge)] *)
   names : (int, string) Hashtbl.t;
@@ -13,24 +12,11 @@ type t = {
 
 let create () =
   {
-    on = true;
     edges = Hashtbl.create 16;
     names = Hashtbl.create 16;
     held = Hashtbl.create 8;
     found = [];
     seen = Hashtbl.create 4;
-  }
-
-(* Shared no-op instance used while fast-forwarding a snapshot resume:
-   its tables are never written ([acquired]/[released] return early). *)
-let disabled =
-  {
-    on = false;
-    edges = Hashtbl.create 1;
-    names = Hashtbl.create 1;
-    held = Hashtbl.create 1;
-    found = [];
-    seen = Hashtbl.create 1;
   }
 
 let reset t =
@@ -39,21 +25,6 @@ let reset t =
   Hashtbl.clear t.held;
   t.found <- [];
   Hashtbl.clear t.seen
-
-(* Deep copy: the per-node adjacency [ref]s must be fresh (they mutate
-   as edges are added); the lists and edge records they hold are
-   immutable and safely shared. *)
-let copy t =
-  let edges = Hashtbl.create (max 16 (Hashtbl.length t.edges)) in
-  Hashtbl.iter (fun k r -> Hashtbl.replace edges k (ref !r)) t.edges;
-  {
-    on = t.on;
-    edges;
-    names = Hashtbl.copy t.names;
-    held = Hashtbl.copy t.held;
-    found = t.found;
-    seen = Hashtbl.copy t.seen;
-  }
 
 let successors t l =
   match Hashtbl.find_opt t.edges l with Some r -> !r | None -> []
@@ -81,8 +52,6 @@ let cycle_locks (c : cycle) =
   List.sort_uniq compare (List.concat_map (fun e -> [ e.from_lock; e.to_lock ]) c)
 
 let acquired t ~tid ~lock ~name =
-  if not t.on then ()
-  else begin
   Hashtbl.replace t.names lock name;
   let held = Option.value ~default:[] (Hashtbl.find_opt t.held tid) in
   List.iter
@@ -118,11 +87,8 @@ let acquired t ~tid ~lock ~name =
       end)
     held;
   Hashtbl.replace t.held tid (lock :: held)
-  end
 
 let released t ~tid ~lock =
-  if not t.on then ()
-  else
   let held = Option.value ~default:[] (Hashtbl.find_opt t.held tid) in
   (* remove one instance (locks can in principle be re-entrant) *)
   let removed = ref false in

@@ -25,18 +25,9 @@ type cycle = edge list
 
 val create : unit -> t
 
-val disabled : t
-(** Shared no-op instance: [acquired]/[released] on it do nothing. The
-    interpreter installs it while fast-forwarding a snapshot resume,
-    where the graph state comes from the snapshot instead. *)
-
 val reset : t -> unit
 (** In-place reset to the post-[create] state (graph, held sets and
     reported cycles cleared; table capacity retained). *)
-
-val copy : t -> t
-(** Independent deep copy — mutating the copy never affects the
-    original. Used to capture lock-graph state into a snapshot. *)
 
 val acquired : t -> tid:int -> lock:int -> name:string -> unit
 (** Thread [tid] acquired [lock]; edges are added from every lock it
