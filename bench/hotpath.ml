@@ -16,7 +16,6 @@
 
 module Conf = Tsan11rec.Conf
 module Campaign = T11r_harness.Campaign
-module Runner = T11r_harness.Runner
 module Atomics = T11r_mem.Atomics
 module Memord = T11r_mem.Memord
 module Tstate = T11r_mem.Tstate
@@ -320,7 +319,7 @@ let campaign_bench ~smoke ~par_jobs ~setup (entry : T11r_litmus.Registry.entry)
     ~n =
   let n = if smoke then max 50 (n / 10) else n in
   let spec =
-    Runner.spec ~label:entry.T11r_litmus.Registry.name
+    Campaign.spec ~label:entry.T11r_litmus.Registry.name
       ~base_conf:(Conf.tsan11rec ~strategy:Conf.Random ())
       entry.T11r_litmus.Registry.build
   in
@@ -347,14 +346,14 @@ let campaign_bench ~smoke ~par_jobs ~setup (entry : T11r_litmus.Registry.entry)
       (List.sort_uniq compare [ 2; 3; par_jobs ])
   in
   let base =
-    match List.assoc_opt spec.Runner.label baseline_runs with
+    match List.assoc_opt spec.Campaign.label baseline_runs with
     | Some r -> r
     | None -> 0.0
   in
   let rps = Campaign.runs_per_sec seq in
   let setup_fresh_ns, setup_reset_ns = setup in
   {
-    label = spec.Runner.label;
+    label = spec.Campaign.label;
     runs = n;
     runs_per_s = rps;
     base_runs_per_s = base;

@@ -18,7 +18,6 @@ module Interp = Tsan11rec.Interp
 module Demo = Tsan11rec.Demo
 module Policy = Tsan11rec.Policy
 module World = T11r_env.World
-module Runner = T11r_harness.Runner
 module Campaign = T11r_harness.Campaign
 module Pool = T11r_harness.Pool
 open T11r_apps
@@ -72,8 +71,8 @@ let table1 () =
       let cells =
         List.concat_map
           (fun (label, base) ->
-            let spec = Runner.spec ~label ~base_conf:base e.build in
-            let agg = Runner.run_many ~jobs:!jobs spec ~n:table1_runs in
+            let spec = Campaign.spec ~label ~base_conf:base e.build in
+            let agg = Campaign.run spec ~n:table1_runs ~jobs:!jobs [] in
             [
               Format.asprintf "%a" Stats.pp_mean_sd agg.time_ms;
               Printf.sprintf "%.1f%%" agg.race_rate;
@@ -111,12 +110,18 @@ let httpd_setups ~record =
 let run_httpd_setup (label, base, detects) ~reports =
   let base = { base with Conf.emit_reports = reports } in
   let spec =
-    Runner.spec ~label ~base_conf:base
+    Campaign.spec ~label ~base_conf:base
       ~setup_world:(Httpd.setup_world httpd_cfg) (fun () ->
         Httpd.program ~cfg:httpd_cfg ())
   in
-  let agg = Runner.run_many ~jobs:!jobs spec ~n:app_runs in
+  let agg = Campaign.run spec ~n:app_runs ~jobs:!jobs [] in
   (label, agg, detects)
+
+(* Mean-makespan ratio of a campaign over a baseline campaign: the
+   "overhead vs native" of Tables 2 and 4. *)
+let mean_ratio (c : Campaign.report) (baseline : Campaign.report) =
+  if baseline.time_ms.Stats.mean <= 0.0 then 0.0
+  else c.time_ms.Stats.mean /. baseline.time_ms.Stats.mean
 
 let table2 () =
   Fmt.pr "(Table 2: %d queries over %d clients, %d runs; paper: 10000/10)@."
@@ -143,9 +148,15 @@ let table2 () =
     (fun (label, agg_r, detects) (label', agg_n, _) ->
       assert (label = label');
       let ovh agg =
-        Runner.overhead ~baseline:native_no_reports agg |> Printf.sprintf "%.0fx"
+        Printf.sprintf "%.0fx" (mean_ratio agg native_no_reports)
       in
-      let thr agg = Printf.sprintf "%.0f" (Runner.throughput agg ~work_items:httpd_cfg.queries) in
+      (* queries per simulated second *)
+      let thr (agg : Campaign.report) =
+        Printf.sprintf "%.0f"
+          (if agg.time_ms.Stats.mean <= 0.0 then 0.0
+           else
+             float_of_int httpd_cfg.queries /. (agg.time_ms.Stats.mean /. 1000.0))
+      in
       let is_racecfg = detects in
       Table.add_row t
         [
@@ -243,15 +254,15 @@ let table34 () =
       let aggs =
         List.map
           (fun (label, base) ->
-            let spec = Runner.spec ~label ~base_conf:base build in
-            Runner.run_many ~jobs:!jobs spec ~n:app_runs)
+            let spec = Campaign.spec ~label ~base_conf:base build in
+            Campaign.run spec ~n:app_runs ~jobs:!jobs [])
           configs
       in
       let native = List.hd aggs in
       Table.add_row t3
         (name
         :: List.map
-             (fun (a : Runner.agg) ->
+             (fun (a : Campaign.report) ->
                Format.asprintf "%a" Stats.pp_mean_sd
                  {
                    a.time_ms with
@@ -262,7 +273,7 @@ let table34 () =
       Table.add_row t4
         (name
         :: List.map
-             (fun a -> Printf.sprintf "%.1fx" (Runner.overhead ~baseline:native a))
+             (fun a -> Printf.sprintf "%.1fx" (mean_ratio a native))
              aggs))
     workloads;
   Table.print t3;
@@ -532,11 +543,11 @@ let ablations () =
       let e = Option.get (T11r_litmus.Registry.find name) in
       let rate strategy =
         let spec =
-          Runner.spec ~label:"x"
+          Campaign.spec ~label:"x"
             ~base_conf:(Conf.tsan11rec ~strategy ())
             e.build
         in
-        (Runner.run_many ~jobs:!jobs spec ~n:100).race_rate
+        (Campaign.run spec ~n:100 ~jobs:!jobs []).race_rate
       in
       Table.add_row t2
         [
@@ -568,8 +579,8 @@ let ablations () =
         let base =
           { (Conf.tsan11rec ~strategy:Conf.Random ()) with Conf.max_history = depth }
         in
-        let spec = Runner.spec ~label:"x" ~base_conf:base e.build in
-        (Runner.run_many ~jobs:!jobs spec ~n:500).race_rate
+        let spec = Campaign.spec ~label:"x" ~base_conf:base e.build in
+        (Campaign.run spec ~n:500 ~jobs:!jobs []).race_rate
       in
       Table.add_row t3
         [
@@ -739,7 +750,7 @@ let campaign () =
   let par_jobs = if !jobs > 1 then !jobs else 4 in
   let n = if !smoke then 60 else table1_runs in
   let litmus (e : T11r_litmus.Registry.entry) =
-    Runner.spec ~label:e.name
+    Campaign.spec ~label:e.name
       ~base_conf:(Conf.tsan11rec ~strategy:Conf.Random ())
       e.build
   in
@@ -748,7 +759,7 @@ let campaign () =
     [
       (litmus T11r_litmus.Registry.fig1, n);
       (litmus (Option.get (T11r_litmus.Registry.find "mcs-lock")), n);
-      ( Runner.spec ~label:"httpd-40q"
+      ( Campaign.spec ~label:"httpd-40q"
           ~base_conf:(Conf.tsan11rec ~strategy:Conf.Queue ())
           ~setup_world:(Httpd.setup_world httpd_cfg)
           (fun () -> Httpd.program ~cfg:httpd_cfg ()),
@@ -778,7 +789,7 @@ let campaign () =
         in
         Table.add_row t
           [
-            spec.Runner.label;
+            spec.Campaign.label;
             string_of_int n;
             Printf.sprintf "%.2f" seq.Campaign.wall_s;
             Printf.sprintf "%.0f" (Campaign.runs_per_sec seq);
@@ -787,7 +798,7 @@ let campaign () =
             Printf.sprintf "%.2fx" speedup;
             (if identical then "yes" else "NO");
           ];
-        (spec.Runner.label, n, seq, par, speedup, identical))
+        (spec.Campaign.label, n, seq, par, speedup, identical))
       specs
   in
   Table.print t;

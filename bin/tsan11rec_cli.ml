@@ -32,6 +32,7 @@ module Guided = T11r_harness.Guided
 module Corpus = T11r_harness.Corpus
 module Predictor = T11r_harness.Predictor
 module Predict = T11r_race.Predict
+module Decision = T11r_race.Decision
 
 (* ---- exit codes ---------------------------------------------------- *)
 
@@ -709,12 +710,25 @@ let explore_cmd =
         ~base_conf:(validated (Conf.tsan11rec ~strategy:co.co_strategy ()))
         w
     in
-    let report =
-      T11r_harness.Explore.explore ~jobs:co.co_jobs ~deadline_s:co.co_deadline
-        ?tick_budget:co.co_tick_budget ~retries:co.co_retries
-        ?journal:co.co_journal ~cancel spec ~n:co.co_runs
+    (* Runs are numbered from 1, so "first at seed i" names the
+       [--seed] that reproduces the sighting. *)
+    let c =
+      Campaign.run spec ~n:co.co_runs ~jobs:co.co_jobs ~first:1
+        ~deadline_s:co.co_deadline ?tick_budget:co.co_tick_budget
+        ~retries:co.co_retries ?journal:co.co_journal ~cancel []
     in
-    Fmt.pr "%a" T11r_harness.Explore.pp report;
+    Fmt.pr "%d runs: %d distinct schedules, %d racy (%.1f%%)@." c.Campaign.n
+      c.distinct_schedules c.racy_runs
+      (100.0 *. float_of_int c.racy_runs /. float_of_int (max 1 c.n));
+    List.iter (fun (k, v) -> Fmt.pr "  outcome %-12s %d@." k v) c.outcomes;
+    List.iter
+      (fun (s : Campaign.sighting) ->
+        Fmt.pr "  %a — %d sighting(s), first at seed %d@." T11r_race.Report.pp
+          s.s_race s.s_count s.s_first)
+      c.sightings;
+    (match c.crashes with
+    | [] -> ()
+    | (i, msg) :: _ -> Fmt.pr "  first crash at seed %d: %s@." i msg);
     if Atomic.get interrupted then begin
       (match co.co_journal with
       | Some j -> Fmt.pr "interrupted; resume with --resume %s@." j
@@ -1104,17 +1118,17 @@ let demo_info_cmd =
             | Some input ->
                 let kinds = Hashtbl.create 8 in
                 Array.iter
-                  (fun (s : Predict.step) ->
+                  (fun (d : Decision.t) ->
                     let k =
-                      match s.Predict.s_foot with
-                      | Predict.P_local -> "local"
-                      | Predict.P_atomic _ -> "atomic"
-                      | Predict.P_fence -> "fence"
-                      | Predict.P_sync _ -> "sync"
-                      | Predict.P_spawn _ -> "spawn"
-                      | Predict.P_join _ -> "join"
-                      | Predict.P_syscall _ -> "syscall"
-                      | Predict.P_global -> "global"
+                      match d.d_foot with
+                      | F_local -> "local"
+                      | F_atomic _ -> "atomic"
+                      | F_fence -> "fence"
+                      | F_sync _ -> "sync"
+                      | F_spawn _ -> "spawn"
+                      | F_join _ -> "join"
+                      | F_syscall _ -> "syscall"
+                      | F_global -> "global"
                     in
                     Hashtbl.replace kinds k
                       (1 + Option.value (Hashtbl.find_opt kinds k) ~default:0))

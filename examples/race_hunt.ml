@@ -5,7 +5,7 @@
    Run with: dune exec examples/race_hunt.exe *)
 
 module Conf = Tsan11rec.Conf
-module Runner = T11r_harness.Runner
+module Campaign = T11r_harness.Campaign
 open T11r_util
 
 let () =
@@ -26,9 +26,11 @@ let () =
       let cells =
         List.map
           (fun conf ->
-            let spec = Runner.spec ~label:conf.Conf.name ~base_conf:conf e.build in
-            let agg = Runner.run_many spec ~n in
-            Printf.sprintf "%.1f%%" agg.race_rate)
+            let spec =
+              Campaign.spec ~label:conf.Conf.name ~base_conf:conf e.build
+            in
+            let c = Campaign.run spec ~n [] in
+            Printf.sprintf "%.1f%%" c.Campaign.race_rate)
           configs
       in
       Table.add_row table (e.name :: cells))

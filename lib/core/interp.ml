@@ -7,6 +7,7 @@ module Tstate = T11r_mem.Tstate
 module Detector = T11r_race.Detector
 module Lockorder = T11r_race.Lockorder
 module Coverage = T11r_race.Coverage
+module Decision = T11r_race.Decision
 module World = T11r_env.World
 module Trace = T11r_obs.Trace
 module Metrics = T11r_obs.Metrics
@@ -31,33 +32,6 @@ type divergence = {
   div_trail : (int * int * string) list;
 }
 
-(* Per-decision metadata for systematic exploration (DPOR). Captured
-   only under the Guided strategy; every other configuration pays one
-   predictable branch per tick and allocates nothing. *)
-type access = Acc_read | Acc_write | Acc_update
-
-type footprint =
-  | F_local  (* no shared effect the explorer can see *)
-  | F_atomic of int * access  (* atomic location id *)
-  | F_fence
-  | F_sync of int * int
-      (* mutex/condvar/rwlock object id(s); second is -1 when the op
-         touches a single object (ids share one allocation space) *)
-  | F_spawn of int  (* created tid *)
-  | F_join of int  (* joined tid *)
-  | F_syscall of int  (* Syscall.footprint_id; treated as global *)
-  | F_global  (* world-coupled op: signals, timed waits *)
-
-type decision = {
-  d_tid : int;  (* thread whose visible op executed at this tick *)
-  d_enabled : int array;  (* tids enabled at the scheduling point, ascending *)
-  d_foot : footprint;
-  d_draws : int;  (* scheduler-PRNG draws the op consumed *)
-  d_rand : bool;  (* some draw chose among >= 2 behaviour-relevant options *)
-  d_clock : Vclock.t;  (* FastTrack clock of d_tid after the op *)
-  d_lock : T11r_race.Predict.lockev;  (* lock transition the op performed *)
-}
-
 type result = {
   outcome : outcome;
   makespan_us : int;
@@ -78,8 +52,8 @@ type result = {
   events : Trace.event list;
   events_dropped : int;
   coverage : T11r_race.Coverage.summary;
-  decisions : decision array;
-  accesses : T11r_race.Predict.acc array;
+  decisions : Decision.t array;
+  accesses : Decision.acc array;
 }
 
 exception Hard of string
@@ -184,11 +158,11 @@ type ctx = {
   mutable faults_seen : int;  (* World.faults_injected already traced *)
   (* decision capture for systematic exploration (Guided strategy only) *)
   dec_on : bool;
-  mutable decisions : decision list;  (* reversed *)
+  mutable decisions : Decision.t list;  (* reversed *)
   mutable dec_rand : bool;  (* current op drew among >= 2 live waiters *)
-  mutable dec_lock : T11r_race.Predict.lockev;  (* current op's lock transition *)
+  mutable dec_lock : Decision.lock_event;  (* current op's lock transition *)
   mutable dec_counts : int array;  (* per-tid executed visible ops *)
-  mutable dec_accs : T11r_race.Predict.acc list;  (* reversed *)
+  mutable dec_accs : Decision.acc list;  (* reversed *)
 }
 
 let thread_opt ctx tid =
@@ -943,7 +917,7 @@ let wake_one_mutex_waiter ctx mid ~at =
 let acquire_mutex ctx t (m : Api.mutex) =
   let ms = mstate ctx m in
   ms.owner <- Some t.tid;
-  if ctx.dec_on then ctx.dec_lock <- T11r_race.Predict.L_acquire m.Api.mu_id;
+  if ctx.dec_on then ctx.dec_lock <- Decision.L_acquire m.Api.mu_id;
   if Coverage.enabled ctx.cov then
     Coverage.mark ctx.cov (Coverage.site_edge ~tid:t.tid ~obj:m.Api.mu_id);
   if ctx.conf.race_detection then begin
@@ -955,7 +929,7 @@ let acquire_mutex ctx t (m : Api.mutex) =
 let release_mutex ctx t (m : Api.mutex) ~at =
   let ms = mstate ctx m in
   ms.owner <- None;
-  if ctx.dec_on then ctx.dec_lock <- T11r_race.Predict.L_release m.Api.mu_id;
+  if ctx.dec_on then ctx.dec_lock <- Decision.L_release m.Api.mu_id;
   if ctx.conf.race_detection then begin
     ms.m_clock <- Vclock.join ms.m_clock (Tstate.clock t.tst);
     Tstate.tick t.tst;
@@ -998,7 +972,7 @@ let rw_can_write rw = rw.rw_writer = None && rw.rw_readers = []
 
 let rw_acquire_read ctx t (l : Api.rwlock) rw =
   rw.rw_readers <- t.tid :: rw.rw_readers;
-  if ctx.dec_on then ctx.dec_lock <- T11r_race.Predict.L_acquire l.Api.rw_id;
+  if ctx.dec_on then ctx.dec_lock <- Decision.L_acquire l.Api.rw_id;
   if Coverage.enabled ctx.cov then
     Coverage.mark ctx.cov (Coverage.site_edge ~tid:t.tid ~obj:l.Api.rw_id);
   if ctx.conf.race_detection then begin
@@ -1009,7 +983,7 @@ let rw_acquire_read ctx t (l : Api.rwlock) rw =
 
 let rw_acquire_write ctx t (l : Api.rwlock) rw =
   rw.rw_writer <- Some t.tid;
-  if ctx.dec_on then ctx.dec_lock <- T11r_race.Predict.L_acquire l.Api.rw_id;
+  if ctx.dec_on then ctx.dec_lock <- Decision.L_acquire l.Api.rw_id;
   if Coverage.enabled ctx.cov then
     Coverage.mark ctx.cov (Coverage.site_edge ~tid:t.tid ~obj:l.Api.rw_id);
   if ctx.conf.race_detection then begin
@@ -1032,7 +1006,7 @@ let rw_wake_all ctx lid ~at =
 
 let rw_unlock ctx t (l : Api.rwlock) ~at =
   let rw = rwstate ctx l in
-  if ctx.dec_on then ctx.dec_lock <- T11r_race.Predict.L_release l.Api.rw_id;
+  if ctx.dec_on then ctx.dec_lock <- Decision.L_release l.Api.rw_id;
   (match rw.rw_writer with
   | Some tid when tid = t.tid -> rw.rw_writer <- None
   | _ -> rw.rw_readers <- List.filter (fun tid -> tid <> t.tid) rw.rw_readers);
@@ -1065,7 +1039,7 @@ let block ctx t reason =
   (if ctx.dec_on then
      match reason with
      | On_mutex id | On_rwlock id ->
-         ctx.dec_lock <- T11r_race.Predict.L_blocked id
+         ctx.dec_lock <- Decision.L_blocked id
      | On_join _ | On_cond _ -> ());
   t.status <- Disabled reason;
   t.disabled_at <- ctx.tick
@@ -1163,7 +1137,7 @@ let lock_attempt ctx t (k : (Api.timeout_result, unit) continuation) cw fin =
   let ms = Hashtbl.find ctx.mutexes cw.cw_mutex in
   if ms.owner = None then begin
     ms.owner <- Some t.tid;
-    if ctx.dec_on then ctx.dec_lock <- T11r_race.Predict.L_acquire cw.cw_mutex;
+    if ctx.dec_on then ctx.dec_lock <- Decision.L_acquire cw.cw_mutex;
     if ctx.conf.race_detection then begin
       Tstate.acquire t.tst ms.m_clock;
       Lockorder.acquired ctx.lockorder ~tid:t.tid ~lock:cw.cw_mutex
@@ -1186,7 +1160,7 @@ let lock_attempt ctx t (k : (Api.timeout_result, unit) continuation) cw fin =
    explorer cannot factor). CAS counts as an update even when it
    fails — the failure path is a load, but whether it fails depends on
    the newest store, which is exactly the same-location dependence. *)
-let footprint_of_next ctx t =
+let footprint_of_next ctx t : Decision.footprint =
   if t.sigq <> [] then F_global
   else
     match t.pending with
@@ -1773,7 +1747,7 @@ let make_ctx ?arena conf world replay_demo =
         | _ -> false);
       decisions = [];
       dec_rand = false;
-      dec_lock = T11r_race.Predict.L_none;
+      dec_lock = Decision.L_none;
       dec_counts = [||];
       dec_accs = [];
     }
@@ -1791,7 +1765,7 @@ let make_ctx ?arena conf world replay_demo =
            in
            ctx.dec_accs <-
              {
-               T11r_race.Predict.a_tick = ctx.tick;
+               Decision.a_tick = ctx.tick;
                a_tid = tid;
                a_pos = pos;
                a_var = Detector.var_id v;
@@ -1893,41 +1867,8 @@ let result_of_outcome outcome =
     accesses = [||];
   }
 
-(* Bridge the interpreter's decision metadata to the self-contained
-   input of the offline predictive race analysis (same shapes; the
-   Predict types live below the interpreter in the library stack). *)
-let predict_foot = function
-  | F_local -> T11r_race.Predict.P_local
-  | F_atomic (id, Acc_read) -> T11r_race.Predict.P_atomic (id, A_read)
-  | F_atomic (id, Acc_write) -> T11r_race.Predict.P_atomic (id, A_write)
-  | F_atomic (id, Acc_update) -> T11r_race.Predict.P_atomic (id, A_update)
-  | F_fence -> T11r_race.Predict.P_fence
-  | F_sync (a, b) -> T11r_race.Predict.P_sync (a, b)
-  | F_spawn c -> T11r_race.Predict.P_spawn c
-  | F_join c -> T11r_race.Predict.P_join c
-  | F_syscall id -> T11r_race.Predict.P_syscall id
-  | F_global -> T11r_race.Predict.P_global
-
-let predict_input ~decisions ~accesses ~races : T11r_race.Predict.input =
-  {
-    T11r_race.Predict.steps =
-      Array.map
-        (fun d ->
-          {
-            T11r_race.Predict.s_tid = d.d_tid;
-            s_enabled = d.d_enabled;
-            s_foot = predict_foot d.d_foot;
-            s_rand = d.d_rand;
-            s_clock = d.d_clock;
-            s_lock = d.d_lock;
-          })
-        decisions;
-    accs = accesses;
-    observed = races;
-  }
-
 let to_predict_input (r : result) =
-  predict_input ~decisions:r.decisions ~accesses:r.accesses ~races:r.races
+  { T11r_race.Predict.steps = r.decisions; accs = r.accesses; observed = r.races }
 
 (* A corrupt or missing demo is a usability (or durability) error, not
    a crash: surface it as its own outcome with an empty result so the
@@ -1984,7 +1925,7 @@ let run ?world ?arena conf (program : Api.program) =
             if ctx.dec_on then
               ( "DECISIONS",
                 T11r_race.Predict.encode_input
-                  (predict_input ~decisions ~accesses ~races) )
+                  { steps = decisions; accs = accesses; observed = races } )
               :: extra
             else extra
           in
@@ -2195,7 +2136,7 @@ let run ?world ?arena conf (program : Api.program) =
                 let draws0 = Prng.draws ctx.rng in
                 let rand0 = Atomics.rand_choices ctx.mem in
                 ctx.dec_rand <- false;
-                ctx.dec_lock <- T11r_race.Predict.L_none;
+                ctx.dec_lock <- Decision.L_none;
                 (* Count the op before it runs: accesses streamed from
                    this op's invisible pump attribute to position
                    [dec_counts.(tid)] — after the op, matching the
@@ -2211,13 +2152,12 @@ let run ?world ?arena conf (program : Api.program) =
                 exec_cs ctx t;
                 ctx.decisions <-
                   {
-                    d_tid = t.tid;
+                    Decision.d_tid = t.tid;
                     d_enabled = enabled;
                     d_foot = foot;
                     d_draws = Prng.draws ctx.rng - draws0;
                     d_rand =
                       ctx.dec_rand || Atomics.rand_choices ctx.mem > rand0;
-                    d_clock = Tstate.clock t.tst;
                     d_lock = ctx.dec_lock;
                   }
                   :: ctx.decisions

@@ -47,58 +47,6 @@ type divergence = {
   div_trail : (int * int * string) list;
 }
 
-(** {2 Decision metadata for systematic exploration}
-
-    Under the [Conf.Guided] strategy — and only there — every
-    scheduling point records the chosen thread, the enabled set and a
-    {e dependency footprint} of the visible operation executed, the raw
-    material for dynamic partial-order reduction in
-    [T11r_harness.Systematic]. Every other configuration pays one
-    branch per tick and allocates nothing ([bench ops] budgets are
-    unchanged). *)
-
-type access = Acc_read | Acc_write | Acc_update
-
-type footprint =
-  | F_local  (** no shared effect the explorer can observe *)
-  | F_atomic of int * access  (** atomic location id + access kind *)
-  | F_fence
-  | F_sync of int * int
-      (** mutex/condvar/rwlock object id(s) — ids share one allocation
-          space, so they never collide across kinds; the second id is
-          [-1] unless the op touches two objects (condvar waits touch
-          the condvar and its mutex) *)
-  | F_spawn of int  (** created tid *)
-  | F_join of int  (** joined tid *)
-  | F_syscall of int
-      (** [Syscall.footprint_id]; conservatively global — all syscalls
-          share the world's state and PRNG stream *)
-  | F_global
-      (** other world-coupled ops (signal plumbing, timed waits):
-          dependent on everything *)
-
-(** One scheduling decision: at the tick where it was recorded, the
-    threads in [d_enabled] (ascending tids, matching the Guided
-    strategy's index order) were runnable, [d_tid]'s visible op
-    executed with footprint [d_foot], consuming [d_draws] scheduler-
-    PRNG draws. [d_rand] marks draws that actually chose among two or
-    more behaviour-relevant alternatives (an atomic load offered
-    several admissible stores, a wake picking among several waiters) —
-    forced single-option draws keep the stream aligned but commute. *)
-type decision = {
-  d_tid : int;
-  d_enabled : int array;
-  d_foot : footprint;
-  d_draws : int;
-  d_rand : bool;
-  d_clock : T11r_util.Vclock.t;
-      (** FastTrack clock of [d_tid] after the op — the clock snapshot
-          the offline predictive analysis relaxes *)
-  d_lock : T11r_race.Predict.lockev;
-      (** lock transition the op performed (acquire/release/blocked),
-          disambiguating the [F_sync] footprint *)
-}
-
 type result = {
   outcome : outcome;
   makespan_us : int;  (** simulated wall-clock of the whole run *)
@@ -142,10 +90,12 @@ type result = {
   coverage : T11r_race.Coverage.summary;
       (** the run's schedule-coverage fingerprint —
           [T11r_race.Coverage.empty] unless [Conf.coverage] was set *)
-  decisions : decision array;
+  decisions : T11r_race.Decision.t array;
       (** one entry per executed tick, in order — empty unless the run
-          used the [Conf.Guided] strategy (systematic exploration) *)
-  accesses : T11r_race.Predict.acc array;
+          used the [Conf.Guided] strategy (systematic exploration,
+          predictive analysis); every other configuration pays one
+          branch per tick and allocates nothing *)
+  accesses : T11r_race.Decision.acc array;
       (** every shadow-checked non-atomic access in stream order, with
           its thread-position attribution — empty unless the run used
           the [Conf.Guided] strategy (captured for the offline
@@ -185,8 +135,8 @@ val completed : result -> bool
 (** [outcome = Completed]. *)
 
 val to_predict_input : result -> T11r_race.Predict.input
-(** Bundle a Guided run's decision metadata, access stream and race
-    sightings as the input of [T11r_race.Predict.analyze]. Recordings
+(** Bundle a Guided run's decisions, access stream and race sightings
+    as the input of [T11r_race.Predict.analyze]. Recordings
     made under decision capture also persist this input in the demo's
     DECISIONS aux file ([T11r_race.Predict.encode_input]), so the
     analysis can run offline on the demo alone. *)

@@ -10,7 +10,7 @@ type spec = {
   instance : int -> World.t * T11r_vm.Api.program;
 }
 
-(* The seed discipline, unchanged from the original Runner: run [i]
+(* The seed discipline: run [i]
    gets scheduler seeds derived from [i] (the stand-in for the two
    rdtsc() calls of a real recording, §4) and a world seed derived
    from [i], so the whole campaign is a pure function of the spec. *)
@@ -234,7 +234,7 @@ let aggregate ~label ~n ~first ~jobs ~wall_s ?(supervision = no_supervision)
    resumed campaign's digest is bit-identical to an uninterrupted
    one's. Bump [journal_schema] whenever Interp.result (or anything it
    contains) changes layout. *)
-let journal_schema = 3
+let journal_schema = 4
 
 type journal_header = {
   jh_schema : int;

@@ -10,11 +10,7 @@
     sequential fold in index order, so the {!report} — histograms,
     race-sighting tables, schedule counts, float statistics, byte for
     byte — is identical whatever [jobs] is. [jobs = 1] is exactly the
-    old sequential loop.
-
-    The legacy entry points ([Runner.run_many], [Explore.explore],
-    [Faultsweep.sweep], and the systematic explorer's per-wave
-    execution) are thin wrappers over this module and {!Pool}. *)
+    old sequential loop. *)
 
 type spec = {
   label : string;  (** row/column label, e.g. "tsan11rec rnd" *)
@@ -165,6 +161,13 @@ val run :
       true the campaign stops claiming work, finishes in-flight runs,
       flushes the journal and returns a partial report with
       [supervision.sup_interrupted] set. *)
+
+val journal_schema : int
+(** Version of the marshalled run layout, pinned in every journal's
+    header. It changes whenever [Interp.result] (or anything it
+    contains) changes layout; {!run} and {!journal_results} reject a
+    journal of another schema with [Invalid_argument] before
+    unmarshalling any run entry. *)
 
 val journal_results : string -> (int * Tsan11rec.Interp.result) list
 (** Read-only access to a campaign journal's completed runs, in index

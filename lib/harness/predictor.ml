@@ -9,6 +9,7 @@ module Conf = Tsan11rec.Conf
 module Interp = Tsan11rec.Interp
 module Demo = Tsan11rec.Demo
 module Predict = T11r_race.Predict
+module Decision = T11r_race.Decision
 module Report = T11r_race.Report
 module Coverage = T11r_race.Coverage
 module Metrics = T11r_obs.Metrics
@@ -98,11 +99,6 @@ let seed_sweep ~recorded_seeds ~extra =
   in
   match recorded_seeds with Some p -> p :: derived | None -> derived
 
-let index_of tid (enabled : int array) =
-  let n = Array.length enabled in
-  let rec go i = if i >= n then None else if enabled.(i) = tid then Some i else go (i + 1) in
-  go 0
-
 (* One guided execution of [prefix] under (s1, s2). Coverage is forced
    on so a confirming run carries the fingerprint corpus admission
    needs; mode is forced Free — verification never records. *)
@@ -123,11 +119,11 @@ let sighted (pair : Predict.pair) (r : Interp.result) =
 (* First decision where the realized schedule departs from the plan;
    [None] when every executed decision matched (the run may still have
    ended before the plan did — nothing left to repair either way). *)
-let first_mismatch (w : Predict.witness) (ds : Interp.decision array) =
+let first_mismatch (w : Predict.witness) (ds : Decision.t array) =
   let n = min (Array.length w.Predict.w_tids) (Array.length ds) in
   let rec go k =
     if k >= n then None
-    else if ds.(k).Interp.d_tid <> w.Predict.w_tids.(k) then Some k
+    else if ds.(k).Decision.d_tid <> w.Predict.w_tids.(k) then Some k
     else go (k + 1)
   in
   go 0
@@ -139,17 +135,15 @@ let first_mismatch (w : Predict.witness) (ds : Interp.decision array) =
    actually exposed there, and the old tail is kept. [None] when the
    planned thread was not enabled at [k] — this (plan, seeds) cell
    cannot realize the witness and is abandoned. *)
-let repair (w : Predict.witness) (ds : Interp.decision array) (prefix : int array) k =
-  match index_of w.Predict.w_tids.(k) ds.(k).Interp.d_enabled with
-  | None -> None
-  | Some idx ->
+let repair (w : Predict.witness) (ds : Decision.t array) (prefix : int array) k =
+  match Decision.index_of w.Predict.w_tids.(k) ds.(k).Decision.d_enabled with
+  | exception Not_found -> None
+  | idx ->
       let n = max (Array.length prefix) (k + 1) in
       let p = Array.make n 0 in
       Array.blit prefix 0 p 0 (Array.length prefix);
       for j = 0 to k - 1 do
-        match index_of ds.(j).Interp.d_tid ds.(j).Interp.d_enabled with
-        | Some i -> p.(j) <- i
-        | None -> ()
+        p.(j) <- Decision.index_of ds.(j).Decision.d_tid ds.(j).Decision.d_enabled
       done;
       p.(k) <- idx;
       Some p
@@ -176,7 +170,7 @@ let verify_pair ~instance ~base ~seeds ~budget (pair : Predict.pair) =
                  {
                    c_seed1 = s1;
                    c_seed2 = s2;
-                   c_prefix = Predict.normalize_prefix !prefix;
+                   c_prefix = Decision.normalize_prefix !prefix;
                    c_runs = !runs;
                    c_race = Report.norm race;
                    c_cov = r.Interp.coverage;

@@ -2,6 +2,8 @@ module Conf = Tsan11rec.Conf
 module Interp = Tsan11rec.Interp
 module World = T11r_env.World
 module Report = T11r_race.Report
+module Decision = T11r_race.Decision
+open Decision
 
 type result = {
   runs : int;
@@ -20,10 +22,11 @@ type result = {
    (prefix, observed counts, result-without-demo). Resume keys the
    cache on the prefix itself, so the worker count may differ between
    the original run and the resume — each prefix's result is a pure
-   function of (prefix, seeds, world_seed). Schema 2: results carry
-   the per-decision DPOR metadata ({!Interp.decision}), and entries
-   are written in analysis order (identical at every [jobs]). *)
-let journal_schema = 3
+   function of (prefix, seeds, world_seed). Results carry the
+   per-decision DPOR metadata ({!Decision.t}), and entries are written
+   in analysis order (identical at every [jobs]). Bump the schema
+   whenever Interp.result changes layout. *)
+let journal_schema = 4
 
 type journal_header = {
   jh_schema : int;
@@ -49,37 +52,31 @@ type journal_header = {
    single-option draws commute — they advance the stream by the same
    amount wherever they run. Over-approximation is sound: in the worst
    case DPOR degenerates to the exhaustive search. *)
-let dep (a : Interp.decision) (b : Interp.decision) =
+let dep (a : Decision.t) (b : Decision.t) =
   let foot =
-    match (a.Interp.d_foot, b.Interp.d_foot) with
-    | (Interp.F_global | Interp.F_syscall _), _
-    | _, (Interp.F_global | Interp.F_syscall _) ->
-        true
-    | Interp.F_local, _ | _, Interp.F_local -> false
-    | Interp.F_atomic (l1, k1), Interp.F_atomic (l2, k2) ->
-        l1 = l2 && not (k1 = Interp.Acc_read && k2 = Interp.Acc_read)
-    | Interp.F_atomic _, Interp.F_fence
-    | Interp.F_fence, Interp.F_atomic _
-    | Interp.F_fence, Interp.F_fence ->
-        true
-    | Interp.F_sync (x1, x2), Interp.F_sync (y1, y2) ->
+    match (a.d_foot, b.d_foot) with
+    | (F_global | F_syscall _), _ | _, (F_global | F_syscall _) -> true
+    | F_local, _ | _, F_local -> false
+    | F_atomic (l1, k1), F_atomic (l2, k2) ->
+        l1 = l2 && not (k1 = Acc_read && k2 = Acc_read)
+    | F_atomic _, F_fence | F_fence, F_atomic _ | F_fence, F_fence -> true
+    | F_sync (x1, x2), F_sync (y1, y2) ->
         x1 = y1 || x1 = y2 || (x2 >= 0 && (x2 = y1 || x2 = y2))
-    | Interp.F_spawn _, Interp.F_spawn _ -> true
-    | Interp.F_spawn t, Interp.F_join u | Interp.F_join u, Interp.F_spawn t ->
-        t = u
-    | Interp.F_join t, Interp.F_join u -> t = u
+    | F_spawn _, F_spawn _ -> true
+    | F_spawn t, F_join u | F_join u, F_spawn t -> t = u
+    | F_join t, F_join u -> t = u
     | _, _ -> false
   in
-  a.Interp.d_tid = b.Interp.d_tid
+  a.d_tid = b.d_tid
   || foot
-  || (match a.Interp.d_foot with
-     | Interp.F_spawn t | Interp.F_join t -> t = b.Interp.d_tid
+  || (match a.d_foot with
+     | F_spawn t | F_join t -> t = b.d_tid
      | _ -> false)
-  || (match b.Interp.d_foot with
-     | Interp.F_spawn t | Interp.F_join t -> t = a.Interp.d_tid
+  || (match b.d_foot with
+     | F_spawn t | F_join t -> t = a.d_tid
      | _ -> false)
-  || (a.Interp.d_rand && b.Interp.d_draws > 0)
-  || (b.Interp.d_rand && a.Interp.d_draws > 0)
+  || (a.d_rand && b.d_draws > 0)
+  || (b.d_rand && a.d_draws > 0)
 
 (* ------------------------------------------------------------------ *)
 (* DFS frames. A frame is the node reached after [fr_depth] scheduling
@@ -91,11 +88,11 @@ type frame = {
   fr_depth : int;
   fr_path : int array;
   fr_enabled : int array; (* tids runnable here, ascending *)
-  fr_rd : Interp.decision array;
+  fr_rd : Decision.t array;
   mutable fr_backtrack : int list; (* tids to explore, insertion order *)
   mutable fr_done : int list; (* tids whose subtree is complete *)
-  mutable fr_sleep : (int * Interp.decision) list; (* sleep set *)
-  mutable fr_cur : Interp.decision option; (* transition being explored *)
+  mutable fr_sleep : (int * Decision.t) list; (* sleep set *)
+  mutable fr_cur : Decision.t option; (* transition being explored *)
   mutable fr_cur_clk : int array;
       (* vector clock of fr_cur over the current path: entry [q] is
          1 + the index of thread q's latest event that happens-before
@@ -135,25 +132,6 @@ let clk_bump dst q v =
 
 let in_sleep sleep tid = List.exists (fun (t, _) -> t = tid) sleep
 
-let index_of tid enabled =
-  let rec go i =
-    if i >= Array.length enabled then -1
-    else if enabled.(i) = tid then i
-    else go (i + 1)
-  in
-  go 0
-
-(* Strip trailing zeros: beyond its prefix the guided strategy picks
-   index 0, so run(p ++ [0]) realizes the same schedule as run(p).
-   Normalizing before every cache/journal access makes following a run
-   down its own path free and makes [runs] count distinct executions. *)
-let normalize (p : int array) =
-  let n = ref (Array.length p) in
-  while !n > 0 && p.(!n - 1) = 0 do
-    decr n
-  done;
-  if !n = Array.length p then p else Array.sub p 0 !n
-
 let explore ?(max_runs = 2000) ?(jobs = 1) ?(dpor = true) ?(deadline_s = 0.)
     ?tick_budget ?(world_seed = 7L) ?(seeds = (11L, 13L)) ?journal ?cancel
     ~build () =
@@ -162,7 +140,9 @@ let explore ?(max_runs = 2000) ?(jobs = 1) ?(dpor = true) ?(deadline_s = 0.)
   (* Pending executions by normalized prefix: journal-loaded entries
      plus speculative wave results, consumed (and removed) when the
      sequential analysis queries them. Only the supervising domain
-     touches this table — workers return results by value. *)
+     touches this table — workers return results by value. Keying on
+     the normalized prefix makes following a run down its own path
+     free and makes [runs] count distinct executions. *)
   let cache : (int array, Interp.result * int array) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -204,7 +184,7 @@ let explore ?(max_runs = 2000) ?(jobs = 1) ?(dpor = true) ?(deadline_s = 0.)
                     : int array * int array * Interp.result)
                 with
                 | prefix, counts, r ->
-                    let prefix = normalize prefix in
+                    let prefix = Decision.normalize_prefix prefix in
                     Hashtbl.replace cache prefix (r, counts);
                     Hashtbl.replace from_journal prefix ()
                 | exception _ -> ())
@@ -343,10 +323,10 @@ let explore ?(max_runs = 2000) ?(jobs = 1) ?(dpor = true) ?(deadline_s = 0.)
              (not (List.mem q f.fr_done))
              && (not (in_sleep f.fr_sleep q))
              && (match f.fr_cur with
-                | Some e -> e.Interp.d_tid <> q
+                | Some e -> e.d_tid <> q
                 | None -> true)
            then
-             let idx = index_of q f.fr_enabled in
+             let idx = Decision.index_of q f.fr_enabled in
              if idx > 0 then
                consider (Array.append f.fr_path [| idx |]))
          f.fr_backtrack;
@@ -388,7 +368,7 @@ let explore ?(max_runs = 2000) ?(jobs = 1) ?(dpor = true) ?(deadline_s = 0.)
   let push_node ~path ~depth ~rd ~sleep =
     if depth >= Array.length rd then false
     else begin
-      let enabled = rd.(depth).Interp.d_enabled in
+      let enabled = rd.(depth).d_enabled in
       let first_awake = ref (-1) in
       Array.iter
         (fun tid ->
@@ -437,14 +417,14 @@ let explore ?(max_runs = 2000) ?(jobs = 1) ?(dpor = true) ?(deadline_s = 0.)
           let p = fget (!sp - 1) in
           match p.fr_cur with
           | Some e ->
-              p.fr_done <- e.Interp.d_tid :: p.fr_done;
-              if dpor then p.fr_sleep <- (e.Interp.d_tid, e) :: p.fr_sleep;
+              p.fr_done <- e.d_tid :: p.fr_done;
+              if dpor then p.fr_sleep <- (e.d_tid, e) :: p.fr_sleep;
               p.fr_cur <- None
           | None -> assert false
         end
     | Some q ->
         let k = f.fr_depth in
-        let idx = index_of q f.fr_enabled in
+        let idx = Decision.index_of q f.fr_enabled in
         let path' = Array.append f.fr_path [| idx |] in
         (* Index 0 continues the run already followed through this
            node — same normalized prefix, no new execution. A nonzero
@@ -453,10 +433,10 @@ let explore ?(max_runs = 2000) ?(jobs = 1) ?(dpor = true) ?(deadline_s = 0.)
         let rd' =
           if idx = 0 then f.fr_rd
           else
-            let r, _ = query (normalize path') in
+            let r, _ = query (Decision.normalize_prefix path') in
             r.Interp.decisions
         in
-        if Array.length rd' <= k || rd'.(k).Interp.d_tid <> q then begin
+        if Array.length rd' <= k || rd'.(k).d_tid <> q then begin
           (* The run ended before this depth (supervision cut it
              short) or diverged — nothing to descend into. *)
           f.fr_done <- q :: f.fr_done;
@@ -479,13 +459,13 @@ let explore ?(max_runs = 2000) ?(jobs = 1) ?(dpor = true) ?(deadline_s = 0.)
                   if dep em e then begin
                     dep_w.(m) <- true;
                     clk := clk_join !clk (fget m).fr_cur_clk;
-                    clk := clk_bump !clk em.Interp.d_tid (m + 1)
+                    clk := clk_bump !clk em.d_tid (m + 1)
                   end
               | None -> assert false
             done;
             let hb m =
               match (fget m).fr_cur with
-              | Some em -> clk_get !clk em.Interp.d_tid > m
+              | Some em -> clk_get !clk em.d_tid > m
               | None -> false
             in
             (* blocked(i): some intermediate event both inherits from i
@@ -502,8 +482,8 @@ let explore ?(max_runs = 2000) ?(jobs = 1) ?(dpor = true) ?(deadline_s = 0.)
               let ei = match fi.fr_cur with Some e -> e | None -> assert false in
               if
                 dep_w.(i)
-                && ei.Interp.d_tid <> e.Interp.d_tid
-                && clk_get !blk ei.Interp.d_tid <= i
+                && ei.d_tid <> e.d_tid
+                && clk_get !blk ei.d_tid <= i
               then begin
                 (* Reversible race: node i must also try the other
                    side. *)
@@ -516,15 +496,15 @@ let explore ?(max_runs = 2000) ?(jobs = 1) ?(dpor = true) ?(deadline_s = 0.)
                     match (fget m).fr_cur with
                     | Some em ->
                         if
-                          enabled_at em.Interp.d_tid
-                          && not (List.mem em.Interp.d_tid !cand)
-                        then cand := em.Interp.d_tid :: !cand
+                          enabled_at em.d_tid
+                          && not (List.mem em.d_tid !cand)
+                        then cand := em.d_tid :: !cand
                     | None -> ()
                 done;
                 if
-                  enabled_at e.Interp.d_tid
-                  && not (List.mem e.Interp.d_tid !cand)
-                then cand := e.Interp.d_tid :: !cand;
+                  enabled_at e.d_tid
+                  && not (List.mem e.d_tid !cand)
+                then cand := e.d_tid :: !cand;
                 let add tid =
                   if
                     (not (List.mem tid fi.fr_backtrack))

@@ -7,7 +7,7 @@
     one run per distinct schedule, until the tree is exhausted or a
     budget runs out. Each node is reached by a {e guided prefix} (an
     index per tick into the ascending-tid enabled set, [Conf.Guided])
-    and each edge carries the {!Interp.decision} the interpreter
+    and each edge carries the {!T11r_race.Decision.t} the interpreter
     recorded for it — chosen tid, enabled set, dependency footprint,
     scheduler-PRNG draws. For closed programs within the bounds the
     result is a *verification*: an empty race list means no explored-
@@ -56,6 +56,11 @@ type result = {
   outcomes : (string * int) list;
   max_depth_seen : int;  (** longest run, in scheduling points *)
 }
+
+val journal_schema : int
+(** Version of the marshalled result layout, pinned in the header of
+    an exploration journal; {!explore} rejects a journal of another
+    schema with [Invalid_argument] before unmarshalling any entry. *)
 
 val explore :
   ?max_runs:int ->

@@ -117,4 +117,4 @@ val rand_choices : t -> int
     calls made only to keep the PRNG stream aligned. Systematic
     exploration uses the delta of this counter across one visible
     operation to decide whether the operation's scheduler-PRNG draws
-    are behaviour-relevant (see {!Interp.decision}). *)
+    are behaviour-relevant (see {!T11r_race.Decision.t}). *)

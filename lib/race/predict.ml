@@ -16,42 +16,10 @@
    [c.(t) >= p + 1]; *event* p of thread t is covered iff
    [c.(t) >= p]. *)
 
-module Vclock = T11r_util.Vclock
-
-type access_kind = A_read | A_write | A_update
-
-type foot =
-  | P_local
-  | P_atomic of int * access_kind
-  | P_fence
-  | P_sync of int * int
-  | P_spawn of int
-  | P_join of int
-  | P_syscall of int
-  | P_global
-
-type lockev = L_none | L_acquire of int | L_release of int | L_blocked of int
-
-type step = {
-  s_tid : int;
-  s_enabled : int array;
-  s_foot : foot;
-  s_rand : bool;
-  s_clock : Vclock.t;
-  s_lock : lockev;
-}
-
-type acc = {
-  a_tick : int;
-  a_tid : int;
-  a_pos : int;
-  a_var : int;
-  a_write : bool;
-  a_name : string;
-}
+open Decision
 
 type input = {
-  steps : step array;
+  steps : Decision.t array;
   accs : acc array;
   observed : Report.t list;
 }
@@ -79,23 +47,8 @@ type t = {
   n_lock_excluded : int;
 }
 
-(* ---- prefixes ------------------------------------------------------ *)
-
-let normalize_prefix p =
-  let n = ref (Array.length p) in
-  while !n > 0 && p.(!n - 1) = 0 do
-    decr n
-  done;
-  if !n = Array.length p then p else Array.sub p 0 !n
-
-let index_in (a : int array) x =
-  let n = Array.length a in
-  let rec go i = if i >= n then 0 else if a.(i) = x then i else go (i + 1) in
-  go 0
-
 let recorded_prefix inp =
-  normalize_prefix
-    (Array.map (fun s -> index_in s.s_enabled s.s_tid) inp.steps)
+  normalize_prefix (Array.map (fun d -> index_of d.d_tid d.d_enabled) inp.steps)
 
 (* ---- analysis ------------------------------------------------------ *)
 
@@ -105,10 +58,10 @@ let analyze (inp : input) : t =
     let m = ref 0 in
     Array.iter
       (fun s ->
-        if s.s_tid > !m then m := s.s_tid;
-        Array.iter (fun t -> if t > !m then m := t) s.s_enabled;
-        match s.s_foot with
-        | P_spawn c | P_join c -> if c > !m then m := c
+        if s.d_tid > !m then m := s.d_tid;
+        Array.iter (fun t -> if t > !m then m := t) s.d_enabled;
+        match s.d_foot with
+        | F_spawn c | F_join c -> if c > !m then m := c
         | _ -> ())
       inp.steps;
     Array.iter (fun a -> if a.a_tid > !m then m := a.a_tid) inp.accs;
@@ -117,7 +70,7 @@ let analyze (inp : input) : t =
   (* Per-thread event index: evs.(t).(k-1) = step index of t's k-th
      visible op. *)
   let ev_rev = Array.make nthreads [] in
-  Array.iteri (fun i s -> ev_rev.(s.s_tid) <- i :: ev_rev.(s.s_tid)) inp.steps;
+  Array.iteri (fun i s -> ev_rev.(s.d_tid) <- i :: ev_rev.(s.d_tid)) inp.steps;
   let evs = Array.map (fun l -> Array.of_list (List.rev l)) ev_rev in
   let n_events t = Array.length evs.(t) in
   (* An id is a lock id iff it ever participates in a lock transition;
@@ -125,7 +78,7 @@ let analyze (inp : input) : t =
   let lock_ids = Hashtbl.create 16 in
   Array.iter
     (fun s ->
-      match s.s_lock with
+      match s.d_lock with
       | L_none -> ()
       | L_acquire id | L_release id | L_blocked id ->
           Hashtbl.replace lock_ids id ())
@@ -152,43 +105,43 @@ let analyze (inp : input) : t =
   let last_w : (int, int array) Hashtbl.t = Hashtbl.create 16 in
   for i = 0 to nsteps - 1 do
     let s = inp.steps.(i) in
-    let t = s.s_tid in
+    let t = s.d_tid in
     let k = kdone.(t) + 1 in
     let h = Array.copy cur_h.(t) and r = Array.copy cur_r.(t) in
-    (match s.s_foot with
-    | P_spawn _ ->
+    (match s.d_foot with
+    | F_spawn _ ->
         jopt h !spawn_h;
         jopt r !spawn_r
-    | P_join tgt ->
+    | F_join tgt ->
         join h cur_h.(tgt);
         join r cur_r.(tgt);
         (* the join also covers the target's trailing accesses *)
         let full = n_events tgt + 1 in
         if h.(tgt) < full then h.(tgt) <- full;
         if r.(tgt) < full then r.(tgt) <- full
-    | P_fence -> jopt r !fence_r
-    | P_syscall _ | P_global ->
+    | F_fence -> jopt r !fence_r
+    | F_syscall _ | F_global ->
         (* world-coupled ops share the world PRNG stream: reordering
            them would change every later result, so witness schedules
            keep their order. *)
         jopt r !world_r
-    | P_sync (id1, id2) ->
+    | F_sync (id1, id2) ->
         List.iter
           (fun id ->
             if id >= 0 && not (is_lock_id id) then
               jopt r (Hashtbl.find_opt chain_r id))
           [ id1; id2 ]
-    | P_atomic (loc, ak) ->
+    | F_atomic (loc, ak) ->
         (* A load whose bounded store window offered >= 2 admissible
-           stores (s_rand) could have read something else: that
+           stores (d_rand) could have read something else: that
            reads-from edge is scheduler-induced and is dropped. A
            forced load, and every write/update (modification order),
            keeps its edge to the previous write. *)
         let forced =
-          match ak with A_read -> not s.s_rand | A_write | A_update -> true
+          match ak with Acc_read -> not s.d_rand | Acc_write | Acc_update -> true
         in
         if forced then jopt r (Hashtbl.find_opt last_w loc)
-    | P_local -> ());
+    | F_local -> ());
     h.(t) <- k;
     r.(t) <- k;
     hard.(i) <- h;
@@ -196,23 +149,23 @@ let analyze (inp : input) : t =
     cur_h.(t) <- h;
     cur_r.(t) <- r;
     kdone.(t) <- k;
-    (match s.s_foot with
-    | P_spawn c ->
+    (match s.d_foot with
+    | F_spawn c ->
         start_h.(c) <- h;
         start_r.(c) <- r;
         cur_h.(c) <- h;
         cur_r.(c) <- r;
         spawn_h := Some h;
         spawn_r := Some r
-    | P_atomic (loc, (A_write | A_update)) -> Hashtbl.replace last_w loc r
-    | P_fence -> fence_r := Some r
-    | P_syscall _ | P_global -> world_r := Some r
-    | P_sync (id1, id2) ->
+    | F_atomic (loc, (Acc_write | Acc_update)) -> Hashtbl.replace last_w loc r
+    | F_fence -> fence_r := Some r
+    | F_syscall _ | F_global -> world_r := Some r
+    | F_sync (id1, id2) ->
         List.iter
           (fun id ->
             if id >= 0 && not (is_lock_id id) then Hashtbl.replace chain_r id r)
           [ id1; id2 ]
-    | P_local | P_atomic (_, A_read) | P_join _ -> ())
+    | F_local | F_atomic (_, Acc_read) | F_join _ -> ())
   done;
 
   (* -- lockset pass: locks held during the accesses at (t, k) -- *)
@@ -221,9 +174,9 @@ let analyze (inp : input) : t =
   let kdone2 = Array.make nthreads 0 in
   for i = 0 to nsteps - 1 do
     let s = inp.steps.(i) in
-    let t = s.s_tid in
+    let t = s.d_tid in
     let k = kdone2.(t) + 1 in
-    (match s.s_lock with
+    (match s.d_lock with
     | L_acquire id -> held.(t) <- id :: held.(t)
     | L_release id ->
         let rec drop = function
@@ -275,7 +228,7 @@ let analyze (inp : input) : t =
   let preserve_w =
     lazy
       {
-        w_tids = Array.map (fun s -> s.s_tid) inp.steps;
+        w_tids = Array.map (fun s -> s.d_tid) inp.steps;
         w_prefix = recorded_prefix inp;
       }
   in
@@ -283,8 +236,8 @@ let analyze (inp : input) : t =
     let tbl = Hashtbl.create 8 in
     Array.iteri
       (fun i s ->
-        match s.s_foot with
-        | P_spawn c -> if not (Hashtbl.mem tbl c) then Hashtbl.add tbl c i
+        match s.d_foot with
+        | F_spawn c -> if not (Hashtbl.mem tbl c) then Hashtbl.add tbl c i
         | _ -> ())
       inp.steps;
     fun tid -> Hashtbl.find_opt tbl tid
@@ -300,15 +253,15 @@ let analyze (inp : input) : t =
     let idxs =
       List.map
         (fun e ->
-          let t = inp.steps.(e).s_tid in
+          let t = inp.steps.(e).d_tid in
           let rank = ref 0 and found = ref false in
           for u = 0 to nthreads - 1 do
             if spawned.(u) && ndone.(u) < n_events u then
               if u < t then incr rank else if u = t then found := true
           done;
           ndone.(t) <- ndone.(t) + 1;
-          (match inp.steps.(e).s_foot with
-          | P_spawn c -> spawned.(c) <- true
+          (match inp.steps.(e).d_foot with
+          | F_spawn c -> spawned.(c) <- true
           | _ -> ());
           if !found then !rank else 0)
         plan
@@ -339,7 +292,7 @@ let analyze (inp : input) : t =
             for e = e2 downto 0 do
               if in_cone e then begin
                 (* a failed acquire need not recur once reordered *)
-                match inp.steps.(e).s_lock with
+                match inp.steps.(e).d_lock with
                 | L_blocked _ -> ()
                 | _ -> delayed := e :: !delayed
               end
@@ -349,7 +302,7 @@ let analyze (inp : input) : t =
             Some
               {
                 w_tids =
-                  Array.of_list (List.map (fun e -> inp.steps.(e).s_tid) plan);
+                  Array.of_list (List.map (fun e -> inp.steps.(e).d_tid) plan);
                 w_prefix = prefix_for_plan plan;
               }
           end
@@ -485,16 +438,16 @@ let pp fmt (t : t) =
    rest of their line. *)
 
 let enc_foot = function
-  | P_local -> "L"
-  | P_atomic (id, A_read) -> Printf.sprintf "A%d.r" id
-  | P_atomic (id, A_write) -> Printf.sprintf "A%d.w" id
-  | P_atomic (id, A_update) -> Printf.sprintf "A%d.u" id
-  | P_fence -> "F"
-  | P_sync (a, b) -> Printf.sprintf "Y%d.%d" a b
-  | P_spawn c -> Printf.sprintf "P%d" c
-  | P_join c -> Printf.sprintf "J%d" c
-  | P_syscall id -> Printf.sprintf "W%d" id
-  | P_global -> "G"
+  | F_local -> "L"
+  | F_atomic (id, Acc_read) -> Printf.sprintf "A%d.r" id
+  | F_atomic (id, Acc_write) -> Printf.sprintf "A%d.w" id
+  | F_atomic (id, Acc_update) -> Printf.sprintf "A%d.u" id
+  | F_fence -> "F"
+  | F_sync (a, b) -> Printf.sprintf "Y%d.%d" a b
+  | F_spawn c -> Printf.sprintf "P%d" c
+  | F_join c -> Printf.sprintf "J%d" c
+  | F_syscall id -> Printf.sprintf "W%d" id
+  | F_global -> "G"
 
 let enc_lock = function
   | L_none -> "-"
@@ -508,44 +461,24 @@ let enc_kind = function
   | Report.Read_write -> "rw"
 
 let encode_input inp =
-  let b = Buffer.create 256 in
-  let lines = ref [] in
-  Array.iter
-    (fun s ->
-      Buffer.clear b;
-      Buffer.add_string b
-        (Printf.sprintf "S %d %d %s %s E" s.s_tid
-           (if s.s_rand then 1 else 0)
-           (enc_foot s.s_foot) (enc_lock s.s_lock));
-      Array.iteri
-        (fun i t ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (string_of_int t))
-        s.s_enabled;
-      Buffer.add_string b " C";
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (string_of_int v))
-        (Vclock.to_list s.s_clock);
-      lines := Buffer.contents b :: !lines)
-    inp.steps;
-  Array.iter
-    (fun a ->
-      lines :=
-        Printf.sprintf "A %d %d %d %d %d %s" a.a_tick a.a_tid a.a_pos a.a_var
-          (if a.a_write then 1 else 0)
-          a.a_name
-        :: !lines)
-    inp.accs;
-  List.iter
-    (fun (r : Report.t) ->
-      lines :=
-        Printf.sprintf "R %s %d %d %s" (enc_kind r.Report.kind)
-          r.Report.first_tid r.Report.second_tid r.Report.var
-        :: !lines)
-    inp.observed;
-  List.rev !lines
+  let csv a = String.concat "," (List.map string_of_int (Array.to_list a)) in
+  let step d =
+    Printf.sprintf "S %d %d %s %s E%s D%d" d.d_tid
+      (if d.d_rand then 1 else 0)
+      (enc_foot d.d_foot) (enc_lock d.d_lock) (csv d.d_enabled) d.d_draws
+  in
+  let access a =
+    Printf.sprintf "A %d %d %d %d %d %s" a.a_tick a.a_tid a.a_pos a.a_var
+      (if a.a_write then 1 else 0)
+      a.a_name
+  in
+  let race (r : Report.t) =
+    Printf.sprintf "R %s %d %d %s" (enc_kind r.Report.kind) r.Report.first_tid
+      r.Report.second_tid r.Report.var
+  in
+  List.map step (Array.to_list inp.steps)
+  @ List.map access (Array.to_list inp.accs)
+  @ List.map race inp.observed
 
 exception Bad
 
@@ -557,29 +490,29 @@ let dec_foot s =
     let num from upto = dec_int (String.sub s from (upto - from)) in
     let rest () = num 1 (String.length s) in
     match s.[0] with
-    | 'L' -> P_local
-    | 'F' -> P_fence
-    | 'G' -> P_global
+    | 'L' -> F_local
+    | 'F' -> F_fence
+    | 'G' -> F_global
     | 'A' -> (
         match String.index_opt s '.' with
         | Some d when d + 1 < String.length s ->
             let id = num 1 d in
             let k =
               match s.[d + 1] with
-              | 'r' -> A_read
-              | 'w' -> A_write
-              | 'u' -> A_update
+              | 'r' -> Acc_read
+              | 'w' -> Acc_write
+              | 'u' -> Acc_update
               | _ -> raise Bad
             in
-            P_atomic (id, k)
+            F_atomic (id, k)
         | _ -> raise Bad)
     | 'Y' -> (
         match String.index_opt s '.' with
-        | Some d -> P_sync (num 1 d, num (d + 1) (String.length s))
+        | Some d -> F_sync (num 1 d, num (d + 1) (String.length s))
         | None -> raise Bad)
-    | 'P' -> P_spawn (rest ())
-    | 'J' -> P_join (rest ())
-    | 'W' -> P_syscall (rest ())
+    | 'P' -> F_spawn (rest ())
+    | 'J' -> F_join (rest ())
+    | 'W' -> F_syscall (rest ())
     | _ -> raise Bad
 
 let dec_lock s =
@@ -627,29 +560,46 @@ let decode_input lines =
           match line.[0] with
           | 'S' -> (
               match split_fields line 7 with
-              | [ "S"; tid; rand; foot; lock; en; clk ] ->
+              | [ "S"; tid; rand; foot; lock; en; last ] ->
                   if String.length en < 1 || en.[0] <> 'E' then raise Bad;
-                  if String.length clk < 1 || clk.[0] <> 'C' then raise Bad;
                   let chop x = String.sub x 1 (String.length x - 1) in
-                  let enabled =
-                    Array.of_list (dec_csv dec_int (chop en))
+                  let enabled = Array.of_list (dec_csv dec_int (chop en)) in
+                  (* [D<draws>]; recordings by older builds carry a
+                     FastTrack clock [C<c0,c1,...>] there instead, which
+                     nothing reads — it decodes as zero draws. *)
+                  let draws =
+                    if String.starts_with ~prefix:"D" last then
+                      dec_int (chop last)
+                    else if String.starts_with ~prefix:"C" last then (
+                      ignore (dec_csv dec_int (chop last));
+                      0)
+                    else raise Bad
                   in
-                  let clock = Vclock.of_list (dec_csv dec_int (chop clk)) in
-                  steps :=
+                  let d =
                     {
-                      s_tid = dec_int tid;
-                      s_enabled = enabled;
-                      s_foot = dec_foot foot;
-                      s_rand = dec_int rand <> 0;
-                      s_clock = clock;
-                      s_lock = dec_lock lock;
+                      d_tid = dec_int tid;
+                      d_enabled = enabled;
+                      d_foot = dec_foot foot;
+                      d_draws = draws;
+                      d_rand = dec_int rand <> 0;
+                      d_lock = dec_lock lock;
                     }
-                    :: !steps
+                  in
+                  (* the file comes from disk: a step must pick an
+                     enabled, non-negative tid and name non-negative
+                     spawn/join targets, or [analyze] would index out
+                     of its per-thread tables *)
+                  if d.d_tid < 0 || not (Array.mem d.d_tid enabled) then
+                    raise Bad;
+                  (match d.d_foot with
+                  | F_spawn c | F_join c -> if c < 0 then raise Bad
+                  | _ -> ());
+                  steps := d :: !steps
               | _ -> raise Bad)
           | 'A' -> (
               match split_fields line 7 with
               | [ "A"; tick; tid; pos; var; w; name ] ->
-                  accs :=
+                  let a =
                     {
                       a_tick = dec_int tick;
                       a_tid = dec_int tid;
@@ -658,7 +608,9 @@ let decode_input lines =
                       a_write = dec_int w <> 0;
                       a_name = name;
                     }
-                    :: !accs
+                  in
+                  if a.a_tid < 0 || a.a_pos < 0 then raise Bad;
+                  accs := a :: !accs
               | _ -> raise Bad)
           | 'R' -> (
               match split_fields line 5 with

@@ -4,9 +4,9 @@
     controlled schedules; this module is the classic complement
     (Ronsse & De Bosschere's replay-based detection, RVPredict-style
     HB relaxation): take the per-decision metadata of a single
-    recorded run — chosen thread, enabled set, dependency footprint,
-    lock events, FastTrack clock snapshots — plus the stream of
-    shadow-checked non-atomic accesses, and {e without executing
+    recorded run ({!Decision}: chosen thread, enabled set, dependency
+    footprint, lock events) plus the stream of shadow-checked
+    non-atomic accesses, and {e without executing
     anything} predict which access pairs can race in some feasible
     reordering of that run.
 
@@ -27,7 +27,7 @@
       release-to-acquire ordering (mutual exclusion is enforced by
       the lockset pass and by witness scheduling instead) and atomic
       reads-from edges where the bounded store window offered two or
-      more admissible stores ([s_rand]) — the window is exactly what
+      more admissible stores ([d_rand]) — the window is exactly what
       licenses the relaxation, and also what bounds it.
     - the {b lockset} view: accesses whose held-lock sets intersect
       can never race, whatever the order.
@@ -40,59 +40,10 @@
     a guided replay may ever be reported as races; [May] and refuted
     pairs never are. *)
 
-module Vclock = T11r_util.Vclock
-
-type access_kind = A_read | A_write | A_update
-
-(** Mirror of the interpreter's per-decision dependency footprint,
-    self-contained so the analysis stays below the interpreter in the
-    library stack. *)
-type foot =
-  | P_local
-  | P_atomic of int * access_kind  (** atomic location id *)
-  | P_fence
-  | P_sync of int * int  (** sync object id(s); second is -1 if unused *)
-  | P_spawn of int  (** created tid *)
-  | P_join of int
-  | P_syscall of int
-  | P_global
-
-(** Lock transition performed by the decision's visible op, if any —
-    disambiguates the [P_sync] footprint (lock, unlock and failed
-    acquire all share one footprint shape). *)
-type lockev =
-  | L_none
-  | L_acquire of int
-  | L_release of int
-  | L_blocked of int  (** failed acquire: the thread parked on the id *)
-
-type step = {
-  s_tid : int;
-  s_enabled : int array;  (** runnable tids, ascending *)
-  s_foot : foot;
-  s_rand : bool;
-      (** the op drew among >= 2 behaviour-relevant alternatives *)
-  s_clock : Vclock.t;
-      (** FastTrack clock of [s_tid] after the op — the runtime
-          happens-before ground truth the relaxation starts from *)
-  s_lock : lockev;
-}
-
-type acc = {
-  a_tick : int;  (** decision index the access is attributed to *)
-  a_tid : int;
-  a_pos : int;
-      (** visible ops [a_tid] had executed when the access ran — the
-          access's program-order position between events [a_pos] and
-          [a_pos + 1] of its thread *)
-  a_var : int;  (** shadow-variable id *)
-  a_write : bool;
-  a_name : string;
-}
-
 type input = {
-  steps : step array;  (** one per executed decision, in order *)
-  accs : acc array;  (** shadow-checked non-atomic accesses, in order *)
+  steps : Decision.t array;  (** one per executed decision, in order *)
+  accs : Decision.acc array;
+      (** shadow-checked non-atomic accesses, in order *)
   observed : Report.t list;  (** races the recording itself reported *)
 }
 
@@ -139,17 +90,26 @@ val digest : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-val normalize_prefix : int array -> int array
-(** Strip trailing zeros — beyond its prefix the guided strategy picks
-    index 0, so [p ++ [0]] realizes the same schedule as [p]. *)
-
 val recorded_prefix : input -> int array
 (** The exact normalized index prefix that realizes the recorded
-    schedule (each step's chosen tid located in its enabled set). *)
+    schedule (each step's chosen tid located in its enabled set).
+    @raise Not_found on a step whose tid is not enabled — never for a
+    live run's input or one {!decode_input} accepted. *)
 
 val encode_input : input -> string list
-(** Line encoding for demo aux files (one "S"/"A"/"R" line per step,
-    access and observed race). *)
+(** Line encoding for demo aux files (the DECISIONS file), one line
+    per step, access and observed race:
+    - [S <tid> <rand 0|1> <footprint> <lock> E<enabled,...> D<draws>]
+    - [A <tick> <tid> <pos> <var> <write 0|1> <name>]
+    - [R <ww|wr|rw> <tid1> <tid2> <name>]
+
+    Names come last and may contain spaces. *)
 
 val decode_input : string list -> input option
-(** Inverse of {!encode_input}; [None] on any malformed line. *)
+(** Inverse of {!encode_input}: [decode_input (encode_input i)] is [i].
+    [None] on any malformed line, on a step whose tid is negative or
+    not in its enabled set (or whose spawn/join target is negative),
+    and on an access with a negative tid or position. Step lines
+    written by older builds end in a FastTrack clock column
+    [C<c0,c1,...>] instead of [D<draws>]; it is accepted, ignored,
+    and decodes as [d_draws = 0] — the analysis never reads draws. *)

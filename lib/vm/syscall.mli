@@ -65,7 +65,7 @@ val footprint_id : request -> int
 (** Dependency-footprint id for systematic exploration: the fd for
     requests made on a live descriptor, a negative per-kind tag for
     fd-less requests. Emitted with every explored scheduling decision
-    (see {!Interp.decision}); the explorer conservatively treats all
+    (see {!T11r_race.Decision.t}); the explorer conservatively treats all
     syscalls as mutually dependent, so this only labels the decision
     today but supports a per-channel conflict relation later. *)
 

@@ -11,7 +11,6 @@
 module Conf = Tsan11rec.Conf
 module Interp = Tsan11rec.Interp
 module Campaign = T11r_harness.Campaign
-module Runner = T11r_harness.Runner
 module World = T11r_env.World
 
 let fixtures_dir = Filename.concat "test" "fixtures"
@@ -47,7 +46,7 @@ let campaign_digest name =
     else Option.get (T11r_litmus.Registry.find name)
   in
   let spec =
-    Runner.spec ~label:name
+    Campaign.spec ~label:name
       ~base_conf:(Conf.tsan11rec ~strategy:Conf.Random ())
       e.T11r_litmus.Registry.build
   in

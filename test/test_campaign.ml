@@ -1,6 +1,6 @@
 (* The parallel campaign engine: Pool sharding, Campaign determinism
-   across worker counts, the race-free tmpdir helper, and the legacy
-   wrappers' jobs plumbing. The load-bearing property throughout is
+   across worker counts, the race-free tmpdir helper, journal
+   durability and schema pinning. The load-bearing property throughout is
    that results are a function of the run index alone, so any [jobs]
    produces bit-identical aggregates. *)
 
@@ -9,7 +9,6 @@ module World = T11r_env.World
 module Fault = T11r_env.Fault
 module Pool = T11r_harness.Pool
 module Campaign = T11r_harness.Campaign
-module Runner = T11r_harness.Runner
 module Httpd = T11r_apps.Httpd
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -133,12 +132,12 @@ let test_observer_order_and_count () =
   Alcotest.(check int) "n" 12 report.Campaign.n
 
 let test_runner_compat_across_jobs () =
-  let a1 = Runner.run_many ~jobs:1 fig1_spec ~n:20 in
-  let a3 = Runner.run_many ~jobs:3 fig1_spec ~n:20 in
-  Alcotest.(check (float 0.0)) "race_rate" a1.Runner.race_rate a3.Runner.race_rate;
-  Alcotest.(check (float 0.0)) "mean_ticks" a1.Runner.mean_ticks a3.Runner.mean_ticks;
-  Alcotest.(check int) "completed" a1.Runner.completed a3.Runner.completed;
-  Alcotest.(check bool) "outcome histograms" true (a1.Runner.outcomes = a3.Runner.outcomes)
+  let a1 = Campaign.run fig1_spec ~n:20 ~jobs:1 [] in
+  let a3 = Campaign.run fig1_spec ~n:20 ~jobs:3 [] in
+  Alcotest.(check (float 0.0)) "race_rate" a1.Campaign.race_rate a3.Campaign.race_rate;
+  Alcotest.(check (float 0.0)) "mean_ticks" a1.Campaign.mean_ticks a3.Campaign.mean_ticks;
+  Alcotest.(check int) "completed" a1.Campaign.completed a3.Campaign.completed;
+  Alcotest.(check bool) "outcome histograms" true (a1.Campaign.outcomes = a3.Campaign.outcomes)
 
 let test_faultsweep_deterministic_across_jobs () =
   let rows1 = T11r_harness.Faultsweep.sweep ~smoke:true ~jobs:1 () in
@@ -318,6 +317,77 @@ let test_resume_rejects_mismatched_campaign () =
   (match Campaign.run fig1_spec ~n:9 ~journal [] with
   | _ -> Alcotest.fail "expected a header mismatch"
   | exception Invalid_argument _ -> ());
+  Sys.remove journal
+
+(* A journal written under another marshalled layout is refused from
+   its header, before any run entry is unmarshalled — reading a result
+   of another layout is undefined behaviour, not just wrong data. The
+   header records mirror the engines' own, field for field, and match
+   every identity pin except the schema. *)
+type campaign_header = {
+  c_schema : int;
+  c_label : string;
+  c_n : int;
+  c_first : int;
+}
+
+type systematic_header = {
+  s_schema : int;
+  s_world_seed : int64;
+  s_seed1 : int64;
+  s_seed2 : int64;
+}
+
+let write_journal path entries =
+  let w = T11r_util.Journal.create path in
+  List.iter
+    (fun (kind, payload) ->
+      T11r_util.Journal.append w { T11r_util.Journal.kind; payload })
+    entries;
+  T11r_util.Journal.close w
+
+let test_stale_schema_rejected () =
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted a journal of an older schema" what
+    | exception Invalid_argument _ -> ()
+  in
+  let journal = jpath () in
+  write_journal journal
+    [
+      ( "campaign",
+        Marshal.to_string
+          {
+            c_schema = Campaign.journal_schema - 1;
+            c_label = "fig1";
+            c_n = 5;
+            c_first = 0;
+          }
+          [] );
+      ("run", Marshal.to_string (0, "result of an older layout") []);
+    ];
+  rejects "Campaign.run" (fun () -> Campaign.run fig1_spec ~n:5 ~journal []);
+  rejects "Campaign.journal_results" (fun () ->
+      Campaign.journal_results journal);
+  Sys.remove journal;
+  let journal = jpath () in
+  let world_seed = 7L and seeds = (11L, 13L) in
+  write_journal journal
+    [
+      ( "systematic",
+        Marshal.to_string
+          {
+            s_schema = T11r_harness.Systematic.journal_schema - 1;
+            s_world_seed = world_seed;
+            s_seed1 = fst seeds;
+            s_seed2 = snd seeds;
+          }
+          [] );
+      ("sys", Marshal.to_string ([||], [||], "result of an older layout") []);
+    ];
+  rejects "Systematic.explore" (fun () ->
+      T11r_harness.Systematic.explore ~world_seed ~seeds ~journal
+        ~build:T11r_litmus.Registry.fig1.build ());
   Sys.remove journal
 
 (* The real thing: SIGKILL a campaign mid-flight, then resume from its
@@ -522,6 +592,8 @@ let () =
             test_resume_tolerates_torn_tail;
           Alcotest.test_case "header mismatch rejected" `Quick
             test_resume_rejects_mismatched_campaign;
+          Alcotest.test_case "stale schema rejected" `Quick
+            test_stale_schema_rejected;
           Alcotest.test_case "SIGKILL then resume = clean digest" `Quick
             test_sigkill_then_resume_digest;
         ] );

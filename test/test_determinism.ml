@@ -17,7 +17,6 @@ module Conf = Tsan11rec.Conf
 module Interp = Tsan11rec.Interp
 module World = T11r_env.World
 module Campaign = T11r_harness.Campaign
-module Runner = T11r_harness.Runner
 module Registry = T11r_litmus.Registry
 
 let check = Alcotest.check
@@ -99,7 +98,7 @@ let campaign_spec name =
   let e =
     if name = "fig1" then Registry.fig1 else Option.get (Registry.find name)
   in
-  Runner.spec ~label:name
+  Campaign.spec ~label:name
     ~base_conf:(Conf.tsan11rec ~strategy:Conf.Random ())
     e.Registry.build
 

@@ -6,7 +6,6 @@ module Conf = Tsan11rec.Conf
 module Interp = Tsan11rec.Interp
 module World = T11r_env.World
 module Campaign = T11r_harness.Campaign
-module Runner = T11r_harness.Runner
 module Trace = T11r_obs.Trace
 module Metrics = T11r_obs.Metrics
 module Chrome = T11r_obs.Chrome
@@ -237,7 +236,7 @@ let test_golden_fig1_trace () =
 let test_campaign_metrics_jobs_identical () =
   let e = Option.get (T11r_litmus.Registry.find "mcs-lock") in
   let spec =
-    Runner.spec ~label:"mcs"
+    Campaign.spec ~label:"mcs"
       ~base_conf:(Conf.tsan11rec ~strategy:Conf.Random ())
       e.T11r_litmus.Registry.build
   in
@@ -252,7 +251,7 @@ let test_campaign_metrics_jobs_identical () =
 let test_campaign_metrics_sum_runs () =
   let e = Option.get (T11r_litmus.Registry.find "mcs-lock") in
   let spec =
-    Runner.spec ~label:"mcs"
+    Campaign.spec ~label:"mcs"
       ~base_conf:(Conf.tsan11rec ~strategy:Conf.Random ())
       e.T11r_litmus.Registry.build
   in

@@ -11,6 +11,7 @@ module World = T11r_env.World
 module Conf = Tsan11rec.Conf
 module Interp = Tsan11rec.Interp
 module Predict = T11r_race.Predict
+module Decision = T11r_race.Decision
 module Report = T11r_race.Report
 module Predictor = T11r_harness.Predictor
 module Workloads = T11r_harness.Workloads
@@ -154,10 +155,10 @@ let test_normalize_prefix () =
   check
     Alcotest.(array int)
     "strips trailing zeros" [| 1; 0; 2 |]
-    (Predict.normalize_prefix [| 1; 0; 2; 0; 0 |]);
+    (Decision.normalize_prefix [| 1; 0; 2; 0; 0 |]);
   check Alcotest.(array int) "all zeros -> empty" [||]
-    (Predict.normalize_prefix [| 0; 0; 0 |]);
-  check Alcotest.(array int) "empty ok" [||] (Predict.normalize_prefix [||])
+    (Decision.normalize_prefix [| 0; 0; 0 |]);
+  check Alcotest.(array int) "empty ok" [||] (Decision.normalize_prefix [||])
 
 (* Replaying recorded_prefix under the same seeds reproduces the
    recorded schedule exactly. *)
@@ -175,7 +176,8 @@ let test_recorded_prefix_replays () =
   let r2 = run (Predict.recorded_prefix inp) in
   check Alcotest.bool "same trace" true (r1.Interp.trace = r2.Interp.trace)
 
-let test_encode_decode_roundtrip () =
+(* The guided fig1 recording `record fig1 --guided --seed 1' makes. *)
+let fig1_guided_input () =
   let wl = Option.get (Workloads.find "fig1") in
   let world = World.create ~seed:42L () in
   let prog = wl.Workloads.w_instance world () in
@@ -184,7 +186,10 @@ let test_encode_decode_roundtrip () =
       (guided_conf ~prefix:(guided_prefix_of_seed 1) ())
       prog
   in
-  let inp = Interp.to_predict_input r in
+  Interp.to_predict_input r
+
+let test_encode_decode_roundtrip () =
+  let inp = fig1_guided_input () in
   check Alcotest.bool "recording has steps" true (Array.length inp.Predict.steps > 0);
   let lines = Predict.encode_input inp in
   match Predict.decode_input lines with
@@ -197,6 +202,10 @@ let test_encode_decode_roundtrip () =
       check Alcotest.int "observed"
         (List.length inp.Predict.observed)
         (List.length inp'.Predict.observed);
+      check Alcotest.bool "decoded steps = recorded decisions" true
+        (inp'.Predict.steps = inp.Predict.steps);
+      check Alcotest.bool "decoded accesses = recorded accesses" true
+        (inp'.Predict.accs = inp.Predict.accs);
       check Alcotest.(list string) "re-encodes identically" lines
         (Predict.encode_input inp');
       (* the analysis of the decoded input is the analysis *)
@@ -208,7 +217,59 @@ let test_decode_rejects_garbage () =
   check Alcotest.bool "malformed line" true
     (Predict.decode_input [ "Z nonsense" ] = None);
   check Alcotest.bool "truncated step" true
-    (Predict.decode_input [ "S 0" ] = None)
+    (Predict.decode_input [ "S 0" ] = None);
+  let rejects what line =
+    check Alcotest.bool what true (Predict.decode_input [ line ] = None)
+  in
+  rejects "negative step tid" "S -1 0 L - E-1,0 D0";
+  rejects "step tid not enabled" "S 2 0 L - E0,1 D0";
+  rejects "step with empty enabled set" "S 0 0 L - E D0";
+  rejects "negative spawn target" "S 0 0 P-1 - E0 D0";
+  rejects "negative join target" "S 0 0 J-2 - E0 D0";
+  rejects "unknown last step column" "S 0 0 L - E0 X0";
+  rejects "malformed legacy clock" "S 0 0 L - E0 Cx";
+  rejects "negative access tid" "A 0 -1 0 0 1 v";
+  rejects "negative access position" "A 0 1 -1 0 1 v";
+  check Alcotest.bool "well-formed step and access accepted" true
+    (Predict.decode_input [ "S 0 0 L - E0 D0"; "A 0 0 0 0 1 v" ] <> None)
+
+(* DECISIONS as older builds wrote it for fig1 (`record fig1 --guided
+   --seed 1'): the last step column is the FastTrack clock of the
+   chosen thread ([C…]) rather than the draw count ([D…]). It must
+   still decode — with zero draws — and predict exactly what the live
+   recording predicts. *)
+let legacy_fig1_decisions =
+  [
+    "S 0 0 P1 - E0 C2";
+    "S 1 0 A0.w - E0,1 C1,2";
+    "S 1 0 A1.w - E0,1 C1,3";
+    "S 0 0 P2 - E0 C3";
+    "S 2 1 A1.r - E0,2 C2,0,2";
+    "S 0 0 P3 - E0 C4";
+    "S 3 1 A0.r - E0,3 C3,1,0,2";
+    "S 0 0 J1 - E0,3 C4,3";
+    "S 0 0 J2 - E0,3 C4,3,2";
+    "S 3 0 W1 - E0,3 C3,1,0,2";
+    "S 0 0 J3 - E0 C4,3,2,2";
+    "A 0 1 0 0 1 nax";
+    "A 6 3 1 0 0 nax";
+  ]
+
+let test_decode_legacy_clock_column () =
+  match Predict.decode_input legacy_fig1_decisions with
+  | None -> Alcotest.fail "legacy DECISIONS rejected"
+  | Some old ->
+      let live = fig1_guided_input () in
+      check Alcotest.bool "legacy steps carry zero draws" true
+        (Array.for_all (fun d -> d.Decision.d_draws = 0) old.Predict.steps);
+      check Alcotest.bool "same steps up to draws" true
+        (Array.map (fun d -> { d with Decision.d_draws = 0 }) live.Predict.steps
+        = old.Predict.steps);
+      check Alcotest.bool "same accesses" true
+        (live.Predict.accs = old.Predict.accs);
+      check Alcotest.string "legacy analysis = live analysis"
+        (Predict.digest (Predict.analyze live))
+        (Predict.digest (Predict.analyze old))
 
 (* ------------------------------------------------------------------ *)
 (* Failed trylock never contributes a lock-order edge *)
@@ -524,6 +585,8 @@ let () =
             test_encode_decode_roundtrip;
           Alcotest.test_case "decode rejects garbage" `Quick
             test_decode_rejects_garbage;
+          Alcotest.test_case "decode legacy clock column" `Quick
+            test_decode_legacy_clock_column;
         ] );
       ( "lockorder",
         [

@@ -4,8 +4,7 @@
 open T11r_vm
 module Conf = Tsan11rec.Conf
 module Systematic = T11r_harness.Systematic
-module Explore = T11r_harness.Explore
-module Runner = T11r_harness.Runner
+module Campaign = T11r_harness.Campaign
 
 let check = Alcotest.check
 
@@ -302,32 +301,32 @@ let test_tick_budget_bounds_runs () =
 let test_explore_report () =
   let e = Option.get (T11r_litmus.Registry.find "mcs-lock") in
   let spec =
-    Runner.spec ~label:"mcs"
+    Campaign.spec ~label:"mcs"
       ~base_conf:(Conf.tsan11rec ~strategy:Conf.Random ())
       e.build
   in
-  let r = Explore.explore spec ~n:80 in
-  check Alcotest.int "all runs counted" 80 r.runs;
+  let r = Campaign.run spec ~n:80 ~first:1 [] in
+  check Alcotest.int "all runs counted" 80 r.Campaign.n;
   check Alcotest.bool "schedule diversity" true (r.distinct_schedules > 10);
-  check Alcotest.bool "races sighted" true (r.races <> []);
-  (match r.races with
+  check Alcotest.bool "races sighted" true (r.sightings <> []);
+  (match r.sightings with
   | s :: _ ->
-      check Alcotest.bool "sightings counted" true (s.sightings >= 1);
+      check Alcotest.bool "sightings counted" true (s.s_count >= 1);
       check Alcotest.bool "first seed valid" true
-        (s.first_seed >= 1 && s.first_seed <= 80)
+        (s.s_first >= 1 && s.s_first <= 80)
   | [] -> ());
   (* the report renders *)
   check Alcotest.bool "pp nonempty" true
-    (String.length (Format.asprintf "%a" Explore.pp r) > 0)
+    (String.length (Format.asprintf "%a" Campaign.pp r) > 0)
 
 let test_explore_counts_outcomes () =
   let spec =
-    Runner.spec ~label:"abba"
+    Campaign.spec ~label:"abba"
       ~base_conf:(Conf.tsan11rec ~strategy:Conf.Random ())
       abba
   in
-  let r = Explore.explore spec ~n:60 in
-  let total = List.fold_left (fun acc (_, v) -> acc + v) 0 r.outcomes in
+  let r = Campaign.run spec ~n:60 ~first:1 [] in
+  let total = List.fold_left (fun acc (_, v) -> acc + v) 0 r.Campaign.outcomes in
   check Alcotest.int "histogram sums to runs" 60 total
 
 (* ------------------------------------------------------------------ *)
@@ -474,51 +473,57 @@ let test_icb_tick_budget_is_no_match () =
         f.bound
 
 (* ------------------------------------------------------------------ *)
-(* Runner and workload registry *)
+(* Campaign aggregation and workload registry *)
 
 let test_runner_aggregates () =
   let e = Option.get (T11r_litmus.Registry.find "dekker-fences") in
   let spec =
-    Runner.spec ~label:"dekker"
+    Campaign.spec ~label:"dekker"
       ~base_conf:(Conf.tsan11rec ~strategy:Conf.Random ())
       e.build
   in
-  let agg = Runner.run_many spec ~n:50 in
-  check Alcotest.int "n recorded" 50 agg.Runner.n;
-  check Alcotest.int "all runs kept" 50 (List.length agg.Runner.results);
-  check Alcotest.bool "times positive" true (agg.Runner.time_ms.T11r_util.Stats.mean > 0.0);
+  let agg = Campaign.run spec ~n:50 [] in
+  check Alcotest.int "n recorded" 50 agg.Campaign.n;
+  check Alcotest.int "all runs kept" 50 (Array.length agg.results);
+  check Alcotest.bool "times positive" true (agg.time_ms.T11r_util.Stats.mean > 0.0);
   check Alcotest.bool "rate within bounds" true
-    (agg.Runner.race_rate >= 0.0 && agg.Runner.race_rate <= 100.0);
-  check Alcotest.int "all completed" 50 agg.Runner.completed;
-  let total = List.fold_left (fun acc (_, v) -> acc + v) 0 agg.Runner.outcomes in
+    (agg.race_rate >= 0.0 && agg.race_rate <= 100.0);
+  check Alcotest.int "all completed" 50 agg.completed;
+  let total = List.fold_left (fun acc (_, v) -> acc + v) 0 agg.outcomes in
   check Alcotest.int "outcome histogram total" 50 total
 
 let test_runner_seeds_vary () =
   (* Different run indices must see different schedules (seed discipline). *)
   let e = Option.get (T11r_litmus.Registry.find "mcs-lock") in
   let spec =
-    Runner.spec ~label:"mcs"
+    Campaign.spec ~label:"mcs"
       ~base_conf:(Conf.tsan11rec ~strategy:Conf.Random ())
       e.build
   in
-  let agg = Runner.run_many spec ~n:30 in
+  let agg = Campaign.run spec ~n:30 [] in
   let traces =
     List.sort_uniq compare
-      (List.map (fun r -> r.Tsan11rec.Interp.trace) agg.Runner.results)
+      (List.map
+         (fun r -> r.Tsan11rec.Interp.trace)
+         (Array.to_list agg.Campaign.results))
   in
   check Alcotest.bool "distinct schedules across runs" true
     (List.length traces > 5)
 
 let test_runner_overhead_and_throughput () =
   let e = Option.get (T11r_litmus.Registry.find "ms-queue") in
-  let base label conf = Runner.spec ~label ~base_conf:conf e.build in
-  let nat = Runner.run_many (base "native" Conf.native) ~n:5 in
-  let tsan = Runner.run_many (base "tsan11" Conf.tsan11) ~n:5 in
-  check Alcotest.bool "tsan11 slower than native" true
-    (Runner.overhead ~baseline:nat tsan > 1.0);
+  let base label conf = Campaign.spec ~label ~base_conf:conf e.build in
+  let mean_ms label conf =
+    (Campaign.run (base label conf) ~n:5 []).time_ms.T11r_util.Stats.mean
+  in
+  let nat = mean_ms "native" Conf.native in
+  let tsan = mean_ms "tsan11" Conf.tsan11 in
+  check Alcotest.bool "native time positive" true (nat > 0.0);
+  check Alcotest.bool "tsan11 slower than native" true (tsan /. nat > 1.0);
+  (* work items per simulated second *)
+  let throughput ms = 100.0 /. (ms /. 1000.0) in
   check Alcotest.bool "throughput inverse of time" true
-    (Runner.throughput nat ~work_items:100
-    > Runner.throughput tsan ~work_items:100)
+    (throughput nat > throughput tsan)
 
 let test_workload_registry_complete () =
   let names = T11r_harness.Workloads.names () in
