@@ -119,8 +119,46 @@ type report = {
   supervision : supervision;
 }
 
-let schedule_key (r : Interp.result) =
-  List.map (fun (_, tid, label) -> (tid, label)) r.Interp.trace
+(* Distinct schedules are distinct (tid, op) sequences; ticks are
+   ignored. The set is keyed on the trace itself: the hash folds every
+   element (the polymorphic hash reads only the first 10, which piled
+   thousands of same-prefix traces into one bucket) and equality
+   compares (tid, op) exactly, so the count stays exact and no per-run
+   key is allocated. *)
+module Schedules = Hashtbl.Make (struct
+  type t = (int * int * string) list
+
+  let rec equal a b =
+    match (a, b) with
+    | [], [] -> true
+    | (_, t1, l1) :: a, (_, t2, l2) :: b ->
+        t1 = t2 && String.equal l1 l2 && equal a b
+    | _ -> false
+
+  let hash trace =
+    Hashtbl.hash
+      (List.fold_left
+         (fun h (_, tid, label) -> (h * 65599) + (tid * 31) + Hashtbl.hash label)
+         0 trace)
+end)
+
+(* Most-sighted first; ties broken by the lowest first index, then by
+   the race itself, so the order is total and deterministic. *)
+let compare_sighting a b =
+  match compare b.s_count a.s_count with
+  | 0 -> (
+      match compare a.s_first b.s_first with
+      | 0 -> Report.compare a.s_race b.s_race
+      | c -> c)
+  | c -> c
+
+(* Zero runs (a campaign cancelled before its first run) aggregate to
+   zeros rather than raising. *)
+let mean_or_zero = function [] -> 0.0 | xs -> Stats.mean xs
+
+let summarize_or_zero = function
+  | [] -> { Stats.n = 0; mean = 0.0; sd = 0.0; cv = 0.0; min = 0.0; max = 0.0 }
+  | xs -> Stats.summarize xs
 
 (* Aggregation is a sequential fold over the results in run-index
    order — never over arrival order — so every derived number,
@@ -131,7 +169,7 @@ let aggregate ~label ~n ~first ~jobs ~wall_s ?(supervision = no_supervision)
   let results = Array.map snd pairs in
   let in_order f = Array.to_list (Array.map f results) in
   let outcomes = Hashtbl.create 8 in
-  let schedules = Hashtbl.create 64 in
+  let schedules = Schedules.create 64 in
   let sightings : (Report.t, int * int) Hashtbl.t = Hashtbl.create 16 in
   let crashes = ref [] in
   Array.iter
@@ -139,7 +177,7 @@ let aggregate ~label ~n ~first ~jobs ~wall_s ?(supervision = no_supervision)
       let key = Outcome.key r.Interp.outcome in
       Hashtbl.replace outcomes key
         (1 + Option.value ~default:0 (Hashtbl.find_opt outcomes key));
-      Hashtbl.replace schedules (schedule_key r) ();
+      Schedules.replace schedules r.Interp.trace ();
       List.iter
         (fun race ->
           (* Key on the canonical orientation: the same unordered pair
@@ -174,12 +212,13 @@ let aggregate ~label ~n ~first ~jobs ~wall_s ?(supervision = no_supervision)
     wall_s;
     results;
     time_ms =
-      Stats.summarize
+      summarize_or_zero
         (in_order (fun r -> float_of_int r.Interp.makespan_us /. 1000.0));
     race_rate = Stats.rate (in_order (fun r -> r.Interp.race_count > 0));
     mean_reports =
-      Stats.mean (in_order (fun r -> float_of_int r.Interp.race_count));
-    mean_ticks = Stats.mean (in_order (fun r -> float_of_int r.Interp.ticks));
+      mean_or_zero (in_order (fun r -> float_of_int r.Interp.race_count));
+    mean_ticks =
+      mean_or_zero (in_order (fun r -> float_of_int r.Interp.ticks));
     completed =
       Array.fold_left
         (fun acc r -> if Interp.completed r then acc + 1 else acc)
@@ -189,7 +228,7 @@ let aggregate ~label ~n ~first ~jobs ~wall_s ?(supervision = no_supervision)
         (fun acc (r : Interp.result) ->
           if r.Interp.race_count > 0 then acc + 1 else acc)
         0 results;
-    distinct_schedules = Hashtbl.length schedules;
+    distinct_schedules = Schedules.length schedules;
     outcomes =
       List.sort compare
         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) outcomes []);
@@ -198,14 +237,7 @@ let aggregate ~label ~n ~first ~jobs ~wall_s ?(supervision = no_supervision)
         (fun race (s_first, s_count) acc ->
           { s_race = race; s_first; s_count } :: acc)
         sightings []
-      |> List.sort (fun a b ->
-             (* most-sighted first; ties broken deterministically *)
-             match compare b.s_count a.s_count with
-             | 0 -> (
-                 match compare a.s_first b.s_first with
-                 | 0 -> Report.compare a.s_race b.s_race
-                 | c -> c)
-             | c -> c);
+      |> List.sort compare_sighting;
     crashes = List.rev !crashes;
     metrics =
       (* Same discipline as everything above: a fold in run-index
@@ -425,22 +457,7 @@ let run s ~n ?(jobs = 1) ?(first = 0) ?(deadline_s = 0.) ?tick_budget
         | None -> ());
         r
   in
-  (* Campaign-scoped GC pacing: every result stays live until
-     [aggregate], so the default space_overhead keeps re-marking a
-     monotonically growing live set — measured at microseconds per run
-     on litmus-sized workloads. Relaxing the overhead for the duration
-     of the run phase defers that marking to the aggregate phase (and
-     to the caller's own pacing, restored below); no observable output
-     changes. *)
-  let gc0 = Gc.get () in
-  let slots =
-    Fun.protect
-      ~finally:(fun () -> Gc.set gc0)
-      (fun () ->
-        if gc0.Gc.space_overhead < 2000 then
-          Gc.set { gc0 with Gc.space_overhead = 2000 };
-        Pool.map_opt ~jobs ?should_stop:cancel n exec)
-  in
+  let slots = Pool.map_opt ~jobs ?should_stop:cancel n exec in
   (match jw with Some w -> Journal.close w | None -> ());
   let wall_s = Unix.gettimeofday () -. t0 in
   let pairs =

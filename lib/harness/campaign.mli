@@ -70,6 +70,11 @@ type sighting = {
   s_count : int;  (** how many runs exposed it *)
 }
 
+val compare_sighting : sighting -> sighting -> int
+(** The one sighting order: most-sighted first, then lowest first
+    index, then [T11r_race.Report.compare]. Campaign and guided reports
+    both sort their sightings with it. *)
+
 type supervision = {
   sup_resumed : int;  (** runs replayed from the journal, not executed *)
   sup_retried : int;  (** transient-failure retry attempts, all runs *)
@@ -99,7 +104,8 @@ type report = {
   completed : int;
   racy_runs : int;
   distinct_schedules : int;
-      (** unique critical-section traces across the campaign *)
+      (** distinct [(tid, op)] sequences of the runs' traces, counted
+          exactly (ticks ignored) *)
   outcomes : (string * int) list;  (** outcome histogram, sorted by key *)
   sightings : sighting list;  (** distinct races, most-sighted first *)
   crashes : (int * string) list;  (** (run index, message), in run order *)
@@ -190,9 +196,5 @@ val digest : report -> string
 (** Hex digest of everything {!equal} compares — a compact fingerprint
     for cross-build regression fixtures: two reports are [equal] iff
     their digests match (up to hash collision). *)
-
-val schedule_key : Tsan11rec.Interp.result -> (int * string) list
-(** The (tid, op) projection of a run's trace used for
-    distinct-schedule counting. *)
 
 val pp : Format.formatter -> report -> unit

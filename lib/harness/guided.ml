@@ -310,13 +310,7 @@ let report_of_state ~label ~batch ~wall_s ~interrupted st =
         (fun (race, (s_first, s_count)) ->
           { Campaign.s_race = race; s_first; s_count })
         st.st_sightings
-      |> List.sort (fun (a : Campaign.sighting) b ->
-             match compare b.Campaign.s_count a.Campaign.s_count with
-             | 0 -> (
-                 match compare a.Campaign.s_first b.Campaign.s_first with
-                 | 0 -> Report.compare a.Campaign.s_race b.Campaign.s_race
-                 | c -> c)
-             | c -> c);
+      |> List.sort Campaign.compare_sighting;
     g_metrics =
       {
         st.st_metrics with

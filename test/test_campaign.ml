@@ -13,6 +13,11 @@ module Httpd = T11r_apps.Httpd
 
 let qtest = QCheck_alcotest.to_alcotest
 
+let contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
 
@@ -139,6 +144,70 @@ let test_runner_compat_across_jobs () =
   Alcotest.(check int) "completed" a1.Campaign.completed a3.Campaign.completed;
   Alcotest.(check bool) "outcome histograms" true (a1.Campaign.outcomes = a3.Campaign.outcomes)
 
+(* distinct_schedules must equal an exact count of distinct (tid, op)
+   projections of the traces — the sort-and-dedupe reference below. *)
+let reference_distinct (r : Campaign.report) =
+  Array.to_list r.Campaign.results
+  |> List.map (fun (x : Tsan11rec.Interp.result) ->
+         List.map (fun (_, tid, label) -> (tid, label)) x.Tsan11rec.Interp.trace)
+  |> List.sort_uniq compare |> List.length
+
+let mcs_spec =
+  let e = Option.get (T11r_litmus.Registry.find "mcs-lock") in
+  Campaign.spec ~label:"mcs-lock"
+    ~base_conf:(Conf.tsan11rec ~strategy:Conf.Random ())
+    e.T11r_litmus.Registry.build
+
+let test_distinct_schedules_exact () =
+  List.iter
+    (fun (name, spec, n) ->
+      List.iter
+        (fun jobs ->
+          let r = Campaign.run spec ~n ~jobs [] in
+          let expect = reference_distinct r in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: more than one schedule" name)
+            true (expect > 1);
+          Alcotest.(check int)
+            (Printf.sprintf "%s jobs=%d: distinct_schedules exact" name jobs)
+            expect r.Campaign.distinct_schedules)
+        [ 1; 3 ])
+    [ ("fig1", fig1_spec, 2000); ("mcs-lock", mcs_spec, 300) ]
+
+(* Single-threaded runs whose traces share a 21-op prefix and differ
+   only in their last op, chosen by the run index. A hash that reads
+   only a bounded prefix of the trace sees one key here. *)
+let test_distinct_schedules_shared_prefix () =
+  let module Api = T11r_vm.Api in
+  let spec =
+    {
+      fig1_spec with
+      Campaign.label = "shared-prefix";
+      instance =
+        (fun i ->
+          let world = World.create ~seed:(Int64.of_int i) () in
+          ( world,
+            Api.program ~name:"shared-prefix" (fun () ->
+                let a = Api.Atomic.create 0 in
+                for _ = 1 to 20 do
+                  Api.Atomic.store a 1
+                done;
+                match i mod 4 with
+                | 0 -> ignore (Api.Atomic.load a)
+                | 1 -> Api.Atomic.store a 2
+                | 2 -> ignore (Api.Atomic.fetch_add a 1)
+                | _ -> Api.Atomic.fence T11r_mem.Memord.Seq_cst) ));
+    }
+  in
+  let r = Campaign.run spec ~n:12 [] in
+  Array.iter
+    (fun (x : Tsan11rec.Interp.result) ->
+      Alcotest.(check bool) "trace holds the 20-op prefix" true
+        (List.length x.Tsan11rec.Interp.trace > 20))
+    r.Campaign.results;
+  Alcotest.(check int) "reference: four schedules" 4 (reference_distinct r);
+  Alcotest.(check int) "distinct_schedules" 4 r.Campaign.distinct_schedules
+
 let test_faultsweep_deterministic_across_jobs () =
   let rows1 = T11r_harness.Faultsweep.sweep ~smoke:true ~jobs:1 () in
   let rows2 = T11r_harness.Faultsweep.sweep ~smoke:true ~jobs:2 () in
@@ -242,6 +311,23 @@ let test_quarantine_deterministic_across_jobs () =
   Alcotest.(check string) "digest stable across jobs"
     (Campaign.digest (run 1))
     (Campaign.digest (run 2))
+
+(* A campaign cancelled before its first run (SIGINT before the hunt
+   starts, or during a guided round) reports zero runs, not a crash. *)
+let test_cancel_before_first_run () =
+  List.iter
+    (fun jobs ->
+      let c = Campaign.run fig1_spec ~n:5 ~jobs ~cancel:(fun () -> true) [] in
+      let sup = c.Campaign.supervision in
+      Alcotest.(check int) "no run done" 0 sup.Campaign.sup_done;
+      Alcotest.(check bool) "interrupted" true sup.Campaign.sup_interrupted;
+      Alcotest.(check int) "no results" 0 (Array.length c.Campaign.results);
+      Alcotest.(check int) "no schedules" 0 c.Campaign.distinct_schedules;
+      Alcotest.(check int) "empty time summary" 0 c.Campaign.time_ms.T11r_util.Stats.n;
+      Alcotest.(check (float 0.0)) "mean ticks" 0.0 c.Campaign.mean_ticks;
+      Alcotest.(check bool) "report prints INTERRUPTED" true
+        (contains (Format.asprintf "%a" Campaign.pp c) "INTERRUPTED: 0/5 runs done"))
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Journal: resume must reproduce the uninterrupted digest             *)
@@ -568,6 +654,10 @@ let () =
             test_runner_compat_across_jobs;
           Alcotest.test_case "faultsweep rows jobs-stable" `Quick
             test_faultsweep_deterministic_across_jobs;
+          Alcotest.test_case "distinct_schedules exact" `Quick
+            test_distinct_schedules_exact;
+          Alcotest.test_case "distinct_schedules: shared prefix" `Quick
+            test_distinct_schedules_shared_prefix;
         ] );
       ( "supervision",
         [
@@ -583,6 +673,8 @@ let () =
             test_crash_is_quarantined_not_fatal;
           Alcotest.test_case "quarantine jobs-stable" `Quick
             test_quarantine_deterministic_across_jobs;
+          Alcotest.test_case "cancel before first run" `Quick
+            test_cancel_before_first_run;
         ] );
       ( "journal",
         [
