@@ -758,8 +758,7 @@ let check_cmd =
       w.Workloads.w_instance (World.create ~seed:0L ()) ()
     in
     let r =
-      T11r_harness.Systematic.explore ~max_runs ~jobs:co.co_jobs
-        ~dpor:co.co_dpor ~deadline_s:co.co_deadline
+      T11r_harness.Systematic.explore ~max_runs ~dpor:co.co_dpor ~deadline_s:co.co_deadline
         ?tick_budget:co.co_tick_budget ?journal:co.co_journal ~cancel ~build
         ()
     in
@@ -787,7 +786,8 @@ let check_cmd =
     (Cmd.info "check" ~exits:campaign_exits
        ~doc:
          "Bounded systematic exploration (stateless model checking) of a \
-          closed workload")
+          closed workload. $(b,--jobs) is accepted and has no effect: the \
+          walk executes one schedule at a time.")
     Term.(
       const run $ workload_arg $ max_runs
       $ common_term [ Jobs; Journal; Deadline; Tick_budget; Dpor ])

@@ -45,9 +45,9 @@ val spec_io :
 
 val domain_arena : unit -> Tsan11rec.Interp.arena
 (** The calling domain's run arena (created on first use). Campaign
-    runs always execute through it; other per-domain run loops
-    (systematic waves, benches) may share it. Never hand it to another
-    domain. *)
+    runs always execute through it; other per-domain run loops (the
+    systematic explorer, benches) may share it. Never hand it to
+    another domain. *)
 
 val recycled_world : seed:int64 -> T11r_env.World.t
 (** The calling domain's recycled default-config world, reset in place

@@ -30,12 +30,19 @@
     distinct races as the exhaustive walk ([~dpor:false]) whenever both
     exhaust the space — usually in far fewer runs.
 
+    The race analysis runs on {!T11r_race.Hb}, an incremental
+    happens-before index over the current path: per thread, the latest
+    path position of each object an event can touch, with an undo log
+    popped alongside the DFS stack. Analysing a descent's new event
+    costs O(threads²) plus a few table lookups, independent of the
+    path length, and frames share their run's decision array instead
+    of copying their prefix; a prefix is rebuilt from the stack once
+    per fresh schedule. Following a run of depth D therefore costs
+    O(D × threads²) analysis on top of the run itself.
+
     Every prefix is a plain {!Interp.run} from tick 0 on the domain's
-    recycled arena and world. With [jobs > 1] the analysis itself
-    stays strictly sequential; extra workers speculatively pre-execute
-    the prefixes the walk is predicted to need next (pending backtrack
-    children, deepest first), so every counter, every journal byte and
-    the final result are identical at every [jobs] value.
+    recycled arena and world, executed on the calling domain, one at
+    a time, in analysis order.
 
     Caveats, also true of CHESS: the program must be closed (fixed
     input, no environment nondeterminism — exploration runs in [Free]
@@ -91,9 +98,10 @@ val explore :
     [Timeout] / [Tick_limit] outcome, is treated as a leaf of the
     tree, and its journal entry resumes identically.
 
-    [jobs] (default 1) sizes the domain pool used for speculative
-    pre-execution; the result is identical at every value (see the
-    module comment).
+    [jobs] is accepted and ignored: the walk runs on one domain.
+    Speculative pre-execution on a pool was measured slower than the
+    sequential walk once the analysis became cheap (each wave paid a
+    domain spawn and join for one or two runs), and was removed.
 
     [journal] makes the exploration crash-safe and resumable: each
     analyzed prefix is appended (checksummed, with its result and

@@ -1,0 +1,55 @@
+(** Incremental happens-before over a path of recorded decisions — the
+    analysis behind dynamic partial-order reduction
+    ([T11r_harness.Systematic]).
+
+    The path is a stack: {!push} appends an event, {!pop} removes the
+    newest one (an undo log restores every table it touched). The
+    index keeps, per thread, the latest path position of each kind of
+    thing an event can touch: any event of the thread, world-coupled
+    ops, each atomic location (any access, and writes/updates), any
+    atomic, fences, each sync id, spawns, each spawn/join target, and
+    the two scheduler-PRNG classes ([d_rand] events and draw-consuming
+    events). The latest event of thread [p] dependent with a new event
+    [e] — [j_p] — is then the maximum over the few tables [e]'s
+    footprint selects, so analysing [e] costs O(threads²) clock work
+    and a handful of table lookups instead of a scan of the path.
+
+    Clocks follow the DPOR convention: the clock [c] of the event at
+    position [m] has [c.(q)] = 1 + the position of thread [q]'s latest
+    event that happens-before it (0 = none); the event itself is not
+    counted, and happens-before is the transitive closure of {!dep}
+    along the path. *)
+
+val dep : Decision.t -> Decision.t -> bool
+(** The dependence relation: two decisions conflict iff swapping two
+    adjacent occurrences could change behaviour. Symmetric. *)
+
+type t
+
+val create : unit -> t
+(** An empty path. *)
+
+val length : t -> int
+(** Number of events on the path. *)
+
+val push : t -> enabled:int array -> Decision.t -> (int * int option) list
+(** [push t ~enabled e] analyses [e] as the event at position
+    [length t], taken at a node whose runnable threads were [enabled]
+    (ascending), and appends it. The result lists [e]'s reversible
+    races in ascending position order: [(i, Some q)] — the node at
+    position [i] must also try thread [q], the first thread of the
+    reordered segment — or [(i, None)] when no thread enabled at [i]
+    starts that segment (try them all). *)
+
+val pop : t -> unit
+(** Remove the newest event.
+    @raise Invalid_argument on an empty path. *)
+
+val clock : t -> int -> int array
+(** [clock t m] is the clock of the event at position [m] (entries
+    past the array's end are 0).
+    @raise Invalid_argument unless [0 <= m < length t]. *)
+
+val last_dep : t -> Decision.t -> int -> int
+(** [last_dep t e p] is the position of thread [p]'s latest event on
+    the path that is {!dep}endent with [e], or [-1]. *)

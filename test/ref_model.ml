@@ -8,7 +8,11 @@
    model and the optimised lib/ implementations and asserts identical
    observable behaviour. Keep this file dumb and obviously correct —
    its value is that it never shares representation tricks with the
-   code under test. *)
+   code under test.
+
+   [Dpor] is the O(path) race analysis DPOR ran before the incremental
+   happens-before index ([T11r_race.Hb]); test_systematic.ml compares
+   the two event by event. *)
 
 module Memord = T11r_mem.Memord
 module Report = T11r_race.Report
@@ -321,4 +325,107 @@ module Detector = struct
     v.reads <- Vclock.empty
 
   let reports t = List.rev t.reports_rev
+end
+
+module Dpor = struct
+  open T11r_race.Decision
+
+  let dep (a : T11r_race.Decision.t) (b : T11r_race.Decision.t) =
+    let foot =
+      match (a.d_foot, b.d_foot) with
+      | (F_global | F_syscall _), _ | _, (F_global | F_syscall _) -> true
+      | F_local, _ | _, F_local -> false
+      | F_atomic (l1, k1), F_atomic (l2, k2) ->
+          l1 = l2 && not (k1 = Acc_read && k2 = Acc_read)
+      | F_atomic _, F_fence | F_fence, F_atomic _ | F_fence, F_fence -> true
+      | F_sync (x1, x2), F_sync (y1, y2) ->
+          x1 = y1 || x1 = y2 || (x2 >= 0 && (x2 = y1 || x2 = y2))
+      | F_spawn _, F_spawn _ -> true
+      | F_spawn t, F_join u | F_join u, F_spawn t -> t = u
+      | F_join t, F_join u -> t = u
+      | _, _ -> false
+    in
+    a.d_tid = b.d_tid
+    || foot
+    || (match a.d_foot with
+       | F_spawn t | F_join t -> t = b.d_tid
+       | _ -> false)
+    || (match b.d_foot with
+       | F_spawn t | F_join t -> t = a.d_tid
+       | _ -> false)
+    || (a.d_rand && b.d_draws > 0)
+    || (b.d_rand && a.d_draws > 0)
+
+  let clk_get c q = if q < Array.length c then c.(q) else 0
+
+  let clk_join dst src =
+    let n = Array.length src in
+    let dst =
+      if Array.length dst >= n then dst
+      else begin
+        let d = Array.make n 0 in
+        Array.blit dst 0 d 0 (Array.length dst);
+        d
+      end
+    in
+    for q = 0 to n - 1 do
+      if src.(q) > dst.(q) then dst.(q) <- src.(q)
+    done;
+    dst
+
+  let clk_bump dst q v =
+    let dst =
+      if q < Array.length dst then dst
+      else begin
+        let d = Array.make (q + 1) 0 in
+        Array.blit dst 0 d 0 (Array.length dst);
+        d
+      end
+    in
+    if v > dst.(q) then dst.(q) <- v;
+    dst
+
+  (* One event of the path: the decision taken at the node, the node's
+     enabled set, and the decision's clock. *)
+  type frame = { ev : T11r_race.Decision.t; enabled : int array; clk : int array }
+
+  (* Analyse [e] against [path] (positions 0 .. k-1): e's clock, and
+     each reversible race i in ascending order with the candidate
+     initials the backtrack addition takes the least of (all of node
+     i's enabled threads when empty). *)
+  let analyse (path : frame array) (e : T11r_race.Decision.t) =
+    let k = Array.length path in
+    let clk = ref [||] in
+    let dep_w = Array.make k false in
+    for m = 0 to k - 1 do
+      let em = path.(m).ev in
+      if dep em e then begin
+        dep_w.(m) <- true;
+        clk := clk_join !clk path.(m).clk;
+        clk := clk_bump !clk em.d_tid (m + 1)
+      end
+    done;
+    let hb m = clk_get !clk path.(m).ev.d_tid > m in
+    let blk = ref [||] in
+    for m = 0 to k - 1 do
+      if hb m then blk := clk_join !blk path.(m).clk
+    done;
+    let races = ref [] in
+    for i = 0 to k - 1 do
+      let ei = path.(i).ev in
+      if dep_w.(i) && ei.d_tid <> e.d_tid && clk_get !blk ei.d_tid <= i then begin
+        let enabled_at tid = Array.exists (( = ) tid) path.(i).enabled in
+        let cand = ref [] in
+        for m = i + 1 to k - 1 do
+          if hb m then
+            let em = path.(m).ev in
+            if enabled_at em.d_tid && not (List.mem em.d_tid !cand) then
+              cand := em.d_tid :: !cand
+        done;
+        if enabled_at e.d_tid && not (List.mem e.d_tid !cand) then
+          cand := e.d_tid :: !cand;
+        races := (i, !cand) :: !races
+      end
+    done;
+    (!clk, List.rev !races)
 end

@@ -177,6 +177,204 @@ let test_dpor_actually_reduces () =
   check Alcotest.bool "deadlock still found" true (dp.deadlock_schedules > 0)
 
 (* ------------------------------------------------------------------ *)
+(* The incremental happens-before index against the O(path) reference *)
+
+module Hb = T11r_race.Hb
+module D = T11r_race.Decision
+
+(* A well-formed decision over threads 0..3: the chosen thread is
+   enabled, the enabled set is ascending, a few atomic locations and
+   sync ids (>= 0), spawn/join targets, syscalls and PRNG draws. *)
+let decision_gen =
+  QCheck.Gen.(
+    let tid = int_range 0 3 in
+    let* d_tid = tid in
+    let* others = list_size (int_range 0 3) tid in
+    let d_enabled = Array.of_list (List.sort_uniq compare (d_tid :: others)) in
+    let* d_foot =
+      frequency
+        [
+          (2, return D.F_local);
+          ( 6,
+            map2
+              (fun l k -> D.F_atomic (l, k))
+              (int_range 0 2)
+              (oneofl [ D.Acc_read; D.Acc_write; D.Acc_update ]) );
+          (2, return D.F_fence);
+          ( 3,
+            map2
+              (fun x y -> D.F_sync (x, y))
+              (int_range 0 3)
+              (oneof [ return (-1); int_range 0 3 ]) );
+          (1, map (fun t -> D.F_spawn t) (int_range 0 4));
+          (1, map (fun t -> D.F_join t) (int_range 0 4));
+          (1, map (fun n -> D.F_syscall n) (int_range 0 2));
+          (1, return D.F_global);
+        ]
+    in
+    let* d_draws = frequency [ (3, return 0); (1, int_range 1 2) ] in
+    let* d_rand = if d_draws > 0 then bool else return false in
+    return { D.d_tid; d_enabled; d_foot; d_draws; d_rand; d_lock = D.L_none })
+
+let pp_decision (d : D.t) =
+  let foot =
+    match d.d_foot with
+    | D.F_local -> "local"
+    | D.F_atomic (l, k) ->
+        Printf.sprintf "atomic(%d,%s)" l
+          (match k with
+          | D.Acc_read -> "r"
+          | D.Acc_write -> "w"
+          | D.Acc_update -> "u")
+    | D.F_fence -> "fence"
+    | D.F_sync (x, y) -> Printf.sprintf "sync(%d,%d)" x y
+    | D.F_spawn t -> Printf.sprintf "spawn(%d)" t
+    | D.F_join t -> Printf.sprintf "join(%d)" t
+    | D.F_syscall n -> Printf.sprintf "syscall(%d)" n
+    | D.F_global -> "global"
+  in
+  Printf.sprintf "T%d[%s] %s draws=%d%s" d.d_tid
+    (String.concat "," (Array.to_list (Array.map string_of_int d.d_enabled)))
+    foot d.d_draws
+    (if d.d_rand then " rand" else "")
+
+(* A DFS-shaped walk: push an event, or pop the newest one. *)
+type hb_op = Push of D.t | Pop
+
+let hb_ops =
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat "; "
+        (List.map (function Push d -> pp_decision d | Pop -> "pop") ops))
+    QCheck.Gen.(
+      list_size (int_range 1 80)
+        (frequency [ (4, map (fun d -> Push d) decision_gen); (1, return Pop) ]))
+
+let trim c =
+  let n = ref (Array.length c) in
+  while !n > 0 && c.(!n - 1) = 0 do
+    decr n
+  done;
+  Array.sub c 0 !n
+
+(* Per event: the same clock, the same race set and the same backtrack
+   additions as the O(path) analysis, and a key index that finds each
+   thread's latest dependent event — across pushes and pops. *)
+let qcheck_hb_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"Hb = O(path) race analysis" hb_ops
+    (fun ops ->
+      let hb = Hb.create () in
+      let path = ref [||] in
+      List.for_all
+        (function
+          | Pop ->
+              let k = Array.length !path in
+              if k > 0 then begin
+                Hb.pop hb;
+                path := Array.sub !path 0 (k - 1)
+              end;
+              Hb.length hb = Array.length !path
+          | Push e ->
+              let k = Array.length !path in
+              let latest_ok =
+                List.for_all
+                  (fun p ->
+                    let want = ref (-1) in
+                    Array.iteri
+                      (fun m (f : Ref_model.Dpor.frame) ->
+                        if f.ev.D.d_tid = p && Ref_model.Dpor.dep f.ev e then
+                          want := m)
+                      !path;
+                    Hb.last_dep hb e p = !want)
+                  [ 0; 1; 2; 3; 4 ]
+              in
+              let clk, races = Ref_model.Dpor.analyse !path e in
+              let got = Hb.push hb ~enabled:e.D.d_enabled e in
+              let want =
+                List.map
+                  (fun (i, cand) ->
+                    (i, match cand with [] -> None | cs -> Some (List.fold_left min max_int cs)))
+                  races
+              in
+              path :=
+                Array.append !path
+                  [| { Ref_model.Dpor.ev = e; enabled = e.D.d_enabled; clk } |];
+              latest_ok && got = want
+              && trim (Hb.clock hb k) = trim clk
+              && Hb.length hb = k + 1)
+        ops)
+
+let qcheck_hb_index_is_dep =
+  QCheck.Test.make ~count:2000 ~name:"Hb key index = dep, pairwise"
+    QCheck.(
+      make
+        ~print:(fun (a, b) -> pp_decision a ^ " / " ^ pp_decision b)
+        Gen.(pair decision_gen decision_gen))
+    (fun (a, b) ->
+      let hb = Hb.create () in
+      ignore (Hb.push hb ~enabled:a.D.d_enabled a);
+      let d = Ref_model.Dpor.dep a b in
+      Hb.dep a b = d
+      && Hb.dep b a = d
+      && Hb.last_dep hb b a.D.d_tid = if d then 0 else -1)
+
+(* ------------------------------------------------------------------ *)
+(* Golden exploration pin: run counts, completeness, distinct outcome
+   keys and distinct races of the default DPOR walk at one seed pair.
+   A change to what DPOR explores fails here. *)
+
+let golden =
+  [
+    ("fig1", 180, true, [ "completed" ], []);
+    ( "dekker-fences", 204, true, [ "completed" ],
+      [
+        "data race (write-write) on critical: T1 vs T2";
+        "data race (write-write) on critical: T2 vs T1";
+        "data race (write-read) on critical: T1 vs T2";
+        "data race (write-read) on critical: T2 vs T1";
+      ] );
+    ( "mcs-lock", 170, true, [ "completed" ],
+      [ "data race (write-read) on mcsdata: T1 vs T2" ] );
+    ( "linuxrwlocks", 307, true, [ "completed" ],
+      [ "data race (write-read) on rwdata: T1 vs T2" ] );
+    ( "mpmc-queue", 79, true, [ "completed" ],
+      [ "data race (write-read) on slot0: T1 vs T2" ] );
+    ( "barrier", 21, true, [ "completed" ],
+      [ "data race (write-read) on payload: T1 vs T2" ] );
+    ("barrier-fixed", 427, true, [ "completed" ], []);
+    ("dekker-fences-fixed", 118, true, [ "completed" ], []);
+    ("mcs-lock-fixed", 1358, true, [ "completed" ], []);
+    ("mpmc-queue-fixed", 727, true, [ "completed" ], []);
+    ( "ms-queue", 12, false, [ "completed" ],
+      [
+        "data race (write-write) on op_count: T1 vs T2";
+        "data race (write-read) on op_count: T1 vs T2";
+      ] );
+  ]
+
+let test_golden_exploration () =
+  let entries =
+    T11r_litmus.Registry.(fig1 :: (all @ fixed))
+  in
+  List.iter
+    (fun (name, runs, complete, keys, races) ->
+      let e =
+        List.find (fun (e : T11r_litmus.Registry.entry) -> e.name = name) entries
+      in
+      let max_runs = if name = "ms-queue" then 12 else 10_000 in
+      let r =
+        Systematic.explore ~max_runs ~seeds:(4L, 7923L) ~world_seed:4L
+          ~build:e.build ()
+      in
+      check Alcotest.int (name ^ ": runs") runs r.runs;
+      check Alcotest.bool (name ^ ": complete") complete r.complete;
+      check Alcotest.(list string) (name ^ ": outcome keys") keys
+        (distinct_outcome_keys r);
+      check Alcotest.(list string) (name ^ ": races") races
+        (List.map (Format.asprintf "%a" T11r_race.Report.pp) (distinct_races r)))
+    golden
+
+(* ------------------------------------------------------------------ *)
 (* Journal resume and jobs-independence *)
 
 let tmp_journal tag =
@@ -581,6 +779,10 @@ let () =
             test_dpor_equals_exhaustive_on_litmus;
           QCheck_alcotest.to_alcotest qcheck_dpor_equiv_seeds;
           Alcotest.test_case "actually reduces" `Quick test_dpor_actually_reduces;
+          QCheck_alcotest.to_alcotest qcheck_hb_matches_reference;
+          QCheck_alcotest.to_alcotest qcheck_hb_index_is_dep;
+          Alcotest.test_case "golden exploration pin" `Quick
+            test_golden_exploration;
         ] );
       ( "resume",
         [
