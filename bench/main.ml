@@ -1,11 +1,12 @@
 (* The benchmark harness: regenerates every table of the paper's
-   evaluation (§5) plus the quantitative prose claims, and runs a
-   Bechamel micro-benchmark suite over the implementation itself.
+   evaluation (§5) plus the quantitative prose claims, the ablations
+   and the fault-injection sweep. The implementation's own performance
+   is measured by perfbench/ (BENCHMARK.json), not here.
 
      dune exec bench/main.exe              -- everything
      dune exec bench/main.exe -- table1    -- one experiment
        (table1 table2 demosize table34 table5 game zandronum limits
-        ablations micro)
+        ablations faults)
 
    Absolute numbers are simulated time from our cost model (DESIGN.md
    §4-5); the claims to check against the paper are the *shapes*: who
@@ -624,661 +625,10 @@ let ablations () =
     sys.T11r_harness.Systematic.racy_schedules
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: the real cost of the implementation       *)
-
-let micro () =
-  let open Bechamel in
-  let run_once conf build setup =
-    let world = World.create ~seed:7L () in
-    setup world;
-    ignore (Interp.run ~world (seeded conf 1) (build ()))
-  in
-  let fig1 = T11r_litmus.Registry.fig1 in
-  let msq = Option.get (T11r_litmus.Registry.find "ms-queue") in
-  let small_httpd = { Httpd.default_config with queries = 50 } in
-  let roundtrip () =
-    let dir = tmpdir "micro" in
-    let conf =
-      seeded (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record dir) ()) 1
-    in
-    ignore (Interp.run ~world:(World.create ~seed:7L ()) conf (fig1.build ()));
-    let rep = Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Replay dir) () in
-    ignore (Interp.run ~world:(World.create ~seed:8L ()) rep (fig1.build ()))
-  in
-  let tests =
-    [
-      (* one Test.make per paper table, measuring what regenerating a
-         row of that table costs on this implementation *)
-      Test.make ~name:"table1:fig1-run"
-        (Staged.stage (fun () ->
-             run_once (Conf.tsan11rec ~strategy:Conf.Random ()) fig1.build
-               (fun _ -> ())));
-      Test.make ~name:"table1:ms-queue-run"
-        (Staged.stage (fun () ->
-             run_once (Conf.tsan11rec ~strategy:Conf.Queue ()) msq.build
-               (fun _ -> ())));
-      Test.make ~name:"table2:httpd-50q"
-        (Staged.stage (fun () ->
-             run_once
-               (Conf.tsan11rec ~strategy:Conf.Queue ())
-               (fun () -> Httpd.program ~cfg:small_httpd ())
-               (Httpd.setup_world small_httpd)));
-      Test.make ~name:"table34:pbzip-small"
-        (Staged.stage (fun () ->
-             run_once Conf.native
-               (fun () ->
-                 Pbzip.program
-                   ~cfg:{ Pbzip.default_config with blocks = 8; block_cost_us = 100 }
-                   ())
-               (fun _ -> ())));
-      Test.make ~name:"table5:game-30f"
-        (Staged.stage (fun () ->
-             run_once
-               (Conf.with_policy (Conf.tsan11rec ~strategy:Conf.Queue ()) Policy.games)
-               (fun () ->
-                 Game.program ~p:(Game.quakespasm ~frames:30 ~fps_cap:None ()) ())
-               (fun _ -> ())));
-      Test.make ~name:"record+replay:fig1" (Staged.stage roundtrip);
-      (* substrate micro-costs *)
-      (let c1 = T11r_util.Vclock.of_list [ 3; 1; 4; 1; 5 ] in
-       let c2 = T11r_util.Vclock.of_list [ 2; 7; 1 ] in
-       Test.make ~name:"substrate:vclock-join"
-         (Staged.stage (fun () -> ignore (T11r_util.Vclock.join c1 c2))));
-      (let payload = Bytes.make 512 'x' in
-       Test.make ~name:"substrate:rle-encode"
-         (Staged.stage (fun () -> ignore (T11r_util.Rle.encode_bytes payload))));
-      (let p = T11r_util.Prng.create ~seed1:1L ~seed2:2L in
-       Test.make ~name:"substrate:prng-draw"
-         (Staged.stage (fun () -> ignore (T11r_util.Prng.bits64 p))));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"tsan11rec" ~fmt:"%s/%s" tests in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let t =
-    Table.create ~title:"Bechamel: wall-clock cost of the implementation"
-      ~headers:[ "benchmark"; "per run" ]
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name v ->
-      match Analyze.OLS.estimates v with
-      | Some [ ns ] ->
-          let pretty =
-            if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-            else Printf.sprintf "%.1f us" (ns /. 1e3)
-          in
-          rows := (name, pretty) :: !rows
-      | _ -> ())
-    results;
-  List.iter (fun (n, p) -> Table.add_row t [ n; p ])
-    (List.sort compare !rows);
-  Table.print t
-
-(* ------------------------------------------------------------------ *)
 (* Fault-injection sweep (robustness study)                             *)
 
 let smoke = ref false
 let faults () = T11r_harness.Faultsweep.run ~smoke:!smoke ~jobs:!jobs ()
-
-(* ------------------------------------------------------------------ *)
-(* Campaign throughput: sequential vs sharded, with a machine-readable
-   trajectory file so subsequent PRs can track the perf curve.          *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let campaign () =
-  let par_jobs = if !jobs > 1 then !jobs else 4 in
-  let n = if !smoke then 60 else table1_runs in
-  let litmus (e : T11r_litmus.Registry.entry) =
-    Campaign.spec ~label:e.name
-      ~base_conf:(Conf.tsan11rec ~strategy:Conf.Random ())
-      e.build
-  in
-  let httpd_cfg = { Httpd.default_config with queries = 40 } in
-  let specs =
-    [
-      (litmus T11r_litmus.Registry.fig1, n);
-      (litmus (Option.get (T11r_litmus.Registry.find "mcs-lock")), n);
-      ( Campaign.spec ~label:"httpd-40q"
-          ~base_conf:(Conf.tsan11rec ~strategy:Conf.Queue ())
-          ~setup_world:(Httpd.setup_world httpd_cfg)
-          (fun () -> Httpd.program ~cfg:httpd_cfg ()),
-        max 2 (n / 10) );
-    ]
-  in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Campaign throughput: -j1 vs -j%d (%d-run fig1 campaign et al.)"
-           par_jobs n)
-      ~headers:
-        [ "campaign"; "runs"; "j1 s"; "runs/s"; Printf.sprintf "j%d s" par_jobs;
-          "runs/s"; "speedup"; "identical?" ]
-  in
-  let cells =
-    List.map
-      (fun (spec, n) ->
-        let seq = Campaign.run spec ~n ~jobs:1 [] in
-        let par = Campaign.run spec ~n ~jobs:par_jobs [] in
-        let identical = Campaign.equal seq par in
-        let speedup =
-          if par.Campaign.wall_s > 0.0 then
-            seq.Campaign.wall_s /. par.Campaign.wall_s
-          else 0.0
-        in
-        Table.add_row t
-          [
-            spec.Campaign.label;
-            string_of_int n;
-            Printf.sprintf "%.2f" seq.Campaign.wall_s;
-            Printf.sprintf "%.0f" (Campaign.runs_per_sec seq);
-            Printf.sprintf "%.2f" par.Campaign.wall_s;
-            Printf.sprintf "%.0f" (Campaign.runs_per_sec par);
-            Printf.sprintf "%.2fx" speedup;
-            (if identical then "yes" else "NO");
-          ];
-        (spec.Campaign.label, n, seq, par, speedup, identical))
-      specs
-  in
-  Table.print t;
-  Fmt.pr
-    "(host reports %d core(s); speedup is bounded by physical parallelism)@.@."
-    (Domain.recommended_domain_count ());
-  let experiments =
-    String.concat ",\n"
-      (List.map
-         (fun (label, n, seq, par, speedup, identical) ->
-           Printf.sprintf
-             "    {\"label\": \"%s\", \"runs\": %d, \"seq_wall_s\": %.4f, \
-              \"par_wall_s\": %.4f, \"seq_runs_per_s\": %.1f, \
-              \"par_runs_per_s\": %.1f, \"speedup\": %.3f, \
-              \"aggregates_identical\": %b}"
-             (json_escape label) n seq.Campaign.wall_s par.Campaign.wall_s
-             (Campaign.runs_per_sec seq) (Campaign.runs_per_sec par) speedup
-             identical)
-         cells)
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"schema\": \"tsan11rec/campaign-bench/v1\",\n\
-      \  \"host_cores\": %d,\n\
-      \  \"jobs\": %d,\n\
-      \  \"smoke\": %b,\n\
-      \  \"experiments\": [\n%s\n  ]\n}\n"
-      (Domain.recommended_domain_count ())
-      par_jobs !smoke experiments
-  in
-  let oc = open_out "BENCH_campaign.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "wrote BENCH_campaign.json@."
-
-(* ------------------------------------------------------------------ *)
-(* Coverage-guided vs random hunting: runs-to-first-race, with a
-   machine-readable comparison file (the tentpole's headline claim).    *)
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
-let coverage () =
-  let trials = if !smoke then 5 else 25 in
-  let budget = if !smoke then 400 else 1600 in
-  let batch = 16 in
-  (* Low-race-rate litmus benchmarks: workloads where plain random
-     needs many runs per race (fig1 ~0.3% racy, chase-lev-deque ~0%),
-     so there is room for guidance to help; barrier (~30%) is the
-     sanity row where both hunters find the race almost immediately. *)
-  let names = [ "fig1"; "chase-lev-deque"; "barrier" ] in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Coverage-guided vs random: median runs to first race (%d \
-            trials, budget %d runs)"
-           trials budget)
-      ~headers:[ "benchmark"; "random"; "guided"; "winner" ]
-  in
-  let rows =
-    List.map
-      (fun name ->
-        let e =
-          if name = "fig1" then T11r_litmus.Registry.fig1
-          else Option.get (T11r_litmus.Registry.find name)
-        in
-        (* Both hunters get the same per-trial world/seed discipline:
-           run i of trial t is a pure function of (t, i). *)
-        let world_of t i = World.create ~seed:(Int64.of_int ((t * budget) + i + 3)) () in
-        let random_trial t =
-          let rec go i =
-            if i > budget then budget
-            else
-              let conf =
-                Conf.with_seeds
-                  (Conf.tsan11rec ~strategy:Conf.Random ())
-                  (Int64.of_int ((t * budget) + i))
-                  (Int64.of_int ((t * budget) + i + 7919))
-              in
-              let r = Interp.run ~world:(world_of t i) conf (e.build ()) in
-              if r.Interp.race_count > 0 then i else go (i + 1)
-          in
-          go 1
-        in
-        let guided_spec t =
-          {
-            Campaign.label = name;
-            conf =
-              (fun i ->
-                Conf.with_seeds
-                  (Conf.tsan11rec ~strategy:Conf.Random ())
-                  (Int64.of_int ((t * budget) + i))
-                  (Int64.of_int ((t * budget) + i + 7919)));
-            instance = (fun i -> (world_of t i, e.build ()));
-          }
-        in
-        let guided_trial t =
-          let g =
-            T11r_harness.Guided.hunt (guided_spec t) ~rounds:(budget / batch)
-              ~batch ~jobs:!jobs
-              ~salt:(Int64.of_int ((t * 7919) + 1))
-              ~stop_on_race:true ()
-          in
-          match g.T11r_harness.Guided.g_first_race with
-          | Some i -> i + 1
-          | None -> budget
-        in
-        let ts = List.init trials (fun t -> t + 1) in
-        let rnd = median (List.map random_trial ts) in
-        let gd = median (List.map guided_trial ts) in
-        Table.add_row t
-          [
-            name;
-            string_of_int rnd;
-            string_of_int gd;
-            (if gd < rnd then "guided"
-             else if gd > rnd then "RANDOM"
-             else "tie");
-          ];
-        (name, rnd, gd))
-      names
-  in
-  Table.print t;
-  let wins = List.length (List.filter (fun (_, r, g) -> g < r) rows) in
-  (* The headline: total median runs to expose every benchmark's race —
-     a whole-suite budget, so one easy benchmark cannot mask a hunter
-     that burns its budget on the hard ones. *)
-  let total_random = List.fold_left (fun a (_, r, _) -> a + r) 0 rows in
-  let total_guided = List.fold_left (fun a (_, _, g) -> a + g) 0 rows in
-  Fmt.pr
-    "guided wins %d/%d benchmarks (total median runs-to-race: random %d, \
-     guided %d)@.@."
-    wins (List.length rows) total_random total_guided;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"schema\": \"tsan11rec/coverage-bench/v1\",\n\
-      \  \"smoke\": %b,\n\
-      \  \"trials\": %d,\n\
-      \  \"budget_runs\": %d,\n\
-      \  \"batch\": %d,\n\
-      \  \"benchmarks\": [\n%s\n  ],\n\
-      \  \"guided_wins\": %d,\n\
-      \  \"total_median_runs_random\": %d,\n\
-      \  \"total_median_runs_guided\": %d,\n\
-      \  \"guided_beats_random\": %b\n\
-       }\n"
-      !smoke trials budget batch
-      (String.concat ",\n"
-         (List.map
-            (fun (name, r, g) ->
-              Printf.sprintf
-                "    {\"benchmark\": \"%s\", \"median_runs_random\": %d, \
-                 \"median_runs_guided\": %d, \"guided_wins\": %b}"
-                (json_escape name) r g (g < r))
-            rows))
-      wins total_random total_guided
-      (total_guided < total_random)
-  in
-  let oc = open_out "BENCH_coverage.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "wrote BENCH_coverage.json@."
-
-(* ------------------------------------------------------------------ *)
-
-let systematic () =
-  let budget = if !smoke then 2_000 else 10_000 in
-  let entries =
-    if !smoke then
-      T11r_litmus.Registry.fig1
-      :: List.filter_map T11r_litmus.Registry.find [ "barrier" ]
-    else
-      T11r_litmus.Registry.fig1
-      :: (T11r_litmus.Registry.all @ T11r_litmus.Registry.fixed)
-  in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Systematic exploration: runs to exhaustion, naive vs DPOR \
-            (budget %d runs)"
-           budget)
-      ~headers:[ "benchmark"; "naive"; "dpor"; "reduction"; "dpor sound" ]
-  in
-  let show (r : T11r_harness.Systematic.result) =
-    Printf.sprintf "%d%s" r.T11r_harness.Systematic.runs
-      (if r.T11r_harness.Systematic.complete then "" else "+")
-  in
-  let rows =
-    List.map
-      (fun (e : T11r_litmus.Registry.entry) ->
-        let explore ~dpor =
-          T11r_harness.Systematic.explore ~max_runs:budget ~jobs:!jobs ~dpor
-            ~tick_budget:500_000 ~build:e.build ()
-        in
-        let naive = explore ~dpor:false in
-        let dp = explore ~dpor:true in
-        (* Soundness oracle: when both walks exhaust the space, DPOR
-           must see exactly the naive walk's distinct outcomes and
-           distinct races — just deduplicated by Mazurkiewicz trace. *)
-        let keys (r : T11r_harness.Systematic.result) =
-          List.sort_uniq compare (List.map fst r.outcomes)
-        in
-        let raceset (r : T11r_harness.Systematic.result) =
-          List.sort_uniq compare r.races
-        in
-        let exhausted =
-          naive.T11r_harness.Systematic.complete
-          && dp.T11r_harness.Systematic.complete
-        in
-        let sound =
-          if not exhausted then None
-          else
-            Some
-              (keys naive = keys dp
-              && raceset naive = raceset dp
-              && dp.T11r_harness.Systematic.runs
-                 <= naive.T11r_harness.Systematic.runs)
-        in
-        let reduction =
-          if exhausted then
-            Some
-              (float_of_int naive.T11r_harness.Systematic.runs
-              /. float_of_int (max 1 dp.T11r_harness.Systematic.runs))
-          else None
-        in
-        Table.add_row t
-          [
-            e.name;
-            show naive;
-            show dp;
-            (match reduction with
-            | Some f -> Printf.sprintf "%.1fx" f
-            | None -> "n/a");
-            (match sound with
-            | Some true -> "yes"
-            | Some false -> "NO"
-            | None -> "budget");
-          ];
-        (e.name, naive, dp, sound, reduction))
-      entries
-  in
-  Table.print t;
-  let unsound =
-    List.filter (fun (_, _, _, s, _) -> s = Some false) rows
-  in
-  let big_wins =
-    List.filter
-      (fun (_, _, _, s, red) ->
-        s = Some true && match red with Some f -> f >= 2.0 | None -> false)
-      rows
-  in
-  Fmt.pr
-    "dpor sound on %d/%d exhausted benchmarks; >=2x reduction on %d@.@."
-    (List.length rows - List.length unsound
-    - List.length (List.filter (fun (_, _, _, s, _) -> s = None) rows))
-    (List.length (List.filter (fun (_, _, _, s, _) -> s <> None) rows))
-    (List.length big_wins);
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"schema\": \"tsan11rec/systematic-bench/v1\",\n\
-      \  \"smoke\": %b,\n\
-      \  \"budget_runs\": %d,\n\
-      \  \"benchmarks\": [\n%s\n  ],\n\
-      \  \"dpor_unsound\": %d,\n\
-      \  \"benchmarks_2x_or_better\": %d\n\
-       }\n"
-      !smoke budget
-      (String.concat ",\n"
-         (List.map
-            (fun (name, (naive : T11r_harness.Systematic.result),
-                  (dp : T11r_harness.Systematic.result), sound, reduction) ->
-              Printf.sprintf
-                "    {\"benchmark\": \"%s\", \"runs_naive\": %d, \
-                 \"complete_naive\": %b, \"runs_dpor\": %d, \
-                 \"complete_dpor\": %b, \"distinct_races_naive\": %d, \
-                 \"distinct_races_dpor\": %d, \"dpor_sound\": %s, \
-                 \"reduction\": %s}"
-                (json_escape name) naive.runs naive.complete dp.runs
-                dp.complete
-                (List.length naive.races)
-                (List.length dp.races)
-                (match sound with
-                | Some b -> string_of_bool b
-                | None -> "null")
-                (match reduction with
-                | Some f -> Printf.sprintf "%.2f" f
-                | None -> "null"))
-            rows))
-      (List.length unsound)
-      (List.length big_wins)
-  in
-  let oc = open_out "BENCH_systematic.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "wrote BENCH_systematic.json@."
-
-(* ------------------------------------------------------------------ *)
-
-(* Predictive race analysis: recorded-runs-to-first-race with the
-   offline prediction pass (record under Guided, analyze, confirm the
-   witnesses) against the guided-only hunt baseline on the racy
-   workloads. The acceptance invariants are enforced here (exit 1):
-   prediction must need no more recorded runs than the hunt, and no
-   refuted pair may ever appear among the reported races. *)
-let predict_bench () =
-  let module Predict = T11r_race.Predict in
-  let module Predictor = T11r_harness.Predictor in
-  let module Guided = T11r_harness.Guided in
-  let module Workloads = T11r_harness.Workloads in
-  let max_recordings = 5 in
-  let hunt_runs = if !smoke then 48 else 128 in
-  let batch = 16 in
-  let bench_wl name =
-    let wl = Option.get (Workloads.find name) in
-    let base = Conf.with_policy (Conf.tsan11rec ()) wl.Workloads.w_policy in
-    let instance () =
-      let w = World.create ~seed:42L () in
-      (w, wl.Workloads.w_instance w ())
-    in
-    (* Prediction path: one guided recording per seed until a witness
-       confirms a race. *)
-    let rec go seed verify_runs refuted =
-      if seed > max_recordings then (None, max_recordings, verify_runs, refuted)
-      else
-        let world = World.create ~seed:42L () in
-        let prog = wl.Workloads.w_instance world () in
-        let conf =
-          Conf.make ~base ~mode:Conf.Free
-            ~strategy:
-              (Conf.Guided
-                 { prefix = Predictor.recording_prefix seed; observed = ref [] })
-            ~seeds:(Int64.of_int seed, Int64.of_int (seed + 7919))
-            ()
-        in
-        let r = Interp.run ~world conf prog in
-        let a = Predict.analyze (Interp.to_predict_input r) in
-        if a.Predict.n_must = 0 then go (seed + 1) verify_runs refuted
-        else
-          let rep =
-            Predictor.verify ~jobs:!jobs ~attempts:48
-              ~recorded_seeds:(Int64.of_int seed, Int64.of_int (seed + 7919))
-              ~instance a
-          in
-          let verify_runs = verify_runs + rep.Predictor.r_runs in
-          let refuted = refuted + rep.Predictor.r_refuted in
-          if rep.Predictor.r_confirmed > 0 then
-            (* soundness cross-check: no refuted pair among the races *)
-            let refuted_as_races =
-              List.length
-                (List.filter
-                   (fun v ->
-                     match v.Predictor.v_verdict with
-                     | Predictor.Refuted _ ->
-                         List.exists
-                           (fun v' ->
-                             match v'.Predictor.v_verdict with
-                             | Predictor.Confirmed _ ->
-                                 T11r_race.Report.equal
-                                   v.Predictor.v_pair.Predict.p_report
-                                   v'.Predictor.v_pair.Predict.p_report
-                             | _ -> false)
-                           rep.Predictor.r_verified
-                     | _ -> false)
-                   rep.Predictor.r_verified)
-            in
-            (Some (seed, refuted_as_races), seed, verify_runs, refuted)
-          else go (seed + 1) verify_runs refuted
-    in
-    let found, recordings, verify_runs, refuted = go 1 0 0 in
-    (* Guided-only baseline: hunt until the first racy run. *)
-    let spec = Workloads.spec_of ~base_conf:(Conf.tsan11rec ()) wl in
-    let h =
-      Guided.hunt spec ~rounds:(hunt_runs / batch) ~batch ~jobs:!jobs
-        ~stop_on_race:true ()
-    in
-    let guided_first =
-      match h.Guided.g_first_race with Some i -> Some (i + 1) | None -> None
-    in
-    (name, found, recordings, verify_runs, refuted, guided_first)
-  in
-  let rows =
-    List.map bench_wl [ "fig1"; "dekker-fences"; "mcs-lock" ]
-  in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Predictive analysis: recorded runs to first confirmed race vs \
-            guided-only hunt (<= %d recordings, hunt budget %d)"
-           max_recordings hunt_runs)
-      ~headers:
-        [ "workload"; "predict recs"; "verify runs"; "refuted"; "guided runs";
-          "no worse?" ]
-  in
-  let judged =
-    List.map
-      (fun (name, found, recordings, verify_runs, refuted, guided_first) ->
-        let pred_recs =
-          match found with Some (s, _) -> Some s | None -> None
-        in
-        let refuted_as_races =
-          match found with Some (_, n) -> n | None -> 0
-        in
-        let no_worse =
-          match (pred_recs, guided_first) with
-          | Some p, Some g -> p <= g
-          | Some _, None -> true (* prediction found it, the hunt never did *)
-          | None, None -> true
-          | None, Some _ -> false
-        in
-        let show = function Some n -> string_of_int n | None -> "-" in
-        Table.add_row t
-          [
-            name; show pred_recs; string_of_int verify_runs;
-            string_of_int refuted; show guided_first;
-            (if no_worse && refuted_as_races = 0 then "yes" else "NO");
-          ];
-        (name, pred_recs, recordings, verify_runs, refuted, refuted_as_races,
-         guided_first, no_worse))
-      rows
-  in
-  Table.print t;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"schema\": \"tsan11rec/predict-bench/v1\",\n\
-      \  \"smoke\": %b,\n\
-      \  \"max_recordings\": %d,\n\
-      \  \"hunt_budget_runs\": %d,\n\
-      \  \"workloads\": [\n%s\n  ]\n}\n"
-      !smoke max_recordings hunt_runs
-      (String.concat ",\n"
-         (List.map
-            (fun (name, pred_recs, recordings, verify_runs, refuted,
-                  refuted_as_races, guided_first, no_worse) ->
-              Printf.sprintf
-                "    {\"workload\": \"%s\", \
-                 \"pred_recordings_to_first_race\": %s, \
-                 \"recordings_analyzed\": %d, \"verify_runs\": %d, \
-                 \"refuted_pairs\": %d, \"refuted_reported_as_races\": %d, \
-                 \"guided_runs_to_first_race\": %s, \
-                 \"prediction_no_worse\": %b}"
-                (json_escape name)
-                (match pred_recs with
-                | Some n -> string_of_int n
-                | None -> "null")
-                recordings verify_runs refuted refuted_as_races
-                (match guided_first with
-                | Some n -> string_of_int n
-                | None -> "null")
-                no_worse)
-            judged))
-  in
-  let oc = open_out "BENCH_predict.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "wrote BENCH_predict.json@.";
-  let bad =
-    List.filter
-      (fun (_, _, _, _, _, refuted_as_races, _, no_worse) ->
-        (not no_worse) || refuted_as_races > 0)
-      judged
-  in
-  if bad <> [] then begin
-    List.iter
-      (fun (name, _, _, _, _, rar, _, nw) ->
-        Fmt.epr
-          "predict: %s violates the acceptance bar (no_worse=%b, \
-           refuted_as_races=%d)@."
-          name nw rar)
-      bad;
-    exit 1
-  end
 
 (* ------------------------------------------------------------------ *)
 
@@ -1293,13 +643,7 @@ let experiments =
     ("zandronum", zandronum);
     ("limits", limits);
     ("ablations", ablations);
-    ("micro", micro);
     ("faults", faults);
-    ("campaign", campaign);
-    ("coverage", coverage);
-    ("systematic", systematic);
-    ("predict", predict_bench);
-    ("ops", fun () -> Hotpath.run ~smoke:!smoke ~jobs:!jobs);
   ]
 
 let () =

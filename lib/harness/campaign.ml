@@ -520,9 +520,6 @@ let digest r =
   Digest.to_hex
     (Digest.string (Marshal.to_string (fingerprint r) [ Marshal.No_sharing ]))
 
-let runs_per_sec r =
-  if r.wall_s <= 0.0 then 0.0 else float_of_int r.n /. r.wall_s
-
 let pp fmt r =
   Format.fprintf fmt
     "%s: %d runs (jobs %d, %.2fs wall): %d distinct schedules, %d racy (%.1f%%), %d completed@."

@@ -189,9 +189,6 @@ val equal : report -> report -> bool
     recorded demo handles — the determinism check for
     [-j1] vs [-jN] campaigns. *)
 
-val runs_per_sec : report -> float
-(** Campaign throughput in real time: [n / wall_s]. *)
-
 val digest : report -> string
 (** Hex digest of everything {!equal} compares — a compact fingerprint
     for cross-build regression fixtures: two reports are [equal] iff

@@ -5,8 +5,8 @@
     slot holding the operation label by reference), so an enabled trace
     allocates nothing per event and a {!disabled} trace costs a single
     branch — the interpreter threads one of these through every run
-    unconditionally, and the [bench ops] words/op budgets enforce that
-    the disabled path stays at 0 words per operation.
+    unconditionally, and the words/op budgets in test/test_alloc.ml
+    enforce that the disabled path stays at 0 words per operation.
 
     When more events are emitted than the buffer holds, the oldest are
     overwritten; {!dropped} reports how many were lost so exporters can

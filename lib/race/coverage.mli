@@ -10,7 +10,7 @@
     The mutable collector follows [T11r_obs.Trace]'s discipline: the
     interpreter threads a handle through every run, and when coverage
     is off ({!disabled}) each {!mark} is a single branch with zero
-    allocation — enforced by the [bench ops] budgets. *)
+    allocation — enforced by the budgets in test/test_alloc.ml. *)
 
 type t
 (** A mutable per-run bit collector. *)

@@ -68,7 +68,8 @@ val set_access_hook : t -> (var -> tid:int -> write:bool -> unit) option -> unit
     offline predictive analysis. [None] — the default, restored by
     {!reset} — costs one branch per check and allocates nothing, so
     configurations that do not capture decisions stay on the
-    zero-allocation path ([bench ops] budgets are unchanged). *)
+    zero-allocation path (the budgets in test/test_alloc.ml are
+    unchanged). *)
 
 val set_suppressions : t -> string list -> unit
 (** tsan-style suppression patterns: an exact location name, or a

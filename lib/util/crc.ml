@@ -3,8 +3,8 @@
    Used to frame every demo file, the demo MANIFEST and each campaign
    journal line. A plain table-driven byte-at-a-time implementation is
    plenty: framing is computed once per saved file / journal entry,
-   never on the per-operation hot path (the bench ops budgets pin the
-   save/load cost separately). *)
+   never on the per-operation hot path (test/test_alloc.ml budgets the
+   demo save/load cost separately). *)
 
 let table =
   lazy

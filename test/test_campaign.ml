@@ -628,6 +628,69 @@ let test_guided_sigkill_then_resume_digest () =
     (Corpus.digest resumed.Guided.g_corpus);
   T11r_util.Tmp.rm_rf dir
 
+(* Guidance pays: summed over fig1, chase-lev-deque and barrier, the
+   median runs to the first race over 5 trials is lower for the
+   coverage-guided hunt than for plain random runs. Random needs many
+   runs per race on fig1 (~0.3% racy) and chase-lev-deque (~0%);
+   barrier (~30%) is the sanity row. Both hunters run trial t's run i
+   under the same seeds and world, so only the schedule choice
+   differs. A trial that never races scores its whole budget. The
+   whole-suite total keeps one easy benchmark from masking a hunter
+   that burns its budget on the hard ones. *)
+let test_guided_beats_random () =
+  let trials = 5 and budget = 400 and batch = 16 in
+  let median_runs trial =
+    let a = Array.init trials (fun t -> trial (t + 1)) in
+    Array.sort compare a;
+    a.(trials / 2)
+  in
+  let conf t i =
+    Conf.with_seeds
+      (Conf.tsan11rec ~strategy:Conf.Random ())
+      (Int64.of_int ((t * budget) + i))
+      (Int64.of_int ((t * budget) + i + 7919))
+  in
+  let world t i = World.create ~seed:(Int64.of_int ((t * budget) + i + 3)) () in
+  let medians (e : T11r_litmus.Registry.entry) =
+    let random t =
+      let rec go i =
+        if i > budget then budget
+        else
+          let r =
+            Tsan11rec.Interp.run ~world:(world t i) (conf t i) (e.build ())
+          in
+          if r.Tsan11rec.Interp.race_count > 0 then i else go (i + 1)
+      in
+      go 1
+    in
+    let guided t =
+      let spec =
+        { Campaign.label = e.name; conf = conf t;
+          instance = (fun i -> (world t i, e.build ())) }
+      in
+      let g =
+        Guided.hunt spec ~rounds:(budget / batch) ~batch
+          ~salt:(Int64.of_int ((t * 7919) + 1))
+          ~stop_on_race:true ()
+      in
+      match g.Guided.g_first_race with Some i -> i + 1 | None -> budget
+    in
+    (median_runs random, median_runs guided)
+  in
+  let rows =
+    List.map medians
+      (T11r_litmus.Registry.fig1
+      :: List.filter_map T11r_litmus.Registry.find
+           [ "chase-lev-deque"; "barrier" ])
+  in
+  let total_random = List.fold_left (fun a (r, _) -> a + r) 0 rows in
+  let total_guided = List.fold_left (fun a (_, g) -> a + g) 0 rows in
+  Alcotest.(check bool)
+    (Printf.sprintf "guided total %d < random total %d" total_guided
+       total_random)
+    true
+    (total_guided < total_random)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -699,5 +762,7 @@ let () =
             test_guided_corpus_resume;
           Alcotest.test_case "SIGKILL guided hunt, resume = clean" `Quick
             test_guided_sigkill_then_resume_digest;
+          Alcotest.test_case "beats random on runs to first race" `Quick
+            test_guided_beats_random;
         ] );
     ]

@@ -17,6 +17,7 @@ module Predictor = T11r_harness.Predictor
 module Workloads = T11r_harness.Workloads
 module Campaign = T11r_harness.Campaign
 module Corpus = T11r_harness.Corpus
+module Guided = T11r_harness.Guided
 module Prng = T11r_util.Prng
 
 let check = Alcotest.check
@@ -455,9 +456,12 @@ let record_input name seed =
   in
   Interp.to_predict_input r
 
+(* Verifies the predictions from guided recordings 1..5 and returns
+   the confirmed races, the refuted-pair count, and the first recording
+   whose verification confirmed a race. *)
 let e2e_workload name =
   let _, _, instance = wl_instance name in
-  let confirmed = ref [] and refuted = ref 0 in
+  let confirmed = ref [] and refuted = ref 0 and first = ref None in
   for seed = 1 to 5 do
     let a = Predict.analyze (record_input name seed) in
     let rep =
@@ -466,6 +470,7 @@ let e2e_workload name =
         ~instance a
     in
     refuted := !refuted + rep.Predictor.r_refuted;
+    if rep.Predictor.r_confirmed > 0 && !first = None then first := Some seed;
     List.iter
       (fun v ->
         match v.Predictor.v_verdict with
@@ -476,10 +481,18 @@ let e2e_workload name =
         | Predictor.Refuted _ -> ())
       rep.Predictor.r_verified
   done;
-  (!confirmed, !refuted)
+  (!confirmed, !refuted, !first)
+
+(* The guided-only baseline: runs to the first racy run of a
+   coverage-guided hunt (48 runs in batches of 16), if any. *)
+let hunt_runs_to_first_race name =
+  let wl = Option.get (Workloads.find name) in
+  let spec = Workloads.spec_of ~base_conf:(Conf.tsan11rec ()) wl in
+  let h = Guided.hunt spec ~rounds:3 ~batch:16 ~stop_on_race:true () in
+  Option.map (fun i -> i + 1) h.Guided.g_first_race
 
 let test_e2e name () =
-  let confirmed, refuted = e2e_workload name in
+  let confirmed, refuted, first = e2e_workload name in
   check Alcotest.int "no refuted pair anywhere" 0 refuted;
   List.iter
     (fun want ->
@@ -487,7 +500,18 @@ let test_e2e name () =
       if not (List.exists (Report.equal want) confirmed) then
         Alcotest.failf "race %s not predicted+confirmed within 5 recordings"
           (Format.asprintf "%a" Report.pp want))
-    (expected_races name)
+    (expected_races name);
+  (* Prediction is no worse than hunting: it needs no more recorded
+     runs to confirm a race than the guided hunt needs to hit one. *)
+  match (first, hunt_runs_to_first_race name) with
+  | Some p, Some g ->
+      check Alcotest.bool
+        (Printf.sprintf "recordings to a confirmed race (%d) <= hunt runs (%d)"
+           p g)
+        true (p <= g)
+  | None, Some g ->
+      Alcotest.failf "the hunt raced after %d runs, prediction never did" g
+  | _, None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: verification and campaign observation vs --jobs *)
