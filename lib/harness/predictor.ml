@@ -67,6 +67,7 @@ type report = {
   r_confirmed : int;
   r_refuted : int;
   r_runs : int;
+  r_executed : int;
   r_metrics : Metrics.t;
 }
 
@@ -148,6 +149,8 @@ let repair (w : Predict.witness) (ds : Decision.t array) (prefix : int array) k 
       p.(k) <- idx;
       Some p
 
+(* Reads nothing of [pair] but its report and witnesses: pairs that
+   agree on both get the same verdict. *)
 let verify_pair ~instance ~base ~seeds ~budget (pair : Predict.pair) =
   let runs = ref 0 in
   let found = ref None in
@@ -202,39 +205,68 @@ let verify_pair ~instance ~base ~seeds ~budget (pair : Predict.pair) =
 
 let verify ?(jobs = 1) ?(attempts = 48) ?(extra_seeds = 24) ?recorded_seeds
     ?(base_conf = Conf.tsan11rec ()) ~instance (analysis : Predict.t) =
+  if attempts < 1 then
+    invalid_arg (Printf.sprintf "Predictor.verify: attempts = %d < 1" attempts);
+  if extra_seeds < 0 then
+    invalid_arg
+      (Printf.sprintf "Predictor.verify: extra_seeds = %d < 0" extra_seeds);
   let seeds = seed_sweep ~recorded_seeds ~extra:extra_seeds in
+  if seeds = [] then
+    invalid_arg
+      "Predictor.verify: empty seed sweep (no recorded_seeds, extra_seeds = 0)";
   let must =
     Array.of_list
       (List.filter
          (fun (p : Predict.pair) -> p.Predict.p_confidence = Predict.Must)
          analysis.Predict.pairs)
   in
-  (* Pairs are independent; fan them out and fold in analysis order so
-     the report is identical at every [jobs]. *)
-  let verdicts =
-    Pool.map ~jobs (Array.length must) (fun i ->
-        verify_pair ~instance ~base:base_conf ~seeds ~budget:attempts must.(i))
+  (* Pairs with the same (report, witnesses) get the same verdict from
+     [verify_pair], so only the first pair of each class is executed.
+     Classes are numbered in analysis order. The generic Hashtbl
+     compares keys with [compare], which stops at physical equality:
+     the recorded-schedule witness every pair shares costs nothing to
+     compare, however long it is. *)
+  let classes = Hashtbl.create 16 in
+  let reps = ref [] in
+  let class_of =
+    Array.map
+      (fun (p : Predict.pair) ->
+        let key = (p.Predict.p_report, p.Predict.p_witnesses) in
+        match Hashtbl.find_opt classes key with
+        | Some c -> c
+        | None ->
+            let c = Hashtbl.length classes in
+            Hashtbl.add classes key c;
+            reps := p :: !reps;
+            c)
+      must
   in
+  let reps = Array.of_list (List.rev !reps) in
+  (* Classes are independent; fan them out and fold in analysis order
+     so the report is identical at every [jobs]. *)
+  let verdicts =
+    Pool.map ~jobs (Array.length reps) (fun i ->
+        verify_pair ~instance ~base:base_conf ~seeds ~budget:attempts reps.(i))
+  in
+  let runs_of = function Confirmed c -> c.c_runs | Refuted n -> n in
   let verified =
-    Array.to_list (Array.mapi (fun i v -> { v_pair = must.(i); v_verdict = v }) verdicts)
+    Array.to_list
+      (Array.mapi
+         (fun i p -> { v_pair = p; v_verdict = verdicts.(class_of.(i)) })
+         must)
   in
   let confirmed =
     List.length
       (List.filter (fun v -> match v.v_verdict with Confirmed _ -> true | _ -> false) verified)
   in
   let refuted = List.length verified - confirmed in
-  let runs =
-    List.fold_left
-      (fun acc v ->
-        acc + match v.v_verdict with Confirmed c -> c.c_runs | Refuted n -> n)
-      0 verified
-  in
   {
     r_analysis = analysis;
     r_verified = verified;
     r_confirmed = confirmed;
     r_refuted = refuted;
-    r_runs = runs;
+    r_runs = List.fold_left (fun acc v -> acc + runs_of v.v_verdict) 0 verified;
+    r_executed = Array.fold_left (fun acc v -> acc + runs_of v) 0 verdicts;
     r_metrics =
       {
         Metrics.zero with
@@ -273,15 +305,6 @@ type summary = {
   s_lock_excluded : int;
 }
 
-(* Same deterministic ordering Predict.analyze emits. *)
-let cmp_pair (a : Predict.pair) (b : Predict.pair) =
-  let c = Report.compare a.Predict.p_report b.Predict.p_report in
-  if c <> 0 then c
-  else
-    compare
-      (a.Predict.p_first, a.Predict.p_second, a.Predict.p_var)
-      (b.Predict.p_first, b.Predict.p_second, b.Predict.p_var)
-
 type folder = {
   fd_runs : int ref;
   fd_excluded : int ref;
@@ -311,7 +334,7 @@ let fold_analysis fd (a : Predict.t) =
 
 let folder_summary fd =
   let ps = Hashtbl.fold (fun _ p acc -> p :: acc) fd.fd_pairs [] in
-  let ps = List.sort cmp_pair ps in
+  let ps = List.sort Predict.compare_pair ps in
   let count f = List.length (List.filter f ps) in
   {
     s_runs = !(fd.fd_runs);
@@ -392,11 +415,11 @@ let pp ppf r =
   Format.fprintf ppf
     "@[<v>predicted: %d pairs (%d must, %d may; %d observed, %d \
      lock-excluded over %d locations)@,verified: %d confirmed, %d refuted \
-     in %d runs@,"
+     in %d runs (%d executed)@,"
     (List.length a.Predict.pairs)
     a.Predict.n_must a.Predict.n_may a.Predict.n_observed
     a.Predict.n_lock_excluded a.Predict.n_vars r.r_confirmed r.r_refuted
-    r.r_runs;
+    r.r_runs r.r_executed;
   List.iter
     (fun v ->
       match v.v_verdict with

@@ -54,7 +54,9 @@ type verdict =
       c_prefix : int array;
           (** normalized guided prefix that realized the witness —
               replayable input for [Guided]/[Corpus]/[Minimize] *)
-      c_runs : int;  (** executions spent on this pair, inclusive *)
+      c_runs : int;
+          (** attempts charged to this pair, inclusive: the executions
+              its class ran (see {!verify}) *)
       c_race : Report.t;  (** the confirming sighting, normalized *)
       c_cov : Coverage.summary;
           (** the confirming run's coverage fingerprint, for corpus
@@ -62,7 +64,8 @@ type verdict =
     }
   | Refuted of int
       (** no witness attempt manifested the race within the budget —
-          the pair is NOT a race finding ([runs] executions spent) *)
+          the pair is NOT a race finding ([runs] attempts charged, as
+          [c_runs]) *)
 
 type verified = { v_pair : Predict.pair; v_verdict : verdict }
 
@@ -73,7 +76,12 @@ type report = {
           executed and never appear here *)
   r_confirmed : int;
   r_refuted : int;
-  r_runs : int;  (** total verification executions *)
+  r_runs : int;
+      (** attempts charged to pairs, summed over [r_verified]; pairs
+          of one class each count their class's execution sequence *)
+  r_executed : int;
+      (** interpreter runs actually performed, summed over classes;
+          at most [r_runs] *)
   r_metrics : Metrics.t;
       (** [m_predicted] / [m_pred_verified] / [m_pred_refuted] *)
 }
@@ -99,9 +107,22 @@ val verify :
     is not enabled there.
 
     [instance] builds a fresh (world, program) per execution and must
-    be safe to call from several domains; pairs are verified on up to
-    [jobs] domains (default 1) and folded in analysis order, so the
-    report is identical whatever [jobs] is. *)
+    be safe to call from several domains.
+
+    Pairs are grouped into classes with equal [p_report] and
+    [p_witnesses]. The verdict of a pair depends on nothing else of
+    it, and executions are deterministic, so only the first pair of a
+    class (in analysis order) is executed and every pair of the class
+    shares one execution sequence and one verdict. The result is the
+    one verifying every pair separately would give, apart from
+    [r_executed]. Classes are verified on up to [jobs] domains
+    (default 1) and folded in analysis order, so the report is
+    identical whatever [jobs] is.
+
+    @raise Invalid_argument when [attempts < 1], [extra_seeds < 0], or
+    the seed sweep is empty ([recorded_seeds] absent and
+    [extra_seeds = 0]): such a call could only refute every pair
+    without running anything. *)
 
 val metrics : report -> Metrics.t
 (** [r_metrics] — ready to merge into campaign totals. *)

@@ -50,6 +50,12 @@ type t = {
 let recorded_prefix inp =
   normalize_prefix (Array.map (fun d -> index_of d.d_tid d.d_enabled) inp.steps)
 
+let compare_pair p q =
+  let c = Report.compare p.p_report q.p_report in
+  if c <> 0 then c
+  else
+    compare (p.p_first, p.p_second, p.p_var) (q.p_first, q.p_second, q.p_var)
+
 (* ---- analysis ------------------------------------------------------ *)
 
 let analyze (inp : input) : t =
@@ -384,17 +390,7 @@ let analyze (inp : input) : t =
         done
       done)
     vars_order;
-  let pairs =
-    List.sort
-      (fun p q ->
-        let c = Report.compare p.p_report q.p_report in
-        if c <> 0 then c
-        else
-          compare
-            (p.p_first, p.p_second, p.p_var)
-            (q.p_first, q.p_second, q.p_var))
-      !pairs
-  in
+  let pairs = List.sort compare_pair !pairs in
   let count f = List.fold_left (fun n p -> if f p then n + 1 else n) 0 pairs in
   {
     pairs;

@@ -80,6 +80,10 @@ type t = {
       (** conflicting pairs excluded by a common lock *)
 }
 
+val compare_pair : pair -> pair -> int
+(** The order of [t.pairs]: by normalized report, then by the
+    positions and location of the two accesses. *)
+
 val analyze : input -> t
 (** Pure function of the input — identical output whatever domain or
     worker count computed it. *)

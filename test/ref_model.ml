@@ -12,7 +12,12 @@
 
    [Dpor] is the O(path) race analysis DPOR ran before the incremental
    happens-before index ([T11r_race.Hb]); test_systematic.ml compares
-   the two event by event. *)
+   the two event by event.
+
+   [Predictor] is witness verification as it ran before Must pairs were
+   grouped into (report, witnesses) classes: every pair executes its
+   own witnesses. test_predict.ml asserts the grouped
+   [T11r_harness.Predictor.verify] returns the same report. *)
 
 module Memord = T11r_mem.Memord
 module Report = T11r_race.Report
@@ -428,4 +433,168 @@ module Dpor = struct
       end
     done;
     (!clk, List.rev !races)
+end
+
+module Predictor = struct
+  module Conf = Tsan11rec.Conf
+  module Interp = Tsan11rec.Interp
+  module Predict = T11r_race.Predict
+  module Decision = T11r_race.Decision
+  module P = T11r_harness.Predictor
+
+  let splitmix_next (state : int64 ref) : int64 =
+    let open Int64 in
+    state := add !state 0x9E3779B97F4A7C15L;
+    let z = !state in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let seed_sweep ~recorded_seeds ~extra =
+    let base =
+      match recorded_seeds with
+      | Some (s1, s2) -> Int64.logxor s1 (Int64.mul s2 0x9E3779B97F4A7C15L)
+      | None -> 0x5DEECE66DL
+    in
+    let derived =
+      List.init extra (fun i ->
+          let st = ref (Int64.add base (Int64.of_int (i + 1))) in
+          let s1 = splitmix_next st in
+          let s2 = splitmix_next st in
+          (s1, s2))
+    in
+    match recorded_seeds with Some p -> p :: derived | None -> derived
+
+  let attempt ~instance ~base ~prefix s1 s2 =
+    let world, program = instance () in
+    let conf =
+      Conf.make ~base ~mode:Conf.Free
+        ~strategy:(Conf.Guided { prefix; observed = ref [] })
+        ~seeds:(s1, s2) ~coverage:true ()
+    in
+    Interp.run ~world ~arena:(T11r_harness.Campaign.domain_arena ()) conf
+      program
+
+  let sighted (pair : Predict.pair) (r : Interp.result) =
+    List.find_opt
+      (fun race -> Report.equal (Report.norm race) pair.Predict.p_report)
+      r.Interp.races
+
+  let first_mismatch (w : Predict.witness) (ds : Decision.t array) =
+    let n = min (Array.length w.Predict.w_tids) (Array.length ds) in
+    let rec go k =
+      if k >= n then None
+      else if ds.(k).Decision.d_tid <> w.Predict.w_tids.(k) then Some k
+      else go (k + 1)
+    in
+    go 0
+
+  let repair (w : Predict.witness) (ds : Decision.t array) (prefix : int array)
+      k =
+    match Decision.index_of w.Predict.w_tids.(k) ds.(k).Decision.d_enabled with
+    | exception Not_found -> None
+    | idx ->
+        let n = max (Array.length prefix) (k + 1) in
+        let p = Array.make n 0 in
+        Array.blit prefix 0 p 0 (Array.length prefix);
+        for j = 0 to k - 1 do
+          p.(j) <-
+            Decision.index_of ds.(j).Decision.d_tid ds.(j).Decision.d_enabled
+        done;
+        p.(k) <- idx;
+        Some p
+
+  let verify_pair ~instance ~base ~seeds ~budget (pair : Predict.pair) =
+    let runs = ref 0 in
+    let found = ref None in
+    let try_cell (w : Predict.witness) (s1, s2) =
+      let prefix = ref w.Predict.w_prefix in
+      let repairs = ref (min (Array.length w.Predict.w_tids + 4) 8) in
+      let live = ref true in
+      while !live && !found = None && !runs < budget do
+        let r = attempt ~instance ~base ~prefix:!prefix s1 s2 in
+        incr runs;
+        match sighted pair r with
+        | Some race ->
+            found :=
+              Some
+                (P.Confirmed
+                   {
+                     c_seed1 = s1;
+                     c_seed2 = s2;
+                     c_prefix = Decision.normalize_prefix !prefix;
+                     c_runs = !runs;
+                     c_race = Report.norm race;
+                     c_cov = r.Interp.coverage;
+                   })
+        | None -> (
+            if !repairs <= 0 then live := false
+            else begin
+              decr repairs;
+              match first_mismatch w r.Interp.decisions with
+              | None -> live := false
+              | Some k -> (
+                  match repair w r.Interp.decisions !prefix k with
+                  | None -> live := false
+                  | Some p -> prefix := p)
+            end)
+      done
+    in
+    List.iter
+      (fun s ->
+        List.iter
+          (fun w -> if !found = None then try_cell w s)
+          pair.Predict.p_witnesses)
+      seeds;
+    match !found with Some v -> v | None -> P.Refuted !runs
+
+  (* One [verify_pair] per Must pair, sequentially; every attempt
+     charged is an attempt executed. *)
+  let verify ?(attempts = 48) ?(extra_seeds = 24) ?recorded_seeds
+      ?(base_conf = Conf.tsan11rec ()) ~instance (analysis : Predict.t) =
+    let seeds = seed_sweep ~recorded_seeds ~extra:extra_seeds in
+    let verified =
+      List.filter_map
+        (fun (p : Predict.pair) ->
+          if p.Predict.p_confidence <> Predict.Must then None
+          else
+            Some
+              {
+                P.v_pair = p;
+                v_verdict =
+                  verify_pair ~instance ~base:base_conf ~seeds ~budget:attempts
+                    p;
+              })
+        analysis.Predict.pairs
+    in
+    let confirmed =
+      List.length
+        (List.filter
+           (fun v ->
+             match v.P.v_verdict with P.Confirmed _ -> true | _ -> false)
+           verified)
+    in
+    let refuted = List.length verified - confirmed in
+    let runs =
+      List.fold_left
+        (fun acc v ->
+          acc
+          + match v.P.v_verdict with P.Confirmed c -> c.c_runs | P.Refuted n -> n)
+        0 verified
+    in
+    {
+      P.r_analysis = analysis;
+      r_verified = verified;
+      r_confirmed = confirmed;
+      r_refuted = refuted;
+      r_runs = runs;
+      r_executed = runs;
+      r_metrics =
+        {
+          T11r_obs.Metrics.zero with
+          T11r_obs.Metrics.m_predicted = List.length analysis.Predict.pairs;
+          m_pred_verified = confirmed;
+          m_pred_refuted = refuted;
+        };
+    }
 end

@@ -4,7 +4,8 @@
    encode/decode aux format, the soundness discipline (May and refuted
    pairs are never surfaced as races), lockset interaction with failed
    trylocks, end-to-end prediction + confirmation on the racy
-   workloads, and jobs-independence of every digest. *)
+   workloads, jobs-independence of every digest, and per-class
+   verification against the per-pair reference in ref_model.ml. *)
 
 open T11r_vm
 module World = T11r_env.World
@@ -533,11 +534,127 @@ let test_verify_jobs_independent () =
     r2.Predictor.r_confirmed;
   check Alcotest.int "refuted" r1.Predictor.r_refuted r2.Predictor.r_refuted;
   check Alcotest.int "runs" r1.Predictor.r_runs r2.Predictor.r_runs;
+  check Alcotest.int "executed" r1.Predictor.r_executed
+    r2.Predictor.r_executed;
   let keys r =
     List.map (fun v -> verdict_key v.Predictor.v_verdict)
       r.Predictor.r_verified
   in
   check Alcotest.bool "identical verdicts in order" true (keys r1 = keys r2)
+
+(* ------------------------------------------------------------------ *)
+(* Verification runs each (report, witnesses) class once *)
+
+(* Every Must pair of the ms-queue recording `record ms-queue --guided
+   --seed 1' makes is observed, so all 10,800 share the recorded
+   schedule as first witness and fall into one class per report. *)
+let ms_queue_analysis () = Predict.analyze (record_input "ms-queue" 1)
+
+let test_verify_ms_queue_uncapped () =
+  let _, base, instance = wl_instance "ms-queue" in
+  let rep =
+    Predictor.verify ~recorded_seeds:(1L, 7920L) ~base_conf:base ~instance
+      (ms_queue_analysis ())
+  in
+  check Alcotest.int "confirmed" 10800 rep.Predictor.r_confirmed;
+  check Alcotest.int "refuted" 0 rep.Predictor.r_refuted;
+  check Alcotest.int "attempts charged" 10800 rep.Predictor.r_runs;
+  check Alcotest.int "executed" 3 rep.Predictor.r_executed;
+  check Alcotest.bool "printed" true
+    (contains (pp_report rep)
+       "verified: 10800 confirmed, 0 refuted in 10800 runs (3 executed)")
+
+(* The first [n] Must pairs of an analysis, May pairs kept. *)
+let first_musts n (a : Predict.t) =
+  let k = ref 0 in
+  let pairs =
+    List.filter
+      (fun (p : Predict.pair) ->
+        p.Predict.p_confidence = Predict.May
+        || (incr k;
+            !k <= n))
+      a.Predict.pairs
+  in
+  { a with Predict.pairs; n_must = min n a.Predict.n_must }
+
+(* [verify] at jobs 1 and 2 returns the report of verifying every pair
+   separately, except for [r_executed]. *)
+let check_matches_ref what ?attempts ?extra_seeds ?recorded_seeds ?base_conf
+    ~instance a =
+  let want =
+    Ref_model.Predictor.verify ?attempts ?extra_seeds ?recorded_seeds
+      ?base_conf ~instance a
+  in
+  List.iter
+    (fun jobs ->
+      let got =
+        Predictor.verify ~jobs ?attempts ?extra_seeds ?recorded_seeds
+          ?base_conf ~instance a
+      in
+      let what = Printf.sprintf "%s, jobs %d" what jobs in
+      check Alcotest.int (what ^ ": pairs")
+        (List.length want.Predictor.r_verified)
+        (List.length got.Predictor.r_verified);
+      List.iter2
+        (fun (w : Predictor.verified) (g : Predictor.verified) ->
+          check Alcotest.bool (what ^ ": same pair") true
+            (w.Predictor.v_pair == g.Predictor.v_pair);
+          check Alcotest.bool (what ^ ": same verdict") true
+            (w.Predictor.v_verdict = g.Predictor.v_verdict))
+        want.Predictor.r_verified got.Predictor.r_verified;
+      check Alcotest.int (what ^ ": confirmed") want.Predictor.r_confirmed
+        got.Predictor.r_confirmed;
+      check Alcotest.int (what ^ ": refuted") want.Predictor.r_refuted
+        got.Predictor.r_refuted;
+      check Alcotest.int (what ^ ": runs") want.Predictor.r_runs
+        got.Predictor.r_runs;
+      check Alcotest.bool (what ^ ": metrics") true
+        (want.Predictor.r_metrics = got.Predictor.r_metrics);
+      check Alcotest.bool (what ^ ": executed <= runs") true
+        (got.Predictor.r_executed <= got.Predictor.r_runs))
+    [ 1; 2 ]
+
+let test_verify_matches_ref () =
+  let _, base, instance = wl_instance "dekker-fences" in
+  for seed = 1 to 6 do
+    check_matches_ref
+      (Printf.sprintf "dekker-fences seed %d" seed)
+      ~recorded_seeds:(Int64.of_int seed, Int64.of_int (seed + 7919))
+      ~base_conf:base ~instance
+      (Predict.analyze (record_input "dekker-fences" seed))
+  done;
+  check_matches_ref "refutable" ~attempts:12 ~extra_seeds:4
+    ~instance:(fun () -> (World.create ~seed:42L (), prog_refutable ()))
+    (Predict.analyze (input_of prog_refutable));
+  let _, base, instance = wl_instance "fig1" in
+  check_matches_ref "fig1" ~recorded_seeds:(1L, 7920L) ~base_conf:base
+    ~instance
+    (Predict.analyze (record_input "fig1" 1));
+  let _, base, instance = wl_instance "ms-queue" in
+  check_matches_ref "ms-queue, first 200 Must pairs"
+    ~recorded_seeds:(1L, 7920L) ~base_conf:base ~instance
+    (first_musts 200 (ms_queue_analysis ()))
+
+(* A call that could only return zero-evidence verdicts is rejected. *)
+let test_verify_rejects_empty_budget () =
+  let a = Predict.analyze (input_of prog_must) in
+  let instance () = (World.create ~seed:42L (), prog_must ()) in
+  let rejects what f =
+    match f () with
+    | (_ : Predictor.report) -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "attempts 0" (fun () -> Predictor.verify ~attempts:0 ~instance a);
+  rejects "attempts -1" (fun () -> Predictor.verify ~attempts:(-1) ~instance a);
+  rejects "extra_seeds -1" (fun () ->
+      Predictor.verify ~extra_seeds:(-1) ~recorded_seeds:(1L, 7920L) ~instance a);
+  rejects "empty seed sweep" (fun () ->
+      Predictor.verify ~extra_seeds:0 ~instance a);
+  (* the recorded seeds alone are a sweep *)
+  let rep =
+    Predictor.verify ~extra_seeds:0 ~recorded_seeds:(1L, 7920L) ~instance a
+  in
+  check Alcotest.bool "recorded seeds alone run" true (rep.Predictor.r_runs > 0)
 
 let observe_campaign ~jobs ?journal () =
   let wl, base, _ = wl_instance "fig1" in
@@ -643,5 +760,14 @@ let () =
             test_observer_jobs_independent;
           Alcotest.test_case "journal fold matches live observer" `Quick
             test_journal_matches_observer;
+        ] );
+      ( "classes",
+        [
+          Alcotest.test_case "ms-queue uncapped: 3 executions" `Quick
+            test_verify_ms_queue_uncapped;
+          Alcotest.test_case "verify = per-pair reference" `Quick
+            test_verify_matches_ref;
+          Alcotest.test_case "zero-evidence budgets rejected" `Quick
+            test_verify_rejects_empty_budget;
         ] );
     ]
