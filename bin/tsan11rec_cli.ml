@@ -80,6 +80,10 @@ let campaign_exits =
   [
     Cmd.Exit.info 0 ~doc:"the campaign finished with no findings.";
     Cmd.Exit.info 1 ~doc:"the campaign found races, crashes or deadlocks.";
+    Cmd.Exit.info 2
+      ~doc:
+        "usage error: a bad flag value, or a journal or corpus the engine \
+         refuses (damaged, foreign, or another run's).";
     Cmd.Exit.info 130
       ~doc:
         "interrupted (SIGINT): in-flight runs were drained and journalled; \
@@ -104,6 +108,18 @@ let install_sigint () =
            prerr_endline
              "interrupt: draining in-flight runs (Ctrl-C again to abort)"
          end))
+
+(* After a drained Ctrl-C: the resume hint (or what was [lost] without
+   a journal), then exit 130. *)
+let exit_if_interrupted ~lost journal =
+  if Atomic.get interrupted then begin
+    (match journal with
+    | Some j -> Fmt.pr "interrupted; resume with --resume %s@." j
+    | None ->
+        Fmt.pr "interrupted (no journal — %s; use --journal FILE next time)@."
+          lost);
+    exit 130
+  end
 
 (* ---- positional / subcommand-specific arguments -------------------- *)
 
@@ -264,6 +280,13 @@ let dpor_row =
   Arg.(value & vflag true [ (true, on); (false, off) ])
 
 let usage fmt = Fmt.kstr (fun m -> Fmt.epr "%s@." m; exit 2) fmt
+
+(* A journal or corpus directory the engine refuses (damaged, foreign,
+   another run's or another schema's) is a usage error, not a crash. *)
+let refused_journal path f =
+  match path with
+  | None -> f ()
+  | Some _ -> ( try f () with Invalid_argument msg -> usage "%s" msg)
 
 let strategy_of name =
   match Conf.strategy_of_name name with
@@ -616,8 +639,10 @@ let hunt_cmd =
       if batch < 1 then usage "--batch must be >= 1 (got %d)" batch;
       let rounds = max 1 ((co.co_runs + batch - 1) / batch) in
       let g =
-        Guided.hunt spec ~rounds ~batch ~jobs:co.co_jobs ?corpus_dir:corpus
-          ~deadline_s:co.co_deadline ?tick_budget:co.co_tick_budget ~cancel ()
+        refused_journal corpus (fun () ->
+            Guided.hunt spec ~rounds ~batch ~jobs:co.co_jobs ?corpus_dir:corpus
+              ~deadline_s:co.co_deadline ?tick_budget:co.co_tick_budget ~cancel
+              ())
       in
       Fmt.pr "%a" Guided.pp g;
       if g.Guided.g_interrupted then begin
@@ -639,9 +664,10 @@ let hunt_cmd =
       exit (if g.Guided.g_racy > 0 || crashed > 0 then 1 else 0)
     end;
     let c =
-      Campaign.run spec ~n:co.co_runs ~jobs:co.co_jobs ~first:1
-        ~deadline_s:co.co_deadline ?tick_budget:co.co_tick_budget
-        ~retries:co.co_retries ?journal:co.co_journal ~cancel []
+      refused_journal co.co_journal (fun () ->
+          Campaign.run spec ~n:co.co_runs ~jobs:co.co_jobs ~first:1
+            ~deadline_s:co.co_deadline ?tick_budget:co.co_tick_budget
+            ~retries:co.co_retries ?journal:co.co_journal ~cancel [])
     in
     let crashed =
       List.fold_left (fun acc (k, v) -> if k = "crashed" then acc + v else acc)
@@ -713,9 +739,10 @@ let explore_cmd =
     (* Runs are numbered from 1, so "first at seed i" names the
        [--seed] that reproduces the sighting. *)
     let c =
-      Campaign.run spec ~n:co.co_runs ~jobs:co.co_jobs ~first:1
-        ~deadline_s:co.co_deadline ?tick_budget:co.co_tick_budget
-        ~retries:co.co_retries ?journal:co.co_journal ~cancel []
+      refused_journal co.co_journal (fun () ->
+          Campaign.run spec ~n:co.co_runs ~jobs:co.co_jobs ~first:1
+            ~deadline_s:co.co_deadline ?tick_budget:co.co_tick_budget
+            ~retries:co.co_retries ?journal:co.co_journal ~cancel [])
     in
     Fmt.pr "%d runs: %d distinct schedules, %d racy (%.1f%%)@." c.Campaign.n
       c.distinct_schedules c.racy_runs
@@ -729,15 +756,7 @@ let explore_cmd =
     (match c.crashes with
     | [] -> ()
     | (i, msg) :: _ -> Fmt.pr "  first crash at seed %d: %s@." i msg);
-    if Atomic.get interrupted then begin
-      (match co.co_journal with
-      | Some j -> Fmt.pr "interrupted; resume with --resume %s@." j
-      | None ->
-          Fmt.pr
-            "interrupted (no journal — partial results only; use --journal \
-             FILE next time)@.");
-      exit 130
-    end
+    exit_if_interrupted ~lost:"partial results only" co.co_journal
   in
   Cmd.v
     (Cmd.info "explore" ~exits:campaign_exits
@@ -758,20 +777,13 @@ let check_cmd =
       w.Workloads.w_instance (World.create ~seed:0L ()) ()
     in
     let r =
-      T11r_harness.Systematic.explore ~max_runs ~dpor:co.co_dpor ~deadline_s:co.co_deadline
-        ?tick_budget:co.co_tick_budget ?journal:co.co_journal ~cancel ~build
-        ()
+      refused_journal co.co_journal (fun () ->
+          T11r_harness.Systematic.explore ~max_runs ~dpor:co.co_dpor
+            ~deadline_s:co.co_deadline ?tick_budget:co.co_tick_budget
+            ?journal:co.co_journal ~cancel ~build ())
     in
     Fmt.pr "%a" T11r_harness.Systematic.pp r;
-    if Atomic.get interrupted then begin
-      (match co.co_journal with
-      | Some j -> Fmt.pr "interrupted; resume with --resume %s@." j
-      | None ->
-          Fmt.pr
-            "interrupted (no journal — progress lost; use --journal FILE \
-             next time)@.");
-      exit 130
-    end;
+    exit_if_interrupted ~lost:"progress lost" co.co_journal;
     exit
       (if r.racy_schedules > 0 || r.deadlock_schedules > 0 || r.crash_schedules > 0
        then 1
@@ -799,7 +811,7 @@ let icb_cmd =
       match corpus with
       | None -> None
       | Some dir -> (
-          match Guided.load_corpus dir with
+          match refused_journal corpus (fun () -> Guided.load_corpus dir) with
           | Some c ->
               Fmt.pr "seeding from corpus %s (%d seed(s))@." dir
                 (T11r_harness.Corpus.size c);
@@ -956,9 +968,12 @@ let predict_cmd =
       Fmt.pr "%a@." Predictor.pp rep;
       (match corpus with
       | Some dir ->
-          let c0 = Option.value (Guided.load_corpus dir) ~default:Corpus.empty in
+          let c0 =
+            refused_journal corpus (fun () -> Guided.load_corpus dir)
+            |> Option.value ~default:Corpus.empty
+          in
           let c, added = Predictor.admit c0 rep in
-          if added > 0 then Guided.save_corpus dir c;
+          if added > 0 then refused_journal corpus (fun () -> Guided.save_corpus dir c);
           Fmt.pr
             "corpus:    %d witness(es) admitted to %s (hunt --guided and icb \
              will seed from them)@."

@@ -230,14 +230,9 @@ let with_name t name = { t with name }
 let with_strategy t s = { t with sched = Controlled s }
 let with_mode t mode = { t with mode }
 let with_race_detection t race_detection = { t with race_detection }
-let with_emit_reports t emit_reports = { t with emit_reports }
-let with_resched_ms t resched_ms = { t with resched_ms }
-let with_queue_jitter_us t queue_jitter_us = { t with queue_jitter_us }
 let with_max_ticks t max_ticks = { t with max_ticks }
 let with_deadline_s t deadline_s = { t with deadline_s }
 let with_max_history t max_history = { t with max_history }
-let with_suppressions t suppressions = { t with suppressions }
-let with_debug_trace t debug_trace = { t with debug_trace }
 let with_trace t ~capacity = { t with trace_events = true; trace_capacity = capacity }
 let with_on_desync t on_desync = { t with on_desync }
 let with_coverage t coverage = { t with coverage }

@@ -182,14 +182,9 @@ val with_name : t -> string -> t
 val with_strategy : t -> strategy -> t
 val with_mode : t -> mode -> t
 val with_race_detection : t -> bool -> t
-val with_emit_reports : t -> bool -> t
-val with_resched_ms : t -> int -> t
-val with_queue_jitter_us : t -> int -> t
 val with_max_ticks : t -> int -> t
 val with_deadline_s : t -> float -> t
 val with_max_history : t -> int -> t
-val with_suppressions : t -> string list -> t
-val with_debug_trace : t -> bool -> t
 
 val with_trace : t -> capacity:int -> t
 (** Enable structured event tracing with the given ring capacity. *)

@@ -43,8 +43,6 @@ let corruption_to_string c =
   if c.c_line > 0 then Printf.sprintf "%s:%d: %s" c.c_file c.c_line c.c_reason
   else Printf.sprintf "%s: %s" c.c_file c.c_reason
 
-let pp_corruption fmt c = Format.pp_print_string fmt (corruption_to_string c)
-
 let () =
   Printexc.register_printer (function
     | Corrupt c -> Some ("Demo.Corrupt: " ^ corruption_to_string c)

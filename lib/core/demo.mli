@@ -75,7 +75,6 @@ type corruption = {
 exception Corrupt of corruption
 
 val corruption_to_string : corruption -> string
-val pp_corruption : Format.formatter -> corruption -> unit
 
 val save : ?durable:bool -> ?extra:(string * string list) list -> t -> dir:string -> unit
 (** Crash-atomically (re)write the demo directory: all files — the

@@ -29,16 +29,6 @@ let default =
 
 let games = { default with name = "games"; ignore_ioctl = true }
 
-let minimal =
-  {
-    name = "minimal";
-    record_kinds = [];
-    record_file_rw = false;
-    ignore_ioctl = true;
-    record_clock = false;
-    full_interposition = false;
-  }
-
 let with_proc = { default with name = "with-proc"; record_file_rw = true }
 
 let should_record t ~fd_class (r : Syscall.request) =

@@ -37,11 +37,6 @@ val default : t
 val games : t
 (** [default] with [ignore_ioctl] — the SDL-game policy of §5.4. *)
 
-val minimal : t
-(** Records nothing but the schedule — the "empty demo" end of the
-    spectrum (§4: trivially synchronised, soft-desyncs everywhere
-    unless the program is deterministic). *)
-
 val with_proc : t
 (** [default] extended to record regular-file reads as well — what an
     htop-style application monitoring [/proc] would need (§4.4). *)

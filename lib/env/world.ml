@@ -8,9 +8,6 @@ type peer = {
   spontaneous : Prng.t -> int -> (int * bytes) option;
 }
 
-let silent_peer =
-  { on_receive = (fun _ _ -> []); spontaneous = (fun _ _ -> None) }
-
 type sock = {
   behavior : peer;
   mutable inbox : (int * bytes) list;  (* sorted by arrival time *)
@@ -48,7 +45,6 @@ type t = {
   alloc_used : (int, unit) Hashtbl.t;
   mutable forbid_opaque_ioctl : bool;
   mutable gpu_frames : int;
-  mutable net_events : int;
   mutable faults : Fault.t;
 }
 
@@ -79,7 +75,6 @@ let create ?seed ?(deterministic_alloc = false) ?(faults = Fault.none) () =
       alloc_used = Hashtbl.create 16;
       forbid_opaque_ioctl = false;
       gpu_frames = 0;
-      net_events = 0;
       faults;
     }
   in
@@ -110,10 +105,8 @@ let reset ?(deterministic_alloc = false) ?(faults = Fault.none) t ~seed =
   Hashtbl.clear t.alloc_used;
   t.forbid_opaque_ioctl <- false;
   t.gpu_frames <- 0;
-  t.net_events <- 0;
   t.faults <- faults
 
-let prng t = t.rng
 let set_faults t f = t.faults <- f
 let faults_injected t = Fault.injected t.faults
 
@@ -197,7 +190,6 @@ let jitter t n = if n <= 0 then 0 else Prng.int t.rng n
 
 let output t = Buffer.contents t.out
 let gpu_frames t = t.gpu_frames
-let net_events t = t.net_events
 
 (* -- sock plumbing -------------------------------------------------- *)
 
@@ -249,7 +241,6 @@ let do_recv t s ~now ~len:_ =
   match s.inbox with
   | (at, payload) :: rest when at <= now ->
       s.inbox <- rest;
-      t.net_events <- t.net_events + 1;
       Syscall.ok ~data:payload (Bytes.length payload)
   | _ -> (
       match next_arrival t s with
@@ -257,7 +248,6 @@ let do_recv t s ~now ~len:_ =
           match s.inbox with
           | (_, payload) :: rest ->
               s.inbox <- rest;
-              t.net_events <- t.net_events + 1;
               Syscall.ok ~data:payload ~elapsed:(max 0 (at - now))
                 (Bytes.length payload)
           | [] -> assert false)
@@ -273,7 +263,6 @@ let do_send t s ~now payload =
       (fun (delay, data) ->
         s.inbox <- insert_sorted s.inbox (now + max delay 0, data))
       replies;
-    t.net_events <- t.net_events + 1;
     Syscall.ok (Bytes.length payload)
   end
 

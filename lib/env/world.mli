@@ -38,8 +38,6 @@ val reset : ?deterministic_alloc:bool -> ?faults:Fault.t -> t -> seed:int64 -> u
     buffer storage, so recycling a world across campaign runs is both
     allocation-free and observationally invisible. *)
 
-val prng : t -> T11r_util.Prng.t
-
 val set_faults : t -> Fault.t -> unit
 (** Install (or replace) the fault plan consulted by {!syscall}. *)
 
@@ -57,9 +55,6 @@ type peer = {
           (gap µs since previous, payload), or [None] when the peer
           goes quiet. *)
 }
-
-val silent_peer : peer
-(** Never sends anything. *)
 
 val expect_connection : t -> port:int -> at:int -> peer -> unit
 (** Register a remote client that connects to [port] at time [at]. *)
@@ -122,9 +117,6 @@ val output : t -> string
 val gpu_frames : t -> int
 (** Number of frame-flip ioctls the driver has serviced (lets game
     workloads compute fps). *)
-
-val net_events : t -> int
-(** Total network messages delivered so far (diagnostics). *)
 
 (** {1 Well-known fds} *)
 

@@ -277,63 +277,59 @@ type journal_header = {
 
 let sanitize (r : Interp.result) = { r with Interp.demo = None }
 
+let header_kind = "campaign"
+let run_kind = "run"
+
+(* The schema half of the header check, which the read-only path also
+   enforces: an unreadable header or another layout is refused before
+   any run entry is unmarshalled. *)
+let schema_error ~who ~verb path found =
+  match (Marshal.from_string found 0 : journal_header) with
+  | jh when jh.jh_schema = journal_schema -> None
+  | jh ->
+      Some
+        (Printf.sprintf "%s: journal %s has schema %d, this build %s %d" who
+           path jh.jh_schema verb journal_schema)
+  | exception _ ->
+      Some (Printf.sprintf "%s: journal %s: unreadable header" who path)
+
 let open_journal (s : spec) ~n ~first path =
-  let entries, torn = Journal.read path in
-  let dropped = ref torn in
-  let cached : (int, Interp.result) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Journal.entry) ->
-      match e.Journal.kind with
-      | "campaign" -> (
-          match (Marshal.from_string e.Journal.payload 0 : journal_header) with
-          | jh ->
-              if jh.jh_schema <> journal_schema then
-                invalid_arg
-                  (Printf.sprintf
-                     "Campaign.run: journal %s has schema %d, this build \
-                      writes %d"
-                     path jh.jh_schema journal_schema);
-              if (jh.jh_label, jh.jh_n, jh.jh_first) <> (s.label, n, first)
-              then
-                invalid_arg
-                  (Printf.sprintf
-                     "Campaign.run: journal %s belongs to campaign %S \
-                      (n=%d, first=%d), not %S (n=%d, first=%d)"
-                     path jh.jh_label jh.jh_n jh.jh_first s.label n first)
-          | exception _ ->
-              invalid_arg
-                (Printf.sprintf "Campaign.run: journal %s: unreadable header"
-                   path))
-      | "run" -> (
-          match
-            (Marshal.from_string e.Journal.payload 0 : int * Interp.result)
-          with
-          | i, r when i >= first && i < first + n -> Hashtbl.replace cached i r
-          | _ -> incr dropped
-          | exception _ -> incr dropped)
-      | _ -> incr dropped)
-    entries;
-  let had_header =
-    List.exists (fun (e : Journal.entry) -> e.Journal.kind = "campaign") entries
+  let mismatch found =
+    match schema_error ~who:"Campaign.run" ~verb:"writes" path found with
+    | Some msg -> msg
+    | None ->
+        let jh : journal_header = Marshal.from_string found 0 in
+        Printf.sprintf
+          "Campaign.run: journal %s belongs to campaign %S (n=%d, first=%d), \
+           not %S (n=%d, first=%d)"
+          path jh.jh_label jh.jh_n jh.jh_first s.label n first
+  in
+  let header =
+    {
+      Journal.kind = header_kind;
+      payload =
+        Marshal.to_string
+          { jh_schema = journal_schema; jh_label = s.label; jh_n = n; jh_first = first }
+          [];
+    }
   in
   (* Buffered writer: one append per run must not serialise the pool
      on write(2). The buffer drains when full and on close (normal end
      and SIGINT both reach close); a SIGKILL loses at most the buffered
      suffix, which the next resume re-executes. *)
-  let w = Journal.create ~buffer:(256 * 1024) path in
-  if not had_header then begin
-    Journal.append w
-      {
-        Journal.kind = "campaign";
-        payload =
-          Marshal.to_string
-            { jh_schema = journal_schema; jh_label = s.label; jh_n = n; jh_first = first }
-            [];
-      };
-    (* The header pins the campaign identity — make it durable before
-       any run executes. *)
-    Journal.flush w
-  end;
+  let w, entries, torn =
+    Journal.open_pinned ~buffer:(256 * 1024) ~header ~payload:run_kind
+      ~mismatch path
+  in
+  let dropped = ref torn in
+  let cached : (int, Interp.result) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Journal.entry) ->
+      match (Marshal.from_string e.Journal.payload 0 : int * Interp.result) with
+      | i, r when i >= first && i < first + n -> Hashtbl.replace cached i r
+      | _ -> incr dropped
+      | exception _ -> incr dropped)
+    entries;
   (w, cached, !dropped)
 
 (* Read-only journal access for offline consumers (predictive race
@@ -343,42 +339,23 @@ let open_journal (s : spec) ~n ~first path =
    (label/n/first) are not: the reader takes whatever campaign the
    journal holds. *)
 let journal_results path =
-  let entries, _torn = Journal.read path in
-  List.iter
-    (fun (e : Journal.entry) ->
-      if e.Journal.kind = "campaign" then
-        match (Marshal.from_string e.Journal.payload 0 : journal_header) with
-        | jh ->
-            if jh.jh_schema <> journal_schema then
-              invalid_arg
-                (Printf.sprintf
-                   "Campaign.journal_results: journal %s has schema %d, this \
-                    build reads %d"
-                   path jh.jh_schema journal_schema)
-        | exception _ ->
-            invalid_arg
-              (Printf.sprintf
-                 "Campaign.journal_results: journal %s: unreadable header" path))
-    entries;
-  if
-    not
-      (List.exists (fun (e : Journal.entry) -> e.Journal.kind = "campaign") entries)
-  then
-    invalid_arg
-      (Printf.sprintf "Campaign.journal_results: %s is not a campaign journal"
-         path);
-  let runs = ref [] in
-  List.iter
-    (fun (e : Journal.entry) ->
-      if e.Journal.kind = "run" then
-        match (Marshal.from_string e.Journal.payload 0 : int * Interp.result) with
-        | i, r -> runs := (i, r) :: !runs
-        | exception _ -> ())
-    entries;
+  let who = "Campaign.journal_results" in
+  let header, entries, _torn =
+    Journal.load_pinned ~header:header_kind ~payload:run_kind path
+  in
+  (match header with
+  | None ->
+      invalid_arg (Printf.sprintf "%s: %s is not a campaign journal" who path)
+  | Some h -> Option.iter invalid_arg (schema_error ~who ~verb:"reads" path h));
   (* Newest entry wins per index (a resumed campaign may have appended
      a duplicate), then index order. *)
   let tbl = Hashtbl.create 64 in
-  List.iter (fun (i, r) -> Hashtbl.replace tbl i r) (List.rev !runs);
+  List.iter
+    (fun (e : Journal.entry) ->
+      match (Marshal.from_string e.Journal.payload 0 : int * Interp.result) with
+      | i, r -> Hashtbl.replace tbl i r
+      | exception _ -> ())
+    entries;
   Hashtbl.fold (fun i r acc -> (i, r) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
@@ -451,7 +428,7 @@ let run s ~n ?(jobs = 1) ?(first = 0) ?(deadline_s = 0.) ?tick_budget
         | Some w ->
             Journal.append w
               {
-                Journal.kind = "run";
+                Journal.kind = run_kind;
                 payload = Marshal.to_string (i, sanitize r) [];
               }
         | None -> ());

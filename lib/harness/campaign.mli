@@ -158,15 +158,21 @@ val run :
       (default 50ms), then quarantined as a [Crashed (-1, _)] result —
       one crashing run never aborts the campaign.
     - [journal] appends every completed run to a checksummed JSONL
-      journal (see {!T11r_util.Journal}); if the file already holds
-      entries for this campaign (validated by label/n/first), those
-      runs are not re-executed — this is [--resume]. Resumed, retried
-      and [jobs]-varied campaigns all produce bit-identical digests:
-      aggregation replays journal entries in run-index order.
+      journal opened by {!T11r_util.Journal.open_pinned}; if the file
+      already holds entries for this campaign (validated by
+      label/n/first), those runs are not re-executed — this is
+      [--resume]. Resumed, retried and [jobs]-varied campaigns all
+      produce bit-identical digests: aggregation replays journal
+      entries in run-index order.
     - [cancel] is polled between runs (SIGINT draining): when it turns
       true the campaign stops claiming work, finishes in-flight runs,
       flushes the journal and returns a partial report with
-      [supervision.sup_interrupted] set. *)
+      [supervision.sup_interrupted] set.
+
+    @raise Invalid_argument when [n < 1], or before any run executes
+    when [journal] is refused: its first line is damaged or it is not
+    a journal, it is another engine's journal, or its header pins
+    another campaign (label/n/first) or another {!journal_schema}. *)
 
 val journal_schema : int
 (** Version of the marshalled run layout, pinned in every journal's
@@ -181,7 +187,8 @@ val journal_results : string -> (int * Tsan11rec.Interp.result) list
     input of offline analyses ([Predictor]) over a finished campaign.
     The Marshal schema pin is enforced; the campaign identity pins are
     not.
-    @raise Invalid_argument on a non-campaign journal or a schema
+    @raise Invalid_argument on a file with no campaign header, a
+    damaged first line, another engine's journal, or a schema
     mismatch. *)
 
 val equal : report -> report -> bool

@@ -30,14 +30,6 @@ let strategy_of_desc = function
   | S_guided prefix ->
       Conf.Guided { prefix = Array.copy prefix; observed = ref [] }
 
-let desc_name = function
-  | S_random -> "random"
-  | S_queue -> "queue"
-  | S_pct d -> Printf.sprintf "pct:%d" d
-  | S_db d -> Printf.sprintf "db:%d" d
-  | S_pb b -> Printf.sprintf "pb:%d" b
-  | S_guided p -> Printf.sprintf "guided[%d]" (Array.length p)
-
 (* The bootstrap rotation and the strategy-switch mutation pool: the
    schedule-bounding strategies that beat plain random on the litmus
    race rates (bench ablations, table 2). *)
@@ -64,7 +56,6 @@ type t = {
 let empty = { entries = []; total = Coverage.empty; energy_spent = 0; next_id = 0 }
 let size t = List.length t.entries
 let entries t = t.entries
-let total t = t.total
 let total_bits t = Coverage.popcount t.total
 let energy_spent t = t.energy_spent
 
@@ -148,25 +139,9 @@ let mutate parent rng =
 
 (* -- persistence ----------------------------------------------------- *)
 
-(* Marshal of pure data only (variants, ints, int64s, strings);
-   [No_sharing] so a journal round-trip is byte-identical to the
-   freshly computed value. *)
-let to_payload t = Marshal.to_string t [ Marshal.No_sharing ]
-let of_payload s : t = Marshal.from_string s 0
-
 let digest t =
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
           (t.entries, t.total, t.energy_spent, t.next_id)
           [ Marshal.No_sharing ]))
-
-let pp fmt t =
-  Format.fprintf fmt "corpus: %d seed(s), %d coverage bit(s), %d energy spent"
-    (size t) (total_bits t) t.energy_spent;
-  List.iter
-    (fun e ->
-      Format.fprintf fmt "@.  #%d %s seeds=(%Ld,%Ld) +%d bit(s) round %d"
-        e.e_id (desc_name e.e_strategy) e.e_seed1 e.e_seed2 e.e_new_bits
-        e.e_round)
-    t.entries

@@ -24,7 +24,6 @@ type strategy_desc =
           run. *)
 
 val strategy_of_desc : strategy_desc -> Conf.strategy
-val desc_name : strategy_desc -> string
 
 val portfolio : strategy_desc array
 (** The bootstrap rotation and strategy-switch pool: random plus the
@@ -47,9 +46,6 @@ val empty : t
 val size : t -> int
 val entries : t -> entry list
 (** In admission ([e_id]) order. *)
-
-val total : t -> Coverage.summary
-(** Union of every admitted entry's fingerprint. *)
 
 val total_bits : t -> int
 val energy_spent : t -> int
@@ -78,24 +74,13 @@ type candidate = {
   c_seed2 : int64;
 }
 
-val candidate_of_entry : entry -> candidate
-
 val mutate : entry -> T11r_util.Prng.t -> candidate
 (** Breed one candidate from a parent: SplitMix64-backed seed
     splicing, strategy switching into {!portfolio}, or guided-prefix
     splicing in the style of [Systematic]'s frontier expansion
     (out-of-range prefix values are clamped by the interpreter). *)
 
-(** {2 Persistence} *)
-
-val to_payload : t -> string
-(** Marshal ([No_sharing]) blob for a journal entry. *)
-
-val of_payload : string -> t
-(** @raise Failure on a blob this build cannot decode. *)
-
 val digest : t -> string
 (** Hex MD5 over the corpus' pure data — the cross-process
     determinism witness. *)
 
-val pp : Format.formatter -> t -> unit

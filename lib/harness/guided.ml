@@ -84,83 +84,72 @@ type corpus_header = {
 
 let corpus_journal_path dir = Filename.concat dir "corpus.journal"
 let round_journal_path dir r = Filename.concat dir (Printf.sprintf "round-%d.journal" r)
+let header_kind = "corpus-hunt"
+let snap_kind = "snap"
+
+(* The fold state of the newest intact snapshot, if any. *)
+let latest_state snaps =
+  List.fold_left
+    (fun latest (e : Journal.entry) ->
+      match (Marshal.from_string e.Journal.payload 0 : state) with
+      | st -> (
+          match latest with
+          | Some prev when prev.st_rounds >= st.st_rounds -> latest
+          | _ -> Some st)
+      | exception _ -> latest)
+    None snaps
+
+let schema_error ~who path found =
+  match (Marshal.from_string found 0 : corpus_header) with
+  | ch when ch.ch_schema = corpus_schema -> None
+  | ch ->
+      Some
+        (Printf.sprintf "%s: corpus %s has schema %d, this build writes %d" who
+           path ch.ch_schema corpus_schema)
+  | exception _ -> Some (Printf.sprintf "%s: corpus %s: unreadable header" who path)
 
 (* Load the newest intact snapshot (if any), validate the header pins,
    and return an open append-mode writer. *)
 let open_corpus_journal ~label ~batch ~salt dir =
   let path = corpus_journal_path dir in
-  let entries, _torn =
-    if Sys.file_exists path then Journal.read path else ([], 0)
+  let mismatch found =
+    match schema_error ~who:"Guided.hunt" path found with
+    | Some msg -> msg
+    | None ->
+        let ch : corpus_header = Marshal.from_string found 0 in
+        Printf.sprintf
+          "Guided.hunt: corpus %s belongs to hunt %S (batch=%d, salt=%Ld), \
+           not %S (batch=%d, salt=%Ld)"
+          path ch.ch_label ch.ch_batch ch.ch_salt label batch salt
   in
-  let latest = ref None in
-  List.iter
-    (fun (e : Journal.entry) ->
-      match e.Journal.kind with
-      | "corpus-hunt" -> (
-          match (Marshal.from_string e.Journal.payload 0 : corpus_header) with
-          | ch ->
-              if ch.ch_schema <> corpus_schema then
-                invalid_arg
-                  (Printf.sprintf
-                     "Guided.hunt: corpus %s has schema %d, this build writes %d"
-                     path ch.ch_schema corpus_schema);
-              if (ch.ch_label, ch.ch_batch, ch.ch_salt) <> (label, batch, salt)
-              then
-                invalid_arg
-                  (Printf.sprintf
-                     "Guided.hunt: corpus %s belongs to hunt %S (batch=%d, \
-                      salt=%Ld), not %S (batch=%d, salt=%Ld)"
-                     path ch.ch_label ch.ch_batch ch.ch_salt label batch salt)
-          | exception _ ->
-              invalid_arg
-                (Printf.sprintf "Guided.hunt: corpus %s: unreadable header" path))
-      | "snap" -> (
-          match (Marshal.from_string e.Journal.payload 0 : state) with
-          | st -> (
-              match !latest with
-              | Some prev when prev.st_rounds >= st.st_rounds -> ()
-              | _ -> latest := Some st)
-          | exception _ -> ())
-      | _ -> ())
-    entries;
-  let had_header =
-    List.exists
-      (fun (e : Journal.entry) -> e.Journal.kind = "corpus-hunt")
-      entries
+  let header =
+    {
+      Journal.kind = header_kind;
+      payload =
+        Marshal.to_string
+          { ch_schema = corpus_schema; ch_label = label; ch_batch = batch; ch_salt = salt }
+          [];
+    }
   in
-  let w = Journal.create path in
-  if not had_header then
-    Journal.append w
-      {
-        Journal.kind = "corpus-hunt";
-        payload =
-          Marshal.to_string
-            { ch_schema = corpus_schema; ch_label = label; ch_batch = batch; ch_salt = salt }
-            [];
-      };
-  (w, !latest)
+  let w, snaps, _torn =
+    Journal.open_pinned ~header ~payload:snap_kind ~mismatch path
+  in
+  (w, latest_state snaps)
 
-(* Load the corpus of the newest intact snapshot, ignoring the header
-   pins — read-only consumers (icb's corpus seeding) only need the
-   seeds, whatever hunt produced them. *)
-let load_corpus dir =
+(* The newest intact snapshot of a corpus directory, read-only: the
+   schema pin is checked, the hunt identity pins are not — read-only
+   consumers (icb's corpus seeding) only need the seeds, whatever hunt
+   produced them. *)
+let load_state ~who dir =
   let path = corpus_journal_path dir in
-  if not (Sys.file_exists path) then None
-  else begin
-    let entries, _torn = Journal.read path in
-    let latest = ref None in
-    List.iter
-      (fun (e : Journal.entry) ->
-        if e.Journal.kind = "snap" then
-          match (Marshal.from_string e.Journal.payload 0 : state) with
-          | st -> (
-              match !latest with
-              | Some prev when prev.st_rounds >= st.st_rounds -> ()
-              | _ -> latest := Some st)
-          | exception _ -> ())
-      entries;
-    Option.map (fun st -> st.st_corpus) !latest
-  end
+  let header, snaps, _torn =
+    Journal.load_pinned ~header:header_kind ~payload:snap_kind path
+  in
+  Option.iter (fun h -> Option.iter invalid_arg (schema_error ~who path h)) header;
+  latest_state snaps
+
+let load_corpus dir =
+  Option.map (fun st -> st.st_corpus) (load_state ~who:"Guided.load_corpus" dir)
 
 (* Append a snapshot carrying [corpus] on top of whatever state the
    directory already holds. The snapshot's round index is bumped past
@@ -169,26 +158,11 @@ let load_corpus dir =
    witness seeding) composes with any hunt's journal the way
    [load_corpus] reads them: seeds only. *)
 let save_corpus dir corpus =
-  let path = corpus_journal_path dir in
-  let latest = ref None in
-  if Sys.file_exists path then begin
-    let entries, _torn = Journal.read path in
-    List.iter
-      (fun (e : Journal.entry) ->
-        if e.Journal.kind = "snap" then
-          match (Marshal.from_string e.Journal.payload 0 : state) with
-          | st -> (
-              match !latest with
-              | Some prev when prev.st_rounds >= st.st_rounds -> ()
-              | _ -> latest := Some st)
-          | exception _ -> ())
-      entries
-  end;
-  let base = Option.value !latest ~default:state0 in
+  let base = Option.value (load_state ~who:"Guided.save_corpus" dir) ~default:state0 in
   let st = { base with st_rounds = base.st_rounds + 1; st_corpus = corpus } in
-  let w = Journal.create path in
+  let w = Journal.create (corpus_journal_path dir) in
   Journal.append w
-    { Journal.kind = "snap"; payload = Marshal.to_string st [ Marshal.No_sharing ] };
+    { Journal.kind = snap_kind; payload = Marshal.to_string st [ Marshal.No_sharing ] };
   Journal.close w
 
 (* -- candidate breeding ---------------------------------------------- *)
@@ -356,7 +330,7 @@ let hunt (s : Campaign.spec) ?(rounds = 8) ?(batch = 32) ?(jobs = 1)
         (match jw with
         | Some w ->
             Journal.append w
-              { Journal.kind = "snap"; payload = Marshal.to_string st [] }
+              { Journal.kind = snap_kind; payload = Marshal.to_string st [] }
         | None -> ());
         go st
       end

@@ -58,8 +58,11 @@ val hunt :
     a race (the runs-to-first-race experiment); [?cancel] is polled
     between rounds and inside each round's campaign.
 
-    @raise Invalid_argument when [rounds < 1], [batch < 1], or
-    [?corpus_dir] holds a journal from a different hunt or schema. *)
+    @raise Invalid_argument when [rounds < 1], [batch < 1], or when a
+    journal in [?corpus_dir] is refused (see
+    {!T11r_util.Journal.open_pinned}): a damaged first line or not a
+    journal, another engine's journal, or one pinned to a different
+    hunt (label/batch/salt) or schema. *)
 
 val digest : report -> string
 (** Hex MD5 over everything except [g_wall_s] and [g_interrupted] —
@@ -68,17 +71,19 @@ val digest : report -> string
 
 val pp : Format.formatter -> report -> unit
 
-val corpus_journal_path : string -> string
-(** The snapshot journal inside a corpus directory. *)
-
 val load_corpus : string -> Corpus.t option
 (** The corpus of the newest intact snapshot in a corpus directory —
     [None] when the directory has no readable snapshots. Read-only:
-    header pins are not checked. *)
+    the schema pin is checked, the hunt identity pins are not.
+    @raise Invalid_argument when the corpus journal has a damaged
+    first line, is another engine's journal, or has another
+    schema. *)
 
 val save_corpus : string -> Corpus.t -> unit
 (** Append a snapshot carrying [corpus] to a corpus directory's
     journal (creating it as needed), with a round index newer than any
     existing snapshot so {!load_corpus} returns it. Used by external
     admitters — [Predictor] seeds the guided corpus with verified
-    witness schedules this way. *)
+    witness schedules this way. A corpus journal written this way
+    alone has no header; {!hunt} accepts it and pins it.
+    @raise Invalid_argument as {!load_corpus}. *)

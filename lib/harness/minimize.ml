@@ -26,16 +26,6 @@ let matches failure (r : Interp.result) =
          | Interp.Crashed _ | Interp.Deadlock _ -> true
          | _ -> false)
 
-(* SplitMix64 step (Steele, Lea & Flood) — same finaliser Prng uses to
-   expand its seeds. *)
-let splitmix_next (state : int64 ref) : int64 =
-  let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
 (* Both scheduler seeds, freshly avalanched per (bound, try). The old
    derivation fixed seed2 at a constant — so across every bound and
    try the weak-memory read stream started from the same second seed —
@@ -50,8 +40,8 @@ let derive_seeds ~bound ~try_ =
          (Int64.mul (Int64.of_int bound) 0x9E3779B97F4A7C15L)
          (Int64.of_int try_))
   in
-  let s1 = splitmix_next state in
-  let s2 = splitmix_next state in
+  let s1 = T11r_util.Prng.splitmix_next state in
+  let s2 = T11r_util.Prng.splitmix_next state in
   (s1, s2)
 
 (* When a guided corpus is available, its seed pairs — already proven

@@ -71,16 +71,6 @@ type report = {
   r_metrics : Metrics.t;
 }
 
-(* SplitMix64 step — the repo-wide seed-derivation idiom
-   (Minimize.derive_seeds, Guided.round_rng). *)
-let splitmix_next (state : int64 ref) : int64 =
-  let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
 (* The seed sweep for one verification: the recording's own seeds
    first — the preserve witness under them IS the recorded schedule —
    then a deterministic SplitMix64 cascade off them, so two predict
@@ -94,8 +84,8 @@ let seed_sweep ~recorded_seeds ~extra =
   let derived =
     List.init extra (fun i ->
         let st = ref (Int64.add base (Int64.of_int (i + 1))) in
-        let s1 = splitmix_next st in
-        let s2 = splitmix_next st in
+        let s1 = T11r_util.Prng.splitmix_next st in
+        let s2 = T11r_util.Prng.splitmix_next st in
         (s1, s2))
   in
   match recorded_seeds with Some p -> p :: derived | None -> derived

@@ -3,6 +3,7 @@ module Interp = Tsan11rec.Interp
 module World = T11r_env.World
 module Report = T11r_race.Report
 module Decision = T11r_race.Decision
+module Journal = T11r_util.Journal
 open Decision
 
 type result = {
@@ -78,64 +79,35 @@ let explore ?(max_runs = 2000) ?jobs:_ ?(dpor = true) ?(deadline_s = 0.)
   let cache : (Interp.result * int array) Prefixes.t = Prefixes.create 64 in
   let from_journal : unit Prefixes.t = Prefixes.create 64 in
   let jw =
-    match journal with
-    | None -> None
-    | Some path ->
-        let entries, _torn = T11r_util.Journal.read path in
-        let had_header = ref false in
+    Option.map
+      (fun path ->
+        let jh =
+          { jh_schema = journal_schema; jh_world_seed = world_seed; jh_seed1 = s1; jh_seed2 = s2 }
+        in
+        let header = { Journal.kind = "systematic"; payload = Marshal.to_string jh [] } in
+        let mismatch _ =
+          Printf.sprintf
+            "Systematic.explore: journal %s was written with different \
+             seeds or schema"
+            path
+        in
+        let w, entries, _torn =
+          Journal.open_pinned ~header ~payload:"sys" ~mismatch path
+        in
         List.iter
-          (fun (e : T11r_util.Journal.entry) ->
-            match e.T11r_util.Journal.kind with
-            | "systematic" -> (
-                had_header := true;
-                match
-                  (Marshal.from_string e.T11r_util.Journal.payload 0
-                    : journal_header)
-                with
-                | jh ->
-                    if
-                      jh.jh_schema <> journal_schema
-                      || (jh.jh_world_seed, jh.jh_seed1, jh.jh_seed2)
-                         <> (world_seed, s1, s2)
-                    then
-                      invalid_arg
-                        (Printf.sprintf
-                           "Systematic.explore: journal %s was written with \
-                            different seeds or schema"
-                           path)
-                | exception _ ->
-                    invalid_arg
-                      (Printf.sprintf
-                         "Systematic.explore: journal %s: unreadable header"
-                         path))
-            | "sys" -> (
-                match
-                  (Marshal.from_string e.T11r_util.Journal.payload 0
-                    : int array * int array * Interp.result)
-                with
-                | prefix, counts, r ->
-                    let prefix = Decision.normalize_prefix prefix in
-                    Prefixes.replace cache prefix (r, counts);
-                    Prefixes.replace from_journal prefix ()
-                | exception _ -> ())
-            | _ -> ())
+          (fun (e : Journal.entry) ->
+            match
+              (Marshal.from_string e.Journal.payload 0
+                : int array * int array * Interp.result)
+            with
+            | prefix, counts, r ->
+                let prefix = Decision.normalize_prefix prefix in
+                Prefixes.replace cache prefix (r, counts);
+                Prefixes.replace from_journal prefix ()
+            | exception _ -> ())
           entries;
-        let w = T11r_util.Journal.create path in
-        if not !had_header then
-          T11r_util.Journal.append w
-            {
-              T11r_util.Journal.kind = "systematic";
-              payload =
-                Marshal.to_string
-                  {
-                    jh_schema = journal_schema;
-                    jh_world_seed = world_seed;
-                    jh_seed1 = s1;
-                    jh_seed2 = s2;
-                  }
-                  [];
-            };
-        Some w
+        w)
+      journal
   in
   (* One prefix execution, from tick 0 on the domain's recycled arena
      and world. *)
@@ -192,17 +164,13 @@ let explore ?(max_runs = 2000) ?jobs:_ ?(dpor = true) ?(deadline_s = 0.)
       (1 + Option.value ~default:0 (Hashtbl.find_opt outcomes k))
   in
   let journal_entry prefix (r : Interp.result) counts =
-    match jw with
-    | None -> ()
-    | Some w ->
-        T11r_util.Journal.append w
-          {
-            T11r_util.Journal.kind = "sys";
-            payload =
-              Marshal.to_string
-                (prefix, counts, { r with Interp.demo = None })
-                [];
-          }
+    Option.iter
+      (fun w ->
+        let payload =
+          Marshal.to_string (prefix, counts, { r with Interp.demo = None }) []
+        in
+        Journal.append w { Journal.kind = "sys"; payload })
+      jw
   in
   (* Query one normalized prefix: consume the journalled result or
      execute it. Counts the run, journals fresh executions (in analysis
@@ -362,7 +330,7 @@ let explore ?(max_runs = 2000) ?jobs:_ ?(dpor = true) ?(deadline_s = 0.)
           end
         end
   done;
-  (match jw with Some w -> T11r_util.Journal.close w | None -> ());
+  Option.iter Journal.close jw;
   {
     runs = !runs;
     resumed_runs = !resumed;

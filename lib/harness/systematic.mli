@@ -107,10 +107,15 @@ val explore :
     analyzed prefix is appended (checksummed, with its result and
     observed choice counts) and a rerun with the same seeds replays
     journalled prefixes instead of executing them ([resumed_runs]
-    counts them, on the supervising domain only). The journal pins
-    seeds, world seed and schema; reusing it with different parameters
-    raises [Invalid_argument]. [cancel] is polled between descents; a
-    cancelled exploration returns [complete = false] and can be
-    resumed from its journal. *)
+    counts them, on the supervising domain only). The journal is
+    opened by {!T11r_util.Journal.open_pinned} and pins seeds, world
+    seed and schema. [cancel] is polled between descents; a cancelled
+    exploration returns [complete = false] and can be resumed from its
+    journal.
+
+    @raise Invalid_argument before any run executes when [journal] is
+    refused: its first line is damaged or it is not a journal, it is
+    another engine's journal, or it was written with different seeds,
+    world seed or schema. *)
 
 val pp : Format.formatter -> result -> unit

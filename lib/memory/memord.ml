@@ -27,6 +27,4 @@ let of_string = function
   | "seq_cst" -> Some Seq_cst
   | _ -> None
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-let equal (a : t) b = a = b
 let all = [ Relaxed; Consume; Acquire; Release; Acq_rel; Seq_cst ]

@@ -17,6 +17,4 @@ val is_seq_cst : t -> bool
 
 val to_string : t -> string
 val of_string : string -> t option
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool
 val all : t list

@@ -62,9 +62,5 @@ val dropped : t -> int
 
 val capacity : t -> int
 
-val iter : (event -> unit) -> t -> unit
-(** Retained events, oldest first. Each callback receives a freshly
-    built [event] record (export-time allocation only). *)
-
 val to_list : t -> event list
 (** Retained events, oldest first. *)

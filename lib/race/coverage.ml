@@ -12,22 +12,17 @@
 type t = {
   on : bool;
   bits : Bytes.t;
-  mutable marks : int;  (* marks issued, including duplicates *)
 }
 
 let size_bits = 4096
 let size_bytes = size_bits / 8
 
-let disabled = { on = false; bits = Bytes.empty; marks = 0 }
-let create () = { on = true; bits = Bytes.make size_bytes '\000'; marks = 0 }
+let disabled = { on = false; bits = Bytes.empty }
+let create () = { on = true; bits = Bytes.make size_bytes '\000' }
 let enabled t = t.on
-let marks t = t.marks
 
 let reset t =
-  if t.on then begin
-    Bytes.fill t.bits 0 size_bytes '\000';
-    t.marks <- 0
-  end
+  if t.on then Bytes.fill t.bits 0 size_bytes '\000'
 
 let mark t h =
   if t.on then begin
@@ -35,8 +30,7 @@ let mark t h =
     let i = b lsr 3 in
     let m = 1 lsl (b land 7) in
     let c = Char.code (Bytes.unsafe_get t.bits i) in
-    if c land m = 0 then Bytes.unsafe_set t.bits i (Char.unsafe_chr (c lor m));
-    t.marks <- t.marks + 1
+    if c land m = 0 then Bytes.unsafe_set t.bits i (Char.unsafe_chr (c lor m))
   end
 
 (* FNV-1a over OCaml ints — deterministic across runs and builds
@@ -116,9 +110,6 @@ let new_bits ~base (s : summary) =
     done;
     !acc
   end
-
-let equal (a : summary) (b : summary) =
-  String.equal a b || (is_empty a && is_empty b)
 
 let digest (s : summary) =
   Digest.to_hex (Digest.string (if is_empty s then empty else s))

@@ -23,11 +23,8 @@ val create : unit -> t
 
 val enabled : t -> bool
 
-val marks : t -> int
-(** Marks issued so far, counting duplicates. *)
-
 val reset : t -> unit
-(** Clear all bits and the mark counter in place (no-op on
+(** Clear all bits in place (no-op on
     {!disabled}). *)
 
 val mark : t -> int -> unit
@@ -69,9 +66,6 @@ val new_bits : base:summary -> summary -> int
 
 val popcount : summary -> int
 val is_empty : summary -> bool
-
-val equal : summary -> summary -> bool
-(** Structural equality ({!empty} equals an explicit all-zero bitmap). *)
 
 val digest : summary -> string
 (** Hex MD5 of the bitmap bytes. *)

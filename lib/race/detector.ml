@@ -32,7 +32,6 @@ type t = {
      capture decisions pays nothing. *)
   mutable acc_cb : (var -> tid:int -> write:bool -> unit) option;
   mutable suppressions : string list;
-  mutable suppressed_count : int;
   mutable checks : int; (* shadow-state checks (one per read/write) *)
   (* Registry of every var ever created, indexed by id, for in-place
      recycling after [reset] (ids restart at 0). *)
@@ -49,7 +48,6 @@ let create () =
     callbacks = [];
     acc_cb = None;
     suppressions = [];
-    suppressed_count = 0;
     checks = 0;
     reg = [||];
     reg_n = 0;
@@ -63,7 +61,6 @@ let reset t =
   t.callbacks <- [];
   t.acc_cb <- None;
   t.suppressions <- [];
-  t.suppressed_count <- 0;
   t.checks <- 0
 
 let checks t = t.checks
@@ -89,7 +86,6 @@ let check_packable (st : Tstate.t) =
          epoch st.Tstate.tid max_epoch)
 
 let set_suppressions t pats = t.suppressions <- pats
-let suppressed_count t = t.suppressed_count
 
 (* tsan-suppression-style matching: exact name, or a '*'-terminated
    prefix pattern ("scoreboard*"). *)
@@ -136,8 +132,7 @@ let var_name v = v.name
 let var_id v = v.id
 
 let emit t (r : Report.t) =
-  if suppressed t r.var then t.suppressed_count <- t.suppressed_count + 1
-  else
+  if not (suppressed t r.var) then
     let key = (r.var, r.kind, r.first_tid, r.second_tid) in
     if not (Hashtbl.mem t.seen key) then begin
       Hashtbl.replace t.seen key ();

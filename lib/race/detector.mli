@@ -74,9 +74,7 @@ val set_access_hook : t -> (var -> tid:int -> write:bool -> unit) option -> unit
 val set_suppressions : t -> string list -> unit
 (** tsan-style suppression patterns: an exact location name, or a
     ['*']-terminated prefix ("scoreboard*"). Matching races are
-    counted but not reported — how a team mutes known-benign races
+    not reported — how a team mutes known-benign races
     while hunting new ones (the paper's Table 2 discusses httpd
     results "in which many races are fixed"). *)
 
-val suppressed_count : t -> int
-(** How many race detections the suppression list swallowed. *)

@@ -23,7 +23,8 @@
    campaign run) do not serialise on write(2), and a kill can lose at
    most the buffered suffix, which a resume simply re-executes. Either
    way a torn final line — the one partial write a crash can leave —
-   is dropped (and counted) by [read]. *)
+   is dropped (and counted) by [read], and the next writer never
+   appends onto it. *)
 
 type entry = { kind : string; payload : string }
 
@@ -70,12 +71,33 @@ let valid_kind k =
        (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' -> true | _ -> false)
        k
 
+(* Never append onto a torn line: a kill can leave the final line
+   unterminated, and an entry appended straight after it would merge
+   into it, so the next read would drop both. A torn line after intact
+   ones is terminated (read drops and counts it); a file that is
+   nothing but one torn line holds nothing and is emptied. *)
+let mend_torn_tail oc path =
+  In_channel.with_open_bin path (fun ic ->
+      let len = In_channel.length ic in
+      if len > 0L then begin
+        In_channel.seek ic (Int64.pred len);
+        if In_channel.input_char ic <> Some '\n' then begin
+          In_channel.seek ic 0L;
+          if String.contains (In_channel.input_all ic) '\n' then begin
+            output_char oc '\n';
+            flush oc
+          end
+          else Unix.ftruncate (Unix.descr_of_out_channel oc) 0
+        end
+      end)
+
 let create ?(fsync_every = 32) ?(buffer = 0) path =
   if buffer < 0 then invalid_arg "Journal.create: negative buffer";
   Codec.mkdir_p (Filename.dirname path);
   let oc =
     open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
   in
+  mend_torn_tail oc path;
   {
     oc;
     appended = 0;
@@ -140,10 +162,12 @@ let starts_with ~prefix s pos =
   let n = String.length prefix in
   String.length s - pos >= n && String.sub s pos n = prefix
 
+let frame_prefix = "{\"v\":1,\"crc\":\""
+
 (* Extract the three quoted fields by fixed structure; anything that
    deviates (torn line, edited bytes, foreign content) is rejected. *)
 let parse_line line =
-  let p0 = "{\"v\":1,\"crc\":\"" in
+  let p0 = frame_prefix in
   let p1 = "\",\"kind\":\"" in
   let p2 = "\",\"payload\":\"" in
   let p3 = "\"}" in
@@ -178,8 +202,11 @@ let parse_line line =
                       | payload -> Some { kind; payload }
                       | exception Invalid_argument _ -> None)
 
-let read path =
-  let lines = Codec.read_lines path in
+let contents path =
+  if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all
+  else ""
+
+let parse_lines lines =
   let dropped = ref 0 in
   let entries =
     List.filter_map
@@ -194,3 +221,49 @@ let read path =
       lines
   in
   (entries, !dropped)
+
+let read path = parse_lines (String.split_on_char '\n' (contents path))
+
+(* -- pinned journals ------------------------------------------------ *)
+
+(* The resume rules (see the interface): header payloads, payload
+   entries and dropped-line count, all empty for a fresh start. *)
+let scan ~header ~payload path =
+  match String.split_on_char '\n' (contents path) with
+  | [ torn ]
+    when starts_with ~prefix:torn frame_prefix 0
+         || starts_with ~prefix:frame_prefix torn 0 ->
+      ([], [], 0)
+  | lines ->
+      if parse_line (List.hd lines) = None then
+        invalid_arg
+          (Printf.sprintf
+             "journal %s: first line is not an intact journal entry (a \
+              damaged header, or not a journal at all)"
+             path);
+      let entries, dropped = parse_lines lines in
+      let headers, payloads = List.partition (fun e -> e.kind = header) entries in
+      (match List.find_opt (fun e -> e.kind <> payload) payloads with
+      | Some e ->
+          invalid_arg
+            (Printf.sprintf "%s is a %s journal, not a %s one" path e.kind header)
+      | None -> ());
+      (List.map (fun e -> e.payload) headers, payloads, dropped)
+
+let load_pinned ~header ~payload path =
+  let headers, payloads, dropped = scan ~header ~payload path in
+  (List.nth_opt headers 0, payloads, dropped)
+
+let open_pinned ?buffer ~header ~payload ~mismatch path =
+  let headers, payloads, dropped = scan ~header:header.kind ~payload path in
+  List.iter
+    (fun h -> if h <> header.payload then invalid_arg (mismatch h))
+    headers;
+  let w = create ?buffer path in
+  if headers = [] then begin
+    append w header;
+    (* The header pins the journal's identity: make it durable before
+       any payload entry is written. *)
+    flush w
+  end;
+  (w, payloads, dropped)

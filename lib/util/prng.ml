@@ -95,9 +95,4 @@ let pick t arr =
   if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
   arr.(int t (Array.length arr))
 
-let pick_list t l =
-  match l with
-  | [] -> invalid_arg "Prng.pick_list: empty list"
-  | _ -> List.nth l (int t (List.length l))
-
 let copy t = { t with st = Bytes.copy t.st }

@@ -41,8 +41,11 @@ val bool : t -> bool
 val pick : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array. @raise Invalid_argument on [||]. *)
 
-val pick_list : t -> 'a list -> 'a
-(** Uniform choice from a non-empty list. *)
+val splitmix_next : int64 ref -> int64
+(** One SplitMix64 step (Steele, Lea & Flood): advance [state] and
+    return the next avalanched 64-bit value. The seed expander behind
+    {!create}, and the repo-wide idiom for deriving decorrelated seed
+    pairs from an index. *)
 
 val copy : t -> t
 (** Independent copy with the same state and draw count. *)

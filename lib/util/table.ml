@@ -1,20 +1,15 @@
-type row = Cells of string list | Separator
-
 type t = {
   title : string;
   headers : string list;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
 }
 
 let create ~title ~headers = { title; headers; rows = [] }
-let add_row t cells = t.rows <- Cells cells :: t.rows
-let add_separator t = t.rows <- Separator :: t.rows
+let add_row t cells = t.rows <- cells :: t.rows
 
 let render t =
   let rows = List.rev t.rows in
-  let all_cells =
-    t.headers :: List.filter_map (function Cells c -> Some c | Separator -> None) rows
-  in
+  let all_cells = t.headers :: rows in
   let ncols = List.fold_left (fun acc r -> max acc (List.length r)) 0 all_cells in
   let widths = Array.make ncols 0 in
   List.iter
@@ -40,12 +35,7 @@ let render t =
   Buffer.add_string buf ("== " ^ t.title ^ " ==\n");
   Buffer.add_string buf (render_cells t.headers ^ "\n");
   Buffer.add_string buf (sep ^ "\n");
-  List.iter
-    (fun r ->
-      match r with
-      | Cells c -> Buffer.add_string buf (render_cells c ^ "\n")
-      | Separator -> Buffer.add_string buf (sep ^ "\n"))
-    rows;
+  List.iter (fun c -> Buffer.add_string buf (render_cells c ^ "\n")) rows;
   Buffer.contents buf
 
 let print t =

@@ -7,7 +7,6 @@ type t
 
 val create : title:string -> headers:string list -> t
 val add_row : t -> string list -> unit
-val add_separator : t -> unit
 
 val render : t -> string
 (** Aligned ASCII rendering, first column left-aligned and the rest

@@ -75,43 +75,10 @@ let footprint_id (r : request) =
     in
     -tag r.kind
 
-let kind_of_string = function
-  | "read" -> Some Read
-  | "write" -> Some Write
-  | "recv" -> Some Recv
-  | "send" -> Some Send
-  | "recvmsg" -> Some Recvmsg
-  | "sendmsg" -> Some Sendmsg
-  | "poll" -> Some Poll
-  | "select" -> Some Select
-  | "epoll_wait" -> Some Epoll_wait
-  | "accept" -> Some Accept
-  | "accept4" -> Some Accept4
-  | "bind" -> Some Bind
-  | "clock_gettime" -> Some Clock_gettime
-  | "ioctl" -> Some Ioctl
-  | "open" -> Some Open_
-  | "close" -> Some Close
-  | "pipe" -> Some Pipe
-  | _ -> None
-
-let pp_request fmt r =
-  Format.fprintf fmt "%s(fd=%d, len=%d, arg=%d)" (kind_to_string r.kind) r.fd
-    r.len r.arg
-
-let pp_result fmt r =
-  Format.fprintf fmt "ret=%d errno=%d |data|=%d elapsed=%d" r.ret r.errno
-    (Bytes.length r.data) r.elapsed
-
-let equal_result (a : result) b =
-  a.ret = b.ret && a.errno = b.errno && Bytes.equal a.data b.data
-  && a.elapsed = b.elapsed
-
 let eagain = 11
 let ebadf = 9
 let econnreset = 104
 let einval = 22
-let enosys = 38
 let enoent = 2
 let eintr = 4
 

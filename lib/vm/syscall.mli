@@ -70,10 +70,6 @@ val footprint_id : request -> int
     today but supports a per-channel conflict relation later. *)
 
 val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
-val pp_request : Format.formatter -> request -> unit
-val pp_result : Format.formatter -> result -> unit
-val equal_result : result -> result -> bool
 
 (* Errno values used by the environment (numeric values as on Linux,
    so demo files read naturally next to strace output). *)
@@ -81,7 +77,6 @@ val eagain : int
 val ebadf : int
 val econnreset : int
 val einval : int
-val enosys : int
 val enoent : int
 val eintr : int
 

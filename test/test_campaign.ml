@@ -476,6 +476,66 @@ let test_stale_schema_rejected () =
         ~build:T11r_litmus.Registry.fig1.build ());
   Sys.remove journal
 
+(* A damaged header is not an absent one, and another engine's
+   journal is not this one's: both are refused before anything is
+   served or appended. A header torn by a kill holds nothing and
+   starts the journal afresh. *)
+let slurp path = In_channel.with_open_bin path In_channel.input_all
+let spit path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+(* Flip one bit in the payload of [path]'s first line. *)
+let flip_first_line path =
+  let s = Bytes.of_string (slurp path) in
+  let i = Bytes.index s '\n' - 4 in
+  Bytes.set s i (Char.chr (Char.code (Bytes.get s i) lxor 1));
+  spit path (Bytes.to_string s)
+
+let test_damaged_or_foreign_rejected () =
+  let module Systematic = T11r_harness.Systematic in
+  let module Guided = T11r_harness.Guided in
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted a damaged or foreign journal" what
+    | exception Invalid_argument _ -> ()
+  in
+  let explore journal =
+    Systematic.explore ~max_runs:40 ~world_seed:7L ~seeds:(11L, 13L) ~journal
+      ~build:T11r_litmus.Registry.fig1.build ()
+  in
+  let cj = jpath () and sj = jpath () in
+  ignore (Campaign.run fig1_spec ~n:5 ~journal:cj []);
+  ignore (explore sj);
+  (* another engine's journal *)
+  rejects "Systematic.explore (campaign journal)" (fun () -> explore cj);
+  rejects "Campaign.run (systematic journal)" (fun () ->
+      Campaign.run fig1_spec ~n:5 ~journal:sj []);
+  (* a flipped byte in the first line, per engine *)
+  flip_first_line cj;
+  flip_first_line sj;
+  rejects "Campaign.run (flipped header)" (fun () ->
+      Campaign.run fig1_spec ~n:5 ~journal:cj []);
+  rejects "Campaign.journal_results (flipped header)" (fun () ->
+      Campaign.journal_results cj);
+  rejects "Systematic.explore (flipped header)" (fun () -> explore sj);
+  let dir = Filename.temp_file "t11r_corpus" "" in
+  Sys.remove dir;
+  let hunt () = Guided.hunt fig1_spec ~rounds:2 ~batch:4 ~corpus_dir:dir () in
+  ignore (hunt ());
+  flip_first_line (Filename.concat dir "corpus.journal");
+  rejects "Guided.hunt (flipped header)" hunt;
+  T11r_util.Tmp.rm_rf dir;
+  (* a header torn by a kill: accepted, and the run is a clean one *)
+  let header = List.hd (String.split_on_char '\n' (slurp cj)) in
+  spit cj (String.sub header 0 (String.length header / 2));
+  let clean = Campaign.run fig1_spec ~n:5 [] in
+  let resumed = Campaign.run fig1_spec ~n:5 ~journal:cj [] in
+  Alcotest.(check string) "torn header: digest = clean digest"
+    (Campaign.digest clean) (Campaign.digest resumed);
+  let entries, dropped = T11r_util.Journal.read cj in
+  Alcotest.(check int) "torn header: no damage left" 0 dropped;
+  Alcotest.(check int) "torn header: header + 5 runs" 6 (List.length entries);
+  List.iter Sys.remove [ cj; sj ]
+
 (* The real thing: SIGKILL a campaign mid-flight, then resume from its
    journal and reproduce the uninterrupted digest bit for bit. *)
 let test_sigkill_then_resume_digest () =
@@ -749,6 +809,8 @@ let () =
             test_resume_rejects_mismatched_campaign;
           Alcotest.test_case "stale schema rejected" `Quick
             test_stale_schema_rejected;
+          Alcotest.test_case "damaged or foreign journal rejected" `Quick
+            test_damaged_or_foreign_rejected;
           Alcotest.test_case "SIGKILL then resume = clean digest" `Quick
             test_sigkill_then_resume_digest;
         ] );

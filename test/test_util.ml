@@ -468,6 +468,153 @@ let test_journal_rejects_bad_kind () =
       Journal.append w { Journal.kind = "bad kind"; payload = "" });
   Journal.close w
 
+let slurp path = In_channel.with_open_bin path In_channel.input_all
+let spit path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+let payloads entries = List.map (fun e -> e.Journal.payload) entries
+
+let write_entries path entries =
+  let w = Journal.create path in
+  List.iter (fun (kind, payload) -> Journal.append w { Journal.kind; payload }) entries;
+  Journal.close w
+
+(* A resume that reopens a journal with a torn final line must not
+   append into it: the first new entry would merge with the torn
+   bytes and be lost on the next read. *)
+let test_journal_torn_tail_then_append () =
+  let path = jtmp () in
+  write_entries path [ ("k", "1"); ("k", "2"); ("k", "3") ];
+  let s = slurp path in
+  spit path (String.sub s 0 (String.length s - 7));
+  let w = Journal.create path in
+  Journal.append w { Journal.kind = "k"; payload = "4" };
+  Journal.append w { Journal.kind = "k"; payload = "5" };
+  Journal.close w;
+  let entries, dropped = Journal.read path in
+  check Alcotest.(list string) "no append swallowed" [ "1"; "2"; "4"; "5" ]
+    (payloads entries);
+  check Alcotest.int "only the torn line dropped" 1 dropped;
+  Sys.remove path
+
+(* -- the pinned-journal opener, one case per rule ------------------- *)
+
+let hdr = { Journal.kind = "hdr"; payload = "identity-1" }
+
+let open_hdr path =
+  Journal.open_pinned ~header:hdr ~payload:"item"
+    ~mismatch:(fun found -> "pinned by " ^ found)
+    path
+
+let mentions msg path =
+  let n = String.length path in
+  let rec go i = i + n <= String.length msg && (String.sub msg i n = path || go (i + 1)) in
+  go 0
+
+(* Refused with [Invalid_argument], and nothing written to the file. *)
+let refused ?(names_file = true) what path =
+  let before = slurp path in
+  (match open_hdr path with
+  | _ -> Alcotest.failf "%s: opened" what
+  | exception Invalid_argument msg ->
+      if names_file then
+        check Alcotest.bool (what ^ ": message names the file") true
+          (mentions msg path));
+  check Alcotest.string (what ^ ": file untouched") before (slurp path)
+
+let test_pinned_fresh () =
+  let path = jtmp () in
+  let w, items, dropped = open_hdr path in
+  Journal.close w;
+  check Alcotest.int "absent: nothing served" 0 (List.length items + dropped);
+  check Alcotest.(list string) "absent: header written" [ "identity-1" ]
+    (payloads (fst (Journal.read path)));
+  spit path "";
+  let w, items, _ = open_hdr path in
+  Journal.append w { Journal.kind = "item"; payload = "x" };
+  Journal.close w;
+  check Alcotest.int "empty: nothing served" 0 (List.length items);
+  check Alcotest.(list string) "empty: header, then the item"
+    [ "identity-1"; "x" ] (payloads (fst (Journal.read path)));
+  Sys.remove path
+
+let test_pinned_torn_header () =
+  let path = jtmp () in
+  write_entries path [ ("hdr", "identity-1") ];
+  let s = slurp path in
+  spit path (String.sub s 0 (String.length s / 2));
+  let w, items, dropped = open_hdr path in
+  Journal.append w { Journal.kind = "item"; payload = "x" };
+  Journal.close w;
+  check Alcotest.int "nothing served" 0 (List.length items + dropped);
+  let entries, dropped = Journal.read path in
+  check Alcotest.(list string) "torn header replaced, clean file"
+    [ "identity-1"; "x" ] (payloads entries);
+  check Alcotest.int "no damage left" 0 dropped;
+  Sys.remove path
+
+let test_pinned_first_line_damaged () =
+  let path = jtmp () in
+  write_entries path [ ("hdr", "identity-2"); ("item", "a") ];
+  let s = Bytes.of_string (slurp path) in
+  let i = String.index (Bytes.to_string s) '\n' - 4 in
+  Bytes.set s i (Char.chr (Char.code (Bytes.get s i) lxor 1));
+  spit path (Bytes.to_string s);
+  refused "flipped header" path;
+  spit path "# a README\n\nsome text\n";
+  refused "not a journal" path;
+  spit path "one line, no newline";
+  refused "one line of text" path;
+  Sys.remove path
+
+let test_pinned_foreign () =
+  let path = jtmp () in
+  write_entries path [ ("other", "id"); ("other-run", "a") ];
+  (match open_hdr path with
+  | _ -> Alcotest.fail "foreign journal opened"
+  | exception Invalid_argument msg ->
+      check Alcotest.string "named by kind"
+        (path ^ " is a other journal, not a hdr one")
+        msg);
+  refused "foreign journal" path;
+  Sys.remove path
+
+let test_pinned_mismatch () =
+  let path = jtmp () in
+  write_entries path [ ("hdr", "identity-2"); ("item", "a") ];
+  Alcotest.check_raises "engine's message" (Invalid_argument "pinned by identity-2")
+    (fun () -> ignore (open_hdr path));
+  refused ~names_file:false "other identity" path;
+  Sys.remove path
+
+let test_pinned_header_less () =
+  let path = jtmp () in
+  write_entries path [ ("item", "a"); ("item", "b") ];
+  let w, items, _ = open_hdr path in
+  Journal.close w;
+  check Alcotest.(list string) "items served" [ "a"; "b" ] (payloads items);
+  check Alcotest.(list string) "header appended" [ "a"; "b"; "identity-1" ]
+    (payloads (fst (Journal.read path)));
+  let w, items, _ = open_hdr path in
+  Journal.close w;
+  check Alcotest.(list string) "reopens pinned" [ "a"; "b" ] (payloads items);
+  Sys.remove path
+
+let test_pinned_load_read_only () =
+  let path = jtmp () in
+  check Alcotest.(option string) "absent: no header" None
+    (let h, _, _ = Journal.load_pinned ~header:"hdr" ~payload:"item" path in h);
+  check Alcotest.bool "absent: not created" false (Sys.file_exists path);
+  write_entries path [ ("hdr", "identity-2"); ("item", "a") ];
+  let before = slurp path in
+  let h, items, _ = Journal.load_pinned ~header:"hdr" ~payload:"item" path in
+  check Alcotest.(option string) "header returned, not compared"
+    (Some "identity-2") h;
+  check Alcotest.(list string) "items" [ "a" ] (payloads items);
+  check Alcotest.string "nothing written" before (slurp path);
+  (match Journal.load_pinned ~header:"other" ~payload:"x" path with
+  | _ -> Alcotest.fail "foreign journal loaded"
+  | exception Invalid_argument _ -> ());
+  Sys.remove path
+
 let journal_fuzz_roundtrip =
   QCheck.Test.make ~name:"journal roundtrips arbitrary payload bytes" ~count:300
     raw_string_arb
@@ -610,6 +757,18 @@ let () =
             test_journal_corrupt_line_dropped;
           Alcotest.test_case "rejects bad kind" `Quick
             test_journal_rejects_bad_kind;
+          Alcotest.test_case "torn tail, then append" `Quick
+            test_journal_torn_tail_then_append;
+          Alcotest.test_case "pinned: fresh start" `Quick test_pinned_fresh;
+          Alcotest.test_case "pinned: torn header" `Quick test_pinned_torn_header;
+          Alcotest.test_case "pinned: first line damaged" `Quick
+            test_pinned_first_line_damaged;
+          Alcotest.test_case "pinned: foreign journal" `Quick test_pinned_foreign;
+          Alcotest.test_case "pinned: header mismatch" `Quick test_pinned_mismatch;
+          Alcotest.test_case "pinned: header-less snapshot" `Quick
+            test_pinned_header_less;
+          Alcotest.test_case "pinned: read-only load" `Quick
+            test_pinned_load_read_only;
           qtest journal_fuzz_roundtrip;
         ] );
       ( "tmp",
