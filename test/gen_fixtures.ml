@@ -91,8 +91,20 @@ let write_trace_fixture () =
   close_out oc;
   Printf.printf "wrote %s (%d events)\n" path (List.length r.Interp.events)
 
+(* Golden fingerprints of every workload's campaigns and of record →
+   replay pairs (see golden.ml) — the differential test an interpreter
+   refactor must pass unchanged. *)
+let write_golden () =
+  let path = Filename.concat fixtures_dir Golden.fixture_name in
+  let cases = Golden.cases () in
+  let oc = open_out_bin path in
+  List.iter (fun (key, d) -> Printf.fprintf oc "%s %s\n" key d) cases;
+  close_out oc;
+  Printf.printf "wrote %s (%d cases)\n" path (List.length cases)
+
 let () =
   if not (Sys.file_exists fixtures_dir) then Unix.mkdir fixtures_dir 0o755;
   record_demo ();
   write_digests ();
-  write_trace_fixture ()
+  write_trace_fixture ();
+  write_golden ()

@@ -6,7 +6,10 @@
    - fig1_demo/        a fig1 recording (queue strategy, fixed seeds,
                        TRACE included) — committed demo bytes;
    - campaign.digest   Campaign.digest of 300-run fig1 and mcs-lock
-                       campaigns (random strategy, jobs=1).
+                       campaigns (random strategy, jobs=1);
+   - interp.golden     golden.ml's cases: a short campaign of every
+                       workload under every configuration, and
+                       record/replay/resync pairs of three apps.
 
    The optimised build must (a) replay the committed demo with zero
    divergence, (b) re-record it byte-identically, and (c) reproduce
@@ -119,6 +122,32 @@ let test_campaign_aggregates () =
         [ 2; 3 ])
     (committed_digests ())
 
+(* Every case of golden.ml, recomputed and compared with the committed
+   fingerprints; a mismatch names each case that moved. *)
+let test_golden () =
+  let committed =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' (String.trim line) with
+        | [ key; d ] -> Some (key, d)
+        | _ -> None)
+      (String.split_on_char '\n'
+         (read_file (Filename.concat "fixtures" Golden.fixture_name)))
+  in
+  let current = Golden.cases () in
+  check
+    Alcotest.(list string)
+    "same golden cases" (List.map fst committed) (List.map fst current);
+  let moved =
+    List.filter_map
+      (fun (key, d) ->
+        match List.assoc_opt key committed with
+        | Some d' when d' = d -> None
+        | _ -> Some key)
+      current
+  in
+  check Alcotest.(list string) "golden cases that moved" [] moved
+
 let () =
   Alcotest.run "determinism"
     [
@@ -130,5 +159,7 @@ let () =
             test_rerecord_byte_identical;
           Alcotest.test_case "campaign aggregates match pre-opt digests" `Quick
             test_campaign_aggregates;
+          Alcotest.test_case "interpreter golden: workloads x configs, replays"
+            `Quick test_golden;
         ] );
     ]
