@@ -270,16 +270,15 @@ let crash ctx t msg =
   t.pending <- None;
   if ctx.finished = None then ctx.finished <- Some (Crashed (t.tid, msg))
 
-let wake_joiners ctx t ~at =
+(* Re-enable every thread blocked for [reason] (a finished thread's
+   joiners, an unlocked rwlock's waiters). *)
+let wake_all ctx reason ~at =
   for i = 0 to ctx.next_tid - 1 do
     match ctx.tvec.(i) with
-    | Some w -> (
-        match w.status with
-        | Disabled (On_join tid) when tid = t.tid ->
-            w.status <- Ready;
-            w.arrival <- max w.arrival at
-        | _ -> ())
-    | None -> ()
+    | Some ({ status = Disabled r; _ } as w) when r = reason ->
+        w.status <- Ready;
+        w.arrival <- max w.arrival at
+    | _ -> ()
   done
 
 let fiber_handler ctx t ~on_return =
@@ -302,6 +301,11 @@ let arrival_jitter ctx =
   if ctx.conf.queue_jitter_us > 0 && not (is_replay ctx) then
     World.jitter ctx.world ctx.conf.queue_jitter_us
   else 0
+
+let fresh_obj ctx =
+  let id = ctx.next_obj in
+  ctx.next_obj <- id + 1;
+  id
 
 (* Run the thread's invisible requests inline until it parks on a
    visible request, finishes, or crashes. *)
@@ -333,18 +337,15 @@ and handle_invisible : type a.
   | Api.New_var (name, init) ->
       continue k { Api.v_var = Detector.fresh_var ctx.det ~name; v_val = init }
   | Api.New_mutex name ->
-      let id = ctx.next_obj in
-      ctx.next_obj <- id + 1;
+      let id = fresh_obj ctx in
       Hashtbl.replace ctx.mutexes id { owner = None; m_clock = Vclock.empty };
       continue k { Api.mu_id = id; mu_name = name }
   | Api.New_cond name ->
-      let id = ctx.next_obj in
-      ctx.next_obj <- id + 1;
+      let id = fresh_obj ctx in
       Hashtbl.replace ctx.conds id { c_clock = Vclock.empty };
       continue k { Api.cv_id = id; cv_name = name }
   | Api.New_rwlock name ->
-      let id = ctx.next_obj in
-      ctx.next_obj <- id + 1;
+      let id = fresh_obj ctx in
       Hashtbl.replace ctx.rwlocks id
         { rw_readers = []; rw_writer = None; rw_clock = Vclock.empty };
       continue k { Api.rw_id = id; rw_name = name }
@@ -371,8 +372,7 @@ and handle_invisible : type a.
       continue k ()
   | Api.Sleep ms ->
       (* Sleeping is not slowed by instrumentation. *)
-      t.ltime <- t.ltime + (ms * 1000);
-      t.invis_acc <- t.invis_acc + (ms * 1000);
+      spend (ms * 1000);
       continue k ()
   | Api.Self -> continue k t.tid
   | Api.Now -> continue k t.ltime
@@ -445,7 +445,7 @@ let new_thread ctx ~name ~parent_st ~at body =
   let on_return () =
     t.status <- Done;
     t.pending <- None;
-    wake_joiners ctx t ~at:t.ltime
+    wake_all ctx (On_join t.tid) ~at:t.ltime
   in
   start_fiber ctx t body ~on_return;
   pump ctx t;
@@ -504,49 +504,36 @@ let poll_env_signals ctx =
     done
   end
 
+(* Replay mode: take the recorded signals [due] selects off the stream
+   and deliver each to its victim. *)
+let deliver_recorded_signals ctx due =
+  let mine, rest = List.partition due ctx.rep_signals in
+  ctx.rep_signals <- rest;
+  List.iter
+    (fun (s : Demo.signal_entry) ->
+      match thread_opt ctx s.s_tid with
+      | Some t -> deliver_signal ctx t s.s_signo
+      | None ->
+          (* Resync: drop the undeliverable signal. *)
+          diverge ctx ~tid:s.s_tid ~site:"SIGNAL"
+            ~expected:(Printf.sprintf "thread %d to deliver signal %d to"
+                         s.s_tid s.s_signo)
+            ~actual:"no such thread")
+    mine
+
 (* Replay mode: deliver recorded signals pinned to the critical section
    [tid] just completed at [tickno] ("the signal floats to the end of
    Tick()", Fig. 6). *)
 let replay_signals_after_cs ctx ~tickno ~tid =
-  if is_replay ctx then begin
-    let mine, rest =
-      List.partition
-        (fun (s : Demo.signal_entry) -> s.s_tick = tickno && s.s_tid = tid)
-        ctx.rep_signals
-    in
-    ctx.rep_signals <- rest;
-    List.iter
-      (fun (s : Demo.signal_entry) ->
-        match thread_opt ctx s.s_tid with
-        | Some t -> deliver_signal ctx t s.s_signo
-        | None ->
-            (* Resync: drop the undeliverable signal. *)
-            diverge ctx ~tid:s.s_tid ~site:"SIGNAL"
-              ~expected:(Printf.sprintf "thread %d to deliver signal %d to"
-                           s.s_tid s.s_signo)
-              ~actual:"no such thread")
-      mine
-  end
+  if is_replay ctx then
+    deliver_recorded_signals ctx (fun (s : Demo.signal_entry) ->
+        s.s_tick = tickno && s.s_tid = tid)
 
 (* Replay mode: signals recorded before their victim's first critical
    section carry tick -1 and are delivered up front. *)
 let replay_initial_signals ctx =
-  if is_replay ctx then begin
-    let initial, rest =
-      List.partition (fun (s : Demo.signal_entry) -> s.s_tick = -1) ctx.rep_signals
-    in
-    ctx.rep_signals <- rest;
-    List.iter
-      (fun (s : Demo.signal_entry) ->
-        match thread_opt ctx s.s_tid with
-        | Some t -> deliver_signal ctx t s.s_signo
-        | None ->
-            diverge ctx ~tid:s.s_tid ~site:"SIGNAL"
-              ~expected:(Printf.sprintf "thread %d to deliver signal %d to"
-                           s.s_tid s.s_signo)
-              ~actual:"no such thread")
-      initial
-  end
+  if is_replay ctx then
+    deliver_recorded_signals ctx (fun (s : Demo.signal_entry) -> s.s_tick = -1)
 
 (* ------------------------------------------------------------------ *)
 (* Strategies                                                           *)
@@ -770,9 +757,7 @@ let pick_guided ctx ~prefix ~observed =
    called [fill_ready] and found it non-empty). *)
 let pick_thread ctx =
   match ctx.conf.sched with
-  | Conf.Os_model ->
-      let t = rget ctx (fifo_best ctx ~arrived_only:false) in
-      t
+  | Conf.Os_model -> rget ctx (fifo_best ctx ~arrived_only:false)
   | Conf.Controlled Conf.Random -> pick_random ctx
   | Conf.Controlled (Conf.Pct _) -> pick_pct ctx
   | Conf.Controlled Conf.Queue -> pick_queue ctx
@@ -883,59 +868,104 @@ let exec_syscall ctx t ~now (r : Syscall.request) : Syscall.result =
 
 let mstate ctx (m : Api.mutex) = Hashtbl.find ctx.mutexes m.Api.mu_id
 let cstate ctx (c : Api.cond) = Hashtbl.find ctx.conds c.Api.cv_id
+let rwstate ctx (l : Api.rwlock) = Hashtbl.find ctx.rwlocks l.Api.rw_id
+
+(* The one waiter a wakeup picks among [ws] (creation order): the
+   longest-disabled one under the FIFO-flavoured models, a PRNG draw
+   otherwise. *)
+let pick_waiter ctx = function
+  | [] -> None
+  | w :: rest as ws -> (
+      match ctx.conf.sched with
+      | Conf.Controlled (Conf.Queue | Conf.Delay_bounded _) | Conf.Os_model ->
+          Some
+            (List.fold_left
+               (fun b t ->
+                 if (t.disabled_at, t.tid) < (b.disabled_at, b.tid) then t
+                 else b)
+               w rest)
+      | _ -> Some (List.nth ws (draw_pick ctx (List.length ws))))
 
 let mutex_waiters ctx mid =
   List.filter
     (fun t -> match t.status with Disabled (On_mutex m) -> m = mid | _ -> false)
     (threads_in_order ctx)
 
-(* Wake one thread blocked on mutex [mid] (MutexUnlock of §3.2). The
-   choice follows the strategy: FIFO for queue, PRNG otherwise. *)
-let wake_one_mutex_waiter ctx mid ~at =
-  match mutex_waiters ctx mid with
-  | [] -> ()
-  | ws ->
-      let t =
-        match ctx.conf.sched with
-        | Conf.Controlled (Conf.Queue | Conf.Delay_bounded _) | Conf.Os_model
-          ->
-            Option.get
-              (List.fold_left
-                 (fun acc t ->
-                   match acc with
-                   | None -> Some t
-                   | Some b ->
-                       if (t.disabled_at, t.tid) < (b.disabled_at, b.tid) then
-                         Some t
-                       else Some b)
-                 None ws)
-        | _ -> List.nth ws (draw_pick ctx (List.length ws))
-      in
-      t.status <- Ready;
-      t.arrival <- max t.arrival at
-
-let acquire_mutex ctx t (m : Api.mutex) =
-  let ms = mstate ctx m in
-  ms.owner <- Some t.tid;
-  if ctx.dec_on then ctx.dec_lock <- Decision.L_acquire m.Api.mu_id;
-  if Coverage.enabled ctx.cov then
-    Coverage.mark ctx.cov (Coverage.site_edge ~tid:t.tid ~obj:m.Api.mu_id);
+(* The acquire step shared by every lock-like op: decision capture, the
+   coverage edge ([~edge:false] for the condvar relock, which marks
+   none), the clock join and the lock-order graph. *)
+let note_acquire ctx t ~id ~name clock ~edge =
+  if ctx.dec_on then ctx.dec_lock <- Decision.L_acquire id;
+  if edge && Coverage.enabled ctx.cov then
+    Coverage.mark ctx.cov (Coverage.site_edge ~tid:t.tid ~obj:id);
   if ctx.conf.race_detection then begin
-    Tstate.acquire t.tst ms.m_clock;
-    Lockorder.acquired ctx.lockorder ~tid:t.tid ~lock:m.Api.mu_id
-      ~name:m.Api.mu_name
+    Tstate.acquire t.tst clock;
+    Lockorder.acquired ctx.lockorder ~tid:t.tid ~lock:id ~name
   end
 
+(* The release step shared by mutex unlock, rwlock unlock and condvar
+   signal/broadcast: the object's clock absorbs the releasing thread's,
+   which then ticks. Returns the object's new clock. *)
+let release_clock ctx t clock =
+  if ctx.conf.race_detection then begin
+    let clock = Vclock.join clock (Tstate.clock t.tst) in
+    Tstate.tick t.tst;
+    clock
+  end
+  else clock
+
+(* [release_clock] plus decision capture and the lock-order graph, for
+   the two lock families. *)
+let note_release ctx t ~id clock =
+  if ctx.dec_on then ctx.dec_lock <- Decision.L_release id;
+  let clock = release_clock ctx t clock in
+  if ctx.conf.race_detection then
+    Lockorder.released ctx.lockorder ~tid:t.tid ~lock:id;
+  clock
+
+(* One attempt at each lock family — the shape both the try op and the
+   blocking op (Fig. 4's trylock loop) run: take the lock and return
+   [true] when it is free. *)
+let try_mutex ctx t (m : Api.mutex) ~edge =
+  let ms = mstate ctx m in
+  ms.owner = None
+  && begin
+       ms.owner <- Some t.tid;
+       note_acquire ctx t ~id:m.Api.mu_id ~name:m.Api.mu_name ms.m_clock ~edge;
+       true
+     end
+
+let try_rwlock ctx t (l : Api.rwlock) ~write =
+  let rw = rwstate ctx l in
+  (rw.rw_writer = None && ((not write) || rw.rw_readers = []))
+  && begin
+       if write then rw.rw_writer <- Some t.tid
+       else rw.rw_readers <- t.tid :: rw.rw_readers;
+       note_acquire ctx t ~id:l.Api.rw_id ~name:l.Api.rw_name rw.rw_clock
+         ~edge:true;
+       true
+     end
+
+(* MutexUnlock of §3.2: release, then wake one waiter. *)
 let release_mutex ctx t (m : Api.mutex) ~at =
   let ms = mstate ctx m in
   ms.owner <- None;
-  if ctx.dec_on then ctx.dec_lock <- Decision.L_release m.Api.mu_id;
-  if ctx.conf.race_detection then begin
-    ms.m_clock <- Vclock.join ms.m_clock (Tstate.clock t.tst);
-    Tstate.tick t.tst;
-    Lockorder.released ctx.lockorder ~tid:t.tid ~lock:m.Api.mu_id
-  end;
-  wake_one_mutex_waiter ctx m.Api.mu_id ~at
+  ms.m_clock <- note_release ctx t ~id:m.Api.mu_id ms.m_clock;
+  match pick_waiter ctx (mutex_waiters ctx m.Api.mu_id) with
+  | Some w ->
+      w.status <- Ready;
+      w.arrival <- max w.arrival at
+  | None -> ()
+
+(* Reader-writer unlock re-enables every waiter: they race for the lock
+   again, as in Fig. 4's loop. *)
+let rw_unlock ctx t (l : Api.rwlock) ~at =
+  let rw = rwstate ctx l in
+  (match rw.rw_writer with
+  | Some tid when tid = t.tid -> rw.rw_writer <- None
+  | _ -> rw.rw_readers <- List.filter (fun tid -> tid <> t.tid) rw.rw_readers);
+  rw.rw_clock <- note_release ctx t ~id:l.Api.rw_id rw.rw_clock;
+  wake_all ctx (On_rwlock l.Api.rw_id) ~at
 
 (* Threads waiting on condvar [cid]: disabled untimed waiters plus
    enabled timed waiters still in their waiting stage. *)
@@ -961,61 +991,6 @@ let wake_cond_waiter ctx t ~at ~(signaller_clock : Vclock.t) =
       t.status <- Ready;
       t.arrival <- max t.arrival at
   | _ -> ()
-
-(* Reader-writer locks: blocked acquisitions retry; unlock re-enables
-   every waiter (they race for the lock again, as in Fig. 4's loop). *)
-
-let rwstate ctx (l : Api.rwlock) = Hashtbl.find ctx.rwlocks l.Api.rw_id
-
-let rw_can_read rw = rw.rw_writer = None
-let rw_can_write rw = rw.rw_writer = None && rw.rw_readers = []
-
-let rw_acquire_read ctx t (l : Api.rwlock) rw =
-  rw.rw_readers <- t.tid :: rw.rw_readers;
-  if ctx.dec_on then ctx.dec_lock <- Decision.L_acquire l.Api.rw_id;
-  if Coverage.enabled ctx.cov then
-    Coverage.mark ctx.cov (Coverage.site_edge ~tid:t.tid ~obj:l.Api.rw_id);
-  if ctx.conf.race_detection then begin
-    Tstate.acquire t.tst rw.rw_clock;
-    Lockorder.acquired ctx.lockorder ~tid:t.tid ~lock:l.Api.rw_id
-      ~name:l.Api.rw_name
-  end
-
-let rw_acquire_write ctx t (l : Api.rwlock) rw =
-  rw.rw_writer <- Some t.tid;
-  if ctx.dec_on then ctx.dec_lock <- Decision.L_acquire l.Api.rw_id;
-  if Coverage.enabled ctx.cov then
-    Coverage.mark ctx.cov (Coverage.site_edge ~tid:t.tid ~obj:l.Api.rw_id);
-  if ctx.conf.race_detection then begin
-    Tstate.acquire t.tst rw.rw_clock;
-    Lockorder.acquired ctx.lockorder ~tid:t.tid ~lock:l.Api.rw_id
-      ~name:l.Api.rw_name
-  end
-
-let rw_wake_all ctx lid ~at =
-  for i = 0 to ctx.next_tid - 1 do
-    match ctx.tvec.(i) with
-    | Some w -> (
-        match w.status with
-        | Disabled (On_rwlock l) when l = lid ->
-            w.status <- Ready;
-            w.arrival <- max w.arrival at
-        | _ -> ())
-    | None -> ()
-  done
-
-let rw_unlock ctx t (l : Api.rwlock) ~at =
-  let rw = rwstate ctx l in
-  if ctx.dec_on then ctx.dec_lock <- Decision.L_release l.Api.rw_id;
-  (match rw.rw_writer with
-  | Some tid when tid = t.tid -> rw.rw_writer <- None
-  | _ -> rw.rw_readers <- List.filter (fun tid -> tid <> t.tid) rw.rw_readers);
-  if ctx.conf.race_detection then begin
-    rw.rw_clock <- Vclock.join rw.rw_clock (Tstate.clock t.tst);
-    Tstate.tick t.tst;
-    Lockorder.released ctx.lockorder ~tid:t.tid ~lock:l.Api.rw_id
-  end;
-  rw_wake_all ctx l.Api.rw_id ~at
 
 (* ------------------------------------------------------------------ *)
 (* Critical sections                                                    *)
@@ -1044,9 +1019,15 @@ let block ctx t reason =
   t.status <- Disabled reason;
   t.disabled_at <- ctx.tick
 
-(* Advance clocks for one critical section; returns its finish time.
-   (The start time is only needed by the syscall path — see
-   [cs_timing_syscall] — so the common path returns a bare int.) *)
+(* A critical section whose op could not proceed (a lock attempt that
+   found the lock taken, a join on a live thread): log it as [label]
+   and park the thread. *)
+let fail_cs ctx t label fin reason =
+  note_cs ctx t label fin;
+  block ctx t reason
+
+(* Advance clocks for one critical section; returns its finish time
+   (its start is left in [ctx.last_cs_start]). *)
 let cs_timing ?(syscall = false) ctx t ~recorded =
   let conf = ctx.conf in
   let base = if syscall then conf.vis_cost_syscall else conf.vis_cost in
@@ -1065,13 +1046,6 @@ let cs_timing ?(syscall = false) ctx t ~recorded =
   t.ltime <- fin;
   t.invis_acc <- 0;
   fin
-
-let cs_timing_syscall ctx t ~recorded =
-  let fin = cs_timing ~syscall:true ctx t ~recorded in
-  let cost =
-    ctx.conf.vis_cost_syscall + if recorded then ctx.conf.record_cost else 0
-  in
-  (fin - cost, fin)
 
 (* After a thread leaves a critical section in queue replay, it learns
    the tick of its next scheduling from the recorded list (§4.2). *)
@@ -1109,7 +1083,7 @@ let exec_signal_entry ctx t =
             t.arrival <- max t.arrival t.ltime
         | [] ->
             t.status <- Done;
-            wake_joiners ctx t ~at:t.ltime
+            wake_all ctx (On_join t.tid) ~at:t.ltime
       in
       start_fiber ctx t f ~on_return
   | None -> (
@@ -1134,22 +1108,31 @@ let finish_cs : type a.
 (* Relock stage of a conditional wait (Fig. 5): one trylock per
    critical section. *)
 let lock_attempt ctx t (k : (Api.timeout_result, unit) continuation) cw fin =
-  let ms = Hashtbl.find ctx.mutexes cw.cw_mutex in
-  if ms.owner = None then begin
-    ms.owner <- Some t.tid;
-    if ctx.dec_on then ctx.dec_lock <- Decision.L_acquire cw.cw_mutex;
-    if ctx.conf.race_detection then begin
-      Tstate.acquire t.tst ms.m_clock;
-      Lockorder.acquired ctx.lockorder ~tid:t.tid ~lock:cw.cw_mutex
-        ~name:"cond-mutex"
-    end;
+  if
+    try_mutex ctx t
+      { Api.mu_id = cw.cw_mutex; mu_name = "cond-mutex" }
+      ~edge:false
+  then begin
     let result = cw.cw_result in
     t.cwait <- None;
     finish_cs ctx t k "cond_relock" (max fin t.ltime) result
   end
-  else begin
-    note_cs ctx t "cond_relock_fail" fin;
-    block ctx t (On_mutex cw.cw_mutex)
+  else fail_cs ctx t "cond_relock_fail" fin (On_mutex cw.cw_mutex)
+
+(* A load or CAS just read a value older than the newest store:
+   surface it as a trace event and a coverage site. [since] is the
+   memory's stale-read count before the op. *)
+let note_stale_read ctx t (a : Api.atomic) ~since =
+  if
+    (Trace.enabled ctx.obs || Coverage.enabled ctx.cov)
+    && Atomics.stale_reads ctx.mem > since
+  then begin
+    if Trace.enabled ctx.obs then
+      Trace.emit ctx.obs Trace.Stale_read ~tick:ctx.tick ~tid:t.tid
+        ~label:(Atomics.loc_name a.Api.a_loc) ~ts:ctx.last_cs_start ~dur:0;
+    if Coverage.enabled ctx.cov then
+      Coverage.mark ctx.cov
+        (Coverage.site_stale ~tid:t.tid ~var:(Atomics.loc_name a.Api.a_loc))
   end
 
 (* Dependency footprint of the visible operation thread [t] is about
@@ -1192,7 +1175,176 @@ let footprint_of_next ctx t : Decision.footprint =
         | Api.Set_signal_handler _ | Api.Raise_sync _ -> F_global
         | _ -> F_local)
 
-(* Execute one critical section for thread [t]. *)
+(* Run the visible operation [r] of thread [t], whose critical section
+   [exec_cs] has already timed to finish at [fin]. *)
+let exec_op : type a.
+    ctx -> thread -> a Api.req -> (a, unit) continuation -> int -> unit =
+ fun ctx t r k fin ->
+  let label = Api.req_label r in
+  match r with
+  | Api.A_load (a, mo) ->
+      let since = Atomics.stale_reads ctx.mem in
+      let v = Atomics.load ctx.mem a.Api.a_loc t.tst mo ~choose:ctx.choose in
+      note_stale_read ctx t a ~since;
+      finish_cs ctx t k label fin v
+  | Api.A_store (a, mo, v) ->
+      Atomics.store ctx.mem a.Api.a_loc t.tst mo v;
+      finish_cs ctx t k label fin ()
+  | Api.A_rmw (a, mo, f) ->
+      let old = Atomics.rmw ctx.mem a.Api.a_loc t.tst mo f in
+      finish_cs ctx t k label fin old
+  | Api.A_cas (a, success, failure, expected, desired) ->
+      let since = Atomics.stale_reads ctx.mem in
+      let res =
+        Atomics.cas ctx.mem a.Api.a_loc t.tst ~success ~failure ~expected
+          ~desired ~choose:ctx.choose
+      in
+      note_stale_read ctx t a ~since;
+      finish_cs ctx t k label fin res
+  | Api.Fence mo ->
+      Atomics.fence ctx.mem t.tst mo;
+      finish_cs ctx t k label fin ()
+  (* Fig. 4: a blocking lock is a trylock loop; each failed attempt is
+     its own critical section and disables the thread. *)
+  | Api.Mutex_trylock m ->
+      finish_cs ctx t k label fin (try_mutex ctx t m ~edge:true)
+  | Api.Mutex_lock m ->
+      if try_mutex ctx t m ~edge:true then finish_cs ctx t k label fin ()
+      else fail_cs ctx t "mutex_lock_fail" fin (On_mutex m.Api.mu_id)
+  | Api.Mutex_unlock m ->
+      release_mutex ctx t m ~at:fin;
+      finish_cs ctx t k label fin ()
+  | Api.Rw_tryrdlock l ->
+      finish_cs ctx t k label fin (try_rwlock ctx t l ~write:false)
+  | Api.Rw_rdlock l ->
+      if try_rwlock ctx t l ~write:false then finish_cs ctx t k label fin ()
+      else fail_cs ctx t "rw_rdlock_fail" fin (On_rwlock l.Api.rw_id)
+  | Api.Rw_trywrlock l ->
+      finish_cs ctx t k label fin (try_rwlock ctx t l ~write:true)
+  | Api.Rw_wrlock l ->
+      if try_rwlock ctx t l ~write:true then finish_cs ctx t k label fin ()
+      else fail_cs ctx t "rw_wrlock_fail" fin (On_rwlock l.Api.rw_id)
+  | Api.Rw_unlock l ->
+      rw_unlock ctx t l ~at:fin;
+      finish_cs ctx t k label fin ()
+  | Api.Cond_wait (c, m, timeout_ms) -> (
+      match t.cwait with
+      | None ->
+          (* Fig. 5, first critical section: mark waiting, unlock
+             the mutex, then (in later CSs) reacquire. *)
+          note_cs ctx t label fin;
+          let cw =
+            {
+              cw_cond = c.Api.cv_id;
+              cw_mutex = m.Api.mu_id;
+              cw_expiry =
+                Option.map (fun ms_ -> t.ltime + (ms_ * 1000)) timeout_ms;
+              cw_stage = Cw_waiting;
+              cw_result = Api.Timed_out;
+            }
+          in
+          t.cwait <- Some cw;
+          release_mutex ctx t m ~at:fin;
+          (match timeout_ms with
+          | None -> block ctx t (On_cond c.Api.cv_id)
+          | Some _ ->
+              (* Timed waits stay enabled (§3.2): the timer is
+                 nondeterministic from the logical scheduler's
+                 point of view. *)
+              t.arrival <-
+                (match cw.cw_expiry with Some e -> e | None -> t.ltime))
+      | Some cw ->
+          (if cw.cw_stage = Cw_waiting then begin
+             (* Scheduled while still waiting: the timer fired. *)
+             cw.cw_stage <- Cw_relock;
+             cw.cw_result <- Api.Timed_out;
+             match cw.cw_expiry with
+             | Some e -> t.ltime <- max t.ltime e
+             | None -> ()
+           end);
+          lock_attempt ctx t k cw fin)
+  | Api.Cond_signal c ->
+      let cs = cstate ctx c in
+      cs.c_clock <- release_clock ctx t cs.c_clock;
+      (match pick_waiter ctx (cond_waiters ctx c.Api.cv_id) with
+      | Some w -> wake_cond_waiter ctx w ~at:fin ~signaller_clock:cs.c_clock
+      | None -> ());
+      finish_cs ctx t k label fin ()
+  | Api.Cond_broadcast c ->
+      let cs = cstate ctx c in
+      cs.c_clock <- release_clock ctx t cs.c_clock;
+      List.iter
+        (fun w -> wake_cond_waiter ctx w ~at:fin ~signaller_clock:cs.c_clock)
+        (cond_waiters ctx c.Api.cv_id);
+      finish_cs ctx t k label fin ()
+  | Api.Spawn (name, body) ->
+      note_cs ctx t label fin;
+      let child = new_thread ctx ~name ~parent_st:(Some t.tst) ~at:fin body in
+      t.pending <- None;
+      continue k child.tid;
+      pump ctx t
+  | Api.Join target -> (
+      match thread_opt ctx target with
+      | None -> finish_cs ctx t k label fin ()
+      | Some child -> (
+          match child.status with
+          | Done | Dead _ ->
+              (* join edges live in the edge family, negated so
+                 child tids don't collide with lock ids *)
+              if Coverage.enabled ctx.cov then
+                Coverage.mark ctx.cov
+                  (Coverage.site_edge ~tid:t.tid ~obj:(lnot target));
+              if ctx.conf.race_detection then
+                Tstate.acquire t.tst (Tstate.clock child.tst);
+              t.ltime <- max t.ltime child.ltime;
+              finish_cs ctx t k label (max fin child.ltime) ()
+          | _ -> fail_cs ctx t "join_wait" fin (On_join target)))
+  | Api.Syscall req ->
+      let start = ctx.last_cs_start in
+      let res = exec_syscall ctx t ~now:start req in
+      if Trace.enabled ctx.obs then begin
+        let f = World.faults_injected ctx.world in
+        if f > ctx.faults_seen then begin
+          ctx.faults_seen <- f;
+          Trace.emit ctx.obs Trace.Fault ~tick:ctx.tick ~tid:t.tid
+            ~label:(Syscall.kind_to_string req.Syscall.kind) ~ts:start ~dur:0
+        end
+      end;
+      (* Blocking time accrues outside the critical section (§4.4:
+         only the SYSCALL-file interaction is inside it). *)
+      t.ltime <- fin + res.Syscall.elapsed;
+      finish_cs ctx t k label fin res
+  | Api.Set_signal_handler (signo, f) ->
+      Hashtbl.replace ctx.handlers signo f;
+      finish_cs ctx t k label fin ()
+  | Api.Raise_sync signo -> (
+      (* Synchronous signal: the handler runs right here, at this
+         program point, in both record and replay — nothing is
+         captured (§4.3: it "should reoccur at the same point
+         without the help of our tool"). The raise is the visible
+         op; the handler's own visible ops become further critical
+         sections, and when its fiber returns the raising thread
+         resumes just after the raise. *)
+      note_cs ctx t label fin;
+      t.pending <- None;
+      match Hashtbl.find_opt ctx.handlers signo with
+      | None ->
+          crash ctx t (Printf.sprintf "unhandled synchronous signal %d" signo)
+      | Some f ->
+          let on_return () =
+            t.arrival <- max t.arrival t.ltime;
+            continue k ()
+          in
+          start_fiber ctx t f ~on_return;
+          pump ctx t)
+  | Api.New_atomic _ | Api.New_var _ | Api.New_mutex _ | Api.New_cond _
+  | Api.New_rwlock _ | Api.Var_load _ | Api.Var_store _ | Api.Work _
+  | Api.Work_mem _ | Api.Sleep _ | Api.Self | Api.Now | Api.Alloc _ ->
+      assert false
+
+(* Execute one critical section for thread [t]: time it, then run its
+   op. A syscall's critical section costs [vis_cost_syscall], plus
+   [record_cost] when its result goes into the demo. *)
 let exec_cs ctx t =
   if t.sigq <> [] then exec_signal_entry ctx t
   else begin
@@ -1202,292 +1354,21 @@ let exec_cs ctx t =
        Unsupported_run) end the run outright, so a stale [cur] can't be
        observed; the happy path restores it below. *)
     (match t.pending with
-        | None ->
-            hard ctx (Printf.sprintf "thread %d scheduled with no request" t.tid)
-        | Some (P ((Api.A_load (a, mo)) as r, k)) ->
-            let fin = cs_timing ctx t ~recorded:false in
-            let sr0 = Atomics.stale_reads ctx.mem in
-            let v =
-              Atomics.load ctx.mem a.Api.a_loc t.tst mo ~choose:ctx.choose
-            in
-            if
-              (Trace.enabled ctx.obs || Coverage.enabled ctx.cov)
-              && Atomics.stale_reads ctx.mem > sr0
-            then begin
-              if Trace.enabled ctx.obs then
-                Trace.emit ctx.obs Trace.Stale_read ~tick:ctx.tick ~tid:t.tid
-                  ~label:(Atomics.loc_name a.Api.a_loc) ~ts:ctx.last_cs_start
-                  ~dur:0;
-              if Coverage.enabled ctx.cov then
-                Coverage.mark ctx.cov
-                  (Coverage.site_stale ~tid:t.tid
-                     ~var:(Atomics.loc_name a.Api.a_loc))
-            end;
-            finish_cs ctx t k (Api.req_label r) fin v
-        | Some (P ((Api.A_store (a, mo, v)) as r, k)) ->
-            let fin = cs_timing ctx t ~recorded:false in
-            Atomics.store ctx.mem a.Api.a_loc t.tst mo v;
-            finish_cs ctx t k (Api.req_label r) fin ()
-        | Some (P ((Api.A_rmw (a, mo, f)) as r, k)) ->
-            let fin = cs_timing ctx t ~recorded:false in
-            let old = Atomics.rmw ctx.mem a.Api.a_loc t.tst mo f in
-            finish_cs ctx t k (Api.req_label r) fin old
-        | Some (P ((Api.A_cas (a, succ, fail_, expected, desired)) as r, k)) ->
-            let fin = cs_timing ctx t ~recorded:false in
-            let sr0 = Atomics.stale_reads ctx.mem in
-            let res =
-              Atomics.cas ctx.mem a.Api.a_loc t.tst ~success:succ
-                ~failure:fail_ ~expected ~desired ~choose:ctx.choose
-            in
-            if
-              (Trace.enabled ctx.obs || Coverage.enabled ctx.cov)
-              && Atomics.stale_reads ctx.mem > sr0
-            then begin
-              if Trace.enabled ctx.obs then
-                Trace.emit ctx.obs Trace.Stale_read ~tick:ctx.tick ~tid:t.tid
-                  ~label:(Atomics.loc_name a.Api.a_loc) ~ts:ctx.last_cs_start
-                  ~dur:0;
-              if Coverage.enabled ctx.cov then
-                Coverage.mark ctx.cov
-                  (Coverage.site_stale ~tid:t.tid
-                     ~var:(Atomics.loc_name a.Api.a_loc))
-            end;
-            finish_cs ctx t k (Api.req_label r) fin res
-        | Some (P ((Api.Fence mo) as r, k)) ->
-            let fin = cs_timing ctx t ~recorded:false in
-            Atomics.fence ctx.mem t.tst mo;
-            finish_cs ctx t k (Api.req_label r) fin ()
-        | Some (P ((Api.Mutex_trylock m) as r, k)) ->
-            let fin = cs_timing ctx t ~recorded:false in
-            let ms = mstate ctx m in
-            if ms.owner = None then begin
-              acquire_mutex ctx t m;
-              finish_cs ctx t k (Api.req_label r) fin true
-            end
-            else finish_cs ctx t k (Api.req_label r) fin false
-        | Some (P ((Api.Mutex_lock m) as r, k)) ->
-            (* Fig. 4: a trylock loop; each failed attempt is its own
-               critical section and disables the thread. *)
-            let fin = cs_timing ctx t ~recorded:false in
-            let ms = mstate ctx m in
-            if ms.owner = None then begin
-              acquire_mutex ctx t m;
-              finish_cs ctx t k (Api.req_label r) fin ()
-            end
-            else begin
-              note_cs ctx t "mutex_lock_fail" fin;
-              block ctx t (On_mutex m.Api.mu_id)
-            end
-        | Some (P ((Api.Mutex_unlock m) as r, k)) ->
-            let fin = cs_timing ctx t ~recorded:false in
-            release_mutex ctx t m ~at:fin;
-            finish_cs ctx t k (Api.req_label r) fin ()
-        | Some (P ((Api.Rw_rdlock l) as r, k)) ->
-            let fin = cs_timing ctx t ~recorded:false in
-            let rw = rwstate ctx l in
-            if rw_can_read rw then begin
-              rw_acquire_read ctx t l rw;
-              finish_cs ctx t k (Api.req_label r) fin ()
-            end
-            else begin
-              note_cs ctx t "rw_rdlock_fail" fin;
-              block ctx t (On_rwlock l.Api.rw_id)
-            end
-        | Some (P ((Api.Rw_wrlock l) as r, k)) ->
-            let fin = cs_timing ctx t ~recorded:false in
-            let rw = rwstate ctx l in
-            if rw_can_write rw then begin
-              rw_acquire_write ctx t l rw;
-              finish_cs ctx t k (Api.req_label r) fin ()
-            end
-            else begin
-              note_cs ctx t "rw_wrlock_fail" fin;
-              block ctx t (On_rwlock l.Api.rw_id)
-            end
-        | Some (P ((Api.Rw_tryrdlock l) as r, k)) ->
-            let fin = cs_timing ctx t ~recorded:false in
-            let rw = rwstate ctx l in
-            if rw_can_read rw then begin
-              rw_acquire_read ctx t l rw;
-              finish_cs ctx t k (Api.req_label r) fin true
-            end
-            else finish_cs ctx t k (Api.req_label r) fin false
-        | Some (P ((Api.Rw_trywrlock l) as r, k)) ->
-            let fin = cs_timing ctx t ~recorded:false in
-            let rw = rwstate ctx l in
-            if rw_can_write rw then begin
-              rw_acquire_write ctx t l rw;
-              finish_cs ctx t k (Api.req_label r) fin true
-            end
-            else finish_cs ctx t k (Api.req_label r) fin false
-        | Some (P ((Api.Rw_unlock l) as r, k)) ->
-            let fin = cs_timing ctx t ~recorded:false in
-            rw_unlock ctx t l ~at:fin;
-            finish_cs ctx t k (Api.req_label r) fin ()
-        | Some (P ((Api.Cond_wait (c, m, timeout_ms)) as r, k)) -> (
-            match t.cwait with
-            | None ->
-                (* Fig. 5, first critical section: mark waiting, unlock
-                   the mutex, then (in later CSs) reacquire. *)
-                let fin = cs_timing ctx t ~recorded:false in
-                note_cs ctx t (Api.req_label r) fin;
-                let cw =
-                  {
-                    cw_cond = c.Api.cv_id;
-                    cw_mutex = m.Api.mu_id;
-                    cw_expiry =
-                      Option.map (fun ms_ -> t.ltime + (ms_ * 1000)) timeout_ms;
-                    cw_stage = Cw_waiting;
-                    cw_result = Api.Timed_out;
-                  }
-                in
-                t.cwait <- Some cw;
-                release_mutex ctx t m ~at:fin;
-                (match timeout_ms with
-                | None -> block ctx t (On_cond c.Api.cv_id)
-                | Some _ ->
-                    (* Timed waits stay enabled (§3.2): the timer is
-                       nondeterministic from the logical scheduler's
-                       point of view. *)
-                    t.arrival <-
-                      (match cw.cw_expiry with Some e -> e | None -> t.ltime))
-            | Some cw ->
-                let fin = cs_timing ctx t ~recorded:false in
-                (if cw.cw_stage = Cw_waiting then begin
-                   (* Scheduled while still waiting: the timer fired. *)
-                   cw.cw_stage <- Cw_relock;
-                   cw.cw_result <- Api.Timed_out;
-                   match cw.cw_expiry with
-                   | Some e -> t.ltime <- max t.ltime e
-                   | None -> ()
-                 end);
-                lock_attempt ctx t k cw fin)
-        | Some (P ((Api.Cond_signal c) as r, k)) ->
-            let fin = cs_timing ctx t ~recorded:false in
-            let cs = cstate ctx c in
-            if ctx.conf.race_detection then begin
-              cs.c_clock <- Vclock.join cs.c_clock (Tstate.clock t.tst);
-              Tstate.tick t.tst
-            end;
-            (match cond_waiters ctx c.Api.cv_id with
-            | [] -> ()
-            | ws ->
-                let w =
-                  match ctx.conf.sched with
-                  | Conf.Controlled (Conf.Queue | Conf.Delay_bounded _)
-                  | Conf.Os_model ->
-                      Option.get
-                        (List.fold_left
-                           (fun acc x ->
-                             match acc with
-                             | None -> Some x
-                             | Some b ->
-                                 if
-                                   (x.disabled_at, x.tid)
-                                   < (b.disabled_at, b.tid)
-                                 then Some x
-                                 else Some b)
-                           None ws)
-                  | _ -> List.nth ws (draw_pick ctx (List.length ws))
-                in
-                wake_cond_waiter ctx w ~at:fin ~signaller_clock:cs.c_clock);
-            finish_cs ctx t k (Api.req_label r) fin ()
-        | Some (P ((Api.Cond_broadcast c) as r, k)) ->
-            let fin = cs_timing ctx t ~recorded:false in
-            let cs = cstate ctx c in
-            if ctx.conf.race_detection then begin
-              cs.c_clock <- Vclock.join cs.c_clock (Tstate.clock t.tst);
-              Tstate.tick t.tst
-            end;
-            List.iter
-              (fun w ->
-                wake_cond_waiter ctx w ~at:fin ~signaller_clock:cs.c_clock)
-              (cond_waiters ctx c.Api.cv_id);
-            finish_cs ctx t k (Api.req_label r) fin ()
-        | Some (P ((Api.Spawn (name, body)) as r, k)) ->
-            let fin = cs_timing ctx t ~recorded:false in
-            note_cs ctx t (Api.req_label r) fin;
-            let child =
-              new_thread ctx ~name ~parent_st:(Some t.tst) ~at:fin body
-            in
-            t.pending <- None;
-            continue k child.tid;
-            pump ctx t
-        | Some (P ((Api.Join target) as r, k)) -> (
-            let fin = cs_timing ctx t ~recorded:false in
-            match thread_opt ctx target with
-            | None -> finish_cs ctx t k (Api.req_label r) fin ()
-            | Some child -> (
-                match child.status with
-                | Done | Dead _ ->
-                    (* join edges live in the edge family, negated so
-                       child tids don't collide with lock ids *)
-                    if Coverage.enabled ctx.cov then
-                      Coverage.mark ctx.cov
-                        (Coverage.site_edge ~tid:t.tid ~obj:(lnot target));
-                    if ctx.conf.race_detection then
-                      Tstate.acquire t.tst (Tstate.clock child.tst);
-                    t.ltime <- max t.ltime child.ltime;
-                    finish_cs ctx t k (Api.req_label r) (max fin child.ltime) ()
-                | _ ->
-                    note_cs ctx t "join_wait" fin;
-                    block ctx t (On_join target)))
-        | Some (P ((Api.Syscall req) as r, k)) ->
-            let recorded =
-              Policy.should_record ctx.conf.policy
-                ~fd_class:(fd_class ctx req.Syscall.fd)
-                req
-              && ctx.conf.mode <> Conf.Free
-            in
-            let start, fin = cs_timing_syscall ctx t ~recorded in
-            let res = exec_syscall ctx t ~now:start req in
-            if Trace.enabled ctx.obs then begin
-              let f = World.faults_injected ctx.world in
-              if f > ctx.faults_seen then begin
-                ctx.faults_seen <- f;
-                Trace.emit ctx.obs Trace.Fault ~tick:ctx.tick ~tid:t.tid
-                  ~label:(Syscall.kind_to_string req.Syscall.kind) ~ts:start
-                  ~dur:0
-              end
-            end;
-            (* Blocking time accrues outside the critical section (§4.4:
-               only the SYSCALL-file interaction is inside it). *)
-            t.ltime <- fin + res.Syscall.elapsed;
-            finish_cs ctx t k (Api.req_label r) fin res
-        | Some (P ((Api.Set_signal_handler (signo, f)) as r, k)) ->
-            let fin = cs_timing ctx t ~recorded:false in
-            Hashtbl.replace ctx.handlers signo f;
-            finish_cs ctx t k (Api.req_label r) fin ()
-        | Some (P ((Api.Raise_sync signo) as r, k)) -> (
-            (* Synchronous signal: the handler runs right here, at this
-               program point, in both record and replay — nothing is
-               captured (§4.3: it "should reoccur at the same point
-               without the help of our tool"). The raise is the visible
-               op; the handler's own visible ops become further critical
-               sections, and when its fiber returns the raising thread
-               resumes just after the raise. *)
-            let fin = cs_timing ctx t ~recorded:false in
-            note_cs ctx t (Api.req_label r) fin;
-            t.pending <- None;
-            match Hashtbl.find_opt ctx.handlers signo with
-            | None ->
-                crash ctx t
-                  (Printf.sprintf "unhandled synchronous signal %d" signo)
-            | Some f ->
-                let on_return () =
-                  t.arrival <- max t.arrival t.ltime;
-                  continue k ()
-                in
-                start_fiber ctx t f ~on_return;
-                pump ctx t)
-        | Some
-            (P
-               ( ( Api.New_atomic _ | Api.New_var _ | Api.New_mutex _
-                 | Api.New_cond _ | Api.New_rwlock _ | Api.Var_load _
-                 | Api.Var_store _ | Api.Work _ | Api.Work_mem _ | Api.Sleep _
-                 | Api.Self | Api.Now | Api.Alloc _ ),
-                 _ )) ->
-            assert false);
+    | None ->
+        hard ctx (Printf.sprintf "thread %d scheduled with no request" t.tid)
+    | Some (P (r, k)) ->
+        let fin =
+          match r with
+          | Api.Syscall req ->
+              cs_timing ~syscall:true ctx t
+                ~recorded:
+                  (Policy.should_record ctx.conf.policy
+                     ~fd_class:(fd_class ctx req.Syscall.fd)
+                     req
+                  && ctx.conf.mode <> Conf.Free)
+          | _ -> cs_timing ctx t ~recorded:false
+        in
+        exec_op ctx t r k fin);
     ctx.cur <- prev_cur
   end
 
@@ -1601,111 +1482,69 @@ let create_arena () =
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                            *)
 
-let make_ctx ?arena conf world replay_demo =
-  let program_seeds_override =
-    Option.map (fun d -> (d.Demo.meta.seed1, d.Demo.meta.seed2)) replay_demo
-  in
-  let seeds =
-    match program_seeds_override with
-    | Some _ as s -> s
-    | None -> conf.Conf.seeds
-  in
-  let rng =
-    match arena with
+let make_ctx arena conf world replay =
+  let s1, s2 =
+    match replay with
+    | Some d -> (d.Demo.meta.seed1, d.Demo.meta.seed2)
     | None -> (
-        match seeds with
-        | Some (s1, s2) -> Prng.create ~seed1:s1 ~seed2:s2
-        | None -> Prng.of_time ())
-    | Some a ->
-        let s1, s2 =
-          match seeds with
-          | Some (s1, s2) -> (s1, s2)
-          | None -> Prng.seeds (Prng.of_time ())
-        in
-        Prng.reseed a.a_rng ~seed1:s1 ~seed2:s2;
-        a.a_rng
+        match conf.Conf.seeds with
+        | Some seeds -> seeds
+        | None -> Prng.seeds (Prng.of_time ()))
   in
-  let mem =
-    match arena with
-    | None -> Atomics.create ~max_history:conf.Conf.max_history ()
-    | Some a ->
-        if Atomics.max_history a.a_mem <> conf.Conf.max_history then
-          a.a_mem <- Atomics.create ~max_history:conf.Conf.max_history ()
-        else Atomics.reset a.a_mem;
-        a.a_mem
-  in
-  let det =
-    match arena with
-    | None -> Detector.create ()
-    | Some a ->
-        Detector.reset a.a_det;
-        a.a_det
-  in
-  Detector.set_suppressions det conf.Conf.suppressions;
-  let lockorder =
-    match arena with
-    | None -> Lockorder.create ()
-    | Some a ->
-        Lockorder.reset a.a_lockorder;
-        a.a_lockorder
-  in
+  let rng = arena.a_rng in
+  Prng.reseed rng ~seed1:s1 ~seed2:s2;
+  if Atomics.max_history arena.a_mem <> conf.Conf.max_history then
+    arena.a_mem <- Atomics.create ~max_history:conf.Conf.max_history ()
+  else Atomics.reset arena.a_mem;
+  Detector.reset arena.a_det;
+  Detector.set_suppressions arena.a_det conf.Conf.suppressions;
+  Lockorder.reset arena.a_lockorder;
   let obs =
     if not conf.Conf.trace_events then Trace.disabled
-    else
-      match arena with
-      | None -> Trace.create ~capacity:conf.Conf.trace_capacity ()
-      | Some a ->
-          if
-            Trace.enabled a.a_obs
-            && Trace.capacity a.a_obs = conf.Conf.trace_capacity
-          then Trace.reset a.a_obs
-          else a.a_obs <- Trace.create ~capacity:conf.Conf.trace_capacity ();
-          a.a_obs
+    else begin
+      if
+        Trace.enabled arena.a_obs
+        && Trace.capacity arena.a_obs = conf.Conf.trace_capacity
+      then Trace.reset arena.a_obs
+      else arena.a_obs <- Trace.create ~capacity:conf.Conf.trace_capacity ();
+      arena.a_obs
+    end
   in
   let cov =
     if not conf.Conf.coverage then Coverage.disabled
-    else
-      match arena with
-      | None -> Coverage.create ()
-      | Some a ->
-          if Coverage.enabled a.a_cov then Coverage.reset a.a_cov
-          else a.a_cov <- Coverage.create ();
-          a.a_cov
+    else begin
+      if Coverage.enabled arena.a_cov then Coverage.reset arena.a_cov
+      else arena.a_cov <- Coverage.create ();
+      arena.a_cov
+    end
   in
-  let clear_or_create ~size = function
-    | None -> Hashtbl.create size
-    | Some tbl ->
-        (* [Hashtbl.clear] keeps the grown bucket array, so recycled
-           tables are automatically sized by their high-water mark. *)
-        Hashtbl.clear tbl;
-        tbl
-  in
-  let replay = replay_demo in
+  (* [Hashtbl.clear] keeps the grown bucket array, so recycled tables
+     are automatically sized by their high-water mark. *)
+  Hashtbl.clear arena.a_mutexes;
+  Hashtbl.clear arena.a_conds;
+  Hashtbl.clear arena.a_rwlocks;
+  Hashtbl.clear arena.a_handlers;
+  Hashtbl.clear arena.a_fd_classes;
+  Hashtbl.clear arena.a_rep_queue_next;
   let ctx =
     {
       conf;
       world;
-      mem;
-      det;
-      lockorder;
+      mem = arena.a_mem;
+      det = arena.a_det;
+      lockorder = arena.a_lockorder;
       rng;
       choose = (fun n -> if n <= 0 then 0 else Prng.int rng n);
-      tvec =
-        (match arena with None -> Array.make 8 None | Some a -> a.a_tvec);
-      ready_scratch =
-        (match arena with None -> Array.make 8 None | Some a -> a.a_ready);
+      tvec = arena.a_tvec;
+      ready_scratch = arena.a_ready;
       ready_n = 0;
       next_tid = 0;
       next_obj = 0;
-      mutexes =
-        clear_or_create ~size:8 (Option.map (fun a -> a.a_mutexes) arena);
-      conds = clear_or_create ~size:8 (Option.map (fun a -> a.a_conds) arena);
-      rwlocks =
-        clear_or_create ~size:4 (Option.map (fun a -> a.a_rwlocks) arena);
-      handlers =
-        clear_or_create ~size:4 (Option.map (fun a -> a.a_handlers) arena);
-      fd_classes =
-        clear_or_create ~size:8 (Option.map (fun a -> a.a_fd_classes) arena);
+      mutexes = arena.a_mutexes;
+      conds = arena.a_conds;
+      rwlocks = arena.a_rwlocks;
+      handlers = arena.a_handlers;
+      fd_classes = arena.a_fd_classes;
       gclock = 0;
       makespan = 0;
       tick = 0;
@@ -1720,8 +1559,7 @@ let make_ctx ?arena conf world replay_demo =
       rec_syscalls = [];
       rec_asyncs = [];
       replay;
-      rep_queue_next =
-        clear_or_create ~size:8 (Option.map (fun a -> a.a_rep_queue_next) arena);
+      rep_queue_next = arena.a_rep_queue_next;
       rep_queue_list = [];
       rep_signals = [];
       rep_syscalls = [];
@@ -1876,6 +1714,16 @@ let to_predict_input (r : result) =
 let corrupt_demo_result c =
   result_of_outcome (Corrupt_demo (Demo.corruption_to_string c))
 
+(* The outcome of a run with no thread left to schedule. *)
+let stuck ctx =
+  match
+    List.filter_map
+      (fun t -> match t.status with Disabled _ -> Some t.tid | _ -> None)
+      (threads_in_order ctx)
+  with
+  | [] -> Completed
+  | blocked -> Deadlock blocked
+
 let run ?world ?arena conf (program : Api.program) =
   (* Generated names must be a function of the program alone, not of
      prior runs on this domain — see Api.reset_auto_names. *)
@@ -1894,8 +1742,13 @@ let run ?world ?arena conf (program : Api.program) =
   with
   | exception Demo.Corrupt c -> corrupt_demo_result c
   | replay_demo ->
-  let ctx = make_ctx ?arena conf world replay_demo in
+  let arena = match arena with Some a -> a | None -> create_arena () in
+  let ctx = make_ctx arena conf world replay_demo in
   let finish outcome =
+    (* Keep grown scheduler arrays (and their recyclable thread
+       records) for the next run on this arena. *)
+    arena.a_tvec <- ctx.tvec;
+    arena.a_ready <- ctx.ready_scratch;
     let decisions =
       if ctx.dec_on then Array.of_list (List.rev ctx.decisions) else [||]
     in
@@ -2038,16 +1891,6 @@ let run ?world ?arena conf (program : Api.program) =
       accesses;
     }
   in
-  let finish outcome =
-    (* Keep grown scheduler arrays (and their recyclable thread
-       records) for the next run on this arena. *)
-    (match arena with
-    | Some a ->
-        a.a_tvec <- ctx.tvec;
-        a.a_ready <- ctx.ready_scratch
-    | None -> ());
-    finish outcome
-  in
   try
     let _main =
       new_thread ctx ~name:"main" ~parent_st:None ~at:0 program.Api.main
@@ -2066,29 +1909,14 @@ let run ?world ?arena conf (program : Api.program) =
             && Unix.gettimeofday () > ctx.deadline_at
           then Timeout
           else begin
-            (* Replay: async events for this tick may re-enable threads
-               even when nothing is currently runnable. *)
-            (match ctx.conf.sched with
-            | Conf.Controlled Conf.Queue when is_replay ctx -> ()
-            | _ -> ());
             fill_ready ctx;
             if ctx.ready_n = 0 then begin
               if is_replay ctx then begin
-                (* Only recorded wakeups can unblock us now. *)
-                let n = replay_asyncs_for_tick ctx in
-                ignore n;
+                (* Replay: only the async events recorded for this tick
+                   can re-enable a thread now. *)
+                ignore (replay_asyncs_for_tick ctx);
                 fill_ready ctx;
-                if ctx.ready_n > 0 then loop ()
-                else
-                  let blocked =
-                    List.filter_map
-                      (fun t ->
-                        match t.status with
-                        | Disabled _ -> Some t.tid
-                        | _ -> None)
-                      (threads_in_order ctx)
-                  in
-                  if blocked = [] then Completed else Deadlock blocked
+                if ctx.ready_n > 0 then loop () else stuck ctx
               end
               else
                 match World.peek_signal ctx.world with
@@ -2096,16 +1924,7 @@ let run ?world ?arena conf (program : Api.program) =
                     ctx.gclock <- max ctx.gclock at;
                     poll_env_signals ctx;
                     loop ()
-                | _ ->
-                    let blocked =
-                      List.filter_map
-                        (fun t ->
-                          match t.status with
-                          | Disabled _ -> Some t.tid
-                          | _ -> None)
-                        (threads_in_order ctx)
-                    in
-                    if blocked = [] then Completed else Deadlock blocked
+                | _ -> stuck ctx
             end
             else begin
               let t = pick_thread ctx in

@@ -114,8 +114,8 @@ type arena
     live run at a time; never share one across domains or pass it to a
     run while another run on it is still executing. Results never
     alias arena state (everything escaping a run is copied), so
-    recycling is observationally invisible — a run with an arena is
-    bit-identical to one without. *)
+    recycling is observationally invisible — a run on a recycled arena
+    is bit-identical to a run on a fresh arena. *)
 
 val create_arena : unit -> arena
 
@@ -129,7 +129,7 @@ val run :
     to a fresh wall-seeded world; experiments pass seeded worlds. In
     [Record dir] mode the demo is also saved to [dir]; in [Replay dir]
     mode it is loaded from [dir] and enforced. [arena] recycles run
-    state (see {!arena}). *)
+    state (see {!arena}); without it the run gets a fresh arena. *)
 
 val completed : result -> bool
 (** [outcome = Completed]. *)
