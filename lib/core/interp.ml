@@ -66,7 +66,7 @@ type cw_stage = Cw_waiting | Cw_relock
 
 type cwait = {
   cw_cond : int;
-  cw_mutex : int;
+  cw_mutex : Api.mutex;
   cw_expiry : int option;
   mutable cw_stage : cw_stage;
   mutable cw_result : Api.timeout_result;
@@ -1108,16 +1108,12 @@ let finish_cs : type a.
 (* Relock stage of a conditional wait (Fig. 5): one trylock per
    critical section. *)
 let lock_attempt ctx t (k : (Api.timeout_result, unit) continuation) cw fin =
-  if
-    try_mutex ctx t
-      { Api.mu_id = cw.cw_mutex; mu_name = "cond-mutex" }
-      ~edge:false
-  then begin
+  if try_mutex ctx t cw.cw_mutex ~edge:false then begin
     let result = cw.cw_result in
     t.cwait <- None;
     finish_cs ctx t k "cond_relock" (max fin t.ltime) result
   end
-  else fail_cs ctx t "cond_relock_fail" fin (On_mutex cw.cw_mutex)
+  else fail_cs ctx t "cond_relock_fail" fin (On_mutex cw.cw_mutex.Api.mu_id)
 
 (* A load or CAS just read a value older than the newest store:
    surface it as a trace event and a coverage site. [since] is the
@@ -1236,7 +1232,7 @@ let exec_op : type a.
           let cw =
             {
               cw_cond = c.Api.cv_id;
-              cw_mutex = m.Api.mu_id;
+              cw_mutex = m;
               cw_expiry =
                 Option.map (fun ms_ -> t.ltime + (ms_ * 1000)) timeout_ms;
               cw_stage = Cw_waiting;

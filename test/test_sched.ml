@@ -676,6 +676,61 @@ let test_rwlock_in_order_graph () =
   check_completed r;
   check Alcotest.int "mutex/rwlock inversion" 1 (List.length r.Interp.lock_cycles)
 
+let test_cond_relock_keeps_mutex_name () =
+  (* A condvar wait relocks its mutex. The lock-order graph must keep
+     calling that mutex by its own name, so the A/B inversion made
+     after the wait is reported over A and B only. *)
+  let prog =
+    Api.program ~name:"cond-abba" (fun () ->
+        let a = Api.Mutex.create ~name:"A" () in
+        let b = Api.Mutex.create ~name:"B" () in
+        let c = Api.Cond.create () in
+        let ready = Api.Var.create 0 in
+        Api.Mutex.lock a;
+        let signaller =
+          Api.Thread.spawn (fun () ->
+              Api.Mutex.lock a;
+              Api.Var.set ready 1;
+              Api.Cond.signal c;
+              Api.Mutex.unlock a)
+        in
+        (* [a] is held until the wait releases it, so the signaller
+           cannot signal first: the wait always ends in a relock. *)
+        while Api.Var.get ready = 0 do
+          Api.Cond.wait c a
+        done;
+        Api.Mutex.lock b;
+        Api.Mutex.unlock b;
+        Api.Mutex.unlock a;
+        Api.Thread.join signaller;
+        let t2 =
+          Api.Thread.spawn (fun () ->
+              Api.Mutex.lock b;
+              Api.Mutex.lock a;
+              Api.Mutex.unlock a;
+              Api.Mutex.unlock b)
+        in
+        Api.Thread.join t2)
+  in
+  for seed = 1 to 5 do
+    let r =
+      run ~seed:(Int64.of_int seed)
+        ~conf:(Conf.tsan11rec ~strategy:Conf.Random ())
+        prog
+    in
+    check_completed r;
+    match r.Interp.lock_cycles with
+    | [ cycle ] ->
+        let names =
+          List.sort_uniq compare
+            (List.concat_map
+               (fun (e : T11r_race.Lockorder.edge) -> [ e.from_lock; e.to_lock ])
+               cycle)
+        in
+        check Alcotest.(list string) "cycle names its locks" [ "A"; "B" ] names
+    | cycles -> Alcotest.failf "expected one cycle, got %d" (List.length cycles)
+  done
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -732,6 +787,8 @@ let () =
             test_abba_reported_without_deadlocking;
           Alcotest.test_case "consistent order" `Quick test_consistent_order_no_report;
           Alcotest.test_case "rwlock in graph" `Quick test_rwlock_in_order_graph;
+          Alcotest.test_case "condvar relock keeps mutex name" `Quick
+            test_cond_relock_keeps_mutex_name;
         ] );
       ( "strategies",
         [
