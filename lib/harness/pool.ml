@@ -57,41 +57,11 @@ let drive ~jobs ~body =
   | [] -> ()
   | (i, e, bt) :: _ -> Printexc.raise_with_backtrace (Worker_error (i, e)) bt
 
-let map ?(jobs = 1) n f =
-  if n < 0 then invalid_arg "Pool.map: negative n";
-  let jobs = max 1 (min jobs n) in
-  if jobs = 1 then
-    Array.init n (fun i ->
-        try f i
-        with e ->
-          let bt = Printexc.get_raw_backtrace () in
-          Printexc.raise_with_backtrace (Worker_error (i, e)) bt)
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    (* Chunked stealing: enough chunks per domain that a slow run does
-       not leave the others idle, but few enough that the atomic cursor
-       stays cold. Chunk size never affects results — only who computes
-       which index. *)
-    let chunk = max 1 (n / (jobs * 8)) in
-    drive ~jobs ~body:(fun ~guard ->
-        let continue_ = ref true in
-        while !continue_ do
-          let lo = Atomic.fetch_and_add next chunk in
-          if lo >= n then continue_ := false
-          else
-            for i = lo to min (lo + chunk) n - 1 do
-              guard i (fun () -> results.(i) <- Some (f i))
-            done
-        done);
-    Array.map (function Some v -> v | None -> assert false) results
-  end
-
-(* Like [map], but cancellable: [should_stop] is polled before each
-   index (sequentially) or chunk claim (in parallel), and indices not
-   computed are left as [None]. The caller decides what a partial
-   result means — the campaign engine journals completed runs and
-   resumes the holes later. *)
+(* [Array.init n f] on up to [jobs] domains, cancellable: [should_stop]
+   is polled before each index (sequentially) or chunk claim (in
+   parallel), and indices not computed are left as [None]. The caller
+   decides what a partial result means — the campaign engine journals
+   completed runs and resumes the holes later. *)
 let map_opt ?(jobs = 1) ?should_stop n f =
   if n < 0 then invalid_arg "Pool.map_opt: negative n";
   let jobs = max 1 (min jobs (max 1 n)) in
@@ -110,6 +80,10 @@ let map_opt ?(jobs = 1) ?should_stop n f =
   end
   else begin
     let next = Atomic.make 0 in
+    (* Chunked stealing: enough chunks per domain that a slow run does
+       not leave the others idle, but few enough that the atomic cursor
+       stays cold. Chunk size never affects results — only who computes
+       which index. *)
     let chunk = max 1 (n / (jobs * 8)) in
     drive ~jobs ~body:(fun ~guard ->
         let continue_ = ref true in
@@ -127,6 +101,13 @@ let map_opt ?(jobs = 1) ?should_stop n f =
         done);
     results
   end
+
+(* Without [should_stop] every slot of [map_opt] is filled. *)
+let map ?jobs n f =
+  if n < 0 then invalid_arg "Pool.map: negative n";
+  Array.map
+    (function Some v -> v | None -> assert false)
+    (map_opt ?jobs n f)
 
 let fold_indices ?(jobs = 1) ?(chunk = 1) ~init ~step ~merge n =
   if n < 0 then invalid_arg "Pool.fold_indices: negative n";

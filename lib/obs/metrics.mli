@@ -21,11 +21,14 @@ type t = {
   m_desyncs : int;  (** replay divergences encountered *)
   m_timeouts : int;  (** 1 when the run hit its wall-clock deadline *)
   m_retries : int;
-      (** supervised retries that produced this result (campaign-level;
-          always 0 in a raw interpreter result) *)
+      (** always 0: nothing sets it. [Campaign] counts retries in its
+          report's [supervision], outside the digest. The field stays
+          until the benchmark's pinned fingerprints can change:
+          [Campaign.digest] marshals this record, so removing it moves
+          every digest *)
   m_salvages : int;
-      (** salvaged inputs consumed (campaign-level: journal lines
-          dropped; always 0 in a raw interpreter result) *)
+      (** always 0, like [m_retries]: the journal lines a campaign
+          drops are counted in [supervision] too *)
   m_cov_bits : int;
       (** bits set in the run's schedule-coverage fingerprint; 0 when
           coverage collection is off *)
