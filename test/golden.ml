@@ -57,8 +57,9 @@ let campaign_cases () =
 
 let hex_of_string s = Digest.to_hex (Digest.string s)
 
-(* A replayed result minus its demo handle, which a replay never sets;
-   [No_sharing] keeps the encoding a function of the value alone. *)
+(* A result minus its demo handle (a recording's demo bytes are pinned
+   on their own); [No_sharing] keeps the encoding a function of the
+   value alone. *)
 let result_digest (r : Interp.result) =
   hex_of_string (Marshal.to_string { r with Interp.demo = None } [ Marshal.No_sharing ])
 

@@ -9,7 +9,7 @@
                        campaigns (random strategy, jobs=1);
    - interp.golden     golden.ml's cases: a short campaign of every
                        workload under every configuration, and
-                       record/replay/resync pairs of three apps.
+                       record/replay/desync pairs of four apps.
 
    The optimised build must (a) replay the committed demo with zero
    divergence, (b) re-record it byte-identically, and (c) reproduce
