@@ -40,11 +40,6 @@ let table1_runs =
 
 let app_runs = 5
 
-let seeded base i =
-  Conf.with_seeds base
-    (Int64.of_int ((i * 2654435761) + 17))
-    (Int64.of_int ((i * 40503) + 9176))
-
 (* ------------------------------------------------------------------ *)
 (* Table 1: CDSchecker litmus benchmarks                                *)
 
@@ -186,7 +181,9 @@ let demosize () =
       let size strategy =
         let dir = tmpdir "demosize" in
         let conf =
-          seeded (Conf.tsan11rec ~strategy ~mode:(Conf.Record dir) ()) 1
+          Campaign.scheduler_seeds
+            (Conf.tsan11rec ~strategy ~mode:(Conf.Record dir) ())
+            1
         in
         let world = World.create ~seed:5L () in
         Httpd.setup_world cfg world;
@@ -314,7 +311,8 @@ let table5 () =
         List.concat_map
           (fun i ->
             let world = World.create ~seed:(Int64.of_int ((i * 7919) + 3)) () in
-            let r = Interp.run ~world (seeded base i) (Game.program ~p ()) in
+            let conf = Campaign.scheduler_seeds base i in
+            let r = Interp.run ~world conf (Game.program ~p ()) in
             Game.fps_samples r.Interp.output)
           (List.init plays (fun i -> i + 1))
       in
@@ -347,7 +345,8 @@ let game () =
     (fun (label, base) ->
       let base = Conf.with_policy base Policy.games in
       let world = World.create ~seed:11L () in
-      let r = Interp.run ~world (seeded base 1) (Game.program ~p ()) in
+      let conf = Campaign.scheduler_seeds base 1 in
+      let r = Interp.run ~world conf (Game.program ~p ()) in
       match r.Interp.outcome with
       | Interp.Completed ->
           Table.add_row t
@@ -372,7 +371,7 @@ let game () =
   let p = Game.zandronum ~frames () in
   let dir = tmpdir "zanlong" in
   let conf =
-    seeded
+    Campaign.scheduler_seeds
       (Conf.with_policy
          (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record dir) ())
          Policy.games)
@@ -399,7 +398,7 @@ let zandronum () =
     let world = World.create ~seed:(Int64.of_int (i * 313)) () in
     let fd = Zandronum_bug.setup_world Zandronum_bug.default_config world in
     let conf =
-      seeded
+      Campaign.scheduler_seeds
         (Conf.with_policy
            (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record dir) ())
            Policy.games)
@@ -454,19 +453,23 @@ let limits () =
   in
   let d1 = tmpdir "lim1" in
   row "tsan11rec (sparse)"
-    (seeded (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record d1) ()) 1)
+    (Campaign.scheduler_seeds
+       (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record d1) ())
+       1)
     (World.create ~seed:123L ())
     (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Replay d1) ())
     (World.create ~seed:321L ());
   let d2 = tmpdir "lim2" in
   row "rr model (layout enforced)"
-    (seeded (T11r_rr.Rr.record ~dir:d2 ()) 1)
+    (Campaign.scheduler_seeds (T11r_rr.Rr.record ~dir:d2 ()) 1)
     (T11r_rr.Rr.record_world ~seed:123L)
     (T11r_rr.Rr.replay ~dir:d2 ())
     (T11r_rr.Rr.replay_world ~seed:321L);
   let d3 = tmpdir "lim3" in
   row "tsan11rec + deterministic alloc"
-    (seeded (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record d3) ()) 1)
+    (Campaign.scheduler_seeds
+       (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record d3) ())
+       1)
     (World.create ~seed:123L ~deterministic_alloc:true ())
     (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Replay d3) ())
     (World.create ~seed:321L ~deterministic_alloc:true ());
@@ -485,7 +488,9 @@ let limits () =
     in
     let rc =
       Conf.with_policy
-        (seeded (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record dir) ()) 1)
+        (Campaign.scheduler_seeds
+           (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record dir) ())
+           1)
         policy
     in
     ignore (Interp.run ~world:(mk 5L) rc (Htop_like.program ()));
@@ -519,7 +524,8 @@ let ablations () =
       in
       let base = Conf.with_policy base Policy.games in
       let r =
-        Interp.run ~world:(World.create ~seed:3L ()) (seeded base 1)
+        Interp.run ~world:(World.create ~seed:3L ())
+          (Campaign.scheduler_seeds base 1)
           (Game.program ~p ())
       in
       Table.add_row t

@@ -256,6 +256,22 @@ let aggregate ~label ~n ~first ~jobs ~wall_s ?(supervision = no_supervision)
     supervision;
   }
 
+(* -- one supervised run ----------------------------------------------- *)
+
+(* Every engine's single run. A tick budget only ever lowers
+   [max_ticks], so a budget above a configuration's own ceiling never
+   lengthens its runs. *)
+let run_one ~deadline_s ~tick_budget (conf : Conf.t) instance =
+  let conf =
+    match tick_budget with
+    | Some b when b < conf.Conf.max_ticks -> { conf with Conf.max_ticks = b }
+    | _ -> conf
+  in
+  let conf = if deadline_s > 0. then { conf with Conf.deadline_s } else conf in
+  Outcome.protect (fun () ->
+      let world, program = instance () in
+      Interp.run ~world ~arena:(domain_arena ()) conf program)
+
 (* -- the campaign journal ------------------------------------------- *)
 
 (* One header entry pins the campaign identity (and the Marshal schema
@@ -363,15 +379,6 @@ let run s ~n ?(jobs = 1) ?(first = 0) ?(deadline_s = 0.) ?tick_budget
     ?(retries = 0) ?(backoff_s = 0.05) ?journal ?cancel observers =
   if n < 1 then invalid_arg "Campaign.run: n < 1";
   let t0 = Unix.gettimeofday () in
-  let conf_of i =
-    let c = s.conf i in
-    let c =
-      match tick_budget with
-      | Some b when b < c.Conf.max_ticks -> { c with Conf.max_ticks = b }
-      | _ -> c
-    in
-    if deadline_s > 0. then { c with Conf.deadline_s } else c
-  in
   let jw, cached, journal_dropped =
     match journal with
     | None -> (None, Hashtbl.create 1, 0)
@@ -403,11 +410,7 @@ let run s ~n ?(jobs = 1) ?(first = 0) ?(deadline_s = 0.) ?tick_budget
            exception (and its message) is a function of the index. *)
         let rec attempt a =
           match
-            Outcome.protect (fun () ->
-                let world, program = s.instance i in
-                let arena = domain_arena () in
-                let conf = conf_of i in
-                Interp.run ~world ~arena conf program)
+            run_one ~deadline_s ~tick_budget (s.conf i) (fun () -> s.instance i)
           with
           | r -> r
           | exception e ->

@@ -33,11 +33,6 @@ type row = {
   soft_desyncs : int;
 }
 
-let seeded base i =
-  Conf.with_seeds base
-    (Int64.of_int ((i * 2654435761) + 17))
-    (Int64.of_int ((i * 40503) + 9176))
-
 (* Per-run tallies: a commutative monoid under pointwise sum. *)
 type tally = {
   t_rec : int;
@@ -65,20 +60,24 @@ let one_run ~cfg ~p i =
     else Fault.none
   in
   let world = World.create ~seed:(Int64.of_int ((i * 7919) + 3)) ~faults () in
-  Httpd.setup_world cfg world;
-  let rc =
-    seeded (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record dir) ()) i
+  let run conf world =
+    Campaign.run_one ~deadline_s:0. ~tick_budget:None conf (fun () ->
+        Httpd.setup_world cfg world;
+        (world, Httpd.program ~cfg ()))
   in
   let r1 =
-    Outcome.protect (fun () -> Interp.run ~world rc (Httpd.program ~cfg ()))
+    run
+      (Campaign.scheduler_seeds
+         (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record dir) ())
+         i)
+      world
   in
   (* Replay against a different world seed and no fault plan: every
      injected failure must come back out of the demo. *)
-  let world2 = World.create ~seed:(Int64.of_int ((i * 104729) + 11)) () in
-  Httpd.setup_world cfg world2;
-  let pc = Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Replay dir) () in
   let r2 =
-    Outcome.protect (fun () -> Interp.run ~world:world2 pc (Httpd.program ~cfg ()))
+    run
+      (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Replay dir) ())
+      (World.create ~seed:(Int64.of_int ((i * 104729) + 11)) ())
   in
   {
     t_rec = (if r1.Interp.outcome = Interp.Completed then 1 else 0);

@@ -1,6 +1,5 @@
 module Conf = Tsan11rec.Conf
 module Interp = Tsan11rec.Interp
-module World = T11r_env.World
 
 type failure = Race | Crash | Deadlock | Any
 
@@ -67,14 +66,6 @@ let find_bug ?(failure = Any) ?(max_bound = 4) ?(tries_per_bound = 100)
   let runs = ref 0 in
   let result = ref None in
   let bound = ref 0 in
-  (* Every try goes through the recycled world and the domain arena —
-     the same run-context plumbing Campaign uses — so a long ICB sweep
-     allocates per run what a campaign run does, not a fresh World and
-     detector state each time. Results are unaffected: recycled worlds
-     and arenas are observationally identical to fresh ones, so the
-     found seed pair still reproduces against [World.create
-     ~seed:world_seed]. *)
-  let arena = Campaign.domain_arena () in
   while !result = None && !bound <= max_bound do
     let try_ = ref 1 in
     while !result = None && !try_ <= tries_per_bound do
@@ -88,23 +79,16 @@ let find_bug ?(failure = Any) ?(max_bound = 4) ?(tries_per_bound = 100)
           (Conf.tsan11rec ~strategy:(Conf.Preempt_bounded !bound) ())
           seed seed2
       in
-      let conf =
-        if deadline_s > 0. then Conf.with_deadline_s conf deadline_s else conf
-      in
-      let conf =
-        match tick_budget with
-        | Some b -> Conf.with_max_ticks conf b
-        | None -> conf
-      in
       (* A supervised cut-off ([Timeout]/[Tick_limit]) or a harness-
          level exception mapped by [Outcome.protect] is "no match" —
          the sweep moves on to the next seed instead of crashing or
-         wedging on one pathological schedule. *)
+         wedging on one pathological schedule. The recycled world is
+         observationally a fresh one, so the found seed pair still
+         reproduces against [World.create ~seed:world_seed]. *)
       let r =
-        Outcome.protect (fun () ->
-            Interp.run
-              ~world:(Campaign.recycled_world ~seed:world_seed)
-              ~arena conf (build ()))
+        Campaign.run_one ~deadline_s ~tick_budget conf (fun () ->
+            let world = Campaign.recycled_world ~seed:world_seed in
+            (world, build ()))
       in
       if matches failure r then
         result :=

@@ -44,10 +44,10 @@ val find_bug :
     corpus' seed pairs first (highest energy first) before the blind
     SplitMix64 sweep — they count against [tries_per_bound].
 
-    Runs execute on the campaign run-context plumbing (recycled world,
-    domain arena), so a sweep allocates per run what a campaign run
-    does. [deadline_s] / [tick_budget] bound each individual try via
-    [Conf.with_deadline_s] / [Conf.with_max_ticks]; a try cut short
+    Every try is one {!Campaign.run_one} on the recycled world, so a
+    sweep allocates per run what a campaign run does, and
+    [deadline_s] / [tick_budget] bound each try as they bound a
+    campaign run (a budget only lowers [max_ticks]); a try cut short
     ([Timeout], [Tick_limit]) — like a harness-level failure mapped by
     [Outcome.protect] — counts as "no match" and the sweep continues
     with the next seed. *)

@@ -94,13 +94,12 @@ let seed_sweep ~recorded_seeds ~extra =
    on so a confirming run carries the fingerprint corpus admission
    needs; mode is forced Free — verification never records. *)
 let attempt ~instance ~base ~prefix s1 s2 =
-  let world, program = instance () in
   let conf =
     Conf.make ~base ~mode:Conf.Free
       ~strategy:(Conf.Guided { prefix; observed = ref [] })
       ~seeds:(s1, s2) ~coverage:true ()
   in
-  Interp.run ~world ~arena:(Campaign.domain_arena ()) conf program
+  Campaign.run_one ~deadline_s:0. ~tick_budget:None conf instance
 
 let sighted (pair : Predict.pair) (r : Interp.result) =
   List.find_opt
