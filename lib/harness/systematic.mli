@@ -40,9 +40,11 @@
     per fresh schedule. Following a run of depth D therefore costs
     O(D × threads²) analysis on top of the run itself.
 
-    Every prefix is a plain {!Interp.run} from tick 0 on the domain's
-    recycled arena and world, executed on the calling domain, one at
-    a time, in analysis order.
+    Every prefix is one {!Campaign.run_one} from tick 0 on the
+    domain's recycled arena and world, executed on the calling domain,
+    one at a time, in analysis order. A run's scheduling points are its
+    recorded decisions: the node at depth [k] of a run offers
+    [r.decisions.(k).d_enabled].
 
     Caveats, also true of CHESS: the program must be closed (fixed
     input, no environment nondeterminism — exploration runs in [Free]
@@ -92,8 +94,8 @@ val explore :
     races in more runs — useful as a soundness oracle.
 
     [deadline_s] (default off) and [tick_budget] (default off) bound
-    each individual run via [Conf.with_deadline_s] /
-    [Conf.with_max_ticks], so one livelocking schedule cannot wedge the
+    each individual run as {!Campaign.run_one} does (a budget only
+    lowers [max_ticks]), so one livelocking schedule cannot wedge the
     whole exploration; a run cut short is aggregated under its
     [Timeout] / [Tick_limit] outcome, is treated as a leaf of the
     tree, and its journal entry resumes identically.
@@ -104,8 +106,8 @@ val explore :
     domain spawn and join for one or two runs), and was removed.
 
     [journal] makes the exploration crash-safe and resumable: each
-    analyzed prefix is appended (checksummed, with its result and
-    observed choice counts) and a rerun with the same seeds replays
+    analyzed prefix is appended (checksummed, with its result) and a
+    rerun with the same seeds replays
     journalled prefixes instead of executing them ([resumed_runs]
     counts them, on the supervising domain only). The journal is
     opened by {!T11r_util.Journal.open_pinned} and pins seeds, world
