@@ -224,47 +224,48 @@ let merge_outcomes a b =
     (a @ b);
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
-let fold_round st corpus cands (rep : Campaign.report) ~round ~first =
+(* The round's campaign report already holds its racy count,
+   sightings, outcomes, metrics and coverage; only corpus admission
+   walks the runs. Sightings from earlier rounds keep their first
+   index, which is lower than any of this round's. A run is racy iff
+   it has a race, so the first racy run is the lowest [s_first]. *)
+let fold_round st corpus cands (rep : Campaign.report) ~round =
   let corpus = ref corpus in
-  let racy = ref st.st_racy in
-  let first_race = ref st.st_first in
-  let sightings = ref st.st_sightings in
   Array.iteri
     (fun k (r : Interp.result) ->
-      let i = first + k in
       let c = cands.(k) in
-      let next, _added =
-        Corpus.consider !corpus ~strategy:c.Corpus.c_strategy
-          ~seed1:c.Corpus.c_seed1 ~seed2:c.Corpus.c_seed2 ~round
-          r.Interp.coverage
-      in
-      corpus := next;
-      if r.Interp.race_count > 0 then begin
-        incr racy;
-        match !first_race with
-        | Some j when j <= i -> ()
-        | _ -> first_race := Some i
-      end;
-      List.iter
-        (fun race ->
-          (* canonical orientation — same keying as Campaign sightings *)
-          let race = Report.norm race in
-          match List.assoc_opt race !sightings with
-          | Some (f0, cnt) ->
-              sightings :=
-                (race, (f0, cnt + 1)) :: List.remove_assoc race !sightings
-          | None -> sightings := (race, (i, 1)) :: !sightings)
-        r.Interp.races)
+      corpus :=
+        fst
+          (Corpus.consider !corpus ~strategy:c.Corpus.c_strategy
+             ~seed1:c.Corpus.c_seed1 ~seed2:c.Corpus.c_seed2 ~round
+             r.Interp.coverage))
     rep.Campaign.results;
+  let sightings =
+    List.fold_left
+      (fun acc (s : Campaign.sighting) ->
+        match List.assoc_opt s.Campaign.s_race acc with
+        | Some (f0, cnt) ->
+            (s.s_race, (f0, cnt + s.s_count)) :: List.remove_assoc s.s_race acc
+        | None -> (s.s_race, (s.s_first, s.s_count)) :: acc)
+      st.st_sightings rep.Campaign.sightings
+  in
+  let first_race =
+    List.fold_left
+      (fun first (s : Campaign.sighting) ->
+        match first with
+        | Some j when j <= s.Campaign.s_first -> first
+        | _ -> Some s.Campaign.s_first)
+      st.st_first rep.Campaign.sightings
+  in
   {
     st_rounds = round + 1;
     st_corpus = !corpus;
     st_cov = Coverage.union st.st_cov rep.Campaign.coverage;
     st_runs = st.st_runs + Array.length rep.Campaign.results;
-    st_racy = !racy;
-    st_first = !first_race;
+    st_racy = st.st_racy + rep.Campaign.racy_runs;
+    st_first = first_race;
     st_outcomes = merge_outcomes st.st_outcomes rep.Campaign.outcomes;
-    st_sightings = !sightings;
+    st_sightings = sightings;
     st_metrics = Metrics.add st.st_metrics rep.Campaign.metrics;
   }
 
@@ -326,7 +327,7 @@ let hunt (s : Campaign.spec) ?(rounds = 8) ?(batch = 32) ?(jobs = 1)
       in
       if rep.Campaign.supervision.Campaign.sup_interrupted then (st, true)
       else begin
-        let st = fold_round st corpus cands rep ~round:r ~first in
+        let st = fold_round st corpus cands rep ~round:r in
         (match jw with
         | Some w ->
             Journal.append w
