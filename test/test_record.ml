@@ -884,6 +884,19 @@ let test_salvage_truncated_queue () =
           Alcotest.fail "salvaged demo must pass the integrity check"
       | _ -> ())
 
+(* Salvage of an intact recording is a plain load: nothing dropped,
+   and exactly the value [Demo.load] returns. *)
+let test_salvage_intact () =
+  let dir = tmpdir () in
+  ignore (record_mixed dir);
+  let full = Demo.load ~dir in
+  check Alcotest.bool "recording has a queue" true (full.Demo.queue <> None);
+  match Demo.salvage ~dir with
+  | Error c -> Alcotest.failf "salvage failed: %s" (Demo.corruption_to_string c)
+  | Ok (d, rep) ->
+      check Alcotest.int "nothing dropped" 0 (Demo.dropped_total rep);
+      check Alcotest.bool "salvage = load" true (d = full)
+
 let test_salvage_missing_meta_fails () =
   let dir = tmpdir () in
   ignore (record_mixed dir);
@@ -953,6 +966,8 @@ let () =
             test_salvage_truncated_syscall;
           Alcotest.test_case "truncated QUEUE" `Quick
             test_salvage_truncated_queue;
+          Alcotest.test_case "intact recording = load" `Quick
+            test_salvage_intact;
           Alcotest.test_case "missing META unsalvageable" `Quick
             test_salvage_missing_meta_fails;
         ] );
