@@ -589,12 +589,5 @@ module Predictor = struct
       r_refuted = refuted;
       r_runs = runs;
       r_executed = runs;
-      r_metrics =
-        {
-          T11r_obs.Metrics.zero with
-          T11r_obs.Metrics.m_predicted = List.length analysis.Predict.pairs;
-          m_pred_verified = confirmed;
-          m_pred_refuted = refuted;
-        };
     }
 end
