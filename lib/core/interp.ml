@@ -131,7 +131,6 @@ type ctx = {
   mutable cur : thread option;
   mutable trace : (int * int * string) list;  (* reversed *)
   (* recording *)
-  mutable rec_sched : (int * int) list;  (* (tick, tid), reversed *)
   mutable rec_signals : Demo.signal_entry list;  (* reversed *)
   mutable rec_syscalls : Demo.syscall_entry list;  (* reversed *)
   mutable rec_asyncs : Demo.async_entry list;  (* reversed *)
@@ -997,7 +996,6 @@ let wake_cond_waiter ctx t ~at ~(signaller_clock : Vclock.t) =
 
 let note_cs ctx t label fin =
   ctx.trace <- (ctx.tick, t.tid, label) :: ctx.trace;
-  if is_record ctx then ctx.rec_sched <- (ctx.tick, t.tid) :: ctx.rec_sched;
   Trace.emit ctx.obs Trace.Op ~tick:ctx.tick ~tid:t.tid ~label
     ~ts:ctx.last_cs_start
     ~dur:(max 0 (fin - ctx.last_cs_start));
@@ -1372,7 +1370,7 @@ let exec_cs ctx t =
 (* Demo assembly                                                        *)
 
 let build_queue_data ctx =
-  let sched = List.rev ctx.rec_sched in
+  let sched = List.rev_map (fun (tick, tid, _) -> (tick, tid)) ctx.trace in
   let per_thread : (int, int Queue.t) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (tick, tid) ->
@@ -1550,7 +1548,6 @@ let make_ctx arena conf world replay =
          else infinity);
       cur = None;
       trace = [];
-      rec_sched = [];
       rec_signals = [];
       rec_syscalls = [];
       rec_asyncs = [];
