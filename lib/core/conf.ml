@@ -231,7 +231,6 @@ let with_strategy t s = { t with sched = Controlled s }
 let with_mode t mode = { t with mode }
 let with_race_detection t race_detection = { t with race_detection }
 let with_max_ticks t max_ticks = { t with max_ticks }
-let with_deadline_s t deadline_s = { t with deadline_s }
 let with_max_history t max_history = { t with max_history }
 let with_trace t ~capacity = { t with trace_events = true; trace_capacity = capacity }
 let with_on_desync t on_desync = { t with on_desync }

@@ -183,7 +183,6 @@ val with_strategy : t -> strategy -> t
 val with_mode : t -> mode -> t
 val with_race_detection : t -> bool -> t
 val with_max_ticks : t -> int -> t
-val with_deadline_s : t -> float -> t
 val with_max_history : t -> int -> t
 
 val with_trace : t -> capacity:int -> t

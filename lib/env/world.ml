@@ -141,6 +141,9 @@ let mk_sock t peer ~at =
 
 let connect t peer = mk_sock t peer ~at:0
 
+(* An intra-process pipe as (read_fd, write_fd), for the [pipe]
+   syscall. Reads on an empty pipe return EAGAIN (the program polls);
+   reads after the write end closes return 0. *)
 let new_pipe t =
   let buf = { pdata = []; wclosed = false } in
   let rfd = fresh_fd t (Pipe_r buf) in

@@ -63,12 +63,6 @@ val connect : t -> peer -> int
 (** Outgoing connection (the app is the client, e.g. Fig. 2): returns a
     connected socket fd immediately. *)
 
-val new_pipe : t -> int * int
-(** An intra-process pipe as [(read_fd, write_fd)] — normally created
-    by the program through the [pipe] syscall. Reads on an empty pipe
-    return EAGAIN (the program polls); reads after the write end closes
-    return 0. *)
-
 val add_file : t -> path:string -> string -> unit
 (** A regular file with deterministic contents. *)
 
