@@ -31,7 +31,7 @@ let () =
   Fmt.pr "outcome: %a@." Interp.pp_outcome r1.outcome;
   Fmt.pr "session: %s@." r1.output;
   let demo = Option.get r1.demo in
-  Fmt.pr "demo: %a@." Demo.pp_summary demo;
+  Fmt.pr "demo: %a@." Demo.pp demo;
   Fmt.pr "  SIGNAL entries: %d (the SIGTERM that ended the session)@."
     (List.length demo.signals);
   Fmt.pr "  SYSCALL entries: %d (every poll/recv/send result)@."

@@ -62,7 +62,7 @@ let () =
     end
   in
   let _, msg, r1 = hunt 1 in
-  Fmt.pr "demo: %a@." Tsan11rec.Demo.pp_summary (Option.get r1.demo);
+  Fmt.pr "demo: %a@." Tsan11rec.Demo.pp (Option.get r1.demo);
 
   Fmt.pr "@.== replaying the crashing session ==@.";
   let world = World.create ~seed:777L () in

@@ -65,7 +65,7 @@ let () =
   let r1 =
     Interp.run ~world:(World.create ~seed:7L ()) conf (buggy_program ())
   in
-  Fmt.pr "recorded: %a@." Tsan11rec.Demo.pp_summary (Option.get r1.demo);
+  Fmt.pr "recorded: %a@." Tsan11rec.Demo.pp (Option.get r1.demo);
 
   Fmt.pr "@.== 3. replay the demo: same schedule, same race ==@.";
   let conf =

@@ -126,4 +126,4 @@ val size_bytes : t -> int
 val syscall_bytes : t -> int
 (** Size of the SYSCALL file alone (§5.4 reports it separately). *)
 
-val pp_summary : Format.formatter -> t -> unit
+val pp : Format.formatter -> t -> unit
