@@ -39,14 +39,11 @@ type t = {
       (** power-schedule energy spent by guided hunting
           (campaign-level; always 0 in a raw interpreter result) *)
   m_predicted : int;
-      (** racing pairs predicted by the offline analysis
-          (predictor-level; always 0 in a raw interpreter result) *)
-  m_pred_verified : int;
-      (** predicted pairs confirmed by a witness replay
-          (predictor-level; always 0 in a raw interpreter result) *)
-  m_pred_refuted : int;
-      (** predicted pairs whose witness budget ran out unconfirmed
-          (predictor-level; always 0 in a raw interpreter result) *)
+      (** always 0 and kept, like [m_retries]: no code sets it or the
+          two fields below; prediction counts live in
+          [Predictor.report] *)
+  m_pred_verified : int;  (** always 0, like [m_predicted] *)
+  m_pred_refuted : int;  (** always 0, like [m_predicted] *)
 }
 
 val zero : t
