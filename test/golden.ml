@@ -9,6 +9,7 @@
 module Conf = Tsan11rec.Conf
 module Interp = Tsan11rec.Interp
 module Campaign = T11r_harness.Campaign
+module Guided = T11r_harness.Guided
 module Workloads = T11r_harness.Workloads
 module World = T11r_env.World
 module Predict = T11r_race.Predict
@@ -198,6 +199,17 @@ let predict_merge_cases () =
                   Predict.analyze (guided_input w (i + 1))))) ))
     Workloads.all
 
+(* A small guided hunt on every workload: pins the coverage fingerprints
+   of each run, their merge, and the corpus admissions they drive. *)
+let guided_cases () =
+  List.map
+    (fun (w : Workloads.t) ->
+      let spec = Workloads.spec_of w in
+      ( Printf.sprintf "guided/%s" w.w_name,
+        Guided.digest
+          (Guided.hunt spec ~rounds:2 ~batch:16 ~jobs:1 ~salt:1L ~tick_budget ()) ))
+    Workloads.all
+
 let cases () =
   campaign_cases () @ replay_cases () @ predict_cases ()
-  @ predict_merge_cases ()
+  @ predict_merge_cases () @ guided_cases ()

@@ -14,6 +14,11 @@
    happens-before index ([T11r_race.Hb]); test_systematic.ml compares
    the two event by event.
 
+   [Coverage] is the byte-at-a-time summary arithmetic (popcount,
+   emptiness, union, admission count) that the word-at-a-time kernels
+   of [T11r_race.Coverage] replaced; test_diff.ml compares them on
+   random summaries of every width.
+
    [Predictor] is witness verification as it ran before Must pairs were
    grouped into (report, witnesses) classes: every pair executes its
    own witnesses. test_predict.ml asserts the grouped
@@ -433,6 +438,48 @@ module Dpor = struct
       end
     done;
     (!clk, List.rev !races)
+end
+
+module Coverage = struct
+  let popcount_char =
+    let tbl = Array.make 256 0 in
+    for i = 1 to 255 do
+      tbl.(i) <- tbl.(i lsr 1) + (i land 1)
+    done;
+    fun c -> tbl.(Char.code c)
+
+  let popcount s =
+    let acc = ref 0 in
+    String.iter (fun c -> acc := !acc + popcount_char c) s;
+    !acc
+
+  let is_empty s = String.length s = 0 || String.for_all (fun c -> c = '\000') s
+
+  let union a b =
+    if is_empty a then b
+    else if is_empty b then a
+    else begin
+      if String.length a <> String.length b then
+        invalid_arg "Coverage.union: summaries of different widths";
+      String.init (String.length a) (fun i ->
+          Char.chr (Char.code a.[i] lor Char.code b.[i]))
+    end
+
+  let new_bits ~base s =
+    if is_empty s then 0
+    else if is_empty base then popcount s
+    else begin
+      if String.length base <> String.length s then
+        invalid_arg "Coverage.new_bits: summaries of different widths";
+      let acc = ref 0 in
+      for i = 0 to String.length s - 1 do
+        acc :=
+          !acc
+          + popcount_char
+              (Char.chr (Char.code s.[i] land lnot (Char.code base.[i]) land 0xff))
+      done;
+      !acc
+    end
 end
 
 module Predictor = struct

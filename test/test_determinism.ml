@@ -8,8 +8,10 @@
    - campaign.digest   Campaign.digest of 300-run fig1 and mcs-lock
                        campaigns (random strategy, jobs=1);
    - interp.golden     golden.ml's cases: a short campaign of every
-                       workload under every configuration, and
-                       record/replay/desync pairs of four apps.
+                       workload under every configuration,
+                       record/replay/desync pairs of four apps, the
+                       offline prediction of guided recordings, and a
+                       small guided hunt of every workload.
 
    The optimised build must (a) replay the committed demo with zero
    divergence, (b) re-record it byte-identically, and (c) reproduce
