@@ -1839,7 +1839,6 @@ let run ?world ?arena conf (program : Api.program) =
       done;
       !m
     in
-    let coverage = Coverage.summarize ctx.cov in
     {
       outcome;
       makespan_us =
@@ -1870,7 +1869,7 @@ let run ?world ?arena conf (program : Api.program) =
           m_timeouts = (match outcome with Timeout -> 1 | _ -> 0);
           m_retries = 0;
           m_salvages = 0;
-          m_cov_bits = Coverage.popcount coverage;
+          m_cov_bits = Coverage.count ctx.cov;
           m_corpus_adds = 0;
           m_energy = 0;
           m_predicted = 0;
@@ -1879,7 +1878,7 @@ let run ?world ?arena conf (program : Api.program) =
         };
       events = Trace.to_list ctx.obs;
       events_dropped = Trace.dropped ctx.obs;
-      coverage;
+      coverage = Coverage.summarize ctx.cov;
       decisions;
       accesses;
     }

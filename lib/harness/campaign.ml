@@ -247,8 +247,8 @@ let aggregate ~label ~n ~first ~jobs ~wall_s ?(supervision = no_supervision)
           T11r_obs.Metrics.add acc r.Interp.metrics)
         T11r_obs.Metrics.zero results;
     coverage =
-      (* Union is commutative, but folding in index order anyway keeps
-         the whole aggregate under one discipline. *)
+      (* Index order here too: union is not commutative on bytes when
+         an all-zero summary meets the empty one (Coverage.union). *)
       Array.fold_left
         (fun acc (r : Interp.result) ->
           T11r_race.Coverage.union acc r.Interp.coverage)

@@ -5,9 +5,8 @@
     empty), runs the batch as one [Campaign], and folds every run's
     coverage fingerprint back into the corpus in run-index order.
     Candidate breeding is a pure function of (salt, round, corpus), and
-    coverage merging is a commutative monoid folded in index order, so
-    the corpus and the report digest are bit-identical at every worker
-    count.
+    coverage merging is a fold in run-index order, so the corpus and the
+    report digest are bit-identical at every worker count.
 
     With [?corpus_dir] the hunt is durable: the fold state is
     snapshotted into a CRC-framed journal after each round, and each

@@ -24,12 +24,17 @@ val create : unit -> t
 val enabled : t -> bool
 
 val reset : t -> unit
-(** Clear all bits in place (no-op on
-    {!disabled}). *)
+(** Clear all bits and the {!count} in place (no-op on {!disabled}). *)
 
 val mark : t -> int -> unit
-(** Set the bit addressed by a site hash (mod the bitmap width). One
-    branch and no allocation when the collector is {!disabled}. *)
+(** Set the bit addressed by a site hash (mod the bitmap width),
+    counting it if it was clear. One branch and no allocation when the
+    collector is {!disabled}. *)
+
+val count : t -> int
+(** Bits set since {!create} or the last {!reset} — equal to
+    [popcount (summarize t)], kept by {!mark} so reading it costs no
+    scan. 0 for {!disabled}. *)
 
 (** {2 Site hashes}
 
@@ -54,18 +59,32 @@ val empty : summary
 val summarize : t -> summary
 (** Freeze a collector's bits. {!empty} for a {!disabled} collector. *)
 
+(** The operations below read a summary a 64-bit word at a time (any
+    tail shorter than a word byte by byte) and allocate nothing but
+    {!union}'s result. *)
+
 val union : summary -> summary -> summary
-(** Bitwise or — commutative and associative with identity {!empty},
-    so any merge order over the same multiset of summaries produces
-    identical bytes.
-    @raise Invalid_argument on width mismatch. *)
+(** Bitwise or. An operand that {!is_empty} — {!empty} or an all-zero
+    bitmap — yields the other operand unchanged, the left one tested
+    first. So the bytes can depend on operand order: [union zeros
+    empty] is {!empty}, while [union empty zeros] is the all-zero
+    bitmap, and marshalled digests see the difference. Merges of many
+    summaries are deterministic only because every caller folds them
+    in run-index order.
+    @raise Invalid_argument when neither operand {!is_empty} and their
+    widths differ. *)
 
 val new_bits : base:summary -> summary -> int
 (** Bits set in the summary but not in [base] — the corpus admission
-    test. *)
+    test. 0 when the summary {!is_empty}; [popcount s] when [base]
+    does.
+    @raise Invalid_argument when neither {!is_empty} and their widths
+    differ. *)
 
 val popcount : summary -> int
+
 val is_empty : summary -> bool
+(** [true] for {!empty} and for an all-zero bitmap. *)
 
 val digest : summary -> string
 (** Hex MD5 of the bitmap bytes. *)

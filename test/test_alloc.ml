@@ -188,6 +188,38 @@ let run_rows =
           k (fun () -> ignore (T11r_race.Predict.analyze input))) };
   ]
 
+(* Coverage summary arithmetic on full 512-byte bitmaps, as a guided
+   hunt does it after every run: the campaign's union, the corpus'
+   admission count, the run's bit count. Only [union] may allocate, and
+   only its result (a 512-byte string: 64 words, a padding word and a
+   header). [is_empty] reads an all-zero bitmap, its longest scan.
+   run_coverage_on is run_decisions_off with coverage marking on. *)
+let summary_of sites =
+  let cov = Coverage.create () in
+  List.iter (fun obj -> Coverage.mark cov (Coverage.site_edge ~tid:1 ~obj)) sites;
+  Coverage.summarize cov
+
+let cov_a = summary_of (List.init 40 Fun.id)
+let cov_b = summary_of (List.init 40 (fun i -> i + 20))
+
+let coverage_rows =
+  [
+    { op = "cov_popcount"; budget = 0; loop = per_op;
+      with_op = (fun k -> k (fun () -> ignore (Coverage.popcount cov_a))) };
+    { op = "cov_is_empty"; budget = 0; loop = per_op;
+      with_op =
+        (fun k ->
+          let zeros = summary_of [] in
+          k (fun () -> ignore (Coverage.is_empty zeros))) };
+    { op = "cov_new_bits"; budget = 0; loop = per_op;
+      with_op =
+        (fun k -> k (fun () -> ignore (Coverage.new_bits ~base:cov_a cov_b))) };
+    { op = "cov_union"; budget = 66; loop = per_op;
+      with_op = (fun k -> k (fun () -> ignore (Coverage.union cov_a cov_b))) };
+    { op = "run_coverage_on"; budget = 3_000; loop = per_run;
+      with_op = recycled (Conf.with_coverage run_conf true) fig1 };
+  ]
+
 (* Demo durability on a real fig1 recording: a crash-atomic save
    (fresh sibling dir, fsync, rename), the same save without fsyncs,
    and a verifying load (CRC trailer and MANIFEST check per file). *)
@@ -235,5 +267,5 @@ let () =
               (Printf.sprintf "%s <= %d words" r.op r.budget)
               `Quick (test_row r))
           (atomics_rows @ detector_rows @ observability_rows @ run_rows
-         @ demo_rows) );
+         @ demo_rows @ coverage_rows) );
     ]

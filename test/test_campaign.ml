@@ -582,7 +582,10 @@ module Guided = T11r_harness.Guided
 
 (* Corpus admission/merge is pure and order-disciplined: the same
    consider sequence always yields the same corpus digest, repeat
-   coverage is never admitted, and union is commutative. *)
+   coverage is never admitted, and union commutes on non-empty
+   summaries. It does not commute on bytes when an all-zero bitmap
+   meets the empty summary: the left operand is tested first, so the
+   result is whichever comes second. *)
 let test_corpus_admission () =
   let cov_a = Coverage.create () in
   Coverage.mark cov_a (Coverage.site_edge ~tid:1 ~obj:2);
@@ -605,6 +608,13 @@ let test_corpus_admission () =
   Alcotest.(check string) "union commutes"
     (Coverage.digest (Coverage.union a b))
     (Coverage.digest (Coverage.union b a));
+  let zeros = Coverage.summarize (Coverage.create ()) in
+  Alcotest.(check string) "union zeros empty = empty" Coverage.empty
+    (Coverage.union zeros Coverage.empty);
+  Alcotest.(check string) "union empty zeros = zeros" (String.make 512 '\000')
+    (Coverage.union Coverage.empty zeros);
+  Alcotest.(check bool) "an empty operand yields the other unchanged" true
+    (Coverage.union zeros a == a && Coverage.union a Coverage.empty == a);
   (* replaying the same consider sequence reproduces the digest *)
   let replay =
     List.fold_left
