@@ -210,6 +210,42 @@ let guided_cases () =
           (Guided.hunt spec ~rounds:2 ~batch:16 ~jobs:1 ~salt:1L ~tick_budget ()) ))
     Workloads.all
 
+(* The demo bytes of recordings that write the files replay_cases does
+   not: pbzip's (the benchmark's other application), httpd's with the
+   debug TRACE file, and the guided recordings of fig1 and ms-queue
+   with their DECISIONS file. *)
+let demo_cases () =
+  let record key name ~world_seed conf =
+    let w = Option.get (Workloads.find name) in
+    T11r_util.Tmp.with_dir ~prefix:"golden" (fun dir ->
+        ignore
+          (run_workload w ~world_seed
+             (conf (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record dir) ())));
+        (key, demo_digest dir))
+  in
+  let seeded c = Conf.with_seeds c 11L 13L in
+  let guided name =
+    record
+      (Printf.sprintf "demo/%s/guided" name)
+      name ~world_seed:43L
+      (fun c ->
+        Conf.with_seeds
+          (Conf.with_strategy c
+             (Conf.Guided
+                {
+                  prefix = T11r_harness.Predictor.recording_prefix 1;
+                  observed = ref [];
+                }))
+          1L 7920L)
+  in
+  [
+    record "demo/pbzip/queue" "pbzip" ~world_seed:5L seeded;
+    record "demo/httpd/queue+trace" "httpd" ~world_seed:5L (fun c ->
+        { (seeded c) with Conf.debug_trace = true });
+    guided "fig1";
+    guided "ms-queue";
+  ]
+
 let cases () =
   campaign_cases () @ replay_cases () @ predict_cases ()
-  @ predict_merge_cases () @ guided_cases ()
+  @ predict_merge_cases () @ guided_cases () @ demo_cases ()

@@ -638,3 +638,341 @@ module Predictor = struct
       r_executed = runs;
     }
 end
+
+(* The demo codec as it was before the one-pass rewrite: one
+   [Printf.sprintf] per line, a save that joins and checksums every
+   file twice (trailer, MANIFEST), and a loader that reads each file
+   once for the MANIFEST and again to parse it. Parsing and errors are
+   [Tsan11rec.Demo]'s own types, so test_diff.ml compares saved bytes,
+   sizes and load outcomes directly. *)
+module Demo_codec = struct
+  open T11r_util
+  open Tsan11rec.Demo
+
+  let corrupt file line fmt =
+    Printf.ksprintf
+      (fun reason -> raise (Corrupt { c_file = file; c_line = line; c_reason = reason }))
+      fmt
+
+  let format_version = 1
+
+  let render_meta m =
+    [
+      Printf.sprintf "format %d" format_version;
+      "app " ^ Codec.escape m.app;
+      "strategy " ^ m.strategy;
+      Printf.sprintf "seed1 %Ld" m.seed1;
+      Printf.sprintf "seed2 %Ld" m.seed2;
+      Printf.sprintf "ticks %d" m.ticks;
+      "output_digest " ^ m.output_digest;
+    ]
+
+  let render_queue q =
+    let marker = [ "queue" ] in
+    let firsts =
+      List.map (fun (tid, tick) -> Printf.sprintf "first %d %d" tid tick) q.first_ticks
+    in
+    let deltas =
+      let prev = ref 0 in
+      List.map
+        (fun t ->
+          let d = t - !prev in
+          prev := t;
+          d)
+        q.next_ticks
+    in
+    let pairs = Rle.encode deltas in
+    let ticks = List.map (fun (v, n) -> Printf.sprintf "t %d %d" v n) pairs in
+    marker @ firsts @ ticks
+
+  let render_signals ss =
+    List.map (fun s -> Printf.sprintf "%d %d %d" s.s_tid s.s_tick s.s_signo) ss
+
+  let render_syscalls scs =
+    List.map
+      (fun s ->
+        Printf.sprintf "%d %d %s %d %d %d %s" s.sc_tick s.sc_tid s.sc_label
+          s.sc_ret s.sc_errno s.sc_elapsed
+          (Codec.escape (Rle.encode_bytes s.sc_data)))
+      scs
+
+  let render_asyncs es =
+    List.map
+      (fun e ->
+        match e.a_kind with
+        | Reschedule -> Printf.sprintf "%d resched" e.a_tick
+        | Signal_wakeup tid -> Printf.sprintf "%d sigwake %d" e.a_tick tid)
+      es
+
+  let manifest_name = "MANIFEST"
+  let trailer_tag = "#crc"
+  let is_trailer l = String.length l >= 4 && String.sub l 0 4 = trailer_tag
+
+  let text_of_lines lines =
+    let b = Buffer.create 256 in
+    List.iter
+      (fun l ->
+        Buffer.add_string b l;
+        Buffer.add_char b '\n')
+      lines;
+    Buffer.contents b
+
+  let trailer_of lines =
+    Printf.sprintf "%s %s %d" trailer_tag
+      (Crc.to_hex (Crc.string (text_of_lines lines)))
+      (List.length lines)
+
+  let write_framed path lines =
+    let oc = open_out_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        List.iter
+          (fun l ->
+            output_string oc l;
+            output_char oc '\n')
+          (lines @ [ trailer_of lines ]))
+
+  let payload_files ?(extra = []) t =
+    (("META", render_meta t.meta)
+    :: (match t.queue with Some q -> [ ("QUEUE", render_queue q) ] | None -> []))
+    @ [
+        ("SIGNAL", render_signals t.signals);
+        ("SYSCALL", render_syscalls t.syscalls);
+        ("ASYNC", render_asyncs t.asyncs);
+      ]
+    @ extra
+
+  let manifest_lines files =
+    List.map
+      (fun (name, lines) ->
+        let text = text_of_lines lines in
+        Printf.sprintf "file %s %d %s" name (String.length text)
+          (Crc.to_hex (Crc.string text)))
+      files
+
+  (* Writes straight into [dir], which must exist: the oracle's bytes,
+     not its crash atomicity, are what the tests compare. *)
+  let save ?extra t ~dir =
+    let files = payload_files ?extra t in
+    List.iter
+      (fun (name, lines) -> write_framed (Filename.concat dir name) lines)
+      files;
+    write_framed (Filename.concat dir manifest_name) (manifest_lines files)
+
+  let parse_trailer ~file ~line l =
+    match Codec.fields l with
+    | [ tag; hex; count ] when tag = trailer_tag -> (
+        match (Crc.of_hex hex, int_of_string_opt count) with
+        | Some crc, Some n when n >= 0 -> (crc, n)
+        | _ -> corrupt file line "malformed trailer %S" l)
+    | _ -> corrupt file line "malformed trailer %S" l
+
+  let read_framed ~dir name =
+    let numbered =
+      List.mapi (fun i l -> (i + 1, l)) (Codec.read_lines (Filename.concat dir name))
+    in
+    let check_no_stray payload =
+      List.iter
+        (fun (ln, l) -> if is_trailer l then corrupt name ln "misplaced trailer")
+        payload
+    in
+    match List.rev numbered with
+    | (ln, last) :: rev_payload when is_trailer last ->
+        let crc, count = parse_trailer ~file:name ~line:ln last in
+        let payload = List.rev rev_payload in
+        check_no_stray payload;
+        let got = List.length payload in
+        if got <> count then
+          corrupt name ln "%d payload lines but trailer says %d (truncated?)" got
+            count;
+        if Crc.string (text_of_lines (List.map snd payload)) <> crc then
+          corrupt name ln "payload does not match trailer checksum";
+        payload
+    | _ ->
+        check_no_stray numbered;
+        numbered
+
+  let verify_manifest ~dir =
+    if Sys.file_exists (Filename.concat dir manifest_name) then
+      List.iter
+        (fun (ln, line) ->
+          match Codec.fields line with
+          | [ "file"; name; size; crc_hex ] -> (
+              if Filename.basename name <> name then
+                corrupt manifest_name ln "bad file name %S" name;
+              match (int_of_string_opt size, Crc.of_hex crc_hex) with
+              | Some size, Some crc ->
+                  if not (Sys.file_exists (Filename.concat dir name)) then
+                    corrupt name 0 "listed in MANIFEST but missing";
+                  let payload = read_framed ~dir name in
+                  let text = text_of_lines (List.map snd payload) in
+                  if String.length text <> size then
+                    corrupt name 0
+                      "%d payload bytes but MANIFEST says %d (truncated?)"
+                      (String.length text) size;
+                  if Crc.string text <> crc then
+                    corrupt name 0 "payload does not match MANIFEST checksum"
+              | _ -> corrupt manifest_name ln "bad MANIFEST line %S" line)
+          | [] -> ()
+          | _ -> corrupt manifest_name ln "bad MANIFEST line %S" line)
+        (read_framed ~dir manifest_name)
+
+  let guard ~file ~line f =
+    try f () with
+    | Corrupt _ as e -> raise e
+    | Invalid_argument m | Failure m -> corrupt file line "%s" m
+
+  let parse_meta numbered =
+    let file = "META" in
+    let tbl = Hashtbl.create 8 in
+    List.iter
+      (fun (ln, line) ->
+        match Codec.fields line with
+        | key :: rest -> Hashtbl.replace tbl key (ln, String.concat " " rest)
+        | [] -> ())
+      numbered;
+    let get k =
+      match Hashtbl.find_opt tbl k with
+      | Some lv -> lv
+      | None -> corrupt file 0 "missing key %s" k
+    in
+    let conv k f =
+      let ln, v = get k in
+      guard ~file ~line:ln (fun () -> f v)
+    in
+    (match Hashtbl.find_opt tbl "format" with
+    | None -> ()
+    | Some (ln, v) ->
+        if int_of_string_opt v <> Some format_version then
+          corrupt file ln "unsupported demo format version %S (this build reads %d)"
+            v format_version);
+    {
+      app = conv "app" Codec.unescape;
+      strategy = snd (get "strategy");
+      seed1 = conv "seed1" Codec.int64_field;
+      seed2 = conv "seed2" Codec.int64_field;
+      ticks = conv "ticks" Codec.int_field;
+      output_digest = snd (get "output_digest");
+    }
+
+  let queue_run_length ~file ~line n =
+    if n <= 0 then corrupt file line "non-positive QUEUE run length %d" n;
+    if n > 10_000_000 then corrupt file line "absurd QUEUE run length %d" n;
+    n
+
+  let parse_queue numbered =
+    let firsts = ref [] and runs = ref [] in
+    List.iter
+      (fun (ln, text) ->
+        guard ~file:"QUEUE" ~line:ln (fun () ->
+            match Codec.fields text with
+            | [ "queue" ] | [] -> ()
+            | [ "first"; tid; tick ] ->
+                firsts := (Codec.int_field tid, Codec.int_field tick) :: !firsts
+            | [ "t"; v; n ] ->
+                let n = queue_run_length ~file:"QUEUE" ~line:ln (Codec.int_field n) in
+                runs := (Codec.int_field v, n) :: !runs
+            | _ -> corrupt "QUEUE" ln "bad QUEUE line %S" text))
+      numbered;
+    let prev = ref 0 in
+    {
+      first_ticks = List.rev !firsts;
+      next_ticks =
+        List.map
+          (fun d ->
+            prev := !prev + d;
+            !prev)
+          (Rle.decode (List.rev !runs));
+    }
+
+  let parse_lines file parse numbered =
+    List.filter_map
+      (fun (ln, text) -> guard ~file ~line:ln (fun () -> parse ln text))
+      numbered
+
+  let parse_signals =
+    parse_lines "SIGNAL" (fun ln text ->
+        match Codec.fields text with
+        | [ tid; tick; signo ] ->
+            Some
+              {
+                s_tid = Codec.int_field tid;
+                s_tick = Codec.int_field tick;
+                s_signo = Codec.int_field signo;
+              }
+        | [] -> None
+        | _ -> corrupt "SIGNAL" ln "bad SIGNAL line %S" text)
+
+  let parse_syscalls =
+    parse_lines "SYSCALL" (fun ln text ->
+        match Codec.fields text with
+        | [ tick; tid; label; ret; errno; elapsed; data ] ->
+            Some
+              {
+                sc_tick = Codec.int_field tick;
+                sc_tid = Codec.int_field tid;
+                sc_label = label;
+                sc_ret = Codec.int_field ret;
+                sc_errno = Codec.int_field errno;
+                sc_elapsed = Codec.int_field elapsed;
+                sc_data = Rle.decode_bytes (Codec.unescape data);
+              }
+        | [] -> None
+        | _ -> corrupt "SYSCALL" ln "bad SYSCALL line %S" text)
+
+  let parse_asyncs =
+    parse_lines "ASYNC" (fun ln text ->
+        match Codec.fields text with
+        | [ tick; "resched" ] ->
+            Some { a_tick = Codec.int_field tick; a_kind = Reschedule }
+        | [ tick; "sigwake"; tid ] ->
+            Some
+              {
+                a_tick = Codec.int_field tick;
+                a_kind = Signal_wakeup (Codec.int_field tid);
+              }
+        | [] -> None
+        | _ -> corrupt "ASYNC" ln "bad ASYNC line %S" text)
+
+  let load ~dir =
+    try
+      if not (Sys.file_exists (Filename.concat dir "META")) then
+        raise
+          (Corrupt { c_file = "META"; c_line = 0; c_reason = "no META in " ^ dir });
+      verify_manifest ~dir;
+      let meta = parse_meta (read_framed ~dir "META") in
+      let queue_lines = read_framed ~dir "QUEUE" in
+      {
+        meta;
+        queue = (if queue_lines = [] then None else Some (parse_queue queue_lines));
+        signals = parse_signals (read_framed ~dir "SIGNAL");
+        syscalls = parse_syscalls (read_framed ~dir "SYSCALL");
+        asyncs = parse_asyncs (read_framed ~dir "ASYNC");
+      }
+    with
+    | Corrupt _ as e -> raise e
+    | Invalid_argument m | Failure m | Sys_error m ->
+        raise (Corrupt { c_file = dir; c_line = 0; c_reason = m })
+    | Unix.Unix_error (e, fn, arg) ->
+        raise
+          (Corrupt
+             {
+               c_file = dir;
+               c_line = 0;
+               c_reason = Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e);
+             })
+
+  let read_aux ~dir name = List.map snd (read_framed ~dir name)
+
+  let lines_size ls = List.fold_left (fun acc l -> acc + String.length l + 1) 0 ls
+
+  let size_bytes t =
+    lines_size (render_meta t.meta)
+    + (match t.queue with Some q -> lines_size (render_queue q) | None -> 0)
+    + lines_size (render_signals t.signals)
+    + lines_size (render_syscalls t.syscalls)
+    + lines_size (render_asyncs t.asyncs)
+
+  let syscall_bytes t = lines_size (render_syscalls t.syscalls)
+end
