@@ -80,14 +80,19 @@ val save : ?durable:bool -> ?extra:(string * string list) list -> t -> dir:strin
 (** Crash-atomically (re)write the demo directory: all files — the
     demo proper plus any [extra] named line-files (e.g. the debug
     TRACE) — are CRC-framed, listed in a [MANIFEST], written into a
-    fresh sibling directory, fsynced ([durable], default true; pass
-    false for throwaway recordings where the fsyncs would dominate)
-    and renamed into place. A crash leaves either the previous demo or
-    the complete new one, never a torn mix. *)
+    fresh sibling directory [<tmp>], fsynced ([durable], default true;
+    pass false for throwaway recordings where the fsyncs would
+    dominate) and renamed into place. Each file is rendered, checksummed
+    and written once. A previous demo at [dir] is first renamed to
+    [<tmp>.old] and removed once the new one is in place: a crash
+    leaves the complete previous demo or the complete new one, never a
+    torn mix — at [dir], except between the two renames, when [dir] is
+    absent and the previous demo sits at [<tmp>.old]. *)
 
 val load : dir:string -> t
 (** Load and verify (trailers + MANIFEST when present; files recorded
-    before the framing change still load).
+    before the framing change still load). Each file is read and
+    checksummed once.
     @raise Corrupt on a missing, truncated, tampered or malformed
     demo — never any other exception. *)
 

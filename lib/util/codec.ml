@@ -5,10 +5,9 @@ let needs_escape c =
   | ' ' | '\n' | '\r' | '\t' | '%' -> true
   | c -> Char.code c < 0x20 || Char.code c > 0x7E
 
-let escape s =
-  if String.length s = 0 then "%-"
-  else begin
-    let buf = Buffer.create (String.length s) in
+let add_escaped buf s =
+  if String.length s = 0 then Buffer.add_string buf "%-"
+  else
     String.iter
       (fun c ->
         if needs_escape c then begin
@@ -17,9 +16,12 @@ let escape s =
           Buffer.add_char buf hex.[Char.code c land 0xF]
         end
         else Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-  end
+      s
+
+let escape s =
+  let buf = Buffer.create (max 2 (String.length s)) in
+  add_escaped buf s;
+  Buffer.contents buf
 
 let hex_val c =
   match c with
@@ -62,20 +64,23 @@ let int64_field f =
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Codec.int64_field: %S" f)
 
-let read_lines path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        go [])
-  end
+let read_file path =
+  if not (Sys.file_exists path) then ""
+  else In_channel.with_open_bin path In_channel.input_all
+
+(* Cut at each '\n', with no empty line after a final one: the lines
+   [input_line] would return, one by one. *)
+let lines s =
+  let n = String.length s in
+  let rec go pos acc =
+    if pos >= n then List.rev acc
+    else
+      let stop = Option.value (String.index_from_opt s pos '\n') ~default:n in
+      go (stop + 1) (String.sub s pos (stop - pos) :: acc)
+  in
+  go 0 []
+
+let read_lines path = lines (read_file path)
 
 let rec mkdir_p dir =
   if dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin

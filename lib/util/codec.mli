@@ -11,6 +11,9 @@ val escape : string -> string
     or '%' except as escape lead-ins ([%XX] hex escapes). The empty
     string encodes as ["%-"]. *)
 
+val add_escaped : Buffer.t -> string -> unit
+(** [add_escaped b s] appends [escape s] to [b]. *)
+
 val unescape : string -> string
 (** Inverse of {!escape}.
     @raise Invalid_argument on malformed input. *)
@@ -23,8 +26,16 @@ val int_field : string -> int
 
 val int64_field : string -> int64
 
+val read_file : string -> string
+(** A file's whole contents; [""] if absent. *)
+
+val lines : string -> string list
+(** The lines of a text as [input_line] reads them: cut at each ['\n'],
+    without the newline, and no empty last line after a final one. *)
+
 val read_lines : string -> string list
-(** All lines of a file, without trailing newlines; [] if absent. *)
+(** [lines (read_file path)]: all lines of a file, without trailing
+    newlines; [] if absent. *)
 
 val write_lines : string -> string list -> unit
 (** Write lines to a file, each terminated by a newline; creates parent

@@ -220,19 +220,14 @@ let coverage_rows =
       with_op = recycled (Conf.with_coverage run_conf true) fig1 };
   ]
 
-(* Demo durability on a real fig1 recording: a crash-atomic save
-   (fresh sibling dir, fsync, rename), the same save without fsyncs,
-   and a verifying load (CRC trailer and MANIFEST check per file). *)
-let with_demo f k =
+(* Demo durability on a real recording: a crash-atomic save (fresh
+   sibling dir, fsync, rename), the same save without fsyncs, and a
+   verifying load (CRC trailer and MANIFEST check per file). The fig1
+   demo is a few hundred bytes; httpd's (queue strategy) is ~73 KB,
+   where rendering and parsing dominate. *)
+let with_demo record f k =
   let base = T11r_util.Tmp.fresh_dir ~prefix:"t11r" () in
-  let conf =
-    Conf.with_seeds
-      (Conf.tsan11rec ~strategy:Conf.Random
-         ~mode:(Conf.Record (Filename.concat base "rec"))
-         ())
-      1L 2L
-  in
-  let r = Interp.run ~world:(World.create ~seed:1L ()) conf (fig1 ()) in
+  let r = record (Conf.Record (Filename.concat base "rec")) in
   let d = Option.get r.Interp.demo in
   let dir = Filename.concat base "demo" in
   Demo.save d ~dir;
@@ -240,14 +235,41 @@ let with_demo f k =
     ~finally:(fun () -> T11r_util.Tmp.rm_rf base)
     (fun () -> k (f d dir))
 
+let fig1_demo =
+  with_demo (fun mode ->
+      Interp.run ~world:(World.create ~seed:1L ())
+        (Conf.with_seeds (Conf.tsan11rec ~strategy:Conf.Random ~mode ()) 1L 2L)
+        (fig1 ()))
+
+let httpd_demo =
+  with_demo (fun mode ->
+      let w = Option.get (T11r_harness.Workloads.find "httpd") in
+      let world = World.create ~seed:5L () in
+      Interp.run ~world
+        (Conf.with_policy
+           (Conf.with_seeds (Conf.tsan11rec ~strategy:Conf.Queue ~mode ()) 11L 13L)
+           w.w_policy)
+        (w.w_instance world ()))
+
 let demo_rows =
   [
     { op = "demo_save"; budget = 8_000; loop = per_io 10;
-      with_op = with_demo (fun d dir () -> Demo.save d ~dir) };
+      with_op = fig1_demo (fun d dir () -> Demo.save d ~dir) };
     { op = "demo_save_nofsync"; budget = 8_000; loop = per_io 40;
-      with_op = with_demo (fun d dir () -> Demo.save ~durable:false d ~dir) };
+      with_op = fig1_demo (fun d dir () -> Demo.save ~durable:false d ~dir) };
     { op = "demo_load"; budget = 8_000; loop = per_io 40;
-      with_op = with_demo (fun _ dir () -> ignore (Demo.load ~dir)) };
+      with_op = fig1_demo (fun _ dir () -> ignore (Demo.load ~dir)) };
+  ]
+
+(* Render once into one buffer, checksum once, read each file once:
+   a Printf call per field or a second pass over the lines shows up
+   here as hundreds of thousands of words. *)
+let httpd_demo_rows =
+  [
+    { op = "demo_save_nofsync_httpd"; budget = 56_000; loop = per_io 20;
+      with_op = httpd_demo (fun d dir () -> Demo.save ~durable:false d ~dir) };
+    { op = "demo_load_httpd"; budget = 890_000; loop = per_io 20;
+      with_op = httpd_demo (fun _ dir () -> ignore (Demo.load ~dir)) };
   ]
 
 let test_row r () =
@@ -267,5 +289,5 @@ let () =
               (Printf.sprintf "%s <= %d words" r.op r.budget)
               `Quick (test_row r))
           (atomics_rows @ detector_rows @ observability_rows @ run_rows
-         @ demo_rows @ coverage_rows) );
+         @ demo_rows @ coverage_rows @ httpd_demo_rows) );
     ]
