@@ -453,8 +453,9 @@ let pp fmt (t : t) =
 (* ---- serialization ------------------------------------------------- *)
 
 (* One line per step ("S"), access ("A") and observed race ("R").
-   Location names may contain spaces, so they come last and span the
-   rest of their line. *)
+   Location names are written with [Codec.escape], so a name with a
+   space or a newline stays one field of one line. They come last:
+   older builds wrote them raw, spanning the rest of their line. *)
 
 let enc_foot = function
   | F_local -> "L"
@@ -489,11 +490,12 @@ let encode_input inp =
   let access a =
     Printf.sprintf "A %d %d %d %d %d %s" a.a_tick a.a_tid a.a_pos a.a_var
       (if a.a_write then 1 else 0)
-      a.a_name
+      (T11r_util.Codec.escape a.a_name)
   in
   let race (r : Report.t) =
     Printf.sprintf "R %s %d %d %s" (enc_kind r.Report.kind) r.Report.first_tid
-      r.Report.second_tid r.Report.var
+      r.Report.second_tid
+      (T11r_util.Codec.escape r.Report.var)
   in
   List.map step (Array.to_list inp.steps)
   @ List.map access (Array.to_list inp.accs)
@@ -550,6 +552,11 @@ let dec_kind = function
   | "wr" -> Report.Write_read
   | "rw" -> Report.Read_write
   | _ -> raise Bad
+
+(* A name as [encode_input] escapes it. A raw name an older build
+   wrote decodes to itself unless it holds a '%' escape lead-in; one
+   whose '%' starts no valid escape is kept raw. *)
+let dec_name s = try T11r_util.Codec.unescape s with Invalid_argument _ -> s
 
 let dec_csv conv s =
   if s = "" then []
@@ -625,7 +632,7 @@ let decode_input lines =
                       a_pos = dec_int pos;
                       a_var = dec_int var;
                       a_write = dec_int w <> 0;
-                      a_name = name;
+                      a_name = dec_name name;
                     }
                   in
                   if a.a_tid < 0 || a.a_pos < 0 then raise Bad;
@@ -636,7 +643,7 @@ let decode_input lines =
               | [ "R"; kind; t1; t2; var ] ->
                   obs :=
                     {
-                      Report.var;
+                      Report.var = dec_name var;
                       kind = dec_kind kind;
                       first_tid = dec_int t1;
                       second_tid = dec_int t2;

@@ -112,7 +112,8 @@ val encode_input : input -> string list
     - [A <tick> <tid> <pos> <var> <write 0|1> <name>]
     - [R <ww|wr|rw> <tid1> <tid2> <name>]
 
-    Names come last and may contain spaces. *)
+    Names come last, written with {!T11r_util.Codec.escape} so a
+    space or newline in a name cannot split a line. *)
 
 val decode_input : string list -> input option
 (** Inverse of {!encode_input}: [decode_input (encode_input i)] is [i].
@@ -121,4 +122,6 @@ val decode_input : string list -> input option
     and on an access with a negative tid or position. Step lines
     written by older builds end in a FastTrack clock column
     [C<c0,c1,...>] instead of [D<draws>]; it is accepted, ignored,
-    and decodes as [d_draws = 0] — the analysis never reads draws. *)
+    and decodes as [d_draws = 0] — the analysis never reads draws.
+    Older builds wrote names raw; such a name decodes as itself unless
+    it holds a valid ['%XX'] escape. *)
