@@ -10,8 +10,10 @@
    - interp.golden     golden.ml's cases: a short campaign of every
                        workload under every configuration,
                        record/replay/desync pairs of four apps, the
-                       offline prediction of guided recordings, and a
-                       small guided hunt of every workload.
+                       offline prediction of guided recordings, a
+                       small guided hunt of every workload, and the
+                       demo bytes of recordings that write TRACE and
+                       DECISIONS files.
 
    The optimised build must (a) replay the committed demo with zero
    divergence, (b) re-record it byte-identically, and (c) reproduce
