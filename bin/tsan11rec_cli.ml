@@ -238,7 +238,9 @@ let journal_row =
      skip runs it already holds. $(b,--resume) and $(b,--journal) are the \
      same option: pointing it at the journal of an interrupted or killed \
      campaign continues exactly where it stopped, and the final report \
-     and digest are bit-identical to an uninterrupted run."
+     and digest are bit-identical to an uninterrupted run. A journal of \
+     another run (other workload, strategy, seeds, $(b,--env-seed) or \
+     $(b,--tick-budget)) is refused with exit status 2 and left as it is."
   in
   Arg.(
     value
@@ -750,6 +752,7 @@ let hunt_cmd =
 
 let check_cmd =
   let run name max_runs co =
+    if max_runs < 1 then usage "--max-runs must be >= 1 (got %d)" max_runs;
     install_sigint ();
     let w = lookup_workload name in
     let build () =

@@ -272,10 +272,40 @@ let run_one ~deadline_s ~tick_budget (conf : Conf.t) instance =
       let world, program = instance () in
       Interp.run ~world ~arena:(domain_arena ()) conf program)
 
+let sanitize (r : Interp.result) = { r with Interp.demo = None }
+
+(* A header pins only what its engine can name; one journalled run
+   executed again catches the rest of the spec. A wall-clock timeout
+   or a quarantined crash is not a function of the spec: skipped. *)
+let check_reproduces ~who ~tick_budget path w setup runs =
+  let verifiable (_, (r : Interp.result)) =
+    match r.Interp.outcome with
+    | Interp.Timeout | Interp.Crashed (-1, _) -> false
+    | _ -> true
+  in
+  match List.find_opt verifiable runs with
+  | None -> ()
+  | Some (key, r) ->
+      let conf, instance = setup key in
+      let bytes r = Marshal.to_string (sanitize r) [ Marshal.No_sharing ] in
+      let same =
+        match run_one ~deadline_s:0. ~tick_budget conf instance with
+        | fresh -> String.equal (bytes fresh) (bytes r)
+        | exception _ -> false
+      in
+      if not same then begin
+        Journal.close w;
+        invalid_arg
+          (Printf.sprintf
+             "%s: journal %s holds another spec's runs: its first run does \
+              not reproduce"
+             who path)
+      end
+
 (* -- the campaign journal ------------------------------------------- *)
 
-(* One header entry pins the campaign identity (and the Marshal schema
-   of the run payloads); one "run" entry per completed run carries
+(* The header pins the campaign identity (and the Marshal schema of
+   the run payloads); one "run" entry per completed run carries
    (index, result-without-demo). Resuming replays intact entries and
    executes only the holes; because aggregation is an index-ordered
    fold and Marshal round-trips the pure result data exactly, a
@@ -284,68 +314,33 @@ let run_one ~deadline_s ~tick_budget (conf : Conf.t) instance =
    contains) changes layout. *)
 let journal_schema = 4
 
-type journal_header = {
-  jh_schema : int;
-  jh_label : string;
-  jh_n : int;
-  jh_first : int;
-}
-
-let sanitize (r : Interp.result) = { r with Interp.demo = None }
-
 let header_kind = "campaign"
 let run_kind = "run"
 
-(* The schema half of the header check, which the read-only path also
-   enforces: an unreadable header or another layout is refused before
-   any run entry is unmarshalled. *)
-let schema_error ~who ~verb path found =
-  match (Marshal.from_string found 0 : journal_header) with
-  | jh when jh.jh_schema = journal_schema -> None
-  | jh ->
-      Some
-        (Printf.sprintf "%s: journal %s has schema %d, this build %s %d" who
-           path jh.jh_schema verb journal_schema)
-  | exception _ ->
-      Some (Printf.sprintf "%s: journal %s: unreadable header" who path)
+let by_index tbl =
+  List.sort
+    (fun (a, _) (b, _) -> compare a b)
+    (Hashtbl.fold (fun i r acc -> (i, r) :: acc) tbl [])
 
-let open_journal (s : spec) ~n ~first path =
-  let mismatch found =
-    match schema_error ~who:"Campaign.run" ~verb:"writes" path found with
-    | Some msg -> msg
-    | None ->
-        let jh : journal_header = Marshal.from_string found 0 in
-        Printf.sprintf
-          "Campaign.run: journal %s belongs to campaign %S (n=%d, first=%d), \
-           not %S (n=%d, first=%d)"
-          path jh.jh_label jh.jh_n jh.jh_first s.label n first
+let open_journal (s : spec) ~n ~first ~tick_budget path =
+  let identity =
+    Printf.sprintf "%S n=%d first=%d tick-budget=%s" s.label n first
+      (Option.fold ~none:"none" ~some:string_of_int tick_budget)
   in
-  let header =
-    {
-      Journal.kind = header_kind;
-      payload =
-        Marshal.to_string
-          { jh_schema = journal_schema; jh_label = s.label; jh_n = n; jh_first = first }
-          [];
-    }
-  in
-  (* Buffered writer: one append per run must not serialise the pool
-     on write(2). The buffer drains when full and on close (normal end
-     and SIGINT both reach close); a SIGKILL loses at most the buffered
-     suffix, which the next resume re-executes. *)
   let w, entries, torn =
-    Journal.open_pinned ~buffer:(256 * 1024) ~header ~payload:run_kind
-      ~mismatch path
+    Journal.open_pinned ~kind:header_kind ~schema:journal_schema ~identity
+      ~payload:run_kind path
   in
   let dropped = ref torn in
   let cached : (int, Interp.result) Hashtbl.t = Hashtbl.create 64 in
   List.iter
-    (fun (e : Journal.entry) ->
-      match (Marshal.from_string e.Journal.payload 0 : int * Interp.result) with
-      | i, r when i >= first && i < first + n -> Hashtbl.replace cached i r
-      | _ -> incr dropped
-      | exception _ -> incr dropped)
+    (fun ((i, r) : int * Interp.result) ->
+      if i >= first && i < first + n then Hashtbl.replace cached i r
+      else incr dropped)
     entries;
+  check_reproduces ~who:"Campaign.run" ~tick_budget path w
+    (fun i -> (s.conf i, fun () -> s.instance i))
+    (by_index cached);
   (w, cached, !dropped)
 
 (* Read-only journal access for offline consumers (predictive race
@@ -355,25 +350,22 @@ let open_journal (s : spec) ~n ~first path =
    (label/n/first) are not: the reader takes whatever campaign the
    journal holds. *)
 let journal_results path =
-  let who = "Campaign.journal_results" in
-  let header, entries, _torn =
-    Journal.load_pinned ~header:header_kind ~payload:run_kind path
-  in
-  (match header with
-  | None ->
-      invalid_arg (Printf.sprintf "%s: %s is not a campaign journal" who path)
-  | Some h -> Option.iter invalid_arg (schema_error ~who ~verb:"reads" path h));
-  (* Newest entry wins per index (a resumed campaign may have appended
-     a duplicate), then index order. *)
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Journal.entry) ->
-      match (Marshal.from_string e.Journal.payload 0 : int * Interp.result) with
-      | i, r -> Hashtbl.replace tbl i r
-      | exception _ -> ())
-    entries;
-  Hashtbl.fold (fun i r acc -> (i, r) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  match
+    Journal.load_pinned ~kind:header_kind ~schema:journal_schema
+      ~payload:run_kind path
+  with
+  | None, _, _ ->
+      invalid_arg
+        (Printf.sprintf
+           "Campaign.journal_results: %s is not a campaign journal" path)
+  | Some _, entries, _ ->
+      (* Newest entry wins per index (a resumed campaign may have
+         appended a duplicate), then index order. *)
+      let tbl = Hashtbl.create 64 in
+      List.iter
+        (fun ((i, r) : int * Interp.result) -> Hashtbl.replace tbl i r)
+        entries;
+      by_index tbl
 
 let run s ~n ?(jobs = 1) ?(first = 0) ?(deadline_s = 0.) ?tick_budget
     ?(retries = 0) ?(backoff_s = 0.05) ?journal ?cancel observers =
@@ -383,7 +375,7 @@ let run s ~n ?(jobs = 1) ?(first = 0) ?(deadline_s = 0.) ?tick_budget
     match journal with
     | None -> (None, Hashtbl.create 1, 0)
     | Some path ->
-        let w, cached, dropped = open_journal s ~n ~first path in
+        let w, cached, dropped = open_journal s ~n ~first ~tick_budget path in
         (Some w, cached, dropped)
   in
   let resumed = Hashtbl.length cached in

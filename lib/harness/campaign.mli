@@ -76,6 +76,24 @@ val run_one :
     a setup or build failure becomes an [App_error]/[Unsupported_app]
     result. *)
 
+val check_reproduces :
+  who:string ->
+  tick_budget:int option ->
+  string ->
+  T11r_util.Journal.writer ->
+  ('k -> Tsan11rec.Conf.t * (unit -> T11r_env.World.t * T11r_vm.Api.program)) ->
+  ('k * Tsan11rec.Interp.result) list ->
+  unit
+(** The resume check every engine makes before serving a journalled
+    entry: the first [(key, result)] of [runs] whose outcome is neither
+    [Timeout] nor a quarantined [Crashed (-1, _)] runs again through
+    {!run_one} under [setup key] with the deadline off, and its result
+    without demo must marshal ([No_sharing]) to the journalled bytes.
+    This refuses what a header cannot name: another strategy, world
+    seed or workload.
+    @raise Invalid_argument naming [who] and [path], after closing
+    [w], when the run does not reproduce. *)
+
 type observer = { on_run : int -> Tsan11rec.Interp.result -> unit }
 (** Extra per-run hook. Observers are invoked after the campaign
     completes, on the calling domain, in run-index order — they may
@@ -177,12 +195,13 @@ val run :
       (default 50ms), then quarantined as a [Crashed (-1, _)] result —
       one crashing run never aborts the campaign.
     - [journal] appends every completed run to a checksummed JSONL
-      journal opened by {!T11r_util.Journal.open_pinned}; if the file
-      already holds entries for this campaign (validated by
-      label/n/first), those runs are not re-executed — this is
-      [--resume]. Resumed, retried and [jobs]-varied campaigns all
-      produce bit-identical digests: aggregation replays journal
-      entries in run-index order.
+      journal opened by {!T11r_util.Journal.open_pinned}, whose header
+      identity is the label, [n], [first] and [tick_budget]; runs the
+      file already holds are not re-executed — this is [--resume] —
+      once its lowest-index verifiable run reproduces
+      ({!check_reproduces}). Resumed, retried and [jobs]-varied
+      campaigns all produce bit-identical digests: aggregation replays
+      journal entries in run-index order.
     - [cancel] is polled between runs (SIGINT draining): when it turns
       true the campaign stops claiming work, finishes in-flight runs,
       flushes the journal and returns a partial report with
@@ -190,8 +209,10 @@ val run :
 
     @raise Invalid_argument when [n < 1], or before any run executes
     when [journal] is refused: its first line is damaged or it is not
-    a journal, it is another engine's journal, or its header pins
-    another campaign (label/n/first) or another {!journal_schema}. *)
+    a journal, it is another engine's journal, its header is
+    unreadable or has another {!journal_schema}, it pins another
+    campaign (label/n/first/tick budget), or its first verifiable run
+    does not reproduce under [s]. *)
 
 val journal_schema : int
 (** Version of the marshalled run layout, pinned in every journal's
@@ -205,10 +226,10 @@ val journal_results : string -> (int * Tsan11rec.Interp.result) list
     order (newest entry wins per index on resumed journals) — the
     input of offline analyses ([Predictor]) over a finished campaign.
     The Marshal schema pin is enforced; the campaign identity pins are
-    not.
+    not. Entries that do not unmarshal are skipped.
     @raise Invalid_argument on a file with no campaign header, a
-    damaged first line, another engine's journal, or a schema
-    mismatch. *)
+    damaged first line, another engine's journal, an unreadable
+    header or a schema mismatch. *)
 
 val equal : report -> report -> bool
 (** Structural equality of everything except [wall_s], [jobs] and the

@@ -75,13 +75,6 @@ let state0 =
 
 let corpus_schema = 1
 
-type corpus_header = {
-  ch_schema : int;
-  ch_label : string;
-  ch_batch : int;
-  ch_salt : int64;
-}
-
 let corpus_journal_path dir = Filename.concat dir "corpus.journal"
 let round_journal_path dir r = Filename.concat dir (Printf.sprintf "round-%d.journal" r)
 let header_kind = "corpus-hunt"
@@ -90,66 +83,24 @@ let snap_kind = "snap"
 (* The fold state of the newest intact snapshot, if any. *)
 let latest_state snaps =
   List.fold_left
-    (fun latest (e : Journal.entry) ->
-      match (Marshal.from_string e.Journal.payload 0 : state) with
-      | st -> (
-          match latest with
-          | Some prev when prev.st_rounds >= st.st_rounds -> latest
-          | _ -> Some st)
-      | exception _ -> latest)
+    (fun latest (st : state) ->
+      match latest with
+      | Some prev when prev.st_rounds >= st.st_rounds -> latest
+      | _ -> Some st)
     None snaps
-
-let schema_error ~who path found =
-  match (Marshal.from_string found 0 : corpus_header) with
-  | ch when ch.ch_schema = corpus_schema -> None
-  | ch ->
-      Some
-        (Printf.sprintf "%s: corpus %s has schema %d, this build writes %d" who
-           path ch.ch_schema corpus_schema)
-  | exception _ -> Some (Printf.sprintf "%s: corpus %s: unreadable header" who path)
-
-(* Load the newest intact snapshot (if any), validate the header pins,
-   and return an open append-mode writer. *)
-let open_corpus_journal ~label ~batch ~salt dir =
-  let path = corpus_journal_path dir in
-  let mismatch found =
-    match schema_error ~who:"Guided.hunt" path found with
-    | Some msg -> msg
-    | None ->
-        let ch : corpus_header = Marshal.from_string found 0 in
-        Printf.sprintf
-          "Guided.hunt: corpus %s belongs to hunt %S (batch=%d, salt=%Ld), \
-           not %S (batch=%d, salt=%Ld)"
-          path ch.ch_label ch.ch_batch ch.ch_salt label batch salt
-  in
-  let header =
-    {
-      Journal.kind = header_kind;
-      payload =
-        Marshal.to_string
-          { ch_schema = corpus_schema; ch_label = label; ch_batch = batch; ch_salt = salt }
-          [];
-    }
-  in
-  let w, snaps, _torn =
-    Journal.open_pinned ~header ~payload:snap_kind ~mismatch path
-  in
-  (w, latest_state snaps)
 
 (* The newest intact snapshot of a corpus directory, read-only: the
    schema pin is checked, the hunt identity pins are not — read-only
    consumers (icb's corpus seeding) only need the seeds, whatever hunt
    produced them. *)
-let load_state ~who dir =
-  let path = corpus_journal_path dir in
-  let header, snaps, _torn =
-    Journal.load_pinned ~header:header_kind ~payload:snap_kind path
+let load_state dir =
+  let _, snaps, _dropped =
+    Journal.load_pinned ~kind:header_kind ~schema:corpus_schema
+      ~payload:snap_kind (corpus_journal_path dir)
   in
-  Option.iter (fun h -> Option.iter invalid_arg (schema_error ~who path h)) header;
   latest_state snaps
 
-let load_corpus dir =
-  Option.map (fun st -> st.st_corpus) (load_state ~who:"Guided.load_corpus" dir)
+let load_corpus dir = Option.map (fun st -> st.st_corpus) (load_state dir)
 
 (* Append a snapshot carrying [corpus] on top of whatever state the
    directory already holds. The snapshot's round index is bumped past
@@ -158,7 +109,7 @@ let load_corpus dir =
    witness seeding) composes with any hunt's journal the way
    [load_corpus] reads them: seeds only. *)
 let save_corpus dir corpus =
-  let base = Option.value (load_state ~who:"Guided.save_corpus" dir) ~default:state0 in
+  let base = Option.value (load_state dir) ~default:state0 in
   let st = { base with st_rounds = base.st_rounds + 1; st_corpus = corpus } in
   let w = Journal.create (corpus_journal_path dir) in
   Journal.append w
@@ -306,10 +257,14 @@ let hunt (s : Campaign.spec) ?(rounds = 8) ?(batch = 32) ?(jobs = 1)
     match corpus_dir with
     | None -> (None, None)
     | Some dir ->
-        let w, latest =
-          open_corpus_journal ~label:s.Campaign.label ~batch ~salt dir
+        let w, snaps, _dropped =
+          Journal.open_pinned ~kind:header_kind ~schema:corpus_schema
+            ~identity:
+              (Printf.sprintf "%S batch=%d salt=%Ld" s.Campaign.label batch
+                 salt)
+            ~payload:snap_kind (corpus_journal_path dir)
         in
-        (Some w, latest)
+        (Some w, latest_state snaps)
   in
   let cancelled () = match cancel with Some f -> f () | None -> false in
   let rec go st =
@@ -331,7 +286,9 @@ let hunt (s : Campaign.spec) ?(rounds = 8) ?(batch = 32) ?(jobs = 1)
         (match jw with
         | Some w ->
             Journal.append w
-              { Journal.kind = snap_kind; payload = Marshal.to_string st [] }
+              { Journal.kind = snap_kind; payload = Marshal.to_string st [] };
+            (* Each round's snapshot is durable before the next round. *)
+            Journal.flush w
         | None -> ());
         go st
       end

@@ -11,8 +11,8 @@
     With [?corpus_dir] the hunt is durable: the fold state is
     snapshotted into a CRC-framed journal after each round, and each
     round's campaign writes its own run journal — a SIGKILL loses at
-    most the in-flight run, and re-running with the same directory
-    resumes and reproduces the uninterrupted digest. *)
+    most the round's unflushed runs, and re-running with the same
+    directory resumes and reproduces the uninterrupted digest. *)
 
 module Conf = Tsan11rec.Conf
 module Coverage = T11r_race.Coverage
@@ -57,11 +57,23 @@ val hunt :
     a race (the runs-to-first-race experiment); [?cancel] is polled
     between rounds and inside each round's campaign.
 
+    The corpus journal's header pins the label, [batch] and [salt];
+    an interrupted round's run journal is checked by {!Campaign.run}.
+    A corpus snapshot from a hunt over another world or strategy is
+    not detected when no round journal is resumed with it.
+
     @raise Invalid_argument when [rounds < 1], [batch < 1], or when a
     journal in [?corpus_dir] is refused (see
-    {!T11r_util.Journal.open_pinned}): a damaged first line or not a
-    journal, another engine's journal, or one pinned to a different
-    hunt (label/batch/salt) or schema. *)
+    {!T11r_util.Journal.open_pinned} and {!Campaign.run}): a damaged
+    first line or not a journal, another engine's journal, an
+    unreadable header or another {!corpus_schema}, one pinned to a
+    different hunt (label/batch/salt), or a round journal that does
+    not reproduce. *)
+
+val corpus_schema : int
+(** Version of the marshalled snapshot layout, pinned in the corpus
+    journal's header; {!hunt} and {!load_corpus} refuse a corpus
+    journal of another schema before unmarshalling any snapshot. *)
 
 val digest : report -> string
 (** Hex MD5 over everything except [g_wall_s] and [g_interrupted] —
@@ -75,8 +87,8 @@ val load_corpus : string -> Corpus.t option
     [None] when the directory has no readable snapshots. Read-only:
     the schema pin is checked, the hunt identity pins are not.
     @raise Invalid_argument when the corpus journal has a damaged
-    first line, is another engine's journal, or has another
-    schema. *)
+    first line, is another engine's journal, or has an unreadable
+    header or another {!corpus_schema}. *)
 
 val save_corpus : string -> Corpus.t -> unit
 (** Append a snapshot carrying [corpus] to a corpus directory's

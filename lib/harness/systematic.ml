@@ -18,22 +18,15 @@ type result = {
 }
 
 (* Journal framing for resumable exploration: one header pinning the
-   run parameters, then one "sys" entry per analyzed prefix carrying
-   (prefix, result-without-demo). Resume keys the cache on the prefix
-   itself, so the worker count may differ between the original run
-   and the resume — each prefix's result is a pure
-   function of (prefix, seeds, world_seed). Results carry the
+   seeds, world seed and tick budget, then one "sys" entry per
+   analyzed prefix carrying (prefix, result-without-demo). Resume keys
+   the cache on the prefix itself, so the worker count may differ
+   between the original run and the resume — each prefix's result is
+   a pure function of (prefix, seeds, world_seed). Results carry the
    per-decision DPOR metadata ({!Decision.t}), and entries are written
    in analysis order (identical at every [jobs]). Bump the schema
    whenever Interp.result changes layout. *)
 let journal_schema = 5
-
-type journal_header = {
-  jh_schema : int;
-  jh_world_seed : int64;
-  jh_seed1 : int64;
-  jh_seed2 : int64;
-}
 
 (* Normalized guided prefixes, hashed over every index: the
    polymorphic [Hashtbl.hash] reads only the first ten, which piles
@@ -69,6 +62,7 @@ let in_sleep sleep tid = List.exists (fun (t, _) -> t = tid) sleep
 let explore ?(max_runs = 2000) ?jobs:_ ?(dpor = true) ?(deadline_s = 0.)
     ?tick_budget ?(world_seed = 7L) ?(seeds = (11L, 13L)) ?journal ?cancel
     ~build () =
+  if max_runs < 1 then invalid_arg "Systematic.explore: max_runs < 1";
   let s1, s2 = seeds in
   let cancelled = match cancel with Some c -> c | None -> fun () -> false in
   (* Journal-loaded results by normalized prefix, consumed (and
@@ -77,50 +71,42 @@ let explore ?(max_runs = 2000) ?jobs:_ ?(dpor = true) ?(deadline_s = 0.)
      [runs] count distinct executions. *)
   let cache : Interp.result Prefixes.t = Prefixes.create 64 in
   let from_journal : unit Prefixes.t = Prefixes.create 64 in
+  (* One prefix execution, from tick 0 on the domain's recycled arena
+     and world. *)
+  let conf_of prefix =
+    Conf.with_seeds
+      (Conf.tsan11rec ~strategy:(Conf.Guided { prefix; observed = ref [] }) ())
+      s1 s2
+  in
+  let instance () =
+    let world = Campaign.recycled_world ~seed:world_seed in
+    (world, build ())
+  in
+  let exec_prefix prefix =
+    Campaign.run_one ~deadline_s ~tick_budget (conf_of prefix) instance
+  in
   let jw =
     Option.map
       (fun path ->
-        let jh =
-          { jh_schema = journal_schema; jh_world_seed = world_seed; jh_seed1 = s1; jh_seed2 = s2 }
+        let identity =
+          Printf.sprintf "world-seed=%Ld seeds=%Ld,%Ld tick-budget=%s"
+            world_seed s1 s2
+            (Option.fold ~none:"none" ~some:string_of_int tick_budget)
         in
-        let header = { Journal.kind = "systematic"; payload = Marshal.to_string jh [] } in
-        let mismatch _ =
-          Printf.sprintf
-            "Systematic.explore: journal %s was written with different \
-             seeds or schema"
-            path
+        let w, entries, _dropped =
+          Journal.open_pinned ~kind:"systematic" ~schema:journal_schema
+            ~identity ~payload:"sys" path
         in
-        let w, entries, _torn =
-          Journal.open_pinned ~header ~payload:"sys" ~mismatch path
-        in
+        Campaign.check_reproduces ~who:"Systematic.explore" ~tick_budget path
+          w (fun prefix -> (conf_of prefix, instance)) entries;
         List.iter
-          (fun (e : Journal.entry) ->
-            match
-              (Marshal.from_string e.Journal.payload 0
-                : int array * Interp.result)
-            with
-            | prefix, r ->
-                let prefix = Decision.normalize_prefix prefix in
-                Prefixes.replace cache prefix r;
-                Prefixes.replace from_journal prefix ()
-            | exception _ -> ())
+          (fun ((prefix, r) : int array * Interp.result) ->
+            let prefix = Decision.normalize_prefix prefix in
+            Prefixes.replace cache prefix r;
+            Prefixes.replace from_journal prefix ())
           entries;
         w)
       journal
-  in
-  (* One prefix execution, from tick 0 on the domain's recycled arena
-     and world. *)
-  let exec_prefix prefix =
-    let conf =
-      Conf.with_seeds
-        (Conf.tsan11rec
-           ~strategy:(Conf.Guided { prefix; observed = ref [] })
-           ())
-        s1 s2
-    in
-    Campaign.run_one ~deadline_s ~tick_budget conf (fun () ->
-        let world = Campaign.recycled_world ~seed:world_seed in
-        (world, build ()))
   in
   (* Aggregation, in analysis order. *)
   let runs = ref 0 in

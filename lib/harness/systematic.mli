@@ -110,14 +110,19 @@ val explore :
     rerun with the same seeds replays
     journalled prefixes instead of executing them ([resumed_runs]
     counts them, on the supervising domain only). The journal is
-    opened by {!T11r_util.Journal.open_pinned} and pins seeds, world
-    seed and schema. [cancel] is polled between descents; a cancelled
-    exploration returns [complete = false] and can be resumed from its
-    journal.
+    opened by {!T11r_util.Journal.open_pinned} and its header pins the
+    schema, seeds, world seed and [tick_budget]; before any entry is
+    served, the first verifiable entry in file order is executed again
+    and must reproduce ({!Campaign.check_reproduces}), which refuses
+    another workload's journal. [cancel] is polled between descents; a
+    cancelled exploration returns [complete = false] and can be
+    resumed from its journal.
 
-    @raise Invalid_argument before any run executes when [journal] is
-    refused: its first line is damaged or it is not a journal, it is
-    another engine's journal, or it was written with different seeds,
-    world seed or schema. *)
+    @raise Invalid_argument before any run executes when [max_runs <
+    1], or when [journal] is refused: its first line is damaged or it
+    is not a journal, it is another engine's journal, its header is
+    unreadable or has another schema, it was written with different
+    seeds, world seed or tick budget, or its first verifiable entry
+    does not reproduce. *)
 
 val pp : Format.formatter -> result -> unit

@@ -13,18 +13,15 @@
    essential because campaign payloads are Marshal blobs, which must
    never be unmarshalled from corrupt bytes.
 
-   Durability model: an unbuffered writer (the default) flushes every
-   append to the kernel, so a SIGKILLed process loses nothing already
-   appended; an fsync is issued every [fsync_every] appends (and on
-   close) to bound what a machine crash can lose. A buffered writer
-   ([~buffer] > 0) trades that per-entry syscall for throughput: lines
-   accumulate in a bounded in-process buffer drained when full, on
-   {!flush} and on {!close} — so hot loops (one journal append per
-   campaign run) do not serialise on write(2), and a kill can lose at
-   most the buffered suffix, which a resume simply re-executes. Either
-   way a torn final line — the one partial write a crash can leave —
-   is dropped (and counted) by [read], and the next writer never
-   appends onto it. *)
+   Durability model: lines accumulate in a bounded in-process buffer
+   (256 KiB) drained when full, on {!flush} and on {!close}, so hot
+   loops (one journal append per campaign run) do not serialise on
+   write(2); an fsync follows every drain that finds 32 or more
+   appends since the last one, and every {!flush} and {!close}. A kill
+   loses at most the buffered suffix, which a resume simply
+   re-executes. A torn final line — the one partial write a crash can
+   leave — is dropped (and counted) by [read], and the next writer
+   never appends onto it. *)
 
 type entry = { kind : string; payload : string }
 
@@ -32,11 +29,12 @@ type writer = {
   oc : out_channel;
   mutable appended : int;
   mutable synced : int;  (* [appended] at the last fsync *)
-  fsync_every : int;
   lock : Mutex.t;
   buf : Buffer.t;
-  buffer_cap : int;  (* 0 = unbuffered: drain + flush on every append *)
 }
+
+let buffer_cap = 256 * 1024
+let fsync_every = 32
 
 (* Like Codec.escape, but also escapes '"' and '\\' so the escaped
    form can sit verbatim inside a JSON string literal. Codec.unescape
@@ -91,8 +89,7 @@ let mend_torn_tail oc path =
         end
       end)
 
-let create ?(fsync_every = 32) ?(buffer = 0) path =
-  if buffer < 0 then invalid_arg "Journal.create: negative buffer";
+let create path =
   Codec.mkdir_p (Filename.dirname path);
   let oc =
     open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
@@ -102,58 +99,42 @@ let create ?(fsync_every = 32) ?(buffer = 0) path =
     oc;
     appended = 0;
     synced = 0;
-    fsync_every;
     lock = Mutex.create ();
-    buf = Buffer.create (min (max buffer 16) 65536);
-    buffer_cap = buffer;
+    buf = Buffer.create 65536;
   }
 
+let locked w f =
+  Mutex.lock w.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock w.lock) f
+
 (* Caller holds the lock. Whole lines only ever reach the channel in
-   one write, so a crash can tear at most the final line — the same
-   recovery contract as the unbuffered path. *)
-let drain_locked w =
-  if Buffer.length w.buf > 0 then begin
-    Buffer.output_buffer w.oc w.buf;
-    Buffer.clear w.buf
-  end;
+   one write, so a crash can tear at most the final line. A drain
+   fsyncs when [sync] or when [fsync_every] appends are unsynced; only
+   a failed fsync of a full buffer raises. *)
+let drain_locked ~sync w =
+  Buffer.output_buffer w.oc w.buf;
+  Buffer.clear w.buf;
   flush w.oc;
-  if w.fsync_every > 0 && w.appended - w.synced >= w.fsync_every then begin
+  if sync || w.appended - w.synced >= fsync_every then begin
     w.synced <- w.appended;
-    Unix.fsync (Unix.descr_of_out_channel w.oc)
+    try Unix.fsync (Unix.descr_of_out_channel w.oc)
+    with Unix.Unix_error _ when sync -> ()
   end
 
 let append w e =
   if not (valid_kind e.kind) then
     invalid_arg (Printf.sprintf "Journal.append: bad kind %S" e.kind);
-  Mutex.lock w.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock w.lock)
-    (fun () ->
+  locked w (fun () ->
       Buffer.add_string w.buf (render e);
       Buffer.add_char w.buf '\n';
       w.appended <- w.appended + 1;
-      if w.buffer_cap = 0 || Buffer.length w.buf >= w.buffer_cap then
-        (* Unbuffered (or full): flush to the kernel — a SIGKILL then
-           loses at most the line being written this instant. *)
-        drain_locked w)
+      if Buffer.length w.buf >= buffer_cap then drain_locked ~sync:false w)
 
-let flush w =
-  Mutex.lock w.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock w.lock)
-    (fun () ->
-      drain_locked w;
-      try Unix.fsync (Unix.descr_of_out_channel w.oc)
-      with Unix.Unix_error _ -> ())
+let flush w = locked w (fun () -> drain_locked ~sync:true w)
 
 let close w =
-  Mutex.lock w.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock w.lock)
-    (fun () ->
-      drain_locked w;
-      (try Unix.fsync (Unix.descr_of_out_channel w.oc)
-       with Unix.Unix_error _ -> ());
+  locked w (fun () ->
+      drain_locked ~sync:true w;
       close_out_noerr w.oc)
 
 (* -- reading -------------------------------------------------------- *)
@@ -226,14 +207,16 @@ let read path = parse_lines (String.split_on_char '\n' (contents path))
 
 (* -- pinned journals ------------------------------------------------ *)
 
-(* The resume rules (see the interface): header payloads, payload
-   entries and dropped-line count, all empty for a fresh start. *)
-let scan ~header ~payload path =
+(* The resume rules (see the interface), with [expect] the identity a
+   writer requires of every header (a reader requires none): the first
+   header's identity, the decoded payload entries and the dropped-line
+   count (torn, corrupt or undecodable), all empty for a fresh start. *)
+let scan ~kind ~schema ~expect ~payload path =
   match String.split_on_char '\n' (contents path) with
   | [ torn ]
     when starts_with ~prefix:torn frame_prefix 0
          || starts_with ~prefix:frame_prefix torn 0 ->
-      ([], [], 0)
+      (None, [], 0)
   | lines ->
       if parse_line (List.hd lines) = None then
         invalid_arg
@@ -242,28 +225,54 @@ let scan ~header ~payload path =
               damaged header, or not a journal at all)"
              path);
       let entries, dropped = parse_lines lines in
-      let headers, payloads = List.partition (fun e -> e.kind = header) entries in
+      let headers, payloads = List.partition (fun e -> e.kind = kind) entries in
       (match List.find_opt (fun e -> e.kind <> payload) payloads with
       | Some e ->
           invalid_arg
-            (Printf.sprintf "%s is a %s journal, not a %s one" path e.kind header)
+            (Printf.sprintf "%s is a %s journal, not a %s one" path e.kind kind)
       | None -> ());
-      (List.map (fun e -> e.payload) headers, payloads, dropped)
+      (* A header payload is the text "schema <n> <identity>". *)
+      let identity h =
+        match
+          (Scanf.sscanf_opt h.payload "schema %u %[^\n]%!" (fun n id -> (n, id)),
+           expect)
+        with
+        | None, _ ->
+            invalid_arg (Printf.sprintf "journal %s: unreadable header" path)
+        | Some (found, _), _ when found <> schema ->
+            invalid_arg
+              (Printf.sprintf "journal %s has schema %d, this build writes %d"
+                 path found schema)
+        | Some (_, found), Some want when found <> want ->
+            invalid_arg
+              (Printf.sprintf "journal %s is pinned to %s, not %s" path found want)
+        | Some (_, found), _ -> found
+      in
+      let identities = List.map identity headers in
+      let values =
+        List.filter_map
+          (fun e ->
+            match Marshal.from_string e.payload 0 with
+            | v -> Some v
+            | exception _ -> None)
+          payloads
+      in
+      ( List.nth_opt identities 0,
+        values,
+        dropped + List.length payloads - List.length values )
 
-let load_pinned ~header ~payload path =
-  let headers, payloads, dropped = scan ~header ~payload path in
-  (List.nth_opt headers 0, payloads, dropped)
+let load_pinned ~kind ~schema ~payload path =
+  scan ~kind ~schema ~expect:None ~payload path
 
-let open_pinned ?buffer ~header ~payload ~mismatch path =
-  let headers, payloads, dropped = scan ~header:header.kind ~payload path in
-  List.iter
-    (fun h -> if h <> header.payload then invalid_arg (mismatch h))
-    headers;
-  let w = create ?buffer path in
-  if headers = [] then begin
-    append w header;
+let open_pinned ~kind ~schema ~identity ~payload path =
+  let found, values, dropped =
+    scan ~kind ~schema ~expect:(Some identity) ~payload path
+  in
+  let w = create path in
+  if found = None then begin
+    append w { kind; payload = Printf.sprintf "schema %d %s" schema identity };
     (* The header pins the journal's identity: make it durable before
        any payload entry is written. *)
     flush w
   end;
-  (w, payloads, dropped)
+  (w, values, dropped)

@@ -13,19 +13,15 @@ type entry = { kind : string; payload : string }
 
 type writer
 
-val create : ?fsync_every:int -> ?buffer:int -> string -> writer
+val create : string -> writer
 (** Open (creating parent directories and the file as needed) for
-    appending. By default ([buffer = 0]) every append is flushed to
-    the kernel — a SIGKILL loses nothing already appended — and an
-    fsync is issued every [fsync_every] appends (default 32; 0
-    disables) and on {!close} to bound machine-crash loss.
-
-    [buffer > 0] bounds an in-process buffer (bytes) instead: appends
-    accumulate and are drained when the buffer fills, on {!flush} and
-    on {!close}, so journaling a hot loop does not serialise on
-    write(2). Whole lines reach the file in single writes either way,
-    so a kill tears at most the final line (dropped by {!read}) and
-    loses at most the buffered suffix — which a resume re-executes.
+    appending. Appends accumulate in a 256 KiB in-process buffer that
+    is drained when full, on {!flush} and on {!close}, so journaling a
+    hot loop does not serialise on write(2); a drain that finds 32 or
+    more appends since the last fsync issues one, and so do {!flush}
+    and {!close}. Whole lines reach the file in single writes, so a
+    kill tears at most the final line (dropped by {!read}) and loses
+    at most the buffered suffix — which a resume re-executes.
 
     Torn-tail guarantee: the writer never appends onto a torn line. An
     unterminated final line after intact ones is terminated first (so
@@ -38,8 +34,8 @@ val append : writer -> entry -> unit
     @raise Invalid_argument on a malformed kind. *)
 
 val flush : writer -> unit
-(** Drain the buffer to the file and fsync — the batch-boundary /
-    SIGINT durability point for buffered writers. *)
+(** Drain the buffer to the file and fsync — the durability point
+    between batches (a guided hunt's round snapshot). *)
 
 val close : writer -> unit
 
@@ -50,36 +46,49 @@ val read : string -> entry list * int
 
 (** {1 Pinned journals}
 
-    A resume journal starts with a header entry (the engine's
-    marshalled identity record, schema first) followed by entries of
-    one payload kind. The resume rules live here, once:
+    A resume journal starts with a header entry of kind [kind] whose
+    payload is the text ["schema <n> <identity>"]: [n] versions the
+    Marshal layout of the payload entries that follow, and [identity]
+    is one line naming the engine run that owns the file. The rules
+    live here, once:
     - an absent or empty file starts fresh, and so does one holding
       only an unterminated journal line (a header torn by a kill);
     - otherwise the first line must be an intact entry, or the file is
       refused: a damaged header, or not a journal at all;
     - an intact entry of any other kind is refused as
-      ["<path> is a <kind> journal, not a <header> one"];
+      ["<path> is a <kind> journal, not a <kind> one"];
+    - a header is refused as ["journal <path>: unreadable header"],
+      then as ["journal <path> has schema <found>, this build writes
+      <n>"], and only then is its identity compared;
+    - payloads are unmarshalled only after that; one that does not
+      unmarshal counts as dropped;
     - a file with an intact payload first line and no header (a
       snapshot written by an external admitter) is accepted. *)
 
 val open_pinned :
-  ?buffer:int ->
-  header:entry ->
+  kind:string ->
+  schema:int ->
+  identity:string ->
   payload:string ->
-  mismatch:(string -> string) ->
   string ->
-  writer * entry list * int
-(** Apply the rules, then check every header byte for byte against
-    [header]; return an append-mode writer ({!create} [?buffer]), the
-    [payload] entries in file order and the dropped-line count. A file
-    with no header gets [header] appended and flushed.
-    @raise Invalid_argument when a rule refuses the file, with
-    [mismatch found] when a header's payload [found] differs, and
-    before anything is written. *)
+  writer * 'a list * int
+(** Apply the rules, then refuse a header whose identity is not
+    [identity] as ["journal <path> is pinned to <found>, not
+    <identity>"]; return an append-mode writer ({!create}), the
+    decoded [payload] entries in file order and the dropped-line
+    count. A file with no header gets one appended and flushed. ['a]
+    must be the type the payloads were marshalled at under [schema].
+    @raise Invalid_argument when a rule refuses the file, before
+    anything is written. *)
 
 val load_pinned :
-  header:string -> payload:string -> string -> string option * entry list * int
+  kind:string ->
+  schema:int ->
+  payload:string ->
+  string ->
+  string option * 'a list * int
 (** Read-only sibling of {!open_pinned} for offline readers: the same
-    rules, but nothing is written and the (first) header payload is
-    returned instead of compared — the reader checks only its schema.
+    rules (the schema included), but nothing is written and the first
+    header's identity is returned instead of compared ([None] when the
+    file has no header).
     @raise Invalid_argument when a rule refuses the file. *)

@@ -406,24 +406,10 @@ let test_resume_rejects_mismatched_campaign () =
   Sys.remove journal
 
 (* A journal written under another marshalled layout is refused from
-   its header, before any run entry is unmarshalled — reading a result
-   of another layout is undefined behaviour, not just wrong data. The
-   header records mirror the engines' own, field for field, and match
-   every identity pin except the schema. *)
-type campaign_header = {
-  c_schema : int;
-  c_label : string;
-  c_n : int;
-  c_first : int;
-}
-
-type systematic_header = {
-  s_schema : int;
-  s_world_seed : int64;
-  s_seed1 : int64;
-  s_seed2 : int64;
-}
-
+   its header, before any payload entry is unmarshalled — reading a
+   value of another layout is undefined behaviour, not just wrong
+   data. Each header carries the identity its engine writes for this
+   call; only the schema is another. *)
 let write_journal path entries =
   let w = T11r_util.Journal.create path in
   List.iter
@@ -438,18 +424,14 @@ let test_stale_schema_rejected () =
     | _ -> Alcotest.failf "%s accepted a journal of an older schema" what
     | exception Invalid_argument _ -> ()
   in
+  let stale schema identity =
+    Printf.sprintf "schema %d %s" (schema - 1) identity
+  in
   let journal = jpath () in
   write_journal journal
     [
       ( "campaign",
-        Marshal.to_string
-          {
-            c_schema = Campaign.journal_schema - 1;
-            c_label = "fig1";
-            c_n = 5;
-            c_first = 0;
-          }
-          [] );
+        stale Campaign.journal_schema {|"fig1" n=5 first=0 tick-budget=none|} );
       ("run", Marshal.to_string (0, "result of an older layout") []);
     ];
   rejects "Campaign.run" (fun () -> Campaign.run fig1_spec ~n:5 ~journal []);
@@ -457,24 +439,30 @@ let test_stale_schema_rejected () =
       Campaign.journal_results journal);
   Sys.remove journal;
   let journal = jpath () in
-  let world_seed = 7L and seeds = (11L, 13L) in
   write_journal journal
     [
       ( "systematic",
-        Marshal.to_string
-          {
-            s_schema = T11r_harness.Systematic.journal_schema - 1;
-            s_world_seed = world_seed;
-            s_seed1 = fst seeds;
-            s_seed2 = snd seeds;
-          }
-          [] );
+        stale T11r_harness.Systematic.journal_schema
+          "world-seed=7 seeds=11,13 tick-budget=none" );
       ("sys", Marshal.to_string ([||], [||], "result of an older layout") []);
     ];
   rejects "Systematic.explore" (fun () ->
-      T11r_harness.Systematic.explore ~world_seed ~seeds ~journal
+      T11r_harness.Systematic.explore ~world_seed:7L ~seeds:(11L, 13L) ~journal
         ~build:T11r_litmus.Registry.fig1.build ());
-  Sys.remove journal
+  Sys.remove journal;
+  let dir = Filename.temp_file "t11r_corpus" "" in
+  Sys.remove dir;
+  write_journal
+    (Filename.concat dir "corpus.journal")
+    [
+      ( "corpus-hunt",
+        stale T11r_harness.Guided.corpus_schema {|"fig1" batch=4 salt=0|} );
+      ("snap", Marshal.to_string "a snapshot of an older layout" []);
+    ];
+  rejects "Guided.hunt" (fun () ->
+      T11r_harness.Guided.hunt fig1_spec ~rounds:1 ~batch:4 ~corpus_dir:dir ());
+  rejects "Guided.load_corpus" (fun () -> T11r_harness.Guided.load_corpus dir);
+  T11r_util.Tmp.rm_rf dir
 
 (* A damaged header is not an absent one, and another engine's
    journal is not this one's: both are refused before anything is
@@ -535,6 +523,102 @@ let test_damaged_or_foreign_rejected () =
   Alcotest.(check int) "torn header: no damage left" 0 dropped;
   Alcotest.(check int) "torn header: header + 5 runs" 6 (List.length entries);
   List.iter Sys.remove [ cj; sj ]
+
+(* A journal of another spec under the same identity is refused
+   before any entry is served, and the file is left byte for byte:
+   another strategy, other scheduler seeds, another tick budget,
+   another world, another workload. A same-spec journal still serves
+   every entry. *)
+let test_foreign_spec_refused () =
+  let module Systematic = T11r_harness.Systematic in
+  let refused what path f =
+    let before = slurp path in
+    (match f () with
+    | _ -> Alcotest.failf "%s: resumed a foreign journal" what
+    | exception Invalid_argument _ -> ());
+    Alcotest.(check string) (what ^ ": journal untouched") before (slurp path)
+  in
+  let n = 20 in
+  let cj = jpath () in
+  ignore (Campaign.run fig1_spec ~n ~journal:cj []);
+  List.iter
+    (fun jobs ->
+      let r = Campaign.run fig1_spec ~n ~jobs ~journal:cj [] in
+      Alcotest.(check int)
+        (Printf.sprintf "same spec: every entry served (jobs=%d)" jobs)
+        n r.Campaign.supervision.Campaign.sup_resumed)
+    [ 1; 2 ];
+  let queue =
+    Campaign.spec ~label:"fig1"
+      ~base_conf:(Conf.tsan11rec ~strategy:Conf.Queue ())
+      T11r_litmus.Registry.fig1.build
+  in
+  refused "another strategy" cj (fun () -> Campaign.run queue ~n ~journal:cj []);
+  let other_seeds =
+    {
+      fig1_spec with
+      Campaign.conf = (fun i -> fig1_spec.Campaign.conf (i + 1000));
+    }
+  in
+  refused "other seeds" cj (fun () -> Campaign.run other_seeds ~n ~journal:cj []);
+  refused "another tick budget" cj (fun () ->
+      Campaign.run fig1_spec ~n ~tick_budget:50 ~journal:cj []);
+  (* fig1 never reads its world; httpd does *)
+  let httpd =
+    T11r_harness.Workloads.spec_of
+      (Option.get (T11r_harness.Workloads.find "httpd"))
+  in
+  let hj = jpath () in
+  ignore (Campaign.run httpd ~n:5 ~journal:hj []);
+  let other_world =
+    {
+      httpd with
+      Campaign.instance = (fun i -> httpd.Campaign.instance (i + 1000));
+    }
+  in
+  refused "another world" hj (fun () ->
+      Campaign.run other_world ~n:5 ~journal:hj []);
+  let sj = jpath () in
+  let explore ?tick_budget build =
+    Systematic.explore ~max_runs:50 ?tick_budget ~journal:sj ~build ()
+  in
+  let fig1 = explore T11r_litmus.Registry.fig1.build in
+  let again = explore T11r_litmus.Registry.fig1.build in
+  Alcotest.(check int) "same workload: every entry served" fig1.Systematic.runs
+    again.Systematic.resumed_runs;
+  refused "another workload" sj (fun () ->
+      explore (Option.get (T11r_litmus.Registry.find "dekker-fences")).build);
+  refused "another tick budget (explore)" sj (fun () ->
+      explore ~tick_budget:50 T11r_litmus.Registry.fig1.build);
+  List.iter Sys.remove [ cj; hj; sj ]
+
+(* The check skips runs whose result is not a function of the spec: a
+   run quarantined after a transient failure is served as journalled,
+   not executed again. *)
+let test_quarantined_run_not_rechecked () =
+  let failed = ref false in
+  let flaky =
+    {
+      fig1_spec with
+      Campaign.instance =
+        (fun i ->
+          if i = 0 && not !failed then begin
+            failed := true;
+            raise (Boom i)
+          end;
+          fig1_spec.Campaign.instance i);
+    }
+  in
+  let journal = jpath () in
+  let first = Campaign.run flaky ~n:5 ~journal [] in
+  Alcotest.(check int) "run 0 quarantined" 1
+    (List.length first.Campaign.supervision.Campaign.sup_quarantined);
+  let resumed = Campaign.run flaky ~n:5 ~journal [] in
+  Alcotest.(check int) "every entry served" 5
+    resumed.Campaign.supervision.Campaign.sup_resumed;
+  Alcotest.(check string) "digest as journalled" (Campaign.digest first)
+    (Campaign.digest resumed);
+  Sys.remove journal
 
 (* The real thing: SIGKILL a campaign mid-flight, then resume from its
    journal and reproduce the uninterrupted digest bit for bit. *)
@@ -821,6 +905,10 @@ let () =
             test_stale_schema_rejected;
           Alcotest.test_case "damaged or foreign journal rejected" `Quick
             test_damaged_or_foreign_rejected;
+          Alcotest.test_case "foreign spec refused" `Quick
+            test_foreign_spec_refused;
+          Alcotest.test_case "quarantined run not re-checked" `Quick
+            test_quarantined_run_not_rechecked;
           Alcotest.test_case "SIGKILL then resume = clean digest" `Quick
             test_sigkill_then_resume_digest;
         ] );

@@ -52,14 +52,11 @@ let observed_counts ~world_seed ~seeds:(s1, s2) ~tick_budget ~build prefix =
 (* Check every run journalled at [path]; the longest decision array. *)
 let check_runs ~observed path =
   let _, entries, _ =
-    T11r_util.Journal.load_pinned ~header:"systematic" ~payload:"sys" path
+    T11r_util.Journal.load_pinned ~kind:"systematic"
+      ~schema:Systematic.journal_schema ~payload:"sys" path
   in
   List.fold_left
-    (fun depth (e : T11r_util.Journal.entry) ->
-      let prefix, (run : Interp.result) =
-        (Marshal.from_string e.T11r_util.Journal.payload 0
-          : int array * Interp.result)
-      in
+    (fun depth ((prefix, run) : int array * Interp.result) ->
       let where =
         String.concat "," (Array.to_list (Array.map string_of_int prefix))
       in
@@ -196,6 +193,24 @@ let test_budget_respected () =
   let r = explore ~max_runs:5 ~build:abba () in
   check Alcotest.int "stopped at budget" 5 r.runs;
   check Alcotest.bool "incomplete" false r.complete
+
+(* A budget below one run is refused before anything executes, as
+   [Campaign.run] refuses [n < 1]: it used to run one schedule and
+   report the budget hit. *)
+let test_budget_below_one_refused () =
+  let builds = ref 0 in
+  let build () =
+    incr builds;
+    abba ()
+  in
+  List.iter
+    (fun max_runs ->
+      Alcotest.check_raises
+        (Printf.sprintf "max_runs %d" max_runs)
+        (Invalid_argument "Systematic.explore: max_runs < 1")
+        (fun () -> ignore (Systematic.explore ~max_runs ~build ())))
+    [ 0; -1 ];
+  check Alcotest.int "nothing executed" 0 !builds
 
 let test_exploration_deterministic () =
   let go () = explore ~build:two_by_two () in
@@ -879,6 +894,8 @@ let () =
           Alcotest.test_case "verifies fixed dekker" `Quick test_verifies_fixed_dekker;
           Alcotest.test_case "finds buggy dekker" `Quick test_finds_buggy_dekker_races;
           Alcotest.test_case "budget" `Quick test_budget_respected;
+          Alcotest.test_case "budget below one refused" `Quick
+            test_budget_below_one_refused;
           Alcotest.test_case "deterministic" `Quick test_exploration_deterministic;
         ] );
       ( "dpor",

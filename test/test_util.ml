@@ -497,12 +497,26 @@ let test_journal_torn_tail_then_append () =
 
 (* -- the pinned-journal opener, one case per rule ------------------- *)
 
-let hdr = { Journal.kind = "hdr"; payload = "identity-1" }
+let header ?(schema = 1) identity =
+  ("hdr", Printf.sprintf "schema %d %s" schema identity)
+let item v = ("item", Marshal.to_string (v : string) [])
 
-let open_hdr path =
-  Journal.open_pinned ~header:hdr ~payload:"item"
-    ~mismatch:(fun found -> "pinned by " ^ found)
+let open_hdr path : Journal.writer * string list * int =
+  Journal.open_pinned ~kind:"hdr" ~schema:1 ~identity:"identity-1" ~payload:"item"
     path
+
+let append_item w v =
+  let kind, payload = item v in
+  Journal.append w { Journal.kind; payload }
+
+(* The file's entries: header payloads as text, items decoded. *)
+let on_disk path =
+  List.map
+    (fun e ->
+      if e.Journal.kind = "item" then
+        (Marshal.from_string e.Journal.payload 0 : string)
+      else e.Journal.payload)
+    (fst (Journal.read path))
 
 let mentions msg path =
   let n = String.length path in
@@ -510,50 +524,54 @@ let mentions msg path =
   go 0
 
 (* Refused with [Invalid_argument], and nothing written to the file. *)
-let refused ?(names_file = true) what path =
+let refused what path =
   let before = slurp path in
   (match open_hdr path with
   | _ -> Alcotest.failf "%s: opened" what
   | exception Invalid_argument msg ->
-      if names_file then
-        check Alcotest.bool (what ^ ": message names the file") true
-          (mentions msg path));
+      check Alcotest.bool (what ^ ": message names the file") true
+        (mentions msg path));
   check Alcotest.string (what ^ ": file untouched") before (slurp path)
+
+(* Refused with exactly Journal's message [msg], file untouched. *)
+let refused_with what path msg =
+  Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+      ignore (open_hdr path));
+  refused what path
 
 let test_pinned_fresh () =
   let path = jtmp () in
   let w, items, dropped = open_hdr path in
   Journal.close w;
   check Alcotest.int "absent: nothing served" 0 (List.length items + dropped);
-  check Alcotest.(list string) "absent: header written" [ "identity-1" ]
-    (payloads (fst (Journal.read path)));
+  check Alcotest.(list string) "absent: header written" [ "schema 1 identity-1" ]
+    (on_disk path);
   spit path "";
   let w, items, _ = open_hdr path in
-  Journal.append w { Journal.kind = "item"; payload = "x" };
+  append_item w "x";
   Journal.close w;
   check Alcotest.int "empty: nothing served" 0 (List.length items);
   check Alcotest.(list string) "empty: header, then the item"
-    [ "identity-1"; "x" ] (payloads (fst (Journal.read path)));
+    [ "schema 1 identity-1"; "x" ] (on_disk path);
   Sys.remove path
 
 let test_pinned_torn_header () =
   let path = jtmp () in
-  write_entries path [ ("hdr", "identity-1") ];
+  write_entries path [ header "identity-1" ];
   let s = slurp path in
   spit path (String.sub s 0 (String.length s / 2));
   let w, items, dropped = open_hdr path in
-  Journal.append w { Journal.kind = "item"; payload = "x" };
+  append_item w "x";
   Journal.close w;
   check Alcotest.int "nothing served" 0 (List.length items + dropped);
-  let entries, dropped = Journal.read path in
   check Alcotest.(list string) "torn header replaced, clean file"
-    [ "identity-1"; "x" ] (payloads entries);
-  check Alcotest.int "no damage left" 0 dropped;
+    [ "schema 1 identity-1"; "x" ] (on_disk path);
+  check Alcotest.int "no damage left" 0 (snd (Journal.read path));
   Sys.remove path
 
 let test_pinned_first_line_damaged () =
   let path = jtmp () in
-  write_entries path [ ("hdr", "identity-2"); ("item", "a") ];
+  write_entries path [ header "identity-2"; item "a" ];
   let s = Bytes.of_string (slurp path) in
   let i = String.index (Bytes.to_string s) '\n' - 4 in
   Bytes.set s i (Char.chr (Char.code (Bytes.get s i) lxor 1));
@@ -567,50 +585,79 @@ let test_pinned_first_line_damaged () =
 
 let test_pinned_foreign () =
   let path = jtmp () in
-  write_entries path [ ("other", "id"); ("other-run", "a") ];
-  (match open_hdr path with
-  | _ -> Alcotest.fail "foreign journal opened"
-  | exception Invalid_argument msg ->
-      check Alcotest.string "named by kind"
-        (path ^ " is a other journal, not a hdr one")
-        msg);
-  refused "foreign journal" path;
+  write_entries path [ ("other", "schema 1 id"); ("other-run", "a") ];
+  refused_with "foreign journal" path
+    (path ^ " is a other journal, not a hdr one");
+  Sys.remove path
+
+(* The schema is compared first: a header that is not the schema text,
+   or another schema, is refused whatever its identity. *)
+let test_pinned_schema () =
+  let path = jtmp () in
+  write_entries path [ header ~schema:2 "identity-1"; item "a" ];
+  refused_with "other schema" path
+    (Printf.sprintf "journal %s has schema 2, this build writes 1" path);
+  spit path "";
+  write_entries path [ header ~schema:0 "identity-2" ];
+  refused_with "other schema and identity" path
+    (Printf.sprintf "journal %s has schema 0, this build writes 1" path);
+  spit path "";
+  write_entries path [ ("hdr", Marshal.to_string (1, "identity-1") []); item "a" ];
+  refused_with "marshalled header" path
+    (Printf.sprintf "journal %s: unreadable header" path);
   Sys.remove path
 
 let test_pinned_mismatch () =
   let path = jtmp () in
-  write_entries path [ ("hdr", "identity-2"); ("item", "a") ];
-  Alcotest.check_raises "engine's message" (Invalid_argument "pinned by identity-2")
-    (fun () -> ignore (open_hdr path));
-  refused ~names_file:false "other identity" path;
+  write_entries path [ header "identity-2"; item "a" ];
+  refused_with "other identity" path
+    (Printf.sprintf "journal %s is pinned to identity-2, not identity-1" path);
+  Sys.remove path
+
+let test_pinned_undecodable () =
+  let path = jtmp () in
+  write_entries path
+    [ header "identity-1"; item "a"; ("item", "not marshalled"); item "b" ];
+  let w, items, dropped = open_hdr path in
+  Journal.close w;
+  check Alcotest.(list string) "decodable items served" [ "a"; "b" ] items;
+  check Alcotest.int "undecodable item dropped" 1 dropped;
   Sys.remove path
 
 let test_pinned_header_less () =
   let path = jtmp () in
-  write_entries path [ ("item", "a"); ("item", "b") ];
+  write_entries path [ item "a"; item "b" ];
   let w, items, _ = open_hdr path in
   Journal.close w;
-  check Alcotest.(list string) "items served" [ "a"; "b" ] (payloads items);
-  check Alcotest.(list string) "header appended" [ "a"; "b"; "identity-1" ]
-    (payloads (fst (Journal.read path)));
+  check Alcotest.(list string) "items served" [ "a"; "b" ] items;
+  check Alcotest.(list string) "header appended"
+    [ "a"; "b"; "schema 1 identity-1" ]
+    (on_disk path);
   let w, items, _ = open_hdr path in
   Journal.close w;
-  check Alcotest.(list string) "reopens pinned" [ "a"; "b" ] (payloads items);
+  check Alcotest.(list string) "reopens pinned" [ "a"; "b" ] items;
   Sys.remove path
 
 let test_pinned_load_read_only () =
+  let load ?(schema = 1) ?(kind = "hdr") path : string option * string list * int =
+    Journal.load_pinned ~kind ~schema ~payload:"item" path
+  in
   let path = jtmp () in
   check Alcotest.(option string) "absent: no header" None
-    (let h, _, _ = Journal.load_pinned ~header:"hdr" ~payload:"item" path in h);
+    (let h, _, _ = load path in h);
   check Alcotest.bool "absent: not created" false (Sys.file_exists path);
-  write_entries path [ ("hdr", "identity-2"); ("item", "a") ];
+  write_entries path [ header "identity-2"; item "a" ];
   let before = slurp path in
-  let h, items, _ = Journal.load_pinned ~header:"hdr" ~payload:"item" path in
-  check Alcotest.(option string) "header returned, not compared"
+  let h, items, _ = load path in
+  check Alcotest.(option string) "identity returned, not compared"
     (Some "identity-2") h;
-  check Alcotest.(list string) "items" [ "a" ] (payloads items);
+  check Alcotest.(list string) "items" [ "a" ] items;
   check Alcotest.string "nothing written" before (slurp path);
-  (match Journal.load_pinned ~header:"other" ~payload:"x" path with
+  Alcotest.check_raises "schema still checked"
+    (Invalid_argument
+       (Printf.sprintf "journal %s has schema 1, this build writes 2" path))
+    (fun () -> ignore (load ~schema:2 path));
+  (match load ~kind:"other" path with
   | _ -> Alcotest.fail "foreign journal loaded"
   | exception Invalid_argument _ -> ());
   Sys.remove path
@@ -764,7 +811,10 @@ let () =
           Alcotest.test_case "pinned: first line damaged" `Quick
             test_pinned_first_line_damaged;
           Alcotest.test_case "pinned: foreign journal" `Quick test_pinned_foreign;
+          Alcotest.test_case "pinned: schema mismatch" `Quick test_pinned_schema;
           Alcotest.test_case "pinned: header mismatch" `Quick test_pinned_mismatch;
+          Alcotest.test_case "pinned: undecodable payload dropped" `Quick
+            test_pinned_undecodable;
           Alcotest.test_case "pinned: header-less snapshot" `Quick
             test_pinned_header_less;
           Alcotest.test_case "pinned: read-only load" `Quick
