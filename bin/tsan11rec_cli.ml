@@ -155,7 +155,6 @@ type flag =
   | Jobs
   | Deadline
   | Tick_budget
-  | Retries
   | Journal
   | Fault_p
   | Fault_seed
@@ -173,7 +172,6 @@ type common = {
   co_jobs : int;  (* already resolved: never 0 *)
   co_deadline : float;
   co_tick_budget : int option;
-  co_retries : int;
   co_journal : string option;
   co_fault_p : float;
   co_fault_seed : int;
@@ -223,14 +221,6 @@ let tick_budget_row =
      host and at every $(b,--jobs)."
   in
   Arg.(value & opt (some int) None & info [ "tick-budget" ] ~docv:"N" ~doc)
-
-let retries_row =
-  let doc =
-    "Retry a run whose worker raised up to $(docv) times (exponential \
-     backoff) before quarantining it as a $(b,crashed) result; the \
-     campaign always completes."
-  in
-  Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
 
 let journal_row =
   let doc =
@@ -312,11 +302,10 @@ let common_term flags =
   let pick fl term default =
     if List.mem fl flags then term else Term.const default
   in
-  let build strategy seed env_seed runs jobs deadline tick_budget retries
-      journal fault_p fault_seed on_desync dpor =
+  let build strategy seed env_seed runs jobs deadline tick_budget journal
+      fault_p fault_seed on_desync dpor =
     if runs < 1 then usage "--runs must be >= 1 (got %d)" runs;
     if deadline < 0.0 then usage "--deadline must be >= 0 (got %g)" deadline;
-    if retries < 0 then usage "--retries must be >= 0 (got %d)" retries;
     if fault_p < 0.0 || fault_p > 1.0 then
       usage "--fault-p must be in [0,1] (got %g)" fault_p;
     (match tick_budget with
@@ -331,7 +320,6 @@ let common_term flags =
       co_jobs = resolve_jobs jobs;
       co_deadline = deadline;
       co_tick_budget = tick_budget;
-      co_retries = retries;
       co_journal = journal;
       co_fault_p = fault_p;
       co_fault_seed = fault_seed;
@@ -351,7 +339,6 @@ let common_term flags =
     $ pick Jobs jobs_row 1
     $ pick Deadline deadline_row 0.0
     $ pick Tick_budget tick_budget_row None
-    $ pick Retries retries_row 0
     $ pick Journal journal_row None
     $ pick Fault_p fault_p_row 0.0
     $ pick Fault_seed fault_seed_row 1
@@ -671,13 +658,8 @@ let hunt_cmd =
       refused_journal co.co_journal (fun () ->
           Campaign.run spec ~n:co.co_runs ~jobs:co.co_jobs ~first:1
             ~deadline_s:co.co_deadline ?tick_budget:co.co_tick_budget
-            ~retries:co.co_retries ?journal:co.co_journal ~cancel [])
+            ?journal:co.co_journal ~cancel [])
     in
-    let crashed =
-      List.fold_left (fun acc (k, v) -> if k = "crashed" then acc + v else acc)
-        0 c.Campaign.outcomes
-    in
-    let sup = c.Campaign.supervision in
     (* Run i is what [run]/[record] execute for --seed i and
        --env-seed env_seed + i (and, with faults, --fault-seed i). *)
     let reproduce verb i =
@@ -687,56 +669,16 @@ let hunt_cmd =
            Printf.sprintf " --fault-p %g --fault-seed %d" co.co_fault_p i
          else "")
     in
-    Fmt.pr
-      "%d runs (%s strategy): %d distinct schedules, %d racy (%.1f%%), %d \
-       crashed@."
-      sup.Campaign.sup_done co.co_strategy_name c.Campaign.distinct_schedules
-      c.Campaign.racy_runs
-      (100.0
-      *. float_of_int c.Campaign.racy_runs
-      /. float_of_int (max 1 sup.Campaign.sup_done))
-      crashed;
-    List.iter
-      (fun (s : Campaign.sighting) ->
-        Fmt.pr "  %a — %d sighting(s), first at seed %d@." T11r_race.Report.pp
-          s.s_race s.s_count s.s_first)
-      c.Campaign.sightings;
+    Fmt.pr "%a" Campaign.pp c;
     (match c.Campaign.sightings with
     | s :: _ -> reproduce "run" s.Campaign.s_first
     | [] -> ());
-    if sup.Campaign.sup_resumed > 0 then
-      Fmt.pr "resumed:   %d run(s) replayed from the journal@."
-        sup.Campaign.sup_resumed;
-    if sup.Campaign.sup_timeouts > 0 then
-      Fmt.pr "timeouts:  %d run(s) hit the %.1fs deadline@."
-        sup.Campaign.sup_timeouts co.co_deadline;
-    if sup.Campaign.sup_retried > 0 then
-      Fmt.pr "retries:   %d attempt(s)@." sup.Campaign.sup_retried;
-    (match sup.Campaign.sup_quarantined with
-    | [] -> ()
-    | q ->
-        Fmt.pr "quarantined: %d run(s) kept crashing: %a@." (List.length q)
-          Fmt.(list ~sep:(any ", ") int)
-          (List.map fst q));
     (match c.Campaign.crashes with
-    | (i, msg) :: _ ->
-        Fmt.pr "first crash at seed %d: %s@." i msg;
-        reproduce "record" i
+    | (i, _) :: _ -> reproduce "record" i
     | [] -> ());
-    if sup.Campaign.sup_interrupted then begin
-      (match co.co_journal with
-      | Some j ->
-          Fmt.pr "INTERRUPTED after %d/%d runs; resume with --resume %s@."
-            sup.Campaign.sup_done co.co_runs j
-      | None ->
-          Fmt.pr
-            "INTERRUPTED after %d/%d runs (no journal — progress lost; use \
-             --journal FILE next time)@."
-            sup.Campaign.sup_done co.co_runs);
-      exit 130
-    end;
+    exit_if_interrupted co.co_journal;
     Fmt.pr "digest:    %s@." (Campaign.digest c);
-    exit (if c.Campaign.racy_runs > 0 || crashed > 0 then 1 else 0)
+    exit (if c.Campaign.racy_runs > 0 || c.Campaign.crashes <> [] then 1 else 0)
   in
   Cmd.v
     (Cmd.info "hunt" ~exits:campaign_exits
@@ -746,7 +688,7 @@ let hunt_cmd =
       $ common_term
           [
             Strategy; Runs; Env_seed; Fault_p; Jobs; Deadline; Tick_budget;
-            Retries; Journal;
+            Journal;
           ]
       $ guided_flag $ corpus_arg $ batch_arg)
 
@@ -805,10 +747,14 @@ let icb_cmd =
               None)
     in
     let r =
-      T11r_harness.Minimize.find_bug ~max_bound ~deadline_s:co.co_deadline
-        ?tick_budget:co.co_tick_budget ?corpus
-        ~build:(fun () -> w.Workloads.w_instance (World.create ~seed:0L ()) ())
-        ()
+      match
+        T11r_harness.Minimize.find_bug ~max_bound ~deadline_s:co.co_deadline
+          ?tick_budget:co.co_tick_budget ?corpus
+          ~build:(fun () -> w.Workloads.w_instance (World.create ~seed:0L ()) ())
+          ()
+      with
+      | r -> r
+      | exception Invalid_argument msg -> usage "%s" msg
     in
     Fmt.pr "%a@." T11r_harness.Minimize.pp r;
     exit (match r with T11r_harness.Minimize.Found _ -> 1 | _ -> 0)

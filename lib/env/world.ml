@@ -51,44 +51,11 @@ type t = {
 let stdout_fd = 1
 let gpu_path = "/dev/gpu0"
 
-let create ?seed ?(deterministic_alloc = false) ?(faults = Fault.none) () =
-  let rng =
-    match seed with
-    | Some s -> Prng.create ~seed1:s ~seed2:(Int64.lognot s)
-    | None -> Prng.of_time ()
-  in
-  let t =
-    {
-      rng;
-      deterministic_alloc;
-      fds = Hashtbl.create 16;
-      next_fd = 3;
-      files = Hashtbl.create 8;
-      proc_files = Hashtbl.create 4;
-      pending_conns = [];
-      signals = [];
-      out = Buffer.create 256;
-      alloc_base =
-        (if deterministic_alloc then 0x10000000
-         else 0x10000000 + (Prng.int rng 0xFFFF * 0x1000));
-      alloc_off = 0;
-      alloc_used = Hashtbl.create 16;
-      forbid_opaque_ioctl = false;
-      gpu_frames = 0;
-      faults;
-    }
-  in
-  Hashtbl.replace t.fds stdout_fd Std_out;
-  t
-
-(* In-place [create]: every field is restored to exactly what [create]
-   would build, in the same order — in particular the rng is reseeded
-   *before* [alloc_base] is drawn, so the environment PRNG stream is
-   identical to a fresh world's. Table storage and the output buffer
-   are kept (cleared), which is the point: a recycled world allocates
-   almost nothing. *)
-let reset ?(deterministic_alloc = false) ?(faults = Fault.none) t ~seed =
-  Prng.reseed t.rng ~seed1:seed ~seed2:(Int64.lognot seed);
+(* Every field but the rng, restored to what a fresh world holds; the
+   rng must be (re)seeded first, since [alloc_base] is drawn from it.
+   Table storage and the output buffer are kept (cleared), which is
+   the point: a recycled world allocates almost nothing. *)
+let init t ~deterministic_alloc ~faults =
   t.deterministic_alloc <- deterministic_alloc;
   Hashtbl.clear t.fds;
   Hashtbl.replace t.fds stdout_fd Std_out;
@@ -106,6 +73,41 @@ let reset ?(deterministic_alloc = false) ?(faults = Fault.none) t ~seed =
   t.forbid_opaque_ioctl <- false;
   t.gpu_frames <- 0;
   t.faults <- faults
+
+let reset ?(deterministic_alloc = false) ?(faults = Fault.none) t ~seed =
+  Prng.reseed t.rng ~seed1:seed ~seed2:(Int64.lognot seed);
+  init t ~deterministic_alloc ~faults
+
+(* Its own function: inlined into [create]'s match, [Int64.of_float]
+   makes the compiler unbox [seed] and box it again for every seeded
+   world. *)
+let clock_seed () = Int64.of_float (Unix.gettimeofday () *. 1e6)
+
+(* A fresh world is fresh storage put through [reset]'s [init], so a
+   recycled world equals a fresh one by construction. *)
+let create ?seed ?(deterministic_alloc = false) ?(faults = Fault.none) () =
+  let seed = match seed with Some s -> s | None -> clock_seed () in
+  let t =
+    {
+      rng = Prng.create ~seed1:seed ~seed2:(Int64.lognot seed);
+      deterministic_alloc;
+      fds = Hashtbl.create 16;
+      next_fd = 3;
+      files = Hashtbl.create 8;
+      proc_files = Hashtbl.create 4;
+      pending_conns = [];
+      signals = [];
+      out = Buffer.create 256;
+      alloc_base = 0;
+      alloc_off = 0;
+      alloc_used = Hashtbl.create 16;
+      forbid_opaque_ioctl = false;
+      gpu_frames = 0;
+      faults;
+    }
+  in
+  init t ~deterministic_alloc ~faults;
+  t
 
 let set_faults t f = t.faults <- f
 let faults_injected t = Fault.injected t.faults

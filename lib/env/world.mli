@@ -36,7 +36,9 @@ val reset : ?deterministic_alloc:bool -> ?faults:Fault.t -> t -> seed:int64 -> u
     [create ~seed ?deterministic_alloc ?faults ()] would build — same
     PRNG stream, same allocator base — while keeping its table and
     buffer storage, so recycling a world across campaign runs is both
-    allocation-free and observationally invisible. *)
+    allocation-free and observationally invisible. [create] seeds fresh
+    storage and runs [reset]'s field initialisation on it, so the two
+    cannot drift apart. *)
 
 val set_faults : t -> Fault.t -> unit
 (** Install (or replace) the fault plan consulted by {!syscall}. *)

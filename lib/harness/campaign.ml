@@ -73,12 +73,11 @@ let observer on_run = { on_run }
 type sighting = { s_race : Report.t; s_first : int; s_count : int }
 
 (* Everything the supervisor did that is NOT part of the deterministic
-   aggregate: retry counts and journal salvage depend on transient
-   conditions, and an interrupted campaign is by definition partial —
-   none of it may enter the fingerprint/digest. *)
+   aggregate: journal salvage depends on transient conditions, and an
+   interrupted campaign is by definition partial — none of it may enter
+   the fingerprint/digest. *)
 type supervision = {
   sup_resumed : int;
-  sup_retried : int;
   sup_quarantined : (int * string) list;
   sup_timeouts : int;
   sup_journal_dropped : int;
@@ -89,7 +88,6 @@ type supervision = {
 let no_supervision =
   {
     sup_resumed = 0;
-    sup_retried = 0;
     sup_quarantined = [];
     sup_timeouts = 0;
     sup_journal_dropped = 0;
@@ -172,6 +170,8 @@ let aggregate ~label ~n ~first ~jobs ~wall_s ?(supervision = no_supervision)
   let schedules = Schedules.create 64 in
   let sightings : (Report.t, int * int) Hashtbl.t = Hashtbl.create 16 in
   let crashes = ref [] in
+  let quarantined = ref [] in
+  let timeouts = ref 0 in
   Array.iter
     (fun ((i : int), (r : Interp.result)) ->
       let key = Outcome.key r.Interp.outcome in
@@ -189,7 +189,10 @@ let aggregate ~label ~n ~first ~jobs ~wall_s ?(supervision = no_supervision)
           | None -> Hashtbl.replace sightings race (i, 1))
         r.Interp.races;
       match r.Interp.outcome with
-      | Interp.Crashed (_, msg) -> crashes := (i, msg) :: !crashes
+      | Interp.Crashed (tid, msg) ->
+          crashes := (i, msg) :: !crashes;
+          if tid = -1 then quarantined := (i, msg) :: !quarantined
+      | Interp.Timeout -> incr timeouts
       | _ -> ())
     pairs;
   let supervision =
@@ -197,11 +200,8 @@ let aggregate ~label ~n ~first ~jobs ~wall_s ?(supervision = no_supervision)
       supervision with
       sup_done = Array.length pairs;
       sup_interrupted = Array.length pairs < n;
-      sup_timeouts =
-        Array.fold_left
-          (fun acc (r : Interp.result) ->
-            match r.Interp.outcome with Interp.Timeout -> acc + 1 | _ -> acc)
-          0 results;
+      sup_quarantined = List.rev !quarantined;
+      sup_timeouts = !timeouts;
     }
   in
   {
@@ -276,7 +276,8 @@ let sanitize (r : Interp.result) = { r with Interp.demo = None }
 
 (* A header pins only what its engine can name; one journalled run
    executed again catches the rest of the spec. A wall-clock timeout
-   or a quarantined crash is not a function of the spec: skipped. *)
+   is not a function of the spec, and a quarantined crash may name the
+   host (ENOSPC, EMFILE): both are skipped. *)
 let check_reproduces ~who ~tick_budget path w setup runs =
   let verifiable (_, (r : Interp.result)) =
     match r.Interp.outcome with
@@ -288,12 +289,8 @@ let check_reproduces ~who ~tick_budget path w setup runs =
   | Some (key, r) ->
       let conf, instance = setup key in
       let bytes r = Marshal.to_string (sanitize r) [ Marshal.No_sharing ] in
-      let same =
-        match run_one ~deadline_s:0. ~tick_budget conf instance with
-        | fresh -> String.equal (bytes fresh) (bytes r)
-        | exception _ -> false
-      in
-      if not same then begin
+      let fresh = run_one ~deadline_s:0. ~tick_budget conf instance in
+      if not (String.equal (bytes fresh) (bytes r)) then begin
         Journal.close w;
         invalid_arg
           (Printf.sprintf
@@ -368,7 +365,7 @@ let journal_results path =
       by_index tbl
 
 let run s ~n ?(jobs = 1) ?(first = 0) ?(deadline_s = 0.) ?tick_budget
-    ?(retries = 0) ?(backoff_s = 0.05) ?journal ?cancel observers =
+    ?journal ?cancel observers =
   if n < 1 then invalid_arg "Campaign.run: n < 1";
   let t0 = Unix.gettimeofday () in
   let jw, cached, journal_dropped =
@@ -379,46 +376,14 @@ let run s ~n ?(jobs = 1) ?(first = 0) ?(deadline_s = 0.) ?tick_budget
         (Some w, cached, dropped)
   in
   let resumed = Hashtbl.length cached in
-  let retried = Atomic.make 0 in
-  let quarantined = Atomic.make [] in
-  let push_quarantine iq =
-    let rec go () =
-      let cur = Atomic.get quarantined in
-      if not (Atomic.compare_and_set quarantined cur (iq :: cur)) then go ()
-    in
-    go ()
-  in
   let exec k =
     let i = first + k in
     match Hashtbl.find_opt cached i with
     | Some r -> r
     | None ->
-        (* Crash containment: a run whose setup/build/interpretation
-           raises something Outcome.protect does not structure is
-           retried with exponential backoff (transient environment
-           failures: ENOSPC on a demo save, EMFILE, ...) and, if it
-           keeps failing, quarantined as a Crashed result — the
-           campaign never aborts. Deterministic as long as the
-           exception (and its message) is a function of the index. *)
-        let rec attempt a =
-          match
-            run_one ~deadline_s ~tick_budget (s.conf i) (fun () -> s.instance i)
-          with
-          | r -> r
-          | exception e ->
-              if a < retries then begin
-                Atomic.incr retried;
-                if backoff_s > 0. then
-                  Unix.sleepf (backoff_s *. float_of_int (1 lsl a));
-                attempt (a + 1)
-              end
-              else begin
-                let msg = Printexc.to_string e in
-                push_quarantine (i, msg);
-                Interp.result_of_outcome (Interp.Crashed (-1, msg))
-              end
+        let r =
+          run_one ~deadline_s ~tick_budget (s.conf i) (fun () -> s.instance i)
         in
-        let r = attempt 0 in
         (match jw with
         | Some w ->
             Journal.append w
@@ -450,8 +415,6 @@ let run s ~n ?(jobs = 1) ?(first = 0) ?(deadline_s = 0.) ?tick_budget
     {
       no_supervision with
       sup_resumed = resumed;
-      sup_retried = Atomic.get retried;
-      sup_quarantined = List.sort compare (Atomic.get quarantined);
       sup_journal_dropped = journal_dropped;
     }
   in
@@ -492,11 +455,14 @@ let digest r =
   Digest.to_hex
     (Digest.string (Marshal.to_string (fingerprint r) [ Marshal.No_sharing ]))
 
+(* Counts are over the runs this report holds, so an interrupted
+   report prints what it has, not what it was asked for. *)
 let pp fmt r =
+  let runs = Array.length r.results in
   Format.fprintf fmt
     "%s: %d runs (jobs %d, %.2fs wall): %d distinct schedules, %d racy (%.1f%%), %d completed@."
-    r.label r.n r.jobs r.wall_s r.distinct_schedules r.racy_runs
-    (100.0 *. float_of_int r.racy_runs /. float_of_int (max 1 r.n))
+    r.label runs r.jobs r.wall_s r.distinct_schedules r.racy_runs
+    (100.0 *. float_of_int r.racy_runs /. float_of_int (max 1 runs))
     r.completed;
   Format.fprintf fmt "  totals: %a@." T11r_obs.Metrics.pp r.metrics;
   List.iter
@@ -520,8 +486,6 @@ let pp fmt r =
   if sup.sup_journal_dropped > 0 then
     Format.fprintf fmt "  dropped %d corrupt/torn journal line(s)@."
       sup.sup_journal_dropped;
-  if sup.sup_retried > 0 then
-    Format.fprintf fmt "  %d transient failure(s) retried@." sup.sup_retried;
   match sup.sup_quarantined with
   | [] -> ()
   | qs ->

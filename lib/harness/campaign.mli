@@ -72,9 +72,10 @@ val run_one :
     [tick_budget] lowers [conf]'s [max_ticks] to it and never raises
     it; a positive [deadline_s] becomes [conf]'s wall-clock deadline.
     [instance ()] builds the world and program, and the run executes
-    on the calling domain's {!domain_arena} under [Outcome.protect], so
-    a setup or build failure becomes an [App_error]/[Unsupported_app]
-    result. *)
+    on the calling domain's {!domain_arena} under [Outcome.protect],
+    the harness's one crash rule: it never raises. A setup or build
+    failure becomes an [App_error]/[Unsupported_app] result, and any
+    other exception the quarantine result [Crashed (-1, msg)]. *)
 
 val check_reproduces :
   who:string ->
@@ -114,18 +115,19 @@ val compare_sighting : sighting -> sighting -> int
 
 type supervision = {
   sup_resumed : int;  (** runs replayed from the journal, not executed *)
-  sup_retried : int;  (** transient-failure retry attempts, all runs *)
   sup_quarantined : (int * string) list;
-      (** runs whose final attempt still raised (they appear in the
-          aggregate as [Crashed (-1, msg)] results), sorted by index *)
+      (** runs that raised, i.e. the [Crashed (-1, msg)] results, as
+          [(index, msg)] in index order. Derived from the results like
+          [sup_timeouts], so a quarantine served from a journal is
+          listed in the resumed report too. *)
   sup_timeouts : int;  (** runs that hit the wall-clock deadline *)
   sup_journal_dropped : int;  (** corrupt or torn journal lines ignored *)
   sup_interrupted : bool;  (** cancelled before all [n] runs finished *)
   sup_done : int;  (** runs present in this report *)
 }
 (** What the supervisor did. Deliberately NOT part of {!equal} /
-    {!digest}: retry counts and journal damage depend on transient
-    conditions outside the campaign's pure function of the index. *)
+    {!digest}: resumes and journal damage depend on conditions outside
+    the campaign's pure function of the index. *)
 
 type report = {
   label : string;
@@ -171,8 +173,6 @@ val run :
   ?first:int ->
   ?deadline_s:float ->
   ?tick_budget:int ->
-  ?retries:int ->
-  ?backoff_s:float ->
   ?journal:string ->
   ?cancel:(unit -> bool) ->
   observer list ->
@@ -180,9 +180,9 @@ val run :
 (** Execute runs [first .. first + n - 1] ([first] defaults to 0) on
     up to [jobs] domains (default 1 = sequential) and aggregate.
     Aggregates are bit-identical for every [jobs]; only [wall_s],
-    [jobs] and [supervision] themselves vary. A run whose setup or
-    build raises becomes an [App_error]/[Unsupported_app] result (via
-    [Outcome.protect]) rather than killing the campaign.
+    [jobs] and [supervision] themselves vary. Every run goes through
+    {!run_one}, so a run that raises becomes a result rather than
+    killing the campaign.
 
     Supervision:
     - [deadline_s] imposes a per-run wall-clock deadline (a wedged run
@@ -190,16 +190,17 @@ val run :
       time is nondeterministic; deterministic campaigns should use
       [tick_budget], which caps each run's [max_ticks] (a
       [Tick_limit] outcome) deterministically.
-    - exceptions that escape [Outcome.protect] are retried up to
-      [retries] times with exponential backoff starting at [backoff_s]
-      (default 50ms), then quarantined as a [Crashed (-1, _)] result —
-      one crashing run never aborts the campaign.
+    - a run that raises anything but [World.Unsupported], [Failure]
+      or [Invalid_argument] is executed once and quarantined as a
+      [Crashed (-1, _)] result, listed in
+      [supervision.sup_quarantined] — one crashing run never aborts
+      the campaign.
     - [journal] appends every completed run to a checksummed JSONL
       journal opened by {!T11r_util.Journal.open_pinned}, whose header
       identity is the label, [n], [first] and [tick_budget]; runs the
       file already holds are not re-executed — this is [--resume] —
       once its lowest-index verifiable run reproduces
-      ({!check_reproduces}). Resumed, retried and [jobs]-varied
+      ({!check_reproduces}). Resumed and [jobs]-varied
       campaigns all produce bit-identical digests: aggregation replays
       journal entries in run-index order.
     - [cancel] is polled between runs (SIGINT draining): when it turns
@@ -242,3 +243,8 @@ val digest : report -> string
     their digests match (up to hash collision). *)
 
 val pp : Format.formatter -> report -> unit
+(** The one printer of a report: run count and racy percentage over
+    the runs the report holds (fewer than [n] when interrupted),
+    totals, the outcome histogram, each sighting with its first run
+    index, the first crash, and the supervision lines (interruption,
+    resumes, journal damage, quarantines). *)

@@ -165,6 +165,28 @@ let round_spec (s : Campaign.spec) cands ~first =
         Conf.with_seeds base c.Corpus.c_seed1 c.Corpus.c_seed2);
   }
 
+(* A snapshot pins label, batch and salt but not the world or the tick
+   budget, and a resumed hunt never reruns round 0. So round 0 is bred
+   again from the empty corpus, and its journal must reproduce before
+   any round is served: another world or tick budget is refused, not
+   resumed. *)
+let check_round0 (s : Campaign.spec) w dir ~batch ~salt ~tick_budget =
+  let path = round_journal_path dir 0 in
+  if Sys.file_exists path then begin
+    let runs =
+      match Campaign.journal_results path with
+      | runs -> runs
+      | exception e ->
+          Journal.close w;
+          raise e
+    in
+    let cands, _ = breed Corpus.empty ~round:0 ~batch ~salt in
+    let rs = round_spec s cands ~first:0 in
+    Campaign.check_reproduces ~who:"Guided.hunt" ~tick_budget path w
+      (fun i -> (rs.Campaign.conf i, fun () -> rs.Campaign.instance i))
+      runs
+  end
+
 (* -- folding one round's campaign into the state --------------------- *)
 
 let merge_outcomes a b =
@@ -264,7 +286,9 @@ let hunt (s : Campaign.spec) ?(rounds = 8) ?(batch = 32) ?(jobs = 1)
                  salt)
             ~payload:snap_kind (corpus_journal_path dir)
         in
-        (Some w, latest_state snaps)
+        let resumed = latest_state snaps in
+        if resumed <> None then check_round0 s w dir ~batch ~salt ~tick_budget;
+        (Some w, resumed)
   in
   let cancelled () = match cancel with Some f -> f () | None -> false in
   let rec go st =

@@ -59,8 +59,12 @@ val hunt :
 
     The corpus journal's header pins the label, [batch] and [salt];
     an interrupted round's run journal is checked by {!Campaign.run}.
-    A corpus snapshot from a hunt over another world or strategy is
-    not detected when no round journal is resumed with it.
+    A hunt resumed from a snapshot also breeds round 0 again from the
+    empty corpus and requires [round-0.journal], when present, to
+    reproduce ({!Campaign.check_reproduces}) before any round is
+    served, so a hunt over another world or tick budget is refused. A
+    corpus written only by {!save_corpus} has no round journal and is
+    accepted.
 
     @raise Invalid_argument when [rounds < 1], [batch < 1], or when a
     journal in [?corpus_dir] is refused (see

@@ -14,16 +14,17 @@ type found = {
 
 type result = Found of found | Not_found of int
 
+(* A quarantined [Crashed (-1, _)] is the harness failing to run the
+   try, not the program failing: never a match. *)
 let matches failure (r : Interp.result) =
-  match failure with
-  | Race -> r.race_count > 0
-  | Crash -> ( match r.outcome with Interp.Crashed _ -> true | _ -> false)
-  | Deadlock -> ( match r.outcome with Interp.Deadlock _ -> true | _ -> false)
-  | Any -> (
-      r.race_count > 0
-      || match r.outcome with
-         | Interp.Crashed _ | Interp.Deadlock _ -> true
-         | _ -> false)
+  match (failure, r.outcome) with
+  | _, Interp.Crashed (-1, _) -> false
+  | Race, _ -> r.race_count > 0
+  | Crash, Interp.Crashed _ -> true
+  | Deadlock, Interp.Deadlock _ -> true
+  | Any, (Interp.Crashed _ | Interp.Deadlock _) -> true
+  | Any, _ -> r.race_count > 0
+  | (Crash | Deadlock), _ -> false
 
 (* Both scheduler seeds, freshly avalanched per (bound, try). The old
    derivation fixed seed2 at a constant — so across every bound and
@@ -62,6 +63,9 @@ let corpus_seeds corpus =
 
 let find_bug ?(failure = Any) ?(max_bound = 4) ?(tries_per_bound = 100)
     ?(deadline_s = 0.) ?tick_budget ?(world_seed = 7L) ?corpus ~build () =
+  if max_bound < 0 then invalid_arg "Minimize.find_bug: max_bound < 0";
+  if tries_per_bound < 1 then
+    invalid_arg "Minimize.find_bug: tries_per_bound < 1";
   let seeded = corpus_seeds corpus in
   let runs = ref 0 in
   let result = ref None in
@@ -79,10 +83,10 @@ let find_bug ?(failure = Any) ?(max_bound = 4) ?(tries_per_bound = 100)
           (Conf.tsan11rec ~strategy:(Conf.Preempt_bounded !bound) ())
           seed seed2
       in
-      (* A supervised cut-off ([Timeout]/[Tick_limit]) or a harness-
-         level exception mapped by [Outcome.protect] is "no match" —
-         the sweep moves on to the next seed instead of crashing or
-         wedging on one pathological schedule. The recycled world is
+      (* A supervised cut-off ([Timeout]/[Tick_limit]) or a run
+         quarantined by [Outcome.protect] is "no match" — the sweep
+         moves on to the next seed instead of crashing or wedging on
+         one pathological schedule. The recycled world is
          observationally a fresh one, so the found seed pair still
          reproduces against [World.create ~seed:world_seed]. *)
       let r =

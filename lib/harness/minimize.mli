@@ -48,8 +48,11 @@ val find_bug :
     sweep allocates per run what a campaign run does, and
     [deadline_s] / [tick_budget] bound each try as they bound a
     campaign run (a budget only lowers [max_ticks]); a try cut short
-    ([Timeout], [Tick_limit]) — like a harness-level failure mapped by
-    [Outcome.protect] — counts as "no match" and the sweep continues
-    with the next seed. *)
+    ([Timeout], [Tick_limit]) or quarantined ([Crashed (-1, _)]: the
+    setup, build or run raised) counts as "no match" and the sweep
+    continues with the next seed — a build that always raises ends in
+    [Not_found].
+    @raise Invalid_argument when [max_bound < 0] or
+    [tries_per_bound < 1]. *)
 
 val pp : Format.formatter -> result -> unit

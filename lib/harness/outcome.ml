@@ -13,10 +13,10 @@ let key (o : Interp.outcome) =
   | Interp.Timeout -> "timeout"
   | Interp.Corrupt_demo _ -> "corrupt-demo"
 
-(* One faulty run must not kill an N-run experiment: world setup or
-   program build raising World.Unsupported / Failure / Invalid_argument
-   becomes a structured outcome instead of an escaping exception.
-   Anything else is a harness bug and still propagates. *)
+(* The one crash rule: no exception out of world setup, program build
+   or interpretation escapes a run. Controlled scheduling makes a run
+   a pure function of its seeds, so a run that raised would raise
+   again — it is quarantined, not retried. *)
 let protect f =
   match f () with
   | r -> r
@@ -25,3 +25,5 @@ let protect f =
   | exception Failure msg -> Interp.result_of_outcome (Interp.App_error msg)
   | exception Invalid_argument msg ->
       Interp.result_of_outcome (Interp.App_error msg)
+  | exception e ->
+      Interp.result_of_outcome (Interp.Crashed (-1, Printexc.to_string e))

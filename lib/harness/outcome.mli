@@ -1,6 +1,6 @@
 (** The one place outcomes are turned into histogram keys, and the
-    harness-wide guard that keeps a single faulty run from killing a
-    whole experiment. *)
+    harness's one crash rule, which keeps a single faulty run from
+    killing a whole experiment. *)
 
 val key : Tsan11rec.Interp.outcome -> string
 (** Stable short name for aggregation ("completed", "deadlock",
@@ -9,6 +9,10 @@ val key : Tsan11rec.Interp.outcome -> string
 
 val protect : (unit -> Tsan11rec.Interp.result) -> Tsan11rec.Interp.result
 (** Run one experiment iteration (world setup + program build +
-    interpretation). [World.Unsupported], [Failure] and
-    [Invalid_argument] become [Unsupported_app] / [App_error] results;
-    other exceptions propagate. *)
+    interpretation) and never raise. [World.Unsupported] becomes an
+    [Unsupported_app] result, [Failure] and [Invalid_argument] become
+    [App_error] results, and every other exception [e] becomes the
+    quarantine result [Crashed (-1, Printexc.to_string e)]. A run is a
+    pure function of its seeds, so it is never retried.
+    [Campaign.run_one] is the only caller: every engine gets this
+    rule. *)

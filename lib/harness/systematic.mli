@@ -62,6 +62,8 @@ type result = {
   races : T11r_race.Report.t list;  (** distinct, in discovery order *)
   deadlock_schedules : int;
   crash_schedules : int;
+      (** schedules whose run crashed: a program thread raised, or the
+          run itself raised and was quarantined as [Crashed (-1, _)] *)
   outcomes : (string * int) list;
   max_depth_seen : int;  (** longest run, in scheduling points *)
 }
@@ -98,7 +100,11 @@ val explore :
     lowers [max_ticks]), so one livelocking schedule cannot wedge the
     whole exploration; a run cut short is aggregated under its
     [Timeout] / [Tick_limit] outcome, is treated as a leaf of the
-    tree, and its journal entry resumes identically.
+    tree, and its journal entry resumes identically. A schedule whose
+    setup, build or run raises does not abort the exploration:
+    [Outcome.protect] turns the exception into a result (a quarantined
+    [Crashed (-1, _)] counts in [crash_schedules]), and the run is a
+    leaf too.
 
     [jobs] is accepted and ignored: the walk runs on one domain.
     Speculative pre-execution on a pool was measured slower than the

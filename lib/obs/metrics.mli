@@ -21,11 +21,11 @@ type t = {
   m_desyncs : int;  (** replay divergences encountered *)
   m_timeouts : int;  (** 1 when the run hit its wall-clock deadline *)
   m_retries : int;
-      (** always 0: nothing sets it. [Campaign] counts retries in its
-          report's [supervision], outside the digest. The field stays
-          until the benchmark's pinned fingerprints can change:
-          [Campaign.digest] marshals this record, so removing it moves
-          every digest *)
+      (** always 0: nothing sets it, and nothing is retried — a run
+          that raises is quarantined once ([Outcome.protect]). The
+          field stays until the benchmark's pinned fingerprints can
+          change: [Campaign.digest] marshals this record, so removing
+          it moves every digest *)
   m_salvages : int;
       (** always 0, like [m_retries]: the journal lines a campaign
           drops are counted in [supervision] too *)

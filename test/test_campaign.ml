@@ -252,7 +252,7 @@ let test_map_opt_cancelled_is_partial () =
     [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Supervision: deadlines, budgets, retries, quarantine                *)
+(* Supervision: deadlines, budgets, quarantine                        *)
 
 (* A workload with enough ticks that per-run budgets bite. *)
 let busy_spec label =
@@ -295,10 +295,9 @@ let crashy_spec label =
   }
 
 let test_crash_is_quarantined_not_fatal () =
-  let c = Campaign.run (crashy_spec "crashy") ~n:8 ~retries:2 [] in
+  let c = Campaign.run (crashy_spec "crashy") ~n:8 [] in
   let sup = c.Campaign.supervision in
   Alcotest.(check int) "campaign completed all runs" 8 sup.Campaign.sup_done;
-  Alcotest.(check int) "both retries spent" 2 sup.Campaign.sup_retried;
   (match sup.Campaign.sup_quarantined with
   | [ (3, _) ] -> ()
   | q -> Alcotest.failf "expected run 3 quarantined, got %d" (List.length q));
@@ -307,10 +306,70 @@ let test_crash_is_quarantined_not_fatal () =
     (List.mem_assoc "crashed" c.Campaign.outcomes)
 
 let test_quarantine_deterministic_across_jobs () =
-  let run jobs = Campaign.run (crashy_spec "crashy-j") ~n:8 ~jobs ~retries:1 [] in
+  let run jobs = Campaign.run (crashy_spec "crashy-j") ~n:8 ~jobs [] in
   Alcotest.(check string) "digest stable across jobs"
     (Campaign.digest (run 1))
     (Campaign.digest (run 2))
+
+(* ------------------------------------------------------------------ *)
+(* The crash rule: Outcome.protect, once, in every engine              *)
+
+let test_protect_quarantines_any_exception () =
+  match
+    (T11r_harness.Outcome.protect (fun () -> raise Not_found))
+      .Tsan11rec.Interp.outcome
+  with
+  | Tsan11rec.Interp.Crashed (-1, "Not_found") -> ()
+  | o ->
+      Alcotest.failf "expected Crashed (-1, \"Not_found\"), got %a"
+        Tsan11rec.Interp.pp_outcome o
+
+let test_raising_run_executes_once () =
+  List.iter
+    (fun jobs ->
+      let calls = Atomic.make 0 in
+      let base = crashy_spec "crashy-once" in
+      let spec =
+        {
+          base with
+          Campaign.instance =
+            (fun i ->
+              if i = 3 then Atomic.incr calls;
+              base.Campaign.instance i);
+        }
+      in
+      let c = Campaign.run spec ~n:8 ~jobs [] in
+      Alcotest.(check int)
+        (Printf.sprintf "instance 3 called once (jobs=%d)" jobs)
+        1 (Atomic.get calls);
+      Alcotest.(check (list int))
+        (Printf.sprintf "run 3 quarantined (jobs=%d)" jobs)
+        [ 3 ]
+        (List.map fst c.Campaign.supervision.Campaign.sup_quarantined))
+    [ 1; 2 ]
+
+let test_systematic_counts_raising_schedule () =
+  let calls = ref 0 in
+  let build () =
+    incr calls;
+    if !calls = 2 then raise (Boom 2);
+    T11r_litmus.Registry.fig1.build ()
+  in
+  let r = T11r_harness.Systematic.explore ~max_runs:200 ~build () in
+  Alcotest.(check bool) "exploration completes" true
+    r.T11r_harness.Systematic.complete;
+  Alcotest.(check int) "one crash schedule" 1
+    r.T11r_harness.Systematic.crash_schedules
+
+let test_minimize_raising_build_not_found () =
+  let module Minimize = T11r_harness.Minimize in
+  match
+    Minimize.find_bug ~max_bound:1 ~tries_per_bound:5
+      ~build:(fun () -> raise (Boom 0))
+      ()
+  with
+  | Minimize.Not_found runs -> Alcotest.(check int) "every try spent" 10 runs
+  | Minimize.Found _ -> Alcotest.fail "a quarantined try matched"
 
 (* A campaign cancelled before its first run (SIGINT before the hunt
    starts, or during a guided round) reports zero runs, not a crash. *)
@@ -747,6 +806,39 @@ let test_guided_corpus_resume () =
   | None -> Alcotest.fail "no corpus snapshot found");
   T11r_util.Tmp.rm_rf dir
 
+(* A snapshot pins label, batch and salt only: resuming it under
+   another world is refused through round 0's journal, every file
+   left byte for byte, and the same spec still resumes to the
+   uninterrupted digest. *)
+let test_guided_foreign_world_refused () =
+  let httpd =
+    T11r_harness.Workloads.spec_of
+      (Option.get (T11r_harness.Workloads.find "httpd"))
+  in
+  let hunt ?corpus_dir spec = Guided.hunt spec ~rounds:2 ~batch:4 ?corpus_dir () in
+  let clean = hunt httpd in
+  let dir = cpath () in
+  ignore (hunt ~corpus_dir:dir httpd);
+  let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let snapshot () =
+    List.map (fun f -> slurp (Filename.concat dir f)) files
+  in
+  let before = snapshot () in
+  let other_world =
+    {
+      httpd with
+      Campaign.instance = (fun i -> httpd.Campaign.instance (i + 1000));
+    }
+  in
+  (match hunt ~corpus_dir:dir other_world with
+  | _ -> Alcotest.fail "resumed a snapshot of another world"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check (list string)) "files untouched" before (snapshot ());
+  Alcotest.(check string) "same spec resumes to the clean digest"
+    (Guided.digest clean)
+    (Guided.digest (hunt ~corpus_dir:dir httpd));
+  T11r_util.Tmp.rm_rf dir
+
 (* SIGKILL a guided hunt mid-flight; resuming from its corpus
    directory must reproduce the uninterrupted digest bit for bit. *)
 let test_guided_sigkill_then_resume_digest () =
@@ -886,12 +978,23 @@ let () =
             test_deadline_turns_wedged_runs_into_timeouts;
           Alcotest.test_case "tick budget jobs-stable" `Quick
             test_tick_budget_is_deterministic;
-          Alcotest.test_case "crash quarantined after retries" `Quick
+          Alcotest.test_case "crash quarantined" `Quick
             test_crash_is_quarantined_not_fatal;
           Alcotest.test_case "quarantine jobs-stable" `Quick
             test_quarantine_deterministic_across_jobs;
           Alcotest.test_case "cancel before first run" `Quick
             test_cancel_before_first_run;
+        ] );
+      ( "crash rule",
+        [
+          Alcotest.test_case "protect quarantines Not_found" `Quick
+            test_protect_quarantines_any_exception;
+          Alcotest.test_case "raising run executed once" `Quick
+            test_raising_run_executes_once;
+          Alcotest.test_case "systematic counts a raising schedule" `Quick
+            test_systematic_counts_raising_schedule;
+          Alcotest.test_case "find_bug over a raising build" `Quick
+            test_minimize_raising_build_not_found;
         ] );
       ( "journal",
         [
@@ -920,6 +1023,8 @@ let () =
             test_guided_deterministic_across_jobs;
           Alcotest.test_case "corpus dir replays to clean digest" `Quick
             test_guided_corpus_resume;
+          Alcotest.test_case "snapshot of another world refused" `Quick
+            test_guided_foreign_world_refused;
           Alcotest.test_case "SIGKILL guided hunt, resume = clean" `Quick
             test_guided_sigkill_then_resume_digest;
           Alcotest.test_case "beats random on runs to first race" `Quick

@@ -793,6 +793,19 @@ let test_icb_tick_budget_is_no_match () =
       Alcotest.failf "tick-limited run counted as a failure at bound %d"
         f.bound
 
+(* An empty search is a usage error, not "no failure within bounds
+   (0 runs)". *)
+let test_icb_rejects_empty_search () =
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "find_bug accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  let build = T11r_litmus.Registry.fig1.build in
+  rejects "max_bound -1" (fun () -> Minimize.find_bug ~max_bound:(-1) ~build ());
+  rejects "tries_per_bound 0" (fun () ->
+      Minimize.find_bug ~tries_per_bound:0 ~build ())
+
 (* ------------------------------------------------------------------ *)
 (* Campaign aggregation and workload registry *)
 
@@ -936,6 +949,8 @@ let () =
           Alcotest.test_case "clean program" `Quick test_icb_clean_program_not_found;
           Alcotest.test_case "tick budget is no match" `Quick
             test_icb_tick_budget_is_no_match;
+          Alcotest.test_case "empty search rejected" `Quick
+            test_icb_rejects_empty_search;
         ] );
       ( "runner",
         [
