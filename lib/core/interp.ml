@@ -60,7 +60,11 @@ exception Hard of string
 exception Unsupported_run of string
 exception Diagnosed of divergence
 
-type pending = P : 'a Api.req * ('a, unit) continuation -> pending
+(* A constant constructor for "no parked request", so parking one
+   allocates only the [P] block. *)
+type pending =
+  | No_request : pending
+  | P : 'a Api.req * ('a, unit) continuation -> pending
 
 type cw_stage = Cw_waiting | Cw_relock
 
@@ -85,7 +89,7 @@ type thread = {
   mutable tname : string;
   tst : Tstate.t;
   mutable status : status;
-  mutable pending : pending option;
+  mutable pending : pending;
   mutable shelved : pending list;
   mutable arrival : int;
   mutable ltime : int;
@@ -95,6 +99,9 @@ type thread = {
   mutable last_tick : int;
   mutable disabled_at : int;
   mutable priority : int;  (* PCT strategy *)
+  mutable self : thread option;
+      (* [Some] of this record, allocated once: [tvec]'s cell and what
+         [ctx.cur] points at while the thread runs *)
 }
 
 type mstate = { mutable owner : int option; mutable m_clock : Vclock.t }
@@ -115,7 +122,7 @@ type ctx = {
   rng : Prng.t;
   choose : int -> int;  (* scheduler PRNG draw, shared with the memory model *)
   mutable tvec : thread option array;  (* index = tid; dense, threads never leave *)
-  mutable ready_scratch : thread option array;  (* cells shared with tvec *)
+  mutable ready_scratch : int array;  (* tids of the runnable threads *)
   mutable ready_n : int;
   mutable next_tid : int;
   mutable next_obj : int;
@@ -129,7 +136,13 @@ type ctx = {
   mutable tick : int;
   deadline_at : float;  (* Unix.gettimeofday () cutoff; infinity = none *)
   mutable cur : thread option;
-  mutable trace : (int * int * string) list;  (* reversed *)
+  (* The trace log: tick [i]'s critical section ran thread
+     [tr_tids.(i)] as [tr_labels.(i)], for [i < tr_n] (every tick logs
+     exactly one, see [log_trace]). Arena storage, so a run logs
+     without allocating; [finish] builds the result's list. *)
+  mutable tr_tids : int array;
+  mutable tr_labels : string array;
+  mutable tr_n : int;
   (* recording *)
   mutable rec_signals : Demo.signal_entry list;  (* reversed *)
   mutable rec_syscalls : Demo.syscall_entry list;  (* reversed *)
@@ -182,27 +195,27 @@ let alive ctx =
     (fun t -> match t.status with Done | Dead _ -> false | _ -> true)
     (threads_in_order ctx)
 
-(* Refresh the scratch array of runnable threads (ascending tid — the
-   same order the old ready-list was built in). Reuses the [Some] cells
-   already in [tvec], so a tick allocates nothing here. The scratch is
-   a snapshot: replayed async wakeups during the pick intentionally do
-   not refresh it (matching the recorder, which drew from the pre-wakeup
-   enabled set). *)
+(* Refresh the scratch array of runnable tids (ascending — the same
+   order the old ready-list was built in). An int array, so a tick
+   stores no pointer here and allocates nothing. The scratch is a
+   snapshot: replayed async wakeups during the pick intentionally do
+   not refresh it (matching the recorder, which drew from the
+   pre-wakeup enabled set). *)
 let fill_ready ctx =
   if Array.length ctx.ready_scratch < ctx.next_tid then
-    ctx.ready_scratch <- Array.make (max 8 (2 * ctx.next_tid)) None;
+    ctx.ready_scratch <- Array.make (max 8 (2 * ctx.next_tid)) 0;
   let n = ref 0 in
   for tid = 0 to ctx.next_tid - 1 do
     match ctx.tvec.(tid) with
     | Some t when t.status = Ready ->
-        ctx.ready_scratch.(!n) <- ctx.tvec.(tid);
+        ctx.ready_scratch.(!n) <- tid;
         incr n
     | _ -> ()
   done;
   ctx.ready_n <- !n
 
 let rget ctx i =
-  match ctx.ready_scratch.(i) with Some t -> t | None -> assert false
+  match ctx.tvec.(ctx.ready_scratch.(i)) with Some t -> t | None -> assert false
 let is_replay ctx = ctx.replay <> None
 let is_record ctx = match ctx.conf.mode with Conf.Record _ -> true | _ -> false
 let draw ctx n = if n <= 0 then 0 else Prng.int ctx.rng n
@@ -217,6 +230,37 @@ let draw_pick ctx n =
   draw ctx n
 let hard ctx msg = raise (Hard (Printf.sprintf "tick %d: %s" ctx.tick msg))
 
+(* Append the current tick's critical section to the trace log,
+   doubling its arrays when full. Every tick runs exactly one critical
+   section, and each logs once ([note_cs]), so entry [n] is tick [n];
+   the assertion keeps the log from storing the tick. *)
+let log_trace ctx tid label =
+  let n = ctx.tr_n in
+  assert (n = ctx.tick);
+  if n = Array.length ctx.tr_tids then begin
+    let cap = max 64 (2 * n) in
+    let tids = Array.make cap 0 and labels = Array.make cap "" in
+    Array.blit ctx.tr_tids 0 tids 0 n;
+    Array.blit ctx.tr_labels 0 labels 0 n;
+    ctx.tr_tids <- tids;
+    ctx.tr_labels <- labels
+  end;
+  ctx.tr_tids.(n) <- tid;
+  ctx.tr_labels.(n) <- label;
+  ctx.tr_n <- n + 1
+
+(* Log entries [from, tr_n) as [f tick tid label], in order; built back
+   to front, so each element is one cons. *)
+let map_trace ?(from = 0) ctx f =
+  let acc = ref [] in
+  for i = ctx.tr_n - 1 downto from do
+    acc := f i ctx.tr_tids.(i) ctx.tr_labels.(i) :: !acc
+  done;
+  !acc
+
+let trace_entry tick tid label = (tick, tid, label)
+let trace_line tick tid label = Printf.sprintf "%d %d %s" tick tid label
+
 (* Note a replay divergence at [site] (QUEUE/SYSCALL/SIGNAL/ASYNC).
    What happens next depends on the configured desync mode: [Abort]
    raises {!Hard} exactly as the paper prescribes; [Diagnose] raises
@@ -230,13 +274,7 @@ let diverge ctx ~tid ~site ~expected ~actual =
   | Conf.Abort ->
       hard ctx (Printf.sprintf "%s expects %s, got %s" site expected actual)
   | Conf.Diagnose ->
-      let trail =
-        let rec take n = function
-          | x :: xs when n > 0 -> x :: take (n - 1) xs
-          | _ -> []
-        in
-        List.rev (take 8 ctx.trace)
-      in
+      let trail = map_trace ~from:(max 0 (ctx.tr_n - 8)) ctx trace_entry in
       raise
         (Diagnosed
            {
@@ -266,7 +304,7 @@ let diverge ctx ~tid ~site ~expected ~actual =
 
 let crash ctx t msg =
   t.status <- Dead msg;
-  t.pending <- None;
+  t.pending <- No_request;
   if ctx.finished = None then ctx.finished <- Some (Crashed (t.tid, msg))
 
 (* Re-enable every thread blocked for [reason] (a finished thread's
@@ -292,7 +330,7 @@ let fiber_handler ctx t ~on_return =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
         | Api.Op r ->
-            Some (fun (k : (a, _) continuation) -> t.pending <- Some (P (r, k)))
+            Some (fun (k : (a, _) continuation) -> t.pending <- P (r, k))
         | _ -> None);
   }
 
@@ -310,13 +348,13 @@ let fresh_obj ctx =
    visible request, finishes, or crashes. *)
 let rec pump ctx t =
   match (t.status, t.pending) with
-  | (Done | Dead _), _ | _, None -> ()
-  | _, Some (P (r, k)) ->
+  | (Done | Dead _), _ | _, No_request -> ()
+  | _, P (r, k) ->
       if Api.visible r then t.arrival <- t.ltime + arrival_jitter ctx
       else begin
-        t.pending <- None;
+        t.pending <- No_request;
         let prev = ctx.cur in
-        ctx.cur <- Some t;
+        ctx.cur <- t.self;
         handle_invisible ctx t r k;
         ctx.cur <- prev;
         pump ctx t
@@ -402,7 +440,7 @@ let new_thread ctx ~name ~parent_st ~at body =
         | None -> Tstate.reinit t.tst ~tid);
         t.tname <- name;
         t.status <- Ready;
-        t.pending <- None;
+        t.pending <- No_request;
         t.shelved <- [];
         t.arrival <- at;
         t.ltime <- at;
@@ -425,7 +463,7 @@ let new_thread ctx ~name ~parent_st ~at body =
             tname = name;
             tst;
             status = Ready;
-            pending = None;
+            pending = No_request;
             shelved = [];
             arrival = at;
             ltime = at;
@@ -435,15 +473,17 @@ let new_thread ctx ~name ~parent_st ~at body =
             last_tick = -1;
             disabled_at = -1;
             priority = 0;
+            self = None;
           }
         in
-        ctx.tvec.(tid) <- Some t;
+        t.self <- Some t;
+        ctx.tvec.(tid) <- t.self;
         t
   in
   t.priority <- draw ctx 1_000_000;
   let on_return () =
     t.status <- Done;
-    t.pending <- None;
+    t.pending <- No_request;
     wake_all ctx (On_join t.tid) ~at:t.ltime
   in
   start_fiber ctx t body ~on_return;
@@ -570,6 +610,18 @@ let replay_asyncs_for_tick ctx =
         mine;
       !rescheds
 
+(* Draw a runnable thread; redraw (at most [budget] more times) while
+   the drawn one is still [resched_us] past the clock, each redraw
+   advancing the clock and recorded as a Reschedule. *)
+let rec draw_arrived ctx ~resched_us budget =
+  let t = rget ctx (draw ctx ctx.ready_n) in
+  if budget > 0 && resched_us > 0 && t.arrival > ctx.gclock + resched_us then begin
+    record_async ctx Demo.Reschedule;
+    ctx.gclock <- ctx.gclock + resched_us;
+    draw_arrived ctx ~resched_us (budget - 1)
+  end
+  else t
+
 let pick_random ctx =
   let n = ctx.ready_n in
   let resched_us = ctx.conf.resched_ms * 1000 in
@@ -581,19 +633,7 @@ let pick_random ctx =
     done;
     rget ctx (draw ctx n)
   end
-  else begin
-    let rec go budget =
-      let t = rget ctx (draw ctx n) in
-      if budget > 0 && resched_us > 0 && t.arrival > ctx.gclock + resched_us
-      then begin
-        record_async ctx Demo.Reschedule;
-        ctx.gclock <- ctx.gclock + resched_us;
-        go (budget - 1)
-      end
-      else t
-    in
-    go 64
-  end
+  else draw_arrived ctx ~resched_us 64
 
 let pick_pct ctx =
   (* PCT-flavoured strategy (the paper's future work): highest priority
@@ -869,26 +909,55 @@ let mstate ctx (m : Api.mutex) = Hashtbl.find ctx.mutexes m.Api.mu_id
 let cstate ctx (c : Api.cond) = Hashtbl.find ctx.conds c.Api.cv_id
 let rwstate ctx (l : Api.rwlock) = Hashtbl.find ctx.rwlocks l.Api.rw_id
 
-(* The one waiter a wakeup picks among [ws] (creation order): the
-   longest-disabled one under the FIFO-flavoured models, a PRNG draw
-   otherwise. *)
-let pick_waiter ctx = function
-  | [] -> None
-  | w :: rest as ws -> (
-      match ctx.conf.sched with
-      | Conf.Controlled (Conf.Queue | Conf.Delay_bounded _) | Conf.Os_model ->
-          Some
-            (List.fold_left
-               (fun b t ->
-                 if (t.disabled_at, t.tid) < (b.disabled_at, b.tid) then t
-                 else b)
-               w rest)
-      | _ -> Some (List.nth ws (draw_pick ctx (List.length ws))))
+(* Waiter predicates, each over an object id: the threads disabled on
+   mutex [mid], and the threads waiting on condvar [cid] (disabled
+   untimed waiters plus enabled timed waiters still in their waiting
+   stage). *)
+let mutex_waiter mid t =
+  match t.status with Disabled (On_mutex m) -> m = mid | _ -> false
 
-let mutex_waiters ctx mid =
-  List.filter
-    (fun t -> match t.status with Disabled (On_mutex m) -> m = mid | _ -> false)
-    (threads_in_order ctx)
+let cond_waiter cid t =
+  match t.cwait with
+  | Some cw -> cw.cw_cond = cid && cw.cw_stage = Cw_waiting
+  | None -> false
+
+let count_waiters ctx is_waiter id =
+  let c = ref 0 in
+  for i = 0 to ctx.next_tid - 1 do
+    match ctx.tvec.(i) with Some t when is_waiter id t -> incr c | _ -> ()
+  done;
+  !c
+
+(* The [k]th waiter (from 0) in tid order, from tid [i] on. *)
+let rec nth_waiter ctx is_waiter id k i =
+  if i >= ctx.next_tid then None
+  else
+    match ctx.tvec.(i) with
+    | Some t as cell when is_waiter id t ->
+        if k = 0 then cell else nth_waiter ctx is_waiter id (k - 1) (i + 1)
+    | _ -> nth_waiter ctx is_waiter id k (i + 1)
+
+(* The one waiter a wakeup picks among the threads [is_waiter id]
+   holds for, scanned in tid (creation) order: the longest-disabled one
+   under the FIFO-flavoured models, the lowest tid among equals; a PRNG
+   draw otherwise. *)
+let pick_waiter ctx is_waiter id =
+  match ctx.conf.sched with
+  | Conf.Controlled (Conf.Queue | Conf.Delay_bounded _) | Conf.Os_model ->
+      let best = ref None in
+      for i = 0 to ctx.next_tid - 1 do
+        match ctx.tvec.(i) with
+        | Some t as cell when is_waiter id t -> (
+            match !best with
+            | Some b when b.disabled_at <= t.disabled_at -> ()
+            | _ -> best := cell)
+        | _ -> ()
+      done;
+      !best
+  | _ -> (
+      match count_waiters ctx is_waiter id with
+      | 0 -> None
+      | n -> nth_waiter ctx is_waiter id (draw_pick ctx n) 0)
 
 (* The acquire step shared by every lock-like op: decision capture, the
    coverage edge ([~edge:false] for the condvar relock, which marks
@@ -950,7 +1019,7 @@ let release_mutex ctx t (m : Api.mutex) ~at =
   let ms = mstate ctx m in
   ms.owner <- None;
   ms.m_clock <- note_release ctx t ~id:m.Api.mu_id ms.m_clock;
-  match pick_waiter ctx (mutex_waiters ctx m.Api.mu_id) with
+  match pick_waiter ctx mutex_waiter m.Api.mu_id with
   | Some w ->
       w.status <- Ready;
       w.arrival <- max w.arrival at
@@ -965,16 +1034,6 @@ let rw_unlock ctx t (l : Api.rwlock) ~at =
   | _ -> rw.rw_readers <- List.filter (fun tid -> tid <> t.tid) rw.rw_readers);
   rw.rw_clock <- note_release ctx t ~id:l.Api.rw_id rw.rw_clock;
   wake_all ctx (On_rwlock l.Api.rw_id) ~at
-
-(* Threads waiting on condvar [cid]: disabled untimed waiters plus
-   enabled timed waiters still in their waiting stage. *)
-let cond_waiters ctx cid =
-  List.filter
-    (fun t ->
-      match t.cwait with
-      | Some cw -> cw.cw_cond = cid && cw.cw_stage = Cw_waiting
-      | None -> false)
-    (threads_in_order ctx)
 
 let wake_cond_waiter ctx t ~at ~(signaller_clock : Vclock.t) =
   (match t.cwait with
@@ -995,7 +1054,7 @@ let wake_cond_waiter ctx t ~at ~(signaller_clock : Vclock.t) =
 (* Critical sections                                                    *)
 
 let note_cs ctx t label fin =
-  ctx.trace <- (ctx.tick, t.tid, label) :: ctx.trace;
+  log_trace ctx t.tid label;
   Trace.emit ctx.obs Trace.Op ~tick:ctx.tick ~tid:t.tid ~label
     ~ts:ctx.last_cs_start
     ~dur:(max 0 (fin - ctx.last_cs_start));
@@ -1067,16 +1126,16 @@ let exec_signal_entry ctx t =
   let fin = cs_timing ctx t ~recorded:false in
   note_cs ctx t (Printf.sprintf "sig_entry:%d" signo) fin;
   (match t.pending with
-  | Some p ->
+  | P _ as p ->
       t.shelved <- p :: t.shelved;
-      t.pending <- None
-  | None -> ());
+      t.pending <- No_request
+  | No_request -> ());
   (match Hashtbl.find_opt ctx.handlers signo with
   | Some f ->
       let on_return () =
         match t.shelved with
         | p :: rest ->
-            t.pending <- Some p;
+            t.pending <- p;
             t.shelved <- rest;
             t.arrival <- max t.arrival t.ltime
         | [] ->
@@ -1088,7 +1147,7 @@ let exec_signal_entry ctx t =
       (* No handler installed: ignore the signal (SIG_IGN model). *)
       match t.shelved with
       | p :: rest ->
-          t.pending <- Some p;
+          t.pending <- p;
           t.shelved <- rest
       | [] -> ()));
   pump ctx t
@@ -1099,7 +1158,7 @@ let finish_cs : type a.
     ctx -> thread -> (a, unit) continuation -> string -> int -> a -> unit =
  fun ctx t k label fin v ->
   note_cs ctx t label fin;
-  t.pending <- None;
+  t.pending <- No_request;
   continue k v;
   pump ctx t
 
@@ -1141,8 +1200,8 @@ let footprint_of_next ctx t : Decision.footprint =
   if t.sigq <> [] then F_global
   else
     match t.pending with
-    | None -> F_local
-    | Some (P (r, _)) -> (
+    | No_request -> F_local
+    | P (r, _) -> (
         match r with
         | Api.A_load (a, _) -> F_atomic (Atomics.loc_id a.Api.a_loc, Acc_read)
         | Api.A_store (a, _, _) ->
@@ -1260,21 +1319,27 @@ let exec_op : type a.
   | Api.Cond_signal c ->
       let cs = cstate ctx c in
       cs.c_clock <- release_clock ctx t cs.c_clock;
-      (match pick_waiter ctx (cond_waiters ctx c.Api.cv_id) with
+      (match pick_waiter ctx cond_waiter c.Api.cv_id with
       | Some w -> wake_cond_waiter ctx w ~at:fin ~signaller_clock:cs.c_clock
       | None -> ());
       finish_cs ctx t k label fin ()
   | Api.Cond_broadcast c ->
       let cs = cstate ctx c in
       cs.c_clock <- release_clock ctx t cs.c_clock;
-      List.iter
-        (fun w -> wake_cond_waiter ctx w ~at:fin ~signaller_clock:cs.c_clock)
-        (cond_waiters ctx c.Api.cv_id);
+      (* Waking a waiter leaves every other thread's [cond_waiter]
+         answer as it was, so one pass in tid order wakes the set the
+         signal found. *)
+      for i = 0 to ctx.next_tid - 1 do
+        match ctx.tvec.(i) with
+        | Some w when cond_waiter c.Api.cv_id w ->
+            wake_cond_waiter ctx w ~at:fin ~signaller_clock:cs.c_clock
+        | _ -> ()
+      done;
       finish_cs ctx t k label fin ()
   | Api.Spawn (name, body) ->
       note_cs ctx t label fin;
       let child = new_thread ctx ~name ~parent_st:(Some t.tst) ~at:fin body in
-      t.pending <- None;
+      t.pending <- No_request;
       continue k child.tid;
       pump ctx t
   | Api.Join target -> (
@@ -1320,7 +1385,7 @@ let exec_op : type a.
          sections, and when its fiber returns the raising thread
          resumes just after the raise. *)
       note_cs ctx t label fin;
-      t.pending <- None;
+      t.pending <- No_request;
       match Hashtbl.find_opt ctx.handlers signo with
       | None ->
           crash ctx t (Printf.sprintf "unhandled synchronous signal %d" signo)
@@ -1343,14 +1408,14 @@ let exec_cs ctx t =
   if t.sigq <> [] then exec_signal_entry ctx t
   else begin
     let prev_cur = ctx.cur in
-    ctx.cur <- Some t;
+    ctx.cur <- t.self;
     (* No Fun.protect here: the abort exceptions (Hard, Diagnosed,
        Unsupported_run) end the run outright, so a stale [cur] can't be
        observed; the happy path restores it below. *)
     (match t.pending with
-    | None ->
+    | No_request ->
         hard ctx (Printf.sprintf "thread %d scheduled with no request" t.tid)
-    | Some (P (r, k)) ->
+    | P (r, k) ->
         let fin =
           match r with
           | Api.Syscall req ->
@@ -1369,35 +1434,23 @@ let exec_cs ctx t =
 (* ------------------------------------------------------------------ *)
 (* Demo assembly                                                        *)
 
+(* One backward pass over the trace log: for each CS exit, the exiting
+   thread's next tick (-1 after its last); what is left in [next] at
+   the end is each thread's first tick. *)
 let build_queue_data ctx =
-  let sched = List.rev_map (fun (tick, tid, _) -> (tick, tid)) ctx.trace in
-  let per_thread : (int, int Queue.t) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (tick, tid) ->
-      let q =
-        match Hashtbl.find_opt per_thread tid with
-        | Some q -> q
-        | None ->
-            let q = Queue.create () in
-            Hashtbl.replace per_thread tid q;
-            q
-      in
-      Queue.add tick q)
-    sched;
+  let next : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let next_ticks = ref [] in
+  for i = ctx.tr_n - 1 downto 0 do
+    let tid = ctx.tr_tids.(i) in
+    next_ticks :=
+      Option.value ~default:(-1) (Hashtbl.find_opt next tid) :: !next_ticks;
+    Hashtbl.replace next tid i
+  done;
   let first_ticks =
-    Hashtbl.fold (fun tid q acc -> (tid, Queue.peek q) :: acc) per_thread []
+    Hashtbl.fold (fun tid tick acc -> (tid, tick) :: acc) next []
     |> List.sort compare
   in
-  (* For each CS exit in order, the exiting thread's next tick. *)
-  let next_ticks =
-    List.map
-      (fun (_tick, tid) ->
-        let q = Hashtbl.find per_thread tid in
-        ignore (Queue.pop q);
-        match Queue.peek_opt q with Some next -> next | None -> -1)
-      sched
-  in
-  { Demo.first_ticks; next_ticks }
+  { Demo.first_ticks; next_ticks = !next_ticks }
 
 let build_demo ctx app_name =
   let s1, s2 = Prng.seeds ctx.rng in
@@ -1431,13 +1484,14 @@ let build_demo ctx app_name =
 
 (* A domain-local bundle of every allocation-heavy structure [make_ctx]
    needs, recycled across runs: the weak memory, the two race
-   detectors, the PRNG, the observability buffers, the object tables
-   and the thread vector (whose thread records — including their
-   vector clocks and fiber bookkeeping — are re-initialised in place by
-   [new_thread]). OWNERSHIP: an arena belongs to exactly one domain and
-   at most one live run at a time; results escape a run by value
-   (strings, lists, fresh records), never by reference into the arena,
-   which is what makes recycling observationally invisible. *)
+   detectors, the PRNG, the observability buffers, the object tables,
+   the trace log and the thread vector (whose thread records —
+   including their vector clocks and fiber bookkeeping — are
+   re-initialised in place by [new_thread]). OWNERSHIP: an arena
+   belongs to exactly one domain and at most one live run at a time;
+   results escape a run by value (strings, lists, fresh records), never
+   by reference into the arena, which is what makes recycling
+   observationally invisible. *)
 type arena = {
   mutable a_mem : Atomics.t; (* rebuilt if conf.max_history changes *)
   a_det : Detector.t;
@@ -1452,7 +1506,9 @@ type arena = {
   a_fd_classes : (int, Policy.fd_class) Hashtbl.t;
   a_rep_queue_next : (int, int) Hashtbl.t;
   mutable a_tvec : thread option array;
-  mutable a_ready : thread option array;
+  mutable a_ready : int array;
+  mutable a_tr_tids : int array;
+  mutable a_tr_labels : string array;
 }
 
 let create_arena () =
@@ -1470,8 +1526,16 @@ let create_arena () =
     a_fd_classes = Hashtbl.create 8;
     a_rep_queue_next = Hashtbl.create 8;
     a_tvec = Array.make 8 None;
-    a_ready = Array.make 8 None;
+    a_ready = Array.make 8 0;
+    a_tr_tids = [||];
+    a_tr_labels = [||];
   }
+
+(* Entries of trace log an arena keeps between runs: the hunt
+   benchmark's longest runs (ms-queue, about 2k ticks) fit, so they
+   log without allocating, while a run cut at a tick budget of tens of
+   thousands does not leave its log pinned to the domain. *)
+let kept_log = 4096
 
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                            *)
@@ -1547,7 +1611,9 @@ let make_ctx arena conf world replay =
            Unix.gettimeofday () +. conf.Conf.deadline_s
          else infinity);
       cur = None;
-      trace = [];
+      tr_tids = arena.a_tr_tids;
+      tr_labels = arena.a_tr_labels;
+      tr_n = 0;
       rec_signals = [];
       rec_syscalls = [];
       rec_asyncs = [];
@@ -1709,13 +1775,13 @@ let corrupt_demo_result c =
 
 (* The outcome of a run with no thread left to schedule. *)
 let stuck ctx =
-  match
-    List.filter_map
-      (fun t -> match t.status with Disabled _ -> Some t.tid | _ -> None)
-      (threads_in_order ctx)
-  with
-  | [] -> Completed
-  | blocked -> Deadlock blocked
+  let blocked = ref [] in
+  for i = ctx.next_tid - 1 downto 0 do
+    match ctx.tvec.(i) with
+    | Some { status = Disabled _; tid; _ } -> blocked := tid :: !blocked
+    | _ -> ()
+  done;
+  match !blocked with [] -> Completed | blocked -> Deadlock blocked
 
 let run ?world ?arena conf (program : Api.program) =
   (* Generated names must be a function of the program alone, not of
@@ -1742,6 +1808,16 @@ let run ?world ?arena conf (program : Api.program) =
        records) for the next run on this arena. *)
     arena.a_tvec <- ctx.tvec;
     arena.a_ready <- ctx.ready_scratch;
+    (* A log grown past [kept_log] by a long run is dropped, so an idle
+       arena pins at most that many entries. *)
+    if Array.length ctx.tr_tids <= kept_log then begin
+      arena.a_tr_tids <- ctx.tr_tids;
+      arena.a_tr_labels <- ctx.tr_labels
+    end
+    else begin
+      arena.a_tr_tids <- [||];
+      arena.a_tr_labels <- [||]
+    end;
     let decisions =
       if ctx.dec_on then Array.of_list (List.rev ctx.decisions) else [||]
     in
@@ -1755,13 +1831,7 @@ let run ?world ?arena conf (program : Api.program) =
           let d = build_demo ctx program.Api.pname in
           let extra =
             if conf.Conf.debug_trace then
-              [
-                ( "TRACE",
-                  List.rev_map
-                    (fun (tick, tid, label) ->
-                      Printf.sprintf "%d %d %s" tick tid label)
-                    ctx.trace );
-              ]
+              [ ("TRACE", map_trace ctx trace_line) ]
             else []
           in
           (* A recording made under decision capture carries the full
@@ -1801,12 +1871,7 @@ let run ?world ?arena conf (program : Api.program) =
                        d.Demo.meta.Demo.ticks ctx.tick)
               | _ -> None)
           | recorded ->
-              let mine =
-                List.rev_map
-                  (fun (tick, tid, label) ->
-                    Printf.sprintf "%d %d %s" tick tid label)
-                  ctx.trace
-              in
+              let mine = map_trace ctx trace_line in
               let rec first_diff i a b =
                 match (a, b) with
                 | [], [] -> None
@@ -1850,9 +1915,15 @@ let run ?world ?arena conf (program : Api.program) =
       output = World.output world;
       soft_desync;
       demo;
-      trace = List.rev ctx.trace;
+      trace = map_trace ctx trace_entry;
       thread_names =
-        List.map (fun t -> (t.tid, t.tname)) (threads_in_order ctx);
+        (let names = ref [] in
+         for i = ctx.next_tid - 1 downto 0 do
+           match ctx.tvec.(i) with
+           | Some t -> names := (t.tid, t.tname) :: !names
+           | None -> ()
+         done;
+         !names);
       trace_divergence;
       rng_draws = Prng.draws ctx.rng;
       desync_count = ctx.desync_count;
@@ -1940,9 +2011,7 @@ let run ?world ?arena conf (program : Api.program) =
                    before the op runs, draw counts as deltas around it.
                    Off this branch (every non-Guided strategy) the tick
                    pays one load+branch and allocates nothing. *)
-                let enabled =
-                  Array.init ctx.ready_n (fun i -> (rget ctx i).tid)
-                in
+                let enabled = Array.sub ctx.ready_scratch 0 ctx.ready_n in
                 let foot = footprint_of_next ctx t in
                 let draws0 = Prng.draws ctx.rng in
                 let rand0 = Atomics.rand_choices ctx.mem in

@@ -118,27 +118,76 @@ type report = {
 }
 
 (* Distinct schedules are distinct (tid, op) sequences; ticks are
-   ignored. The set is keyed on the trace itself: the hash folds every
+   ignored. The set holds the retained traces themselves, so it adds
+   no per-run key: a table from a trace's hash to the distinct traces
+   with that hash. [Schedules.intern] hashes a trace once and compares
+   it with each trace under that hash, every (tid, label) exactly, so
+   the count is exact whatever the hash does. The hash folds every
    element (the polymorphic hash reads only the first 10, which piled
-   thousands of same-prefix traces into one bucket) and equality
-   compares (tid, op) exactly, so the count stays exact and no per-run
-   key is allocated. *)
-module Schedules = Hashtbl.Make (struct
-  type t = (int * int * string) list
+   thousands of same-prefix traces into one bucket) from the tid and
+   the label's length, first and last byte: OCaml arithmetic, no C
+   call per label. Equal traces hash equal, as the hash reads only
+   what [same_schedule] compares. *)
+let rec same_schedule a b =
+  a == b
+  ||
+  match (a, b) with
+  | (_, t1, l1) :: a, (_, t2, l2) :: b ->
+      t1 = t2 && (l1 == l2 || String.equal l1 l2) && same_schedule a b
+  | _ -> false
 
-  let rec equal a b =
-    match (a, b) with
-    | [], [] -> true
-    | (_, t1, l1) :: a, (_, t2, l2) :: b ->
-        t1 = t2 && String.equal l1 l2 && equal a b
-    | _ -> false
+let label_hash l =
+  match String.length l with
+  | 0 -> 0
+  | n ->
+      (n * 961)
+      + (Char.code (String.unsafe_get l 0) * 31)
+      + Char.code (String.unsafe_get l (n - 1))
 
-  let hash trace =
-    Hashtbl.hash
-      (List.fold_left
-         (fun h (_, tid, label) -> (h * 65599) + (tid * 31) + Hashtbl.hash label)
-         0 trace)
-end)
+(* Tables index buckets by the low bits, so the sum is mixed at the
+   end. *)
+let rec schedule_hash h = function
+  | [] ->
+      let h = (h lxor (h lsr 32)) * 0x2545F4914F6CDD1D in
+      (h lxor (h lsr 29)) land max_int
+  | (_, tid, label) :: rest ->
+      schedule_hash ((h * 65599) + (tid * 32749) + label_hash label) rest
+
+module Schedules = struct
+  module By_hash = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash h = h
+  end)
+
+  type t = { by_hash : (int * int * string) list list By_hash.t; mutable n : int }
+
+  let create () = { by_hash = By_hash.create 64; n = 0 }
+
+  let rec find trace = function
+    | [] -> None
+    | t :: ts -> if same_schedule trace t then Some t else find trace ts
+
+  (* The set's trace of [trace]'s schedule, added as [trace] itself
+     when the set has none. *)
+  let intern s trace =
+    let h = schedule_hash 0 trace in
+    match By_hash.find_opt s.by_hash h with
+    | None ->
+        By_hash.add s.by_hash h [ trace ];
+        s.n <- s.n + 1;
+        trace
+    | Some ts -> (
+        match find trace ts with
+        | Some t -> t
+        | None ->
+            By_hash.replace s.by_hash h (trace :: ts);
+            s.n <- s.n + 1;
+            trace)
+
+  let length s = s.n
+end
 
 (* Most-sighted first; ties broken by the lowest first index, then by
    the race itself, so the order is total and deterministic. *)
@@ -150,56 +199,78 @@ let compare_sighting a b =
       | c -> c)
   | c -> c
 
+(* Count one more [key] in an outcome histogram (a handful of keys, so
+   an association list); false when [key] has no entry yet. *)
+let rec bump_outcome key = function
+  | [] -> false
+  | (k, c) :: rest ->
+      if String.equal k key then begin
+        incr c;
+        true
+      end
+      else bump_outcome key rest
+
 (* Zero runs (a campaign cancelled before its first run) aggregate to
    zeros rather than raising. *)
-let mean_or_zero = function [] -> 0.0 | xs -> Stats.mean xs
+let mean_or_zero sum runs =
+  if runs = 0 then 0.0 else float_of_int sum /. float_of_int runs
 
-let summarize_or_zero = function
-  | [] -> { Stats.n = 0; mean = 0.0; sd = 0.0; cv = 0.0; min = 0.0; max = 0.0 }
-  | xs -> Stats.summarize xs
-
-(* Aggregation is a sequential fold over the results in run-index
-   order — never over arrival order — so every derived number,
-   histogram order and float rounding is identical whatever [jobs]
-   was. *)
+(* Aggregation is one pass over the results in run-index order — never
+   over arrival order — so every derived number, histogram order and
+   float rounding is identical whatever [jobs] was. The makespans go
+   through [Stats.summarize_array] in index order; the other means
+   divide an int sum, which is what the float sum of the same ints
+   was, exactly (every partial sum is far below 2^53). *)
 let aggregate ~label ~n ~first ~jobs ~wall_s ?(supervision = no_supervision)
     pairs =
+  let runs = Array.length pairs in
   let results = Array.map snd pairs in
-  let in_order f = Array.to_list (Array.map f results) in
-  let outcomes = Hashtbl.create 8 in
-  let schedules = Schedules.create 64 in
+  let makespans_ms = Array.make runs 0.0 in
+  let outcomes = ref [] in
+  let schedules = Schedules.create () in
   let sightings : (Report.t, int * int) Hashtbl.t = Hashtbl.create 16 in
-  let crashes = ref [] in
-  let quarantined = ref [] in
-  let timeouts = ref 0 in
-  Array.iter
-    (fun ((i : int), (r : Interp.result)) ->
-      let key = Outcome.key r.Interp.outcome in
-      Hashtbl.replace outcomes key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt outcomes key));
-      Schedules.replace schedules r.Interp.trace ();
-      List.iter
-        (fun race ->
-          (* Key on the canonical orientation: the same unordered pair
-             sighted in opposite observation orders across runs is one
-             race, not two histogram rows. *)
-          let race = Report.norm race in
-          match Hashtbl.find_opt sightings race with
-          | Some (f0, c) -> Hashtbl.replace sightings race (f0, c + 1)
-          | None -> Hashtbl.replace sightings race (i, 1))
-        r.Interp.races;
-      match r.Interp.outcome with
-      | Interp.Crashed (tid, msg) ->
-          crashes := (i, msg) :: !crashes;
-          if tid = -1 then quarantined := (i, msg) :: !quarantined
-      | Interp.Timeout -> incr timeouts
-      | _ -> ())
-    pairs;
+  let crashes = ref [] and quarantined = ref [] and timeouts = ref 0 in
+  let completed = ref 0 and racy = ref 0 in
+  let reports = ref 0 and ticks = ref 0 in
+  let metrics = ref T11r_obs.Metrics.zero in
+  let coverage = ref T11r_race.Coverage.empty in
+  for k = 0 to runs - 1 do
+    let i, (r : Interp.result) = pairs.(k) in
+    makespans_ms.(k) <- float_of_int r.Interp.makespan_us /. 1000.0;
+    let key = Outcome.key r.Interp.outcome in
+    if not (bump_outcome key !outcomes) then
+      outcomes := (key, ref 1) :: !outcomes;
+    ignore (Schedules.intern schedules r.Interp.trace);
+    List.iter
+      (fun race ->
+        (* Key on the canonical orientation: the same unordered pair
+           sighted in opposite observation orders across runs is one
+           race, not two histogram rows. *)
+        let race = Report.norm race in
+        match Hashtbl.find_opt sightings race with
+        | Some (f0, c) -> Hashtbl.replace sightings race (f0, c + 1)
+        | None -> Hashtbl.replace sightings race (i, 1))
+      r.Interp.races;
+    (match r.Interp.outcome with
+    | Interp.Completed -> incr completed
+    | Interp.Crashed (tid, msg) ->
+        crashes := (i, msg) :: !crashes;
+        if tid = -1 then quarantined := (i, msg) :: !quarantined
+    | Interp.Timeout -> incr timeouts
+    | _ -> ());
+    if r.Interp.race_count > 0 then incr racy;
+    reports := !reports + r.Interp.race_count;
+    ticks := !ticks + r.Interp.ticks;
+    metrics := T11r_obs.Metrics.add !metrics r.Interp.metrics;
+    (* Union is not commutative on bytes when an all-zero summary
+       meets the empty one (Coverage.union): index order here too. *)
+    coverage := T11r_race.Coverage.union !coverage r.Interp.coverage
+  done;
   let supervision =
     {
       supervision with
-      sup_done = Array.length pairs;
-      sup_interrupted = Array.length pairs < n;
+      sup_done = runs;
+      sup_interrupted = runs < n;
       sup_quarantined = List.rev !quarantined;
       sup_timeouts = !timeouts;
     }
@@ -212,26 +283,18 @@ let aggregate ~label ~n ~first ~jobs ~wall_s ?(supervision = no_supervision)
     wall_s;
     results;
     time_ms =
-      summarize_or_zero
-        (in_order (fun r -> float_of_int r.Interp.makespan_us /. 1000.0));
-    race_rate = Stats.rate (in_order (fun r -> r.Interp.race_count > 0));
-    mean_reports =
-      mean_or_zero (in_order (fun r -> float_of_int r.Interp.race_count));
-    mean_ticks =
-      mean_or_zero (in_order (fun r -> float_of_int r.Interp.ticks));
-    completed =
-      Array.fold_left
-        (fun acc r -> if Interp.completed r then acc + 1 else acc)
-        0 results;
-    racy_runs =
-      Array.fold_left
-        (fun acc (r : Interp.result) ->
-          if r.Interp.race_count > 0 then acc + 1 else acc)
-        0 results;
+      (if runs = 0 then
+         { Stats.n = 0; mean = 0.0; sd = 0.0; cv = 0.0; min = 0.0; max = 0.0 }
+       else Stats.summarize_array makespans_ms);
+    race_rate =
+      (if runs = 0 then 0.0
+       else 100.0 *. float_of_int !racy /. float_of_int runs);
+    mean_reports = mean_or_zero !reports runs;
+    mean_ticks = mean_or_zero !ticks runs;
+    completed = !completed;
+    racy_runs = !racy;
     distinct_schedules = Schedules.length schedules;
-    outcomes =
-      List.sort compare
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) outcomes []);
+    outcomes = List.sort compare (List.map (fun (k, c) -> (k, !c)) !outcomes);
     sightings =
       Hashtbl.fold
         (fun race (s_first, s_count) acc ->
@@ -239,20 +302,8 @@ let aggregate ~label ~n ~first ~jobs ~wall_s ?(supervision = no_supervision)
         sightings []
       |> List.sort compare_sighting;
     crashes = List.rev !crashes;
-    metrics =
-      (* Same discipline as everything above: a fold in run-index
-         order, so the sum is bit-identical at every worker count. *)
-      Array.fold_left
-        (fun acc (r : Interp.result) ->
-          T11r_obs.Metrics.add acc r.Interp.metrics)
-        T11r_obs.Metrics.zero results;
-    coverage =
-      (* Index order here too: union is not commutative on bytes when
-         an all-zero summary meets the empty one (Coverage.union). *)
-      Array.fold_left
-        (fun acc (r : Interp.result) ->
-          T11r_race.Coverage.union acc r.Interp.coverage)
-        T11r_race.Coverage.empty results;
+    metrics = !metrics;
+    coverage = !coverage;
     supervision;
   }
 
@@ -376,10 +427,23 @@ let run s ~n ?(jobs = 1) ?(first = 0) ?(deadline_s = 0.) ?tick_budget
         (Some w, cached, dropped)
   in
   let resumed = Hashtbl.length cached in
+  (* Runs that took the same schedule keep one shared trace: until the
+     report is built every result is live, and most runs of a short
+     program repeat an earlier schedule. Sharing is invisible to the
+     report, its digest ([No_sharing]) and the journal (written
+     first). *)
+  let traces = Schedules.create () and traces_lock = Mutex.create () in
+  let share (r : Interp.result) =
+    let trace =
+      Mutex.protect traces_lock (fun () ->
+          Schedules.intern traces r.Interp.trace)
+    in
+    if trace == r.Interp.trace then r else { r with Interp.trace }
+  in
   let exec k =
     let i = first + k in
     match Hashtbl.find_opt cached i with
-    | Some r -> r
+    | Some r -> share r
     | None ->
         let r =
           run_one ~deadline_s ~tick_budget (s.conf i) (fun () -> s.instance i)
@@ -392,7 +456,7 @@ let run s ~n ?(jobs = 1) ?(first = 0) ?(deadline_s = 0.) ?tick_budget
                 payload = Marshal.to_string (i, sanitize r) [];
               }
         | None -> ());
-        r
+        share r
   in
   let slots = Pool.map_opt ~jobs ?should_stop:cancel n exec in
   (match jw with Some w -> Journal.close w | None -> ());

@@ -135,7 +135,9 @@ type report = {
   first : int;  (** first run index (run [k] of the array is [first + k]) *)
   jobs : int;  (** worker domains used *)
   wall_s : float;  (** real wall-clock of the whole campaign *)
-  results : Tsan11rec.Interp.result array;  (** slot [k] = run [first + k] *)
+  results : Tsan11rec.Interp.result array;
+      (** slot [k] = run [first + k]; in a report of {!run}, runs with
+          equal schedules share one [trace] list *)
   time_ms : T11r_util.Stats.summary;  (** simulated makespans, ms *)
   race_rate : float;  (** % of runs with at least one race *)
   mean_reports : float;
@@ -214,6 +216,23 @@ val run :
     unreadable or has another {!journal_schema}, it pins another
     campaign (label/n/first/tick budget), or its first verifiable run
     does not reproduce under [s]. *)
+
+val aggregate :
+  label:string ->
+  n:int ->
+  first:int ->
+  jobs:int ->
+  wall_s:float ->
+  ?supervision:supervision ->
+  (int * Tsan11rec.Interp.result) array ->
+  report
+(** The report {!run} returns for the runs [(index, result)] it holds,
+    given in index order: one pass that keeps every result and folds
+    the counts, histograms, sightings, schedules, metrics and coverage
+    in that order. [supervision] (default: nothing happened) supplies
+    the fields a run loop knows; [sup_done], [sup_interrupted] (fewer
+    runs than [n]), [sup_quarantined] and [sup_timeouts] are derived
+    from the results. *)
 
 val journal_schema : int
 (** Version of the marshalled run layout, pinned in every journal's

@@ -20,7 +20,7 @@ let splitmix_next (state : int64 ref) : int64 =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let rotl (x : int64) (k : int) : int64 =
+let[@inline] rotl (x : int64) (k : int) : int64 =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 let expand_into st ~seed1 ~seed2 =
@@ -56,7 +56,9 @@ let of_time () =
 let seeds t = (t.seed1, t.seed2)
 let draws t = t.draws
 
-let bits64 t =
+(* Inlined into every caller, so the result stays an unboxed register
+   value there: [int] and [float] allocate nothing per draw. *)
+let[@inline] bits64 t =
   let open Int64 in
   let s0 = Bytes.get_int64_ne t.st 0 in
   let s1 = Bytes.get_int64_ne t.st 8 in

@@ -7,33 +7,57 @@ type summary = {
   max : float;
 }
 
+(* The kernels work on float arrays, whose elements are unboxed. Each
+   is a left-to-right loop with the same float operations, in the same
+   order, as the list folds it replaced, so the list and array entry
+   points agree bit for bit. [fmin] and [fmax] are [Stdlib.min] and
+   [Stdlib.max] at type float. *)
+let fmin (a : float) b = if a <= b then a else b
+let fmax (a : float) b = if a >= b then a else b
+
+let mean_array a =
+  let s = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    s := !s +. a.(i)
+  done;
+  !s /. float_of_int (Array.length a)
+
+let sd_array a =
+  if Array.length a < 2 then 0.0
+  else begin
+    let m = mean_array a in
+    let ss = ref 0.0 in
+    for i = 0 to Array.length a - 1 do
+      ss := !ss +. ((a.(i) -. m) ** 2.0)
+    done;
+    sqrt (!ss /. float_of_int (Array.length a - 1))
+  end
+
+let summarize_array a =
+  if Array.length a = 0 then invalid_arg "Stats.summarize: empty";
+  let m = mean_array a in
+  let s = sd_array a in
+  let lo = ref infinity and hi = ref neg_infinity in
+  for i = 0 to Array.length a - 1 do
+    lo := fmin !lo a.(i);
+    hi := fmax !hi a.(i)
+  done;
+  {
+    n = Array.length a;
+    mean = m;
+    sd = s;
+    cv = (if m = 0.0 then 0.0 else s /. m);
+    min = !lo;
+    max = !hi;
+  }
+
 let mean xs =
   match xs with
   | [] -> invalid_arg "Stats.mean: empty"
-  | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
+  | _ -> mean_array (Array.of_list xs)
 
-let sd xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-      let m = mean xs in
-      let ss = List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs in
-      sqrt (ss /. float_of_int (List.length xs - 1))
-
-let summarize xs =
-  match xs with
-  | [] -> invalid_arg "Stats.summarize: empty"
-  | _ ->
-      let m = mean xs in
-      let s = sd xs in
-      {
-        n = List.length xs;
-        mean = m;
-        sd = s;
-        cv = (if m = 0.0 then 0.0 else s /. m);
-        min = List.fold_left min infinity xs;
-        max = List.fold_left max neg_infinity xs;
-      }
+let sd xs = sd_array (Array.of_list xs)
+let summarize xs = summarize_array (Array.of_list xs)
 
 let percentile xs p =
   match xs with

@@ -16,6 +16,10 @@ type summary = {
 val summarize : float list -> summary
 (** @raise Invalid_argument on the empty list. *)
 
+val summarize_array : float array -> summary
+(** [summarize] of the array's elements in index order, bit for bit,
+    without a list. @raise Invalid_argument on the empty array. *)
+
 val mean : float list -> float
 val sd : float list -> float
 

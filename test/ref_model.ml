@@ -22,7 +22,13 @@
    [Predictor] is witness verification as it ran before Must pairs were
    grouped into (report, witnesses) classes: every pair executes its
    own witnesses. test_predict.ml asserts the grouped
-   [T11r_harness.Predictor.verify] returns the same report. *)
+   [T11r_harness.Predictor.verify] returns the same report.
+
+   [Campaign_aggregate] is the campaign report fold as it was before
+   the one-pass aggregate: per-field list passes over the results and
+   a distinct-schedule set hashed through [Hashtbl.hash] per label.
+   test_diff.ml requires [T11r_harness.Campaign.aggregate] to give an
+   equal report with an equal digest. *)
 
 module Memord = T11r_mem.Memord
 module Report = T11r_race.Report
@@ -975,4 +981,180 @@ module Demo_codec = struct
     + lines_size (render_asyncs t.asyncs)
 
   let syscall_bytes t = lines_size (render_syscalls t.syscalls)
+end
+
+(* The campaign aggregate before the one-pass rewrite, verbatim but
+   for the module paths, with the list statistics it called. *)
+module Campaign_aggregate = struct
+  open T11r_harness.Campaign
+
+  module Stats = struct
+    include T11r_util.Stats
+
+    let mean xs =
+      match xs with
+      | [] -> invalid_arg "Stats.mean: empty"
+      | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
+
+    let sd xs =
+      match xs with
+      | [] | [ _ ] -> 0.0
+      | _ ->
+          let m = mean xs in
+          let ss = List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs in
+          sqrt (ss /. float_of_int (List.length xs - 1))
+
+    let summarize xs =
+      match xs with
+      | [] -> invalid_arg "Stats.summarize: empty"
+      | _ ->
+          let m = mean xs in
+          let s = sd xs in
+          {
+            n = List.length xs;
+            mean = m;
+            sd = s;
+            cv = (if m = 0.0 then 0.0 else s /. m);
+            min = List.fold_left min infinity xs;
+            max = List.fold_left max neg_infinity xs;
+          }
+
+    let rate bs =
+      match bs with
+      | [] -> 0.0
+      | _ ->
+          let t = List.length (List.filter Fun.id bs) in
+          100.0 *. float_of_int t /. float_of_int (List.length bs)
+  end
+
+  module Interp = Tsan11rec.Interp
+  module Outcome = T11r_harness.Outcome
+
+  let no_supervision =
+    {
+      sup_resumed = 0;
+      sup_quarantined = [];
+      sup_timeouts = 0;
+      sup_journal_dropped = 0;
+      sup_interrupted = false;
+      sup_done = 0;
+    }
+
+  module Schedules = Hashtbl.Make (struct
+    type t = (int * int * string) list
+
+    let rec equal a b =
+      match (a, b) with
+      | [], [] -> true
+      | (_, t1, l1) :: a, (_, t2, l2) :: b ->
+          t1 = t2 && String.equal l1 l2 && equal a b
+      | _ -> false
+
+    let hash trace =
+      Hashtbl.hash
+        (List.fold_left
+           (fun h (_, tid, label) -> (h * 65599) + (tid * 31) + Hashtbl.hash label)
+           0 trace)
+  end)
+
+  let compare_sighting a b =
+    match compare b.s_count a.s_count with
+    | 0 -> (
+        match compare a.s_first b.s_first with
+        | 0 -> Report.compare a.s_race b.s_race
+        | c -> c)
+    | c -> c
+
+  let mean_or_zero = function [] -> 0.0 | xs -> Stats.mean xs
+
+  let summarize_or_zero = function
+    | [] -> { Stats.n = 0; mean = 0.0; sd = 0.0; cv = 0.0; min = 0.0; max = 0.0 }
+    | xs -> Stats.summarize xs
+
+  let aggregate ~label ~n ~first ~jobs ~wall_s ?(supervision = no_supervision)
+      pairs =
+    let results = Array.map snd pairs in
+    let in_order f = Array.to_list (Array.map f results) in
+    let outcomes = Hashtbl.create 8 in
+    let schedules = Schedules.create 64 in
+    let sightings : (Report.t, int * int) Hashtbl.t = Hashtbl.create 16 in
+    let crashes = ref [] in
+    let quarantined = ref [] in
+    let timeouts = ref 0 in
+    Array.iter
+      (fun ((i : int), (r : Interp.result)) ->
+        let key = Outcome.key r.Interp.outcome in
+        Hashtbl.replace outcomes key
+          (1 + Option.value ~default:0 (Hashtbl.find_opt outcomes key));
+        Schedules.replace schedules r.Interp.trace ();
+        List.iter
+          (fun race ->
+            let race = Report.norm race in
+            match Hashtbl.find_opt sightings race with
+            | Some (f0, c) -> Hashtbl.replace sightings race (f0, c + 1)
+            | None -> Hashtbl.replace sightings race (i, 1))
+          r.Interp.races;
+        match r.Interp.outcome with
+        | Interp.Crashed (tid, msg) ->
+            crashes := (i, msg) :: !crashes;
+            if tid = -1 then quarantined := (i, msg) :: !quarantined
+        | Interp.Timeout -> incr timeouts
+        | _ -> ())
+      pairs;
+    let supervision =
+      {
+        supervision with
+        sup_done = Array.length pairs;
+        sup_interrupted = Array.length pairs < n;
+        sup_quarantined = List.rev !quarantined;
+        sup_timeouts = !timeouts;
+      }
+    in
+    {
+      label;
+      n;
+      first;
+      jobs;
+      wall_s;
+      results;
+      time_ms =
+        summarize_or_zero
+          (in_order (fun r -> float_of_int r.Interp.makespan_us /. 1000.0));
+      race_rate = Stats.rate (in_order (fun r -> r.Interp.race_count > 0));
+      mean_reports =
+        mean_or_zero (in_order (fun r -> float_of_int r.Interp.race_count));
+      mean_ticks =
+        mean_or_zero (in_order (fun r -> float_of_int r.Interp.ticks));
+      completed =
+        Array.fold_left
+          (fun acc r -> if Interp.completed r then acc + 1 else acc)
+          0 results;
+      racy_runs =
+        Array.fold_left
+          (fun acc (r : Interp.result) ->
+            if r.Interp.race_count > 0 then acc + 1 else acc)
+          0 results;
+      distinct_schedules = Schedules.length schedules;
+      outcomes =
+        List.sort compare
+          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) outcomes []);
+      sightings =
+        Hashtbl.fold
+          (fun race (s_first, s_count) acc ->
+            { s_race = race; s_first; s_count } :: acc)
+          sightings []
+        |> List.sort compare_sighting;
+      crashes = List.rev !crashes;
+      metrics =
+        Array.fold_left
+          (fun acc (r : Interp.result) ->
+            T11r_obs.Metrics.add acc r.Interp.metrics)
+          T11r_obs.Metrics.zero results;
+      coverage =
+        Array.fold_left
+          (fun acc (r : Interp.result) ->
+            T11r_race.Coverage.union acc r.Interp.coverage)
+          T11r_race.Coverage.empty results;
+      supervision;
+    }
 end

@@ -272,12 +272,45 @@ let httpd_demo_rows =
       with_op = httpd_demo (fun _ dir () -> ignore (Demo.load ~dir)) };
   ]
 
+(* The scheduler draws two or three times per tick, so a draw must not
+   box its 64 bits. *)
+let prng_rows =
+  [
+    { op = "prng_int"; budget = 0; loop = per_op;
+      with_op =
+        (fun k ->
+          let rng = T11r_util.Prng.create ~seed1:3L ~seed2:5L in
+          k (fun () -> ignore (T11r_util.Prng.int rng 7))) };
+  ]
+
 let test_row r () =
   r.with_op (fun f ->
       let words = words_per_call r.loop f in
       if words > float_of_int r.budget then
         Alcotest.failf "%s allocates %.2f words per call, budget %d" r.op words
           r.budget)
+
+(* The scheduler tick, measured per tick: a random ms-queue run (about
+   1,900 ticks) on a recycled arena and world, where per-tick cost
+   swamps the per-run setup. Same seeds every call, so every call runs
+   the same ticks. *)
+let tick_budget = 104
+
+let test_run_random_ms_queue () =
+  let build = (Option.get (T11r_litmus.Registry.find "ms-queue")).build in
+  let arena = Interp.create_arena () in
+  let world = World.create ~seed:1L () in
+  let run () =
+    World.reset world ~seed:1L;
+    (Interp.run ~world ~arena run_conf (build ())).Interp.ticks
+  in
+  let ticks = run () in
+  let words =
+    words_per_call (20, 100) (fun () -> ignore (run ())) /. float_of_int ticks
+  in
+  if words > float_of_int tick_budget then
+    Alcotest.failf "run_random_ms_queue allocates %.2f words per tick, budget %d"
+      words tick_budget
 
 let () =
   Alcotest.run "alloc"
@@ -289,5 +322,11 @@ let () =
               (Printf.sprintf "%s <= %d words" r.op r.budget)
               `Quick (test_row r))
           (atomics_rows @ detector_rows @ observability_rows @ run_rows
-         @ demo_rows @ coverage_rows @ httpd_demo_rows) );
+         @ demo_rows @ coverage_rows @ httpd_demo_rows @ prng_rows)
+        @ [
+            Alcotest.test_case
+              (Printf.sprintf "run_random_ms_queue <= %d words per tick"
+                 tick_budget)
+              `Quick test_run_random_ms_queue;
+          ] );
     ]

@@ -163,6 +163,116 @@ let test_abort_then_full_run () =
         (fingerprint fresh) (fingerprint after))
     workloads
 
+(* The trace log lives in arena arrays the next run reuses: a short
+   run after ms-queue finds its ~2k entries still there, and must log
+   (and return) only its own. A log past the arena's bound (a 5,000-op
+   run) is dropped instead, and the next run must not notice either. *)
+let test_long_then_short_run () =
+  let arena = Interp.create_arena () in
+  let world = World.create ~seed:1L () in
+  let conf = Conf.with_seeds (Conf.tsan11rec ~strategy:Conf.Random ()) 7L 11L in
+  let run ?arena w =
+    let world =
+      match arena with
+      | Some _ ->
+          World.reset world ~seed:w.world_seed ~faults:Fault.none;
+          world
+      | None -> World.create ~seed:w.world_seed ()
+    in
+    Interp.run ~world ?arena conf (w.build ())
+  in
+  let by_name n = List.find (fun w -> w.name = n) (Array.to_list workloads) in
+  let busy =
+    {
+      (by_name "fig1") with
+      name = "busy";
+      build =
+        (fun () ->
+          T11r_vm.Api.program ~name:"busy" (fun () ->
+              let a = T11r_vm.Api.Atomic.create 0 in
+              for _ = 1 to 5_000 do
+                ignore (T11r_vm.Api.Atomic.fetch_add a 1)
+              done));
+    }
+  in
+  let fig1 = by_name "fig1" in
+  let fresh = fingerprint (run fig1) in
+  List.iter
+    (fun long ->
+      let l = run ~arena long in
+      let short = run ~arena fig1 in
+      Alcotest.(check bool) (long.name ^ " is longer") true
+        (List.length l.Interp.trace > 4 * List.length short.Interp.trace);
+      Alcotest.(check string)
+        ("fig1 after " ^ long.name ^ " = fresh run")
+        fresh (fingerprint short))
+    [ by_name "ms-queue"; busy; by_name "ms-queue" ]
+
+(* A Diagnose replay's trail is the last 8 entries of the trace log
+   before the divergence. Delaying the thread that starts last by one
+   tick in httpd's QUEUE makes op 32 find no thread scheduled; the
+   trail is pinned as the list-logging interpreter gave it. *)
+let test_diagnose_trail () =
+  let w = Option.get (T11r_harness.Workloads.find "httpd") in
+  let base = T11r_util.Tmp.fresh_dir ~prefix:"t11r-trail" () in
+  Fun.protect
+    ~finally:(fun () -> T11r_util.Tmp.rm_rf base)
+    (fun () ->
+      let dir = Filename.concat base "demo" in
+      let policy c = Conf.with_policy c w.T11r_harness.Workloads.w_policy in
+      let world = World.create ~seed:5L () in
+      ignore
+        (Interp.run ~world
+           (policy
+              (Conf.with_seeds
+                 (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record dir) ())
+                 11L 13L))
+           (w.T11r_harness.Workloads.w_instance world ()));
+      let qf = Filename.concat dir "QUEUE" in
+      let lines = T11r_util.Codec.read_lines qf in
+      let last_first =
+        List.fold_left
+          (fun acc l -> if String.starts_with ~prefix:"first " l then l else acc)
+          "" lines
+      in
+      T11r_util.Codec.write_lines qf
+        (List.map
+           (fun l ->
+             if l <> last_first then l
+             else
+               match String.split_on_char ' ' l with
+               | [ f; tid; tick ] ->
+                   Printf.sprintf "%s %s %d" f tid (int_of_string tick + 1)
+               | _ -> l)
+           lines);
+      Tsan11rec.Demo.reseal ~dir;
+      let world = World.create ~seed:6L () in
+      let r =
+        Interp.run ~world
+          (policy
+             (Conf.with_on_desync
+                (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Replay dir) ())
+                Conf.Diagnose))
+          (w.T11r_harness.Workloads.w_instance world ())
+      in
+      match r.Interp.divergences with
+      | [ d ] ->
+          Alcotest.(check int) "diverges at op 32" 32 d.Interp.div_tick;
+          Alcotest.(check (list (triple int int string)))
+            "the 8-entry trail"
+            [
+              (24, 2, "syscall:recv");
+              (25, 8, "mutex_lock_fail");
+              (26, 0, "spawn");
+              (27, 1, "syscall:poll");
+              (28, 9, "mutex_lock_fail");
+              (29, 2, "syscall:clock_gettime");
+              (30, 0, "join_wait");
+              (31, 1, "syscall:accept");
+            ]
+            d.Interp.div_trail
+      | ds -> Alcotest.failf "expected 1 divergence, got %d" (List.length ds))
+
 let () =
   Alcotest.run "arena"
     [
@@ -171,5 +281,12 @@ let () =
         [
           Alcotest.test_case "tick-limited run, then full run = fresh run"
             `Quick test_abort_then_full_run;
+        ] );
+      ( "trace log",
+        [
+          Alcotest.test_case "long run, then fig1 = fresh fig1" `Quick
+            test_long_then_short_run;
+          Alcotest.test_case "Diagnose trail of a tampered httpd demo" `Quick
+            test_diagnose_trail;
         ] );
     ]

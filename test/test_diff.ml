@@ -16,7 +16,12 @@
      collector's incremental count equal to a scan of its bits;
    - Demo codec: byte-identical saved directories, equal sizes, and
      equal load results (the same value, or a [Corrupt] naming the same
-     file, line and reason) on intact and damaged directories. *)
+     file, line and reason) on intact and damaged directories;
+   - Campaign aggregate: an equal report with an equal digest and equal
+     derived supervision, on real campaigns at jobs 1, 2 and 3 (crashes,
+     quarantines, timeouts, cancellation and journal resume included)
+     and on synthetic traces built to tell a schedule key that is not
+     exact from one that is. *)
 
 module Vc = T11r_util.Vclock
 module Ts = T11r_mem.Tstate
@@ -709,6 +714,230 @@ let prop_demo_load_diff =
           same_loads theirs extra))
 
 (* ------------------------------------------------------------------ *)
+(* Campaign aggregate *)
+
+module Campaign = T11r_harness.Campaign
+module Conf = Tsan11rec.Conf
+module Interp = Tsan11rec.Interp
+module World = T11r_env.World
+
+(* [c] against the reference fold of [pairs] (the runs [c] holds, as
+   its observer saw them), and [Campaign.aggregate] of the same pairs
+   against both. The reference derives the same supervision fields, so
+   [c]'s own supervision is its input. *)
+let check_aggregate name (c : Campaign.report) pairs =
+  let supervision = c.Campaign.supervision in
+  let theirs =
+    R.Campaign_aggregate.aggregate ~label:c.Campaign.label ~n:c.Campaign.n
+      ~first:c.Campaign.first ~jobs:c.Campaign.jobs ~wall_s:c.Campaign.wall_s
+      ~supervision pairs
+  in
+  let ours =
+    Campaign.aggregate ~label:c.Campaign.label ~n:c.Campaign.n
+      ~first:c.Campaign.first ~jobs:c.Campaign.jobs ~wall_s:c.Campaign.wall_s
+      ~supervision pairs
+  in
+  List.iter
+    (fun (what, r) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s equal to the reference" name what)
+        true (Campaign.equal r theirs);
+      Alcotest.(check string)
+        (Printf.sprintf "%s: %s digest" name what)
+        (Campaign.digest theirs) (Campaign.digest r);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s supervision" name what)
+        true
+        (r.Campaign.supervision = theirs.Campaign.supervision))
+    [ ("campaign", c); ("aggregate", ours) ]
+
+(* Campaign.run of [spec] with an observer keeping (index, result). *)
+let run_pairs ?journal ?cancel ?deadline_s ~jobs ~n spec =
+  let seen = ref [] in
+  let c =
+    Campaign.run spec ~n ~jobs ?journal ?cancel ?deadline_s
+      [ Campaign.observer (fun i r -> seen := (i, r) :: !seen) ]
+  in
+  (c, Array.of_list (List.rev !seen))
+
+let each_jobs f = List.iter f [ 1; 2; 3 ]
+
+let hunt_spec name =
+  let w = Option.get (T11r_harness.Workloads.find name) in
+  Campaign.spec_io ~label:name
+    ~base_conf:
+      (Conf.with_policy (Conf.tsan11rec ~strategy:Conf.Random ())
+         w.T11r_harness.Workloads.w_policy)
+    (fun _ world -> w.T11r_harness.Workloads.w_instance world)
+
+let test_aggregate_hunts () =
+  List.iter
+    (fun (name, n) ->
+      let spec = hunt_spec name in
+      each_jobs (fun jobs ->
+          let c, pairs = run_pairs ~jobs ~n spec in
+          check_aggregate (Printf.sprintf "%s x%d j%d" name n jobs) c pairs))
+    [ ("fig1", 2000); ("mcs-lock", 300); ("ms-queue", 20) ]
+
+(* httpd under a per-run fault plan, with builds that raise: [Exit]
+   is quarantined as [Crashed (-1, _)], [Failure] is an app error. *)
+let test_aggregate_faults_and_crashes () =
+  let cfg =
+    { T11r_apps.Httpd.default_config with queries = 12; clients = 2; workers = 2 }
+  in
+  let spec =
+    Campaign.spec_io ~label:"httpd+faults+crashes"
+      ~base_conf:(Conf.tsan11rec ~strategy:Conf.Random ())
+      (fun i world ->
+        World.set_faults world
+          (T11r_env.Fault.uniform ~seed:(Int64.of_int ((i * 31) + 5)) ~p:0.05 ());
+        T11r_apps.Httpd.setup_world cfg world;
+        fun () ->
+          if i mod 7 = 3 then raise Exit
+          else if i mod 11 = 5 then failwith "build"
+          else T11r_apps.Httpd.program ~cfg ())
+  in
+  each_jobs (fun jobs ->
+      let c, pairs = run_pairs ~jobs ~n:24 spec in
+      Alcotest.(check bool) "some runs quarantined" true
+        (c.Campaign.supervision.Campaign.sup_quarantined <> []);
+      check_aggregate (Printf.sprintf "httpd j%d" jobs) c pairs)
+
+let busy_spec =
+  Campaign.spec ~label:"busy"
+    ~base_conf:(Conf.tsan11rec ~strategy:Conf.Random ())
+    (fun () ->
+      T11r_vm.Api.program ~name:"busy" (fun () ->
+          let a = T11r_vm.Api.Atomic.create 0 in
+          for _ = 1 to 300 do
+            ignore (T11r_vm.Api.Atomic.fetch_add a 1)
+          done))
+
+let test_aggregate_timeouts () =
+  each_jobs (fun jobs ->
+      let c, pairs = run_pairs ~jobs ~n:6 ~deadline_s:1e-9 busy_spec in
+      Alcotest.(check int) "every run timed out" 6
+        c.Campaign.supervision.Campaign.sup_timeouts;
+      check_aggregate (Printf.sprintf "timeouts j%d" jobs) c pairs)
+
+(* Stop claiming runs once [k] have started. *)
+let counting spec k =
+  let started = Atomic.make 0 in
+  ( {
+      spec with
+      Campaign.instance =
+        (fun i ->
+          Atomic.incr started;
+          spec.Campaign.instance i);
+    },
+    fun () -> Atomic.get started >= k )
+
+let test_aggregate_cancelled () =
+  let spec = hunt_spec "fig1" in
+  each_jobs (fun jobs ->
+      let spec, cancel = counting spec 9 in
+      let c, pairs = run_pairs ~jobs ~n:50 ~cancel spec in
+      Alcotest.(check bool) "partial" true
+        c.Campaign.supervision.Campaign.sup_interrupted;
+      check_aggregate (Printf.sprintf "cancelled j%d" jobs) c pairs)
+
+let test_aggregate_resumed () =
+  let spec = hunt_spec "mcs-lock" in
+  each_jobs (fun jobs ->
+      let journal = Filename.temp_file "t11r_aggj" ".jsonl" in
+      Sys.remove journal;
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists journal then Sys.remove journal)
+        (fun () ->
+          let partial, cancel = counting spec 11 in
+          ignore (run_pairs ~jobs ~n:40 ~journal ~cancel partial);
+          let c, pairs = run_pairs ~jobs ~n:40 ~journal spec in
+          Alcotest.(check bool) "runs came from the journal" true
+            (c.Campaign.supervision.Campaign.sup_resumed > 0);
+          check_aggregate (Printf.sprintf "resumed j%d" jobs) c pairs))
+
+(* Synthetic runs: only the trace varies. *)
+let run_with_trace trace =
+  { (Interp.result_of_outcome Interp.Completed) with Interp.trace }
+
+let synthetic traces =
+  Array.of_list (List.mapi (fun i t -> (i, run_with_trace t)) traces)
+
+(* The count a set of (tid, label) lists gives. *)
+let naive_distinct traces =
+  List.length
+    (List.sort_uniq compare
+       (List.map (List.map (fun (_, tid, label) -> (tid, label))) traces))
+
+let check_distinct name traces =
+  let pairs = synthetic traces in
+  let n = Array.length pairs in
+  let r = Campaign.aggregate ~label:name ~n ~first:0 ~jobs:1 ~wall_s:0. pairs in
+  Alcotest.(check int) (name ^ ": distinct schedules") (naive_distinct traces)
+    r.Campaign.distinct_schedules;
+  let theirs =
+    R.Campaign_aggregate.aggregate ~label:name ~n ~first:0 ~jobs:1 ~wall_s:0.
+      pairs
+  in
+  Alcotest.(check string) (name ^ ": digest") (Campaign.digest theirs)
+    (Campaign.digest r)
+
+let test_schedule_key_exact () =
+  let base = [ (0, 1, "a_load"); (1, 2, "a_store"); (2, 1, "a_cas") ] in
+  let set i x l = List.mapi (fun j y -> if j = i then x else y) l in
+  (* a label equal in content but not physically *)
+  let copy s = Bytes.to_string (Bytes.of_string s) in
+  List.iter
+    (fun (name, traces) -> check_distinct name traces)
+    [
+      ("one tid differs", [ base; set 1 (1, 3, "a_store") base ]);
+      ("one label differs", [ base; set 2 (2, 1, "a_rmw") base ]);
+      ( "labels of equal length, first and last byte",
+        [ base; set 1 (1, 2, "a_stxre") base; set 1 (1, 2, "axxxxxe") base ] );
+      ( "tids >= 128",
+        [
+          base;
+          set 0 (0, 129, "a_load") base;
+          set 0 (0, 257, "a_load") base;
+          set 0 (0, 128, "a_load") base;
+          set 0 (0, 0, "a_load") base;
+        ] );
+      ( "ticks ignored, labels compared by content",
+        [
+          base;
+          List.map (fun (t, tid, l) -> (t + 5, tid, copy l)) base;
+          [];
+          [];
+        ] );
+      ("prefix", [ base; List.tl base; [ List.hd base ] ]);
+    ]
+
+(* Random traces over a small alphabet whose labels collide on length,
+   first and last byte. *)
+let prop_schedule_count =
+  let labels = [| "ab"; "axb"; "ayb"; "ba"; "a"; "" |] in
+  let entry = QCheck.Gen.(pair (int_bound 300) (int_bound 5)) in
+  QCheck.Test.make ~name:"distinct schedules = naive count = reference"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 1 40) (list_size (int_bound 4) entry)))
+    (fun traces ->
+      let traces =
+        List.map
+          (List.mapi (fun i (tid, l) -> (i, tid mod 3 * 128 + tid, labels.(l))))
+          traces
+      in
+      let pairs = synthetic traces in
+      let n = Array.length pairs in
+      let r = Campaign.aggregate ~label:"q" ~n ~first:0 ~jobs:1 ~wall_s:0. pairs in
+      let theirs =
+        R.Campaign_aggregate.aggregate ~label:"q" ~n ~first:0 ~jobs:1 ~wall_s:0.
+          pairs
+      in
+      r.Campaign.distinct_schedules = naive_distinct traces
+      && Campaign.digest r = Campaign.digest theirs)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "diff"
@@ -719,4 +948,17 @@ let () =
       ( "detector", [ qtest prop_detector_diff ] );
       ( "coverage", [ qtest prop_coverage_diff; qtest prop_coverage_count ] );
       ( "demo", [ qtest prop_demo_save_diff; qtest prop_demo_load_diff ] );
+      ( "aggregate",
+        [
+          Alcotest.test_case "fig1, mcs-lock, ms-queue hunts" `Quick
+            test_aggregate_hunts;
+          Alcotest.test_case "httpd faults and crashing builds" `Quick
+            test_aggregate_faults_and_crashes;
+          Alcotest.test_case "deadline timeouts" `Quick test_aggregate_timeouts;
+          Alcotest.test_case "cancelled campaign" `Quick test_aggregate_cancelled;
+          Alcotest.test_case "journal resume" `Quick test_aggregate_resumed;
+          Alcotest.test_case "schedule key is exact" `Quick
+            test_schedule_key_exact;
+          qtest prop_schedule_count;
+        ] );
     ]
