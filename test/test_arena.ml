@@ -282,7 +282,7 @@ let () =
           Alcotest.test_case "tick-limited run, then full run = fresh run"
             `Quick test_abort_then_full_run;
         ] );
-      ( "trace log",
+      ( "trace",
         [
           Alcotest.test_case "long run, then fig1 = fresh fig1" `Quick
             test_long_then_short_run;

@@ -948,7 +948,7 @@ let () =
       ( "detector", [ qtest prop_detector_diff ] );
       ( "coverage", [ qtest prop_coverage_diff; qtest prop_coverage_count ] );
       ( "demo", [ qtest prop_demo_save_diff; qtest prop_demo_load_diff ] );
-      ( "aggregate",
+      ( "campaign",
         [
           Alcotest.test_case "fig1, mcs-lock, ms-queue hunts" `Quick
             test_aggregate_hunts;
