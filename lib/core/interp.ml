@@ -12,6 +12,11 @@ module World = T11r_env.World
 module Trace = T11r_obs.Trace
 module Metrics = T11r_obs.Metrics
 
+(* Int-typed, so clock arithmetic on the tick compiles to a compare and
+   a branch instead of a call to the polymorphic [caml_greaterequal]. *)
+let max (a : int) b = if a >= b then a else b
+let min (a : int) b = if a <= b then a else b
+
 type outcome =
   | Completed
   | Deadlock of int list
@@ -99,9 +104,6 @@ type thread = {
   mutable last_tick : int;
   mutable disabled_at : int;
   mutable priority : int;  (* PCT strategy *)
-  mutable self : thread option;
-      (* [Some] of this record, allocated once: [tvec]'s cell and what
-         [ctx.cur] points at while the thread runs *)
 }
 
 type mstate = { mutable owner : int option; mutable m_clock : Vclock.t }
@@ -135,7 +137,9 @@ type ctx = {
   mutable makespan : int;
   mutable tick : int;
   deadline_at : float;  (* Unix.gettimeofday () cutoff; infinity = none *)
-  mutable cur : thread option;
+  mutable cur : int;
+      (* tid of the thread whose code runs: set wherever fiber code
+         starts, so an invisible request is charged to its thread *)
   (* The trace log: tick [i]'s critical section ran thread
      [tr_tids.(i)] as [tr_labels.(i)], for [i < tr_n] (every tick logs
      exactly one, see [log_trace]). Arena storage, so a run logs
@@ -207,7 +211,7 @@ let fill_ready ctx =
   let n = ref 0 in
   for tid = 0 to ctx.next_tid - 1 do
     match ctx.tvec.(tid) with
-    | Some t when t.status = Ready ->
+    | Some { status = Ready; _ } ->
         ctx.ready_scratch.(!n) <- tid;
         incr n
     | _ -> ()
@@ -216,7 +220,7 @@ let fill_ready ctx =
 
 let rget ctx i =
   match ctx.tvec.(ctx.ready_scratch.(i)) with Some t -> t | None -> assert false
-let is_replay ctx = ctx.replay <> None
+let is_replay ctx = match ctx.replay with Some _ -> true | None -> false
 let is_record ctx = match ctx.conf.mode with Conf.Record _ -> true | _ -> false
 let draw ctx n = if n <= 0 then 0 else Prng.int ctx.rng n
 
@@ -305,14 +309,23 @@ let diverge ctx ~tid ~site ~expected ~actual =
 let crash ctx t msg =
   t.status <- Dead msg;
   t.pending <- No_request;
-  if ctx.finished = None then ctx.finished <- Some (Crashed (t.tid, msg))
+  match ctx.finished with
+  | None -> ctx.finished <- Some (Crashed (t.tid, msg))
+  | Some _ -> ()
+
+(* [a = b], without the polymorphic compare. *)
+let same_reason a b =
+  match (a, b) with
+  | On_mutex x, On_mutex y | On_join x, On_join y
+  | On_cond x, On_cond y | On_rwlock x, On_rwlock y -> x = y
+  | _ -> false
 
 (* Re-enable every thread blocked for [reason] (a finished thread's
    joiners, an unlocked rwlock's waiters). *)
 let wake_all ctx reason ~at =
   for i = 0 to ctx.next_tid - 1 do
     match ctx.tvec.(i) with
-    | Some ({ status = Disabled r; _ } as w) when r = reason ->
+    | Some ({ status = Disabled r; _ } as w) when same_reason r reason ->
         w.status <- Ready;
         w.arrival <- max w.arrival at
     | _ -> ()
@@ -344,79 +357,72 @@ let fresh_obj ctx =
   ctx.next_obj <- id + 1;
   id
 
-(* Run the thread's invisible requests inline until it parks on a
-   visible request, finishes, or crashes. *)
-let rec pump ctx t =
+(* Stamp the arrival of the visible request a thread's fiber code
+   just parked on (invisible requests never park: they run inline). *)
+let stamp_arrival ctx t =
   match (t.status, t.pending) with
   | (Done | Dead _), _ | _, No_request -> ()
-  | _, P (r, k) ->
-      if Api.visible r then t.arrival <- t.ltime + arrival_jitter ctx
-      else begin
-        t.pending <- No_request;
-        let prev = ctx.cur in
-        ctx.cur <- t.self;
-        handle_invisible ctx t r k;
-        ctx.cur <- prev;
-        pump ctx t
-      end
+  | _, P _ -> t.arrival <- t.ltime + arrival_jitter ctx
 
-and handle_invisible : type a.
-    ctx -> thread -> a Api.req -> (a, unit) continuation -> unit =
- fun ctx t r k ->
+let spend t us =
+  t.ltime <- t.ltime + us;
+  t.invis_acc <- t.invis_acc + us
+
+(* Answer an invisible request of the running thread [t], on its own
+   fiber. *)
+let handle_invisible : type a. ctx -> thread -> a Api.req -> a =
+ fun ctx t r ->
   let conf = ctx.conf in
-  let spend us =
-    t.ltime <- t.ltime + us;
-    t.invis_acc <- t.invis_acc + us
-  in
   match r with
   | Api.New_atomic (name, init) ->
-      continue k { Api.a_loc = Atomics.fresh_loc ctx.mem ~name ~init }
+      { Api.a_loc = Atomics.fresh_loc ctx.mem ~name ~init }
   | Api.New_var (name, init) ->
-      continue k { Api.v_var = Detector.fresh_var ctx.det ~name; v_val = init }
+      { Api.v_var = Detector.fresh_var ctx.det ~name; v_val = init }
   | Api.New_mutex name ->
       let id = fresh_obj ctx in
       Hashtbl.replace ctx.mutexes id { owner = None; m_clock = Vclock.empty };
-      continue k { Api.mu_id = id; mu_name = name }
+      { Api.mu_id = id; mu_name = name }
   | Api.New_cond name ->
       let id = fresh_obj ctx in
       Hashtbl.replace ctx.conds id { c_clock = Vclock.empty };
-      continue k { Api.cv_id = id; cv_name = name }
+      { Api.cv_id = id; cv_name = name }
   | Api.New_rwlock name ->
       let id = fresh_obj ctx in
       Hashtbl.replace ctx.rwlocks id
         { rw_readers = []; rw_writer = None; rw_clock = Vclock.empty };
-      continue k { Api.rw_id = id; rw_name = name }
+      { Api.rw_id = id; rw_name = name }
   | Api.Var_load v ->
       if conf.race_detection then begin
         Detector.read ctx.det v.Api.v_var ~st:t.tst;
-        spend conf.var_cost
+        spend t conf.var_cost
       end;
-      continue k v.Api.v_val
+      v.Api.v_val
   | Api.Var_store (v, x) ->
       if conf.race_detection then begin
         Detector.write ctx.det v.Api.v_var ~st:t.tst;
-        spend conf.var_cost
+        spend t conf.var_cost
       end;
-      v.Api.v_val <- x;
-      continue k ()
-  | Api.Work us ->
-      spend (int_of_float (float_of_int us *. conf.invis_mult));
-      continue k ()
+      v.Api.v_val <- x
+  | Api.Work us -> spend t (int_of_float (float_of_int us *. conf.invis_mult))
   | Api.Work_mem (us, accesses) ->
-      spend
+      spend t
         (int_of_float (float_of_int us *. conf.invis_mult)
-        + (accesses * conf.var_cost));
-      continue k ()
+        + (accesses * conf.var_cost))
   | Api.Sleep ms ->
       (* Sleeping is not slowed by instrumentation. *)
-      spend (ms * 1000);
-      continue k ()
-  | Api.Self -> continue k t.tid
-  | Api.Now -> continue k t.ltime
-  | Api.Alloc n -> continue k (World.alloc ctx.world n)
+      spend t (ms * 1000)
+  | Api.Self -> t.tid
+  | Api.Now -> t.ltime
+  | Api.Alloc n -> World.alloc ctx.world n
   | _ -> assert false (* visible requests never reach handle_invisible *)
 
-let start_fiber ctx t f ~on_return = match_with f () (fiber_handler ctx t ~on_return)
+(* Run fiber code of thread [t] until it parks on a visible request,
+   returns or crashes, naming [t] the running thread meanwhile. *)
+let start_fiber ctx t f ~on_return =
+  let prev = ctx.cur in
+  ctx.cur <- t.tid;
+  match_with f () (fiber_handler ctx t ~on_return);
+  ctx.cur <- prev
 
 let new_thread ctx ~name ~parent_st ~at body =
   let tid = ctx.next_tid in
@@ -473,11 +479,9 @@ let new_thread ctx ~name ~parent_st ~at body =
             last_tick = -1;
             disabled_at = -1;
             priority = 0;
-            self = None;
           }
         in
-        t.self <- Some t;
-        ctx.tvec.(tid) <- t.self;
+        ctx.tvec.(tid) <- Some t;
         t
   in
   t.priority <- draw ctx 1_000_000;
@@ -487,7 +491,7 @@ let new_thread ctx ~name ~parent_st ~at body =
     wake_all ctx (On_join t.tid) ~at:t.ltime
   in
   start_fiber ctx t body ~on_return;
-  pump ctx t;
+  stamp_arrival ctx t;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -1150,7 +1154,7 @@ let exec_signal_entry ctx t =
           t.pending <- p;
           t.shelved <- rest
       | [] -> ()));
-  pump ctx t
+  stamp_arrival ctx t
 
 (* Complete a critical section: log it, resume the thread with the
    response, and run its next invisible region. *)
@@ -1160,7 +1164,7 @@ let finish_cs : type a.
   note_cs ctx t label fin;
   t.pending <- No_request;
   continue k v;
-  pump ctx t
+  stamp_arrival ctx t
 
 (* Relock stage of a conditional wait (Fig. 5): one trylock per
    critical section. *)
@@ -1197,8 +1201,9 @@ let note_stale_read ctx t (a : Api.atomic) ~since =
    fails — the failure path is a load, but whether it fails depends on
    the newest store, which is exactly the same-location dependence. *)
 let footprint_of_next ctx t : Decision.footprint =
-  if t.sigq <> [] then F_global
-  else
+  match t.sigq with
+  | _ :: _ -> F_global
+  | [] ->
     match t.pending with
     | No_request -> F_local
     | P (r, _) -> (
@@ -1341,7 +1346,7 @@ let exec_op : type a.
       let child = new_thread ctx ~name ~parent_st:(Some t.tst) ~at:fin body in
       t.pending <- No_request;
       continue k child.tid;
-      pump ctx t
+      stamp_arrival ctx t
   | Api.Join target -> (
       match thread_opt ctx target with
       | None -> finish_cs ctx t k label fin ()
@@ -1395,7 +1400,7 @@ let exec_op : type a.
             continue k ()
           in
           start_fiber ctx t f ~on_return;
-          pump ctx t)
+          stamp_arrival ctx t)
   | Api.New_atomic _ | Api.New_var _ | Api.New_mutex _ | Api.New_cond _
   | Api.New_rwlock _ | Api.Var_load _ | Api.Var_store _ | Api.Work _
   | Api.Work_mem _ | Api.Sleep _ | Api.Self | Api.Now | Api.Alloc _ ->
@@ -1405,31 +1410,25 @@ let exec_op : type a.
    op. A syscall's critical section costs [vis_cost_syscall], plus
    [record_cost] when its result goes into the demo. *)
 let exec_cs ctx t =
-  if t.sigq <> [] then exec_signal_entry ctx t
-  else begin
-    let prev_cur = ctx.cur in
-    ctx.cur <- t.self;
-    (* No Fun.protect here: the abort exceptions (Hard, Diagnosed,
-       Unsupported_run) end the run outright, so a stale [cur] can't be
-       observed; the happy path restores it below. *)
-    (match t.pending with
-    | No_request ->
-        hard ctx (Printf.sprintf "thread %d scheduled with no request" t.tid)
-    | P (r, k) ->
-        let fin =
-          match r with
-          | Api.Syscall req ->
-              cs_timing ~syscall:true ctx t
-                ~recorded:
-                  (Policy.should_record ctx.conf.policy
-                     ~fd_class:(fd_class ctx req.Syscall.fd)
-                     req
-                  && ctx.conf.mode <> Conf.Free)
-          | _ -> cs_timing ctx t ~recorded:false
-        in
-        exec_op ctx t r k fin);
-    ctx.cur <- prev_cur
-  end
+  match (t.sigq, t.pending) with
+  | _ :: _, _ -> exec_signal_entry ctx t
+  | [], No_request ->
+      hard ctx (Printf.sprintf "thread %d scheduled with no request" t.tid)
+  | [], P (r, k) ->
+      (* [t]'s code runs from the [continue] in [exec_op] on. *)
+      ctx.cur <- t.tid;
+      let fin =
+        match r with
+        | Api.Syscall req ->
+            cs_timing ~syscall:true ctx t
+              ~recorded:
+                (Policy.should_record ctx.conf.policy
+                   ~fd_class:(fd_class ctx req.Syscall.fd)
+                   req
+                && ctx.conf.mode <> Conf.Free)
+        | _ -> cs_timing ctx t ~recorded:false
+      in
+      exec_op ctx t r k fin
 
 (* ------------------------------------------------------------------ *)
 (* Demo assembly                                                        *)
@@ -1610,7 +1609,7 @@ let make_ctx arena conf world replay =
         (if conf.Conf.deadline_s > 0. then
            Unix.gettimeofday () +. conf.Conf.deadline_s
          else infinity);
-      cur = None;
+      cur = -1;
       tr_tids = arena.a_tr_tids;
       tr_labels = arena.a_tr_labels;
       tr_n = 0;
@@ -1674,15 +1673,15 @@ let make_ctx arena conf world replay =
      (§5.2's "Race reports" vs "No reports" columns). *)
   if conf.Conf.emit_reports && conf.Conf.report_cost > 0 then
     Detector.on_report ctx.det (fun _ ->
-        match ctx.cur with
-        | Some t ->
-            t.ltime <- t.ltime + conf.Conf.report_cost;
-            t.invis_acc <- t.invis_acc + conf.Conf.report_cost
+        match thread_opt ctx ctx.cur with
+        | Some t -> spend t conf.Conf.report_cost
         | None -> ());
   if Trace.enabled ctx.obs then
     Detector.on_report ctx.det (fun r ->
         let tid =
-          match ctx.cur with Some t -> t.tid | None -> r.T11r_race.Report.second_tid
+          match thread_opt ctx ctx.cur with
+          | Some t -> t.tid
+          | None -> r.T11r_race.Report.second_tid
         in
         Trace.emit ctx.obs Trace.Race ~tick:ctx.tick ~tid
           ~label:r.T11r_race.Report.var ~ts:ctx.gclock ~dur:0);
@@ -1954,6 +1953,12 @@ let run ?world ?arena conf (program : Api.program) =
       accesses;
     }
   in
+  let invisible r =
+    match thread_opt ctx ctx.cur with
+    | Some t -> handle_invisible ctx t r
+    | None -> assert false
+  in
+  Api.with_invisible { Api.run = invisible } @@ fun () ->
   try
     let _main =
       new_thread ctx ~name:"main" ~parent_st:None ~at:0 program.Api.main
@@ -1995,7 +2000,7 @@ let run ?world ?arena conf (program : Api.program) =
                 (* A switch away from a thread that could still run is a
                    preemption; switches at blocking points are free. *)
                 (match thread_opt ctx ctx.last_sched with
-                | Some prev when prev.status = Ready ->
+                | Some ({ status = Ready; _ } as prev) ->
                     ctx.preemptions <- ctx.preemptions + 1;
                     if Coverage.enabled ctx.cov then
                       Coverage.mark ctx.cov
@@ -2018,7 +2023,7 @@ let run ?world ?arena conf (program : Api.program) =
                 ctx.dec_rand <- false;
                 ctx.dec_lock <- Decision.L_none;
                 (* Count the op before it runs: accesses streamed from
-                   this op's invisible pump attribute to position
+                   the invisible region after this op attribute to position
                    [dec_counts.(tid)] — after the op, matching the
                    event-position model of the predictive analysis
                    (a spawned child's initial segment stays at 0). *)

@@ -1,12 +1,15 @@
 (** The tsan11rec runtime: controlled scheduling, record and replay,
     race detection — one interpreter for every tool configuration.
 
-    Programs (lib/vm) perform effects; this module is the
-    "instrumentation layer" that catches them. Each visible operation
-    becomes a critical section: the thread waits to be scheduled
-    ([Wait()]), the operation executes, and the scheduler picks the next
-    thread ([Tick()]). Invisible regions run on the thread's own
-    simulated clock and, except under the rr model, in parallel.
+    Programs (lib/vm) perform an effect for each visible operation;
+    this module is the "instrumentation layer" that catches them. Each
+    visible operation becomes a critical section: the thread waits to
+    be scheduled ([Wait()]), the operation executes, and the scheduler
+    picks the next thread ([Tick()]). Invisible operations perform no
+    effect: {!run} answers them inline through [Api.with_invisible],
+    on the calling thread's own stack. Invisible regions run on the
+    thread's own simulated clock and, except under the rr model, in
+    parallel.
 
     Record mode captures the demo (QUEUE/SIGNAL/SYSCALL/ASYNC + META);
     replay mode enforces it, aborting with a {e hard desynchronisation}

@@ -46,24 +46,11 @@ type _ req =
   | Set_signal_handler : int * (unit -> unit) -> unit req
   | Raise_sync : int -> unit req
 
-type eff = E : 'a req -> eff
 type _ Effect.t += Op : 'a req -> 'a Effect.t
 
 type program = { pname : string; main : unit -> unit }
 
 let program ~name main = { pname = name; main }
-
-let visible : type a. a req -> bool = function
-  | New_atomic _ | New_var _ | New_mutex _ | New_cond _ | Var_load _
-  | New_rwlock _ | Var_store _ | Work _ | Work_mem _ | Sleep _ | Self | Now
-  | Alloc _ ->
-      false
-  | A_load _ | A_store _ | A_rmw _ | A_cas _ | Fence _ | Mutex_lock _
-  | Mutex_trylock _ | Mutex_unlock _ | Rw_rdlock _ | Rw_wrlock _
-  | Rw_tryrdlock _ | Rw_trywrlock _ | Rw_unlock _ | Cond_wait _
-  | Cond_signal _ | Cond_broadcast _ | Spawn _ | Join _ | Syscall _
-  | Set_signal_handler _ | Raise_sync _ ->
-      true
 
 let req_label : type a. a req -> string = function
   | New_atomic _ -> "new_atomic"
@@ -103,6 +90,21 @@ let req_label : type a. a req -> string = function
 
 let op r = Effect.perform (Op r)
 
+(* Invisible requests skip the effect: they call the handler the
+   running interpreter installed in this domain's slot, on the calling
+   fiber's own stack. Outside any run the slot performs [Op], so an
+   unhandled request still raises [Effect.Unhandled]. *)
+type handler = { run : 'a. 'a req -> 'a }
+
+let invisible = Domain.DLS.new_key (fun () -> { run = op })
+
+let with_invisible h f =
+  let prev = Domain.DLS.get invisible in
+  Domain.DLS.set invisible h;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set invisible prev) f
+
+let inv r = (Domain.DLS.get invisible).run r
+
 (* Auto-naming counter for unnamed atomics/vars/locks. Domain-local,
    and reset by the interpreter at the start of every run: names must
    be a function of the program alone, not of how many runs this
@@ -120,7 +122,7 @@ let auto prefix =
 module Atomic = struct
   let create ?name init =
     let name = match name with Some n -> n | None -> auto "atomic" in
-    op (New_atomic (name, init))
+    inv (New_atomic (name, init))
 
   let load ?(mo = Memord.Seq_cst) a = op (A_load (a, mo))
   let store ?(mo = Memord.Seq_cst) a v = op (A_store (a, mo, v))
@@ -137,10 +139,10 @@ end
 module Var = struct
   let create ?name init =
     let name = match name with Some n -> n | None -> auto "var" in
-    op (New_var (name, init))
+    inv (New_var (name, init))
 
-  let get v = op (Var_load v)
-  let set v x = op (Var_store (v, x))
+  let get v = inv (Var_load v)
+  let set v x = inv (Var_store (v, x))
 
   let incr v =
     let x = get v in
@@ -150,7 +152,7 @@ end
 module Mutex = struct
   let create ?name () =
     let name = match name with Some n -> n | None -> auto "mutex" in
-    op (New_mutex name)
+    inv (New_mutex name)
 
   let lock m = op (Mutex_lock m)
   let try_lock m = op (Mutex_trylock m)
@@ -164,7 +166,7 @@ end
 module Rwlock = struct
   let create ?name () =
     let name = match name with Some n -> n | None -> auto "rwlock" in
-    op (New_rwlock name)
+    inv (New_rwlock name)
 
   let rdlock l = op (Rw_rdlock l)
   let wrlock l = op (Rw_wrlock l)
@@ -184,7 +186,7 @@ end
 module Cond = struct
   let create ?name () =
     let name = match name with Some n -> n | None -> auto "cond" in
-    op (New_cond name)
+    inv (New_cond name)
 
   let wait c m = ignore (op (Cond_wait (c, m, None)))
   let timed_wait c m ~ms = op (Cond_wait (c, m, Some ms))
@@ -198,7 +200,7 @@ module Thread = struct
     op (Spawn (name, f))
 
   let join t = op (Join t)
-  let self () = op Self
+  let self () = inv Self
 end
 
 module Sys_api = struct
@@ -238,16 +240,16 @@ module Sys_api = struct
     let r = f () in
     if attempts <= 1 || not (Syscall.is_transient r) then r
     else begin
-      op (Sleep backoff_ms);
+      inv (Sleep backoff_ms);
       retry ~attempts:(attempts - 1) ~backoff_ms:(backoff_ms * 2) f
     end
 end
 
-let work us = op (Work us)
-let work_mem ?(accesses = 0) us = op (Work_mem (us, accesses))
-let sleep_ms ms = op (Sleep ms)
-let now () = op Now
-let alloc n = op (Alloc n)
+let work us = inv (Work us)
+let work_mem ?(accesses = 0) us = inv (Work_mem (us, accesses))
+let sleep_ms ms = inv (Sleep ms)
+let now () = inv Now
+let alloc n = inv (Alloc n)
 let set_signal_handler signo f = op (Set_signal_handler (signo, f))
 let raise_sync signo = op (Raise_sync signo)
-let self () = op Self
+let self () = inv Self

@@ -1,20 +1,23 @@
 (** The program-under-test API.
 
     A *program* is ordinary OCaml code that calls the functions below.
-    Each call performs an OCaml 5 effect that suspends the calling
-    thread and hands a request to the interpreter (lib/core) — this is
-    the substrate standing in for tsan's compile-time instrumentation:
-    every visible operation traps into the runtime, and everything in
-    between is an *invisible region* (represented explicitly by
-    {!work}, which advances the thread's simulated clock without
-    creating a scheduling point).
+    Each visible call performs an OCaml 5 effect that suspends the
+    calling thread and hands a request to the interpreter (lib/core) —
+    this is the substrate standing in for tsan's compile-time
+    instrumentation: every visible operation traps into the runtime,
+    and everything in between is an *invisible region* (represented
+    explicitly by {!work}, which advances the thread's simulated clock
+    without creating a scheduling point).
 
     Visible operations (scheduling points, §2/§3 of the paper): atomic
     loads/stores/RMWs/fences, mutex and condition-variable operations,
     thread create/join, syscalls, installing a signal handler, and
     signal-handler entry. Invisible operations: {!work}, {!sleep},
     non-atomic variable accesses (race-checked but not scheduling
-    points), allocation, and queries like {!self}.
+    points), allocation, and queries like {!self}. Only visible calls
+    perform an effect: an invisible call runs the interpreter's
+    {!handler} inline, on the calling thread's own stack, and returns
+    its value directly.
 
     Programs must only be run through the interpreter; calling these
     functions outside of one raises [Effect.Unhandled]. *)
@@ -97,9 +100,6 @@ type _ req =
           recorded: it "should reoccur at the same point in the
           execution without the help of our tool" *)
 
-type eff = E : 'a req -> eff
-(** Existential wrapper used by the interpreter's handler. *)
-
 type _ Effect.t += Op : 'a req -> 'a Effect.t
 
 type program = { pname : string; main : unit -> unit }
@@ -108,8 +108,14 @@ type program = { pname : string; main : unit -> unit }
 
 val program : name:string -> (unit -> unit) -> program
 
-val visible : 'a req -> bool
-(** Whether the request is a visible operation (a scheduling point). *)
+type handler = { run : 'a. 'a req -> 'a }
+(** What an invisible request calls instead of performing an effect. *)
+
+val with_invisible : handler -> (unit -> 'b) -> 'b
+(** [with_invisible h f] runs [f] with [h] answering every invisible
+    request made on this domain, then restores the previous handler,
+    also when [f] raises. Visible requests still perform [Op]. Outside
+    any [with_invisible], an invisible request performs [Op] too. *)
 
 val req_label : 'a req -> string
 (** Short human-readable tag ("a_load", "mutex_lock", ...), used in

@@ -294,7 +294,7 @@ let test_row r () =
    1,900 ticks) on a recycled arena and world, where per-tick cost
    swamps the per-run setup. Same seeds every call, so every call runs
    the same ticks. *)
-let tick_budget = 104
+let tick_budget = 89
 
 let test_run_random_ms_queue () =
   let build = (Option.get (T11r_litmus.Registry.find "ms-queue")).build in
@@ -312,6 +312,38 @@ let test_run_random_ms_queue () =
     Alcotest.failf "run_random_ms_queue allocates %.2f words per tick, budget %d"
       words tick_budget
 
+(* An invisible op inside a running program: one run making [n] times
+   three invisible calls (a [Var] read, a [Var] write, a [work])
+   between two visible fences, minus the same run with [n] = 0, per
+   call. Invisible calls run inline on the fiber, so only the request
+   blocks are left to allocate: 2 + 3 + 2 words, 2.33 per call, exactly
+   what the steady state measures. An effect round trip per call was
+   21.33. *)
+let invisible_budget = 4
+
+let test_invisible_op () =
+  let program n () =
+    T11r_vm.Api.program ~name:"invisible" (fun () ->
+        let open T11r_vm.Api in
+        let v = Var.create 0 in
+        Atomic.fence Memord.Seq_cst;
+        for _ = 1 to n do
+          Var.set v (Var.get v + 1);
+          work 1
+        done;
+        Atomic.fence Memord.Seq_cst)
+  in
+  let per_run n =
+    let words = ref 0. in
+    recycled run_conf (program n) (fun f -> words := words_per_call (20, 200) f);
+    !words
+  in
+  let n = 1_000 in
+  let words = (per_run n -. per_run 0) /. float_of_int (3 * n) in
+  if words > float_of_int invisible_budget then
+    Alcotest.failf "invisible_op allocates %.2f words per op, budget %d" words
+      invisible_budget
+
 let () =
   Alcotest.run "alloc"
     [
@@ -328,5 +360,8 @@ let () =
               (Printf.sprintf "run_random_ms_queue <= %d words per tick"
                  tick_budget)
               `Quick test_run_random_ms_queue;
+            Alcotest.test_case
+              (Printf.sprintf "invisible_op <= %d words" invisible_budget)
+              `Quick test_invisible_op;
           ] );
     ]

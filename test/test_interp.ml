@@ -766,6 +766,193 @@ let rr_serializes =
       r.Interp.makespan_us >= n.Interp.makespan_us)
 
 (* ------------------------------------------------------------------ *)
+(* Invisible operations run inline, charged to the running thread *)
+
+(* What one fiber segment saw of itself before its first visible op:
+   [Api.self ()], and the clock advance of a [work 1000] as [Api.now ()]
+   reads it. *)
+type segment = { mutable seen_self : int; mutable work_us : int }
+
+let segment () = { seen_self = -1; work_us = -1 }
+
+let probe seg =
+  seg.seen_self <- Api.self ();
+  let t0 = Api.now () in
+  Api.work 1000;
+  seg.work_us <- Api.now () - t0
+
+let work_1000 = int_of_float (1000. *. (Conf.tsan11rec ()).Conf.invis_mult)
+
+(* The race on [var] was detected by [second], against [first]. *)
+let check_race r ~var ~first ~second =
+  let found =
+    List.exists
+      (fun (x : T11r_race.Report.t) ->
+        x.var = var && x.first_tid = first && x.second_tid = second)
+      r.Interp.races
+  in
+  if not found then
+    Alcotest.failf "no race on %s between thread %d and thread %d" var first
+      second
+
+let check_segment seg ~tid =
+  check Alcotest.int "self" tid seg.seen_self;
+  check Alcotest.int "work advances its clock" work_1000 seg.work_us
+
+(* A spawned child's first segment runs inside its parent's spawn, before
+   the parent resumes: the parent's write after the spawn races with it,
+   and the child's work must not move the parent's clock. *)
+let test_child_first_segment () =
+  let seg = segment () and parent_us = ref (-1) in
+  let prog =
+    Api.program ~name:"child" (fun () ->
+        let v = Api.Var.create ~name:"v" 0 in
+        let t0 = Api.now () in
+        let t =
+          Api.Thread.spawn (fun () ->
+              probe seg;
+              Api.Var.set v 1;
+              Api.Atomic.fence Api.Memord.Seq_cst)
+        in
+        parent_us := Api.now () - t0;
+        Api.Var.set v 2;
+        Api.Thread.join t)
+  in
+  let r = run prog in
+  check_completed r;
+  check_segment seg ~tid:1;
+  check Alcotest.bool "child's work not on the parent's clock" true
+    (!parent_us < 1000);
+  check_race r ~var:"v" ~first:1 ~second:0;
+  check Alcotest.int "makespan" 3025 r.makespan_us
+
+(* A signal handler entered as its own critical section runs on the
+   victim; the other thread wrote the variable the handler writes. *)
+let test_signal_entry_segment () =
+  let seg = segment () in
+  let world = World.create ~seed:5L () in
+  World.schedule_signal world ~at:2_000 ~signo:10;
+  let prog =
+    Api.program ~name:"sigseg" (fun () ->
+        let a = Api.Var.create ~name:"a" 0 and b = Api.Var.create ~name:"b" 0 in
+        let flag = Api.Atomic.create 0 in
+        Api.set_signal_handler 10 (fun () ->
+            probe seg;
+            Api.Var.set a 3;
+            Api.Var.set b 3;
+            Api.Atomic.store flag 1);
+        let spin () =
+          while Api.Atomic.load flag = 0 do
+            Api.work 100
+          done
+        in
+        let t =
+          Api.Thread.spawn (fun () ->
+              Api.Var.set b 1;
+              spin ())
+        in
+        Api.Var.set a 1;
+        spin ();
+        Api.Thread.join t)
+  in
+  let r = run ~world prog in
+  check_completed r;
+  let victim =
+    match List.find_opt (fun (_, _, l) -> l = "sig_entry:10") r.trace with
+    | Some (_, tid, _) -> tid
+    | None -> Alcotest.fail "no signal entry in the trace"
+  in
+  check_segment seg ~tid:victim;
+  (* main wrote [a], the child [b]: the handler races on the other's *)
+  let var, other = if victim = 0 then ("b", 1) else ("a", 0) in
+  check_race r ~var ~first:other ~second:victim;
+  check Alcotest.int "makespan" 7137 r.makespan_us
+
+(* A synchronous signal's handler runs on the raising thread. *)
+let test_raise_sync_segment () =
+  let seg = segment () in
+  let prog =
+    Api.program ~name:"segv" (fun () ->
+        let v = Api.Var.create ~name:"v" 0 in
+        Api.set_signal_handler 11 (fun () ->
+            probe seg;
+            Api.Var.set v 2);
+        let t = Api.Thread.spawn (fun () -> Api.raise_sync 11) in
+        Api.Var.set v 1;
+        Api.Thread.join t)
+  in
+  let r = run prog in
+  check_completed r;
+  check_segment seg ~tid:1;
+  check_race r ~var:"v" ~first:0 ~second:1;
+  check Alcotest.int "makespan" 4300 r.makespan_us
+
+(* Outside any run an invisible call has no handler: it performs its
+   effect, which nothing handles. *)
+let check_unhandled what =
+  match Api.now () with
+  | _ -> Alcotest.failf "Api.now () answered %s" what
+  | exception Effect.Unhandled _ -> ()
+
+let test_unhandled_after_runs () =
+  check_unhandled "outside a run";
+  check_completed (run (Api.program ~name:"invis" (fun () -> Api.work 5)));
+  check_unhandled "after a completed run";
+  (* Replaying a one-thread program on a two-thread recording finds no
+     thread 1 where QUEUE schedules it. *)
+  let stores n () =
+    let a = Api.Atomic.create 0 in
+    for i = 1 to n do
+      Api.Atomic.store a i
+    done
+  in
+  let dir = tmpdir () in
+  check_completed
+    (run
+       ~conf:
+         (seeded_conf
+            ~conf:(Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record dir) ())
+            5L 6L)
+       (Api.program ~name:"two" (fun () ->
+            let t = Api.Thread.spawn (stores 3) in
+            stores 3 ();
+            Api.Thread.join t)));
+  let r =
+    run
+      ~conf:(Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Replay dir) ())
+      (Api.program ~name:"one" (stores 8))
+  in
+  T11r_util.Tmp.rm_rf dir;
+  (match r.Interp.outcome with
+  | Interp.Hard_desync _ -> ()
+  | _ -> Alcotest.failf "expected a hard desync, got %s" (outcome_str r));
+  check_unhandled "after a hard desync";
+  (* A demo directory under a regular file cannot be created: saving
+     the demo raises out of [Interp.run]. *)
+  let file = Filename.temp_file "t11r_file" "" in
+  let conf =
+    seeded_conf
+      ~conf:
+        (Conf.tsan11rec ~mode:(Conf.Record (Filename.concat file "demo")) ())
+      1L 2L
+  in
+  (match run ~conf (Api.program ~name:"invis" (fun () -> Api.work 5)) with
+  | _ -> Alcotest.fail "recording under a regular file succeeded"
+  | exception _ -> ());
+  Sys.remove file;
+  check_unhandled "after a run that raised"
+
+let test_unhandled_on_fresh_domain () =
+  let raised =
+    Domain.join
+      (Domain.spawn (fun () ->
+           match Api.now () with
+           | _ -> false
+           | exception Effect.Unhandled _ -> true))
+  in
+  check Alcotest.bool "fresh domain" true raised
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "interp"
@@ -830,6 +1017,18 @@ let () =
           Alcotest.test_case "pb budget interleaves" `Quick
             test_preempt_budget_increases_interleaving;
           Alcotest.test_case "db:0 is queue" `Quick test_delay_bounded_zero_is_queue;
+        ] );
+      ( "charging",
+        [
+          Alcotest.test_case "child first segment" `Quick test_child_first_segment;
+          Alcotest.test_case "signal entry" `Quick test_signal_entry_segment;
+          Alcotest.test_case "raise_sync handler" `Quick test_raise_sync_segment;
+        ] );
+      ( "inline",
+        [
+          Alcotest.test_case "unhandled after runs" `Quick test_unhandled_after_runs;
+          Alcotest.test_case "unhandled on fresh domain" `Quick
+            test_unhandled_on_fresh_domain;
         ] );
       ( "properties",
         [
