@@ -24,10 +24,8 @@ let check_completed r =
   if r.Interp.outcome <> Interp.Completed then
     Alcotest.failf "expected completion, got %s" (outcome_str r)
 
-let tmpdir () =
-  let d = Filename.temp_file "t11r_demo" "" in
-  Sys.remove d;
-  d
+(* Run [f] on a fresh directory, removed when [f] returns or raises. *)
+let with_tmpdir f = T11r_util.Tmp.with_dir ~prefix:"t11r_demo" f
 
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -340,7 +338,7 @@ let test_epoll_unsupported_when_recording () =
   (* Free mode: fine. *)
   check_completed (run prog);
   (* Recording: the sparse interposition cannot handle epoll (§5.2). *)
-  let dir = tmpdir () in
+  with_tmpdir @@ fun dir ->
   let conf = seeded_conf ~conf:(Conf.tsan11rec ~mode:(Conf.Record dir) ()) 1L 2L in
   let r = run ~conf prog in
   match r.Interp.outcome with
@@ -411,9 +409,12 @@ let test_different_seeds_different_schedules () =
 (* ------------------------------------------------------------------ *)
 (* Record and replay *)
 
+(* Record [program], replay it on another world, and hand the demo
+   directory to [inspect] before it is removed. *)
 let record_replay ?(program = Api.program ~name:"mixed" mixed_program)
-    ?(strategy = Conf.Queue) ?(env_seed = 11L) ?(replay_env_seed = 999L) () =
-  let dir = tmpdir () in
+    ?(strategy = Conf.Queue) ?(env_seed = 11L) ?(replay_env_seed = 999L)
+    ?(inspect = ignore) () =
+  with_tmpdir @@ fun dir ->
   let rec_conf =
     seeded_conf ~conf:(Conf.tsan11rec ~strategy ~mode:(Conf.Record dir) ()) 5L 6L
   in
@@ -422,10 +423,11 @@ let record_replay ?(program = Api.program ~name:"mixed" mixed_program)
   let r_rep =
     run ~world:(World.create ~seed:replay_env_seed ()) ~conf:rep_conf program
   in
-  (dir, r_rec, r_rep)
+  inspect dir;
+  (r_rec, r_rep)
 
 let test_record_replay_queue () =
-  let _, r_rec, r_rep = record_replay ~strategy:Conf.Queue () in
+  let r_rec, r_rep = record_replay ~strategy:Conf.Queue () in
   check_completed r_rec;
   check_completed r_rep;
   check Alcotest.bool "demo present" true (r_rec.demo <> None);
@@ -434,7 +436,7 @@ let test_record_replay_queue () =
   check Alcotest.bool "synchronised" false r_rep.soft_desync
 
 let test_record_replay_random () =
-  let _, r_rec, r_rep = record_replay ~strategy:Conf.Random () in
+  let r_rec, r_rep = record_replay ~strategy:Conf.Random () in
   check_completed r_rec;
   check_completed r_rep;
   check Alcotest.bool "identical traces" true (r_rec.trace = r_rep.trace);
@@ -442,21 +444,22 @@ let test_record_replay_random () =
   check Alcotest.bool "synchronised" false r_rep.soft_desync
 
 let test_record_replay_pct () =
-  let _, r_rec, r_rep = record_replay ~strategy:(Conf.Pct 3) () in
+  let r_rec, r_rep = record_replay ~strategy:(Conf.Pct 3) () in
   check_completed r_rec;
   check_completed r_rep;
   check Alcotest.bool "identical traces" true (r_rec.trace = r_rep.trace)
 
 let test_demo_files_on_disk () =
-  let dir, r_rec, _ = record_replay ~strategy:Conf.Queue () in
-  check Alcotest.bool "META" true (Sys.file_exists (Filename.concat dir "META"));
-  check Alcotest.bool "QUEUE" true (Sys.file_exists (Filename.concat dir "QUEUE"));
-  check Alcotest.bool "SIGNAL" true (Sys.file_exists (Filename.concat dir "SIGNAL"));
-  check Alcotest.bool "SYSCALL" true
-    (Sys.file_exists (Filename.concat dir "SYSCALL"));
-  check Alcotest.bool "ASYNC" true (Sys.file_exists (Filename.concat dir "ASYNC"));
-  let d = Demo.load ~dir in
-  check Alcotest.int "tick counts agree" r_rec.ticks d.Demo.meta.ticks
+  let recorded_ticks = ref (-1) in
+  let inspect dir =
+    List.iter
+      (fun f ->
+        check Alcotest.bool f true (Sys.file_exists (Filename.concat dir f)))
+      [ "META"; "QUEUE"; "SIGNAL"; "SYSCALL"; "ASYNC" ];
+    recorded_ticks := (Demo.load ~dir).Demo.meta.ticks
+  in
+  let r_rec, _ = record_replay ~strategy:Conf.Queue ~inspect () in
+  check Alcotest.int "tick counts agree" r_rec.ticks !recorded_ticks
 
 let syscall_program () =
   (* Reads nondeterministic environment data and prints it: replay is
@@ -472,7 +475,7 @@ let test_record_replay_syscalls () =
         Printf.sprintf "%d" (T11r_util.Prng.int rng 1_000_000));
     w
   in
-  let dir = tmpdir () in
+  with_tmpdir @@ fun dir ->
   let program = Api.program ~name:"sysrec" syscall_program in
   let policy = Policy.with_proc in
   let rec_conf =
@@ -500,7 +503,7 @@ let test_sparse_policy_soft_desync () =
         Printf.sprintf "%d" (T11r_util.Prng.int rng 1_000_000));
     w
   in
-  let dir = tmpdir () in
+  with_tmpdir @@ fun dir ->
   let program = Api.program ~name:"sysrec" syscall_program in
   let rec_conf =
     seeded_conf ~conf:(Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record dir) ()) 5L 6L
@@ -513,7 +516,7 @@ let test_sparse_policy_soft_desync () =
   check Alcotest.bool "soft desync flagged" true r_rep.soft_desync
 
 let test_replay_wrong_program_hard_desyncs () =
-  let dir = tmpdir () in
+  with_tmpdir @@ fun dir ->
   let rec_conf =
     seeded_conf ~conf:(Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record dir) ()) 5L 6L
   in
@@ -538,7 +541,7 @@ let test_replay_wrong_program_hard_desyncs () =
 
 let test_record_replay_with_signals () =
   let program = Api.program ~name:"sig" sig_program in
-  let dir = tmpdir () in
+  with_tmpdir @@ fun dir ->
   let world = World.create ~seed:42L () in
   World.schedule_signal world ~at:2_000 ~signo:15;
   let rec_conf =
@@ -558,7 +561,7 @@ let test_record_replay_with_signals () =
 
 let test_record_replay_signals_random () =
   let program = Api.program ~name:"sig" sig_program in
-  let dir = tmpdir () in
+  with_tmpdir @@ fun dir ->
   let world = World.create ~seed:42L () in
   World.schedule_signal world ~at:2_000 ~signo:15;
   let rec_conf =
@@ -627,7 +630,7 @@ let replay_fidelity strategy =
     (QCheck.make program_gen)
     (fun threads ->
       let program = build_program threads in
-      let dir = tmpdir () in
+      with_tmpdir @@ fun dir ->
       let rec_conf =
         seeded_conf ~conf:(Conf.tsan11rec ~strategy ~mode:(Conf.Record dir) ()) 5L 6L
       in
@@ -906,23 +909,22 @@ let test_unhandled_after_runs () =
       Api.Atomic.store a i
     done
   in
-  let dir = tmpdir () in
-  check_completed
-    (run
-       ~conf:
-         (seeded_conf
-            ~conf:(Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record dir) ())
-            5L 6L)
-       (Api.program ~name:"two" (fun () ->
-            let t = Api.Thread.spawn (stores 3) in
-            stores 3 ();
-            Api.Thread.join t)));
   let r =
+    with_tmpdir @@ fun dir ->
+    check_completed
+      (run
+         ~conf:
+           (seeded_conf
+              ~conf:(Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record dir) ())
+              5L 6L)
+         (Api.program ~name:"two" (fun () ->
+              let t = Api.Thread.spawn (stores 3) in
+              stores 3 ();
+              Api.Thread.join t)));
     run
       ~conf:(Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Replay dir) ())
       (Api.program ~name:"one" (stores 8))
   in
-  T11r_util.Tmp.rm_rf dir;
   (match r.Interp.outcome with
   | Interp.Hard_desync _ -> ()
   | _ -> Alcotest.failf "expected a hard desync, got %s" (outcome_str r));
