@@ -645,6 +645,48 @@ module Predictor = struct
     }
 end
 
+(* QUEUE as the interpreter built and replayed it before the replay
+   cursor: the encoder's backward pass over a [Hashtbl], and a replay
+   table from tid to next tick, searched with [Hashtbl.fold] for the
+   tick's thread and updated from the tick list as each thread leaves
+   its critical section. *)
+module Queue_replay = struct
+  open Tsan11rec.Demo
+
+  let encode tids n =
+    let next : (int, int) Hashtbl.t = Hashtbl.create 8 in
+    let next_ticks = ref [] in
+    for i = n - 1 downto 0 do
+      let tid = tids.(i) in
+      next_ticks :=
+        Option.value ~default:(-1) (Hashtbl.find_opt next tid) :: !next_ticks;
+      Hashtbl.replace next tid i
+    done;
+    let first_ticks =
+      Hashtbl.fold (fun tid tick acc -> (tid, tick) :: acc) next []
+      |> List.sort compare
+    in
+    { first_ticks; next_ticks = !next_ticks }
+
+  type t = { next : (int, int) Hashtbl.t; mutable rest : int list }
+
+  let start q =
+    let next = Hashtbl.create 8 in
+    List.iter (fun (tid, tick) -> Hashtbl.replace next tid tick) q.first_ticks;
+    { next; rest = q.next_ticks }
+
+  let scheduled t tick =
+    Hashtbl.fold (fun tid next acc -> if next = tick then tid else acc) t.next (-1)
+
+  let leave t tid =
+    match t.rest with
+    | [] -> Hashtbl.remove t.next tid
+    | next :: rest ->
+        t.rest <- rest;
+        if next < 0 then Hashtbl.remove t.next tid
+        else Hashtbl.replace t.next tid next
+end
+
 (* The demo codec as it was before the one-pass rewrite: one
    [Printf.sprintf] per line, a save that joins and checksums every
    file twice (trailer, MANIFEST), and a loader that reads each file

@@ -29,6 +29,19 @@ let strategy_roundtrip =
     strategy_arb (fun s ->
       Conf.strategy_of_name (Conf.strategy_name s) = Some s)
 
+(* META's strategy names: every replayable schedule round-trips, and
+   the two no replay can follow do not parse. *)
+let sched_roundtrip =
+  QCheck.Test.make ~name:"sched_of_name inverts sched_name" ~count:200
+    QCheck.(option strategy_arb)
+    (fun s ->
+      let sched =
+        match s with Some s -> Conf.Controlled s | None -> Conf.Os_model
+      in
+      Conf.sched_of_name (Conf.sched_name sched) = Some sched
+      && Conf.sched_of_name "guided" = None
+      && Conf.sched_of_name "bogus" = None)
+
 let desync_arb =
   QCheck.make ~print:Conf.desync_mode_name
     QCheck.Gen.(oneofl [ Conf.Abort; Conf.Diagnose; Conf.Resync ])
@@ -68,6 +81,12 @@ let test_validate_accepts () =
         Conf.make
           ~strategy:(Conf.Guided { prefix = [| 0; 1 |]; observed = ref [] })
           () );
+      (* A replay follows the strategy its demo's META names, so the
+         configuration's strategy is no inconsistency. *)
+      ( "guided under replay",
+        Conf.make
+          ~strategy:(Conf.Guided { prefix = [| 0 |]; observed = ref [] })
+          ~mode:(Conf.Replay "d") () );
       (* Record + guided carries the decision metadata the predictive
          race analysis consumes. *)
       ( "guided under record",
@@ -79,12 +98,9 @@ let test_validate_accepts () =
     ]
 
 let test_validate_rejects () =
-  let guided = Conf.Guided { prefix = [| 0 |]; observed = ref [] } in
   List.iter
     (fun (label, t) -> Alcotest.(check bool) label false (ok_ t))
     [
-      ( "guided under replay",
-        Conf.make ~strategy:guided ~mode:(Conf.Replay "d") () );
       ("trace_capacity 0", Conf.make ~trace_capacity:0 ());
       ("trace_capacity negative", Conf.make ~trace_capacity:(-4) ());
       ("max_history 0", Conf.make ~max_history:0 ());
@@ -145,6 +161,7 @@ let () =
       ( "names",
         [
           qtest strategy_roundtrip;
+          qtest sched_roundtrip;
           qtest desync_roundtrip;
           Alcotest.test_case "guided unparsable" `Quick
             test_guided_has_no_name_syntax;

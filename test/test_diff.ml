@@ -716,6 +716,52 @@ let prop_demo_load_diff =
 (* ------------------------------------------------------------------ *)
 (* Campaign aggregate *)
 
+(* The replay cursor's QUEUE against the old Hashtbl scan, on random
+   traces: the same encoding, and at every tick the same thread
+   expected, also when another thread runs instead (a Resync fallback,
+   which takes over the next tick the expected thread would have had)
+   and past the end of the recording. *)
+let prop_queue_cursor_diff =
+  QCheck.Test.make ~name:"QUEUE cursor = Hashtbl scan, under resync" ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 40) (int_range 0 3))
+        (list_of_size Gen.(0 -- 50) (option (int_range 0 4))))
+    (fun (trace, runs) ->
+      (* thread t runs no earlier than tick t: the t spawns that made it
+         come first *)
+      let tids = Array.of_list (List.mapi min trace) in
+      let n = Array.length tids in
+      let q = Demo.queue_of_trace tids n in
+      let meta =
+        {
+          Demo.app = "q";
+          strategy = "queue";
+          seed1 = 1L;
+          seed2 = 2L;
+          ticks = n;
+          output_digest = "";
+        }
+      in
+      let c =
+        Demo.cursor
+          { Demo.meta; queue = Some q; signals = []; syscalls = []; asyncs = [] }
+      in
+      let r = R.Queue_replay.start q in
+      q = R.Queue_replay.encode tids n
+      && List.for_all Fun.id
+           (List.mapi
+              (fun tick run ->
+                let expected = Demo.scheduled c tick in
+                let ran =
+                  match run with Some tid -> tid | None -> max 0 expected
+                in
+                let same = expected = R.Queue_replay.scheduled r tick in
+                Demo.leave c ran;
+                R.Queue_replay.leave r ran;
+                same)
+              runs))
+
 module Campaign = T11r_harness.Campaign
 module Conf = Tsan11rec.Conf
 module Interp = Tsan11rec.Interp
@@ -947,7 +993,12 @@ let () =
       ( "atomics", [ qtest prop_atomics_diff ] );
       ( "detector", [ qtest prop_detector_diff ] );
       ( "coverage", [ qtest prop_coverage_diff; qtest prop_coverage_count ] );
-      ( "demo", [ qtest prop_demo_save_diff; qtest prop_demo_load_diff ] );
+      ( "demo",
+        [
+          qtest prop_demo_save_diff;
+          qtest prop_demo_load_diff;
+          qtest prop_queue_cursor_diff;
+        ] );
       ( "campaign",
         [
           Alcotest.test_case "fig1, mcs-lock, ms-queue hunts" `Quick
