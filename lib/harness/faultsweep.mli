@@ -5,7 +5,7 @@
 
     Each run is an independent, index-seeded record/replay pair with
     its own demo directory, so a cell's runs shard across the domain
-    pool ({!Pool.fold_indices}); rows are identical for every [jobs]. *)
+    pool ({!Pool.map}); rows are identical for every [jobs]. *)
 
 type row = {
   p : float;  (** per-site fault probability *)

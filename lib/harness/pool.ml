@@ -108,23 +108,3 @@ let map ?jobs n f =
   Array.map
     (function Some v -> v | None -> assert false)
     (map_opt ?jobs n f)
-
-let fold_indices ?(jobs = 1) ?(chunk = 1) ~init ~step ~merge n =
-  if n < 0 then invalid_arg "Pool.fold_indices: negative n";
-  if chunk < 1 then invalid_arg "Pool.fold_indices: chunk < 1";
-  let fold_chunk c =
-    let lo = c * chunk and hi = min ((c + 1) * chunk) n in
-    let acc = ref (init ()) in
-    for i = lo to hi - 1 do
-      acc := step !acc i
-    done;
-    !acc
-  in
-  let chunks = (n + chunk - 1) / chunk in
-  (* Partials are indexed by chunk id and merged in chunk order, so the
-     reduce sees the same shape no matter which domain computed which
-     chunk — determinism needs only that chunk boundaries be fixed,
-     which they are ([chunk] does not depend on [jobs]). *)
-  let partials = map ~jobs chunks fold_chunk in
-  if chunks = 0 then init ()
-  else Array.fold_left merge partials.(0) (Array.sub partials 1 (chunks - 1))

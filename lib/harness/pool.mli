@@ -31,20 +31,3 @@ val map_opt :
     uncomputed slots are [None]. Without [should_stop] every slot is
     [Some]. Exceptions still raise {!Worker_error} with the lowest
     failing index. *)
-
-val fold_indices :
-  ?jobs:int ->
-  ?chunk:int ->
-  init:(unit -> 'acc) ->
-  step:('acc -> int -> 'acc) ->
-  merge:('acc -> 'acc -> 'acc) ->
-  int ->
-  'acc
-(** [fold_indices ~init ~step ~merge n] folds [step] over [0..n-1] in
-    fixed chunks of [chunk] (default 1) indices: each chunk folds
-    sequentially from a fresh [init ()], chunks run on the pool, and
-    the partial accumulators are merged {e in chunk order}. When
-    [merge] is associative with [init ()] as identity and
-    [step acc i = merge acc (step (init ()) i)], the result equals the
-    sequential fold for every [jobs] — chunk boundaries are fixed by
-    [chunk] alone and never depend on [jobs]. *)

@@ -11,8 +11,6 @@ module Pool = T11r_harness.Pool
 module Campaign = T11r_harness.Campaign
 module Httpd = T11r_apps.Httpd
 
-let qtest = QCheck_alcotest.to_alcotest
-
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
@@ -49,34 +47,6 @@ let test_map_error_lowest_index () =
           Alcotest.(check string) "original exception" "3" m
       | exception e -> raise e)
     [ 1; 4 ]
-
-let qcheck_fold_indices_matches_sequential =
-  QCheck.Test.make ~name:"fold_indices (sum) = sequential fold" ~count:200
-    QCheck.(triple (int_range 0 100) (int_range 1 17) (int_range 1 8))
-    (fun (n, chunk, jobs) ->
-      let seq = List.fold_left ( + ) 0 (List.init n (fun i -> (i * i) + 1)) in
-      let par =
-        Pool.fold_indices ~jobs ~chunk
-          ~init:(fun () -> 0)
-          ~step:(fun acc i -> acc + (i * i) + 1)
-          ~merge:( + ) n
-      in
-      seq = par)
-
-let qcheck_fold_indices_ordered =
-  (* List accumulator: merge is append, so the fold must deliver the
-     indices in order — chunk boundaries fixed by [chunk], merged in
-     chunk order, never arrival order. *)
-  QCheck.Test.make ~name:"fold_indices (list) preserves index order" ~count:200
-    QCheck.(triple (int_range 0 60) (int_range 1 9) (int_range 1 6))
-    (fun (n, chunk, jobs) ->
-      let par =
-        Pool.fold_indices ~jobs ~chunk
-          ~init:(fun () -> [])
-          ~step:(fun acc i -> acc @ [ i ])
-          ~merge:( @ ) n
-      in
-      par = List.init n Fun.id)
 
 let test_fresh_dir_concurrent_unique () =
   let dirs = Pool.map ~jobs:4 100 (fun _ -> T11r_util.Tmp.fresh_dir ~prefix:"t11r_test" ()) in
@@ -947,8 +917,6 @@ let () =
           Alcotest.test_case "map = Array.init" `Quick test_map_matches_array_init;
           Alcotest.test_case "error reports lowest index" `Quick
             test_map_error_lowest_index;
-          qtest qcheck_fold_indices_matches_sequential;
-          qtest qcheck_fold_indices_ordered;
           Alcotest.test_case "fresh_dir unique under domains" `Quick
             test_fresh_dir_concurrent_unique;
         ] );
