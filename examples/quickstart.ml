@@ -69,7 +69,7 @@ let () =
 
   Fmt.pr "@.== 3. replay the demo: same schedule, same race ==@.";
   let conf =
-    Conf.tsan11rec ~strategy:Conf.Random ~mode:(Conf.Replay dir) ()
+    Conf.tsan11rec ~mode:(Conf.Replay dir) ()
   in
   let r2 =
     Interp.run ~world:(World.create ~seed:888L ()) conf (buggy_program ())
