@@ -195,9 +195,7 @@ let alive ctx =
 
 (* Refresh the scratch array of runnable tids (ascending — the same
    order the old ready-list was built in). An int array, so a tick
-   stores no pointer here and allocates nothing. The scratch is a
-   snapshot: the replayed ASYNC wakeups applied after it do not
-   refresh it (see [replay_asyncs]). *)
+   stores no pointer here and allocates nothing. *)
 let fill_ready ctx =
   if Array.length ctx.ready_scratch < ctx.next_tid then
     ctx.ready_scratch <- Array.make (max 8 (2 * ctx.next_tid)) 0;
@@ -340,10 +338,19 @@ let fiber_handler ctx t ~on_return =
         | _ -> None);
   }
 
+(* Physical-timing noise on a visible request's arrival, which orders
+   the FIFO picks. A replay draws none: the demo orders its picks. The
+   os model is the exception, as nothing but arrival orders its picks:
+   its recordings draw the noise from the scheduler PRNG, whose seeds
+   META keeps, so their replays draw the same values. *)
 let arrival_jitter ctx =
-  if ctx.conf.queue_jitter_us > 0 && not (is_replay ctx) then
-    World.jitter ctx.world ctx.conf.queue_jitter_us
-  else 0
+  let us = ctx.conf.queue_jitter_us in
+  if us <= 0 then 0
+  else
+    match (ctx.conf.sched, ctx.conf.mode) with
+    | Conf.Os_model, (Conf.Record _ | Conf.Replay _) -> draw ctx us
+    | _, Conf.Replay _ -> 0
+    | _ -> World.jitter ctx.world us
 
 let fresh_obj ctx =
   let id = ctx.next_obj in
@@ -494,19 +501,22 @@ let record_async ctx kind =
   if is_record ctx then
     ctx.rec_asyncs <- { Demo.a_tick = ctx.tick; a_kind = kind } :: ctx.rec_asyncs
 
+(* Waking a disabled signal victim is an asynchronous event of its own
+   (§4.5), recorded in ASYNC when it happens. *)
+let wake_victim ctx t =
+  match t.status with
+  | Disabled _ ->
+      t.status <- Ready;
+      t.arrival <- max t.arrival ctx.gclock;
+      record_async ctx (Demo.Signal_wakeup t.tid)
+  | _ -> ()
+
+(* On replay a delivery wakes nobody: the wakeup happens only when the
+   recorded ASYNC event says so ([replay_asyncs]), so the enabled set
+   evolves exactly as recorded. *)
 let deliver_signal ctx t signo =
   t.sigq <- t.sigq @ [ signo ];
-  (* Waking a disabled victim is an asynchronous event of its own
-     (§4.5): recorded in ASYNC when it happens, and — crucially — on
-     replay it happens only when the recorded event says so, not at
-     delivery, so the enabled set evolves exactly as recorded. *)
-  if not (is_replay ctx) then
-    match t.status with
-    | Disabled _ ->
-        t.status <- Ready;
-        t.arrival <- max t.arrival ctx.gclock;
-        record_async ctx (Demo.Signal_wakeup t.tid)
-    | _ -> ()
+  if not (is_replay ctx) then wake_victim ctx t
 
 (* Record/free mode: deliver environment signals whose arrival time has
    passed, each to a PRNG-chosen victim thread (§4.3). *)
@@ -564,9 +574,9 @@ let replay_signals ctx ~tickno ~tid =
 (* Strategies                                                           *)
 
 (* Replay: apply the ASYNC events recorded for this tick, the one place
-   they are applied (after [fill_ready], before the pick). A wakeup
-   does not refresh the ready scratch. Returns the number of
-   Reschedule events, each one redraw of the recorder's. *)
+   they are applied: before the tick's [fill_ready], where the recorder
+   woke its victims. Returns the number of Reschedule events, each one
+   redraw of the recorder's pick. *)
 let replay_asyncs ctx =
   match ctx.cursor with
   | None -> 0
@@ -577,10 +587,7 @@ let replay_asyncs ctx =
           | Demo.Reschedule -> incr rescheds
           | Demo.Signal_wakeup tid -> (
               match thread_opt ctx tid with
-              | Some ({ status = Disabled _; _ } as t) ->
-                  t.status <- Ready;
-                  t.arrival <- ctx.gclock
-              | Some _ -> ()
+              | Some t -> wake_victim ctx t
               | None ->
                   (* Resync: drop the wakeup. *)
                   diverge ctx ~tid ~site:"ASYNC"
@@ -1866,11 +1873,8 @@ let run ?world ?arena conf (program : Api.program) =
             && Unix.gettimeofday () > ctx.deadline_at
           then Timeout
           else begin
-            fill_ready ctx;
             let rescheds = replay_asyncs ctx in
-            (* Replay: with no thread runnable, only a wakeup recorded
-               for this tick can enable one now. *)
-            if ctx.ready_n = 0 && is_replay ctx then fill_ready ctx;
+            fill_ready ctx;
             if ctx.ready_n = 0 then begin
               if is_replay ctx then stuck ctx
               else
