@@ -78,19 +78,20 @@ let () =
   Fmt.pr "replayed walk: %s@." r2.output;
   describe "tsan11rec (sparse)" r2;
 
-  (* The rr model enforces layout. *)
+  (* The rr model enforces layout: its worlds allocate
+     deterministically, so addresses coincide. *)
   let dir_rr = tmp "sqlite-rr-demo" in
   let r3 =
     Interp.run
-      ~world:(T11r_rr.Rr.record_world ~seed:123L)
-      (Conf.with_seeds (T11r_rr.Rr.record ~dir:dir_rr ()) 1L 2L)
+      ~world:(World.create ~seed:123L ~deterministic_alloc:true ())
+      (Conf.with_seeds (Conf.with_mode Conf.rr_model (Conf.Record dir_rr)) 1L 2L)
       (Sqlite_like.program ())
   in
   ignore r3;
   let r4 =
     Interp.run
-      ~world:(T11r_rr.Rr.replay_world ~seed:321L)
-      (T11r_rr.Rr.replay ~dir:dir_rr ())
+      ~world:(World.create ~seed:321L ~deterministic_alloc:true ())
+      (Conf.with_mode Conf.rr_model (Conf.Replay dir_rr))
       (Sqlite_like.program ())
   in
   describe "rr model (enforces layout)" r4;

@@ -322,13 +322,14 @@ let test_httpd_epoll_needs_workaround () =
   (match r2.Interp.outcome with
   | Interp.Unsupported_app _ -> ()
   | _ -> Alcotest.failf "expected epoll rejection, got %s" (outcome_str r2));
-  (* ... but rr's in-kernel tracing handles epoll fine. *)
+  (* ... but rr's in-kernel tracing handles epoll fine. rr enforces
+     memory layout: its worlds allocate deterministically. *)
   let dir3 = tmpdir () in
-  let world = T11r_rr.Rr.record_world ~seed:9L in
+  let world = World.create ~seed:9L ~deterministic_alloc:true () in
   Httpd.setup_world cfg world;
   let r3 =
     Interp.run ~world
-      (Conf.with_seeds (T11r_rr.Rr.record ~dir:dir3 ()) 1L 2L)
+      (Conf.with_seeds (Conf.with_mode Conf.rr_model (Conf.Record dir3)) 1L 2L)
       (Httpd.program ~cfg ())
   in
   check_completed ~what:"httpd epoll under rr" r3
@@ -599,15 +600,20 @@ let test_sqlite_like_desyncs () =
 
 let test_sqlite_like_rr_handles_it () =
   let dir = tmpdir () in
-  let world = T11r_rr.Rr.record_world ~seed:123L in
+  (* rr enforces memory layout: record and replay worlds allocate
+     deterministically, so addresses coincide. *)
+  let rr_world seed = World.create ~seed ~deterministic_alloc:true () in
   let r1 =
-    Interp.run ~world
-      (Conf.with_seeds (T11r_rr.Rr.record ~dir ()) 1L 2L)
+    Interp.run ~world:(rr_world 123L)
+      (Conf.with_seeds (Conf.with_mode Conf.rr_model (Conf.Record dir)) 1L 2L)
       (Sqlite_like.program ())
   in
   check_completed ~what:"rr record" r1;
-  let world2 = T11r_rr.Rr.replay_world ~seed:321L in
-  let r2 = Interp.run ~world:world2 (T11r_rr.Rr.replay ~dir ()) (Sqlite_like.program ()) in
+  let r2 =
+    Interp.run ~world:(rr_world 321L)
+      (Conf.with_mode Conf.rr_model (Conf.Replay dir))
+      (Sqlite_like.program ())
+  in
   check_completed ~what:"rr replay" r2;
   check Alcotest.bool "rr replay faithful" false r2.soft_desync;
   check Alcotest.string "same output" r1.output r2.output
