@@ -42,51 +42,3 @@ let rec rm_rf path =
 let with_dir ?base ~prefix f =
   let dir = fresh_dir ?base ~prefix () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
-(* -- stale-claim GC ------------------------------------------------- *)
-
-(* fresh_dir names encode the claiming pid, so a crashed process's
-   stranded directories are recognisable: same prefix, dead pid. This
-   is opt-in (CLI: T11R_TMP_GC=1) because deciding that a pid is "ours
-   and dead" is heuristic on a shared temp dir. *)
-
-let claimed_by ~prefix name =
-  (* prefix.pid.n *)
-  let pl = String.length prefix in
-  if
-    String.length name > pl + 1
-    && String.sub name 0 pl = prefix
-    && name.[pl] = '.'
-  then
-    match String.split_on_char '.' (String.sub name (pl + 1) (String.length name - pl - 1)) with
-    | [ pid; n ] -> (
-        match (int_of_string_opt pid, int_of_string_opt n) with
-        | Some pid, Some _ -> Some pid
-        | _ -> None)
-    | _ -> None
-  else None
-
-let pid_alive pid =
-  match Unix.kill pid 0 with
-  | () -> true
-  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
-  | exception Unix.Unix_error _ -> true (* EPERM etc: alive, not ours *)
-
-let gc ?base ~prefix () =
-  let base =
-    match base with Some b -> b | None -> Filename.get_temp_dir_name ()
-  in
-  let self = Unix.getpid () in
-  let removed = ref [] in
-  Array.iter
-    (fun name ->
-      match claimed_by ~prefix name with
-      | Some pid when pid <> self && not (pid_alive pid) ->
-          let path = Filename.concat base name in
-          if try Sys.is_directory path with Sys_error _ -> false then begin
-            rm_rf path;
-            removed := path :: !removed
-          end
-      | _ -> ())
-    (try Sys.readdir base with Sys_error _ -> [||]);
-  List.rev !removed

@@ -18,10 +18,3 @@ val with_dir : ?base:string -> prefix:string -> (string -> 'a) -> 'a
 (** [with_dir ~prefix f] runs [f dir] on a fresh directory and removes
     the directory (recursively) when [f] returns {e or raises} — the
     bracket that keeps crashed runs from stranding [t11r-*] dirs. *)
-
-val gc : ?base:string -> prefix:string -> unit -> string list
-(** Remove directories under [base] matching this module's
-    [prefix.pid.counter] naming whose claiming pid is no longer alive,
-    returning the removed paths. Opt-in startup cleanup for claims
-    leaked by SIGKILLed processes; never touches live claims or
-    foreign names. *)

@@ -697,31 +697,6 @@ let test_tmp_with_dir_cleans_up_on_raise () =
    with Failure _ -> ());
   check Alcotest.bool "removed even on raise" false (Sys.file_exists !captured)
 
-let test_tmp_gc_reclaims_dead_claims () =
-  let base = Filename.get_temp_dir_name () in
-  (* fabricate a claim by a pid that cannot be alive *)
-  let stale = Filename.concat base "t11r_gctest.999999999.0" in
-  (try Unix.mkdir stale 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let oc = open_out (Filename.concat stale "leftover") in
-  output_string oc "x";
-  close_out oc;
-  (* and a live claim of our own, which must survive *)
-  let live = Tmp.fresh_dir ~prefix:"t11r_gctest" () in
-  let removed = Tmp.gc ~prefix:"t11r_gctest" () in
-  check Alcotest.bool "stale dir removed" false (Sys.file_exists stale);
-  check Alcotest.bool "stale is reported" true (List.mem stale removed);
-  check Alcotest.bool "live claim untouched" true (Sys.file_exists live);
-  Tmp.rm_rf live
-
-let test_tmp_gc_ignores_foreign_names () =
-  let base = Filename.get_temp_dir_name () in
-  let foreign = Filename.concat base "t11r_gcforeign_notaclaim" in
-  (try Unix.mkdir foreign 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let removed = Tmp.gc ~prefix:"t11r_gcforeign" () in
-  check Alcotest.bool "foreign dir untouched" true (Sys.file_exists foreign);
-  check Alcotest.(list string) "nothing removed" [] removed;
-  Tmp.rm_rf foreign
-
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -827,9 +802,5 @@ let () =
             test_tmp_with_dir_cleans_up;
           Alcotest.test_case "with_dir cleans up on raise" `Quick
             test_tmp_with_dir_cleans_up_on_raise;
-          Alcotest.test_case "gc reclaims dead claims" `Quick
-            test_tmp_gc_reclaims_dead_claims;
-          Alcotest.test_case "gc ignores foreign names" `Quick
-            test_tmp_gc_ignores_foreign_names;
         ] );
     ]
