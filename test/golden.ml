@@ -10,6 +10,7 @@ module Conf = Tsan11rec.Conf
 module Interp = Tsan11rec.Interp
 module Campaign = T11r_harness.Campaign
 module Guided = T11r_harness.Guided
+module Systematic = T11r_harness.Systematic
 module Workloads = T11r_harness.Workloads
 module World = T11r_env.World
 module Predict = T11r_race.Predict
@@ -283,7 +284,49 @@ let demo_cases () =
     guided "ms-queue";
   ]
 
+(* DPOR exploration order: the exhausting benchmarks of the check
+   workload under two seed pairs each, and ms-queue cut at 12 runs.
+   Each line digests the journal's entries in analysis order (prefix,
+   outcome and decision array per analysed schedule), so a change to
+   which schedules are explored, in what order, or what their runs
+   capture moves it. *)
+let exhausting =
+  [ "fig1"; "dekker-fences"; "mcs-lock"; "linuxrwlocks"; "mpmc-queue";
+    "barrier"; "barrier-fixed"; "dekker-fences-fixed"; "mcs-lock-fixed";
+    "mpmc-queue-fixed" ]
+
+let systematic_case ?max_runs name seed =
+  let module R = T11r_litmus.Registry in
+  let e =
+    if name = "fig1" then R.fig1
+    else List.find (fun (e : R.entry) -> e.R.name = name) (R.all @ R.fixed)
+  in
+  let s1 = Int64.of_int seed and s2 = Int64.of_int (seed + 7919) in
+  T11r_util.Tmp.with_dir ~prefix:"golden" (fun dir ->
+      let journal = Filename.concat dir "sys.journal" in
+      ignore
+        (Systematic.explore ?max_runs ~world_seed:(Int64.of_int seed)
+           ~seeds:(s1, s2) ~journal ~build:e.R.build ());
+      let _, entries, _ =
+        T11r_util.Journal.load_pinned ~kind:"systematic"
+          ~schema:Systematic.journal_schema ~payload:"sys" journal
+      in
+      let steps =
+        List.map
+          (fun ((prefix, r) : int array * Interp.result) ->
+            (prefix, r.Interp.outcome, r.Interp.decisions))
+          entries
+      in
+      ( Printf.sprintf "systematic/%s/%Ld,%Ld" name s1 s2,
+        hex_of_string (Marshal.to_string steps [ Marshal.No_sharing ]) ))
+
+let systematic_cases () =
+  List.concat_map
+    (fun name -> List.map (systematic_case name) [ 1; 2 ])
+    exhausting
+  @ [ systematic_case ~max_runs:12 "ms-queue" 1 ]
+
 let cases () =
   campaign_cases () @ replay_cases () @ predict_cases ()
   @ predict_merge_cases () @ guided_cases () @ demo_cases ()
-  @ more_replay_cases ()
+  @ more_replay_cases () @ systematic_cases ()
