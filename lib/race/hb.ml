@@ -55,6 +55,14 @@ type row = { mutable r : int array }
 
 let row_get w p = if p < Array.length w.r then w.r.(p) else -1
 
+(* Rows by key, dense: atomic location ids, object ids and tids are
+   per-run counters from 0, so slot [k] is key [k]'s row. Slots no
+   event has filled hold [no_row], which stays empty: [keyed] replaces
+   it before anything is written. *)
+type keyed = { mutable rows : row array }
+
+let no_row = { r = [||] }
+
 type t = {
   last : row;  (* any event *)
   world : row;  (* F_global / F_syscall *)
@@ -63,10 +71,10 @@ type t = {
   spawn : row;
   rand : row;  (* d_rand *)
   draws : row;  (* d_draws > 0 *)
-  loc_any : (int, row) Hashtbl.t;  (* atomic location: any access *)
-  loc_write : (int, row) Hashtbl.t;  (* atomic location: write/update *)
-  sync : (int, row) Hashtbl.t;  (* sync id *)
-  target : (int, row) Hashtbl.t;  (* F_spawn c / F_join c, keyed by c *)
+  loc_any : keyed;  (* atomic location: any access *)
+  loc_write : keyed;  (* atomic location: write/update *)
+  sync : keyed;  (* sync id *)
+  target : keyed;  (* F_spawn c / F_join c, keyed by c *)
   mutable n : int;  (* path length *)
   mutable nthreads : int;  (* 1 + the largest tid any event named *)
   mutable clk : int array array;  (* per position *)
@@ -91,10 +99,10 @@ let create () =
     spawn = new_row ();
     rand = new_row ();
     draws = new_row ();
-    loc_any = Hashtbl.create 16;
-    loc_write = Hashtbl.create 16;
-    sync = Hashtbl.create 16;
-    target = Hashtbl.create 8;
+    loc_any = { rows = [||] };
+    loc_write = { rows = [||] };
+    sync = { rows = [||] };
+    target = { rows = [||] };
     n = 0;
     nthreads = 0;
     clk = Array.make 64 [||];
@@ -119,13 +127,21 @@ let grow a n fill =
 
 (* ---- index maintenance ------------------------------------------- *)
 
+(* Key [key]'s row, created on first use. *)
 let keyed tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some w -> w
-  | None ->
-      let w = new_row () in
-      Hashtbl.add tbl key w;
-      w
+  if key < 0 then invalid_arg "Hb: negative key";
+  if key >= Array.length tbl.rows then tbl.rows <- grow tbl.rows (key + 1) no_row;
+  let w = tbl.rows.(key) in
+  if w != no_row then w
+  else begin
+    let w = new_row () in
+    tbl.rows.(key) <- w;
+    w
+  end
+
+(* Key [key]'s row if any event filed one, else the empty [no_row]. *)
+let find_key tbl key =
+  if key >= 0 && key < Array.length tbl.rows then tbl.rows.(key) else no_row
 
 (* w.(p) := m, logging the old value. *)
 let set t w p m =
@@ -176,6 +192,19 @@ let pop t =
 
 (* ---- analysis ----------------------------------------------------- *)
 
+(* jp := max jp w over the first nt threads. *)
+let merge jp nt w =
+  let r = w.r in
+  for p = 0 to min nt (Array.length r) - 1 do
+    if r.(p) > jp.(p) then jp.(p) <- r.(p)
+  done
+
+let merge_key jp nt tbl key = merge jp nt (find_key tbl key)
+
+let merge_thread t jp p =
+  let v = row_get t.last p in
+  if v > jp.(p) then jp.(p) <- v
+
 (* Fill t.jp.(0 .. nthreads-1) with j_p for e: the position of thread
    p's latest event dependent with e, -1 = none. One clause of [dep]
    per line. *)
@@ -189,43 +218,30 @@ let fill_jp t (e : Decision.t) =
   if Array.length t.jp < nt then t.jp <- Array.make (max nt 8) (-1);
   let jp = t.jp in
   Array.fill jp 0 nt (-1);
-  let merge w =
-    let r = w.r in
-    for p = 0 to min nt (Array.length r) - 1 do
-      if r.(p) > jp.(p) then jp.(p) <- r.(p)
-    done
-  in
-  let merge_key tbl key =
-    match Hashtbl.find_opt tbl key with Some w -> merge w | None -> ()
-  in
-  let merge_thread p =
-    let v = row_get t.last p in
-    if v > jp.(p) then jp.(p) <- v
-  in
-  merge_thread e.d_tid;
-  merge t.world;
+  merge_thread t jp e.d_tid;
+  merge jp nt t.world;
   (match e.d_foot with
-  | F_global | F_syscall _ -> merge t.last
+  | F_global | F_syscall _ -> merge jp nt t.last
   | F_local -> ()
   | F_atomic (l, k) ->
-      merge_key (if k = Acc_read then t.loc_write else t.loc_any) l;
-      merge t.fence
+      merge_key jp nt (if k = Acc_read then t.loc_write else t.loc_any) l;
+      merge jp nt t.fence
   | F_fence ->
-      merge t.any_atomic;
-      merge t.fence
+      merge jp nt t.any_atomic;
+      merge jp nt t.fence
   | F_sync (x1, x2) ->
-      merge_key t.sync x1;
-      if x2 >= 0 then merge_key t.sync x2
+      merge_key jp nt t.sync x1;
+      if x2 >= 0 then merge_key jp nt t.sync x2
   | F_spawn c ->
-      merge t.spawn;
-      merge_key t.target c;
-      merge_thread c
+      merge jp nt t.spawn;
+      merge_key jp nt t.target c;
+      merge_thread t jp c
   | F_join c ->
-      merge_key t.target c;
-      merge_thread c);
-  merge_key t.target e.d_tid;
-  if e.d_draws > 0 then merge t.rand;
-  if e.d_rand then merge t.draws;
+      merge_key jp nt t.target c;
+      merge_thread t jp c);
+  merge_key jp nt t.target e.d_tid;
+  if e.d_draws > 0 then merge jp nt t.rand;
+  if e.d_rand then merge jp nt t.draws;
   nt
 
 let last_dep t e p =
@@ -276,7 +292,7 @@ let push t ~enabled (e : Decision.t) =
             else first (j + 1)
         in
         (i, first 0))
-      (List.sort compare !races)
+      (List.sort Int.compare !races)
   in
   if k >= Array.length t.clk then begin
     t.clk <- grow t.clk (k + 1) [||];
