@@ -955,10 +955,102 @@ let test_unhandled_on_fresh_domain () =
   check Alcotest.bool "fresh domain" true raised
 
 (* ------------------------------------------------------------------ *)
+(* Decision capture *)
+
+module Decision = T11r_race.Decision
+
+(* Each workload's guided run (`record W --guided --seed 1' on world
+   seed 43, minus the recording), marshalled without sharing and minus
+   its demo handle, as the list-built capture produced it before
+   captured enabled sets were shared. *)
+let guided_run_digests =
+  [
+    ("barrier", "65bac392b5863b7094deab95046a9bd6");
+    ("chase-lev-deque", "8e24ee0f8e5d414541ec55c6596db955");
+    ("dekker-fences", "aabf155e820b4567453916bdcbc3d07c");
+    ("linuxrwlocks", "fd7e36d0fcbf18497b6939f866ef072f");
+    ("mcs-lock", "d0329518a65184cb356e4ae32671c8c4");
+    ("mpmc-queue", "8222213f86d62b841cf498650d70e999");
+    ("ms-queue", "bfbe391e4850546789ea20fa2bf25b80");
+    ("fig1", "f963da3c968986ad87d3451ea55b94f2");
+    ("fig2-client", "c00370ac4820617951254d96bf22c21a");
+    ("httpd", "95048d95fb92808655586b0e1785a4b6");
+    ("pbzip", "df65479772662deceb052a465c5c9ecf");
+    ("blackscholes", "755e278e47cc0c23eae732c48eb97b30");
+    ("fluidanimate", "d31d5e53f0ea600c9c87a19a3cffb583");
+    ("streamcluster", "9a30e0650fa1cabb423579d88092ca96");
+    ("bodytrack", "13221045acf9e7d0388cfe906bfbb10a");
+    ("ferret", "12d151ac9b3407acfeaddc446ff19a1a");
+    ("quakespasm", "19c34c603d2aece07650e71889d89f1e");
+    ("zandronum", "1318a051004ada3412f542f294eb7c7d");
+    ("zandronum-bug", "298cd428be1b83358ca23e1d1afa0886");
+    ("sqlite-like", "c9936f21018b53f59145510b82f48c7b");
+    ("htop-like", "56643f6ab926774d0bf32069b735c7ac");
+  ]
+
+(* On every workload's guided run: consecutive decisions with equal
+   enabled sets share one array; decisions come in tick order (the
+   k-th picks the guided prefix's k-th index from its own enabled set)
+   and accesses in nondecreasing tick order; and the result is the
+   same bytes as the list-built capture's. *)
+let test_decision_capture () =
+  let module W = T11r_harness.Workloads in
+  check
+    Alcotest.(list string)
+    "every workload pinned" (W.names ())
+    (List.map fst guided_run_digests);
+  List.iter
+    (fun (w : W.t) ->
+      let name = w.W.w_name in
+      let prefix = T11r_harness.Predictor.recording_prefix 1 in
+      let conf =
+        Conf.with_seeds
+          (Conf.tsan11rec ~strategy:(Conf.Guided { prefix; observed = ref [] }) ())
+          1L 7920L
+      in
+      let r = Golden.run_workload w ~world_seed:43L conf in
+      let ds = r.Interp.decisions in
+      check Alcotest.int (name ^ ": a decision per tick") r.Interp.ticks
+        (Array.length ds);
+      Array.iteri
+        (fun k (d : Decision.t) ->
+          let want =
+            if k < Array.length prefix then
+              min prefix.(k) (Array.length d.Decision.d_enabled - 1)
+            else 0
+          in
+          if Decision.index_of d.Decision.d_tid d.Decision.d_enabled <> want
+          then Alcotest.failf "%s: decision %d is not the guided pick" name k;
+          if k > 0 then begin
+            let prev = ds.(k - 1).Decision.d_enabled in
+            if d.Decision.d_enabled = prev && d.Decision.d_enabled != prev then
+              Alcotest.failf "%s: decision %d copies an equal enabled set" name
+                k
+          end)
+        ds;
+      ignore
+        (Array.fold_left
+           (fun last (a : Decision.acc) ->
+             if a.Decision.a_tick < last || a.Decision.a_tick >= Array.length ds
+             then Alcotest.failf "%s: access at tick %d out of order" name
+                 a.Decision.a_tick;
+             a.Decision.a_tick)
+           0 r.Interp.accesses);
+      check Alcotest.string (name ^ ": result bytes")
+        (List.assoc name guided_run_digests)
+        (Golden.result_digest r))
+    W.all
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "interp"
     [
+      ( "decisions",
+        [
+          Alcotest.test_case "capture shares equal enabled sets, list-built bytes"
+            `Quick test_decision_capture;
+        ] );
       ( "basics",
         [
           Alcotest.test_case "trivial" `Quick test_trivial_program;
