@@ -16,8 +16,6 @@ module Policy = Tsan11rec.Policy
 module World = T11r_env.World
 open T11r_apps
 
-let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
-
 let describe label (r : Interp.result) =
   Fmt.pr "  %-28s %-12s %s@." label
     (Format.asprintf "%a" Interp.pp_outcome r.outcome)
@@ -27,7 +25,11 @@ let describe label (r : Interp.result) =
     | Interp.Hard_desync _ -> "HARD DESYNC (constraint violated)"
     | _ -> "")
 
+(* Every demo goes under one fresh directory, removed on exit, so
+   concurrent runs never share a demo and a run leaves nothing behind. *)
 let () =
+  T11r_util.Tmp.with_dir ~prefix:"desync_demo" @@ fun root ->
+  let tmp name = Filename.concat root name in
   Fmt.pr "== htop-like: /proc sampling and per-application policies ==@.";
   let htop policy =
     let dir = tmp "htop-demo" in
