@@ -34,15 +34,21 @@
     happens-before index over the current path: per thread, the latest
     path position of each object an event can touch, with an undo log
     popped alongside the DFS stack. Analysing a descent's new event
-    costs O(threads²) plus a few table lookups, independent of the
+    costs O(threads²) plus a few array lookups, independent of the
     path length, and frames share their run's decision array instead
-    of copying their prefix; a prefix is rebuilt from the stack once
-    per fresh schedule. Following a run of depth D therefore costs
-    O(D × threads²) analysis on top of the run itself.
+    of copying their prefix. Each frame keeps the guided index of its
+    current transition, so a fresh schedule's prefix is one copy of
+    the stack's indices. The rest of a level is constant work: tid
+    membership tests over the backtrack, done and sleep lists, and no
+    closure or option allocated; the journal's tables are consulted
+    only when a resumed journal served entries. Following a run of
+    depth D therefore costs O(D × threads²) analysis on top of the run
+    itself.
 
     Every prefix is one {!Campaign.run_one} from tick 0 on the
     domain's recycled arena and world, executed on the calling domain,
-    one at a time, in analysis order. A run's scheduling points are its
+    one at a time, in analysis order, under one Guided configuration
+    per exploration whose prefix alone changes. A run's scheduling points are its
     recorded decisions: the node at depth [k] of a run offers
     [r.decisions.(k).d_enabled].
 

@@ -12,7 +12,11 @@
     events). The latest event of thread [p] dependent with a new event
     [e] — [j_p] — is then the maximum over the few tables [e]'s
     footprint selects, so analysing [e] costs O(threads²) clock work
-    and a handful of table lookups instead of a scan of the path.
+    and a handful of array lookups instead of a scan of the path. The
+    keyed tables are dense: atomic location ids, object ids and tids
+    are per-run counters from 0, so key [k]'s row is slot [k] of an
+    array grown on demand (memory proportional to the largest key
+    seen, not to the number of keys). Keys must be [>= 0].
 
     Clocks follow the DPOR convention: the clock [c] of the event at
     position [m] has [c.(q)] = 1 + the position of thread [q]'s latest
@@ -39,7 +43,9 @@ val push : t -> enabled:int array -> Decision.t -> (int * int option) list
     races in ascending position order: [(i, Some q)] — the node at
     position [i] must also try thread [q], the first thread of the
     reordered segment — or [(i, None)] when no thread enabled at [i]
-    starts that segment (try them all). *)
+    starts that segment (try them all).
+    @raise Invalid_argument when [e]'s footprint names a negative
+    location, object or tid; [t] is unusable afterwards. *)
 
 val pop : t -> unit
 (** Remove the newest event.
