@@ -31,6 +31,7 @@ type t = {
   signals : signal_entry list;
   syscalls : syscall_entry list;
   asyncs : async_entry list;
+  extra : (string * string list) list;
 }
 
 (* -- structured corruption errors ----------------------------------- *)
@@ -55,11 +56,9 @@ let corrupt file line fmt =
 
 (* -- rendering ------------------------------------------------------ *)
 
-(* Bump when the on-disk layout changes incompatibly. Loaders accept
-   demos without a "format" line (recorded before versioning) and
-   reject any other version with a clear error. The CRC framing below
-   is additive — a trailer-less file still loads — so it does not bump
-   the version. *)
+(* Bump when the on-disk layout changes incompatibly. The loader
+   requires this version in META's "format" line, and the CRC framing
+   below on every file. *)
 let format_version = 1
 
 (* Each renderer appends one file's payload lines to a buffer and
@@ -206,8 +205,9 @@ let render_asyncs es b =
     es;
   List.length es
 
-(* The files of a demo in MANIFEST order, as (name, renderer). *)
-let payload_files ?(extra = []) t =
+(* The paper's files of a demo in MANIFEST order, as (name, renderer);
+   its extra files follow them. *)
+let paper_files t =
   (("META", render_meta t.meta)
   :: (match t.queue with Some q -> [ ("QUEUE", render_queue q) ] | None -> []))
   @ [
@@ -215,7 +215,6 @@ let payload_files ?(extra = []) t =
       ("SYSCALL", render_syscalls t.syscalls);
       ("ASYNC", render_asyncs t.asyncs);
     ]
-  @ List.map (fun (name, lines) -> (name, render_lines lines)) extra
 
 (* -- CRC framing ---------------------------------------------------- *)
 
@@ -292,7 +291,7 @@ let fsync_dir path =
         (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
-let save ?(durable = true) ?extra t ~dir =
+let save ?(durable = true) t ~dir =
   let parent = Filename.dirname dir in
   Codec.mkdir_p parent;
   (* Write everything into a fresh sibling directory, fsync, then
@@ -304,7 +303,9 @@ let save ?(durable = true) ?extra t ~dir =
     Tmp.fresh_dir ~base:parent ~prefix:(Filename.basename dir ^ ".save") ()
   in
   try
-    write_files ~durable ~dir:tmp (payload_files ?extra t);
+    write_files ~durable ~dir:tmp
+      (paper_files t
+      @ List.map (fun (name, lines) -> (name, render_lines lines)) t.extra);
     if durable then fsync_dir tmp;
     if Sys.file_exists dir then begin
       let old = tmp ^ ".old" in
@@ -335,23 +336,18 @@ type framed = { payload : (int * string) list; size : int; crc : int }
 
 let ends_in_newline s = s <> "" && s.[String.length s - 1] = '\n'
 
-(* Read a file once, verify and strip its trailer (files written before
-   the framing change have none and are accepted as-is). The CRC runs
-   over the file's own bytes: before a trailer they are exactly the
+(* Read a file once, verify and strip its trailer. The CRC runs over
+   the file's own bytes: before the trailer they are exactly the
    payload text. *)
 let read_framed ~dir name =
   let s = Codec.read_file (Filename.concat dir name) in
-  let numbered = List.mapi (fun i l -> (i + 1, l)) (Codec.lines s) in
-  let check_no_stray payload =
-    List.iter
-      (fun (ln, l) -> if is_trailer l then corrupt name ln "misplaced trailer")
-      payload
-  in
-  match List.rev numbered with
+  match List.rev (List.mapi (fun i l -> (i + 1, l)) (Codec.lines s)) with
   | (ln, last) :: rev_payload when is_trailer last ->
       let crc, count = parse_trailer ~file:name ~line:ln last in
       let payload = List.rev rev_payload in
-      check_no_stray payload;
+      List.iter
+        (fun (ln, l) -> if is_trailer l then corrupt name ln "misplaced trailer")
+        payload;
       let got = List.length payload in
       if got <> count then
         corrupt name ln "%d payload lines but trailer says %d (truncated?)" got
@@ -363,45 +359,35 @@ let read_framed ~dir name =
       if Crc.update 0 s 0 size <> crc then
         corrupt name ln "payload does not match trailer checksum";
       { payload; size; crc }
-  | _ ->
-      check_no_stray numbered;
-      let crc = Crc.string s in
-      (* The payload text ends every line, the last one too. *)
-      if s = "" || ends_in_newline s then
-        { payload = numbered; size = String.length s; crc }
-      else
-        {
-          payload = numbered;
-          size = String.length s + 1;
-          crc = Crc.update crc "\n" 0 1;
-        }
+  | _ -> corrupt name 0 "no %s trailer (truncated?)" trailer_tag
 
-(* [read name] is [read_framed] through a cache, so each file listed
-   in the MANIFEST is read and checksummed once for the check and the
-   parse together. *)
-let verify_manifest ~dir read =
-  if Sys.file_exists (Filename.concat dir manifest_name) then
-    List.iter
-      (fun (ln, line) ->
-        match Codec.fields line with
-        | [ "file"; name; size; crc_hex ] -> (
-            if Filename.basename name <> name then
-              corrupt manifest_name ln "bad file name %S" name;
-            match (int_of_string_opt size, Crc.of_hex crc_hex) with
-            | Some size, Some crc ->
-                if not (Sys.file_exists (Filename.concat dir name)) then
-                  corrupt name 0 "listed in MANIFEST but missing";
-                let f = read name in
-                if f.size <> size then
-                  corrupt name 0
-                    "%d payload bytes but MANIFEST says %d (truncated?)" f.size
-                    size;
-                if f.crc <> crc then
-                  corrupt name 0 "payload does not match MANIFEST checksum"
-            | _ -> corrupt manifest_name ln "bad MANIFEST line %S" line)
-        | [] -> ()
-        | _ -> corrupt manifest_name ln "bad MANIFEST line %S" line)
-      (read manifest_name).payload
+(* Every file the MANIFEST lists, verified against its entry, as
+   (name, payload) in MANIFEST order. *)
+let read_manifest ~dir =
+  if not (Sys.file_exists (Filename.concat dir manifest_name)) then
+    corrupt manifest_name 0 "no %s in %s" manifest_name dir;
+  List.filter_map
+    (fun (ln, line) ->
+      match Codec.fields line with
+      | [ "file"; name; size; crc_hex ] -> (
+          if Filename.basename name <> name then
+            corrupt manifest_name ln "bad file name %S" name;
+          match (int_of_string_opt size, Crc.of_hex crc_hex) with
+          | Some size, Some crc ->
+              if not (Sys.file_exists (Filename.concat dir name)) then
+                corrupt name 0 "listed in MANIFEST but missing";
+              let f = read_framed ~dir name in
+              if f.size <> size then
+                corrupt name 0
+                  "%d payload bytes but MANIFEST says %d (truncated?)" f.size
+                  size;
+              if f.crc <> crc then
+                corrupt name 0 "payload does not match MANIFEST checksum";
+              Some (name, f.payload)
+          | _ -> corrupt manifest_name ln "bad MANIFEST line %S" line)
+      | [] -> None
+      | _ -> corrupt manifest_name ln "bad MANIFEST line %S" line)
+    (read_framed ~dir manifest_name).payload
 
 (* -- parsing -------------------------------------------------------- *)
 
@@ -430,12 +416,10 @@ let parse_meta numbered =
     let ln, v = get k in
     guard ~file ~line:ln (fun () -> f v)
   in
-  (match Hashtbl.find_opt tbl "format" with
-  | None -> () (* pre-versioning demo *)
-  | Some (ln, v) ->
-      if int_of_string_opt v <> Some format_version then
-        corrupt file ln "unsupported demo format version %S (this build reads %d)"
-          v format_version);
+  (let ln, v = get "format" in
+   if int_of_string_opt v <> Some format_version then
+     corrupt file ln "unsupported demo format version %S (this build reads %d)"
+       v format_version);
   {
     app = conv "app" Codec.unescape;
     strategy = snd (get "strategy");
@@ -546,30 +530,31 @@ let parse_asyncs numbered =
     (fun (ln, l) -> parse_async_line ~file:"ASYNC" ~line:ln l)
     numbered
 
+let paper_names = [ "META"; "QUEUE"; "SIGNAL"; "SYSCALL"; "ASYNC" ]
+
 let load ~dir =
   try
     if not (Sys.file_exists (Filename.concat dir "META")) then
       raise
         (Corrupt { c_file = "META"; c_line = 0; c_reason = "no META in " ^ dir });
-    let cache = Hashtbl.create 8 in
-    let read name =
-      match Hashtbl.find_opt cache name with
-      | Some f -> f
-      | None ->
-          let f = read_framed ~dir name in
-          Hashtbl.add cache name f;
-          f
+    let files = read_manifest ~dir in
+    let listed name =
+      match List.assoc_opt name files with
+      | Some payload -> payload
+      | None -> corrupt name 0 "not listed in MANIFEST"
     in
-    verify_manifest ~dir read;
-    let read name = (read name).payload in
-    let meta = parse_meta (read "META") in
-    let queue_lines = read "QUEUE" in
     {
-      meta;
-      queue = (if queue_lines = [] then None else Some (parse_queue queue_lines));
-      signals = parse_signals (read "SIGNAL");
-      syscalls = parse_syscalls (read "SYSCALL");
-      asyncs = parse_asyncs (read "ASYNC");
+      meta = parse_meta (listed "META");
+      queue = Option.map parse_queue (List.assoc_opt "QUEUE" files);
+      signals = parse_signals (listed "SIGNAL");
+      syscalls = parse_syscalls (listed "SYSCALL");
+      asyncs = parse_asyncs (listed "ASYNC");
+      extra =
+        List.filter_map
+          (fun (name, payload) ->
+            if List.mem name paper_names then None
+            else Some (name, List.map snd payload))
+          files;
     }
   with
   | Corrupt _ as e -> raise e
@@ -586,11 +571,6 @@ let load ~dir =
              c_line = 0;
              c_reason = Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e);
            })
-
-let load_result ~dir =
-  match load ~dir with t -> Ok t | exception Corrupt c -> Error c
-
-let read_aux ~dir name = List.map snd (read_framed ~dir name).payload
 
 (* -- salvage -------------------------------------------------------- *)
 
@@ -676,7 +656,7 @@ let salvage ~dir =
         let syscalls, syscall_dropped = list_file "SYSCALL" parse_syscall_line in
         let asyncs, async_dropped = list_file "ASYNC" parse_async_line in
         Ok
-          ( { meta; queue; signals; syscalls; asyncs },
+          ( { meta; queue; signals; syscalls; asyncs; extra = [] },
             {
               sv_dropped =
                 List.filter
@@ -745,7 +725,6 @@ let advance s tick f =
    the recording are never scheduled; a recording's tids never exceed
    its tick count (every thread but main is spawned by a tick). *)
 type cursor = {
-  r_meta : meta;
   r_owner : int array;
   mutable r_next_of : int array;
   mutable r_next_ticks : int list;
@@ -770,7 +749,6 @@ let cursor t =
   let ticks = List.length q.next_ticks in
   let c =
     {
-      r_meta = t.meta;
       r_owner = Array.make ticks (-1);
       r_next_of = Array.make (ticks + 1) (-1);
       r_next_ticks = q.next_ticks;
@@ -783,8 +761,6 @@ let cursor t =
     (fun (tid, tick) -> if tid >= 0 && tid <= ticks then assign c tid tick)
     q.first_ticks;
   c
-
-let cursor_meta c = c.r_meta
 
 let scheduled c tick =
   let owned = tick >= 0 && tick < Array.length c.r_owner in
@@ -824,7 +800,7 @@ let rendered_size renders =
   List.iter (fun render -> ignore (render b)) renders;
   Buffer.length b
 
-let size_bytes t = rendered_size (List.map snd (payload_files t))
+let size_bytes t = rendered_size (List.map snd (paper_files t))
 let syscall_bytes t = rendered_size [ render_syscalls t.syscalls ]
 
 let pp fmt t =

@@ -17,14 +17,19 @@
     - [ASYNC]  — asynchronous scheduler events (reschedules, signal
                  wakeups) with their ticks (§4.5).
 
+    A recording may carry further line files next to them: the debug
+    [TRACE] of its operations and the [DECISIONS] metadata of offline
+    race prediction. They are part of the demo ({!t}'s [extra]).
+
     Durability (see docs/ARCHITECTURE.md "Durability & supervision"):
     {!save} is crash-atomic — files are written and fsynced in a fresh
     sibling directory which is then renamed into place — and every file
     carries a [#crc] trailer plus an entry in a directory [MANIFEST],
     so {!load} detects truncation, bit flips and missing files and
     reports them as a structured {!Corrupt} instead of a stray parse
-    exception. {!salvage} recovers the intact prefix of a torn
-    recording. *)
+    exception. {!load} is the one reader of a demo. {!salvage}
+    recovers the intact prefix of a torn recording, and of one made
+    before the framing change, which {!load} refuses. *)
 
 type signal_entry = { s_tid : int; s_tick : int; s_signo : int }
 
@@ -64,6 +69,9 @@ type t = {
   signals : signal_entry list;
   syscalls : syscall_entry list;
   asyncs : async_entry list;
+  extra : (string * string list) list;
+      (** every other file, as (name, payload lines), in MANIFEST
+          order: [TRACE], [DECISIONS] *)
 }
 
 type corruption = {
@@ -76,33 +84,27 @@ exception Corrupt of corruption
 
 val corruption_to_string : corruption -> string
 
-val save : ?durable:bool -> ?extra:(string * string list) list -> t -> dir:string -> unit
+val save : ?durable:bool -> t -> dir:string -> unit
 (** Crash-atomically (re)write the demo directory: all files — the
-    demo proper plus any [extra] named line-files (e.g. the debug
-    TRACE) — are CRC-framed, listed in a [MANIFEST], written into a
-    fresh sibling directory [<tmp>], fsynced ([durable], default true;
-    pass false for throwaway recordings where the fsyncs would
-    dominate) and renamed into place. Each file is rendered, checksummed
-    and written once. A previous demo at [dir] is first renamed to
-    [<tmp>.old] and removed once the new one is in place: a crash
-    leaves the complete previous demo or the complete new one, never a
-    torn mix — at [dir], except between the two renames, when [dir] is
-    absent and the previous demo sits at [<tmp>.old]. *)
+    paper's, then the [extra] ones — are CRC-framed, listed in a
+    [MANIFEST], written into a fresh sibling directory [<tmp>], fsynced
+    ([durable], default true; pass false for throwaway recordings where
+    the fsyncs would dominate) and renamed into place. Each file is
+    rendered, checksummed and written once. A previous demo at [dir] is
+    first renamed to [<tmp>.old] and removed once the new one is in
+    place: a crash leaves the complete previous demo or the complete
+    new one, never a torn mix — at [dir], except between the two
+    renames, when [dir] is absent and the previous demo sits at
+    [<tmp>.old]. *)
 
 val load : dir:string -> t
-(** Load and verify (trailers + MANIFEST when present; files recorded
-    before the framing change still load). Each file is read and
-    checksummed once.
-    @raise Corrupt on a missing, truncated, tampered or malformed
-    demo — never any other exception. *)
-
-val load_result : dir:string -> (t, corruption) result
-(** Exception-free {!load}. *)
-
-val read_aux : dir:string -> string -> string list
-(** Payload lines of an auxiliary framed file in the demo dir (e.g.
-    ["TRACE"]), trailer verified and stripped; [[]] if absent.
-    @raise Corrupt if the file fails verification. *)
+(** Load and verify a demo {!save} wrote: the [MANIFEST], a [#crc]
+    trailer on every file it lists, which must include META, SIGNAL,
+    SYSCALL and ASYNC, and META's [format] line. QUEUE is parsed when
+    listed; every other listed file comes back in [extra]. Each file is
+    read and checksummed once.
+    @raise Corrupt on a missing, truncated, tampered, malformed or
+    unframed demo — never any other exception. *)
 
 type salvage_report = {
   sv_dropped : (string * int) list;
@@ -117,7 +119,9 @@ val salvage : dir:string -> (t * salvage_report, corruption) result
     QUEUE/SYSCALL tail still yields a demo that replays up to the
     recorded prefix. Fails only when META is too damaged to supply the
     strategy and seeds. Re-{!save} the result to obtain a verified
-    directory again. *)
+    directory again: this also upgrades a recording made before the
+    framing change (no trailers, MANIFEST or [format] line). [extra]
+    files are not recovered. *)
 
 val reseal : dir:string -> unit
 (** Recompute every file's trailer and the MANIFEST over the payload
@@ -135,8 +139,6 @@ type cursor
 val cursor : t -> cursor
 (** ASYNC and SIGNAL entries stable-sorted by tick, every QUEUE thread
     at its first tick. *)
-
-val cursor_meta : cursor -> meta
 
 val scheduled : cursor -> int -> int
 (** The thread QUEUE schedules at this tick, or [-1]. *)

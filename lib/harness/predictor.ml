@@ -24,20 +24,16 @@ let recording_prefix seed =
 
 (* -- recovering analysis inputs -------------------------------------- *)
 
-let input_of_demo ~dir =
-  match Demo.read_aux ~dir "DECISIONS" with
-  | [] ->
+let input_of_demo (d : Demo.t) =
+  match List.assoc_opt "DECISIONS" d.Demo.extra with
+  | None ->
       Error
-        (Printf.sprintf
-           "%s carries no decision metadata — re-record under the guided \
-            strategy (record --guided) to enable prediction"
-           dir)
-  | lines -> (
+        "no decision metadata — re-record under the guided strategy \
+         (record --guided) to enable prediction"
+  | Some lines -> (
       match Predict.decode_input lines with
       | Some input -> Ok input
-      | None -> Error (Printf.sprintf "%s: malformed DECISIONS metadata" dir))
-  | exception Demo.Corrupt c ->
-      Error (Printf.sprintf "%s: %s" dir (Demo.corruption_to_string c))
+      | None -> Error "malformed DECISIONS metadata")
 
 let inputs_of_journal path =
   Campaign.journal_results path

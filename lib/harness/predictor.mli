@@ -18,6 +18,7 @@
 
 module Conf = Tsan11rec.Conf
 module Interp = Tsan11rec.Interp
+module Demo = Tsan11rec.Demo
 module Predict = T11r_race.Predict
 module Report = T11r_race.Report
 module Coverage = T11r_race.Coverage
@@ -34,10 +35,10 @@ val recording_prefix : int -> int array
 
 (** {1 Recovering analysis inputs} *)
 
-val input_of_demo : dir:string -> (Predict.input, string) result
-(** Decode the DECISIONS aux file of a recorded demo. [Error] explains
-    what is missing: recordings made without the guided strategy carry
-    no decision metadata (re-record under [--guided]). *)
+val input_of_demo : Demo.t -> (Predict.input, string) result
+(** Decode the DECISIONS file of a loaded demo. [Error] explains what
+    is missing: recordings made without the guided strategy carry no
+    decision metadata (re-record under [--guided]). *)
 
 val inputs_of_journal : string -> Predict.input list
 (** Analysis inputs of every journaled campaign run that carried

@@ -553,104 +553,70 @@ let dec_kind = function
   | "rw" -> Report.Read_write
   | _ -> raise Bad
 
-(* A name as [encode_input] escapes it. A raw name an older build
-   wrote decodes to itself unless it holds a '%' escape lead-in; one
-   whose '%' starts no valid escape is kept raw. *)
-let dec_name s = try T11r_util.Codec.unescape s with Invalid_argument _ -> s
+let dec_name s =
+  try T11r_util.Codec.unescape s with Invalid_argument _ -> raise Bad
+
+(* The text after a column's one-letter tag. *)
+let dec_tagged tag s =
+  if s <> "" && s.[0] = tag then String.sub s 1 (String.length s - 1)
+  else raise Bad
 
 let dec_csv conv s =
   if s = "" then []
   else List.map conv (String.split_on_char ',' s)
-
-(* split [s] into [n] space-separated fields; the last field is the
-   raw remainder of the line (it may itself contain spaces). *)
-let split_fields s n =
-  let len = String.length s in
-  let rec go start left acc =
-    if left = 1 then List.rev (String.sub s start (len - start) :: acc)
-    else
-      match String.index_from_opt s start ' ' with
-      | None -> raise Bad
-      | Some sp ->
-          go (sp + 1) (left - 1) (String.sub s start (sp - start) :: acc)
-  in
-  if n <= 0 || len = 0 then raise Bad else go 0 n []
 
 let decode_input lines =
   let steps = ref [] and accs = ref [] and obs = ref [] in
   try
     List.iter
       (fun line ->
-        if line = "" then ()
-        else
-          match line.[0] with
-          | 'S' -> (
-              match split_fields line 7 with
-              | [ "S"; tid; rand; foot; lock; en; last ] ->
-                  if String.length en < 1 || en.[0] <> 'E' then raise Bad;
-                  let chop x = String.sub x 1 (String.length x - 1) in
-                  let enabled = Array.of_list (dec_csv dec_int (chop en)) in
-                  (* [D<draws>]; recordings by older builds carry a
-                     FastTrack clock [C<c0,c1,...>] there instead, which
-                     nothing reads — it decodes as zero draws. *)
-                  let draws =
-                    if String.starts_with ~prefix:"D" last then
-                      dec_int (chop last)
-                    else if String.starts_with ~prefix:"C" last then (
-                      ignore (dec_csv dec_int (chop last));
-                      0)
-                    else raise Bad
-                  in
-                  let d =
-                    {
-                      d_tid = dec_int tid;
-                      d_enabled = enabled;
-                      d_foot = dec_foot foot;
-                      d_draws = draws;
-                      d_rand = dec_int rand <> 0;
-                      d_lock = dec_lock lock;
-                    }
-                  in
-                  (* the file comes from disk: a step must pick an
-                     enabled, non-negative tid and name non-negative
-                     spawn/join targets, or [analyze] would index out
-                     of its per-thread tables *)
-                  if d.d_tid < 0 || not (Array.mem d.d_tid enabled) then
-                    raise Bad;
-                  (match d.d_foot with
-                  | F_spawn c | F_join c -> if c < 0 then raise Bad
-                  | _ -> ());
-                  steps := d :: !steps
-              | _ -> raise Bad)
-          | 'A' -> (
-              match split_fields line 7 with
-              | [ "A"; tick; tid; pos; var; w; name ] ->
-                  let a =
-                    {
-                      a_tick = dec_int tick;
-                      a_tid = dec_int tid;
-                      a_pos = dec_int pos;
-                      a_var = dec_int var;
-                      a_write = dec_int w <> 0;
-                      a_name = dec_name name;
-                    }
-                  in
-                  if a.a_tid < 0 || a.a_pos < 0 then raise Bad;
-                  accs := a :: !accs
-              | _ -> raise Bad)
-          | 'R' -> (
-              match split_fields line 5 with
-              | [ "R"; kind; t1; t2; var ] ->
-                  obs :=
-                    {
-                      Report.var = dec_name var;
-                      kind = dec_kind kind;
-                      first_tid = dec_int t1;
-                      second_tid = dec_int t2;
-                    }
-                    :: !obs
-              | _ -> raise Bad)
-          | _ -> raise Bad)
+        match T11r_util.Codec.fields line with
+        | [] -> ()
+        | [ "S"; tid; rand; foot; lock; en; draws ] ->
+            let enabled = Array.of_list (dec_csv dec_int (dec_tagged 'E' en)) in
+            let d =
+              {
+                d_tid = dec_int tid;
+                d_enabled = enabled;
+                d_foot = dec_foot foot;
+                d_draws = dec_int (dec_tagged 'D' draws);
+                d_rand = dec_int rand <> 0;
+                d_lock = dec_lock lock;
+              }
+            in
+            (* the file comes from disk: a step must pick an
+               enabled, non-negative tid and name non-negative
+               spawn/join targets, or [analyze] would index out
+               of its per-thread tables *)
+            if d.d_tid < 0 || not (Array.mem d.d_tid enabled) then
+              raise Bad;
+            (match d.d_foot with
+            | F_spawn c | F_join c -> if c < 0 then raise Bad
+            | _ -> ());
+            steps := d :: !steps
+        | [ "A"; tick; tid; pos; var; w; name ] ->
+            let a =
+              {
+                a_tick = dec_int tick;
+                a_tid = dec_int tid;
+                a_pos = dec_int pos;
+                a_var = dec_int var;
+                a_write = dec_int w <> 0;
+                a_name = dec_name name;
+              }
+            in
+            if a.a_tid < 0 || a.a_pos < 0 then raise Bad;
+            accs := a :: !accs
+        | [ "R"; kind; t1; t2; var ] ->
+            obs :=
+              {
+                Report.var = dec_name var;
+                kind = dec_kind kind;
+                first_tid = dec_int t1;
+                second_tid = dec_int t2;
+              }
+              :: !obs
+        | _ -> raise Bad)
       lines;
     Some
       {

@@ -117,11 +117,8 @@ val encode_input : input -> string list
 
 val decode_input : string list -> input option
 (** Inverse of {!encode_input}: [decode_input (encode_input i)] is [i].
-    [None] on any malformed line, on a step whose tid is negative or
-    not in its enabled set (or whose spawn/join target is negative),
-    and on an access with a negative tid or position. Step lines
-    written by older builds end in a FastTrack clock column
-    [C<c0,c1,...>] instead of [D<draws>]; it is accepted, ignored,
-    and decodes as [d_draws = 0] — the analysis never reads draws.
-    Older builds wrote names raw; such a name decodes as itself unless
-    it holds a valid ['%XX'] escape. *)
+    It accepts exactly the lines {!encode_input} writes: [None] on any
+    other line (a step's [C<clock>] column or an unescaped name, as
+    older builds wrote them, included), on a step whose tid is negative
+    or not in its enabled set (or whose spawn/join target is negative),
+    and on an access with a negative tid or position. *)

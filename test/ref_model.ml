@@ -690,9 +690,12 @@ end
 (* The demo codec as it was before the one-pass rewrite: one
    [Printf.sprintf] per line, a save that joins and checksums every
    file twice (trailer, MANIFEST), and a loader that reads each file
-   once for the MANIFEST and again to parse it. Parsing and errors are
-   [Tsan11rec.Demo]'s own types, so test_diff.ml compares saved bytes,
-   sizes and load outcomes directly. *)
+   once for the MANIFEST and again to parse it. It takes the current
+   framing rule: the MANIFEST, every listed file's trailer and META's
+   [format] line are required, and the listed files beyond the paper's
+   come back in [extra]. Parsing and errors are [Tsan11rec.Demo]'s own
+   types, so test_diff.ml compares saved bytes, sizes and load outcomes
+   directly. *)
 module Demo_codec = struct
   open T11r_util
   open Tsan11rec.Demo
@@ -781,7 +784,7 @@ module Demo_codec = struct
             output_char oc '\n')
           (lines @ [ trailer_of lines ]))
 
-  let payload_files ?(extra = []) t =
+  let payload_files t =
     (("META", render_meta t.meta)
     :: (match t.queue with Some q -> [ ("QUEUE", render_queue q) ] | None -> []))
     @ [
@@ -789,7 +792,7 @@ module Demo_codec = struct
         ("SYSCALL", render_syscalls t.syscalls);
         ("ASYNC", render_asyncs t.asyncs);
       ]
-    @ extra
+    @ t.extra
 
   let manifest_lines files =
     List.map
@@ -801,8 +804,8 @@ module Demo_codec = struct
 
   (* Writes straight into [dir], which must exist: the oracle's bytes,
      not its crash atomicity, are what the tests compare. *)
-  let save ?extra t ~dir =
-    let files = payload_files ?extra t in
+  let save t ~dir =
+    let files = payload_files t in
     List.iter
       (fun (name, lines) -> write_framed (Filename.concat dir name) lines)
       files;
@@ -837,34 +840,34 @@ module Demo_codec = struct
         if Crc.string (text_of_lines (List.map snd payload)) <> crc then
           corrupt name ln "payload does not match trailer checksum";
         payload
-    | _ ->
-        check_no_stray numbered;
-        numbered
+    | _ -> corrupt name 0 "no %s trailer (truncated?)" trailer_tag
 
-  let verify_manifest ~dir =
-    if Sys.file_exists (Filename.concat dir manifest_name) then
-      List.iter
-        (fun (ln, line) ->
-          match Codec.fields line with
-          | [ "file"; name; size; crc_hex ] -> (
-              if Filename.basename name <> name then
-                corrupt manifest_name ln "bad file name %S" name;
-              match (int_of_string_opt size, Crc.of_hex crc_hex) with
-              | Some size, Some crc ->
-                  if not (Sys.file_exists (Filename.concat dir name)) then
-                    corrupt name 0 "listed in MANIFEST but missing";
-                  let payload = read_framed ~dir name in
-                  let text = text_of_lines (List.map snd payload) in
-                  if String.length text <> size then
-                    corrupt name 0
-                      "%d payload bytes but MANIFEST says %d (truncated?)"
-                      (String.length text) size;
-                  if Crc.string text <> crc then
-                    corrupt name 0 "payload does not match MANIFEST checksum"
-              | _ -> corrupt manifest_name ln "bad MANIFEST line %S" line)
-          | [] -> ()
-          | _ -> corrupt manifest_name ln "bad MANIFEST line %S" line)
-        (read_framed ~dir manifest_name)
+  let read_manifest ~dir =
+    if not (Sys.file_exists (Filename.concat dir manifest_name)) then
+      corrupt manifest_name 0 "no %s in %s" manifest_name dir;
+    List.filter_map
+      (fun (ln, line) ->
+        match Codec.fields line with
+        | [ "file"; name; size; crc_hex ] -> (
+            if Filename.basename name <> name then
+              corrupt manifest_name ln "bad file name %S" name;
+            match (int_of_string_opt size, Crc.of_hex crc_hex) with
+            | Some size, Some crc ->
+                if not (Sys.file_exists (Filename.concat dir name)) then
+                  corrupt name 0 "listed in MANIFEST but missing";
+                let payload = read_framed ~dir name in
+                let text = text_of_lines (List.map snd payload) in
+                if String.length text <> size then
+                  corrupt name 0
+                    "%d payload bytes but MANIFEST says %d (truncated?)"
+                    (String.length text) size;
+                if Crc.string text <> crc then
+                  corrupt name 0 "payload does not match MANIFEST checksum";
+                Some (name, payload)
+            | _ -> corrupt manifest_name ln "bad MANIFEST line %S" line)
+        | [] -> None
+        | _ -> corrupt manifest_name ln "bad MANIFEST line %S" line)
+      (read_framed ~dir manifest_name)
 
   let guard ~file ~line f =
     try f () with
@@ -889,12 +892,10 @@ module Demo_codec = struct
       let ln, v = get k in
       guard ~file ~line:ln (fun () -> f v)
     in
-    (match Hashtbl.find_opt tbl "format" with
-    | None -> ()
-    | Some (ln, v) ->
-        if int_of_string_opt v <> Some format_version then
-          corrupt file ln "unsupported demo format version %S (this build reads %d)"
-            v format_version);
+    (let ln, v = get "format" in
+     if int_of_string_opt v <> Some format_version then
+       corrupt file ln "unsupported demo format version %S (this build reads %d)"
+         v format_version);
     {
       app = conv "app" Codec.unescape;
       strategy = snd (get "strategy");
@@ -988,15 +989,25 @@ module Demo_codec = struct
       if not (Sys.file_exists (Filename.concat dir "META")) then
         raise
           (Corrupt { c_file = "META"; c_line = 0; c_reason = "no META in " ^ dir });
-      verify_manifest ~dir;
-      let meta = parse_meta (read_framed ~dir "META") in
-      let queue_lines = read_framed ~dir "QUEUE" in
+      let files = read_manifest ~dir in
+      let listed name =
+        match List.assoc_opt name files with
+        | Some payload -> payload
+        | None -> corrupt name 0 "not listed in MANIFEST"
+      in
+      let paper = [ "META"; "QUEUE"; "SIGNAL"; "SYSCALL"; "ASYNC" ] in
       {
-        meta;
-        queue = (if queue_lines = [] then None else Some (parse_queue queue_lines));
-        signals = parse_signals (read_framed ~dir "SIGNAL");
-        syscalls = parse_syscalls (read_framed ~dir "SYSCALL");
-        asyncs = parse_asyncs (read_framed ~dir "ASYNC");
+        meta = parse_meta (listed "META");
+        queue = Option.map parse_queue (List.assoc_opt "QUEUE" files);
+        signals = parse_signals (listed "SIGNAL");
+        syscalls = parse_syscalls (listed "SYSCALL");
+        asyncs = parse_asyncs (listed "ASYNC");
+        extra =
+          List.filter_map
+            (fun (name, payload) ->
+              if List.mem name paper then None
+              else Some (name, List.map snd payload))
+            files;
       }
     with
     | Corrupt _ as e -> raise e
@@ -1010,8 +1021,6 @@ module Demo_codec = struct
                c_line = 0;
                c_reason = Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e);
              })
-
-  let read_aux ~dir name = List.map snd (read_framed ~dir name)
 
   let lines_size ls = List.fold_left (fun acc l -> acc + String.length l + 1) 0 ls
 

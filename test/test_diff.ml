@@ -572,15 +572,15 @@ let demo_gen =
     in
     map
       (fun ((meta, queue, signals), (syscalls, asyncs, extra)) ->
-        ({ Demo.meta; queue; signals; syscalls; asyncs }, extra))
+        { Demo.meta; queue; signals; syscalls; asyncs; extra })
       (pair (triple meta queue (list_of signal))
          (triple (list_of syscall) (list_of async) extra)))
 
-let show_demo (d, extra) =
+let show_demo d =
   Printf.sprintf "%s; %d queue ticks; extra %s"
     (Format.asprintf "%a" Demo.pp d)
     (match d.Demo.queue with Some q -> List.length q.Demo.next_ticks | None -> -1)
-    (String.concat "," (List.map fst extra))
+    (String.concat "," (List.map fst d.Demo.extra))
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -604,30 +604,25 @@ let load_outcome load =
   | exception Demo.Corrupt c -> Error (Demo.corruption_to_string c)
   | exception e -> Error ("stray " ^ Printexc.to_string e)
 
-(* Both loaders, and both read_aux on every extra file, on one
-   directory. *)
-let same_loads dir extra =
+(* Both loaders on one directory. *)
+let same_loads dir =
   load_outcome (fun () -> Demo.load ~dir)
   = load_outcome (fun () -> R.Demo_codec.load ~dir)
-  && List.for_all
-       (fun (name, _) ->
-         load_outcome (fun () -> Demo.read_aux ~dir name)
-         = load_outcome (fun () -> R.Demo_codec.read_aux ~dir name))
-       extra
 
 let prop_demo_save_diff =
   QCheck.Test.make ~name:"demo saves the reference bytes" ~count:300
-    (QCheck.make ~print:show_demo demo_gen) (fun (d, extra) ->
+    (QCheck.make ~print:show_demo demo_gen) (fun d ->
       with_base (fun ~ours ~theirs ->
-          Demo.save ~durable:false ~extra d ~dir:ours;
-          R.Demo_codec.save ~extra d ~dir:theirs;
+          Demo.save ~durable:false d ~dir:ours;
+          R.Demo_codec.save d ~dir:theirs;
           dir_contents ours = dir_contents theirs
           && Demo.size_bytes d = R.Demo_codec.size_bytes d
           && Demo.syscall_bytes d = R.Demo_codec.syscall_bytes d
-          && same_loads ours extra))
+          && same_loads ours))
 
 (* The damage fuzz_demo_hardening (test_record.ml) does, plus trailers
-   and the MANIFEST stripped the way older builds wrote demos. *)
+   and the MANIFEST stripped the way older builds wrote demos, which
+   both loaders refuse. *)
 type damage =
   | Truncate of int
   | Flip of int * int
@@ -706,12 +701,17 @@ let prop_demo_load_diff =
        ~print:(fun (d, i, damage) ->
          Printf.sprintf "%s; file #%d: %s" (show_demo d) i (show_damage damage))
        QCheck.Gen.(triple demo_gen (int_bound 7) damage_gen))
-    (fun ((d, extra), i, damage) ->
+    (fun (d, i, damage) ->
       with_base (fun ~ours:_ ~theirs ->
-          R.Demo_codec.save ~extra d ~dir:theirs;
+          R.Demo_codec.save d ~dir:theirs;
           let files = List.sort compare (Array.to_list (Sys.readdir theirs)) in
           apply_damage theirs (List.nth files (i mod List.length files)) damage;
-          same_loads theirs extra))
+          same_loads theirs
+          &&
+          match damage with
+          | Strip_trailer _ | Delete_manifest | Legacy ->
+              Result.is_error (load_outcome (fun () -> Demo.load ~dir:theirs))
+          | _ -> true))
 
 (* ------------------------------------------------------------------ *)
 (* Campaign aggregate *)
@@ -745,7 +745,7 @@ let prop_queue_cursor_diff =
       in
       let c =
         Demo.cursor
-          { Demo.meta; queue = Some q; signals = []; syscalls = []; asyncs = [] }
+          { Demo.meta; queue = Some q; signals = []; syscalls = []; asyncs = []; extra = [] }
       in
       let r = R.Queue_replay.start q in
       q = R.Queue_replay.encode tids n

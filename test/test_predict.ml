@@ -238,9 +238,8 @@ let test_decode_rejects_garbage () =
 
 (* DECISIONS as older builds wrote it for fig1 (`record fig1 --guided
    --seed 1'): the last step column is the FastTrack clock of the
-   chosen thread ([C…]) rather than the draw count ([D…]). It must
-   still decode — with zero draws — and predict exactly what the live
-   recording predicts. *)
+   chosen thread ([C…]) rather than the draw count ([D…]). Decoding
+   accepts only what [encode_input] writes, so it is refused. *)
 let legacy_fig1_decisions =
   [
     "S 0 0 P1 - E0 C2";
@@ -277,12 +276,13 @@ let test_newline_name_recording_loads () =
           (Conf.with_mode (guided_conf ()) (Conf.Record dir))
           (prog_newline_name ())
       in
-      (match Tsan11rec.Demo.load_result ~dir with
-      | Ok _ -> ()
-      | Error c ->
+      let d =
+        try Tsan11rec.Demo.load ~dir
+        with Tsan11rec.Demo.Corrupt c ->
           Alcotest.failf "recording does not load: %s"
-            (Tsan11rec.Demo.corruption_to_string c));
-      match Predictor.input_of_demo ~dir with
+            (Tsan11rec.Demo.corruption_to_string c)
+      in
+      match Predictor.input_of_demo d with
       | Error e -> Alcotest.fail e
       | Ok inp ->
           check Alcotest.bool "accesses recorded" true
@@ -295,43 +295,44 @@ let test_newline_name_recording_loads () =
           check Alcotest.bool "decoded = live input" true
             (inp = Interp.to_predict_input r))
 
-(* Names as older builds wrote them, raw: each decodes to itself, and
-   re-encodes escaped. *)
-let test_decode_raw_names () =
-  let legacy =
-    [ "S 0 0 L - E0 D0"; "A 0 0 0 0 1 my var"; "A 1 0 1 1 0 100%"; "R ww 0 1 my var" ]
-  in
-  match Predict.decode_input legacy with
-  | None -> Alcotest.fail "raw names rejected"
-  | Some inp ->
-      check Alcotest.(list string) "access names" [ "my var"; "100%" ]
-        (Array.to_list (Array.map (fun a -> a.Decision.a_name) inp.Predict.accs));
-      check Alcotest.(list string) "race names" [ "my var" ]
-        (List.map (fun r -> r.Report.var) inp.Predict.observed);
-      check Alcotest.(list string) "re-encoded escaped"
-        [
-          "S 0 0 L - E0 D0";
-          "A 0 0 0 0 1 my%20var";
-          "A 1 0 1 1 0 100%25";
-          "R ww 0 1 my%20var";
-        ]
-        (Predict.encode_input inp)
+(* Names as older builds wrote them, raw: one holding a space splits
+   its line, one holding a '%' that starts no escape does not unescape;
+   both are refused. *)
+let test_decode_refuses_raw_names () =
+  List.iter
+    (fun line ->
+      check Alcotest.bool line true
+        (Predict.decode_input [ "S 0 0 L - E0 D0"; line ] = None))
+    [ "A 0 0 0 0 1 my var"; "A 1 0 1 1 0 100%"; "R ww 0 1 my var" ]
 
-let test_decode_legacy_clock_column () =
-  match Predict.decode_input legacy_fig1_decisions with
-  | None -> Alcotest.fail "legacy DECISIONS rejected"
-  | Some old ->
-      let live = fig1_guided_input () in
-      check Alcotest.bool "legacy steps carry zero draws" true
-        (Array.for_all (fun d -> d.Decision.d_draws = 0) old.Predict.steps);
-      check Alcotest.bool "same steps up to draws" true
-        (Array.map (fun d -> { d with Decision.d_draws = 0 }) live.Predict.steps
-        = old.Predict.steps);
-      check Alcotest.bool "same accesses" true
-        (live.Predict.accs = old.Predict.accs);
-      check Alcotest.string "legacy analysis = live analysis"
-        (Predict.digest (Predict.analyze live))
-        (Predict.digest (Predict.analyze old))
+let test_decode_refuses_clock_column () =
+  check Alcotest.bool "older fig1 DECISIONS" true
+    (Predict.decode_input legacy_fig1_decisions = None);
+  List.iter
+    (fun line ->
+      if String.starts_with ~prefix:"S " line then
+        check Alcotest.bool line true (Predict.decode_input [ line ] = None))
+    legacy_fig1_decisions
+
+(* A guided recording whose DECISIONS file is gone is a corrupt demo:
+   its MANIFEST lists the file. *)
+let test_missing_decisions_corrupt () =
+  T11r_util.Tmp.with_dir ~prefix:"t11r_predict" (fun base ->
+      let dir = Filename.concat base "demo" in
+      let wl = Option.get (Workloads.find "fig1") in
+      let world = World.create ~seed:43L () in
+      ignore
+        (Interp.run ~world
+           (Conf.with_mode (guided_conf ~prefix:(guided_prefix_of_seed 1) ()) (Conf.Record dir))
+           (wl.Workloads.w_instance world ()));
+      (match Predictor.input_of_demo (Tsan11rec.Demo.load ~dir) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "intact recording: %s" e);
+      Sys.remove (Filename.concat dir "DECISIONS");
+      match Tsan11rec.Demo.load ~dir with
+      | exception Tsan11rec.Demo.Corrupt c ->
+          check Alcotest.string "names DECISIONS" "DECISIONS" c.Tsan11rec.Demo.c_file
+      | _ -> Alcotest.fail "the loader accepted a demo missing DECISIONS")
 
 (* ------------------------------------------------------------------ *)
 (* Failed trylock never contributes a lock-order edge *)
@@ -777,12 +778,14 @@ let () =
             test_encode_decode_roundtrip;
           Alcotest.test_case "decode rejects garbage" `Quick
             test_decode_rejects_garbage;
-          Alcotest.test_case "decode legacy clock column" `Quick
-            test_decode_legacy_clock_column;
+          Alcotest.test_case "decode refuses a clock column" `Quick
+            test_decode_refuses_clock_column;
           Alcotest.test_case "newline in a name" `Quick
             test_newline_name_recording_loads;
-          Alcotest.test_case "raw names of older builds" `Quick
-            test_decode_raw_names;
+          Alcotest.test_case "decode refuses raw names" `Quick
+            test_decode_refuses_raw_names;
+          Alcotest.test_case "guided demo without DECISIONS" `Quick
+            test_missing_decisions_corrupt;
         ] );
       ( "lockorder",
         [
