@@ -11,9 +11,10 @@
                        workload under every configuration,
                        record/replay/desync pairs of four apps, the
                        offline prediction of guided recordings, a
-                       small guided hunt of every workload, and the
-                       demo bytes of recordings that write TRACE and
-                       DECISIONS files.
+                       small guided hunt of every workload, the demo
+                       bytes of recordings that write TRACE and
+                       DECISIONS files, and what Demo.load reads back
+                       from every recording, extra files included.
 
    The optimised build must (a) replay the committed demo with zero
    divergence, (b) re-record it byte-identically, and (c) reproduce
