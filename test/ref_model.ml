@@ -28,7 +28,12 @@
    the one-pass aggregate: per-field list passes over the results and
    a distinct-schedule set hashed through [Hashtbl.hash] per label.
    test_diff.ml requires [T11r_harness.Campaign.aggregate] to give an
-   equal report with an equal digest. *)
+   equal report with an equal digest.
+
+   [Crc32] is the byte-at-a-time CRC-32 the demo and journal framing
+   used before the table-sliced kernel of [T11r_util.Crc];
+   [Demo_codec] checksums with it, so a wrong kernel cannot move both
+   sides of the demo comparisons together. *)
 
 module Memord = T11r_mem.Memord
 module Report = T11r_race.Report
@@ -687,6 +692,30 @@ module Queue_replay = struct
         else Hashtbl.replace t.next tid next
 end
 
+(* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320), one table
+   lookup per byte. *)
+module Crc32 = struct
+  let table =
+    lazy
+      (Array.init 256 (fun n ->
+           let c = ref n in
+           for _ = 0 to 7 do
+             if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
+             else c := !c lsr 1
+           done;
+           !c))
+
+  let update crc s pos len =
+    let t = Lazy.force table in
+    let c = ref (crc lxor 0xFFFFFFFF) in
+    for i = pos to pos + len - 1 do
+      c := t.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF) lxor (!c lsr 8)
+    done;
+    !c lxor 0xFFFFFFFF
+
+  let string s = update 0 s 0 (String.length s)
+end
+
 (* The demo codec as it was before the one-pass rewrite: one
    [Printf.sprintf] per line, a save that joins and checksums every
    file twice (trailer, MANIFEST), and a loader that reads each file
@@ -770,7 +799,7 @@ module Demo_codec = struct
 
   let trailer_of lines =
     Printf.sprintf "%s %s %d" trailer_tag
-      (Crc.to_hex (Crc.string (text_of_lines lines)))
+      (Crc.to_hex (Crc32.string (text_of_lines lines)))
       (List.length lines)
 
   let write_framed path lines =
@@ -799,7 +828,7 @@ module Demo_codec = struct
       (fun (name, lines) ->
         let text = text_of_lines lines in
         Printf.sprintf "file %s %d %s" name (String.length text)
-          (Crc.to_hex (Crc.string text)))
+          (Crc.to_hex (Crc32.string text)))
       files
 
   (* Writes straight into [dir], which must exist: the oracle's bytes,
@@ -837,7 +866,7 @@ module Demo_codec = struct
         if got <> count then
           corrupt name ln "%d payload lines but trailer says %d (truncated?)" got
             count;
-        if Crc.string (text_of_lines (List.map snd payload)) <> crc then
+        if Crc32.string (text_of_lines (List.map snd payload)) <> crc then
           corrupt name ln "payload does not match trailer checksum";
         payload
     | _ -> corrupt name 0 "no %s trailer (truncated?)" trailer_tag
@@ -861,7 +890,7 @@ module Demo_codec = struct
                   corrupt name 0
                     "%d payload bytes but MANIFEST says %d (truncated?)"
                     (String.length text) size;
-                if Crc.string text <> crc then
+                if Crc32.string text <> crc then
                   corrupt name 0 "payload does not match MANIFEST checksum";
                 Some (name, payload)
             | _ -> corrupt manifest_name ln "bad MANIFEST line %S" line)
