@@ -23,21 +23,21 @@ let decode pairs =
 let run_marker = '\x00'
 let lit_marker = '\x01'
 
-let encode_bytes b =
+(* The chunks of [b] in order: [run c len] for a run of [len] copies
+   of [c], [lit b start len] for the literal stretch
+   [b.[start .. start+len-1]]. A run needs at least 4 equal bytes. *)
+let chunks b ~run ~lit =
   let n = Bytes.length b in
-  let buf = Buffer.create (n / 2 + 8) in
   let i = ref 0 in
   while !i < n do
     let c = Bytes.get b !i in
-    let run = ref 1 in
-    while !i + !run < n && !run < 255 && Bytes.get b (!i + !run) = c do
-      incr run
+    let r = ref 1 in
+    while !i + !r < n && !r < 255 && Bytes.get b (!i + !r) = c do
+      incr r
     done;
-    if !run >= 4 then begin
-      Buffer.add_char buf run_marker;
-      Buffer.add_char buf (Char.chr !run);
-      Buffer.add_char buf c;
-      i := !i + !run
+    if !r >= 4 then begin
+      run c !r;
+      i := !i + !r
     end
     else begin
       (* Collect a literal stretch: advance until a run of >= 4 starts
@@ -53,13 +53,22 @@ let encode_bytes b =
         done;
         if !r >= 4 then continue := false else incr stop
       done;
-      let len = !stop - start in
-      Buffer.add_char buf lit_marker;
-      Buffer.add_char buf (Char.chr len);
-      Buffer.add_subbytes buf b start len;
+      lit b start (!stop - start);
       i := !stop
     end
-  done;
+  done
+
+let encode_bytes b =
+  let buf = Buffer.create ((Bytes.length b / 2) + 8) in
+  chunks b
+    ~run:(fun c len ->
+      Buffer.add_char buf run_marker;
+      Buffer.add_char buf (Char.chr len);
+      Buffer.add_char buf c)
+    ~lit:(fun b start len ->
+      Buffer.add_char buf lit_marker;
+      Buffer.add_char buf (Char.chr len);
+      Buffer.add_subbytes buf b start len);
   Buffer.contents buf
 
 let decode_bytes s =
@@ -89,34 +98,8 @@ let decode_bytes s =
   Buffer.to_bytes buf
 
 let encoded_size b =
-  (* Mirrors encode_bytes chunking without materialising the output. *)
-  let n = Bytes.length b in
   let size = ref 0 in
-  let i = ref 0 in
-  while !i < n do
-    let c = Bytes.get b !i in
-    let run = ref 1 in
-    while !i + !run < n && !run < 255 && Bytes.get b (!i + !run) = c do
-      incr run
-    done;
-    if !run >= 4 then begin
-      size := !size + 3;
-      i := !i + !run
-    end
-    else begin
-      let start = !i in
-      let stop = ref (!i + 1) in
-      let continue = ref true in
-      while !continue && !stop < n && !stop - start < 255 do
-        let c' = Bytes.get b !stop in
-        let r = ref 1 in
-        while !stop + !r < n && !r < 4 && Bytes.get b (!stop + !r) = c' do
-          incr r
-        done;
-        if !r >= 4 then continue := false else incr stop
-      done;
-      size := !size + 2 + (!stop - start);
-      i := !stop
-    end
-  done;
+  chunks b
+    ~run:(fun _ _ -> size := !size + 3)
+    ~lit:(fun _ _ len -> size := !size + 2 + len);
   !size

@@ -23,6 +23,18 @@ val decode_bytes : string -> bytes
 (** Inverse of {!encode_bytes}.
     @raise Invalid_argument on malformed input. *)
 
+val run_marker : char
+val lit_marker : char
+(** The first byte of a run chunk (['\x00'] len byte) and of a literal
+    chunk (['\x01'] len bytes) in {!encode_bytes}'s output. *)
+
+val chunks :
+  bytes -> run:(char -> int -> unit) -> lit:(bytes -> int -> int -> unit) -> unit
+(** The chunks {!encode_bytes} cuts a buffer into, in order, for
+    writers that emit them elsewhere: [run c len] for a run of [len]
+    copies of [c], [lit b start len] for the literal stretch
+    [b.[start .. start+len-1]]; [1 <= len <= 255]. *)
+
 val encoded_size : bytes -> int
 (** [encoded_size b = String.length (encode_bytes b)] without building
     the string; used for demo-size accounting. *)
