@@ -527,35 +527,38 @@ let record_cmd =
 let replay_cmd =
   let run name co demo salvage =
     let w = lookup_workload name in
-    let demo =
-      if not salvage then demo
-      else
-        match Demo.load ~dir:demo with
-        | (_ : Demo.t) -> demo (* intact: replay it as-is *)
-        | exception Demo.Corrupt c -> (
-            Fmt.epr "demo corrupt: %s@." (Demo.corruption_to_string c);
-            match Demo.salvage ~dir:demo with
-            | Error c ->
-                Fmt.epr "cannot salvage: %s@." (Demo.corruption_to_string c);
-                exit 3
-            | Ok (d, rep) ->
-                let out = demo ^ ".salvaged" in
-                T11r_util.Tmp.rm_rf out;
-                Demo.save d ~dir:out;
-                List.iter
-                  (fun (f, n) ->
-                    if n > 0 then
-                      Fmt.epr "  %s: dropped %d damaged line(s)@." f n)
-                  rep.Demo.sv_dropped;
-                Fmt.epr "salvaged %d-tick prefix -> %s@." d.Demo.meta.ticks out;
-                out)
+    let replay demo =
+      let conf, world, build =
+        prepare ~w ~conf:(Conf.tsan11rec ()) ~seed:0 ~env_seed:co.co_env_seed
+          ~mode:(Conf.Replay demo) ()
+      in
+      let conf = Conf.with_on_desync conf co.co_on_desync in
+      Interp.run ~world conf (build ())
     in
-    let conf, world, build =
-      prepare ~w ~conf:(Conf.tsan11rec ()) ~seed:0 ~env_seed:co.co_env_seed
-        ~mode:(Conf.Replay demo) ()
+    (* The replay's own load is the integrity check: only a demo it
+       finds corrupt is salvaged, into <dir>.salvaged, and replayed
+       from there. *)
+    let r =
+      match replay demo with
+      | { Interp.outcome = Interp.Corrupt_demo msg; _ } when salvage -> (
+          Fmt.epr "demo corrupt: %s@." msg;
+          match Demo.salvage ~dir:demo with
+          | Error c ->
+              Fmt.epr "cannot salvage: %s@." (Demo.corruption_to_string c);
+              exit 3
+          | Ok (d, rep) ->
+              let out = demo ^ ".salvaged" in
+              T11r_util.Tmp.rm_rf out;
+              Demo.save d ~dir:out;
+              List.iter
+                (fun (f, n) ->
+                  if n > 0 then
+                    Fmt.epr "  %s: dropped %d damaged line(s)@." f n)
+                rep.Demo.sv_dropped;
+              Fmt.epr "salvaged %d-tick prefix -> %s@." d.Demo.meta.ticks out;
+              replay out)
+      | r -> r
     in
-    let conf = Conf.with_on_desync conf co.co_on_desync in
-    let r = Interp.run ~world conf (build ()) in
     report ~replay:true r;
     exit (exit_of r)
   in

@@ -1169,6 +1169,110 @@ let test_salvage_upgrades_legacy () =
       check Alcotest.bool "original replay result" true
         (bytes upgraded = bytes original)
 
+(* The command-line tool as a child process: (exit code, standard
+   output, standard error). *)
+let cli args =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/tsan11rec_cli.exe"
+  in
+  T11r_util.Tmp.with_dir ~prefix:"t11r_cli" (fun tmp ->
+      let out = Filename.concat tmp "out" and err = Filename.concat tmp "err" in
+      let rc = Sys.command (Filename.quote_command exe ~stdout:out ~stderr:err args) in
+      (rc, read_file out, read_file err))
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let append_line path l =
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+      output_string oc (l ^ "\n"))
+
+let record_guided_fig1 dir =
+  let rc, _, _ = cli [ "record"; "fig1"; "--guided"; "--seed"; "1"; "--demo"; dir ] in
+  check Alcotest.int "record exit" 0 rc
+
+(* A guided recording's DECISIONS file survives a salvage when its own
+   trailer verifies: the salvaged demo is still analysable. *)
+let test_salvage_keeps_extras () =
+  with_tmpdir @@ fun base ->
+  let dir = Filename.concat base "guided" in
+  record_guided_fig1 dir;
+  let full = Demo.load ~dir in
+  append_line (Filename.concat dir "META") "junk";
+  (match Demo.salvage ~dir with
+  | Error c -> Alcotest.failf "salvage failed: %s" (Demo.corruption_to_string c)
+  | Ok (d, rep) ->
+      check Alcotest.int "nothing dropped" 0 (Demo.dropped_total rep);
+      check
+        Alcotest.(list (pair string (list string)))
+        "extra files kept" full.Demo.extra d.Demo.extra);
+  let rc, _, err = cli [ "replay"; "fig1"; "--salvage"; "--demo"; dir ] in
+  check Alcotest.int "a guided demo is not replayed" 8 rc;
+  check Alcotest.bool "salvaged" true (contains err "salvaged");
+  let rc, out, err = cli [ "predict"; "--demo"; dir ^ ".salvaged" ] in
+  check Alcotest.string "predict's errors" "" err;
+  check Alcotest.int "predict exit" 0 rc;
+  check Alcotest.bool "analysed" true (contains out "digest:")
+
+(* An extra file whose trailer does not verify is dropped whole and
+   counted. *)
+let test_salvage_drops_damaged_extra () =
+  with_tmpdir @@ fun base ->
+  let dir = Filename.concat base "guided" in
+  record_guided_fig1 dir;
+  append_line (Filename.concat dir "DECISIONS") "junk";
+  match Demo.salvage ~dir with
+  | Error c -> Alcotest.failf "salvage failed: %s" (Demo.corruption_to_string c)
+  | Ok (d, rep) ->
+      check Alcotest.bool "DECISIONS dropped" false
+        (List.mem_assoc "DECISIONS" d.Demo.extra);
+      check Alcotest.bool "and counted" true
+        (List.assoc_opt "DECISIONS" rep.Demo.sv_dropped > Some 0)
+
+let record_httpd dir =
+  let rc, _, _ =
+    cli
+      [ "record"; "httpd"; "-s"; "queue"; "--seed"; "1"; "--env-seed"; "5"; "--demo"; dir ]
+  in
+  check Alcotest.int "record exit" 0 rc
+
+let replay_httpd ?(salvage = false) dir =
+  cli
+    ([ "replay"; "httpd"; "--env-seed"; "6"; "--demo"; dir ]
+    @ if salvage then [ "--salvage" ] else [])
+
+(* --salvage on an intact demo is a plain replay: same output, same
+   exit, nothing salvaged. *)
+let test_replay_salvage_intact () =
+  with_tmpdir @@ fun base ->
+  let dir = Filename.concat base "httpd" in
+  record_httpd dir;
+  let rc, out, _ = replay_httpd dir in
+  let rc', out', err' = replay_httpd ~salvage:true dir in
+  check Alcotest.int "exit" rc rc';
+  check Alcotest.string "output" out out';
+  check Alcotest.bool "faithful" true (contains out' "replay:    faithful");
+  check Alcotest.bool "no salvaged line" false (contains err' "salvaged");
+  check Alcotest.bool "no salvaged demo" false (Sys.file_exists (dir ^ ".salvaged"))
+
+(* A truncated SYSCALL is salvaged and the salvaged demo replayed. *)
+let test_replay_salvage_truncated () =
+  with_tmpdir @@ fun base ->
+  let dir = Filename.concat base "httpd" in
+  record_httpd dir;
+  let sf = Filename.concat dir "SYSCALL" in
+  let s = read_file sf in
+  write_file sf (String.sub s 0 (String.length s / 2));
+  let rc, out, err = replay_httpd ~salvage:true dir in
+  check Alcotest.bool "corrupt" true (contains err "demo corrupt: SYSCALL: no #crc trailer");
+  check Alcotest.bool "dropped" true (contains err "SYSCALL: dropped 1 damaged line(s)");
+  check Alcotest.bool "salvaged" true (contains err "salvaged 2582-tick prefix");
+  let rc', out', _ = replay_httpd (dir ^ ".salvaged") in
+  check Alcotest.int "exit of the salvaged demo's replay" rc' rc;
+  check Alcotest.string "its output" out' out
+
 let test_format_version_rejected () =
   with_tmpdir @@ fun dir ->
   ignore (record_mixed dir);
@@ -1248,6 +1352,14 @@ let () =
             test_salvage_upgrades_legacy;
           Alcotest.test_case "missing META unsalvageable" `Quick
             test_salvage_missing_meta_fails;
+          Alcotest.test_case "intact extra files kept" `Quick
+            test_salvage_keeps_extras;
+          Alcotest.test_case "damaged extra file dropped" `Quick
+            test_salvage_drops_damaged_extra;
+          Alcotest.test_case "replay --salvage of an intact demo" `Quick
+            test_replay_salvage_intact;
+          Alcotest.test_case "replay --salvage of a truncated SYSCALL" `Quick
+            test_replay_salvage_truncated;
         ] );
       ( "faults",
         [
