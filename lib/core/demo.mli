@@ -29,7 +29,12 @@
     reports them as a structured {!Corrupt} instead of a stray parse
     exception. {!load} is the one reader of a demo. {!salvage}
     recovers the intact prefix of a torn recording, and of one made
-    before the framing change, which {!load} refuses. *)
+    before the framing change, which {!load} refuses.
+
+    The codec's CPU cost is close to its I/O cost: each file is
+    rendered into one buffer and checksummed and written from it, and
+    read once, verified with one scan and one CRC pass, and parsed in
+    place (see docs/ARCHITECTURE.md "Durability & supervision"). *)
 
 type signal_entry = { s_tid : int; s_tick : int; s_signo : int }
 
@@ -90,7 +95,8 @@ val save : ?durable:bool -> t -> dir:string -> unit
     [MANIFEST], written into a fresh sibling directory [<tmp>], fsynced
     ([durable], default true; pass false for throwaway recordings where
     the fsyncs would dominate) and renamed into place. Each file is
-    rendered, checksummed and written once. A previous demo at [dir] is
+    rendered once into one buffer, checksummed there and written from
+    it with its trailer in one output. A previous demo at [dir] is
     first renamed to [<tmp>.old] and removed once the new one is in
     place: a crash leaves the complete previous demo or the complete
     new one, never a torn mix — at [dir], except between the two
@@ -102,7 +108,12 @@ val load : dir:string -> t
     trailer on every file it lists, which must include META, SIGNAL,
     SYSCALL and ASYNC, and META's [format] line. QUEUE is parsed when
     listed; every other listed file comes back in [extra]. Each file is
-    read and checksummed once.
+    read once; one scan finds its trailer and counts its lines, one CRC
+    pass checks its payload, and the paper files are parsed from the
+    file's string without splitting it into lines or fields. A field
+    that is not plain is read by the [Codec]/[Rle] function defining
+    it, whose reason the [Corrupt] carries; of two bad fields on a
+    line, or two bad files, the later one is named.
     @raise Corrupt on a missing, truncated, tampered, malformed or
     unframed demo — never any other exception. *)
 
@@ -120,8 +131,10 @@ val salvage : dir:string -> (t * salvage_report, corruption) result
     recorded prefix. Fails only when META is too damaged to supply the
     strategy and seeds. Re-{!save} the result to obtain a verified
     directory again: this also upgrades a recording made before the
-    framing change (no trailers, MANIFEST or [format] line). [extra]
-    files are not recovered. *)
+    framing change (no trailers, MANIFEST or [format] line). An [extra]
+    file is kept whole, in name order, when its own trailer verifies,
+    and dropped otherwise, counted in [sv_dropped] with its line count
+    (at least 1). *)
 
 val reseal : dir:string -> unit
 (** Recompute every file's trailer and the MANIFEST over the payload
@@ -162,9 +175,12 @@ val take_syscall :
 
 val size_bytes : t -> int
 (** Total size of the rendered demo payload — the paper's demo-size
-    metric (§5.2). Framing (trailers, MANIFEST) is excluded. *)
+    metric (§5.2). Framing (trailers, MANIFEST) is excluded. The files
+    go through {!save}'s renderers into one scratch buffer, which is
+    reused from file to file. *)
 
 val syscall_bytes : t -> int
-(** Size of the SYSCALL file alone (§5.4 reports it separately). *)
+(** Size of the SYSCALL file alone (§5.4 reports it separately),
+    counted the same way. *)
 
 val pp : Format.formatter -> t -> unit

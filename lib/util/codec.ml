@@ -5,9 +5,10 @@ let needs_escape c =
   | ' ' | '\n' | '\r' | '\t' | '%' -> true
   | c -> Char.code c < 0x20 || Char.code c > 0x7E
 
-let add_escaped buf s =
-  if String.length s = 0 then Buffer.add_string buf "%-"
-  else
+let escape s =
+  if String.length s = 0 then "%-"
+  else begin
+    let buf = Buffer.create (String.length s) in
     String.iter
       (fun c ->
         if needs_escape c then begin
@@ -16,12 +17,9 @@ let add_escaped buf s =
           Buffer.add_char buf hex.[Char.code c land 0xF]
         end
         else Buffer.add_char buf c)
-      s
-
-let escape s =
-  let buf = Buffer.create (max 2 (String.length s)) in
-  add_escaped buf s;
-  Buffer.contents buf
+      s;
+    Buffer.contents buf
+  end
 
 let hex_val c =
   match c with
