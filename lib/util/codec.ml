@@ -21,6 +21,84 @@ let escape s =
     Buffer.contents buf
   end
 
+let read_file path =
+  if not (Sys.file_exists path) then ""
+  else In_channel.with_open_bin path In_channel.input_all
+
+(* -- reading a slice ------------------------------------------------ *)
+
+let iter_lines s a b f =
+  let a = ref a and ln = ref 1 in
+  while !a < b do
+    let e = ref !a in
+    while !e < b && String.unsafe_get s !e <> '\n' do
+      incr e
+    done;
+    f !a !e !ln;
+    a := !e + 1;
+    incr ln
+  done
+
+let fields s a b fld =
+  let room = Array.length fld / 2 in
+  let n = ref 0 and i = ref a in
+  while !n <= room && !i < b do
+    if String.unsafe_get s !i = ' ' then incr i
+    else begin
+      let j = ref (!i + 1) in
+      while !j < b && String.unsafe_get s !j <> ' ' do
+        incr j
+      done;
+      if !n < room then begin
+        fld.(2 * !n) <- !i;
+        fld.((2 * !n) + 1) <- !j
+      end;
+      incr n;
+      i := !j
+    end
+  done;
+  !n
+
+let is_at s a b word =
+  b - a = String.length word
+  &&
+  let i = ref 0 in
+  while !i < b - a && String.unsafe_get s (a + !i) = String.unsafe_get word !i do
+    incr i
+  done;
+  !i = b - a
+
+let field_is s fld k word = is_at s fld.(2 * k) fld.((2 * k) + 1) word
+
+(* Up to 18 decimal digits, with an optional '-', cannot overflow and
+   are read directly; anything else is [int_of_string]'s to judge. *)
+let int_at s a b =
+  let neg = b > a && String.unsafe_get s a = '-' in
+  let d = if neg then a + 1 else a in
+  let v = ref 0 and i = ref d in
+  if b - d <= 18 then
+    while
+      !i < b
+      &&
+      let c = String.unsafe_get s !i in
+      c >= '0' && c <= '9'
+    do
+      v := (10 * !v) + (Char.code (String.unsafe_get s !i) - Char.code '0');
+      incr i
+    done;
+  if !i = b && b > d then if neg then - !v else !v
+  else
+    let f = String.sub s a (b - a) in
+    match int_of_string_opt f with
+    | Some v -> v
+    | None -> invalid_arg (Printf.sprintf "Codec.int_field: %S" f)
+
+let int64_at s a b =
+  let f = String.sub s a (b - a) in
+  match Int64.of_string_opt f with
+  | Some v -> v
+  | None -> invalid_arg (Printf.sprintf "Codec.int64_field: %S" f)
+
 let hex_val c =
   match c with
   | '0' .. '9' -> Char.code c - Char.code '0'
@@ -28,72 +106,33 @@ let hex_val c =
   | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
   | _ -> invalid_arg "Codec.unescape: bad hex digit"
 
-let unescape s =
-  if s = "%-" then ""
+let unescape_into s a b dst =
+  if is_at s a b "%-" then 0
   else begin
-    let buf = Buffer.create (String.length s) in
-    let i = ref 0 in
-    let n = String.length s in
-    while !i < n do
-      if s.[!i] = '%' then begin
-        if !i + 2 >= n then invalid_arg "Codec.unescape: truncated escape";
-        Buffer.add_char buf
-          (Char.chr ((hex_val s.[!i + 1] lsl 4) lor hex_val s.[!i + 2]));
-        i := !i + 3
-      end
-      else begin
-        Buffer.add_char buf s.[!i];
+    let i = ref a and n = ref 0 in
+    while !i < b do
+      let c = String.unsafe_get s !i in
+      if c <> '%' then begin
+        Bytes.set dst !n c;
         incr i
       end
+      else begin
+        if !i + 2 >= b then invalid_arg "Codec.unescape: truncated escape";
+        Bytes.set dst !n
+          (Char.unsafe_chr ((hex_val s.[!i + 1] lsl 4) lor hex_val s.[!i + 2]));
+        i := !i + 3
+      end;
+      incr n
     done;
-    Buffer.contents buf
+    !n
   end
 
-let fields line =
-  String.split_on_char ' ' line |> List.filter (fun f -> f <> "")
-
-let int_field f =
-  match int_of_string_opt f with
-  | Some v -> v
-  | None -> invalid_arg (Printf.sprintf "Codec.int_field: %S" f)
-
-let int64_field f =
-  match Int64.of_string_opt f with
-  | Some v -> v
-  | None -> invalid_arg (Printf.sprintf "Codec.int64_field: %S" f)
-
-let read_file path =
-  if not (Sys.file_exists path) then ""
-  else In_channel.with_open_bin path In_channel.input_all
-
-(* Cut at each '\n', with no empty line after a final one: the lines
-   [input_line] would return, one by one. *)
-let lines s =
-  let n = String.length s in
-  let rec go pos acc =
-    if pos >= n then List.rev acc
-    else
-      let stop = Option.value (String.index_from_opt s pos '\n') ~default:n in
-      go (stop + 1) (String.sub s pos (stop - pos) :: acc)
-  in
-  go 0 []
-
-let read_lines path = lines (read_file path)
+let unescape_at s a b =
+  let dst = Bytes.create (b - a) in
+  Bytes.sub_string dst 0 (unescape_into s a b dst)
 
 let rec mkdir_p dir =
   if dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);
     (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
   end
-
-let write_lines path lines =
-  mkdir_p (Filename.dirname path);
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      List.iter
-        (fun l ->
-          output_string oc l;
-          output_char oc '\n')
-        lines)

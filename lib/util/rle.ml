@@ -1,20 +1,3 @@
-let encode xs =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | x :: rest -> (
-        match acc with
-        | (v, n) :: tl when v = x -> go ((v, n + 1) :: tl) rest
-        | _ -> go ((x, 1) :: acc) rest)
-  in
-  go [] xs
-
-let decode pairs =
-  List.concat_map
-    (fun (v, n) ->
-      if n <= 0 then invalid_arg "Rle.decode: non-positive run length";
-      List.init n (fun _ -> v))
-    pairs
-
 (* Byte-level RLE. Format: a sequence of chunks.
    - '\x00' len byte        : a run of [len] copies of [byte] (len >= 1)
    - '\x01' len b0 .. b(l-1): a literal stretch of [len] bytes (len >= 1)
@@ -71,17 +54,15 @@ let encode_bytes b =
       Buffer.add_subbytes buf b start len);
   Buffer.contents buf
 
-let decode_bytes s =
-  let n = String.length s in
-  let buf = Buffer.create n in
-  let i = ref 0 in
-  while !i < n do
-    if !i + 1 >= n then invalid_arg "Rle.decode_bytes: truncated chunk header";
+let decode_into s a b buf =
+  let i = ref a in
+  while !i < b do
+    if !i + 1 >= b then invalid_arg "Rle.decode_bytes: truncated chunk header";
     let marker = s.[!i] in
     let len = Char.code s.[!i + 1] in
     if len = 0 then invalid_arg "Rle.decode_bytes: zero-length chunk";
     if marker = run_marker then begin
-      if !i + 2 >= n then invalid_arg "Rle.decode_bytes: truncated run";
+      if !i + 2 >= b then invalid_arg "Rle.decode_bytes: truncated run";
       let c = s.[!i + 2] in
       for _ = 1 to len do
         Buffer.add_char buf c
@@ -89,13 +70,12 @@ let decode_bytes s =
       i := !i + 3
     end
     else if marker = lit_marker then begin
-      if !i + 2 + len > n then invalid_arg "Rle.decode_bytes: truncated literal";
+      if !i + 2 + len > b then invalid_arg "Rle.decode_bytes: truncated literal";
       Buffer.add_substring buf s (!i + 2) len;
       i := !i + 2 + len
     end
     else invalid_arg "Rle.decode_bytes: bad chunk marker"
-  done;
-  Buffer.to_bytes buf
+  done
 
 let encoded_size b =
   let size = ref 0 in

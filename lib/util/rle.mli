@@ -1,27 +1,17 @@
-(** Run-length encoding.
-
-    Two codecs are provided, matching the two places the paper applies
-    RLE: the [QUEUE] demo file "uses run-length encoding to efficiently
-    record the case where a thread is scheduled multiple times in
-    succession" (§4.2), and syscall buffers "will be treated as
-    character buffers and have a simple run length encoding applied"
-    (§4.4). *)
-
-val encode : int list -> (int * int) list
-(** [encode xs] compresses [xs] into [(value, run_length)] pairs,
-    preserving order. [decode (encode xs) = xs]. *)
-
-val decode : (int * int) list -> int list
-(** Inverse of {!encode}. @raise Invalid_argument on a non-positive
-    run length. *)
+(** Byte-level run-length encoding of syscall buffers, which the paper
+    says "will be treated as character buffers and have a simple run
+    length encoding applied" (§4.4). The [QUEUE] file's run-length
+    code (§4.2) is written and read by the demo codec itself. *)
 
 val encode_bytes : bytes -> string
 (** Byte-level RLE with escape framing, suitable for arbitrary binary
     syscall buffers. The output is a self-delimiting binary string. *)
 
-val decode_bytes : string -> bytes
-(** Inverse of {!encode_bytes}.
-    @raise Invalid_argument on malformed input. *)
+val decode_into : string -> int -> int -> Buffer.t -> unit
+(** Inverse of {!encode_bytes}: append the decoding of [s.[a .. b-1]]
+    to the buffer.
+    @raise Invalid_argument ["Rle.decode_bytes: <what is wrong>"] on
+    malformed input, the buffer then holding a prefix of the decoding. *)
 
 val run_marker : char
 val lit_marker : char

@@ -229,13 +229,13 @@ let test_diagnose_trail () =
                  11L 13L))
            (w.T11r_harness.Workloads.w_instance world ()));
       let qf = Filename.concat dir "QUEUE" in
-      let lines = T11r_util.Codec.read_lines qf in
+      let lines = Ref_model.Text.read_lines qf in
       let last_first =
         List.fold_left
           (fun acc l -> if String.starts_with ~prefix:"first " l then l else acc)
           "" lines
       in
-      T11r_util.Codec.write_lines qf
+      Ref_model.Text.write_lines qf
         (List.map
            (fun l ->
              if l <> last_first then l

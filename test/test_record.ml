@@ -121,7 +121,7 @@ let demo_roundtrip =
 let payload_lines p =
   List.filter
     (fun l -> not (String.length l >= 4 && String.sub l 0 4 = "#crc"))
-    (T11r_util.Codec.read_lines p)
+    (Ref_model.Text.read_lines p)
 
 let demo_size_matches_disk =
   QCheck.Test.make ~name:"size_bytes matches files on disk" ~count:50
@@ -348,7 +348,7 @@ let test_corrupted_queue_hard_desyncs () =
   (* Shift a thread's first scheduled tick: the constraint "thread X
      runs at tick T" becomes unsatisfiable. *)
   let qf = Filename.concat dir "QUEUE" in
-  let lines = T11r_util.Codec.read_lines qf in
+  let lines = Ref_model.Text.read_lines qf in
   let corrupted =
     List.map
       (fun line ->
@@ -358,7 +358,7 @@ let test_corrupted_queue_hard_desyncs () =
         | _ -> line)
       lines
   in
-  T11r_util.Codec.write_lines qf corrupted;
+  Ref_model.Text.write_lines qf corrupted;
   (* re-frame: this is a semantic edit, not storage damage, so give the
      file a valid checksum again — the desync detector must catch it *)
   Demo.reseal ~dir;
@@ -375,7 +375,7 @@ let test_wrong_syscall_data_soft_desyncs () =
      uses the full output... so corrupt the recorded ret harmlessly and
      confirm the replay still completes while the demo loads. *)
   let sf = Filename.concat dir "SYSCALL" in
-  let lines = T11r_util.Codec.read_lines sf in
+  let lines = Ref_model.Text.read_lines sf in
   (match lines with
   | line :: rest ->
       let fields = String.split_on_char ' ' line in
@@ -386,7 +386,7 @@ let test_wrong_syscall_data_soft_desyncs () =
               (tick :: tid :: label :: string_of_int (1 + int_of_string ret) :: tl)
         | _ -> line
       in
-      T11r_util.Codec.write_lines sf (bumped :: rest)
+      Ref_model.Text.write_lines sf (bumped :: rest)
   | [] -> Alcotest.fail "expected a recorded syscall");
   Demo.reseal ~dir;
   let r = replay_dir dir prog in
@@ -430,13 +430,13 @@ let test_unreplayable_strategy_refused () =
   in
   let set_strategy name =
     let mf = Filename.concat dir "META" in
-    T11r_util.Codec.write_lines mf
+    Ref_model.Text.write_lines mf
       (List.map
          (fun l ->
            if String.length l > 9 && String.sub l 0 9 = "strategy " then
              "strategy " ^ name
            else l)
-         (T11r_util.Codec.read_lines mf));
+         (Ref_model.Text.read_lines mf));
     Demo.reseal ~dir
   in
   set_strategy "bogus";
@@ -701,7 +701,7 @@ let test_failed_syscall_floats_to_tick () =
 
 let corrupt_queue dir =
   let qf = Filename.concat dir "QUEUE" in
-  let lines = T11r_util.Codec.read_lines qf in
+  let lines = Ref_model.Text.read_lines qf in
   let corrupted =
     List.map
       (fun line ->
@@ -711,7 +711,7 @@ let corrupt_queue dir =
         | _ -> line)
       lines
   in
-  T11r_util.Codec.write_lines qf corrupted;
+  Ref_model.Text.write_lines qf corrupted;
   Demo.reseal ~dir
 
 let replay_dir_mode dir mode prog =
@@ -836,7 +836,7 @@ let test_resync_htop_like () =
 (* Fuzzing the demo parser *)
 
 let mutate_file rng path =
-  let lines = T11r_util.Codec.read_lines path in
+  let lines = Ref_model.Text.read_lines path in
   if lines = [] then ()
   else begin
     let i = T11r_util.Prng.int rng (List.length lines) in
@@ -851,7 +851,7 @@ let mutate_file rng path =
             Bytes.to_string b)
         lines
     in
-    T11r_util.Codec.write_lines path mutated
+    Ref_model.Text.write_lines path mutated
   end
 
 let fuzz_demo_loader =
@@ -974,9 +974,9 @@ let fuzz_demo_hardening =
 (* Damaged framing is corruption, never a desync *)
 
 let strip_trailer path =
-  match List.rev (T11r_util.Codec.read_lines path) with
+  match List.rev (Ref_model.Text.read_lines path) with
   | last :: rest when String.starts_with ~prefix:"#crc" last ->
-      T11r_util.Codec.write_lines path (List.rev rest)
+      Ref_model.Text.write_lines path (List.rev rest)
   | _ -> Alcotest.failf "%s has no trailer" path
 
 (* The layout of a recording made before the framing change: no
@@ -1049,10 +1049,10 @@ let test_meta_without_format () =
   with_tmpdir @@ fun dir ->
   let prog = record_mixed dir in
   let mf = Filename.concat dir "META" in
-  T11r_util.Codec.write_lines mf
+  Ref_model.Text.write_lines mf
     (List.filter
        (fun l -> not (String.starts_with ~prefix:"format " l))
-       (T11r_util.Codec.read_lines mf));
+       (Ref_model.Text.read_lines mf));
   Demo.reseal ~dir;
   check_refused "META without format" dir (fun dir -> replay_dir dir prog);
   match Demo.load ~dir with
@@ -1277,13 +1277,13 @@ let test_format_version_rejected () =
   with_tmpdir @@ fun dir ->
   ignore (record_mixed dir);
   let mf = Filename.concat dir "META" in
-  let lines = T11r_util.Codec.read_lines mf in
+  let lines = Ref_model.Text.read_lines mf in
   let bumped =
     List.map
       (fun l -> if String.length l > 7 && String.sub l 0 7 = "format " then "format 99" else l)
       lines
   in
-  T11r_util.Codec.write_lines mf bumped;
+  Ref_model.Text.write_lines mf bumped;
   Demo.reseal ~dir;
   match Demo.load ~dir with
   | exception Demo.Corrupt c ->

@@ -74,30 +74,42 @@ let test_prng_pick_empty () =
 (* ------------------------------------------------------------------ *)
 (* Rle *)
 
+(* The QUEUE file's int-list run-length code lives in the reference
+   model, its one user. *)
+module Rle_list = struct
+  let encode = Ref_model.Text.rle_encode
+  let decode = Ref_model.Text.rle_decode
+end
+
+let decode_bytes s =
+  let buf = Buffer.create 16 in
+  Rle.decode_into s 0 (String.length s) buf;
+  Buffer.to_bytes buf
+
 let test_rle_basic () =
   check
     Alcotest.(list (pair int int))
     "runs" [ (1, 3); (2, 1); (1, 2) ]
-    (Rle.encode [ 1; 1; 1; 2; 1; 1 ])
+    (Rle_list.encode [ 1; 1; 1; 2; 1; 1 ])
 
 let test_rle_empty () =
-  check Alcotest.(list (pair int int)) "empty" [] (Rle.encode []);
-  check Alcotest.(list int) "empty decode" [] (Rle.decode [])
+  check Alcotest.(list (pair int int)) "empty" [] (Rle_list.encode []);
+  check Alcotest.(list int) "empty decode" [] (Rle_list.decode [])
 
 let rle_roundtrip =
   QCheck.Test.make ~name:"rle roundtrip" ~count:500
     QCheck.(list (int_range 0 5))
-    (fun xs -> Rle.decode (Rle.encode xs) = xs)
+    (fun xs -> Rle_list.decode (Rle_list.encode xs) = xs)
 
 let rle_compresses_runs =
   QCheck.Test.make ~name:"rle run count <= length" ~count:200
     QCheck.(list small_nat)
-    (fun xs -> List.length (Rle.encode xs) <= List.length xs)
+    (fun xs -> List.length (Rle_list.encode xs) <= List.length xs)
 
 let test_rle_decode_invalid () =
   Alcotest.check_raises "bad run"
     (Invalid_argument "Rle.decode: non-positive run length") (fun () ->
-      ignore (Rle.decode [ (1, 0) ]))
+      ignore (Rle_list.decode [ (1, 0) ]))
 
 let bytes_gen =
   QCheck.Gen.(
@@ -107,7 +119,7 @@ let bytes_gen =
 let rle_bytes_roundtrip =
   QCheck.Test.make ~name:"byte rle roundtrip" ~count:300
     (QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b)) bytes_gen)
-    (fun b -> Bytes.equal (Rle.decode_bytes (Rle.encode_bytes b)) b)
+    (fun b -> Bytes.equal (decode_bytes (Rle.encode_bytes b)) b)
 
 let rle_encoded_size_matches =
   QCheck.Test.make ~name:"encoded_size = length of encode_bytes" ~count:300
@@ -136,7 +148,7 @@ let runny_arb =
 
 let rle_runny_roundtrip =
   QCheck.Test.make ~name:"byte rle roundtrip (run-biased)" ~count:300 runny_arb
-    (fun b -> Bytes.equal (Rle.decode_bytes (Rle.encode_bytes b)) b)
+    (fun b -> Bytes.equal (decode_bytes (Rle.encode_bytes b)) b)
 
 let rle_runny_encoded_size =
   QCheck.Test.make ~name:"encoded_size = length of encode_bytes (run-biased)"
@@ -155,15 +167,28 @@ let test_rle_bytes_long_run () =
   let b = Bytes.make 1000 'x' in
   let enc = Rle.encode_bytes b in
   check Alcotest.bool "compressed" true (String.length enc < 20);
-  check Alcotest.bool "roundtrip" true (Bytes.equal (Rle.decode_bytes enc) b)
+  check Alcotest.bool "roundtrip" true (Bytes.equal (decode_bytes enc) b)
 
 let test_rle_bytes_malformed () =
   Alcotest.check_raises "truncated"
     (Invalid_argument "Rle.decode_bytes: truncated chunk header") (fun () ->
-      ignore (Rle.decode_bytes "\x00"));
+      ignore (decode_bytes "\x00"));
   Alcotest.check_raises "bad marker"
     (Invalid_argument "Rle.decode_bytes: bad chunk marker") (fun () ->
-      ignore (Rle.decode_bytes "\x07\x01a"))
+      ignore (decode_bytes "\x07\x01a"));
+  Alcotest.check_raises "truncated run"
+    (Invalid_argument "Rle.decode_bytes: truncated run") (fun () ->
+      ignore (decode_bytes "\x00\x05"));
+  Alcotest.check_raises "truncated literal"
+    (Invalid_argument "Rle.decode_bytes: truncated literal") (fun () ->
+      ignore (decode_bytes "\x01\x03ab"));
+  Alcotest.check_raises "zero-length chunk"
+    (Invalid_argument "Rle.decode_bytes: zero-length chunk") (fun () ->
+      ignore (decode_bytes "\x07\x00"));
+  (* a slice ends where its bounds say, not where its string does *)
+  Alcotest.check_raises "slice"
+    (Invalid_argument "Rle.decode_bytes: truncated run") (fun () ->
+      Rle.decode_into "\x00\x05a" 0 2 (Buffer.create 4))
 
 (* ------------------------------------------------------------------ *)
 (* Vclock *)
@@ -305,12 +330,27 @@ let test_table_render () =
 (* ------------------------------------------------------------------ *)
 (* Codec *)
 
+let unescape s = Codec.unescape_at s 0 (String.length s)
+
+let read_lines path =
+  let s = Codec.read_file path and acc = ref [] in
+  Codec.iter_lines s 0 (String.length s) (fun a e _ ->
+      acc := String.sub s a (e - a) :: !acc);
+  List.rev !acc
+
 let test_codec_escape_basic () =
   check Alcotest.string "plain" "hello" (Codec.escape "hello");
   check Alcotest.string "empty" "%-" (Codec.escape "");
   check Alcotest.string "space" "a%20b" (Codec.escape "a b");
-  check Alcotest.string "unescape" "a b" (Codec.unescape "a%20b");
-  check Alcotest.string "unescape empty" "" (Codec.unescape "%-")
+  check Alcotest.string "unescape" "a b" (unescape "a%20b");
+  check Alcotest.string "unescape empty" "" (unescape "%-");
+  check Alcotest.string "unescape a slice" "b c" (Codec.unescape_at "a b%20c d" 2 7);
+  List.iter
+    (fun (s, m) ->
+      Alcotest.check_raises s (Invalid_argument m) (fun () -> ignore (unescape s)))
+    [ ("%4", "Codec.unescape: truncated escape");
+      ("%-%-", "Codec.unescape: bad hex digit");
+      ("a%ZZ", "Codec.unescape: bad hex digit") ]
 
 let string_gen =
   QCheck.Gen.(string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 200))
@@ -318,7 +358,7 @@ let string_gen =
 let codec_roundtrip =
   QCheck.Test.make ~name:"escape/unescape roundtrip" ~count:300
     (QCheck.make ~print:String.escaped string_gen)
-    (fun s -> Codec.unescape (Codec.escape s) = s)
+    (fun s -> unescape (Codec.escape s) = s)
 
 let codec_no_spaces =
   QCheck.Test.make ~name:"escaped string has no separators" ~count:300
@@ -328,25 +368,38 @@ let codec_no_spaces =
       not (String.exists (fun c -> c = ' ' || c = '\n' || c = '\t') e))
 
 let test_codec_fields () =
-  check
-    Alcotest.(list string)
-    "fields" [ "2"; "5"; "15" ]
-    (Codec.fields "2 5  15 ");
-  check Alcotest.int "int field" 15 (Codec.int_field "15")
+  let s = "x 2 5  15 \ny" and fld = Array.make 4 0 in
+  let field k = String.sub s fld.(2 * k) (fld.((2 * k) + 1) - fld.(2 * k)) in
+  check Alcotest.int "count" 3 (Codec.fields s 2 10 fld);
+  check Alcotest.(list string) "fields" [ "2"; "5" ] [ field 0; field 1 ];
+  check Alcotest.bool "field_is" true (Codec.field_is s fld 1 "5");
+  check Alcotest.bool "field_is prefix" false (Codec.field_is s fld 1 "");
+  check Alcotest.int "one past room" 3 (Codec.fields "a b c d e" 0 9 fld);
+  check Alcotest.int "no fields" 0 (Codec.fields "   " 0 3 fld);
+  check Alcotest.int "int field" 15 (Codec.int_at s 7 9);
+  check Alcotest.int "negative" (-15) (Codec.int_at "-15" 0 3);
+  check Alcotest.int "int_of_string's" 31 (Codec.int_at "0x1F" 0 4);
+  check Alcotest.int "max_int" max_int (Codec.int_at (string_of_int max_int) 0 19);
+  List.iter
+    (fun f ->
+      Alcotest.check_raises f (Invalid_argument (Printf.sprintf "Codec.int_field: %S" f))
+        (fun () -> ignore (Codec.int_at f 0 (String.length f))))
+    [ ""; "-"; "x"; "1 2"; "99999999999999999999" ];
+  check Alcotest.int64 "int64" 7L (Codec.int64_at "a 7" 2 3)
 
 let test_codec_file_roundtrip () =
   let dir = Filename.temp_file "t11r" "" in
   Sys.remove dir;
   let path = Filename.concat dir "sub/FILE" in
   let lines = [ "a b c"; ""; "2 5 15" ] in
-  Codec.write_lines path lines;
-  check Alcotest.(list string) "file roundtrip" lines (Codec.read_lines path)
+  Ref_model.Text.write_lines path lines;
+  check Alcotest.(list string) "file roundtrip" lines (read_lines path)
 
 let test_codec_missing_file () =
   check
     Alcotest.(list string)
     "missing file is empty" []
-    (Codec.read_lines "/nonexistent/definitely/FILE")
+    (read_lines "/nonexistent/definitely/FILE")
 
 (* ------------------------------------------------------------------ *)
 (* Crc *)
