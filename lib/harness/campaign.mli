@@ -136,8 +136,11 @@ type report = {
   jobs : int;  (** worker domains used *)
   wall_s : float;  (** real wall-clock of the whole campaign *)
   results : Tsan11rec.Interp.result array;
-      (** slot [k] = run [first + k]; in a report of {!run}, runs with
-          equal schedules share one [trace] list *)
+      (** slot [k] = run [first + k]. In a report of {!run} the results
+          may be physically shared, and are read-only: runs with equal
+          schedules share one [trace] list, and runs with structurally
+          equal demo-less results share one result. Sharing is
+          invisible to {!equal}, {!digest} and the journal. *)
   time_ms : T11r_util.Stats.summary;  (** simulated makespans, ms *)
   race_rate : float;  (** % of runs with at least one race *)
   mean_reports : float;
@@ -146,7 +149,8 @@ type report = {
   racy_runs : int;
   distinct_schedules : int;
       (** distinct [(tid, op)] sequences of the runs' traces, counted
-          exactly (ticks ignored) *)
+          exactly (ticks ignored), once: {!run} counts them in the
+          table it shares the traces through *)
   outcomes : (string * int) list;  (** outcome histogram, sorted by key *)
   sightings : sighting list;  (** distinct races, most-sighted first *)
   crashes : (int * string) list;  (** (run index, message), in run order *)
@@ -227,9 +231,9 @@ val aggregate :
   (int * Tsan11rec.Interp.result) array ->
   report
 (** The report {!run} returns for the runs [(index, result)] it holds,
-    given in index order: one pass that keeps every result and folds
-    the counts, histograms, sightings, schedules, metrics and coverage
-    in that order. [supervision] (default: nothing happened) supplies
+    given in index order: one pass that keeps every result as given
+    (no sharing is added) and folds the counts, histograms, sightings,
+    schedules, metrics and coverage in that order. [supervision] (default: nothing happened) supplies
     the fields a run loop knows; [sup_done], [sup_interrupted] (fewer
     runs than [n]), [sup_quarantined] and [sup_timeouts] are derived
     from the results. *)

@@ -57,26 +57,24 @@ let drive ~jobs ~body =
   | [] -> ()
   | (i, e, bt) :: _ -> Printexc.raise_with_backtrace (Worker_error (i, e)) bt
 
-(* [Array.init n f] on up to [jobs] domains, cancellable: [should_stop]
-   is polled before each index (sequentially) or chunk claim (in
-   parallel), and indices not computed are left as [None]. The caller
-   decides what a partial result means — the campaign engine journals
-   completed runs and resumes the holes later. *)
-let map_opt ?(jobs = 1) ?should_stop n f =
-  if n < 0 then invalid_arg "Pool.map_opt: negative n";
+(* [f i] for every index [i < n] on up to [jobs] domains, cancellable:
+   [should_stop] is polled before each index (sequentially) or chunk
+   claim (in parallel), and indices not started are skipped. [f] keeps
+   its own results, so a caller with a slot array of its own pays for
+   no second one. *)
+let iter ?(jobs = 1) ?should_stop n f =
+  if n < 0 then invalid_arg "Pool.iter: negative n";
   let jobs = max 1 (min jobs (max 1 n)) in
   let stop = match should_stop with Some g -> g | None -> fun () -> false in
-  let results = Array.make (max 0 n) None in
   if jobs = 1 then begin
     let i = ref 0 in
     while !i < n && not (stop ()) do
-      (try results.(!i) <- Some (f !i)
+      (try f !i
        with e ->
          let bt = Printexc.get_raw_backtrace () in
          Printexc.raise_with_backtrace (Worker_error (!i, e)) bt);
       incr i
-    done;
-    results
+    done
   end
   else begin
     let next = Atomic.make 0 in
@@ -94,13 +92,19 @@ let map_opt ?(jobs = 1) ?should_stop n f =
             if lo >= n then continue_ := false
             else
               for i = lo to min (lo + chunk) n - 1 do
-                if not (stop ()) then
-                  guard i (fun () -> results.(i) <- Some (f i))
+                if not (stop ()) then guard i (fun () -> f i)
               done
           end
-        done);
-    results
+        done)
   end
+
+(* [Array.init n f] through {!iter}: indices not computed are left as
+   [None]. The caller decides what a partial result means. *)
+let map_opt ?jobs ?should_stop n f =
+  if n < 0 then invalid_arg "Pool.map_opt: negative n";
+  let results = Array.make n None in
+  iter ?jobs ?should_stop n (fun i -> results.(i) <- Some (f i));
+  results
 
 (* Without [should_stop] every slot of [map_opt] is filled. *)
 let map ?jobs n f =

@@ -23,6 +23,15 @@ val map : ?jobs:int -> int -> (int -> 'a) -> 'a array
     domains (clamped to [n]; default 1 = sequential). [f] must not
     share mutable state across indices. *)
 
+val iter :
+  ?jobs:int -> ?should_stop:(unit -> bool) -> int -> (int -> unit) -> unit
+(** [iter ~jobs n f] calls [f i] once for every [i] in [0 .. n-1], on up
+    to [jobs] domains, for callers that store each result themselves:
+    [f] may write slot [i] of its own array, and the join before
+    returning publishes every write. Cancellation and errors as in
+    {!map_opt}: indices not started when [should_stop] turns true are
+    skipped. *)
+
 val map_opt :
   ?jobs:int -> ?should_stop:(unit -> bool) -> int -> (int -> 'a) -> 'a option array
 (** Cancellable {!map}: [should_stop] (e.g. a SIGINT flag) is polled

@@ -687,6 +687,113 @@ let test_sigkill_then_resume_digest () =
   Sys.remove journal
 
 (* ------------------------------------------------------------------ *)
+(* Result sharing and retention                                        *)
+
+module Interp = Tsan11rec.Interp
+
+let bytes_of (r : Interp.result) =
+  Marshal.to_string { r with Interp.demo = None } [ Marshal.No_sharing ]
+
+(* Within one report, structurally equal demo-less results are one
+   physical result, and each slot still equals its run executed alone:
+   a merge never replaces a result with an unequal one. The digest is
+   the reference fold's. *)
+let check_sharing name (spec : Campaign.spec) (c : Campaign.report) =
+  let by_bytes = Hashtbl.create 1024 in
+  let merged = ref 0 in
+  Array.iteri
+    (fun k (r : Interp.result) ->
+      let i = c.Campaign.first + k in
+      let alone =
+        Campaign.run_one ~deadline_s:0. ~tick_budget:None (spec.Campaign.conf i)
+          (fun () -> spec.Campaign.instance i)
+      in
+      let b = bytes_of r in
+      if not (String.equal b (bytes_of alone)) then
+        Alcotest.failf "%s: run %d differs from the run executed alone" name i;
+      match Hashtbl.find_opt by_bytes b with
+      | Some r' ->
+          if r' != r then
+            Alcotest.failf "%s: run %d is an unshared copy of an earlier run"
+              name i;
+          incr merged
+      | None -> Hashtbl.add by_bytes b r)
+    c.Campaign.results;
+  Alcotest.(check bool) (name ^ ": runs repeat") true (!merged > 0);
+  let pairs = Array.mapi (fun k r -> (c.Campaign.first + k, r)) c.Campaign.results in
+  let reference =
+    Ref_model.Campaign_aggregate.aggregate ~label:c.Campaign.label ~n:c.Campaign.n
+      ~first:c.Campaign.first ~jobs:c.Campaign.jobs ~wall_s:c.Campaign.wall_s
+      ~supervision:c.Campaign.supervision pairs
+  in
+  Alcotest.(check string) (name ^ ": digest = reference fold's")
+    (Campaign.digest reference) (Campaign.digest c)
+
+(* Runs alike in schedule, ints and strings, told apart only by their
+   thread names: the structural comparison keeps them apart. *)
+let names_spec =
+  let module Api = T11r_vm.Api in
+  {
+    fig1_spec with
+    Campaign.label = "thread-names";
+    instance =
+      (fun i ->
+        ( World.create ~seed:(Int64.of_int i) (),
+          Api.program ~name:"thread-names" (fun () ->
+              let name = if i mod 2 = 0 then "even" else "odd" in
+              Api.Thread.join (Api.Thread.spawn ~name (fun () -> ()))) ));
+  }
+
+let test_equal_results_shared () =
+  let n = 2000 in
+  List.iter
+    (fun jobs ->
+      check_sharing (Printf.sprintf "fig1 j%d" jobs) fig1_spec
+        (Campaign.run fig1_spec ~n ~jobs []);
+      check_sharing (Printf.sprintf "thread names j%d" jobs) names_spec
+        (Campaign.run names_spec ~n:40 ~jobs []))
+    [ 1; 2 ];
+  let journal = jpath () in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists journal then Sys.remove journal)
+    (fun () ->
+      ignore (Campaign.run fig1_spec ~n ~journal []);
+      let resumed = Campaign.run fig1_spec ~n ~jobs:2 ~journal [] in
+      Alcotest.(check int) "every run from the journal" n
+        resumed.Campaign.supervision.Campaign.sup_resumed;
+      check_sharing "fig1 resumed" fig1_spec resumed)
+
+let retained (c : Campaign.report) = Obj.reachable_words (Obj.repr c)
+
+(* What a fig1 report keeps: 57 words a run at 4,000 runs (1,465
+   distinct schedules), measured with one copy per distinct result;
+   keeping every run's own result read 98. *)
+let test_retention_budget () =
+  let n = 4000 in
+  let per_run = float_of_int (retained (Campaign.run fig1_spec ~n [])) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words/run <= 2 x 57" per_run)
+    true
+    (per_run <= 2. *. 57.)
+
+(* A report grows with the distinct results it holds, plus one slot a
+   run. From 4,000 to 16,000 fig1 runs the distinct schedules grow
+   2.1x, well under the runs' 4x; keeping every run's own result grew
+   the report 3.4x. Twice the 4,000-run report is out of reach while
+   the distinct results alone grow past 2x. *)
+let test_retention_grows_with_findings () =
+  let small = Campaign.run fig1_spec ~n:4000 [] in
+  let words_small = retained small and d_small = small.Campaign.distinct_schedules in
+  let large = Campaign.run fig1_spec ~n:16000 [] in
+  let words_large = retained large and d_large = large.Campaign.distinct_schedules in
+  let grew = float_of_int words_large /. float_of_int words_small in
+  let found = float_of_int d_large /. float_of_int d_small in
+  Alcotest.(check bool)
+    (Printf.sprintf "report grew %.2fx, its distinct schedules %.2fx" grew found)
+    true
+    (grew < 1.1 *. found && found < 3.)
+
+(* ------------------------------------------------------------------ *)
 (* Coverage-guided hunting                                             *)
 
 module Coverage = T11r_race.Coverage
@@ -935,6 +1042,15 @@ let () =
             test_distinct_schedules_exact;
           Alcotest.test_case "distinct_schedules: shared prefix" `Quick
             test_distinct_schedules_shared_prefix;
+        ] );
+      ( "retention",
+        [
+          Alcotest.test_case "equal results shared, -j1 -j2 resume" `Quick
+            test_equal_results_shared;
+          Alcotest.test_case "4k-run fig1 report words/run" `Quick
+            test_retention_budget;
+          Alcotest.test_case "16k-run report grows with findings" `Quick
+            test_retention_grows_with_findings;
         ] );
       ( "supervision",
         [
