@@ -224,10 +224,10 @@ let render_signals ss o =
     ss;
   List.length ss
 
-(* SYSCALL's data field is [Codec.escape (Rle.encode_bytes data)]: each
-   RLE chunk is escaped as it is emitted, with no encoded string in
-   between. Non-empty data has a non-empty encoding, so only empty
-   data takes [escape]'s ["%-"]. *)
+(* SYSCALL's data field is the escaped byte RLE of the data: each
+   [Rle.chunks] chunk is escaped as it is emitted, with no encoded
+   string in between. Non-empty data has a non-empty encoding, so only
+   empty data takes [escape]'s ["%-"]. *)
 let render_syscalls scs o =
   let run c len =
     add_escaped_char o Rle.run_marker;

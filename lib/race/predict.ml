@@ -509,18 +509,37 @@ module Codec = T11r_util.Codec
    DECISIONS line through [Codec], whose [Invalid_argument] rejects
    the file as [Bad] does. *)
 
+(* An integer as [string_of_int] writes it: an optional '-', then
+   digits with no leading zero, and no "-0". [Codec.int_at] also reads
+   [int_of_string]'s other forms ("+0", "0x1F", "1_000"), which the
+   demo reader keeps accepting. *)
+let dec_int s a b =
+  let d = if b > a && s.[a] = '-' then a + 1 else a in
+  if d >= b || (s.[d] = '0' && (b > d + 1 || d > a)) then raise Bad;
+  for i = d to b - 1 do
+    if s.[i] < '0' || s.[i] > '9' then raise Bad
+  done;
+  Codec.int_at s a b
+
+(* A 0 or 1 field. *)
+let dec_bit s a b =
+  if Codec.is_at s a b "1" then true
+  else if Codec.is_at s a b "0" then false
+  else raise Bad
+
 let dec_foot s a b =
   let dot () =
     match String.index_from_opt s a '.' with Some d when d < b -> d | _ -> raise Bad
   in
+  let tag_only f = if b = a + 1 then f else raise Bad in
   match s.[a] with
-  | 'L' -> F_local
-  | 'F' -> F_fence
-  | 'G' -> F_global
+  | 'L' -> tag_only F_local
+  | 'F' -> tag_only F_fence
+  | 'G' -> tag_only F_global
   | 'A' ->
       let d = dot () in
-      if d + 1 >= b then raise Bad;
-      let id = Codec.int_at s (a + 1) d in
+      if d + 2 <> b then raise Bad;
+      let id = dec_int s (a + 1) d in
       let k =
         match s.[d + 1] with
         | 'r' -> Acc_read
@@ -531,16 +550,16 @@ let dec_foot s a b =
       F_atomic (id, k)
   | 'Y' ->
       let d = dot () in
-      F_sync (Codec.int_at s (a + 1) d, Codec.int_at s (d + 1) b)
-  | 'P' -> F_spawn (Codec.int_at s (a + 1) b)
-  | 'J' -> F_join (Codec.int_at s (a + 1) b)
-  | 'W' -> F_syscall (Codec.int_at s (a + 1) b)
+      F_sync (dec_int s (a + 1) d, dec_int s (d + 1) b)
+  | 'P' -> F_spawn (dec_int s (a + 1) b)
+  | 'J' -> F_join (dec_int s (a + 1) b)
+  | 'W' -> F_syscall (dec_int s (a + 1) b)
   | _ -> raise Bad
 
 let dec_lock s a b =
   if Codec.is_at s a b "-" then L_none
   else
-    let id = Codec.int_at s (a + 1) b in
+    let id = dec_int s (a + 1) b in
     match s.[a] with
     | 'a' -> L_acquire id
     | 'r' -> L_release id
@@ -553,7 +572,7 @@ let dec_csv s a b =
     let stop =
       match String.index_from_opt s a ',' with Some c when c < b -> c | _ -> b
     in
-    let acc = Codec.int_at s a stop :: acc in
+    let acc = dec_int s a stop :: acc in
     if stop < b then go (stop + 1) acc else Array.of_list (List.rev acc)
   in
   if a = b then [||] else go a []
@@ -563,7 +582,8 @@ let decode_input lines =
   let steps = ref [] and accs = ref [] and obs = ref [] in
   let decode s =
     let at k f = f s fld.(2 * k) fld.((2 * k) + 1) in
-    let int k = at k Codec.int_at and name k = at k Codec.unescape_at in
+    let int k = at k dec_int and bit k = at k dec_bit in
+    let name k = at k Codec.unescape_at in
     (* field [k] after its one-letter tag *)
     let tagged k tag f =
       if s.[fld.(2 * k)] <> tag then raise Bad;
@@ -578,8 +598,8 @@ let decode_input lines =
             d_tid = int 1;
             d_enabled = enabled;
             d_foot = at 3 dec_foot;
-            d_draws = tagged 6 'D' Codec.int_at;
-            d_rand = int 2 <> 0;
+            d_draws = tagged 6 'D' dec_int;
+            d_rand = bit 2;
             d_lock = at 4 dec_lock;
           }
         in
@@ -598,7 +618,7 @@ let decode_input lines =
             a_tid = int 2;
             a_pos = int 3;
             a_var = int 4;
-            a_write = int 5 <> 0;
+            a_write = bit 5;
             a_name = name 6;
           }
         in

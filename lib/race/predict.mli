@@ -119,6 +119,10 @@ val decode_input : string list -> input option
 (** Inverse of {!encode_input}: [decode_input (encode_input i)] is [i].
     It accepts exactly the lines {!encode_input} writes: [None] on any
     other line (a step's [C<clock>] column or an unescaped name, as
-    older builds wrote them, included), on a step whose tid is negative
+    older builds wrote them, included). Integers are plain decimal as
+    [string_of_int] writes them (no ["+0"], ["0x1F"], ["1_000"] or
+    leading zero), flags are [0] or [1], a tag-only footprint is its
+    one letter and an atomic footprint's kind one letter after the
+    [.]. It is also [None] on a step whose tid is negative
     or not in its enabled set (or whose spawn/join target is negative),
     and on an access with a negative tid or position. *)

@@ -41,19 +41,6 @@ let chunks b ~run ~lit =
     end
   done
 
-let encode_bytes b =
-  let buf = Buffer.create ((Bytes.length b / 2) + 8) in
-  chunks b
-    ~run:(fun c len ->
-      Buffer.add_char buf run_marker;
-      Buffer.add_char buf (Char.chr len);
-      Buffer.add_char buf c)
-    ~lit:(fun b start len ->
-      Buffer.add_char buf lit_marker;
-      Buffer.add_char buf (Char.chr len);
-      Buffer.add_subbytes buf b start len);
-  Buffer.contents buf
-
 let decode_into s a b buf =
   let i = ref a in
   while !i < b do
@@ -76,10 +63,3 @@ let decode_into s a b buf =
     end
     else invalid_arg "Rle.decode_bytes: bad chunk marker"
   done
-
-let encoded_size b =
-  let size = ref 0 in
-  chunks b
-    ~run:(fun _ _ -> size := !size + 3)
-    ~lit:(fun _ _ len -> size := !size + 2 + len);
-  !size

