@@ -133,7 +133,7 @@ let rec same_schedule a b =
   ||
   match (a, b) with
   | (_, t1, l1) :: a, (_, t2, l2) :: b ->
-      t1 = t2 && (l1 == l2 || String.equal l1 l2) && same_schedule a b
+      Int.equal t1 t2 && (l1 == l2 || String.equal l1 l2) && same_schedule a b
   | _ -> false
 
 let label_hash l =

@@ -50,11 +50,28 @@ type t = {
 let recorded_prefix inp =
   normalize_prefix (Array.map (fun d -> index_of d.d_tid d.d_enabled) inp.steps)
 
+(* [Stdlib.compare] on (report, first, second, var), key by key and in
+   place: no tuple is built and no polymorphic compare runs. Pairs of
+   one analysis share their report when it is equal, so the first key
+   usually ends at [==]. *)
 let compare_pair p q =
-  let c = Report.compare p.p_report q.p_report in
-  if c <> 0 then c
-  else
-    compare (p.p_first, p.p_second, p.p_var) (q.p_first, q.p_second, q.p_var)
+  match Report.compare p.p_report q.p_report with
+  | 0 -> (
+      let t1, k1 = p.p_first and u1, l1 = q.p_first in
+      match Int.compare t1 u1 with
+      | 0 -> (
+          match Int.compare k1 l1 with
+          | 0 -> (
+              let t2, k2 = p.p_second and u2, l2 = q.p_second in
+              match Int.compare t2 u2 with
+              | 0 -> (
+                  match Int.compare k2 l2 with
+                  | 0 -> Int.compare p.p_var q.p_var
+                  | c -> c)
+              | c -> c)
+          | c -> c)
+      | c -> c)
+  | c -> c
 
 let of_pairs pairs ~n_vars ~n_lock_excluded =
   let pairs = List.sort compare_pair pairs in
@@ -69,6 +86,14 @@ let of_pairs pairs ~n_vars ~n_lock_excluded =
   }
 
 (* ---- analysis ------------------------------------------------------ *)
+
+(* The serialization witness, last in every Must pair's list: an empty
+   guided prefix runs the lowest enabled tid to completion, so each
+   thread executes against the full store history of its predecessors
+   — including conditional branches the recording never took, which no
+   static event plan can anticipate. The empty plan also disables
+   adaptive repair: it is swept as-is per seed. *)
+let serial_w = { w_tids = [||]; w_prefix = [||] }
 
 let analyze (inp : input) : t =
   let nsteps = Array.length inp.steps in
@@ -201,11 +226,11 @@ let analyze (inp : input) : t =
         in
         held.(t) <- drop held.(t)
     | L_none | L_blocked _ -> ());
-    ls_after.(t).(k) <- List.sort compare held.(t);
+    ls_after.(t).(k) <- List.sort Int.compare held.(t);
     kdone.(t) <- k
   done;
-  let lockset a = ls_after.(a.a_tid).(min a.a_pos (n_events a.a_tid)) in
-  let rec inter_nonempty l1 l2 =
+  let lockset a = ls_after.(a.a_tid).(Int.min a.a_pos (n_events a.a_tid)) in
+  let rec inter_nonempty (l1 : int list) (l2 : int list) =
     (* both sorted ascending *)
     match (l1, l2) with
     | [], _ | _, [] -> false
@@ -233,10 +258,10 @@ let analyze (inp : input) : t =
   let vars_order = List.rev !vars_order in
   let n_vars = List.length vars_order in
 
-  let past clocks start a =
+  let past (clocks : int array array) start a =
     let ne = n_events a.a_tid in
     if a.a_pos = 0 || ne = 0 then start.(a.a_tid)
-    else clocks.(evs.(a.a_tid).(min a.a_pos ne - 1))
+    else clocks.(evs.(a.a_tid).(Int.min a.a_pos ne - 1))
   in
   let covers c a = c.(a.a_tid) >= a.a_pos + 1 in
 
@@ -326,11 +351,43 @@ let analyze (inp : input) : t =
 
   (* -- pair classification -- *)
   let observed_norm = List.map Report.norm inp.observed in
+  (* One normalized report, with its observed flag, per (name, kind,
+     tids): slot (kind, first tid, second tid) before normalization,
+     kept while the name stays the same. *)
+  let reports = Array.make (3 * nthreads * nthreads) None in
+  let report_of a b =
+    let k = if a.a_write && b.a_write then 0 else if a.a_write then 1 else 2 in
+    let slot = (((k * nthreads) + a.a_tid) * nthreads) + b.a_tid in
+    match reports.(slot) with
+    | Some ((rep, _) as hit) when String.equal rep.Report.var a.a_name -> hit
+    | _ ->
+        let kind =
+          match k with
+          | 0 -> Report.Write_write
+          | 1 -> Report.Write_read
+          | _ -> Report.Read_write
+        in
+        let rep =
+          Report.norm
+            {
+              Report.var = a.a_name;
+              kind;
+              first_tid = a.a_tid;
+              second_tid = b.a_tid;
+            }
+        in
+        let hit = (rep, List.exists (Report.equal rep) observed_norm) in
+        reports.(slot) <- Some hit;
+        hit
+  in
+  (* Every Must pair without a reverse witness has the same list. *)
+  let preserve_serial = lazy [ Lazy.force preserve_w; serial_w ] in
   let pairs = ref [] in
   let n_lock_excluded = ref 0 in
   List.iter
     (fun v ->
       let arr = Array.of_list (List.rev !(Hashtbl.find var_accs v)) in
+      let at = Array.map (fun a -> (a.a_tid, a.a_pos)) arr in
       let n = Array.length arr in
       for i = 0 to n - 1 do
         for j = i + 1 to n - 1 do
@@ -343,21 +400,7 @@ let analyze (inp : input) : t =
               if not (covers pb_h a || covers pa_h b) then begin
                 let pa_r = past rel start_r a and pb_r = past rel start_r b in
                 let rel_ordered = covers pb_r a || covers pa_r b in
-                let kind =
-                  if a.a_write && b.a_write then Report.Write_write
-                  else if a.a_write then Report.Write_read
-                  else Report.Read_write
-                in
-                let rep =
-                  Report.norm
-                    {
-                      Report.var = a.a_name;
-                      kind;
-                      first_tid = a.a_tid;
-                      second_tid = b.a_tid;
-                    }
-                in
-                let obs = List.exists (Report.equal rep) observed_norm in
+                let rep, obs = report_of a b in
                 (* an observed pair is Must even if our conservative
                    chains order it: the recording itself is the witness *)
                 let conf =
@@ -366,31 +409,19 @@ let analyze (inp : input) : t =
                 let wits =
                   match conf with
                   | May -> []
-                  | Must ->
-                      let p = Lazy.force preserve_w in
-                      let rev =
-                        if obs then []
-                        else
-                          match reverse_witness a b with
-                          | Some w -> [ w ]
-                          | None -> []
-                      in
-                      (* The serialization witness: an empty guided
-                         prefix runs the lowest enabled tid to
-                         completion, so each thread executes against
-                         the full store history of its predecessors —
-                         including conditional branches the recording
-                         never took, which no static event plan can
-                         anticipate. The empty plan also disables
-                         adaptive repair: it is swept as-is per seed. *)
-                      (p :: rev) @ [ { w_tids = [||]; w_prefix = [||] } ]
+                  | Must -> (
+                      if obs then Lazy.force preserve_serial
+                      else
+                        match reverse_witness a b with
+                        | Some w -> Lazy.force preserve_w :: w :: [ serial_w ]
+                        | None -> Lazy.force preserve_serial)
                 in
                 pairs :=
                   {
                     p_report = rep;
                     p_var = v;
-                    p_first = (a.a_tid, a.a_pos);
-                    p_second = (b.a_tid, b.a_pos);
+                    p_first = at.(i);
+                    p_second = at.(j);
                     p_confidence = conf;
                     p_observed = obs;
                     p_witnesses = wits;

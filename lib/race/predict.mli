@@ -58,6 +58,11 @@ type witness = {
           starting point that guided replay repairs adaptively *)
 }
 
+(** Witness arrays and lists are read-only: an analysis shares them
+    between pairs (every Must pair's list ends with the same empty
+    serialization witness, and the pairs without a reverse witness
+    share one whole list), as pairs share equal reports. The sharing
+    is physical only: {!digest}'s [No_sharing] bytes do not see it. *)
 type pair = {
   p_report : Report.t;  (** normalized (canonical orientation) *)
   p_var : int;
@@ -71,7 +76,7 @@ type pair = {
 }
 
 type t = {
-  pairs : pair list;  (** deterministic order (report, then positions) *)
+  pairs : pair list;  (** in {!compare_pair} order *)
   n_must : int;
   n_may : int;
   n_observed : int;
@@ -79,6 +84,11 @@ type t = {
   n_lock_excluded : int;
       (** conflicting pairs excluded by a common lock *)
 }
+
+val compare_pair : pair -> pair -> int
+(** The order of [pairs] in {!t}: [Stdlib.compare] on [(p_report, p_first,
+    p_second, p_var)], the report by {!Report.compare}. Builds no tuple
+    and calls no polymorphic compare. *)
 
 val analyze : input -> t
 (** Pure function of the input — identical output whatever domain or

@@ -16,8 +16,31 @@ let pp fmt r =
   Format.fprintf fmt "data race (%s) on %s: T%d vs T%d"
     (kind_to_string r.kind) r.var r.first_tid r.second_tid
 
-let equal (a : t) b = a = b
-let compare (a : t) b = compare a b
+(* Field by field, in [Stdlib.compare]'s order on the record: the var
+   by bytes then by length ([String.compare] is that order, and returns
+   at once on a physically equal string), the kind by constructor
+   index, then the two tids. No polymorphic compare, no allocation. *)
+let kind_index = function Write_write -> 0 | Write_read -> 1 | Read_write -> 2
+
+let equal (a : t) b =
+  a == b
+  || Int.equal a.first_tid b.first_tid
+     && Int.equal a.second_tid b.second_tid
+     && a.kind == b.kind
+     && String.equal a.var b.var
+
+let compare (a : t) b =
+  if a == b then 0
+  else
+    match String.compare a.var b.var with
+    | 0 -> (
+        match Int.compare (kind_index a.kind) (kind_index b.kind) with
+        | 0 -> (
+            match Int.compare a.first_tid b.first_tid with
+            | 0 -> Int.compare a.second_tid b.second_tid
+            | c -> c)
+        | c -> c)
+    | c -> c
 
 (* Canonical form of the symmetric pair: the same race observed in the
    opposite order (write seen first vs. read seen first) must key

@@ -12,7 +12,14 @@ type t = {
 val kind_to_string : kind -> string
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
+(** Structural equality ([=] on the record), without a polymorphic
+    compare. *)
+
 val compare : t -> t -> int
+(** [Stdlib.compare]'s order on the record, field by field: [var] (by
+    bytes, then by length), [kind] (in declaration order), [first_tid],
+    [second_tid]. The sign agrees with [Stdlib.compare]; neither
+    function allocates. *)
 
 val norm : t -> t
 (** Canonical key for the symmetric pair: a [Read_write] is rewritten

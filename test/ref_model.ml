@@ -24,6 +24,12 @@
    own witnesses. test_predict.ml asserts the grouped
    [T11r_harness.Predictor.verify] returns the same report.
 
+   [Predict_order] is the pair order [T11r_race.Predict] sorted with
+   before [Report.compare] and [Predict.compare_pair] became field by
+   field: polymorphic compare on the report and on tuples of the
+   positions. test_predict.ml requires the same sign and the same
+   sorted lists.
+
    [Campaign_aggregate] is the campaign report fold as it was before
    the one-pass aggregate: per-field list passes over the results and
    a distinct-schedule set hashed through [Hashtbl.hash] per label.
@@ -654,6 +660,21 @@ module Predictor = struct
       r_runs = runs;
       r_executed = runs;
     }
+end
+
+(* The order of [Predict.t.pairs] as it was written before the
+   monomorphic comparators: [Stdlib.compare] on the report record, then
+   on a (first, second, var) tuple built per comparison. *)
+module Predict_order = struct
+  module Predict = T11r_race.Predict
+
+  let compare_pair (p : Predict.pair) (q : Predict.pair) =
+    let c = Stdlib.compare p.Predict.p_report q.Predict.p_report in
+    if c <> 0 then c
+    else
+      Stdlib.compare
+        (p.Predict.p_first, p.Predict.p_second, p.Predict.p_var)
+        (q.Predict.p_first, q.Predict.p_second, q.Predict.p_var)
 end
 
 (* QUEUE as the interpreter built and replayed it before the replay

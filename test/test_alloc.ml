@@ -349,6 +349,32 @@ let test_invisible_op () =
     Alcotest.failf "invisible_op allocates %.2f words per op, budget %d" words
       invisible_budget
 
+(* The offline pass over the input `record ms-queue --guided --seed 1'
+   writes: 1,357 steps and 241 accesses, from which the analysis builds
+   10,800 Must pairs. Measured at 641,138 words a call, most of it the
+   pair list's sort; 1.47M before the monomorphic comparators and the
+   per-access sharing of reports, positions and witness lists. *)
+let predict_ms_queue_row =
+  { op = "predict_analyze_ms_queue"; budget = 1_283_000; loop = (2, 10);
+    with_op =
+      (fun k ->
+        let wl = Option.get (T11r_harness.Workloads.find "ms-queue") in
+        let base =
+          Conf.with_policy (Conf.tsan11rec ()) wl.T11r_harness.Workloads.w_policy
+        in
+        let conf =
+          Conf.make ~base ~mode:Conf.Free
+            ~strategy:
+              (Conf.Guided
+                 { prefix = T11r_harness.Predictor.recording_prefix 1;
+                   observed = ref [] })
+            ~seeds:(1L, 7920L) ()
+        in
+        let world = World.create ~seed:42L () in
+        let r = Interp.run ~world conf (wl.T11r_harness.Workloads.w_instance world ()) in
+        let input = Interp.to_predict_input r in
+        k (fun () -> ignore (T11r_race.Predict.analyze input))) }
+
 let () =
   Alcotest.run "alloc"
     [
@@ -368,5 +394,9 @@ let () =
             Alcotest.test_case
               (Printf.sprintf "invisible_op <= %d words" invisible_budget)
               `Quick test_invisible_op;
+            Alcotest.test_case
+              (Printf.sprintf "%s <= %d words" predict_ms_queue_row.op
+                 predict_ms_queue_row.budget)
+              `Quick (test_row predict_ms_queue_row);
           ] );
     ]

@@ -764,6 +764,194 @@ let test_journal_merge_matches_live () =
   Sys.remove file
 
 (* ------------------------------------------------------------------ *)
+(* Pair order: the monomorphic comparators against polymorphic compare *)
+
+module Predict_order = Ref_model.Predict_order
+
+(* A physically distinct copy of [s]. *)
+let copy s = Bytes.to_string (Bytes.of_string s)
+
+let sign c = Int.compare c 0
+let kinds = [ Report.Write_write; Report.Write_read; Report.Read_write ]
+
+(* Names sharing prefixes, bytes either side of the signed/unsigned
+   boundary, and the empty name. *)
+let name_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ ""; "a"; "ab"; "abc"; "b"; "ba"; "na"; "nax"; "naxx" ];
+        string_size ~gen:(oneofl [ 'a'; 'b'; '\000'; '\127'; '\128'; '\255' ])
+          (int_range 0 3);
+      ])
+
+let report_gen =
+  QCheck.Gen.(
+    let* var = name_gen in
+    let* kind = oneofl kinds in
+    let* first_tid = int_range 0 2 in
+    let* second_tid = int_range 0 2 in
+    return { Report.var; kind; first_tid; second_tid })
+
+let show_report (r : Report.t) =
+  Printf.sprintf "%S %s T%d T%d" r.Report.var (Report.kind_to_string r.Report.kind)
+    r.Report.first_tid r.Report.second_tid
+
+(* The second report is independent, or the first with its name copied
+   and at most one other field redrawn, so equal and nearly equal
+   reports on physically distinct names are frequent. *)
+let report_pair_gen =
+  QCheck.Gen.(
+    let* a = report_gen in
+    let* b =
+      oneof
+        [
+          report_gen;
+          return { a with Report.var = copy a.Report.var };
+          map (fun k -> { a with Report.var = copy a.Report.var; kind = k })
+            (oneofl kinds);
+          map
+            (fun t -> { a with Report.var = copy a.Report.var; second_tid = t })
+            (int_range 0 2);
+          map (fun v -> { a with Report.var = v }) name_gen;
+        ]
+    in
+    return (a, b))
+
+let report_order_matches =
+  QCheck.Test.make ~name:"Report.compare/equal = polymorphic compare/=" ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) -> show_report a ^ " / " ^ show_report b)
+       report_pair_gen)
+    (fun (a, b) ->
+      sign (Report.compare a b) = sign (Stdlib.compare a b)
+      && sign (Report.compare b a) = sign (Stdlib.compare b a)
+      && Report.equal a b = (a = b)
+      && Report.compare a a = 0
+      && Report.equal a a)
+
+(* Every kind against every kind, on equal names that are distinct
+   strings, a prefix, and the same tids. *)
+let test_report_order_exhaustive () =
+  let names = [ ""; "a"; copy "a"; "ab"; copy "ab"; "b"; "\255" ] in
+  let reports =
+    List.concat_map
+      (fun var ->
+        List.concat_map
+          (fun kind ->
+            List.concat_map
+              (fun t1 ->
+                List.map
+                  (fun t2 -> { Report.var; kind; first_tid = t1; second_tid = t2 })
+                  [ 0; 1 ])
+              [ 0; 1 ])
+          kinds)
+      names
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let what = show_report a ^ " / " ^ show_report b in
+          check Alcotest.int ("compare " ^ what)
+            (sign (Stdlib.compare a b))
+            (sign (Report.compare a b));
+          check Alcotest.bool ("equal " ^ what) (a = b) (Report.equal a b))
+        reports)
+    reports
+
+(* Pairs over a small key space, so full ties (equal report, positions
+   and var on distinct records) are common; reports are sometimes
+   shared, sometimes equal copies. *)
+let pair_list_gen =
+  QCheck.Gen.(
+    let* shared = list_size (int_range 1 3) report_gen in
+    let pair_gen =
+      let* p_report =
+        oneof
+          [
+            oneofl shared;
+            map (fun r -> { r with Report.var = copy r.Report.var }) (oneofl shared);
+            report_gen;
+          ]
+      in
+      let* t1 = int_range 0 2 and* k1 = int_range 0 2 in
+      let* t2 = int_range 0 2 and* k2 = int_range 0 2 in
+      let* p_var = int_range 0 1 in
+      let* must = bool and* p_observed = bool in
+      return
+        {
+          Predict.p_report;
+          p_var;
+          p_first = (t1, k1);
+          p_second = (t2, k2);
+          p_confidence = (if must then Predict.Must else Predict.May);
+          p_observed;
+          p_witnesses = [];
+        }
+    in
+    list_size (int_range 0 40) pair_gen)
+
+let show_pair (p : Predict.pair) =
+  Printf.sprintf "%s T%d@%d T%d@%d v%d" (show_report p.Predict.p_report)
+    (fst p.Predict.p_first) (snd p.Predict.p_first) (fst p.Predict.p_second)
+    (snd p.Predict.p_second) p.Predict.p_var
+
+let pair_order_matches =
+  QCheck.Test.make ~name:"compare_pair and its sort = tuple comparator's" ~count:1000
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map show_pair l))
+       pair_list_gen)
+    (fun l ->
+      List.for_all
+        (fun p ->
+          List.for_all
+            (fun q ->
+              sign (Predict.compare_pair p q)
+              = sign (Predict_order.compare_pair p q))
+            l)
+        l
+      (* physical equality, element by element: ties keep their order *)
+      && List.for_all2 ( == )
+           (List.sort Predict.compare_pair l)
+           (List.sort Predict_order.compare_pair l))
+
+(* An analysis' and a merge's pairs are already in the tuple
+   comparator's order, tied pairs included. *)
+let check_sorted what (a : Predict.t) =
+  check Alcotest.bool (what ^ " pairs in reference order") true
+    (List.for_all2 ( == ) a.Predict.pairs
+       (List.sort Predict_order.compare_pair a.Predict.pairs))
+
+(* Taken before the monomorphic comparators and the per-access sharing:
+   the analysis output, its order and its bytes stay put. *)
+let ms_queue_digests =
+  [
+    (1, "03cf37b5da61131cacbe4193bd6ec61e");
+    (2, "73f8594a9f1fc5b50b26d8b5c1ce29cf");
+    (3, "65d108cda47614ada5c0fee51f2e517a");
+  ]
+
+let test_ms_queue_digests_pinned () =
+  let analyses =
+    List.map
+      (fun (seed, want) ->
+        let a = Predict.analyze (record_input "ms-queue" seed) in
+        check Alcotest.string
+          (Printf.sprintf "ms-queue seed %d analysis digest" seed)
+          want (Predict.digest a);
+        check_sorted (Printf.sprintf "ms-queue seed %d" seed) a;
+        a)
+      ms_queue_digests
+  in
+  check_sorted "ms-queue merge" (Predict.merge analyses);
+  List.iter
+    (fun name ->
+      let a = Predict.analyze (record_input name 1) in
+      check_sorted name a)
+    [ "fig1"; "dekker-fences"; "mcs-lock" ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "predict"
@@ -837,5 +1025,14 @@ let () =
             test_verify_matches_ref;
           Alcotest.test_case "zero-evidence budgets rejected" `Quick
             test_verify_rejects_empty_budget;
+        ] );
+      ( "order",
+        [
+          qtest report_order_matches;
+          Alcotest.test_case "Report.compare on every kind" `Quick
+            test_report_order_exhaustive;
+          qtest pair_order_matches;
+          Alcotest.test_case "ms-queue analysis digests pinned" `Quick
+            test_ms_queue_digests_pinned;
         ] );
     ]
