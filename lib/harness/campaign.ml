@@ -541,35 +541,47 @@ let run s ~n ?(jobs = 1) ?(first = 0) ?(deadline_s = 0.) ?tick_budget
    between equivalent campaigns; demos hold open handles to their
    directory and are dropped (record-mode campaigns write to disk, the
    in-memory aggregate comparison is about everything else). *)
+let totals r =
+  ( r.time_ms,
+    r.race_rate,
+    r.mean_reports,
+    r.mean_ticks,
+    r.completed,
+    r.racy_runs,
+    r.distinct_schedules,
+    r.outcomes,
+    r.sightings,
+    r.crashes,
+    r.metrics,
+    r.coverage )
+
 let fingerprint r =
   ( ( r.label,
       r.n,
       r.first,
       Array.fold_right (fun x acc -> sanitize x :: acc) r.results [] ),
-    ( r.time_ms,
-      r.race_rate,
-      r.mean_reports,
-      r.mean_ticks,
-      r.completed,
-      r.racy_runs,
-      r.distinct_schedules,
-      r.outcomes,
-      r.sightings,
-      r.crashes,
-      r.metrics,
-      r.coverage ) )
+    totals r )
 
 let equal a b = fingerprint a = fingerprint b
 
-(* Marshal is stable for the pure data in a fingerprint (no closures,
-   no custom blocks), so the digest is comparable across builds.
-   [No_sharing] makes the encoding a function of the structural value
-   alone: results rehydrated from a journal lose the physical sharing
-   a freshly-computed campaign has, and the digest must not see the
-   difference. *)
+(* The unshared Marshal digest of [fingerprint r], streamed one
+   [sanitize]d result at a time. Marshal is stable for the pure data
+   in a fingerprint (no closures, no custom blocks), so the digest is
+   comparable across builds. [No_sharing] makes the encoding a function
+   of the structural value alone: results rehydrated from a journal
+   lose the physical sharing a freshly-computed campaign has, and the
+   digest must not see the difference. *)
 let digest r =
-  Digest.to_hex
-    (Digest.string (Marshal.to_string (fingerprint r) [ Marshal.No_sharing ]))
+  Mdigest.digest (fun s ->
+      Mdigest.block s ~tag:0 ~size:2;
+      Mdigest.block s ~tag:0 ~size:4;
+      Mdigest.value s r.label;
+      Mdigest.value s r.n;
+      Mdigest.value s r.first;
+      Mdigest.list s Array.iter
+        (fun s x -> Mdigest.value s (sanitize x))
+        r.results;
+      Mdigest.value s (totals r))
 
 (* Counts are over the runs this report holds, so an interrupted
    report prints what it has, not what it was asked for. *)

@@ -263,7 +263,10 @@ val equal : report -> report -> bool
 val digest : report -> string
 (** Hex digest of everything {!equal} compares — a compact fingerprint
     for cross-build regression fixtures: two reports are [equal] iff
-    their digests match (up to hash collision). *)
+    their digests match (up to hash collision). It is the MD5 of the
+    Marshal [No_sharing] bytes of that data, streamed one demo-less
+    result at a time ({!T11r_util.Mdigest}) rather than built as one
+    string; the value is unchanged by the streaming. *)
 
 val pp : Format.formatter -> report -> unit
 (** The one printer of a report: run count and racy percentage over

@@ -139,9 +139,4 @@ let mutate parent rng =
 
 (* -- persistence ----------------------------------------------------- *)
 
-let digest t =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          (t.entries, t.total, t.energy_spent, t.next_id)
-          [ Marshal.No_sharing ]))
+let digest t = Mdigest.of_value (t.entries, t.total, t.energy_spent, t.next_id)

@@ -42,9 +42,7 @@ let fingerprint r =
       Corpus.digest r.g_corpus ),
     (r.g_coverage, r.g_outcomes, r.g_sightings, r.g_metrics) )
 
-let digest r =
-  Digest.to_hex
-    (Digest.string (Marshal.to_string (fingerprint r) [ Marshal.No_sharing ]))
+let digest r = Mdigest.of_value (fingerprint r)
 
 (* -- the fold state (also the journal snapshot payload) -------------- *)
 

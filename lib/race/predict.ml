@@ -17,6 +17,7 @@
    [c.(t) >= p]. *)
 
 open Decision
+module Mdigest = T11r_util.Mdigest
 
 type input = {
   steps : Decision.t array;
@@ -457,8 +458,25 @@ let merge ts =
 
 (* ---- digest / printing --------------------------------------------- *)
 
+(* [t]'s unshared Marshal digest, streamed: each pair is marshalled
+   without its witness list, and each physically distinct witness
+   once. Fields in declaration order. *)
 let digest (t : t) =
-  Digest.to_hex (Digest.string (Marshal.to_string t [ Marshal.No_sharing ]))
+  let witnesses = Mdigest.memo () in
+  Mdigest.digest (fun s ->
+      Mdigest.block s ~tag:0 ~size:6;
+      Mdigest.list s List.iter
+        (fun s p ->
+          Mdigest.value_but_last s { p with p_witnesses = [] };
+          Mdigest.list s List.iter
+            (fun s w -> Mdigest.shared s witnesses w)
+            p.p_witnesses)
+        t.pairs;
+      Mdigest.value s t.n_must;
+      Mdigest.value s t.n_may;
+      Mdigest.value s t.n_observed;
+      Mdigest.value s t.n_vars;
+      Mdigest.value s t.n_lock_excluded)
 
 let pp fmt (t : t) =
   Format.fprintf fmt

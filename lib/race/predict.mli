@@ -104,8 +104,12 @@ val merge : t list -> t
     runs in run-index order for a reproducible result. *)
 
 val digest : t -> string
-(** Hex digest of the full analysis (Marshal [No_sharing], like the
-    campaign digest discipline). *)
+(** Hex MD5 of the full analysis' Marshal [No_sharing] bytes, like the
+    campaign digest discipline. The bytes are streamed, never built
+    ({!T11r_util.Mdigest}): each pair is marshalled without its
+    witness list and each physically distinct witness once, so the
+    cost follows the distinct data, not the unshared size. The value
+    is that of [Digest.string (Marshal.to_string t [No_sharing])]. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -196,12 +196,15 @@ let guided_input (w : Workloads.t) s =
   Interp.to_predict_input
     (run_workload w ~world_seed:(Int64.of_int (42 + s)) conf)
 
-(* A digest of an analysis, like [Predict.digest] but computed without marshalling every
-   witness in full. httpd's first recording has 56,000 Must pairs that
-   all share its 20,000-step recorded schedule as a witness: over a
-   gigabyte once marshalled without sharing. Each witness is replaced
-   by the digest of its plan and prefix, computed once per physically
-   shared witness, so equal analyses still get equal digests. *)
+(* A digest of an analysis, like [Predict.digest] but hashing every
+   witness once. httpd's first recording has 56,000 Must pairs that all
+   share its 20,000-step recorded schedule as a witness: over a
+   gigabyte of bytes without sharing. [Predict.digest] streams them
+   without building the string, so its cost is time, not memory:
+   seconds per httpd case, and this file computes every case on each
+   test run. Each witness is replaced by the digest of its plan and
+   prefix, computed once per physically shared witness, so equal
+   analyses still get equal digests. *)
 module Shared = Hashtbl.Make (struct
   type t = Predict.witness
 

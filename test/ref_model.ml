@@ -30,6 +30,11 @@
    positions. test_predict.ml requires the same sign and the same
    sorted lists.
 
+   [Marshal_digest] is how the result digests were computed before
+   [T11r_util.Mdigest] streamed them: the whole unshared Marshal string,
+   hashed at once. test_util.ml, test_predict.ml and test_diff.ml
+   require the streamed digests to equal it.
+
    [Campaign_aggregate] is the campaign report fold as it was before
    the one-pass aggregate: per-field list passes over the results and
    a distinct-schedule set hashed through [Hashtbl.hash] per label.
@@ -675,6 +680,40 @@ module Predict_order = struct
       Stdlib.compare
         (p.Predict.p_first, p.Predict.p_second, p.Predict.p_var)
         (q.Predict.p_first, q.Predict.p_second, q.Predict.p_var)
+end
+
+(* The result digests as [Predict], [Campaign], [Guided] and [Corpus]
+   computed them before [T11r_util.Mdigest] streamed them: MD5 of the
+   whole unshared Marshal string, with [Campaign.digest]'s fingerprint
+   as it was built then. *)
+module Marshal_digest = struct
+  module Campaign = T11r_harness.Campaign
+  module Interp = Tsan11rec.Interp
+
+  let of_value v =
+    Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+
+  let campaign (r : Campaign.report) =
+    let sanitize (x : Interp.result) =
+      match x.Interp.demo with None -> x | Some _ -> { x with Interp.demo = None }
+    in
+    of_value
+      ( ( r.Campaign.label,
+          r.Campaign.n,
+          r.Campaign.first,
+          Array.fold_right (fun x acc -> sanitize x :: acc) r.Campaign.results [] ),
+        ( r.Campaign.time_ms,
+          r.Campaign.race_rate,
+          r.Campaign.mean_reports,
+          r.Campaign.mean_ticks,
+          r.Campaign.completed,
+          r.Campaign.racy_runs,
+          r.Campaign.distinct_schedules,
+          r.Campaign.outcomes,
+          r.Campaign.sightings,
+          r.Campaign.crashes,
+          r.Campaign.metrics,
+          r.Campaign.coverage ) )
 end
 
 (* QUEUE as the interpreter built and replayed it before the replay

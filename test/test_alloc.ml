@@ -354,26 +354,50 @@ let test_invisible_op () =
    10,800 Must pairs. Measured at 641,138 words a call, most of it the
    pair list's sort; 1.47M before the monomorphic comparators and the
    per-access sharing of reports, positions and witness lists. *)
+let ms_queue_input () =
+  let wl = Option.get (T11r_harness.Workloads.find "ms-queue") in
+  let base =
+    Conf.with_policy (Conf.tsan11rec ()) wl.T11r_harness.Workloads.w_policy
+  in
+  let conf =
+    Conf.make ~base ~mode:Conf.Free
+      ~strategy:
+        (Conf.Guided
+           { prefix = T11r_harness.Predictor.recording_prefix 1;
+             observed = ref [] })
+      ~seeds:(1L, 7920L) ()
+  in
+  let world = World.create ~seed:42L () in
+  let r = Interp.run ~world conf (wl.T11r_harness.Workloads.w_instance world ()) in
+  Interp.to_predict_input r
+
 let predict_ms_queue_row =
   { op = "predict_analyze_ms_queue"; budget = 1_283_000; loop = (2, 10);
     with_op =
       (fun k ->
-        let wl = Option.get (T11r_harness.Workloads.find "ms-queue") in
-        let base =
-          Conf.with_policy (Conf.tsan11rec ()) wl.T11r_harness.Workloads.w_policy
-        in
-        let conf =
-          Conf.make ~base ~mode:Conf.Free
-            ~strategy:
-              (Conf.Guided
-                 { prefix = T11r_harness.Predictor.recording_prefix 1;
-                   observed = ref [] })
-            ~seeds:(1L, 7920L) ()
-        in
-        let world = World.create ~seed:42L () in
-        let r = Interp.run ~world conf (wl.T11r_harness.Workloads.w_instance world ()) in
-        let input = Interp.to_predict_input r in
+        let input = ms_queue_input () in
         k (fun () -> ignore (T11r_race.Predict.analyze input))) }
+
+(* The digest of that analysis, in words allocated straight into the
+   major heap ([Gc.counters]' major less promoted): blocks too big for
+   the minor heap, which [words_per_call] does not see. Marshalling the
+   whole analysis without sharing built a 15.8 MB string here
+   (1,978,430 words); the streamed digest marshals one pair at a time,
+   and each distinct witness once, and measures 0. *)
+let predict_digest_major_budget = 131_072 (* 1 MB *)
+
+let test_predict_digest_major () =
+  let a = T11r_race.Predict.analyze (ms_queue_input ()) in
+  Gc.minor ();
+  let _, p0, m0 = Gc.counters () in
+  ignore (T11r_race.Predict.digest a);
+  let _, p1, m1 = Gc.counters () in
+  let direct = m1 -. m0 -. (p1 -. p0) in
+  Printf.printf "predict_digest_ms_queue: %.0f words direct to the major heap\n" direct;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words <= %d" direct predict_digest_major_budget)
+    true
+    (direct <= float_of_int predict_digest_major_budget)
 
 let () =
   Alcotest.run "alloc"
@@ -398,5 +422,9 @@ let () =
               (Printf.sprintf "%s <= %d words" predict_ms_queue_row.op
                  predict_ms_queue_row.budget)
               `Quick (test_row predict_ms_queue_row);
+            Alcotest.test_case
+              (Printf.sprintf "predict_digest_ms_queue <= %d major words"
+                 predict_digest_major_budget)
+              `Quick test_predict_digest_major;
           ] );
     ]

@@ -1088,7 +1088,8 @@ module World = T11r_env.World
 
 (* [c] against the reference fold of [pairs] (the runs [c] holds, as
    its observer saw them), and [Campaign.aggregate] of the same pairs
-   against both. The reference derives the same supervision fields, so
+   against both; the streamed digest against the whole Marshal
+   string's. The reference derives the same supervision fields, so
    [c]'s own supervision is its input. *)
 let check_aggregate name (c : Campaign.report) pairs =
   let supervision = c.Campaign.supervision in
@@ -1110,6 +1111,9 @@ let check_aggregate name (c : Campaign.report) pairs =
       Alcotest.(check string)
         (Printf.sprintf "%s: %s digest" name what)
         (Campaign.digest theirs) (Campaign.digest r);
+      Alcotest.(check string)
+        (Printf.sprintf "%s: %s digest = whole Marshal string's" name what)
+        (R.Marshal_digest.campaign r) (Campaign.digest r);
       Alcotest.(check bool)
         (Printf.sprintf "%s: %s supervision" name what)
         true

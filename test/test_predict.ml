@@ -952,6 +952,90 @@ let test_ms_queue_digests_pinned () =
     [ "fig1"; "dekker-fences"; "mcs-lock" ]
 
 (* ------------------------------------------------------------------ *)
+(* The streamed digest against the whole unshared Marshal string *)
+
+let old_digest = Ref_model.Marshal_digest.of_value
+
+(* Analyses shaped like [analyze]'s: one preserve witness and the
+   empty serialization witness shared by every Must pair, one shared
+   [preserve; serial] list, fresh reverse witnesses, equal but
+   unshared witnesses, May pairs without any, and the empty analysis. *)
+let analysis_gen =
+  QCheck.Gen.(
+    let ints = array_size (int_range 0 40) (oneof [ int_range 0 5; int ]) in
+    let witness =
+      let* w_tids = ints and* w_prefix = ints in
+      return { Predict.w_tids; w_prefix }
+    in
+    let* preserve = witness in
+    let serial = { Predict.w_tids = [||]; w_prefix = [||] } in
+    let preserve_serial = [ preserve; serial ] in
+    let witnesses =
+      oneof
+        [
+          return [];
+          return preserve_serial;
+          map (fun w -> [ preserve; w; serial ]) witness;
+          return
+            [ { Predict.w_tids = Array.copy preserve.Predict.w_tids;
+                w_prefix = Array.copy preserve.Predict.w_prefix }; serial ];
+        ]
+    in
+    let pair =
+      let* p_report = report_gen and* p_witnesses = witnesses in
+      let* t1 = int_range 0 3 and* k1 = int_range 0 300 in
+      let* t2 = int_range 0 3 and* k2 = int_range 0 300 in
+      let* p_var = int_range 0 100 and* p_observed = bool in
+      return
+        {
+          Predict.p_report;
+          p_var;
+          p_first = (t1, k1);
+          p_second = (t2, k2);
+          p_confidence = (if p_witnesses = [] then Predict.May else Predict.Must);
+          p_observed;
+          p_witnesses;
+        }
+    in
+    let* pairs = oneof [ return []; list_size (int_range 1 30) pair ] in
+    let* n_must = small_nat and* n_may = small_nat and* n_observed = small_nat in
+    let* n_vars = int and* n_lock_excluded = small_nat in
+    return { Predict.pairs; n_must; n_may; n_observed; n_vars; n_lock_excluded })
+
+let digest_matches_marshal =
+  QCheck.Test.make ~name:"digest = Marshal digest on random analyses" ~count:300
+    (QCheck.make
+       ~print:(fun (a : Predict.t) ->
+         String.concat "; " (List.map show_pair a.Predict.pairs))
+       analysis_gen)
+    (fun a -> Predict.digest a = old_digest a)
+
+(* The golden file's prediction cases: every workload's guided
+   recordings 1 and 2, and 1-4 merged. httpd's are left out: unshared,
+   each is gigabytes of Marshal string. *)
+let test_golden_cases_match_marshal () =
+  List.iter
+    (fun (w : Workloads.t) ->
+      if w.Workloads.w_name <> "httpd" then begin
+        let analyses =
+          List.init Golden.merged_runs (fun i ->
+              Predict.analyze (Golden.guided_input w (i + 1)))
+        in
+        List.iteri
+          (fun i a ->
+            if i < 2 then
+              check Alcotest.string
+                (Printf.sprintf "predict/%s/s%d" w.Workloads.w_name (i + 1))
+                (old_digest a) (Predict.digest a))
+          analyses;
+        let m = Predict.merge analyses in
+        check Alcotest.string
+          (Printf.sprintf "predict-merge/%s" w.Workloads.w_name)
+          (old_digest m) (Predict.digest m)
+      end)
+    Workloads.all
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "predict"
@@ -1034,5 +1118,11 @@ let () =
           qtest pair_order_matches;
           Alcotest.test_case "ms-queue analysis digests pinned" `Quick
             test_ms_queue_digests_pinned;
+        ] );
+      ( "digest",
+        [
+          qtest digest_matches_marshal;
+          Alcotest.test_case "golden cases = Marshal digest" `Quick
+            test_golden_cases_match_marshal;
         ] );
     ]

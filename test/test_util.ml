@@ -442,6 +442,209 @@ let crc_detects_bit_flip =
       Crc.string s <> Crc.string (Bytes.to_string b))
 
 (* ------------------------------------------------------------------ *)
+(* Mdigest *)
+
+(* A string and where to cut it: lengths and cuts around MD5's 64-byte
+   blocks, empty chunks included. *)
+let md5_chunks_gen =
+  let open QCheck.Gen in
+  let len =
+    oneof [ oneofl [ 0; 1; 55; 56; 63; 64; 65; 127; 128; 129; 192 ]; int_bound 300 ]
+  in
+  let cut = oneof [ oneofl [ 0; 0; 1; 63; 64; 65; 128 ]; int_bound 100 ] in
+  map2 (fun s cuts -> (s, cuts)) (string_size ~gen:char len) (list_size (int_bound 8) cut)
+
+let md5_chunks_equal_digest =
+  QCheck.Test.make ~name:"md5 fed in chunks = Digest.string" ~count:500
+    (QCheck.make
+       ~print:(fun (s, cuts) ->
+         Printf.sprintf "%d bytes, cuts [%s]" (String.length s)
+           (String.concat "; " (List.map string_of_int cuts)))
+       md5_chunks_gen)
+    (fun (s, cuts) ->
+      let m = Mdigest.Md5.create () in
+      let pos =
+        List.fold_left
+          (fun pos c ->
+            let c = min c (String.length s - pos) in
+            Mdigest.Md5.feed m s pos c;
+            pos + c)
+          0 cuts
+      in
+      Mdigest.Md5.feed m s pos (String.length s - pos);
+      Mdigest.Md5.finish m = Digest.string s)
+
+let test_md5_feed_range () =
+  let m = Mdigest.Md5.create () in
+  List.iter
+    (fun (pos, len) ->
+      check Alcotest.bool
+        (Printf.sprintf "feed %d %d refused" pos len)
+        true
+        (try
+           Mdigest.Md5.feed m "abc" pos len;
+           false
+         with Invalid_argument _ -> true))
+    [ (-1, 1); (0, -1); (2, 2); (4, 0) ]
+
+(* A value as a tree of blocks over leaves. [Open] is a block whose
+   last field the writer replaces ([Mdigest.value_but_last]); [Pooled]
+   is a leaf from a pool of physically distinct values, some of them
+   structurally equal ([0.0] and [-0.0] among them), emitted through a
+   memo. *)
+type shape =
+  | Int of int
+  | Str of string
+  | Float of float
+  | Pooled of int
+  | Block of int * shape list
+  | Open of int * shape list * shape
+
+let pool =
+  [| Obj.repr 0.0; Obj.repr (-0.0); Obj.repr (String.make 40 'x');
+     Obj.repr (String.make 40 'x'); Obj.repr (Array.init 300 (fun i -> i * 7));
+     Obj.repr [ 1.5; 1.5 ]; Obj.repr (Some "pooled") |]
+
+let rec build = function
+  | Int n -> Obj.repr n
+  | Str s -> Obj.repr s
+  | Float f -> Obj.repr f
+  | Pooled i -> pool.(i)
+  | Block (tag, fields) ->
+      let b = Obj.new_block tag (List.length fields) in
+      List.iteri (fun i f -> Obj.set_field b i (build f)) fields;
+      b
+  | Open (tag, fields, last) -> build (Block (tag, fields @ [ last ]))
+
+let rec write memo s = function
+  | (Int _ | Str _ | Float _) as leaf -> Mdigest.value s (build leaf)
+  | Pooled i -> Mdigest.shared s memo pool.(i)
+  | Block (tag, fields) ->
+      Mdigest.block s ~tag ~size:(List.length fields);
+      List.iter (write memo s) fields
+  | Open (tag, fields, last) ->
+      Mdigest.value_but_last s (build (Block (tag, fields @ [ Int 0 ])));
+      write memo s last
+
+let rec show = function
+  | Int n -> string_of_int n
+  | Str s -> Printf.sprintf "%S" s
+  | Float f -> Printf.sprintf "%h" f
+  | Pooled i -> Printf.sprintf "pool.(%d)" i
+  | Block (tag, fs) -> Printf.sprintf "%d(%s)" tag (String.concat ", " (List.map show fs))
+  | Open (tag, fs, l) ->
+      Printf.sprintf "%d(%s | %s)" tag (String.concat ", " (List.map show fs)) (show l)
+
+(* Ints in every Marshal width, strings of both short and both long
+   codes, floats with signed zeros and NaN, blocks of the one-byte and
+   the CODE_BLOCK32 headers (12 fields, tags past 15). *)
+let shape_gen =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        map (fun n -> Int n)
+          (oneof
+             [ oneofl [ 0; 63; 64; -1; -128; 127; 128; -32768; 32767; 32768;
+                        (1 lsl 30) - 1; 1 lsl 30; -(1 lsl 30); -(1 lsl 30) - 1;
+                        max_int; min_int ];
+               int ]);
+        map (fun n -> Str (String.make n 's')) (oneofl [ 0; 1; 31; 32; 255; 256 ]);
+        map (fun f -> Float f) (oneofl [ 0.0; -0.0; 1.5; nan; infinity; -1e300 ]);
+        map (fun i -> Pooled i) (int_bound (Array.length pool - 1));
+      ]
+  in
+  let tag = oneofl [ 0; 0; 1; 7; 15; 16; 200 ] in
+  let size = oneof [ int_range 1 9; return 12 ] in
+  sized_size (int_bound 3)
+  @@ fix (fun self depth ->
+         if depth = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 3,
+                 map2 (fun t fs -> Block (t, fs)) tag
+                   (size >>= fun n -> list_repeat n (self (depth - 1))) );
+               ( 1,
+                 map3 (fun t fs l -> Open (t, fs, l)) tag
+                   (int_range 0 8 >>= fun n -> list_repeat n (self (depth - 1)))
+                   (self (depth - 1)) );
+             ])
+
+let mdigest_equals_marshal =
+  QCheck.Test.make ~name:"Mdigest writer = Marshal digest on nested values" ~count:500
+    (QCheck.make ~print:show shape_gen)
+    (fun shape ->
+      let memo = Mdigest.memo () in
+      Mdigest.digest (fun s -> write memo s shape)
+      = Ref_model.Marshal_digest.of_value (build shape))
+
+let test_mdigest_signed_zero_memo () =
+  let memo = Mdigest.memo () in
+  let shape = Block (0, [ Pooled 0; Pooled 1; Pooled 0; Pooled 1 ]) in
+  check Alcotest.string "0.0 and -0.0 through one memo"
+    (Ref_model.Marshal_digest.of_value (build shape))
+    (Mdigest.digest (fun s -> write memo s shape));
+  check Alcotest.string "of_value" (Ref_model.Marshal_digest.of_value pool)
+    (Mdigest.of_value pool)
+
+let test_mdigest_refusals () =
+  let refused what f =
+    check Alcotest.bool what true (try f (); false with Invalid_argument _ -> true)
+  in
+  refused "an atom" (fun () ->
+      ignore (Mdigest.digest (fun s -> Mdigest.block s ~tag:0 ~size:0)));
+  refused "a block of 2^22 fields" (fun () ->
+      ignore (Mdigest.digest (fun s -> Mdigest.block s ~tag:0 ~size:(1 lsl 22))));
+  refused "a closure tag" (fun () ->
+      ignore (Mdigest.digest (fun s -> Mdigest.block s ~tag:Obj.closure_tag ~size:1)));
+  refused "a last field that is not 0" (fun () ->
+      ignore (Mdigest.digest (fun s -> Mdigest.value_but_last s (1, 2))));
+  let pass = ref 0 in
+  refused "passes that differ" (fun () ->
+      ignore
+        (Mdigest.digest (fun s ->
+             incr pass;
+             Mdigest.value s (String.make !pass 'p'))))
+
+(* The header writer at forged totals: Marshal's own header below
+   2^32 in every count, the big header from 2^32 on, each read back by
+   [Marshal.total_size]. No value of that size is built. *)
+let test_mdigest_header () =
+  let v = (String.make 300 'h', [ 1; 2; 3 ], 2.5) in
+  let m = Marshal.to_string v [ Marshal.No_sharing ] in
+  let u32 i = Int32.to_int (String.get_int32_be m i) land 0xFFFF_FFFF in
+  check Alcotest.string "a real value's header" (String.sub m 0 20)
+    (Mdigest.header ~len:(u32 4) ~size_32:(u32 12) ~size_64:(u32 16));
+  let two32 = 1 lsl 32 in
+  let case what ~len ~size_32 ~size_64 ~big =
+    let h = Mdigest.header ~len ~size_32 ~size_64 in
+    check Alcotest.int (what ^ ": header size") (if big then 32 else 20) (String.length h);
+    check Alcotest.int (what ^ ": size read back") (String.length h + len)
+      (Marshal.total_size (Bytes.of_string h) 0);
+    if big then begin
+      check Alcotest.int (what ^ ": no shared objects") 0
+        (Int64.to_int (String.get_int64_be h 16));
+      check Alcotest.int (what ^ ": 64-bit size") size_64
+        (Int64.to_int (String.get_int64_be h 24))
+    end
+    else begin
+      check Alcotest.int (what ^ ": 32-bit size") size_32
+        (Int32.to_int (String.get_int32_be h 12) land 0xFFFF_FFFF);
+      check Alcotest.int (what ^ ": 64-bit size") size_64
+        (Int32.to_int (String.get_int32_be h 16) land 0xFFFF_FFFF)
+    end
+  in
+  case "all below" ~len:(two32 - 1) ~size_32:(two32 - 1) ~size_64:(two32 - 1) ~big:false;
+  case "length at 2^32" ~len:two32 ~size_32:5 ~size_64:5 ~big:true;
+  case "32-bit size at 2^32" ~len:100 ~size_32:two32 ~size_64:(two32 - 1) ~big:true;
+  case "64-bit size at 2^32" ~len:100 ~size_32:(two32 - 1) ~size_64:two32 ~big:true;
+  (* httpd's seed-1 analysis: about 3 GB and 3.07G words, still small *)
+  case "httpd-sized" ~len:3_000_000_000 ~size_32:3_070_000_000 ~size_64:3_070_000_000
+    ~big:false
+
+(* ------------------------------------------------------------------ *)
 (* Journal *)
 
 let jtmp () =
@@ -823,6 +1026,16 @@ let () =
           Alcotest.test_case "hex roundtrip" `Quick test_crc_hex_roundtrip;
           qtest crc_update_incremental;
           qtest crc_detects_bit_flip;
+        ] );
+      ( "mdigest",
+        [
+          qtest md5_chunks_equal_digest;
+          Alcotest.test_case "md5 feed range" `Quick test_md5_feed_range;
+          qtest mdigest_equals_marshal;
+          Alcotest.test_case "memo keyed by identity" `Quick
+            test_mdigest_signed_zero_memo;
+          Alcotest.test_case "refusals" `Quick test_mdigest_refusals;
+          Alcotest.test_case "header at forged totals" `Quick test_mdigest_header;
         ] );
       ( "journal",
         [
