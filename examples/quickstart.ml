@@ -79,4 +79,4 @@ let () =
   assert (r2.races = r1.races);
   assert (r2.trace = r1.trace);
   Fmt.pr "replay trace identical to recording (%d critical sections)@."
-    (List.length r2.trace)
+    (Array.length r2.trace.codes)

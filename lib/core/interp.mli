@@ -50,6 +50,13 @@ type divergence = {
   div_trail : (int * int * string) list;
 }
 
+(** A run's schedule: tick [i] ran thread [codes.(i) lsr 16] as op
+    [labels.(codes.(i) land 0xFFFF)]. [labels] is the run's own table
+    in first-use order, so runs that ran the same [(tid, label)]
+    sequence have equal [codes] and equal [labels] — structural
+    equality of schedules is equality of those sequences. *)
+type schedule = private { codes : int array; labels : string array }
+
 type result = {
   outcome : outcome;
   makespan_us : int;  (** simulated wall-clock of the whole run *)
@@ -68,9 +75,10 @@ type result = {
   output : string;  (** observable output (fd 1) *)
   soft_desync : bool;  (** replay only: output diverged from recording *)
   demo : Demo.t option;  (** record mode: the captured demo *)
-  trace : (int * int * string) list;
-      (** (tick, tid, op label) per critical section, in order —
-          the ground truth for replay-fidelity tests *)
+  trace : schedule;
+      (** the thread and op label of each critical section, in tick
+          order — the ground truth for replay-fidelity tests; one int
+          per tick ({!trace_list} renders the old list) *)
   thread_names : (int * string) list;
       (** tid -> program-supplied thread name, creation order *)
   rng_draws : int;  (** scheduler-PRNG draws (replay must match) *)
@@ -143,6 +151,25 @@ val to_predict_input : result -> T11r_race.Predict.input
     made under decision capture also persist this input in the demo's
     DECISIONS aux file ([T11r_race.Predict.encode_input]), so the
     analysis can run offline on the demo alone. *)
+
+val schedule_of_list : (int * string) list -> schedule
+(** The schedule of these [(tid, label)] pairs, one per tick.
+    @raise Invalid_argument on a tid outside [0 .. max_int lsr 16] or
+    more than 65,536 distinct labels: a code that does not fit is
+    refused, never wrapped. {!run} refuses such a run the same way. *)
+
+val trace_list : result -> (int * int * string) list
+(** [r]'s schedule as [(tick, tid, label)] per tick, the layout the
+    result's trace had before it was an int array. *)
+
+val write_result : T11r_util.Mdigest.sink -> result -> unit
+(** Emits [{ r with demo = None }] as the unshared Marshal bytes of
+    that earlier layout (the 21-field record, field 10 the
+    {!trace_list} list), so digests pinned before the change keep
+    their bytes. *)
+
+val result_digest : result -> string
+(** [T11r_util.Mdigest.digest] of {!write_result}. *)
 
 val result_of_outcome : outcome -> result
 (** An empty result carrying just [outcome] — for failures that happen

@@ -138,7 +138,7 @@ type report = {
   results : Tsan11rec.Interp.result array;
       (** slot [k] = run [first + k]. In a report of {!run} the results
           may be physically shared, and are read-only: runs with equal
-          schedules share one [trace] list, and runs with structurally
+          schedules share one [trace] schedule, and runs with structurally
           equal demo-less results share one result. Sharing is
           invisible to {!equal}, {!digest} and the journal. *)
   time_ms : T11r_util.Stats.summary;  (** simulated makespans, ms *)
@@ -148,9 +148,9 @@ type report = {
   completed : int;
   racy_runs : int;
   distinct_schedules : int;
-      (** distinct [(tid, op)] sequences of the runs' traces, counted
-          exactly (ticks ignored), once: {!run} counts them in the
-          table it shares the traces through *)
+      (** distinct [(tid, op)] sequences of the runs' schedules,
+          counted exactly, once: {!run} counts them in the table it
+          shares the schedules through *)
   outcomes : (string * int) list;  (** outcome histogram, sorted by key *)
   sightings : sighting list;  (** distinct races, most-sighted first *)
   crashes : (int * string) list;  (** (run index, message), in run order *)
@@ -264,9 +264,11 @@ val digest : report -> string
 (** Hex digest of everything {!equal} compares — a compact fingerprint
     for cross-build regression fixtures: two reports are [equal] iff
     their digests match (up to hash collision). It is the MD5 of the
-    Marshal [No_sharing] bytes of that data, streamed one demo-less
-    result at a time ({!T11r_util.Mdigest}) rather than built as one
-    string; the value is unchanged by the streaming. *)
+    Marshal [No_sharing] bytes of that data with each result in the
+    layout {!Tsan11rec.Interp.write_result} emits (the schedule as a
+    [(tick, tid, label)] list, the demo dropped), streamed one result
+    at a time ({!T11r_util.Mdigest}) rather than built as one string.
+    A result held in many slots is written once a pass. *)
 
 val pp : Format.formatter -> report -> unit
 (** The one printer of a report: run count and racy percentage over

@@ -26,7 +26,7 @@ type result = {
    per-decision DPOR metadata ({!Decision.t}), and entries are written
    in analysis order (identical at every [jobs]). Bump the schema
    whenever Interp.result changes layout. *)
-let journal_schema = 5
+let journal_schema = 6
 
 (* Normalized guided prefixes, hashed over every index: the
    polymorphic [Hashtbl.hash] reads only the first ten, which piles

@@ -62,10 +62,9 @@ let campaign_cases () =
 let hex_of_string s = Digest.to_hex (Digest.string s)
 
 (* A result minus its demo handle (a recording's demo bytes are pinned
-   on their own); [No_sharing] keeps the encoding a function of the
-   value alone. *)
-let result_digest (r : Interp.result) =
-  hex_of_string (Marshal.to_string { r with Interp.demo = None } [ Marshal.No_sharing ])
+   on their own), in the layout [Interp.write_result] streams: the
+   unshared Marshal bytes of the record whose trace was a list. *)
+let result_digest = Interp.result_digest
 
 let demo_digest dir =
   let files = List.sort compare (Array.to_list (Sys.readdir dir)) in

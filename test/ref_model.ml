@@ -682,10 +682,72 @@ module Predict_order = struct
         (q.Predict.p_first, q.Predict.p_second, q.Predict.p_var)
 end
 
+(* [Tsan11rec.Interp.result] as it was before the schedule became an
+   int array: the same 21 fields, field 10 the [(tick, tid, label)]
+   list. [of_result] rebuilds it from a result, with the demo dropped,
+   and [digest] is the MD5 of its unshared Marshal bytes: what
+   [Interp.result_digest] must give. *)
+module Legacy_result = struct
+  module Interp = Tsan11rec.Interp
+
+  type t = {
+    outcome : Interp.outcome;
+    makespan_us : int;
+    ticks : int;
+    races : T11r_race.Report.t list;
+    race_count : int;
+    lock_cycles : T11r_race.Lockorder.cycle list;
+    trace_divergence : string option;
+    output : string;
+    soft_desync : bool;
+    demo : Tsan11rec.Demo.t option;
+    trace : (int * int * string) list;
+    thread_names : (int * string) list;
+    rng_draws : int;
+    desync_count : int;
+    divergences : Interp.divergence list;
+    metrics : T11r_obs.Metrics.t;
+    events : T11r_obs.Trace.event list;
+    events_dropped : int;
+    coverage : T11r_race.Coverage.summary;
+    decisions : T11r_race.Decision.t array;
+    accesses : T11r_race.Decision.acc array;
+  }
+
+  let of_result (r : Interp.result) =
+    {
+      outcome = r.Interp.outcome;
+      makespan_us = r.Interp.makespan_us;
+      ticks = r.Interp.ticks;
+      races = r.Interp.races;
+      race_count = r.Interp.race_count;
+      lock_cycles = r.Interp.lock_cycles;
+      trace_divergence = r.Interp.trace_divergence;
+      output = r.Interp.output;
+      soft_desync = r.Interp.soft_desync;
+      demo = None;
+      trace = Interp.trace_list r;
+      thread_names = r.Interp.thread_names;
+      rng_draws = r.Interp.rng_draws;
+      desync_count = r.Interp.desync_count;
+      divergences = r.Interp.divergences;
+      metrics = r.Interp.metrics;
+      events = r.Interp.events;
+      events_dropped = r.Interp.events_dropped;
+      coverage = r.Interp.coverage;
+      decisions = r.Interp.decisions;
+      accesses = r.Interp.accesses;
+    }
+
+  let digest r =
+    Digest.to_hex
+      (Digest.string (Marshal.to_string (of_result r) [ Marshal.No_sharing ]))
+end
+
 (* The result digests as [Predict], [Campaign], [Guided] and [Corpus]
    computed them before [T11r_util.Mdigest] streamed them: MD5 of the
    whole unshared Marshal string, with [Campaign.digest]'s fingerprint
-   as it was built then. *)
+   as it was built then, on results in their old layout. *)
 module Marshal_digest = struct
   module Campaign = T11r_harness.Campaign
   module Interp = Tsan11rec.Interp
@@ -694,14 +756,13 @@ module Marshal_digest = struct
     Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
 
   let campaign (r : Campaign.report) =
-    let sanitize (x : Interp.result) =
-      match x.Interp.demo with None -> x | Some _ -> { x with Interp.demo = None }
-    in
     of_value
       ( ( r.Campaign.label,
           r.Campaign.n,
           r.Campaign.first,
-          Array.fold_right (fun x acc -> sanitize x :: acc) r.Campaign.results [] ),
+          Array.fold_right
+            (fun x acc -> Legacy_result.of_result x :: acc)
+            r.Campaign.results [] ),
         ( r.Campaign.time_ms,
           r.Campaign.race_rate,
           r.Campaign.mean_reports,
@@ -1381,7 +1442,7 @@ module Campaign_aggregate = struct
         let key = Outcome.key r.Interp.outcome in
         Hashtbl.replace outcomes key
           (1 + Option.value ~default:0 (Hashtbl.find_opt outcomes key));
-        Schedules.replace schedules r.Interp.trace ();
+        Schedules.replace schedules (Interp.trace_list r) ();
         List.iter
           (fun race ->
             let race = Report.norm race in

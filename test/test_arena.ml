@@ -202,7 +202,8 @@ let test_long_then_short_run () =
       let l = run ~arena long in
       let short = run ~arena fig1 in
       Alcotest.(check bool) (long.name ^ " is longer") true
-        (List.length l.Interp.trace > 4 * List.length short.Interp.trace);
+        (Array.length l.Interp.trace.Interp.codes
+         > 4 * Array.length short.Interp.trace.Interp.codes);
       Alcotest.(check string)
         ("fig1 after " ^ long.name ^ " = fresh run")
         fresh (fingerprint short))

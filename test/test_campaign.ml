@@ -119,7 +119,9 @@ let test_runner_compat_across_jobs () =
 let reference_distinct (r : Campaign.report) =
   Array.to_list r.Campaign.results
   |> List.map (fun (x : Tsan11rec.Interp.result) ->
-         List.map (fun (_, tid, label) -> (tid, label)) x.Tsan11rec.Interp.trace)
+         List.map
+           (fun (_, tid, label) -> (tid, label))
+           (Tsan11rec.Interp.trace_list x))
   |> List.sort_uniq compare |> List.length
 
 let mcs_spec =
@@ -173,7 +175,7 @@ let test_distinct_schedules_shared_prefix () =
   Array.iter
     (fun (x : Tsan11rec.Interp.result) ->
       Alcotest.(check bool) "trace holds the 20-op prefix" true
-        (List.length x.Tsan11rec.Interp.trace > 20))
+        (Array.length x.Tsan11rec.Interp.trace.Tsan11rec.Interp.codes > 20))
     r.Campaign.results;
   Alcotest.(check int) "reference: four schedules" 4 (reference_distinct r);
   Alcotest.(check int) "distinct_schedules" 4 r.Campaign.distinct_schedules

@@ -25,7 +25,11 @@
      derived supervision, on real campaigns at jobs 1, 2 and 3 (crashes,
      quarantines, timeouts, cancellation and journal resume included)
      and on synthetic traces built to tell a schedule key that is not
-     exact from one that is. *)
+     exact from one that is;
+   - Schedule: a result's streamed digest equals the Marshal digest of
+     the same result in its old layout (the trace a (tick, tid, label)
+     list), on every golden workload and on random schedules; the list
+     rendered from the codes equals a recording's TRACE file. *)
 
 module Vc = T11r_util.Vclock
 module Ts = T11r_mem.Tstate
@@ -1225,9 +1229,13 @@ let test_aggregate_resumed () =
             (c.Campaign.supervision.Campaign.sup_resumed > 0);
           check_aggregate (Printf.sprintf "resumed j%d" jobs) c pairs))
 
-(* Synthetic runs: only the trace varies. *)
+(* Synthetic runs: only the trace varies; its ticks are dropped. *)
 let run_with_trace trace =
-  { (Interp.result_of_outcome Interp.Completed) with Interp.trace }
+  {
+    (Interp.result_of_outcome Interp.Completed) with
+    Interp.trace =
+      Interp.schedule_of_list (List.map (fun (_, tid, l) -> (tid, l)) trace);
+  }
 
 let synthetic traces =
   Array.of_list (List.mapi (fun i t -> (i, run_with_trace t)) traces)
@@ -1279,6 +1287,8 @@ let test_schedule_key_exact () =
           [];
         ] );
       ("prefix", [ base; List.tl base; [ List.hd base ] ]);
+      ( "a label repeated in one trace, once as a copy",
+        [ base @ base; base @ List.map (fun (t, tid, l) -> (t, tid, copy l)) base ] );
     ]
 
 (* Random traces over a small alphabet whose labels collide on length,
@@ -1305,6 +1315,124 @@ let prop_schedule_count =
       in
       r.Campaign.distinct_schedules = naive_distinct traces
       && Campaign.digest r = Campaign.digest theirs)
+
+(* ------------------------------------------------------------------ *)
+(* The schedule as int codes, against the (tick, tid, label) list it
+   replaced: [Interp.result_digest] streams a result's bytes in the old
+   layout, so it must equal the digest of the old record
+   ([Ref_model.Legacy_result]) marshalled whole. *)
+
+module Workloads = T11r_harness.Workloads
+
+let pairs_of (r : Interp.result) =
+  List.map (fun (_, tid, l) -> (tid, l)) (Interp.trace_list r)
+
+let check_legacy what (r : Interp.result) =
+  Alcotest.(check string)
+    (what ^ ": streamed digest = old layout's Marshal digest")
+    (R.Legacy_result.digest r) (Interp.result_digest r);
+  Alcotest.(check bool)
+    (what ^ ": the list rebuilds the schedule")
+    true
+    (Interp.schedule_of_list (pairs_of r) = r.Interp.trace)
+
+(* Every golden workload under every golden configuration, once. *)
+let test_legacy_digest_golden () =
+  List.iter
+    (fun (w : Workloads.t) ->
+      List.iter
+        (fun (cname, conf) ->
+          check_legacy
+            (w.Workloads.w_name ^ "/" ^ cname)
+            (Golden.run_workload w ~world_seed:7L (Conf.with_seeds conf 3L 4L)))
+        (Golden.configs ()))
+    Workloads.all
+
+(* A debug_trace recording's TRACE file is the list, line for line. *)
+let test_trace_list_is_trace_file () =
+  List.iter
+    (fun (w : Workloads.t) ->
+      T11r_util.Tmp.with_dir ~prefix:"schedule" (fun dir ->
+          let conf =
+            {
+              (Conf.tsan11rec ~strategy:Conf.Random ~mode:(Conf.Record dir) ())
+              with
+              Conf.debug_trace = true;
+            }
+          in
+          let r =
+            Golden.run_workload w ~world_seed:5L (Conf.with_seeds conf 11L 13L)
+          in
+          let name = w.Workloads.w_name in
+          let lines = List.assoc "TRACE" (Demo.load ~dir).Demo.extra in
+          Alcotest.(check (list string))
+            (name ^ ": trace_list = TRACE")
+            lines
+            (List.map
+               (fun (tick, tid, l) -> Printf.sprintf "%d %d %s" tick tid l)
+               (Interp.trace_list r));
+          check_legacy (name ^ " recorded") r))
+    Workloads.all
+
+(* Random schedules: tids and ticks across Marshal's int widths (a
+   schedule of 2^30 ticks is not built; [Mdigest.int]'s own test covers
+   those widths), and labels that are constants, built per tick
+   ([sig_entry:n], [syscall:*]: equal but not physically) or of the
+   string-code boundary lengths. *)
+let prop_legacy_digest =
+  let open QCheck.Gen in
+  let label =
+    oneof
+      [
+        oneofl [ "a_load"; "a_store"; "mutex_lock"; ""; String.make 31 'l';
+                 String.make 32 'l'; String.make 255 'l'; String.make 256 'l' ];
+        map (fun n -> Printf.sprintf "sig_entry:%d" n) (int_bound 12);
+        map (fun k -> "syscall:" ^ k) (oneofl [ "read"; "write"; "poll" ]);
+      ]
+  in
+  let tid =
+    oneof
+      [
+        int_bound 5;
+        oneofl [ 63; 64; 127; 128; 32767; 32768; (1 lsl 30) - 1; 1 lsl 30;
+                 1 lsl 31; max_int lsr 16 ];
+      ]
+  in
+  let len =
+    frequency
+      [ (12, int_bound 200); (4, oneofl [ 64; 65; 128; 129 ]); (1, int_range 32767 32800) ]
+  in
+  QCheck.Test.make ~name:"result_digest = old layout's Marshal digest" ~count:120
+    (QCheck.make
+       ~print:(fun (entries, out) ->
+         Printf.sprintf "%d ticks, output %S" (List.length entries) out)
+       (pair (len >>= fun n -> list_repeat n (pair tid label)) (string_size (int_bound 40))))
+    (fun (entries, output) ->
+      let r =
+        {
+          (Interp.result_of_outcome Interp.Completed) with
+          Interp.trace = Interp.schedule_of_list entries;
+          ticks = List.length entries;
+          output;
+        }
+      in
+      Interp.result_digest r = R.Legacy_result.digest r
+      && pairs_of r = entries)
+
+let test_schedule_refusals () =
+  let refused what l =
+    Alcotest.(check bool) what true
+      (try
+         ignore (Interp.schedule_of_list l);
+         false
+       with Invalid_argument _ -> true)
+  in
+  refused "a tid past max_int lsr 16" [ (0, "a"); ((max_int lsr 16) + 1, "a") ];
+  refused "a negative tid" [ (-1, "a") ];
+  refused "65,537 labels" (List.init 65537 (fun i -> (0, string_of_int i)));
+  let s = Interp.schedule_of_list (List.init 65536 (fun i -> (1, string_of_int i))) in
+  Alcotest.(check int) "65,536 labels fit" 65536 (Array.length s.Interp.labels);
+  Alcotest.(check string) "the last one" "65535" s.Interp.labels.(65535)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1342,5 +1470,15 @@ let () =
           Alcotest.test_case "schedule key is exact" `Quick
             test_schedule_key_exact;
           qtest prop_schedule_count;
+        ] );
+      ( "schedule",
+        [
+          Alcotest.test_case "golden workloads: old layout digest" `Quick
+            test_legacy_digest_golden;
+          Alcotest.test_case "trace_list = TRACE file" `Quick
+            test_trace_list_is_trace_file;
+          Alcotest.test_case "codes that do not fit are refused" `Quick
+            test_schedule_refusals;
+          qtest prop_legacy_digest;
         ] );
     ]

@@ -672,9 +672,9 @@ let test_preempt_bounded_zero_is_nonpreemptive () =
   in
   check_completed r;
   check Alcotest.bool
-    (Printf.sprintf "few switches (%d)" (context_switches r.trace))
+    (Printf.sprintf "few switches (%d)" (context_switches (Interp.trace_list r)))
     true
-    (context_switches r.trace <= 6)
+    (context_switches (Interp.trace_list r) <= 6)
 
 let test_preempt_budget_increases_interleaving () =
   let switches budget seed =
@@ -687,7 +687,7 @@ let test_preempt_budget_increases_interleaving () =
         (two_spinners ())
     in
     check_completed r;
-    context_switches r.trace
+    context_switches (Interp.trace_list r)
   in
   let lo = List.init 10 (fun i -> switches 0 (Int64.of_int (i + 1))) in
   let hi = List.init 10 (fun i -> switches 8 (Int64.of_int (i + 1))) in
@@ -699,7 +699,7 @@ let test_delay_bounded_zero_is_queue () =
   let sched conf =
     let r = run ~conf:(seeded_conf ~conf 3L 4L) (two_spinners ()) in
     check_completed r;
-    List.map (fun (tick, tid, _) -> (tick, tid)) r.trace
+    List.map (fun (tick, tid, _) -> (tick, tid)) (Interp.trace_list r)
   in
   check Alcotest.bool "db:0 == queue schedule" true
     (sched (Conf.tsan11rec ~strategy:(Conf.Delay_bounded 0) ())
@@ -861,7 +861,7 @@ let test_signal_entry_segment () =
   let r = run ~world prog in
   check_completed r;
   let victim =
-    match List.find_opt (fun (_, _, l) -> l = "sig_entry:10") r.trace with
+    match List.find_opt (fun (_, _, l) -> l = "sig_entry:10") (Interp.trace_list r) with
     | Some (_, tid, _) -> tid
     | None -> Alcotest.fail "no signal entry in the trace"
   in

@@ -504,7 +504,7 @@ let test_os_replay_applies_asyncs () =
     List.find_map
       (fun (tick, tid, label) ->
         if tid = 1 && label = "mutex_lock_fail" then Some tick else None)
-      plain.trace
+      (Interp.trace_list plain)
   in
   let tick = 1 + Option.get fail_tick in
   add_asyncs dir [ { Demo.a_tick = tick; a_kind = Demo.Signal_wakeup 1 } ];
@@ -512,7 +512,9 @@ let test_os_replay_applies_asyncs () =
   check_completed r2;
   let fails r =
     List.length
-      (List.filter (fun (_, tid, l) -> tid = 1 && l = "mutex_lock_fail") r.Interp.trace)
+      (List.filter
+         (fun (_, tid, l) -> tid = 1 && l = "mutex_lock_fail")
+         (Interp.trace_list r))
   in
   check Alcotest.int "one more failed lock" (fails plain + 1) (fails r2)
 
@@ -694,7 +696,7 @@ let test_failed_syscall_floats_to_tick () =
   check Alcotest.bool "anchored to a trace event" true
     (List.exists
        (fun (tick, tid, _) -> tick = e.Demo.sc_tick && tid = e.Demo.sc_tid)
-       r1.trace)
+       (Interp.trace_list r1))
 
 (* ------------------------------------------------------------------ *)
 (* Desync recovery modes *)

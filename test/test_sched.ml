@@ -23,7 +23,7 @@ let check_completed r =
   if r.Interp.outcome <> Interp.Completed then
     Alcotest.failf "expected completion, got %s" (outcome_str r)
 
-let labels r = List.map (fun (_, _, l) -> l) r.Interp.trace
+let labels r = List.map (fun (_, _, l) -> l) (Interp.trace_list r)
 
 (* ------------------------------------------------------------------ *)
 (* Tick accounting *)
