@@ -460,7 +460,7 @@ let merge ts =
 
 (* [t]'s unshared Marshal digest, streamed: each pair is marshalled
    without its witness list, and each physically distinct witness
-   once. Fields in declaration order. *)
+   once a pass. Fields in declaration order. *)
 let digest (t : t) =
   let witnesses = Mdigest.memo () in
   Mdigest.digest (fun s ->
@@ -469,7 +469,7 @@ let digest (t : t) =
         (fun s p ->
           Mdigest.value_but_last s { p with p_witnesses = [] };
           Mdigest.list s List.iter
-            (fun s w -> Mdigest.shared s witnesses w)
+            (fun s w -> Mdigest.shared s witnesses Mdigest.value w)
             p.p_witnesses)
         t.pairs;
       Mdigest.value s t.n_must;
