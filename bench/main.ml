@@ -1,12 +1,13 @@
 (* The benchmark harness: regenerates every table of the paper's
    evaluation (§5) plus the quantitative prose claims, the ablations
    and the fault-injection sweep. The implementation's own performance
-   is measured by perfbench/ (BENCHMARK.json), not here.
+   is measured by perfbench/ (BENCHMARK.json); [costs] only takes one
+   hunt run apart on the host it runs on.
 
      dune exec bench/main.exe              -- everything
      dune exec bench/main.exe -- table1    -- one experiment
        (table1 table2 demosize table34 table5 game zandronum limits
-        ablations faults)
+        ablations faults costs)
 
    Absolute numbers are simulated time from our cost model (DESIGN.md
    §4-5); the claims to check against the paper are the *shapes*: who
@@ -668,6 +669,139 @@ let smoke = ref false
 let faults () = T11r_harness.Faultsweep.run ~smoke:!smoke ~jobs:!jobs ()
 
 (* ------------------------------------------------------------------ *)
+(* Cost of one hunt run                                                 *)
+
+(* Where a random-strategy hunt run's time goes, in host ns and minor
+   words per run or per tick. Runs use the perfbench hunt spec at
+   workload seed 1 (scheduler seeds off+i and off+i+7919, a fresh
+   [World.create] per run) on one recycled arena; the first row resets
+   one world instead, as [test_alloc]'s ctx_reset does. A tick row is
+   the marginal cost of one more op: a one-thread program making [k]
+   of them, less the same program making none, over [k] (64 loads,
+   fences or prints; 16 spawns or spawn+join pairs of named threads
+   that return at once, as every thread ever spawned stays in the
+   scheduler's scan). The last table is [Campaign.run] (jobs 1)
+   against a bare [Interp.run] loop over the same runs that keeps no
+   result; their difference is the campaign's own per-run work.
+   Timings are the best of 15 repetitions, so they read the host's
+   floor, not its noise; words are exact. *)
+let costs () =
+  let module Api = T11r_vm.Api in
+  let module Workloads = T11r_harness.Workloads in
+  let off = 1_000_003 in
+  let base (w : Workloads.t) =
+    Conf.with_policy (Conf.tsan11rec ~strategy:Conf.Random ()) w.w_policy
+  in
+  let conf base i =
+    Conf.with_seeds base (Int64.of_int (off + i)) (Int64.of_int (off + i + 7919))
+  in
+  let fresh_world i = World.create ~seed:(Int64.of_int (off + i)) () in
+  (* Best-of-15 ns and words per call of [f 0 .. f (n - 1)], after one
+     untimed pass. *)
+  let measure n f =
+    for i = 0 to n - 1 do
+      f i
+    done;
+    let best = ref infinity and words = ref 0.0 in
+    for _ = 1 to 15 do
+      Gc.minor ();
+      let w0 = Gc.minor_words () in
+      let t0 = Unix.gettimeofday () in
+      for i = 0 to n - 1 do
+        f i
+      done;
+      best := Float.min !best (Unix.gettimeofday () -. t0);
+      words := Gc.minor_words () -. w0
+    done;
+    (!best *. 1e9 /. float_of_int n, !words /. float_of_int n)
+  in
+  let arena = Interp.create_arena () in
+  let fig1_conf = conf (base (Option.get (Workloads.find "fig1"))) in
+  let runs = 2_000 in
+  let run ~world body i =
+    ignore
+      (Interp.run ~world:(world i) ~arena (fig1_conf i)
+         (Api.program ~name:"costs" body))
+  in
+  let recycled = World.create ~seed:1L () in
+  let reset_world _ =
+    World.reset recycled ~seed:1L;
+    recycled
+  in
+  let per_tick k op =
+    let program k () =
+      let a = Api.Atomic.create ~name:"a" 0 in
+      for _ = 1 to k do
+        op a
+      done
+    in
+    let ns, w = measure runs (run ~world:fresh_world (program k)) in
+    let ns0, w0 = measure runs (run ~world:fresh_world (program 0)) in
+    let k = float_of_int k in
+    ((ns -. ns0) /. k, (w -. w0) /. k)
+  in
+  let t =
+    Table.create
+      ~title:
+        "Cost of one hunt run: the empty program, and one more tick of each \
+         kind (host ns, best of 15; minor words)"
+      ~headers:[ "row"; "ns"; "words" ]
+  in
+  let row name (ns, w) =
+    Table.add_row t [ name; Printf.sprintf "%.0f" ns; Printf.sprintf "%.1f" w ]
+  in
+  row "empty run, recycled world" (measure runs (run ~world:reset_world ignore));
+  row "empty run, fresh world" (measure runs (run ~world:fresh_world ignore));
+  row "relaxed load tick"
+    (per_tick 64 (fun a -> ignore (Api.Atomic.load ~mo:T11r_mem.Memord.Relaxed a)));
+  row "seq_cst fence tick"
+    (per_tick 64 (fun _ -> Api.Atomic.fence T11r_mem.Memord.Seq_cst));
+  row "print syscall tick" (per_tick 64 (fun _ -> Api.Sys_api.print "x"));
+  row "spawn tick" (per_tick 16 (fun _ -> ignore (Api.Thread.spawn ~name:"c" ignore)));
+  row "spawn+join pair"
+    (per_tick 16 (fun _ -> Api.Thread.join (Api.Thread.spawn ~name:"c" ignore)));
+  Table.print t;
+  let t2 =
+    Table.create
+      ~title:
+        "Cost of one hunt run: Campaign.run (jobs 1) over a bare Interp.run \
+         loop (host µs per run, best of 15; minor words per run)"
+      ~headers:
+        [ "workload"; "runs"; "Campaign.run µs"; "bare µs"; "campaign's own µs";
+          "Campaign.run words"; "bare words" ]
+  in
+  List.iter
+    (fun (name, n) ->
+      let w = Option.get (Workloads.find name) in
+      let conf = conf (base w) in
+      let instance i =
+        let world = fresh_world i in
+        (world, w.w_instance world ())
+      in
+      let spec = { Campaign.label = name; conf; instance } in
+      let bare_ns, bare_w =
+        measure n (fun i ->
+            let world, program = instance i in
+            ignore (Interp.run ~world ~arena:(Campaign.domain_arena ()) (conf i) program))
+      in
+      let camp_ns, camp_w =
+        let ns, w = measure 1 (fun _ -> ignore (Campaign.run spec ~n ~jobs:1 [])) in
+        (ns /. float_of_int n, w /. float_of_int n)
+      in
+      Table.add_row t2
+        [
+          name;
+          string_of_int n;
+          Printf.sprintf "%.2f" (camp_ns /. 1e3);
+          Printf.sprintf "%.2f" (bare_ns /. 1e3);
+          Printf.sprintf "%.2f" ((camp_ns -. bare_ns) /. 1e3);
+          Printf.sprintf "%.0f" camp_w;
+          Printf.sprintf "%.0f" bare_w;
+        ])
+    [ ("fig1", 2_000); ("mcs-lock", 2_000); ("ms-queue", 20) ];
+  Table.print t2
+
+(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -681,6 +815,7 @@ let experiments =
     ("limits", limits);
     ("ablations", ablations);
     ("faults", faults);
+    ("costs", costs);
   ]
 
 let () =

@@ -106,6 +106,9 @@ type thread = {
   mutable last_tick : int;
   mutable disabled_at : int;
   mutable priority : int;  (* PCT strategy *)
+  body_handler : (unit, unit) handler;
+      (* runs the thread's body: built with the record, which the
+         arena recycles, so starting a thread builds no handler *)
 }
 
 type mstate = { mutable owner : int option; mutable m_clock : Vclock.t }
@@ -117,10 +120,27 @@ type rwstate = {
   mutable rw_clock : Vclock.t;
 }
 
+(* The run's label table, in first-use order, and an open-addressing
+   index over it: slot [i] holds [epoch lsl 17 lor (k + 1)] for label
+   [k] of the build numbered [epoch]; a slot stamped with an older
+   epoch is free, so a build starts without clearing the index. Arena
+   scratch, so interning allocates only when the table grows. *)
+type interner = {
+  mutable slots : int array;  (* a power of two, at most half full *)
+  mutable table : string array;  (* [0, n) this build's, the rest stale *)
+  mutable n : int;
+  mutable epoch : int;  (* from 1; the slots start at 0, free *)
+  mutable last : string array;  (* the table the last schedule got *)
+}
+
+(* A run's context, recycled across runs as the arena: every field a
+   run changes is set again by [prepare] before the next run starts
+   (OWNERSHIP: one domain, at most one live run at a time). *)
 type ctx = {
-  conf : Conf.t;
-  world : World.t;
-  mem : Atomics.t;
+  mutable conf : Conf.t;
+  mutable world : World.t;
+  mutable program : Api.program;
+  mutable mem : Atomics.t;  (* rebuilt if conf.max_history changes *)
   det : Detector.t;
   lockorder : Lockorder.t;
   rng : Prng.t;
@@ -138,22 +158,29 @@ type ctx = {
   mutable gclock : int;
   mutable makespan : int;
   mutable tick : int;
-  deadline_at : float;  (* Unix.gettimeofday () cutoff; infinity = none *)
+  mutable deadline_at : float;  (* Unix.gettimeofday () cutoff; infinity = none *)
   mutable cur : int;
       (* tid of the thread whose code runs: set wherever fiber code
          starts, so an invisible request is charged to its thread *)
-  (* The trace log: tick [i]'s critical section ran thread
-     [tr_tids.(i)] as [tr_labels.(i)], for [i < tr_n] (every tick logs
-     exactly one, see [log_trace]). Arena storage, so a run logs
-     without allocating; [finish] builds the result's list. *)
-  mutable tr_tids : int array;
-  mutable tr_labels : string array;
+  (* The trace log: tick [i]'s critical section has the schedule code
+     [tr_codes.(i)] over the run's label table [labels], for [i < tr_n]
+     (every tick logs exactly one, see [log_trace]). Arena storage, so
+     a run logs without allocating; [finish] copies the result's
+     schedule out of it. *)
+  mutable tr_codes : int array;
   mutable tr_n : int;
+  labels : interner;
+  mutable names : (int * string) list;  (* the last result's thread names *)
   (* recording *)
+  mutable recording : bool;  (* conf.mode is Record *)
   mutable rec_signals : Demo.signal_entry list;  (* reversed *)
   mutable rec_syscalls : Demo.syscall_entry list;  (* reversed *)
   mutable rec_asyncs : Demo.async_entry list;  (* reversed *)
-  cursor : Demo.cursor option;  (* replay: the demo, consumed in tick order *)
+  (* replay: the demo, consumed in tick order, and what [finish]
+     checks the run against; the run keeps no more of the demo *)
+  mutable cursor : Demo.cursor option;
+  mutable recorded : (Demo.meta * string list) option;
+  mutable replaying : bool;  (* [cursor <> None] *)
   mutable finished : outcome option;
   (* schedule-bounding strategies *)
   mutable strat_budget : int;  (* remaining delays / preemptions *)
@@ -161,21 +188,120 @@ type ctx = {
   (* desync recovery *)
   mutable desync_count : int;
   mutable desyncs : divergence list;  (* first 64, reversed *)
-  (* observability *)
-  obs : Trace.t;  (* Trace.disabled unless conf.trace_events *)
-  cov : Coverage.t;  (* Coverage.disabled unless conf.coverage *)
+  (* observability: the run's sinks, [Trace.disabled] and
+     [Coverage.disabled] unless the configuration asks for them, and
+     the arena's buffers they reuse *)
+  mutable obs : Trace.t;
+  mutable cov : Coverage.t;
+  mutable obs_buf : Trace.t;  (* rebuilt if capacity changes *)
+  mutable cov_buf : Coverage.t;
   mutable last_cs_start : int;  (* start of the current critical section *)
   mutable waits : int;
   mutable preemptions : int;
   mutable faults_seen : int;  (* World.faults_injected already traced *)
   (* decision capture for systematic exploration (Guided strategy only) *)
-  dec_on : bool;
+  mutable dec_on : bool;
   mutable decisions : Decision.t list;  (* reversed *)
   mutable dec_rand : bool;  (* current op drew among >= 2 live waiters *)
   mutable dec_lock : Decision.lock_event;  (* current op's lock transition *)
   mutable dec_counts : int array;  (* per-tid executed visible ops *)
   mutable dec_accs : Decision.acc list;  (* reversed *)
+  invisible : Api.handler;  (* answers the running thread's invisible requests *)
+  charge_report : T11r_race.Report.t -> unit;
+      (* the detector's hook for [Conf.report_cost] *)
 }
+
+(* A schedule code is [tid lsl 16 lor k], [k] the label's index in the
+   run's own table; a run whose codes would not fit is refused. *)
+let label_bits = 16
+let max_tid = max_int lsr label_bits
+
+let interner () =
+  { slots = Array.make 64 0; table = Array.make 32 ""; n = 0; epoch = 0; last = [||] }
+
+let epoch_shift = label_bits + 1
+let k_mask = (1 lsl epoch_shift) - 1
+
+(* From the length and three bytes, OCaml arithmetic; labels that
+   collide are told apart by [String.equal]. *)
+let[@inline] label_slot l mask =
+  let n = String.length l in
+  let h =
+    if n = 0 then 0
+    else
+      (n * 961)
+      + (Char.code (String.unsafe_get l 0) * 31)
+      + (Char.code (String.unsafe_get l (n / 2)) * 7)
+      + Char.code (String.unsafe_get l (n - 1))
+  in
+  (h * 0x2545F491) lsr 8 land mask
+
+(* The slot holding [l] in this build, or the free slot where it goes. *)
+let rec find_slot it l mask i =
+  let v = Array.unsafe_get it.slots i in
+  if v lsr epoch_shift <> it.epoch then i
+  else
+    let t = Array.unsafe_get it.table ((v land k_mask) - 1) in
+    if t == l || String.equal t l then i else find_slot it l mask ((i + 1) land mask)
+
+let rec add it l =
+  let mask = Array.length it.slots - 1 in
+  let i = find_slot it l mask (label_slot l mask) in
+  let v = Array.unsafe_get it.slots i in
+  if v lsr epoch_shift = it.epoch then (v land k_mask) - 1
+  else begin
+    let k = it.n in
+    if k >= 1 lsl label_bits then
+      invalid_arg
+        (Printf.sprintf "Interp: a schedule of more than %d distinct labels"
+           (1 lsl label_bits));
+    if 2 * (k + 1) > Array.length it.slots then begin
+      let slots = Array.make (2 * Array.length it.slots) 0 in
+      let mask = Array.length slots - 1 in
+      for j = 0 to k - 1 do
+        let rec free i = if slots.(i) = 0 then i else free ((i + 1) land mask) in
+        slots.(free (label_slot it.table.(j) mask)) <-
+          (it.epoch lsl epoch_shift) lor (j + 1)
+      done;
+      it.slots <- slots;
+      add it l
+    end
+    else begin
+      if k = Array.length it.table then begin
+        let table = Array.make (2 * k) "" in
+        Array.blit it.table 0 table 0 k;
+        it.table <- table
+      end;
+      it.table.(k) <- l;
+      it.n <- k + 1;
+      it.slots.(i) <- (it.epoch lsl epoch_shift) lor (k + 1);
+      k
+    end
+  end
+
+(* [l]'s index; the hit at its home slot, the common case, makes no
+   call. *)
+let[@inline] intern it l =
+  let slots = it.slots in
+  let v = Array.unsafe_get slots (label_slot l (Array.length slots - 1)) in
+  if v lsr epoch_shift = it.epoch
+     && Array.unsafe_get it.table ((v land k_mask) - 1) == l
+  then (v land k_mask) - 1
+  else add it l
+
+(* A new build: the index is empty, whatever earlier builds left. *)
+let start_build it =
+  it.epoch <- it.epoch + 1;
+  it.n <- 0
+
+(* The schedule code of [tid] running as [label], [label] interned in
+   the current build. *)
+let code it tid label =
+  if tid < 0 || tid > max_tid then
+    invalid_arg (Printf.sprintf "Interp: tid %d does not fit a schedule code" tid);
+  (tid lsl label_bits) lor intern it label
+
+let label_of it c = it.table.(c land ((1 lsl label_bits) - 1))
 
 let thread_opt ctx tid =
   if tid >= 0 && tid < ctx.next_tid then ctx.tvec.(tid) else None
@@ -241,8 +367,6 @@ let array_of_rev = function
 
 let rget ctx i =
   match ctx.tvec.(ctx.ready_scratch.(i)) with Some t -> t | None -> assert false
-let is_replay ctx = match ctx.cursor with Some _ -> true | None -> false
-let is_record ctx = match ctx.conf.mode with Conf.Record _ -> true | _ -> false
 let draw ctx n = if n <= 0 then 0 else Prng.int ctx.rng n
 
 (* A draw whose value picks among [n] live alternatives (waiter wakes).
@@ -262,16 +386,12 @@ let hard ctx msg = raise (Hard (Printf.sprintf "tick %d: %s" ctx.tick msg))
 let log_trace ctx tid label =
   let n = ctx.tr_n in
   assert (n = ctx.tick);
-  if n = Array.length ctx.tr_tids then begin
-    let cap = max 64 (2 * n) in
-    let tids = Array.make cap 0 and labels = Array.make cap "" in
-    Array.blit ctx.tr_tids 0 tids 0 n;
-    Array.blit ctx.tr_labels 0 labels 0 n;
-    ctx.tr_tids <- tids;
-    ctx.tr_labels <- labels
+  if n = Array.length ctx.tr_codes then begin
+    let codes = Array.make (max 64 (2 * n)) 0 in
+    Array.blit ctx.tr_codes 0 codes 0 n;
+    ctx.tr_codes <- codes
   end;
-  ctx.tr_tids.(n) <- tid;
-  ctx.tr_labels.(n) <- label;
+  ctx.tr_codes.(n) <- code ctx.labels tid label;
   ctx.tr_n <- n + 1
 
 (* Log entries [from, tr_n) as [f tick tid label], in order; built back
@@ -279,7 +399,8 @@ let log_trace ctx tid label =
 let map_trace ?(from = 0) ctx f =
   let acc = ref [] in
   for i = ctx.tr_n - 1 downto from do
-    acc := f i ctx.tr_tids.(i) ctx.tr_labels.(i) :: !acc
+    let c = ctx.tr_codes.(i) in
+    acc := f i (c lsr label_bits) (label_of ctx.labels c) :: !acc
   done;
   !acc
 
@@ -352,21 +473,33 @@ let wake_all ctx reason ~at =
     | _ -> ()
   done
 
+(* A fiber's exception: the run's own control exceptions unwind the
+   run, any other is the program's crash. *)
+let fiber_exn ctx t e =
+  match e with
+  | Hard _ | Unsupported_run _ | Diagnosed _ -> raise e
+  | e -> crash ctx t (Printexc.to_string e)
+
+(* A visible request parks the fiber. *)
+let fiber_effc t (type a) (eff : a Effect.t) =
+  match eff with
+  | Api.Op r -> Some (fun (k : (a, _) continuation) -> t.pending <- P (r, k))
+  | _ -> None
+
+(* The handler of a signal handler's or a synchronous raise's fiber,
+   whose return [on_return] resumes the interrupted code. *)
 let fiber_handler ctx t ~on_return =
   {
-    retc = (fun () -> on_return ());
-    exnc =
-      (fun e ->
-        match e with
-        | Hard _ | Unsupported_run _ | Diagnosed _ -> raise e
-        | e -> crash ctx t (Printexc.to_string e));
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Api.Op r ->
-            Some (fun (k : (a, _) continuation) -> t.pending <- P (r, k))
-        | _ -> None);
+    retc = on_return;
+    exnc = fiber_exn ctx t;
+    effc = (fun (type c) (eff : c Effect.t) -> fiber_effc t eff);
   }
+
+(* A thread's body returned: it is done, and its joiners wake. *)
+let body_return ctx t =
+  t.status <- Done;
+  t.pending <- No_request;
+  wake_all ctx (On_join t.tid) ~at:t.ltime
 
 (* Physical-timing noise on a visible request's arrival, which orders
    the FIFO picks. A replay draws none: the demo orders its picks. The
@@ -448,10 +581,10 @@ let handle_invisible : type a. ctx -> thread -> a Api.req -> a =
 
 (* Run fiber code of thread [t] until it parks on a visible request,
    returns or crashes, naming [t] the running thread meanwhile. *)
-let start_fiber ctx t f ~on_return =
+let start_fiber ctx t f handler =
   let prev = ctx.cur in
   ctx.cur <- t.tid;
-  match_with f () (fiber_handler ctx t ~on_return);
+  match_with f () handler;
   ctx.cur <- prev
 
 let new_thread ctx ~name ~parent_st ~at body =
@@ -470,19 +603,21 @@ let new_thread ctx ~name ~parent_st ~at body =
            immutable [tid] field is already right). Every other field
            is re-initialised to the fresh-record values; the previous
            run's parked continuation (if any) is dropped, exactly as a
-           fresh run drops it by never referencing it. *)
+           fresh run drops it by never referencing it. A pointer field
+           that already holds its value is not written again, as a
+           write to the long-lived record costs a write barrier. *)
         (match parent_st with
         | Some p -> Tstate.reinit_fork t.tst ~parent:p ~tid
         | None -> Tstate.reinit t.tst ~tid);
-        t.tname <- name;
+        if t.tname != name then t.tname <- name;
         t.status <- Ready;
-        t.pending <- No_request;
-        t.shelved <- [];
+        (match t.pending with No_request -> () | P _ -> t.pending <- No_request);
+        (match t.shelved with [] -> () | _ :: _ -> t.shelved <- []);
         t.arrival <- at;
         t.ltime <- at;
         t.invis_acc <- 0;
-        t.cwait <- None;
-        t.sigq <- [];
+        (match t.cwait with None -> () | Some _ -> t.cwait <- None);
+        (match t.sigq with [] -> () | _ :: _ -> t.sigq <- []);
         t.last_tick <- -1;
         t.disabled_at <- -1;
         t.priority <- 0;
@@ -493,7 +628,7 @@ let new_thread ctx ~name ~parent_st ~at body =
           | Some p -> Tstate.fork ~parent:p ~tid
           | None -> Tstate.create ~tid
         in
-        let t =
+        let rec t =
           {
             tid;
             tname = name;
@@ -509,18 +644,19 @@ let new_thread ctx ~name ~parent_st ~at body =
             last_tick = -1;
             disabled_at = -1;
             priority = 0;
+            body_handler =
+              {
+                retc = (fun () -> body_return ctx t);
+                exnc = (fun e -> fiber_exn ctx t e);
+                effc = (fun (type c) (eff : c Effect.t) -> fiber_effc t eff);
+              };
           }
         in
         ctx.tvec.(tid) <- Some t;
         t
   in
   t.priority <- draw ctx 1_000_000;
-  let on_return () =
-    t.status <- Done;
-    t.pending <- No_request;
-    wake_all ctx (On_join t.tid) ~at:t.ltime
-  in
-  start_fiber ctx t body ~on_return;
+  start_fiber ctx t body t.body_handler;
   stamp_arrival ctx t;
   t
 
@@ -528,7 +664,7 @@ let new_thread ctx ~name ~parent_st ~at body =
 (* Signals                                                              *)
 
 let record_async ctx kind =
-  if is_record ctx then
+  if ctx.recording then
     ctx.rec_asyncs <- { Demo.a_tick = ctx.tick; a_kind = kind } :: ctx.rec_asyncs
 
 (* Waking a disabled signal victim is an asynchronous event of its own
@@ -546,12 +682,12 @@ let wake_victim ctx t =
    evolves exactly as recorded. *)
 let deliver_signal ctx t signo =
   t.sigq <- t.sigq @ [ signo ];
-  if not (is_replay ctx) then wake_victim ctx t
+  if not ctx.replaying then wake_victim ctx t
 
 (* Record/free mode: deliver environment signals whose arrival time has
    passed, each to a PRNG-chosen victim thread (§4.3). *)
 let poll_env_signals ctx =
-  if not (is_replay ctx) then begin
+  if not ctx.replaying then begin
     let continue_ = ref true in
     while !continue_ do
       match World.next_signal ctx.world ~upto:ctx.gclock with
@@ -568,7 +704,7 @@ let poll_env_signals ctx =
                 List.nth candidates
                   (World.jitter ctx.world (List.length candidates))
               in
-              if is_record ctx then
+              if ctx.recording then
                 ctx.rec_signals <-
                   {
                     Demo.s_tid = victim.tid;
@@ -640,7 +776,7 @@ let rec draw_arrived ctx ~resched_us budget =
 let pick_random ctx ~rescheds =
   let n = ctx.ready_n in
   let resched_us = ctx.conf.resched_ms * 1000 in
-  if is_replay ctx then begin
+  if ctx.replaying then begin
     for _ = 1 to rescheds do
       ignore (draw ctx n);
       ctx.gclock <- ctx.gclock + resched_us
@@ -815,7 +951,19 @@ let note_new_fd ctx (r : Syscall.request) (res : Syscall.result) =
     | Syscall.Accept | Syscall.Accept4 -> Hashtbl.replace ctx.fd_classes res.ret `Sock
     | _ -> ()
 
-let exec_syscall ctx t ~now (r : Syscall.request) : Syscall.result =
+(* [r] served by the world. *)
+let live_syscall ctx ~now (r : Syscall.request) =
+  let res =
+    try World.syscall ctx.world ~now r
+    with World.Unsupported msg -> raise (Unsupported_run msg)
+  in
+  note_new_fd ctx r res;
+  res
+
+(* [r]'s result: from the demo on a replay when [recordable] (the
+   policy puts it in the demo), else live, and then also into the
+   demo when recording. *)
+let exec_syscall ctx t ~now ~recordable (r : Syscall.request) : Syscall.result =
   let conf = ctx.conf in
   let interposing = match conf.mode with Conf.Free -> false | _ -> true in
   if interposing && not (Policy.supports conf.policy r.kind) then
@@ -823,16 +971,6 @@ let exec_syscall ctx t ~now (r : Syscall.request) : Syscall.result =
       (Unsupported_run
          (Printf.sprintf "syscall %s cannot be interposed (use the poll workaround)"
             (Syscall.kind_to_string r.kind)));
-  let cls = fd_class ctx r.fd in
-  let recordable = Policy.should_record conf.policy ~fd_class:cls r in
-  let live () =
-    let res =
-      try World.syscall ctx.world ~now r
-      with World.Unsupported msg -> raise (Unsupported_run msg)
-    in
-    note_new_fd ctx r res;
-    res
-  in
   match ctx.cursor with
   | Some c when recordable -> (
       let label = Syscall.kind_to_string r.kind in
@@ -861,10 +999,10 @@ let exec_syscall ctx t ~now (r : Syscall.request) : Syscall.result =
              the call live without consuming the stream. *)
           match Demo.take_syscall c ~tid:t.tid ~label ~within:16 with
           | Some e -> of_entry e
-          | None -> live ()))
+          | None -> live_syscall ctx ~now r))
   | _ ->
-      let res = live () in
-      if is_record ctx && recordable then
+      let res = live_syscall ctx ~now r in
+      if ctx.recording && recordable then
         ctx.rec_syscalls <-
           {
             Demo.sc_tick = ctx.tick;
@@ -1031,9 +1169,10 @@ let wake_cond_waiter ctx t ~at ~(signaller_clock : Vclock.t) =
 
 let note_cs ctx t label fin =
   log_trace ctx t.tid label;
-  Trace.emit ctx.obs Trace.Op ~tick:ctx.tick ~tid:t.tid ~label
-    ~ts:ctx.last_cs_start
-    ~dur:(max 0 (fin - ctx.last_cs_start));
+  if Trace.enabled ctx.obs then
+    Trace.emit ctx.obs Trace.Op ~tick:ctx.tick ~tid:t.tid ~label
+      ~ts:ctx.last_cs_start
+      ~dur:(max 0 (fin - ctx.last_cs_start));
   t.last_tick <- ctx.tick;
   ctx.makespan <- max ctx.makespan fin
 
@@ -1080,13 +1219,19 @@ let cs_timing ?(syscall = false) ctx t ~recorded =
   t.invis_acc <- 0;
   fin
 
+let sig_entry_labels = Array.init 65 (Printf.sprintf "sig_entry:%d")
+
 (* Execute a signal-handler entry as its own critical section: shelve
    the pending request and run the handler fiber. *)
 let exec_signal_entry ctx t =
   let signo = List.hd t.sigq in
   t.sigq <- List.tl t.sigq;
   let fin = cs_timing ctx t ~recorded:false in
-  note_cs ctx t (Printf.sprintf "sig_entry:%d" signo) fin;
+  note_cs ctx t
+    (if signo >= 0 && signo < Array.length sig_entry_labels then
+       sig_entry_labels.(signo)
+     else Printf.sprintf "sig_entry:%d" signo)
+    fin;
   (match t.pending with
   | P _ as p ->
       t.shelved <- p :: t.shelved;
@@ -1104,7 +1249,7 @@ let exec_signal_entry ctx t =
             t.status <- Done;
             wake_all ctx (On_join t.tid) ~at:t.ltime
       in
-      start_fiber ctx t f ~on_return
+      start_fiber ctx t f (fiber_handler ctx t ~on_return)
   | None -> (
       (* No handler installed: ignore the signal (SIG_IGN model). *)
       match t.shelved with
@@ -1190,6 +1335,25 @@ let footprint_of_next ctx t : Decision.footprint =
         | Api.Syscall req -> F_syscall (Syscall.footprint_id req)
         | Api.Set_signal_handler _ | Api.Raise_sync _ -> F_global
         | _ -> F_local)
+
+(* Run syscall [req] of thread [t], whose critical section finishes at
+   [fin]; [recordable] is the policy's decision for it. *)
+let exec_syscall_op ctx t req (k : (Syscall.result, unit) continuation) fin
+    ~recordable =
+  let start = ctx.last_cs_start in
+  let res = exec_syscall ctx t ~now:start ~recordable req in
+  if Trace.enabled ctx.obs then begin
+    let f = World.faults_injected ctx.world in
+    if f > ctx.faults_seen then begin
+      ctx.faults_seen <- f;
+      Trace.emit ctx.obs Trace.Fault ~tick:ctx.tick ~tid:t.tid
+        ~label:(Syscall.kind_to_string req.Syscall.kind) ~ts:start ~dur:0
+    end
+  end;
+  (* Blocking time accrues outside the critical section (§4.4:
+     only the SYSCALL-file interaction is inside it). *)
+  t.ltime <- fin + res.Syscall.elapsed;
+  finish_cs ctx t k (Api.syscall_label req.Syscall.kind) fin res
 
 (* Run the visible operation [r] of thread [t], whose critical section
    [exec_cs] has already timed to finish at [fin]. *)
@@ -1317,25 +1481,10 @@ let exec_op : type a.
                 Coverage.mark ctx.cov
                   (Coverage.site_edge ~tid:t.tid ~obj:(lnot target));
               if ctx.conf.race_detection then
-                Tstate.acquire t.tst (Tstate.clock child.tst);
+                Tstate.acquire_thread t.tst child.tst;
               t.ltime <- max t.ltime child.ltime;
               finish_cs ctx t k label (max fin child.ltime) ()
           | _ -> fail_cs ctx t "join_wait" fin (On_join target)))
-  | Api.Syscall req ->
-      let start = ctx.last_cs_start in
-      let res = exec_syscall ctx t ~now:start req in
-      if Trace.enabled ctx.obs then begin
-        let f = World.faults_injected ctx.world in
-        if f > ctx.faults_seen then begin
-          ctx.faults_seen <- f;
-          Trace.emit ctx.obs Trace.Fault ~tick:ctx.tick ~tid:t.tid
-            ~label:(Syscall.kind_to_string req.Syscall.kind) ~ts:start ~dur:0
-        end
-      end;
-      (* Blocking time accrues outside the critical section (§4.4:
-         only the SYSCALL-file interaction is inside it). *)
-      t.ltime <- fin + res.Syscall.elapsed;
-      finish_cs ctx t k label fin res
   | Api.Set_signal_handler (signo, f) ->
       Hashtbl.replace ctx.handlers signo f;
       finish_cs ctx t k label fin ()
@@ -1357,16 +1506,34 @@ let exec_op : type a.
             t.arrival <- max t.arrival t.ltime;
             continue k ()
           in
-          start_fiber ctx t f ~on_return;
+          start_fiber ctx t f (fiber_handler ctx t ~on_return);
           stamp_arrival ctx t)
+  | Api.Syscall _ (* [exec_request] runs it *)
   | Api.New_atomic _ | Api.New_var _ | Api.New_mutex _ | Api.New_cond _
   | Api.New_rwlock _ | Api.Var_load _ | Api.Var_store _ | Api.Work _
   | Api.Work_mem _ | Api.Sleep _ | Api.Self | Api.Now | Api.Alloc _ ->
       assert false
 
-(* Execute one critical section for thread [t]: time it, then run its
-   op. A syscall's critical section costs [vis_cost_syscall], plus
-   [record_cost] when its result goes into the demo. *)
+(* Time the critical section of [t]'s parked request [r], then run it.
+   A syscall's critical section costs [vis_cost_syscall], plus
+   [record_cost] when its result goes into the demo: the policy decides
+   that once, for the timing and for the demo. *)
+let exec_request : type a.
+    ctx -> thread -> a Api.req -> (a, unit) continuation -> unit =
+ fun ctx t r k ->
+  match r with
+  | Api.Syscall req ->
+      let recordable =
+        Policy.should_record ctx.conf.policy
+          ~fd_class:(fd_class ctx req.Syscall.fd)
+          req
+      in
+      let interposed = match ctx.conf.mode with Conf.Free -> false | _ -> true in
+      let fin = cs_timing ~syscall:true ctx t ~recorded:(recordable && interposed) in
+      exec_syscall_op ctx t req k fin ~recordable
+  | _ -> exec_op ctx t r k (cs_timing ctx t ~recorded:false)
+
+(* Execute one critical section for thread [t]. *)
 let exec_cs ctx t =
   match (t.sigq, t.pending) with
   | _ :: _, _ -> exec_signal_entry ctx t
@@ -1375,18 +1542,7 @@ let exec_cs ctx t =
   | [], P (r, k) ->
       (* [t]'s code runs from the [continue] in [exec_op] on. *)
       ctx.cur <- t.tid;
-      let fin =
-        match r with
-        | Api.Syscall req ->
-            cs_timing ~syscall:true ctx t
-              ~recorded:
-                (Policy.should_record ctx.conf.policy
-                   ~fd_class:(fd_class ctx req.Syscall.fd)
-                   req
-                && ctx.conf.mode <> Conf.Free)
-        | _ -> cs_timing ctx t ~recorded:false
-      in
-      exec_op ctx t r k fin
+      exec_request ctx t r k
 
 (* ------------------------------------------------------------------ *)
 (* Demo assembly                                                        *)
@@ -1406,7 +1562,10 @@ let build_demo ctx app_name extra =
     queue =
       (match ctx.conf.sched with
       | Conf.Controlled (Conf.Queue | Conf.Delay_bounded _) ->
-          Some (Demo.queue_of_trace ctx.tr_tids ctx.tr_n)
+          Some
+            (Demo.queue_of_trace
+               (Array.init ctx.tr_n (fun i -> ctx.tr_codes.(i) lsr label_bits))
+               ctx.tr_n)
       | _ -> None);
     signals = List.rev ctx.rec_signals;
     syscalls = List.rev ctx.rec_syscalls;
@@ -1417,115 +1576,58 @@ let build_demo ctx app_name extra =
 (* ------------------------------------------------------------------ *)
 (* The result's schedule                                                *)
 
-(* A schedule code is [tid lsl 16 lor k], [k] the label's index in the
-   run's own table; a run whose codes would not fit is refused. *)
-let label_bits = 16
-let max_tid = max_int lsr label_bits
-
-(* The run's label table, in first-use order, and an open-addressing
-   index over it: slot [i] holds [epoch lsl 17 lor (k + 1)] for label
-   [k] of the build numbered [epoch]; a slot stamped with an older
-   epoch is free, so a build starts without clearing the index. Arena
-   scratch, so interning allocates only when the table grows. *)
-type interner = {
-  mutable slots : int array;  (* a power of two, at most half full *)
-  mutable table : string array;  (* [0, n) this build's, the rest stale *)
-  mutable n : int;
-  mutable epoch : int;  (* from 1; the slots start at 0, free *)
-}
-
-let interner () =
-  { slots = Array.make 64 0; table = Array.make 32 ""; n = 0; epoch = 0 }
-
-let epoch_shift = label_bits + 1
-let k_mask = (1 lsl epoch_shift) - 1
-
-(* From the length and three bytes, OCaml arithmetic; labels that
-   collide are told apart by [String.equal]. *)
-let[@inline] label_slot l mask =
-  let n = String.length l in
-  let h =
-    if n = 0 then 0
-    else
-      (n * 961)
-      + (Char.code (String.unsafe_get l 0) * 31)
-      + (Char.code (String.unsafe_get l (n / 2)) * 7)
-      + Char.code (String.unsafe_get l (n - 1))
+(* The schedule of codes [0, n) over [it]'s current build. Its label
+   table is the one the last schedule got when that holds the same
+   labels, as it does for most runs of one program: results share it,
+   and neither side writes to it. *)
+let schedule_of_codes it codes n =
+  let k = it.n and last = it.last in
+  let rec same i =
+    i >= k
+    || (let l = it.table.(i) and m = last.(i) in
+        (l == m || String.equal l m) && same (i + 1))
   in
-  (h * 0x2545F491) lsr 8 land mask
-
-(* The slot holding [l] in this build, or the free slot where it goes. *)
-let rec find_slot it l mask i =
-  let v = Array.unsafe_get it.slots i in
-  if v lsr epoch_shift <> it.epoch then i
-  else
-    let t = Array.unsafe_get it.table ((v land k_mask) - 1) in
-    if t == l || String.equal t l then i else find_slot it l mask ((i + 1) land mask)
-
-let rec add it l =
-  let mask = Array.length it.slots - 1 in
-  let i = find_slot it l mask (label_slot l mask) in
-  let v = Array.unsafe_get it.slots i in
-  if v lsr epoch_shift = it.epoch then (v land k_mask) - 1
-  else begin
-    let k = it.n in
-    if k >= 1 lsl label_bits then
-      invalid_arg
-        (Printf.sprintf "Interp: a schedule of more than %d distinct labels"
-           (1 lsl label_bits));
-    if 2 * (k + 1) > Array.length it.slots then begin
-      let slots = Array.make (2 * Array.length it.slots) 0 in
-      let mask = Array.length slots - 1 in
-      for j = 0 to k - 1 do
-        let rec free i = if slots.(i) = 0 then i else free ((i + 1) land mask) in
-        slots.(free (label_slot it.table.(j) mask)) <-
-          (it.epoch lsl epoch_shift) lor (j + 1)
-      done;
-      it.slots <- slots;
-      add it l
-    end
+  let labels =
+    if Array.length last = k && same 0 then last
     else begin
-      if k = Array.length it.table then begin
-        let table = Array.make (2 * k) "" in
-        Array.blit it.table 0 table 0 k;
-        it.table <- table
-      end;
-      it.table.(k) <- l;
-      it.n <- k + 1;
-      it.slots.(i) <- (it.epoch lsl epoch_shift) lor (k + 1);
-      k
+      let labels = Array.sub it.table 0 k in
+      it.last <- labels;
+      labels
     end
+  in
+  { codes = Array.sub codes 0 n; labels }
+
+(* The run's (tid, name) per thread, in creation order: the list the
+   previous run on this arena got when it names the same threads, so
+   results of one program share it. *)
+let thread_names ctx =
+  let rec same i = function
+    | [] -> i = ctx.next_tid
+    | (tid, name) :: rest -> (
+        i < ctx.next_tid
+        &&
+        match ctx.tvec.(i) with
+        | Some t ->
+            t.tid = tid && (t.tname == name || String.equal t.tname name) && same (i + 1) rest
+        | None -> false)
+  in
+  if same 0 ctx.names then ctx.names
+  else begin
+    let names = ref [] in
+    for i = ctx.next_tid - 1 downto 0 do
+      match ctx.tvec.(i) with
+      | Some t -> names := (t.tid, t.tname) :: !names
+      | None -> ()
+    done;
+    ctx.names <- !names;
+    !names
   end
 
-(* [l]'s index; the hit at its home slot, the common case, makes no
-   call. *)
-let[@inline] intern it l =
-  let slots = it.slots in
-  let v = Array.unsafe_get slots (label_slot l (Array.length slots - 1)) in
-  if v lsr epoch_shift = it.epoch
-     && Array.unsafe_get it.table ((v land k_mask) - 1) == l
-  then (v land k_mask) - 1
-  else add it l
-
-(* The schedule of log entries [0, n): per tick, [tids.(i)] ran as
-   [labels.(i)]. A new epoch empties the index, so a build that
-   refused leaves nothing for the next. *)
-let build_schedule it tids labels n =
-  it.epoch <- it.epoch + 1;
-  it.n <- 0;
-  let codes = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let tid = tids.(i) in
-    if tid < 0 || tid > max_tid then
-      invalid_arg (Printf.sprintf "Interp: tid %d does not fit a schedule code" tid);
-    codes.(i) <- (tid lsl label_bits) lor intern it labels.(i)
-  done;
-  { codes; labels = Array.sub it.table 0 it.n }
-
 let schedule_of_list l =
-  let tids = Array.of_list (List.map fst l) in
-  build_schedule (interner ()) tids (Array.of_list (List.map snd l))
-    (Array.length tids)
+  let it = interner () in
+  start_build it;
+  let codes = Array.of_list (List.map (fun (tid, label) -> code it tid label) l) in
+  schedule_of_codes it codes (Array.length codes)
 
 let trace_list r =
   let { codes; labels } = r.trace in
@@ -1582,54 +1684,101 @@ let result_digest r = Mdigest.digest (fun s -> write_result s r)
 (* ------------------------------------------------------------------ *)
 (* Run arenas                                                           *)
 
-(* A domain-local bundle of every allocation-heavy structure [make_ctx]
-   needs, recycled across runs: the weak memory, the two race
-   detectors, the PRNG, the observability buffers, the object tables,
-   the trace log and the thread vector (whose thread records —
-   including their vector clocks and fiber bookkeeping — are
-   re-initialised in place by [new_thread]). OWNERSHIP: an arena
-   belongs to exactly one domain and at most one live run at a time;
-   results escape a run by value (strings, lists, fresh records), never
-   by reference into the arena, which is what makes recycling
-   observationally invisible. *)
-type arena = {
-  mutable a_mem : Atomics.t; (* rebuilt if conf.max_history changes *)
-  a_det : Detector.t;
-  a_lockorder : Lockorder.t;
-  a_rng : Prng.t;
-  mutable a_obs : Trace.t; (* rebuilt if capacity / enablement changes *)
-  mutable a_cov : Coverage.t;
-  a_mutexes : (int, mstate) Hashtbl.t;
-  a_conds : (int, cstate) Hashtbl.t;
-  a_rwlocks : (int, rwstate) Hashtbl.t;
-  a_handlers : (int, unit -> unit) Hashtbl.t;
-  a_fd_classes : (int, Policy.fd_class) Hashtbl.t;
-  mutable a_tvec : thread option array;
-  mutable a_ready : int array;
-  mutable a_tr_tids : int array;
-  mutable a_tr_labels : string array;
-  a_labels : interner;
-}
+(* A run's context is the arena: a domain-local bundle of every
+   allocation-heavy structure a run needs, recycled across runs — the
+   weak memory, the two race detectors, the PRNG, the observability
+   buffers, the object tables, the trace log, the thread vector (whose
+   thread records, with their vector clocks and fiber handlers, are
+   re-initialised in place by [new_thread]) and the closures a run
+   hands out. OWNERSHIP: an arena belongs to exactly one domain and at
+   most one live run at a time; results escape a run by value
+   (strings, lists, fresh records), never by reference into the
+   arena's mutable state, which is what makes recycling
+   observationally invisible. The one thing a result and the arena
+   share is the previous result's thread names and label table, which
+   neither writes to. *)
+type arena = ctx
+
+(* What an arena holds between runs in place of a run's world and
+   program; [prepare] replaces both before a run reads them. *)
+let idle_world = World.create ~seed:0L ()
+let idle_program = Api.program ~name:"" ignore
 
 let create_arena () =
-  {
-    a_mem = Atomics.create ();
-    a_det = Detector.create ();
-    a_lockorder = Lockorder.create ();
-    a_rng = Prng.create ~seed1:1L ~seed2:2L;
-    a_obs = Trace.disabled;
-    a_cov = Coverage.disabled;
-    a_mutexes = Hashtbl.create 8;
-    a_conds = Hashtbl.create 8;
-    a_rwlocks = Hashtbl.create 4;
-    a_handlers = Hashtbl.create 4;
-    a_fd_classes = Hashtbl.create 8;
-    a_tvec = Array.make 8 None;
-    a_ready = Array.make 8 0;
-    a_tr_tids = [||];
-    a_tr_labels = [||];
-    a_labels = interner ();
-  }
+  let rng = Prng.create ~seed1:1L ~seed2:2L in
+  let rec ctx =
+    {
+      conf = Conf.default;
+      world = idle_world;
+      program = idle_program;
+      mem = Atomics.create ();
+      det = Detector.create ();
+      lockorder = Lockorder.create ();
+      rng;
+      choose = (fun n -> if n <= 0 then 0 else Prng.int rng n);
+      tvec = Array.make 8 None;
+      ready_scratch = Array.make 8 0;
+      ready_n = 0;
+      next_tid = 0;
+      next_obj = 0;
+      mutexes = Hashtbl.create 8;
+      conds = Hashtbl.create 8;
+      rwlocks = Hashtbl.create 4;
+      handlers = Hashtbl.create 4;
+      fd_classes = Hashtbl.create 8;
+      gclock = 0;
+      makespan = 0;
+      tick = 0;
+      deadline_at = infinity;
+      cur = -1;
+      tr_codes = [||];
+      tr_n = 0;
+      labels = interner ();
+      names = [];
+      recording = false;
+      rec_signals = [];
+      rec_syscalls = [];
+      rec_asyncs = [];
+      cursor = None;
+      recorded = None;
+      replaying = false;
+      finished = None;
+      strat_budget = 0;
+      last_sched = -1;
+      desync_count = 0;
+      desyncs = [];
+      obs = Trace.disabled;
+      cov = Coverage.disabled;
+      obs_buf = Trace.disabled;
+      cov_buf = Coverage.disabled;
+      last_cs_start = 0;
+      waits = 0;
+      preemptions = 0;
+      faults_seen = 0;
+      dec_on = false;
+      decisions = [];
+      dec_rand = false;
+      dec_lock = Decision.L_none;
+      dec_counts = [||];
+      dec_accs = [];
+      invisible =
+        {
+          Api.run =
+            (fun r ->
+              match thread_opt ctx ctx.cur with
+              | Some t -> handle_invisible ctx t r
+              | None -> assert false);
+        };
+      (* Emitting a race report costs the reporting thread real time
+         (§5.2's "Race reports" vs "No reports" columns). *)
+      charge_report =
+        (fun _ ->
+          match thread_opt ctx ctx.cur with
+          | Some t -> spend t ctx.conf.Conf.report_cost
+          | None -> ());
+    }
+  in
+  ctx
 
 (* Entries of trace log an arena keeps between runs: the hunt
    benchmark's longest runs (ms-queue, about 2k ticks) fit, so they
@@ -1640,106 +1789,95 @@ let kept_log = 4096
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                            *)
 
-let make_ctx arena conf world cursor =
+(* Set every field of [ctx] a run changes to what a run of [program]
+   under [conf] in [world] starts from; [replayed] is the demo a
+   replay follows. *)
+let prepare ctx conf world program replayed =
   let s1, s2 =
     match conf.Conf.seeds with
     | Some seeds -> seeds
     | None -> Prng.seeds (Prng.of_time ())
   in
-  let rng = arena.a_rng in
-  Prng.reseed rng ~seed1:s1 ~seed2:s2;
-  if Atomics.max_history arena.a_mem <> conf.Conf.max_history then
-    arena.a_mem <- Atomics.create ~max_history:conf.Conf.max_history ()
-  else Atomics.reset arena.a_mem;
-  Detector.reset arena.a_det;
-  Detector.set_suppressions arena.a_det conf.Conf.suppressions;
-  Lockorder.reset arena.a_lockorder;
-  let obs =
-    if not conf.Conf.trace_events then Trace.disabled
-    else begin
-      if
-        Trace.enabled arena.a_obs
-        && Trace.capacity arena.a_obs = conf.Conf.trace_capacity
-      then Trace.reset arena.a_obs
-      else arena.a_obs <- Trace.create ~capacity:conf.Conf.trace_capacity ();
-      arena.a_obs
-    end
-  in
-  let cov =
-    if not conf.Conf.coverage then Coverage.disabled
-    else begin
-      if Coverage.enabled arena.a_cov then Coverage.reset arena.a_cov
-      else arena.a_cov <- Coverage.create ();
-      arena.a_cov
-    end
-  in
+  Prng.reseed ctx.rng ~seed1:s1 ~seed2:s2;
+  if Atomics.max_history ctx.mem <> conf.Conf.max_history then
+    ctx.mem <- Atomics.create ~max_history:conf.Conf.max_history ()
+  else Atomics.reset ctx.mem;
+  Detector.reset ctx.det;
+  Detector.set_suppressions ctx.det conf.Conf.suppressions;
+  Lockorder.reset ctx.lockorder;
+  ctx.obs <-
+    (if not conf.Conf.trace_events then Trace.disabled
+     else begin
+       if
+         Trace.enabled ctx.obs_buf
+         && Trace.capacity ctx.obs_buf = conf.Conf.trace_capacity
+       then Trace.reset ctx.obs_buf
+       else ctx.obs_buf <- Trace.create ~capacity:conf.Conf.trace_capacity ();
+       ctx.obs_buf
+     end);
+  ctx.cov <-
+    (if not conf.Conf.coverage then Coverage.disabled
+     else begin
+       if Coverage.enabled ctx.cov_buf then Coverage.reset ctx.cov_buf
+       else ctx.cov_buf <- Coverage.create ();
+       ctx.cov_buf
+     end);
   (* [Hashtbl.clear] keeps the grown bucket array, so recycled tables
      are automatically sized by their high-water mark. *)
-  Hashtbl.clear arena.a_mutexes;
-  Hashtbl.clear arena.a_conds;
-  Hashtbl.clear arena.a_rwlocks;
-  Hashtbl.clear arena.a_handlers;
-  Hashtbl.clear arena.a_fd_classes;
-  let ctx =
-    {
-      conf;
-      world;
-      mem = arena.a_mem;
-      det = arena.a_det;
-      lockorder = arena.a_lockorder;
-      rng;
-      choose = (fun n -> if n <= 0 then 0 else Prng.int rng n);
-      tvec = arena.a_tvec;
-      ready_scratch = arena.a_ready;
-      ready_n = 0;
-      next_tid = 0;
-      next_obj = 0;
-      mutexes = arena.a_mutexes;
-      conds = arena.a_conds;
-      rwlocks = arena.a_rwlocks;
-      handlers = arena.a_handlers;
-      fd_classes = arena.a_fd_classes;
-      gclock = 0;
-      makespan = 0;
-      tick = 0;
-      deadline_at =
-        (if conf.Conf.deadline_s > 0. then
-           Unix.gettimeofday () +. conf.Conf.deadline_s
-         else infinity);
-      cur = -1;
-      tr_tids = arena.a_tr_tids;
-      tr_labels = arena.a_tr_labels;
-      tr_n = 0;
-      rec_signals = [];
-      rec_syscalls = [];
-      rec_asyncs = [];
-      cursor;
-      finished = None;
-      strat_budget =
-        (match conf.Conf.sched with
-        | Conf.Controlled (Conf.Delay_bounded d) -> d
-        | Conf.Controlled (Conf.Preempt_bounded b) -> b
-        | _ -> 0);
-      last_sched = -1;
-      desync_count = 0;
-      desyncs = [];
-      obs;
-      cov;
-      last_cs_start = 0;
-      waits = 0;
-      preemptions = 0;
-      faults_seen = 0;
-      dec_on =
-        (match conf.Conf.sched with
-        | Conf.Controlled (Conf.Guided _) -> true
-        | _ -> false);
-      decisions = [];
-      dec_rand = false;
-      dec_lock = Decision.L_none;
-      dec_counts = [||];
-      dec_accs = [];
-    }
-  in
+  Hashtbl.clear ctx.mutexes;
+  Hashtbl.clear ctx.conds;
+  Hashtbl.clear ctx.rwlocks;
+  Hashtbl.clear ctx.handlers;
+  Hashtbl.clear ctx.fd_classes;
+  ctx.conf <- conf;
+  ctx.world <- world;
+  ctx.program <- program;
+  ctx.ready_n <- 0;
+  ctx.next_tid <- 0;
+  ctx.next_obj <- 0;
+  ctx.gclock <- 0;
+  ctx.makespan <- 0;
+  ctx.tick <- 0;
+  ctx.deadline_at <-
+    (if conf.Conf.deadline_s > 0. then Unix.gettimeofday () +. conf.Conf.deadline_s
+     else infinity);
+  ctx.cur <- -1;
+  ctx.tr_n <- 0;
+  start_build ctx.labels;
+  ctx.recording <- (match conf.Conf.mode with Conf.Record _ -> true | _ -> false);
+  ctx.rec_signals <- [];
+  ctx.rec_syscalls <- [];
+  ctx.rec_asyncs <- [];
+  (match replayed with
+  | None ->
+      ctx.cursor <- None;
+      ctx.recorded <- None;
+      ctx.replaying <- false
+  | Some (d : Demo.t) ->
+      ctx.cursor <- Some (Demo.cursor d);
+      ctx.recorded <-
+        Some (d.meta, Option.value (List.assoc_opt "TRACE" d.extra) ~default:[]);
+      ctx.replaying <- true);
+  ctx.finished <- None;
+  ctx.strat_budget <-
+    (match conf.Conf.sched with
+    | Conf.Controlled (Conf.Delay_bounded d) -> d
+    | Conf.Controlled (Conf.Preempt_bounded b) -> b
+    | _ -> 0);
+  ctx.last_sched <- -1;
+  ctx.desync_count <- 0;
+  ctx.desyncs <- [];
+  ctx.last_cs_start <- 0;
+  ctx.waits <- 0;
+  ctx.preemptions <- 0;
+  ctx.faults_seen <- 0;
+  ctx.dec_on <-
+    (match conf.Conf.sched with Conf.Controlled (Conf.Guided _) -> true | _ -> false);
+  ctx.decisions <- [];
+  ctx.dec_rand <- false;
+  ctx.dec_lock <- Decision.L_none;
+  ctx.dec_counts <- [||];
+  ctx.dec_accs <- [];
   (* Stream shadow-checked accesses to the predictive analysis. Only
      under decision capture: every other configuration leaves the hook
      at [None] (restored by [Detector.reset]) and pays one branch. *)
@@ -1761,13 +1899,8 @@ let make_ctx arena conf world cursor =
                a_name = Detector.var_name v;
              }
              :: ctx.dec_accs));
-  (* Emitting a race report costs the reporting thread real time
-     (§5.2's "Race reports" vs "No reports" columns). *)
   if conf.Conf.emit_reports && conf.Conf.report_cost > 0 then
-    Detector.on_report ctx.det (fun _ ->
-        match thread_opt ctx ctx.cur with
-        | Some t -> spend t conf.Conf.report_cost
-        | None -> ());
+    Detector.on_report ctx.det ctx.charge_report;
   if Trace.enabled ctx.obs then
     Detector.on_report ctx.det (fun r ->
         let tid =
@@ -1785,8 +1918,7 @@ let make_ctx arena conf world cursor =
         in
         Coverage.mark ctx.cov
           (Coverage.site_race ~var:r.var ~kind ~first_tid:r.first_tid
-             ~second_tid:r.second_tid));
-  ctx
+             ~second_tid:r.second_tid))
 
 let pp_outcome fmt = function
   | Completed -> Format.fprintf fmt "completed"
@@ -1861,145 +1993,102 @@ let stuck ctx =
   done;
   match !blocked with [] -> Completed | blocked -> Deadlock blocked
 
-(* A replay follows its demo alone: it runs the schedule and seeds META
-   names, whatever the configuration's, and refuses a demo that does
-   not load or names a schedule no replay can follow. Returns the
-   configuration to run and the demo to replay. *)
-let replay_of conf =
-  match conf.Conf.mode with
-  | Conf.Free | Conf.Record _ -> Ok (conf, None)
-  | Conf.Replay dir -> (
-      match Demo.load ~dir with
-      | exception Demo.Corrupt c -> Error (corrupt_demo_result c)
-      | { Demo.meta = m; _ } as d -> (
-          match Conf.sched_of_name m.strategy with
-          | Some sched ->
-              let seeds = Some (m.seed1, m.seed2) in
-              Ok ({ conf with Conf.sched; seeds }, Some d)
-          | None ->
-              Error
-                (result_of_outcome
-                   (Unsupported_app
-                      (Printf.sprintf "META strategy %S cannot be replayed"
-                         m.strategy)))))
+(* A replay from [dir] follows its demo alone: it runs the schedule and
+   seeds META names, whatever the configuration's, and refuses a demo
+   that does not load or names a schedule no replay can follow. Returns
+   the configuration to run and the demo to replay. *)
+let replay_of conf dir =
+  match Demo.load ~dir with
+  | exception Demo.Corrupt c -> Error (corrupt_demo_result c)
+  | { Demo.meta = m; _ } as d -> (
+      match Conf.sched_of_name m.strategy with
+      | Some sched ->
+          let seeds = Some (m.seed1, m.seed2) in
+          Ok ({ conf with Conf.sched; seeds }, d)
+      | None ->
+          Error
+            (result_of_outcome
+               (Unsupported_app
+                  (Printf.sprintf "META strategy %S cannot be replayed" m.strategy))))
 
-let run ?world ?arena conf (program : Api.program) =
-  (* Generated names must be a function of the program alone, not of
-     prior runs on this domain — see Api.reset_auto_names. *)
-  Api.reset_auto_names ();
-  let world = match world with Some w -> w | None -> World.create () in
-  World.set_forbid_opaque_ioctl world
-    (conf.Conf.forbid_opaque_ioctl
-    || (match conf.Conf.mode with
-       | Conf.Free -> false
-       | _ -> not conf.Conf.policy.Policy.ignore_ioctl)
-       && List.mem Syscall.Ioctl conf.Conf.policy.Policy.record_kinds);
-  match replay_of conf with
-  | Error refused -> refused
-  | Ok (conf, replayed) ->
-  let arena = match arena with Some a -> a | None -> create_arena () in
-  let ctx = make_ctx arena conf world (Option.map Demo.cursor replayed) in
-  (* What [finish] checks a replay against; the run keeps no more of
-     the demo than this and the cursor. *)
-  let recorded =
-    Option.map
-      (fun (d : Demo.t) ->
-        (d.meta, Option.value (List.assoc_opt "TRACE" d.extra) ~default:[]))
-      replayed
+(* The run's result, after it ended with [outcome]. *)
+let finish ctx outcome =
+  let conf = ctx.conf and world = ctx.world in
+  let decisions = array_of_rev ctx.decisions in
+  let accesses = array_of_rev ctx.dec_accs in
+  let races = Detector.reports ctx.det in
+  let demo =
+    match (conf.Conf.mode, outcome) with
+    | Conf.Record dir, _ ->
+        let extra =
+          if conf.Conf.debug_trace then [ ("TRACE", map_trace ctx trace_line) ]
+          else []
+        in
+        (* A recording made under decision capture carries the full
+           input of the offline predictive race analysis, so
+           [predict] can run on the demo alone. *)
+        let extra =
+          if ctx.dec_on then
+            ( "DECISIONS",
+              T11r_race.Predict.encode_input
+                { steps = decisions; accs = accesses; observed = races } )
+            :: extra
+          else extra
+        in
+        let d = build_demo ctx ctx.program.Api.pname extra in
+        Demo.save d ~dir;
+        Some d
+    | _ -> None
   in
-  let finish outcome =
-    (* Keep grown scheduler arrays (and their recyclable thread
-       records) for the next run on this arena. *)
-    arena.a_tvec <- ctx.tvec;
-    arena.a_ready <- ctx.ready_scratch;
-    (* A log grown past [kept_log] by a long run is dropped, so an idle
-       arena pins at most that many entries. *)
-    if Array.length ctx.tr_tids <= kept_log then begin
-      arena.a_tr_tids <- ctx.tr_tids;
-      arena.a_tr_labels <- ctx.tr_labels
-    end
-    else begin
-      arena.a_tr_tids <- [||];
-      arena.a_tr_labels <- [||]
-    end;
-    let decisions = array_of_rev ctx.decisions in
-    let accesses = array_of_rev ctx.dec_accs in
-    let races = Detector.reports ctx.det in
-    let demo =
-      match (conf.Conf.mode, outcome) with
-      | Conf.Record dir, _ ->
-          let extra =
-            if conf.Conf.debug_trace then
-              [ ("TRACE", map_trace ctx trace_line) ]
-            else []
-          in
-          (* A recording made under decision capture carries the full
-             input of the offline predictive race analysis, so
-             [predict] can run on the demo alone. *)
-          let extra =
-            if ctx.dec_on then
-              ( "DECISIONS",
-                T11r_race.Predict.encode_input
-                  { steps = decisions; accs = accesses; observed = races } )
-              :: extra
-            else extra
-          in
-          let d = build_demo ctx program.Api.pname extra in
-          Demo.save d ~dir;
-          Some d
-      | _ -> None
-    in
-    (* Divergence detection runs on every replay, not only under
-       debug_trace (it used to be gated, so default replays diverged
-       silently). With a TRACE file the diff is op-precise; without
-       one, fall back to the op count recorded in META. *)
-    let trace_divergence =
-      match recorded with
-      | Some (meta, []) ->
-          if meta.Demo.ticks = ctx.tick then None
-          else
-            Some
-              (Printf.sprintf
-                 "recording has %d ops, replay executed %d (the demo has no \
-                  TRACE file for an op-level diff)"
-                 meta.Demo.ticks ctx.tick)
-      | Some (_, trace) ->
-          let mine = map_trace ctx trace_line in
-          let rec first_diff i a b =
-            match (a, b) with
-            | [], [] -> None
-            | x :: _, [] ->
-                Some (Printf.sprintf "tick %d: recorded %S, replay ended" i x)
-            | [], y :: _ ->
-                Some (Printf.sprintf "tick %d: recording ended, replay %S" i y)
-            | x :: xs, y :: ys ->
-                if x = y then first_diff (i + 1) xs ys
-                else
-                  Some (Printf.sprintf "tick %d: recorded %S, replayed %S" i x y)
-          in
-          first_diff 0 trace mine
-      | None -> None
-    in
-    let soft_desync =
-      match recorded with
-      | Some (meta, _) ->
-          Digest.to_hex (Digest.string (World.output world))
-          <> meta.Demo.output_digest
-      | None -> false
-    in
-    let thread_time =
-      let m = ref 0 in
-      for i = 0 to ctx.next_tid - 1 do
-        match ctx.tvec.(i) with
-        | Some t -> if t.ltime > !m then m := t.ltime
-        | None -> ()
-      done;
-      !m
-    in
+  (* Divergence detection runs on every replay, not only under
+     debug_trace (it used to be gated, so default replays diverged
+     silently). With a TRACE file the diff is op-precise; without
+     one, fall back to the op count recorded in META. *)
+  let trace_divergence =
+    match ctx.recorded with
+    | Some (meta, []) ->
+        if meta.Demo.ticks = ctx.tick then None
+        else
+          Some
+            (Printf.sprintf
+               "recording has %d ops, replay executed %d (the demo has no \
+                TRACE file for an op-level diff)"
+               meta.Demo.ticks ctx.tick)
+    | Some (_, trace) ->
+        let mine = map_trace ctx trace_line in
+        let rec first_diff i a b =
+          match (a, b) with
+          | [], [] -> None
+          | x :: _, [] ->
+              Some (Printf.sprintf "tick %d: recorded %S, replay ended" i x)
+          | [], y :: _ ->
+              Some (Printf.sprintf "tick %d: recording ended, replay %S" i y)
+          | x :: xs, y :: ys ->
+              if x = y then first_diff (i + 1) xs ys
+              else Some (Printf.sprintf "tick %d: recorded %S, replayed %S" i x y)
+        in
+        first_diff 0 trace mine
+    | None -> None
+  in
+  let soft_desync =
+    match ctx.recorded with
+    | Some (meta, _) ->
+        Digest.to_hex (Digest.string (World.output world)) <> meta.Demo.output_digest
+    | None -> false
+  in
+  let thread_time =
+    let m = ref 0 in
+    for i = 0 to ctx.next_tid - 1 do
+      match ctx.tvec.(i) with
+      | Some t -> if t.ltime > !m then m := t.ltime
+      | None -> ()
+    done;
+    !m
+  in
+  let r =
     {
       outcome;
-      makespan_us =
-        conf.Conf.startup_us + max thread_time (max ctx.makespan ctx.gclock);
+      makespan_us = conf.Conf.startup_us + max thread_time (max ctx.makespan ctx.gclock);
       ticks = ctx.tick;
       races;
       race_count = Detector.report_count ctx.det;
@@ -2007,15 +2096,8 @@ let run ?world ?arena conf (program : Api.program) =
       output = World.output world;
       soft_desync;
       demo;
-      trace = build_schedule arena.a_labels ctx.tr_tids ctx.tr_labels ctx.tr_n;
-      thread_names =
-        (let names = ref [] in
-         for i = ctx.next_tid - 1 downto 0 do
-           match ctx.tvec.(i) with
-           | Some t -> names := (t.tid, t.tname) :: !names
-           | None -> ()
-         done;
-         !names);
+      trace = schedule_of_codes ctx.labels ctx.tr_codes ctx.tr_n;
+      thread_names = thread_names ctx;
       trace_divergence;
       rng_draws = Prng.draws ctx.rng;
       desync_count = ctx.desync_count;
@@ -2046,115 +2128,158 @@ let run ?world ?arena conf (program : Api.program) =
       accesses;
     }
   in
-  let invisible r =
-    match thread_opt ctx ctx.cur with
-    | Some t -> handle_invisible ctx t r
-    | None -> assert false
-  in
-  Api.with_invisible { Api.run = invisible } @@ fun () ->
-  try
-    let _main =
-      new_thread ctx ~name:"main" ~parent_st:None ~at:0 program.Api.main
-    in
-    replay_signals ctx ~tickno:(-1) ~tid:(-1);
-    let rec loop () =
-      match ctx.finished with
-      | Some o -> o
-      | None ->
-          if ctx.tick >= conf.Conf.max_ticks then Tick_limit
-          else if
-            (* Supervision backstop for wedged runs; checked every 64
-               ticks so the hot path pays one land+branch. *)
-            ctx.deadline_at < infinity
-            && ctx.tick land 63 = 0
-            && Unix.gettimeofday () > ctx.deadline_at
-          then Timeout
-          else begin
-            let rescheds = replay_asyncs ctx in
-            fill_ready ctx;
-            if ctx.ready_n = 0 then begin
-              if is_replay ctx then stuck ctx
-              else
-                match World.peek_signal ctx.world with
-                | Some (at, _) when alive ctx <> [] ->
-                    ctx.gclock <- max ctx.gclock at;
-                    poll_env_signals ctx;
-                    loop ()
-                | _ -> stuck ctx
-            end
-            else begin
-              let t = pick_thread ctx ~rescheds in
-              if t.tid <> ctx.last_sched then begin
-                (* A switch away from a thread that could still run is a
-                   preemption; switches at blocking points are free. *)
-                (match thread_opt ctx ctx.last_sched with
-                | Some ({ status = Ready; _ } as prev) ->
-                    ctx.preemptions <- ctx.preemptions + 1;
-                    if Coverage.enabled ctx.cov then
-                      Coverage.mark ctx.cov
-                        (Coverage.site_preempt ~prev:prev.tid ~next:t.tid)
-                | _ -> ());
-                Trace.emit ctx.obs Trace.Sched ~tick:ctx.tick ~tid:t.tid
-                  ~label:t.tname ~ts:ctx.gclock ~dur:0
-              end;
-              ctx.last_sched <- t.tid;
-              let tickno = ctx.tick in
-              if ctx.dec_on then begin
-                (* Decision capture for DPOR: enabled set and footprint
-                   before the op runs, draw counts as deltas around it.
-                   Off this branch (every non-Guided strategy) the tick
-                   pays one load+branch and allocates nothing. *)
-                let enabled = capture_enabled ctx in
-                let foot = footprint_of_next ctx t in
-                let draws0 = Prng.draws ctx.rng in
-                let rand0 = Atomics.rand_choices ctx.mem in
-                ctx.dec_rand <- false;
-                ctx.dec_lock <- Decision.L_none;
-                (* Count the op before it runs: accesses streamed from
-                   the invisible region after this op attribute to position
-                   [dec_counts.(tid)] — after the op, matching the
-                   event-position model of the predictive analysis
-                   (a spawned child's initial segment stays at 0). *)
-                if Array.length ctx.dec_counts <= t.tid then begin
-                  let bigger = Array.make (max 8 (2 * (t.tid + 1))) 0 in
-                  Array.blit ctx.dec_counts 0 bigger 0
-                    (Array.length ctx.dec_counts);
-                  ctx.dec_counts <- bigger
-                end;
-                ctx.dec_counts.(t.tid) <- ctx.dec_counts.(t.tid) + 1;
-                exec_cs ctx t;
-                ctx.decisions <-
-                  {
-                    Decision.d_tid = t.tid;
-                    d_enabled = enabled;
-                    d_foot = foot;
-                    d_draws = Prng.draws ctx.rng - draws0;
-                    d_rand =
-                      ctx.dec_rand || Atomics.rand_choices ctx.mem > rand0;
-                    d_lock = ctx.dec_lock;
-                  }
-                  :: ctx.decisions
-              end
-              else exec_cs ctx t;
-              (match ctx.cursor with Some c -> Demo.leave c t.tid | None -> ());
-              ctx.tick <- tickno + 1;
-              replay_signals ctx ~tickno ~tid:t.tid;
-              poll_env_signals ctx;
-              loop ()
-            end
+  (* A log grown past [kept_log] by a long run is dropped, so an idle
+     arena pins at most that many entries; so is what else the run
+     built, which would otherwise live on into the next run. *)
+  if Array.length ctx.tr_codes > kept_log then ctx.tr_codes <- [||];
+  ctx.world <- idle_world;
+  ctx.program <- idle_program;
+  if ctx.replaying then begin
+    ctx.cursor <- None;
+    ctx.recorded <- None
+  end;
+  if ctx.recording then begin
+    ctx.rec_signals <- [];
+    ctx.rec_syscalls <- [];
+    ctx.rec_asyncs <- []
+  end;
+  if ctx.dec_on then begin
+    ctx.decisions <- [];
+    ctx.dec_accs <- []
+  end;
+  if ctx.desync_count > 0 then ctx.desyncs <- [];
+  r
+
+(* A switch to [t] from the previously scheduled thread. *)
+let note_switch ctx t =
+  (* A switch away from a thread that could still run is a
+     preemption; switches at blocking points are free. *)
+  (match thread_opt ctx ctx.last_sched with
+  | Some ({ status = Ready; _ } as prev) ->
+      ctx.preemptions <- ctx.preemptions + 1;
+      if Coverage.enabled ctx.cov then
+        Coverage.mark ctx.cov (Coverage.site_preempt ~prev:prev.tid ~next:t.tid)
+  | _ -> ());
+  if Trace.enabled ctx.obs then
+    Trace.emit ctx.obs Trace.Sched ~tick:ctx.tick ~tid:t.tid ~label:t.tname
+      ~ts:ctx.gclock ~dur:0
+
+(* [exec_cs] under decision capture for DPOR: enabled set and footprint
+   before the op runs, draw counts as deltas around it. *)
+let exec_captured ctx t =
+  let enabled = capture_enabled ctx in
+  let foot = footprint_of_next ctx t in
+  let draws0 = Prng.draws ctx.rng in
+  let rand0 = Atomics.rand_choices ctx.mem in
+  ctx.dec_rand <- false;
+  ctx.dec_lock <- Decision.L_none;
+  (* Count the op before it runs: accesses streamed from the invisible
+     region after this op attribute to position [dec_counts.(tid)] —
+     after the op, matching the event-position model of the predictive
+     analysis (a spawned child's initial segment stays at 0). *)
+  if Array.length ctx.dec_counts <= t.tid then begin
+    let bigger = Array.make (max 8 (2 * (t.tid + 1))) 0 in
+    Array.blit ctx.dec_counts 0 bigger 0 (Array.length ctx.dec_counts);
+    ctx.dec_counts <- bigger
+  end;
+  ctx.dec_counts.(t.tid) <- ctx.dec_counts.(t.tid) + 1;
+  exec_cs ctx t;
+  ctx.decisions <-
+    {
+      Decision.d_tid = t.tid;
+      d_enabled = enabled;
+      d_foot = foot;
+      d_draws = Prng.draws ctx.rng - draws0;
+      d_rand = ctx.dec_rand || Atomics.rand_choices ctx.mem > rand0;
+      d_lock = ctx.dec_lock;
+    }
+    :: ctx.decisions
+
+(* Ticks until the run ends; returns its outcome. Off a replay the tick
+   calls no replay hook, and it polls the world's signals only while
+   one is pending. *)
+let rec loop ctx =
+  match ctx.finished with
+  | Some o -> o
+  | None ->
+      if ctx.tick >= ctx.conf.Conf.max_ticks then Tick_limit
+      else if
+        (* Supervision backstop for wedged runs; checked every 64
+           ticks so the hot path pays one land+branch. *)
+        ctx.deadline_at < infinity
+        && ctx.tick land 63 = 0
+        && Unix.gettimeofday () > ctx.deadline_at
+      then Timeout
+      else begin
+        let rescheds = if ctx.replaying then replay_asyncs ctx else 0 in
+        fill_ready ctx;
+        if ctx.ready_n = 0 then begin
+          if ctx.replaying then stuck ctx
+          else
+            match World.peek_signal ctx.world with
+            | Some (at, _) when alive ctx <> [] ->
+                ctx.gclock <- max ctx.gclock at;
+                poll_env_signals ctx;
+                loop ctx
+            | _ -> stuck ctx
+        end
+        else begin
+          let t = pick_thread ctx ~rescheds in
+          if t.tid <> ctx.last_sched then note_switch ctx t;
+          ctx.last_sched <- t.tid;
+          let tickno = ctx.tick in
+          (* Off decision capture (every non-Guided strategy) the tick
+             pays one load+branch and allocates nothing for it. *)
+          if ctx.dec_on then exec_captured ctx t else exec_cs ctx t;
+          ctx.tick <- tickno + 1;
+          if ctx.replaying then begin
+            (match ctx.cursor with Some c -> Demo.leave c t.tid | None -> ());
+            replay_signals ctx ~tickno ~tid:t.tid
           end
-    in
-    finish (loop ())
+          else if World.signal_pending ctx.world then poll_env_signals ctx;
+          loop ctx
+        end
+      end
+
+(* The prepared run, on its own stack. *)
+let run_prepared ctx =
+  try
+    ignore (new_thread ctx ~name:"main" ~parent_st:None ~at:0 ctx.program.Api.main);
+    if ctx.replaying then replay_signals ctx ~tickno:(-1) ~tid:(-1);
+    finish ctx (loop ctx)
   with
-  | Hard msg -> finish (Hard_desync msg)
+  | Hard msg -> finish ctx (Hard_desync msg)
   | Diagnosed d ->
       ctx.desync_count <- ctx.desync_count + 1;
       ctx.desyncs <- d :: ctx.desyncs;
-      finish
+      finish ctx
         (Hard_desync
            (Printf.sprintf "op %d thread %d: %s expects %s, got %s" d.div_tick
               d.div_tid d.div_site d.div_expected d.div_actual))
-  | Unsupported_run msg -> finish (Unsupported_app msg)
-  | World.Unsupported msg -> finish (Unsupported_app msg)
+  | Unsupported_run msg -> finish ctx (Unsupported_app msg)
+  | World.Unsupported msg -> finish ctx (Unsupported_app msg)
+
+let start ?arena conf world program replayed =
+  let ctx = match arena with Some a -> a | None -> create_arena () in
+  prepare ctx conf world program replayed;
+  Api.with_invisible ctx.invisible run_prepared ctx
+
+let run ?world ?arena conf (program : Api.program) =
+  (* Generated names must be a function of the program alone, not of
+     prior runs on this domain — see Api.reset_auto_names. *)
+  Api.reset_auto_names ();
+  let world = match world with Some w -> w | None -> World.create () in
+  World.set_forbid_opaque_ioctl world
+    (conf.Conf.forbid_opaque_ioctl
+    || (match conf.Conf.mode with
+       | Conf.Free -> false
+       | _ -> not conf.Conf.policy.Policy.ignore_ioctl)
+       && List.mem Syscall.Ioctl conf.Conf.policy.Policy.record_kinds);
+  match conf.Conf.mode with
+  | Conf.Free | Conf.Record _ -> start ?arena conf world program None
+  | Conf.Replay dir -> (
+      match replay_of conf dir with
+      | Error refused -> refused
+      | Ok (conf, demo) -> start ?arena conf world program (Some demo))
 
 let completed r = r.outcome = Completed

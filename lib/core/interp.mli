@@ -124,9 +124,11 @@ type arena
     Ownership rules: an arena belongs to one domain and at most one
     live run at a time; never share one across domains or pass it to a
     run while another run on it is still executing. Results never
-    alias arena state (everything escaping a run is copied), so
-    recycling is observationally invisible — a run on a recycled arena
-    is bit-identical to a run on a fresh arena. *)
+    alias the arena's mutable state (everything escaping a run is
+    copied; consecutive results may share their thread names and
+    label table, which nothing writes to), so recycling is
+    observationally invisible — a run on a recycled arena is
+    bit-identical to a run on a fresh arena. *)
 
 val create_arena : unit -> arena
 

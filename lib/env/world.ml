@@ -168,6 +168,7 @@ let next_signal t ~upto =
   | _ -> None
 
 let peek_signal t = match t.signals with s :: _ -> Some s | [] -> None
+let signal_pending t = match t.signals with _ :: _ -> true | [] -> false
 
 (* The deterministic allocator is a plain bump allocator; the default
    allocator models a real malloc under ASLR: addresses are scattered,

@@ -98,6 +98,9 @@ val next_signal : t -> upto:int -> (int * int) option
 val peek_signal : t -> (int * int) option
 (** Earliest scheduled signal without popping it. *)
 
+val signal_pending : t -> bool
+(** [peek_signal t <> None], without allocating. *)
+
 val alloc : t -> int -> int
 (** Allocate [n] bytes, returning the address. Randomised unless the
     world was created with [~deterministic_alloc:true]. *)

@@ -3,6 +3,7 @@ module Conf = Tsan11rec.Conf
 module Interp = Tsan11rec.Interp
 module World = T11r_env.World
 module Report = T11r_race.Report
+module Decision = T11r_race.Decision
 
 type spec = {
   label : string;
@@ -166,19 +167,115 @@ let schedule_hash (sch : Interp.schedule) =
   let h = (h lxor (h lsr 32)) * 0x2545F4914F6CDD1D in
   (h lxor (h lsr 29)) land max_int
 
-(* Equal demo-less results, told apart by an int or a string nearly
-   always; [compare] runs only on a candidate that passed those, and
-   with both traces physically equal it skips them. A demo-less result
-   holds no float, closure or custom block, so [compare] = 0 is
-   equality of the [No_sharing] bytes. *)
+(* [compare a b = 0] on each field type of a result, without the
+   polymorphic compare: none holds a float, closure or custom block. *)
+let same_outcome (a : Interp.outcome) (b : Interp.outcome) =
+  match (a, b) with
+  | Interp.Completed, Interp.Completed
+  | Interp.Tick_limit, Interp.Tick_limit
+  | Interp.Timeout, Interp.Timeout -> true
+  | Interp.Deadlock x, Interp.Deadlock y -> List.equal Int.equal x y
+  | Interp.Crashed (t, m), Interp.Crashed (u, n) -> t = u && String.equal m n
+  | Interp.Hard_desync m, Interp.Hard_desync n
+  | Interp.Unsupported_app m, Interp.Unsupported_app n
+  | Interp.App_error m, Interp.App_error n
+  | Interp.Corrupt_demo m, Interp.Corrupt_demo n -> String.equal m n
+  | _ -> false
+
+let same_edge (a : T11r_race.Lockorder.edge) (b : T11r_race.Lockorder.edge) =
+  String.equal a.from_lock b.from_lock
+  && String.equal a.to_lock b.to_lock
+  && a.witness_tid = b.witness_tid
+
+let same_cycle a b = List.equal same_edge a b
+
+let same_divergence (a : Interp.divergence) (b : Interp.divergence) =
+  a.div_tick = b.div_tick
+  && a.div_tid = b.div_tid
+  && String.equal a.div_site b.div_site
+  && String.equal a.div_expected b.div_expected
+  && String.equal a.div_actual b.div_actual
+  && List.equal
+       (fun (i, t, l) (j, u, m) -> i = j && t = u && String.equal l m)
+       a.div_trail b.div_trail
+
+let same_event (a : T11r_obs.Trace.event) (b : T11r_obs.Trace.event) =
+  a.ev_kind == b.ev_kind
+  && a.ev_tick = b.ev_tick
+  && a.ev_tid = b.ev_tid
+  && String.equal a.ev_label b.ev_label
+  && a.ev_ts = b.ev_ts
+  && a.ev_dur = b.ev_dur
+
+let same_array eq a b =
+  a == b
+  || Array.length a = Array.length b
+     &&
+     let rec go i = i < 0 || (eq a.(i) b.(i) && go (i - 1)) in
+     go (Array.length a - 1)
+
+let same_footprint (a : Decision.footprint) (b : Decision.footprint) =
+  match (a, b) with
+  | F_local, F_local | F_fence, F_fence | F_global, F_global -> true
+  | F_atomic (l, k), F_atomic (m, j) -> l = m && k == j
+  | F_sync (x, y), F_sync (u, v) -> x = u && y = v
+  | F_spawn x, F_spawn y | F_join x, F_join y | F_syscall x, F_syscall y -> x = y
+  | _ -> false
+
+let same_lock_event (a : Decision.lock_event) (b : Decision.lock_event) =
+  match (a, b) with
+  | L_none, L_none -> true
+  | L_acquire x, L_acquire y | L_release x, L_release y | L_blocked x, L_blocked y
+    ->
+      x = y
+  | _ -> false
+
+let same_decision (a : Decision.t) (b : Decision.t) =
+  a.d_tid = b.d_tid
+  && same_array Int.equal a.d_enabled b.d_enabled
+  && same_footprint a.d_foot b.d_foot
+  && a.d_draws = b.d_draws
+  && Bool.equal a.d_rand b.d_rand
+  && same_lock_event a.d_lock b.d_lock
+
+let same_access (a : Decision.acc) (b : Decision.acc) =
+  a.a_tick = b.a_tick
+  && a.a_tid = b.a_tid
+  && a.a_pos = b.a_pos
+  && a.a_var = b.a_var
+  && Bool.equal a.a_write b.a_write
+  && String.equal a.a_name b.a_name
+
+(* [compare r c = 0], field by field: the ints and strings that tell
+   two results apart nearly always go first, the schedule last. A
+   demo is left to [compare]: no result [share] compares has one. *)
 let same_result (r : Interp.result) (c : Interp.result) =
-  r.Interp.ticks = c.Interp.ticks
-  && r.Interp.makespan_us = c.Interp.makespan_us
-  && r.Interp.race_count = c.Interp.race_count
-  && r.Interp.rng_draws = c.Interp.rng_draws
-  && String.equal r.Interp.output c.Interp.output
-  && String.equal r.Interp.coverage c.Interp.coverage
-  && compare r c = 0
+  r == c
+  || r.ticks = c.ticks
+     && r.makespan_us = c.makespan_us
+     && r.race_count = c.race_count
+     && r.rng_draws = c.rng_draws
+     && String.equal r.output c.output
+     && String.equal r.coverage c.coverage
+     && same_outcome r.outcome c.outcome
+     && List.equal Report.equal r.races c.races
+     && List.equal same_cycle r.lock_cycles c.lock_cycles
+     && Option.equal String.equal r.trace_divergence c.trace_divergence
+     && Bool.equal r.soft_desync c.soft_desync
+     && (match (r.demo, c.demo) with
+        | None, None -> true
+        | _ -> compare r.demo c.demo = 0)
+     && List.equal
+          (fun (t, n) (u, m) -> t = u && String.equal n m)
+          r.thread_names c.thread_names
+     && r.desync_count = c.desync_count
+     && List.equal same_divergence r.divergences c.divergences
+     && T11r_obs.Metrics.equal r.metrics c.metrics
+     && List.equal same_event r.events c.events
+     && r.events_dropped = c.events_dropped
+     && same_array same_decision r.decisions c.decisions
+     && same_array same_access r.accesses c.accesses
+     && same_schedule r.trace c.trace
 
 module Schedules = struct
   module By_hash = Hashtbl.Make (struct
@@ -208,7 +305,7 @@ module Schedules = struct
   (* The set's entry for [trace], [h] its hash, added with [trace]
      itself when the set has none. *)
   let entry s h trace =
-    let es = Option.value ~default:[] (By_hash.find_opt s.by_hash h) in
+    let es = try By_hash.find s.by_hash h with Not_found -> [] in
     match find trace es with
     | Some e -> e
     | None ->
@@ -217,21 +314,26 @@ module Schedules = struct
         s.n <- s.n + 1;
         e
 
-  (* [r] on its schedule's one trace, and a demo-less [r] replaced by
-     the equal result the set already keeps. *)
+  (* The first of [cs] equal to [r], or [r]. *)
+  let rec find_result r = function
+    | [] -> r
+    | c :: cs -> if same_result r c then c else find_result r cs
+
+  (* A demo-less [r] replaced by the equal result the set already
+     keeps, else [r] on its schedule's one trace. *)
   let share s h (r : Interp.result) =
     let e = entry s h r.Interp.trace in
-    let r =
-      if e.trace == r.Interp.trace then r else { r with Interp.trace = e.trace }
+    let found =
+      if Option.is_some r.Interp.demo then r else find_result r e.results
     in
-    if Option.is_some r.Interp.demo then r
+    if found != r then found
     else
-      match List.find_opt (same_result r) e.results with
-      | Some c -> c
-      | None ->
-          if List.compare_length_with e.results kept < 0 then
-            e.results <- r :: e.results;
-          r
+      let r =
+        if e.trace == r.Interp.trace then r else { r with Interp.trace = e.trace }
+      in
+      if Option.is_none r.Interp.demo && List.compare_length_with e.results kept < 0
+      then e.results <- r :: e.results;
+      r
 
   let length s = s.n
 end
@@ -257,6 +359,54 @@ let rec bump_outcome key = function
       end
       else bump_outcome key rest
 
+(* The sighting counts, keyed on the race as [Report.norm] has it; the
+   key's hash and equality read the normalized fields in place, so
+   counting a race sighted before allocates nothing. *)
+module Sightings = Hashtbl.Make (struct
+  type t = Report.t
+
+  let kind (r : t) : Report.kind =
+    match r.kind with Read_write -> Write_read | k -> k
+
+  let first (r : t) =
+    match r.kind with
+    | Read_write -> r.second_tid
+    | Write_write -> if r.first_tid <= r.second_tid then r.first_tid else r.second_tid
+    | Write_read -> r.first_tid
+
+  let second (r : t) =
+    match r.kind with
+    | Read_write -> r.first_tid
+    | Write_write -> if r.first_tid <= r.second_tid then r.second_tid else r.first_tid
+    | Write_read -> r.second_tid
+
+  let equal a b =
+    String.equal a.Report.var b.Report.var
+    && kind a == kind b
+    && first a = first b
+    && second a = second b
+
+  let hash (r : t) =
+    let h =
+      (label_hash r.var * 65599)
+      + (first r * 257)
+      + (second r * 17)
+      + match kind r with Write_write -> 0 | Write_read -> 1 | Read_write -> 2
+    in
+    h land max_int
+end)
+
+type count = { c_first : int; mutable c_n : int }
+
+let rec sight tbl i = function
+  | [] -> ()
+  | race :: races ->
+      (match Sightings.find tbl race with
+      | c -> c.c_n <- c.c_n + 1
+      | exception Not_found ->
+          Sightings.replace tbl (Report.norm race) { c_first = i; c_n = 1 });
+      sight tbl i races
+
 (* Zero runs (a campaign cancelled before its first run) aggregate to
    zeros rather than raising. *)
 let mean_or_zero sum runs =
@@ -268,17 +418,22 @@ let mean_or_zero sum runs =
    through [Stats.summarize_array] in index order; the other means
    divide an int sum, which is what the float sum of the same ints
    was, exactly (every partial sum is far below 2^53). Slot [k] of
-   [results] is run [index k]; the caller counts the schedules. *)
+   [results] is run [index k]; the caller counts the schedules. A run
+   whose outcome and races earlier runs showed is counted without
+   allocating, unless it has a coverage summary to union. *)
 let fold ~label ~n ~first ~jobs ~wall_s ~supervision ~distinct_schedules
     ~index results =
   let runs = Array.length results in
   let makespans_ms = Array.make runs 0.0 in
   let outcomes = ref [] in
-  let sightings : (Report.t, int * int) Hashtbl.t = Hashtbl.create 16 in
+  (* Keyed on the canonical orientation: the same unordered pair
+     sighted in opposite observation orders across runs is one race,
+     not two histogram rows. *)
+  let sightings = Sightings.create 16 in
   let crashes = ref [] and quarantined = ref [] and timeouts = ref 0 in
   let completed = ref 0 and racy = ref 0 in
   let reports = ref 0 and ticks = ref 0 in
-  let metrics = ref T11r_obs.Metrics.zero in
+  let metrics = T11r_obs.Metrics.sum () in
   let coverage = ref T11r_race.Coverage.empty in
   for k = 0 to runs - 1 do
     let i = index k and (r : Interp.result) = results.(k) in
@@ -286,16 +441,7 @@ let fold ~label ~n ~first ~jobs ~wall_s ~supervision ~distinct_schedules
     let key = Outcome.key r.Interp.outcome in
     if not (bump_outcome key !outcomes) then
       outcomes := (key, ref 1) :: !outcomes;
-    List.iter
-      (fun race ->
-        (* Key on the canonical orientation: the same unordered pair
-           sighted in opposite observation orders across runs is one
-           race, not two histogram rows. *)
-        let race = Report.norm race in
-        match Hashtbl.find_opt sightings race with
-        | Some (f0, c) -> Hashtbl.replace sightings race (f0, c + 1)
-        | None -> Hashtbl.replace sightings race (i, 1))
-      r.Interp.races;
+    sight sightings i r.Interp.races;
     (match r.Interp.outcome with
     | Interp.Completed -> incr completed
     | Interp.Crashed (tid, msg) ->
@@ -306,7 +452,7 @@ let fold ~label ~n ~first ~jobs ~wall_s ~supervision ~distinct_schedules
     if r.Interp.race_count > 0 then incr racy;
     reports := !reports + r.Interp.race_count;
     ticks := !ticks + r.Interp.ticks;
-    metrics := T11r_obs.Metrics.add !metrics r.Interp.metrics;
+    T11r_obs.Metrics.accumulate metrics r.Interp.metrics;
     (* Union is not commutative on bytes when an all-zero summary
        meets the empty one (Coverage.union): index order here too. *)
     coverage := T11r_race.Coverage.union !coverage r.Interp.coverage
@@ -341,13 +487,12 @@ let fold ~label ~n ~first ~jobs ~wall_s ~supervision ~distinct_schedules
     distinct_schedules;
     outcomes = List.sort compare (List.map (fun (k, c) -> (k, !c)) !outcomes);
     sightings =
-      Hashtbl.fold
-        (fun race (s_first, s_count) acc ->
-          { s_race = race; s_first; s_count } :: acc)
+      Sightings.fold
+        (fun race c acc -> { s_race = race; s_first = c.c_first; s_count = c.c_n } :: acc)
         sightings []
       |> List.sort compare_sighting;
     crashes = List.rev !crashes;
-    metrics = !metrics;
+    metrics = T11r_obs.Metrics.total metrics;
     coverage = !coverage;
     supervision;
   }
@@ -495,14 +640,19 @@ let run s ~n ?(jobs = 1) ?(first = 0) ?(deadline_s = 0.) ?tick_budget
      table counts the report's distinct schedules, and is dropped with
      [run]'s frame. Sharing is invisible to the report, its digest
      ([No_sharing]) and the journal (written first). *)
-  let schedules = Schedules.create () and lock = Mutex.create () in
-  let share (r : Interp.result) =
-    let h = schedule_hash r.Interp.trace in
-    Mutex.protect lock (fun () -> Schedules.share schedules h r)
+  let schedules = Schedules.create () in
+  let share =
+    if jobs = 1 then fun (r : Interp.result) ->
+      Schedules.share schedules (schedule_hash r.Interp.trace) r
+    else
+      let lock = Mutex.create () in
+      fun (r : Interp.result) ->
+        let h = schedule_hash r.Interp.trace in
+        Mutex.protect lock (fun () -> Schedules.share schedules h r)
   in
   let exec k =
     let i = first + k in
-    match Hashtbl.find_opt cached i with
+    match if resumed = 0 then None else Hashtbl.find_opt cached i with
     | Some r -> share r
     | None ->
         let r =

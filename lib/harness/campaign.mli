@@ -221,6 +221,11 @@ val run :
     campaign (label/n/first/tick budget), or its first verifiable run
     does not reproduce under [s]. *)
 
+val same_result : Tsan11rec.Interp.result -> Tsan11rec.Interp.result -> bool
+(** [compare r c = 0], without the polymorphic compare on any field
+    but a demo. [run] keeps one copy of equal demo-less results with
+    it. *)
+
 val aggregate :
   label:string ->
   n:int ->

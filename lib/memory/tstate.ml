@@ -48,6 +48,12 @@ let acquire t c =
     t.ep <- Vclock.Mut.get t.mut t.tid
   end
 
+let acquire_thread t other =
+  if Vclock.Mut.join_mut t.mut other.mut then begin
+    t.snap_ok <- false;
+    t.ep <- Vclock.Mut.get t.mut t.tid
+  end
+
 let fork ~parent ~tid =
   let mut = Vclock.Mut.of_imm (clock parent) in
   Vclock.Mut.incr mut tid;
@@ -80,7 +86,7 @@ let reinit t ~tid =
   t.rel_fence <- Vclock.empty
 
 let reinit_fork t ~parent ~tid =
-  Vclock.Mut.reset_to t.mut (clock parent);
+  Vclock.Mut.reset_to_mut t.mut parent.mut;
   Vclock.Mut.incr t.mut tid;
   t.tid <- tid;
   t.snap <- Vclock.empty;

@@ -56,6 +56,10 @@ val acquire : t -> T11r_util.Vclock.t -> unit
     lock, join, ...). In place; allocates only when the incoming clock
     is longer than the backing array. *)
 
+val acquire_thread : t -> t -> unit
+(** [acquire_thread t other] is [acquire t (clock other)] (a join),
+    without building [other]'s clock. *)
+
 val fork : parent:t -> tid:int -> t
 (** Child thread state at creation: inherits the parent's clock (thread
     creation synchronises-with the start of the child), then both sides

@@ -52,7 +52,21 @@ val zero : t
 val add : t -> t -> t
 (** Componentwise sum — associative with identity {!zero}. *)
 
+type sum
+(** A running {!add} of many [t]s, kept in place. *)
+
+val sum : unit -> sum
+(** A sum of no [t]: its {!total} is {!zero}. *)
+
+val accumulate : sum -> t -> unit
+(** Adds one [t] to the sum, allocating nothing. *)
+
+val total : sum -> t
+(** The sum so far: [add]s of every accumulated [t] onto {!zero}. *)
+
 val equal : t -> t -> bool
+(** [a = b], field by field, without the polymorphic compare. *)
+
 val pp : Format.formatter -> t -> unit
 
 val to_json : t -> string

@@ -113,6 +113,9 @@ let iter f t =
   done
 
 let to_list t =
-  let acc = ref [] in
-  iter (fun e -> acc := e :: !acc) t;
-  List.rev !acc
+  if t.n = 0 then []
+  else begin
+    let acc = ref [] in
+    iter (fun e -> acc := e :: !acc) t;
+    List.rev !acc
+  end

@@ -11,30 +11,38 @@ type t = {
 }
 
 (* SplitMix64: expands the two user seeds into the four xoshiro words.
-   Standard constants from Steele, Lea & Flood. *)
-let splitmix_next (state : int64 ref) : int64 =
+   Standard constants from Steele, Lea & Flood. [splitmix] is its
+   output function on state [z]. *)
+let[@inline] splitmix (z : int64) : int64 =
   let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
+let splitmix_next (state : int64 ref) : int64 =
+  state := Int64.add !state 0x9E3779B97F4A7C15L;
+  splitmix !state
+
 let[@inline] rotl (x : int64) (k : int) : int64 =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
+(* Four [splitmix_next] steps, written out so that every value stays an
+   unboxed int64 and a reseed allocates nothing. *)
 let expand_into st ~seed1 ~seed2 =
-  let mix = ref (Int64.logxor seed1 (Int64.mul seed2 0x2545F4914F6CDD1DL)) in
-  let s0 = splitmix_next mix in
-  let s1 = splitmix_next mix in
-  let s2 = splitmix_next mix in
-  let s3 = splitmix_next mix in
-  (* xoshiro must not start from the all-zero state. *)
-  let s3 = if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then 1L else s3 in
+  let open Int64 in
+  let gamma = 0x9E3779B97F4A7C15L (* [splitmix_next]'s step *) in
+  let z0 = add (logxor seed1 (mul seed2 0x2545F4914F6CDD1DL)) gamma in
+  let z1 = add z0 gamma in
+  let z2 = add z1 gamma in
+  let z3 = add z2 gamma in
+  let s0 = splitmix z0 and s1 = splitmix z1 and s2 = splitmix z2 in
+  let s3 = splitmix z3 in
   Bytes.set_int64_ne st 0 s0;
   Bytes.set_int64_ne st 8 s1;
   Bytes.set_int64_ne st 16 s2;
-  Bytes.set_int64_ne st 24 s3
+  (* xoshiro must not start from the all-zero state. *)
+  Bytes.set_int64_ne st 24
+    (if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then 1L else s3)
 
 let create ~seed1 ~seed2 =
   let st = Bytes.create 32 in

@@ -128,8 +128,8 @@ module Mut = struct
     Array.fill m.a 0 m.n 0;
     m.n <- 0
 
-  let reset_to m (c : t) =
-    let lc = Array.length c in
+  (* [m] := components [0, lc) of [c]. *)
+  let[@inline] load m (c : int array) lc =
     if lc > Array.length m.a then begin
       Array.fill m.a 0 m.n 0;
       let a = Array.make (max 4 lc) 0 in
@@ -141,6 +141,8 @@ module Mut = struct
       if m.n > lc then Array.fill m.a lc (m.n - lc) 0
     end;
     m.n <- lc
+
+  let reset_to m (c : t) = load m c (Array.length c)
 
   let of_imm (c : t) =
     let n = Array.length c in
@@ -167,8 +169,8 @@ module Mut = struct
     ensure m tid;
     m.a.(tid) <- m.a.(tid) + 1
 
-  let join_imm m (c : t) =
-    let lc = Array.length c in
+  (* Join components [0, lc) of [c] into [m]; [true] iff any grew. *)
+  let[@inline] join m (c : int array) lc =
     let changed = ref false in
     if lc > 0 then begin
       ensure m (lc - 1);
@@ -181,10 +183,18 @@ module Mut = struct
     end;
     !changed
 
-  let snapshot m : t =
+  let join_imm m (c : t) = join m c (Array.length c)
+
+  (* The length of [snapshot m]: [m.n] without trailing zeros. *)
+  let live m =
     let n = ref m.n in
     while !n > 0 && m.a.(!n - 1) = 0 do
       decr n
     done;
-    Array.sub m.a 0 !n
+    !n
+
+  let snapshot m : t = Array.sub m.a 0 (live m)
+
+  let reset_to_mut m src = load m src.a (live src)
+  let join_mut m src = join m src.a (live src)
 end

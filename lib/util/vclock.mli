@@ -84,6 +84,10 @@ module Mut : sig
   (** [reset_to m c] makes [m] equal to [c] in place — the recycled
       equivalent of [of_imm]. *)
 
+  val reset_to_mut : mut -> mut -> unit
+  (** [reset_to_mut m src] is [reset_to m (snapshot src)], without
+      building the snapshot. *)
+
   val of_imm : t -> mut
   (** Mutable copy of an immutable clock. *)
 
@@ -97,6 +101,10 @@ module Mut : sig
   val join_imm : mut -> t -> bool
   (** Fold an immutable clock into the mut (componentwise max).
       Returns [true] iff any component changed. *)
+
+  val join_mut : mut -> mut -> bool
+  (** [join_mut m src] is [join_imm m (snapshot src)], without building
+      the snapshot. *)
 
   val snapshot : mut -> t
   (** Fresh immutable (normalised) copy of the current value. *)

@@ -52,6 +52,28 @@ type program = { pname : string; main : unit -> unit }
 
 let program ~name main = { pname = name; main }
 
+(* ["syscall:" ^ Syscall.kind_to_string k]. *)
+let syscall_label : Syscall.kind -> string = function
+  | Read -> "syscall:read"
+  | Write -> "syscall:write"
+  | Recv -> "syscall:recv"
+  | Send -> "syscall:send"
+  | Recvmsg -> "syscall:recvmsg"
+  | Sendmsg -> "syscall:sendmsg"
+  | Poll -> "syscall:poll"
+  | Select -> "syscall:select"
+  | Epoll_wait -> "syscall:epoll_wait"
+  | Accept -> "syscall:accept"
+  | Accept4 -> "syscall:accept4"
+  | Bind -> "syscall:bind"
+  | Clock_gettime -> "syscall:clock_gettime"
+  | Ioctl -> "syscall:ioctl"
+  | Open_ -> "syscall:open"
+  | Close -> "syscall:close"
+  | Pipe -> "syscall:pipe"
+
+let raise_labels = Array.init 65 (Printf.sprintf "raise_sync:%d")
+
 let req_label : type a. a req -> string = function
   | New_atomic _ -> "new_atomic"
   | New_var _ -> "new_var"
@@ -84,9 +106,11 @@ let req_label : type a. a req -> string = function
   | Cond_broadcast _ -> "cond_broadcast"
   | Spawn _ -> "spawn"
   | Join _ -> "join"
-  | Syscall r -> "syscall:" ^ Syscall.kind_to_string r.Syscall.kind
+  | Syscall r -> syscall_label r.Syscall.kind
   | Set_signal_handler _ -> "set_signal_handler"
-  | Raise_sync signo -> Printf.sprintf "raise_sync:%d" signo
+  | Raise_sync signo ->
+      if signo >= 0 && signo < Array.length raise_labels then raise_labels.(signo)
+      else Printf.sprintf "raise_sync:%d" signo
 
 let op r = Effect.perform (Op r)
 
@@ -98,10 +122,17 @@ type handler = { run : 'a. 'a req -> 'a }
 
 let invisible = Domain.DLS.new_key (fun () -> { run = op })
 
-let with_invisible h f =
+let with_invisible h f x =
   let prev = Domain.DLS.get invisible in
   Domain.DLS.set invisible h;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set invisible prev) f
+  match f x with
+  | v ->
+      Domain.DLS.set invisible prev;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Domain.DLS.set invisible prev;
+      Printexc.raise_with_backtrace e bt
 
 let inv r = (Domain.DLS.get invisible).run r
 

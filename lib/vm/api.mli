@@ -111,15 +111,22 @@ val program : name:string -> (unit -> unit) -> program
 type handler = { run : 'a. 'a req -> 'a }
 (** What an invisible request calls instead of performing an effect. *)
 
-val with_invisible : handler -> (unit -> 'b) -> 'b
-(** [with_invisible h f] runs [f] with [h] answering every invisible
-    request made on this domain, then restores the previous handler,
-    also when [f] raises. Visible requests still perform [Op]. Outside
-    any [with_invisible], an invisible request performs [Op] too. *)
+val with_invisible : handler -> ('a -> 'b) -> 'a -> 'b
+(** [with_invisible h f x] runs [f x] with [h] answering every
+    invisible request made on this domain, then restores the previous
+    handler, also when [f] raises. Visible requests still perform [Op].
+    Outside any [with_invisible], an invisible request performs [Op]
+    too. *)
 
 val req_label : 'a req -> string
-(** Short human-readable tag ("a_load", "mutex_lock", ...), used in
-    traces and desync diagnostics. *)
+(** Short human-readable tag ("a_load", "mutex_lock",
+    "syscall:read", "raise_sync:11", ...), used in traces and desync
+    diagnostics. A constant string for every request but a
+    [Raise_sync] of a signal number outside [0, 64], so labelling a
+    tick allocates nothing. *)
+
+val syscall_label : Syscall.kind -> string
+(** [req_label (Syscall r)] for a request [r] of this kind. *)
 
 val reset_auto_names : unit -> unit
 (** Reset the domain-local counter behind auto-generated names

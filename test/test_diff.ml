@@ -25,7 +25,9 @@
      derived supervision, on real campaigns at jobs 1, 2 and 3 (crashes,
      quarantines, timeouts, cancellation and journal resume included)
      and on synthetic traces built to tell a schedule key that is not
-     exact from one that is;
+     exact from one that is; [Campaign.same_result] equal to
+     [compare r c = 0] on golden results, their unshared copies and
+     one-field perturbations of them;
    - Schedule: a result's streamed digest equals the Marshal digest of
      the same result in its old layout (the trace a (tick, tid, label)
      list), on every golden workload and on random schedules; the list
@@ -1435,6 +1437,221 @@ let test_schedule_refusals () =
   Alcotest.(check string) "the last one" "65535" s.Interp.labels.(65535)
 
 (* ------------------------------------------------------------------ *)
+(* [Campaign.same_result], field by field, against [compare r c = 0],
+   the polymorphic comparison it replaced. *)
+
+(* Equal to [r], sharing nothing with it. *)
+let unshared (r : Interp.result) : Interp.result =
+  Marshal.from_string (Marshal.to_string r [ Marshal.No_sharing ]) 0
+
+let agrees a b = Campaign.same_result a b = (compare a b = 0)
+
+(* Every golden workload under every golden configuration, at two seed
+   pairs, and a recording of each workload (a result with a demo). *)
+let golden_results =
+  lazy
+    (List.map
+       (fun (w : Workloads.t) ->
+         let runs =
+           List.concat_map
+             (fun (_, conf) ->
+               List.map
+                 (fun (s1, s2) ->
+                   Golden.run_workload w ~world_seed:7L (Conf.with_seeds conf s1 s2))
+                 [ (3L, 4L); (5L, 6L) ])
+             (Golden.configs ())
+         in
+         let recorded =
+           T11r_util.Tmp.with_dir ~prefix:"same_result" (fun dir ->
+               Golden.run_workload w ~world_seed:7L
+                 (Conf.with_seeds
+                    (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record dir) ())
+                    3L 4L))
+         in
+         (w.Workloads.w_name, recorded :: runs))
+       Workloads.all)
+
+let test_same_result_golden () =
+  List.iter
+    (fun (name, rs) ->
+      let copies = List.map unshared rs in
+      List.iter2
+        (fun a a' ->
+          Alcotest.(check bool) (name ^ ": equal to its copy") true
+            (Campaign.same_result a a');
+          List.iter
+            (fun b ->
+              if not (agrees a b) then
+                Alcotest.failf "%s: same_result disagrees with compare" name)
+            copies)
+        rs copies)
+    (Lazy.force golden_results)
+
+(* [r] with field [k] (declaration order) taken from [src]. *)
+let with_field k (r : Interp.result) (src : Interp.result) : Interp.result =
+  match k with
+  | 0 -> { r with outcome = src.outcome }
+  | 1 -> { r with makespan_us = src.makespan_us }
+  | 2 -> { r with ticks = src.ticks }
+  | 3 -> { r with races = src.races }
+  | 4 -> { r with race_count = src.race_count }
+  | 5 -> { r with lock_cycles = src.lock_cycles }
+  | 6 -> { r with trace_divergence = src.trace_divergence }
+  | 7 -> { r with output = src.output }
+  | 8 -> { r with soft_desync = src.soft_desync }
+  | 9 -> { r with demo = src.demo }
+  | 10 -> { r with trace = src.trace }
+  | 11 -> { r with thread_names = src.thread_names }
+  | 12 -> { r with rng_draws = src.rng_draws }
+  | 13 -> { r with desync_count = src.desync_count }
+  | 14 -> { r with divergences = src.divergences }
+  | 15 -> { r with metrics = src.metrics }
+  | 16 -> { r with events = src.events }
+  | 17 -> { r with events_dropped = src.events_dropped }
+  | 18 -> { r with coverage = src.coverage }
+  | 19 -> { r with decisions = src.decisions }
+  | _ -> { r with accesses = src.accesses }
+
+(* [r] with field [k] replaced by a value made from the bits of [i]:
+   each bit sets one part of it (an int, a string, a constructor), so
+   two [i] one bit apart give values that differ in one part only. *)
+let variant k i (r : Interp.result) : Interp.result =
+  let bit b = (i lsr b) land 1 in
+  let str b = if bit b = 0 then "x" else "y" in
+  let src = Interp.result_of_outcome Interp.Completed in
+  let src =
+    match k with
+    | 0 ->
+        let outcome =
+          match i land 7 with
+          | 0 -> Interp.Completed
+          | 1 -> Deadlock [ bit 3; 2 ]
+          | 2 -> Crashed (bit 3, str 4)
+          | 3 -> Hard_desync (str 3)
+          | 4 -> Unsupported_app (str 3)
+          | 5 -> App_error (str 3)
+          | 6 -> Corrupt_demo (str 3)
+          | _ -> if bit 3 = 0 then Tick_limit else Timeout
+        in
+        { src with outcome }
+    | 3 ->
+        let kind : T11r_race.Report.kind =
+          match bit 1 + (2 * bit 2) with 0 -> Write_write | 1 -> Write_read | _ -> Read_write
+        in
+        { src with
+          races =
+            { T11r_race.Report.var = str 0; kind; first_tid = bit 3; second_tid = bit 4 }
+            :: (if bit 5 = 0 then [] else r.races) }
+    | 5 ->
+        { src with
+          lock_cycles =
+            [ [ { T11r_race.Lockorder.from_lock = str 0; to_lock = str 1; witness_tid = bit 2 } ] ] }
+    | 6 -> { src with trace_divergence = (if bit 0 = 0 then None else Some (str 1)) }
+    | 7 -> { src with output = r.output ^ str 0 }
+    | 8 -> { src with soft_desync = bit 0 = 1 }
+    | 9 ->
+        let recorded = List.hd (snd (List.hd (Lazy.force golden_results))) in
+        { src with demo = (if bit 0 = 0 then None else recorded.demo) }
+    | 10 ->
+        let l = List.map (fun (_, tid, label) -> (tid, label)) (Interp.trace_list r) in
+        { src with trace = Interp.schedule_of_list (l @ [ (bit 0, str 1) ]) }
+    | 11 -> { src with thread_names = (bit 0, str 1) :: r.thread_names }
+    | 14 ->
+        { src with
+          divergences =
+            [ { Interp.div_tick = bit 0; div_tid = bit 1; div_site = str 2;
+                div_expected = str 3; div_actual = str 4;
+                div_trail = [ (bit 5, bit 6, str 7) ] } ] }
+    | 15 ->
+        let m = r.metrics in
+        { src with
+          metrics =
+            { T11r_obs.Metrics.m_ticks = m.m_ticks + bit 0;
+              m_waits = m.m_waits + bit 1;
+              m_preemptions = m.m_preemptions + bit 2;
+              m_evictions = m.m_evictions + bit 3;
+              m_stale_reads = m.m_stale_reads + bit 4;
+              m_det_checks = m.m_det_checks + bit 5;
+              m_desyncs = m.m_desyncs + bit 6;
+              m_timeouts = m.m_timeouts + bit 7;
+              m_retries = m.m_retries + bit 8;
+              m_salvages = m.m_salvages + bit 9;
+              m_cov_bits = m.m_cov_bits + bit 10;
+              m_corpus_adds = m.m_corpus_adds + bit 11;
+              m_energy = m.m_energy + bit 12;
+              m_predicted = m.m_predicted + bit 13;
+              m_pred_verified = m.m_pred_verified + bit 14;
+              m_pred_refuted = m.m_pred_refuted + bit 15 } }
+    | 16 ->
+        let ev_kind : T11r_obs.Trace.kind =
+          match i land 7 with
+          | 0 -> Sched | 1 -> Op | 2 -> Stale_read | 3 -> Fault | 4 -> Race | _ -> Desync
+        in
+        { src with
+          events =
+            { T11r_obs.Trace.ev_kind; ev_tick = bit 3; ev_tid = bit 4; ev_label = str 5;
+              ev_ts = bit 6; ev_dur = bit 7 }
+            :: r.events }
+    | 18 -> { src with coverage = r.coverage ^ str 0 }
+    | 19 ->
+        let d_foot : Decision.footprint =
+          match (i lsr 2) land 7 with
+          | 0 -> F_local
+          | 1 -> F_atomic (bit 5, if bit 6 = 0 then Acc_read else Acc_write)
+          | 2 -> F_fence
+          | 3 -> F_sync (bit 5, bit 6)
+          | 4 -> F_spawn (bit 5)
+          | 5 -> F_join (bit 5)
+          | 6 -> F_syscall (bit 5)
+          | _ -> F_global
+        in
+        let d_lock : Decision.lock_event =
+          match (i lsr 7) land 3 with
+          | 0 -> L_none
+          | 1 -> L_acquire (bit 9)
+          | 2 -> L_release (bit 9)
+          | _ -> L_blocked (bit 9)
+        in
+        { src with
+          decisions =
+            Array.append r.decisions
+              [| { Decision.d_tid = bit 0; d_enabled = [| bit 1; 2 |]; d_foot;
+                   d_draws = bit 10; d_rand = bit 11 = 1; d_lock } |] }
+    | 20 ->
+        { src with
+          accesses =
+            Array.append r.accesses
+              [| { Decision.a_tick = bit 0; a_tid = bit 1; a_pos = bit 2; a_var = bit 3;
+                   a_write = bit 4 = 1; a_name = str 5 } |] }
+    | _ ->
+        (* the int fields *)
+        { src with
+          makespan_us = r.makespan_us + bit 0;
+          ticks = r.ticks + bit 0;
+          race_count = r.race_count + bit 0;
+          rng_draws = r.rng_draws + bit 0;
+          desync_count = r.desync_count + bit 0;
+          events_dropped = r.events_dropped + bit 0 }
+  in
+  with_field k r src
+
+(* One field of a golden result replaced: the pair compared is the
+   result and the result with that field taken from another golden
+   result, or two variants of the field one bit apart. *)
+let prop_same_result =
+  let pool = lazy (Array.of_list (List.concat_map snd (Lazy.force golden_results))) in
+  QCheck.Test.make ~name:"same_result = (compare = 0), one field perturbed" ~count:3000
+    QCheck.(quad small_nat (int_bound 20) (int_bound 0xFFFF) (int_bound 16))
+    (fun (a, k, i, b) ->
+      let pool = Lazy.force pool in
+      let r = pool.(a mod Array.length pool) in
+      let r1, r2 =
+        if b = 16 then (r, with_field k r pool.(i mod Array.length pool))
+        else (variant k i r, variant k (i lxor (1 lsl b)) r)
+      in
+      agrees r1 r2 && agrees r1 (unshared r2) && agrees (unshared r1) r2)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "diff"
@@ -1470,6 +1687,9 @@ let () =
           Alcotest.test_case "schedule key is exact" `Quick
             test_schedule_key_exact;
           qtest prop_schedule_count;
+          Alcotest.test_case "same_result = compare, golden results" `Quick
+            test_same_result_golden;
+          qtest prop_same_result;
         ] );
       ( "schedule",
         [

@@ -345,6 +345,26 @@ let test_epoll_unsupported_when_recording () =
   | Interp.Unsupported_app _ -> ()
   | _ -> Alcotest.failf "expected unsupported, got %s" (outcome_str r)
 
+(* A syscall or raise tick's label is a constant string: the bytes the
+   label always had, and the same string at every tick. *)
+let test_static_labels () =
+  List.iter
+    (fun k ->
+      let label () = Api.req_label (Api.Syscall (Syscall.request k)) in
+      Alcotest.(check string) "syscall label" ("syscall:" ^ Syscall.kind_to_string k)
+        (label ());
+      Alcotest.(check bool) "one string per kind" true (label () == label ()))
+    Syscall.
+      [ Read; Write; Recv; Send; Recvmsg; Sendmsg; Poll; Select; Epoll_wait;
+        Accept; Accept4; Bind; Clock_gettime; Ioctl; Open_; Close; Pipe ];
+  List.iter
+    (fun signo ->
+      Alcotest.(check string) "raise label" (Printf.sprintf "raise_sync:%d" signo)
+        (Api.req_label (Api.Raise_sync signo)))
+    [ -1; 0; 1; 11; 64; 65; 1000 ];
+  Alcotest.(check bool) "one string per signal" true
+    (Api.req_label (Api.Raise_sync 11) == Api.req_label (Api.Raise_sync 11))
+
 let test_rr_rejects_gpu () =
   let prog =
     Api.program ~name:"gpuuser" (fun () ->
@@ -1085,6 +1105,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_syscalls_run;
           Alcotest.test_case "epoll unsupported" `Quick test_epoll_unsupported_when_recording;
           Alcotest.test_case "rr rejects gpu" `Quick test_rr_rejects_gpu;
+          Alcotest.test_case "static labels" `Quick test_static_labels;
         ] );
       ( "determinism",
         [
