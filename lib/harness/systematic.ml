@@ -38,71 +38,143 @@ module Prefixes = Hashtbl.Make (struct
   let hash a = Hashtbl.hash (Array.fold_left (fun h i -> (h * 65599) + i) 0 a)
 end)
 
+(* Distinct race reports of an exploration, hashed over every field
+   without the polymorphic hash. *)
+module Races = Hashtbl.Make (struct
+  type t = Report.t
+
+  let equal = Report.equal
+
+  let hash (r : Report.t) =
+    let h = ref ((r.first_tid * 65599) + r.second_tid) in
+    for i = 0 to String.length r.var - 1 do
+      h := (!h * 31) + Char.code (String.unsafe_get r.var i)
+    done;
+    let k =
+      match r.kind with
+      | Report.Write_write -> 0
+      | Report.Write_read -> 1
+      | Report.Read_write -> 2
+    in
+    ((!h * 3) + k) land max_int
+end)
+
+(* Outcome constructors, numbered for the aggregate's counters. *)
+let outcome_kinds = 9
+
+let outcome_index : Interp.outcome -> int = function
+  | Interp.Completed -> 0
+  | Interp.Deadlock _ -> 1
+  | Interp.Crashed _ -> 2
+  | Interp.Hard_desync _ -> 3
+  | Interp.Unsupported_app _ -> 4
+  | Interp.App_error _ -> 5
+  | Interp.Tick_limit -> 6
+  | Interp.Timeout -> 7
+  | Interp.Corrupt_demo _ -> 8
+
+let deadlock_kind = outcome_index (Interp.Deadlock [])
+let crashed_kind = outcome_index (Interp.Crashed (-1, ""))
+
 (* ------------------------------------------------------------------ *)
 (* DFS frames. A frame is the node reached after [fr_depth] scheduling
    decisions — the [fr_cur] of the frames below it, so the guided
    prefix that reaches it is the [fr_idx] of the frames below it — and
    [fr_rd] is the decision array of the maximal run currently being
    followed through it (the run whose realized path extends that
-   prefix with index 0 forever). *)
+   prefix with index 0 forever). The stack's frames are records reused
+   in place: a descent writes the next slot's fields.
+
+   A frame's backtrack set is [fr_bt.(0 .. fr_bt_n - 1)] in insertion
+   order, a tid whose subtree is complete stored as [-tid - 1] (every
+   done tid was scheduled from the backtrack set, and every tid the set
+   gains is enabled at the node, so [fr_enabled] bounds it). Its sleep
+   set is the slice [fr_sleep_lo, fr_sleep_hi) of the explorer's sleep
+   stack: a child's set is the part of its parent's independent of the
+   parent's transition, copied just above the parent's slice, and a
+   frame gains entries only while it is the top frame, so the slices
+   nest as the frames do. A sleep entry is the decision that put its
+   thread to sleep; its tid is the decision's. *)
 type frame = {
-  fr_depth : int;
-  fr_enabled : int array; (* tids runnable here, ascending *)
-  fr_rd : Decision.t array;
-  mutable fr_backtrack : int list; (* tids to explore, insertion order *)
-  mutable fr_done : int list; (* tids whose subtree is complete *)
-  mutable fr_sleep : (int * Decision.t) list; (* sleep set *)
-  mutable fr_cur : Decision.t option;
-      (* transition being explored; while set, it is event [fr_depth]
-         of the happens-before index *)
+  mutable fr_depth : int;
+  mutable fr_enabled : int array; (* tids runnable here, ascending *)
+  mutable fr_rd : Decision.t array;
+  mutable fr_bt : int array;
+  mutable fr_bt_n : int;
+  mutable fr_sleep_lo : int;
+  mutable fr_sleep_hi : int;
+  mutable fr_cur : Decision.t;
+      (* transition being explored, [no_decision] while unset; while
+         set, it is event [fr_depth] of the happens-before index *)
   mutable fr_idx : int;
       (* the guided index of [fr_cur] in [fr_enabled], -1 while unset *)
 }
 
-(* Stack slots above the top hold this frame. *)
-let no_frame =
+let no_decision =
+  {
+    d_tid = -1;
+    d_enabled = [||];
+    d_foot = F_local;
+    d_draws = 0;
+    d_rand = false;
+    d_lock = L_none;
+  }
+
+let new_frame () =
   {
     fr_depth = -1;
     fr_enabled = [||];
     fr_rd = [||];
-    fr_backtrack = [];
-    fr_done = [];
-    fr_sleep = [];
-    fr_cur = None;
+    fr_bt = Array.make 4 0;
+    fr_bt_n = 0;
+    fr_sleep_lo = 0;
+    fr_sleep_hi = 0;
+    fr_cur = no_decision;
     fr_idx = -1;
   }
 
-(* List membership over tids, without the polymorphic compare. *)
-let rec mem_tid (tid : int) = function
-  | [] -> false
-  | t :: rest -> t = tid || mem_tid tid rest
+(* Whether [tid] is in [f]'s backtrack set from [i] on, done or not. *)
+let rec bt_mem f (tid : int) i =
+  i < f.fr_bt_n
+  && (let v = f.fr_bt.(i) in
+      v = tid || v = -tid - 1 || bt_mem f tid (i + 1))
 
-let rec in_sleep sleep (tid : int) =
-  match sleep with
-  | [] -> false
-  | (t, _) :: rest -> t = tid || in_sleep rest tid
+(* A reversible race at [f]'s node makes it also try [tid], unless
+   [tid] is already scheduled or done there. *)
+let bt_add f tid =
+  if not (bt_mem f tid 0) then begin
+    if f.fr_bt_n = Array.length f.fr_bt then begin
+      let a = Array.make (2 * f.fr_bt_n) 0 in
+      Array.blit f.fr_bt 0 a 0 f.fr_bt_n;
+      f.fr_bt <- a
+    end;
+    f.fr_bt.(f.fr_bt_n) <- tid;
+    f.fr_bt_n <- f.fr_bt_n + 1
+  end
+
+(* [tid]'s subtree at [f] is complete (searching from [i]). *)
+let rec bt_done f (tid : int) i =
+  if i < f.fr_bt_n then
+    if f.fr_bt.(i) = tid then f.fr_bt.(i) <- -tid - 1 else bt_done f tid (i + 1)
+
+let rec asleep (sleep : Decision.t array) lo hi (tid : int) =
+  lo < hi && (sleep.(lo).d_tid = tid || asleep sleep (lo + 1) hi tid)
 
 (* The first tid of [enabled] from [i] on that is not asleep, or -1. *)
-let rec first_awake enabled sleep i =
+let rec first_awake enabled sleep lo hi i =
   if i >= Array.length enabled then -1
   else
     let tid = enabled.(i) in
-    if in_sleep sleep tid then first_awake enabled sleep (i + 1) else tid
+    if asleep sleep lo hi tid then first_awake enabled sleep lo hi (i + 1)
+    else tid
 
-(* The first backtrack tid neither done nor asleep, or -1. *)
-let rec next_child f = function
-  | [] -> -1
-  | q :: rest ->
-      if (not (mem_tid q f.fr_done)) && not (in_sleep f.fr_sleep q) then q
-      else next_child f rest
-
-(* The sleep entries independent of [e], in order: they stay asleep
-   below [e]. *)
-let rec still_asleep e = function
-  | [] -> []
-  | ((_, d) as s) :: rest ->
-      if T11r_race.Hb.dep d e then still_asleep e rest
-      else s :: still_asleep e rest
+(* The first backtrack tid from [i] on neither done nor asleep, or -1. *)
+let rec next_child sleep f i =
+  if i >= f.fr_bt_n then -1
+  else
+    let q = f.fr_bt.(i) in
+    if q >= 0 && not (asleep sleep f.fr_sleep_lo f.fr_sleep_hi q) then q
+    else next_child sleep f (i + 1)
 
 let explore ?(max_runs = 2000) ?jobs:_ ?(dpor = true) ?(deadline_s = 0.)
     ?tick_budget ?(world_seed = 7L) ?(seeds = (11L, 13L)) ?journal ?cancel
@@ -165,43 +237,61 @@ let explore ?(max_runs = 2000) ?jobs:_ ?(dpor = true) ?(deadline_s = 0.)
         w)
       journal
   in
-  (* Aggregation, in analysis order. *)
+  (* Aggregation, in analysis order: counters, the distinct races, and
+     per outcome constructor a count and the first outcome seen (whose
+     key names it), with the constructors in first-seen order. *)
   let runs = ref 0 in
   let resumed = ref 0 in
   let racy = ref 0 in
-  let deadlocks = ref 0 in
-  let crashes = ref 0 in
   let max_depth = ref 0 in
   let races = ref [] in
-  let seen_races = Hashtbl.create 16 in
-  let outcomes = Hashtbl.create 4 in
+  let seen_races = Races.create 16 in
+  let counts = Array.make outcome_kinds 0 in
+  let first_seen = Array.make outcome_kinds Interp.Completed in
+  let order = Array.make outcome_kinds 0 in
+  let kinds = ref 0 in
+  let rec note_races = function
+    | [] -> ()
+    | race :: rest ->
+        if not (Races.mem seen_races race) then begin
+          Races.add seen_races race ();
+          races := race :: !races
+        end;
+        note_races rest
+  in
   let aggregate (r : Interp.result) =
     incr runs;
-    max_depth := max !max_depth (Array.length r.Interp.decisions);
+    let depth = Array.length r.Interp.decisions in
+    if depth > !max_depth then max_depth := depth;
     if r.Interp.race_count > 0 then incr racy;
-    List.iter
-      (fun race ->
-        if not (Hashtbl.mem seen_races race) then begin
-          Hashtbl.replace seen_races race ();
-          races := race :: !races
-        end)
-      r.Interp.races;
-    (match r.Interp.outcome with
-    | Interp.Deadlock _ -> incr deadlocks
-    | Interp.Crashed _ -> incr crashes
-    | _ -> ());
-    let k = Outcome.key r.Interp.outcome in
-    Hashtbl.replace outcomes k
-      (1 + Option.value ~default:0 (Hashtbl.find_opt outcomes k))
+    note_races r.Interp.races;
+    let i = outcome_index r.Interp.outcome in
+    if counts.(i) = 0 then begin
+      first_seen.(i) <- r.Interp.outcome;
+      order.(!kinds) <- i;
+      incr kinds
+    end;
+    counts.(i) <- counts.(i) + 1
+  in
+  (* The outcome histogram in the order a string-keyed [Hashtbl] fed
+     the outcomes run by run lists it: that order depends only on the
+     keys and the order they first appeared in. *)
+  let outcomes () =
+    let h = Hashtbl.create 4 in
+    for j = 0 to !kinds - 1 do
+      let i = order.(j) in
+      Hashtbl.replace h (Outcome.key first_seen.(i)) counts.(i)
+    done;
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []
   in
   let journal_entry prefix (r : Interp.result) =
-    Option.iter
-      (fun w ->
+    match jw with
+    | None -> ()
+    | Some w ->
         let payload =
           Marshal.to_string (prefix, { r with Interp.demo = None }) []
         in
-        Journal.append w { Journal.kind = "sys"; payload })
-      jw
+        Journal.append w { Journal.kind = "sys"; payload }
   in
   (* Query one normalized prefix: consume the journalled result or
      execute it. Counts the run, journals fresh executions (in analysis
@@ -220,25 +310,49 @@ let explore ?(max_runs = 2000) ?jobs:_ ?(dpor = true) ?(deadline_s = 0.)
     aggregate r;
     r
   in
-  (* The DFS stack (frames.(0 .. sp-1); frame i sits at depth i), and
-     the happens-before index over its [fr_cur] events. *)
-  let frames : frame array ref = ref (Array.make 64 no_frame) in
+  (* The DFS stack (frames.(0 .. sp-1); frame i sits at depth i), the
+     sleep stack its sleep sets are slices of, and the happens-before
+     index over its [fr_cur] events. *)
+  let frames = ref (Array.init 64 (fun _ -> new_frame ())) in
   let sp = ref 0 in
+  let sleep = ref (Array.make 64 no_decision) in
   let hb = T11r_race.Hb.create () in
   let fget i = !frames.(i) in
-  let fpush f =
-    if !sp >= Array.length !frames then begin
-      let a = Array.make (2 * Array.length !frames) no_frame in
-      Array.blit !frames 0 a 0 !sp;
-      frames := a
-    end;
-    !frames.(!sp) <- f;
-    incr sp
+  (* Room for [n] sleep entries. *)
+  let sleep_room n =
+    if n > Array.length !sleep then begin
+      let a = Array.make (max n (2 * Array.length !sleep)) no_decision in
+      Array.blit !sleep 0 a 0 (Array.length !sleep);
+      sleep := a
+    end
+  in
+  (* Put [e]'s thread to sleep at the top frame [f]. *)
+  let add_sleep f e =
+    sleep_room (f.fr_sleep_hi + 1);
+    !sleep.(f.fr_sleep_hi) <- e;
+    f.fr_sleep_hi <- f.fr_sleep_hi + 1
+  in
+  (* Copy the entries of the top frame [f]'s sleep set independent of
+     [e] just above it — they stay asleep below [e] — and return the
+     copy's end. *)
+  let sleep_below f e =
+    let lo = f.fr_sleep_lo and hi = f.fr_sleep_hi in
+    sleep_room (hi + (hi - lo));
+    let s = !sleep in
+    let top = ref hi in
+    for j = lo to hi - 1 do
+      let d = s.(j) in
+      if not (T11r_race.Hb.dep d e) then begin
+        s.(!top) <- d;
+        incr top
+      end
+    done;
+    !top
   in
   (* Clear [f.fr_cur], dropping it from the index. *)
   let clear_cur f =
-    if dpor && Option.is_some f.fr_cur then T11r_race.Hb.pop hb;
-    f.fr_cur <- None;
+    if dpor && f.fr_idx >= 0 then T11r_race.Hb.pop hb;
+    f.fr_cur <- no_decision;
     f.fr_idx <- -1
   in
   (* The guided prefix reaching the child of frame [k] at index [idx]:
@@ -253,65 +367,75 @@ let explore ?(max_runs = 2000) ?jobs:_ ?(dpor = true) ?(deadline_s = 0.)
     p
   in
   (* Reach the node after [depth] transitions of run [rd] with entry
-     sleep set [sleep]; push a frame unless the node is terminal (the
+     sleep set [lo, hi); push a frame unless the node is terminal (the
      run ended) or sleep-blocked (every enabled thread is asleep — the
      subtree is Mazurkiewicz-redundant and is pruned whole). *)
-  let push_node ~depth ~rd ~sleep =
+  let push_node ~depth ~rd ~lo ~hi =
     if depth >= Array.length rd then false
     else begin
       let enabled = rd.(depth).d_enabled in
-      let awake = first_awake enabled sleep 0 in
+      let awake = first_awake enabled !sleep lo hi 0 in
       if awake < 0 then false
       else begin
-        let backtrack = if dpor then [ awake ] else Array.to_list enabled in
-        fpush
-          {
-            fr_depth = depth;
-            fr_enabled = enabled;
-            fr_rd = rd;
-            fr_backtrack = backtrack;
-            fr_done = [];
-            fr_sleep = sleep;
-            fr_cur = None;
-            fr_idx = -1;
-          };
+        if !sp >= Array.length !frames then begin
+          let old = !frames in
+          frames :=
+            Array.init (2 * Array.length old) (fun i ->
+                if i < Array.length old then old.(i) else new_frame ())
+        end;
+        let f = fget !sp in
+        let n = Array.length enabled in
+        if Array.length f.fr_bt < n then f.fr_bt <- Array.make n 0;
+        if dpor then begin
+          f.fr_bt.(0) <- awake;
+          f.fr_bt_n <- 1
+        end
+        else begin
+          Array.blit enabled 0 f.fr_bt 0 n;
+          f.fr_bt_n <- n
+        end;
+        f.fr_depth <- depth;
+        f.fr_enabled <- enabled;
+        f.fr_rd <- rd;
+        f.fr_sleep_lo <- lo;
+        f.fr_sleep_hi <- hi;
+        incr sp;
         true
       end
     end
   in
-  (* A reversible race at node [i] makes it also try [tid], unless
-     [tid] is already scheduled or done there. *)
-  let add_backtrack fi tid =
-    if (not (mem_tid tid fi.fr_backtrack)) && not (mem_tid tid fi.fr_done)
-    then fi.fr_backtrack <- fi.fr_backtrack @ [ tid ]
-  in
-  let rec add_races = function
-    | [] -> ()
-    | (i, initial) :: rest ->
-        let fi = fget i in
-        (match initial with
-        | Some tid -> add_backtrack fi tid
-        | None -> Array.iter (add_backtrack fi) fi.fr_enabled);
-        add_races rest
+  (* Each reversible race of the event just analysed makes its node
+     also try the race's initial thread, or every thread enabled there
+     when none starts the reordered segment. *)
+  let add_races n =
+    for r = 0 to n - 1 do
+      let fi = fget (T11r_race.Hb.race_pos hb r) in
+      let q = T11r_race.Hb.race_initial hb r in
+      if q >= 0 then bt_add fi q
+      else
+        for j = 0 to Array.length fi.fr_enabled - 1 do
+          bt_add fi fi.fr_enabled.(j)
+        done
+    done
   in
   (* Bootstrap: the all-zeros run. *)
   let r0 = query [||] in
-  ignore (push_node ~depth:0 ~rd:r0.Interp.decisions ~sleep:[]);
+  ignore (push_node ~depth:0 ~rd:r0.Interp.decisions ~lo:0 ~hi:0);
   while !sp > 0 && !runs < max_runs && not (cancelled ()) do
     let f = fget (!sp - 1) in
-    match next_child f f.fr_backtrack with
+    match next_child !sleep f 0 with
     | -1 ->
         (* Node exhausted: pop, complete the parent's current child. *)
         decr sp;
-        !frames.(!sp) <- no_frame;
+        f.fr_rd <- [||];
+        f.fr_enabled <- [||];
         if !sp > 0 then begin
           let p = fget (!sp - 1) in
-          match p.fr_cur with
-          | Some e ->
-              p.fr_done <- e.d_tid :: p.fr_done;
-              if dpor then p.fr_sleep <- (e.d_tid, e) :: p.fr_sleep;
-              clear_cur p
-          | None -> assert false
+          let e = p.fr_cur in
+          assert (p.fr_idx >= 0);
+          bt_done p e.d_tid 0;
+          if dpor then add_sleep p e;
+          clear_cur p
         end
     | q ->
         let k = f.fr_depth in
@@ -327,7 +451,7 @@ let explore ?(max_runs = 2000) ?jobs:_ ?(dpor = true) ?(deadline_s = 0.)
         if Array.length rd' <= k || rd'.(k).d_tid <> q then
           (* The run ended before this depth (supervision cut it
              short) or diverged — nothing to descend into. *)
-          f.fr_done <- q :: f.fr_done
+          bt_done f q 0
         else begin
           let e = rd'.(k) in
           if dpor then
@@ -335,14 +459,15 @@ let explore ?(max_runs = 2000) ?jobs:_ ?(dpor = true) ?(deadline_s = 0.)
                path: each reversible race makes its node also try the
                first thread of the reordered segment (or, with none
                enabled there, every thread). *)
-            add_races (T11r_race.Hb.push hb ~enabled:f.fr_enabled e);
-          f.fr_cur <- Some e;
+            add_races (T11r_race.Hb.add hb ~enabled:f.fr_enabled e);
+          f.fr_cur <- e;
           f.fr_idx <- idx;
-          let sleep' = if dpor then still_asleep e f.fr_sleep else [] in
-          if not (push_node ~depth:(k + 1) ~rd:rd' ~sleep:sleep') then begin
+          let lo = f.fr_sleep_hi in
+          let hi = if dpor then sleep_below f e else lo in
+          if not (push_node ~depth:(k + 1) ~rd:rd' ~lo ~hi) then begin
             (* Terminal or sleep-blocked child: completes immediately. *)
-            f.fr_done <- q :: f.fr_done;
-            if dpor then f.fr_sleep <- (q, e) :: f.fr_sleep;
+            bt_done f q 0;
+            if dpor then add_sleep f e;
             clear_cur f
           end
         end
@@ -354,9 +479,9 @@ let explore ?(max_runs = 2000) ?jobs:_ ?(dpor = true) ?(deadline_s = 0.)
     complete = !sp = 0;
     racy_schedules = !racy;
     races = List.rev !races;
-    deadlock_schedules = !deadlocks;
-    crash_schedules = !crashes;
-    outcomes = Hashtbl.fold (fun k v acc -> (k, v) :: acc) outcomes [];
+    deadlock_schedules = counts.(deadlock_kind);
+    crash_schedules = counts.(crashed_kind);
+    outcomes = outcomes ();
     max_depth_seen = !max_depth;
   }
 

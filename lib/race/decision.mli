@@ -78,3 +78,34 @@ val index_of : int -> int array -> int
 (** [index_of tid enabled] is the guided-strategy index that picks
     [tid] from the enabled set [enabled].
     @raise Not_found when [tid] is not enabled. *)
+
+(** Shared immutable values for decision capture: one footprint, lock
+    event or enabled set per distinct value, made on first use and kept
+    for the table's lifetime (an interpreter arena's). Each table keeps
+    keys below 1024 (location, object or tid numbers); a larger key
+    gets a fresh value. Sharing changes no value, only how many blocks
+    hold it. *)
+module Share : sig
+  type t
+
+  val create : unit -> t
+  val atomic : t -> int -> access -> footprint
+  (** [F_atomic (loc, kind)]. *)
+
+  val sync : t -> int -> int -> footprint
+  (** [F_sync (x, y)]; shared when [y = -1]. *)
+
+  val spawn : t -> int -> footprint
+  val join : t -> int -> footprint
+  val syscall : t -> int -> footprint
+  val acquire : t -> int -> lock_event
+  val release : t -> int -> lock_event
+  val blocked : t -> int -> lock_event
+
+  val mask_bits : int
+  (** Enabled sets are shared when every tid is below [mask_bits]. *)
+
+  val enabled : t -> int -> int array
+  (** [enabled sh m] is the shared ascending array of the tids of
+      bitmask [m > 0]. *)
+end

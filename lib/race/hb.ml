@@ -1,5 +1,9 @@
 open Decision
 
+(* Int-typed, so the analysis compares ints inline instead of calling
+   the polymorphic compare. *)
+let max (a : int) b = if a >= b then a else b
+
 (* ------------------------------------------------------------------ *)
 (* The dependence relation over captured decisions.
 
@@ -18,7 +22,7 @@ open Decision
    amount wherever they run. Over-approximation is sound: in the worst
    case DPOR degenerates to the exhaustive search.
 
-   [push] below answers "latest dependent event per thread" from
+   [add] below answers "latest dependent event per thread" from
    per-key tables instead of calling [dep]; each clause here has its
    table there, and the differential tests hold the two together. *)
 let dep (a : Decision.t) (b : Decision.t) =
@@ -48,77 +52,86 @@ let dep (a : Decision.t) (b : Decision.t) =
   || (b.d_rand && a.d_draws > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Per-thread "latest position" rows: [r.(p)] is the position of
-   thread p's latest event of the row's kind, -1 = none. Rows only
-   grow; entries past the end read as -1. *)
-type row = { mutable r : int array }
+(* Per-thread "latest position" rows: cell [p] of a row is the position
+   of thread p's latest event of the row's kind, -1 = none. Every row is
+   [stride] consecutive cells of one int array, so the undo log records
+   a cell index and an old value, two ints, and undoing stores ints:
+   neither pays a write barrier. [stride] is at least the number of
+   threads any event named, and grows (rarely) with it. Rows 0-6 are
+   the fixed ones below; keyed rows are numbered on first use. *)
+let r_last = 0 (* any event *)
+let r_world = 1 (* F_global / F_syscall *)
+let r_any_atomic = 2
+let r_fence = 3
+let r_spawn = 4
+let r_rand = 5 (* d_rand *)
+let r_draws = 6 (* d_draws > 0 *)
+let fixed_rows = 7
 
-let row_get w p = if p < Array.length w.r then w.r.(p) else -1
-
-(* Rows by key, dense: atomic location ids, object ids and tids are
-   per-run counters from 0, so slot [k] is key [k]'s row. Slots no
-   event has filled hold [no_row], which stays empty: [keyed] replaces
-   it before anything is written. *)
-type keyed = { mutable rows : row array }
-
-let no_row = { r = [||] }
+(* Row ids by key, dense: atomic location ids, object ids and tids are
+   per-run counters from 0, so slot [k] holds key [k]'s row, -1 until
+   an event files one. *)
+type keyed = { mutable ids : int array }
 
 type t = {
-  last : row;  (* any event *)
-  world : row;  (* F_global / F_syscall *)
-  any_atomic : row;
-  fence : row;
-  spawn : row;
-  rand : row;  (* d_rand *)
-  draws : row;  (* d_draws > 0 *)
+  mutable stride : int;
+  mutable cells : int array;  (* row [r] is cells [r * stride, (r + 1) * stride) *)
+  mutable nrows : int;
   loc_any : keyed;  (* atomic location: any access *)
   loc_write : keyed;  (* atomic location: write/update *)
   sync : keyed;  (* sync id *)
   target : keyed;  (* F_spawn c / F_join c, keyed by c *)
   mutable n : int;  (* path length *)
   mutable nthreads : int;  (* 1 + the largest tid any event named *)
-  mutable clk : int array array;  (* per position *)
+  (* Clocks, flat: position m's clock is clk [clk_off.(m), clk_off.(m + 1)). *)
+  mutable clk : int array;
+  mutable clk_off : int array;
   mutable enabled : int array array;  (* per position *)
   mutable undo_mark : int array;  (* per position: undo height before it *)
-  (* Undo log: (row, thread, previous value) triples. *)
-  mutable u_row : row array;
-  mutable u_tid : int array;
+  (* Undo log: (cell, previous value) pairs. *)
+  mutable u_cell : int array;
   mutable u_old : int array;
   mutable u_n : int;
-  mutable jp : int array;  (* scratch: j_p of the event being analysed *)
+  (* Scratch of the event being analysed: j_p, the join of the j_p's
+     clocks, and its races (position, initial thread or -1). *)
+  mutable jp : int array;
+  mutable blk : int array;
+  mutable race_pos : int array;
+  mutable race_init : int array;
+  mutable n_races : int;
 }
 
-let new_row () = { r = [||] }
-
 let create () =
+  let stride = 8 in
   {
-    last = new_row ();
-    world = new_row ();
-    any_atomic = new_row ();
-    fence = new_row ();
-    spawn = new_row ();
-    rand = new_row ();
-    draws = new_row ();
-    loc_any = { rows = [||] };
-    loc_write = { rows = [||] };
-    sync = { rows = [||] };
-    target = { rows = [||] };
+    stride;
+    cells = Array.make (16 * stride) (-1);
+    nrows = fixed_rows;
+    loc_any = { ids = [||] };
+    loc_write = { ids = [||] };
+    sync = { ids = [||] };
+    target = { ids = [||] };
     n = 0;
     nthreads = 0;
-    clk = Array.make 64 [||];
+    clk = Array.make 256 0;
+    clk_off = Array.make 65 0;
     enabled = Array.make 64 [||];
     undo_mark = Array.make 64 0;
-    u_row = Array.make 256 (new_row ());
-    u_tid = Array.make 256 0;
+    u_cell = Array.make 256 0;
     u_old = Array.make 256 0;
     u_n = 0;
-    jp = [||];
+    jp = Array.make stride (-1);
+    blk = Array.make stride 0;
+    race_pos = Array.make stride 0;
+    race_init = Array.make stride 0;
+    n_races = 0;
   }
 
 let length t = t.n
 
 let clock t m =
-  if m < 0 || m >= t.n then invalid_arg "Hb.clock" else t.clk.(m)
+  if m < 0 || m >= t.n then invalid_arg "Hb.clock"
+  else Array.sub t.clk t.clk_off.(m) (t.clk_off.(m + 1) - t.clk_off.(m))
 
 let grow a n fill =
   let b = Array.make (max n (2 * Array.length a)) fill in
@@ -127,82 +140,107 @@ let grow a n fill =
 
 (* ---- index maintenance ------------------------------------------- *)
 
-(* Key [key]'s row, created on first use. *)
-let keyed tbl key =
-  if key < 0 then invalid_arg "Hb: negative key";
-  if key >= Array.length tbl.rows then tbl.rows <- grow tbl.rows (key + 1) no_row;
-  let w = tbl.rows.(key) in
-  if w != no_row then w
-  else begin
-    let w = new_row () in
-    tbl.rows.(key) <- w;
-    w
+(* Room for [nt] threads per row: every row moves to a wider stride,
+   and so does every cell index the undo log holds. *)
+let ensure_stride t nt =
+  if nt > t.stride then begin
+    let old = t.stride in
+    let stride = max nt (2 * old) in
+    let cells = Array.make (Array.length t.cells / old * stride) (-1) in
+    for r = 0 to t.nrows - 1 do
+      Array.blit t.cells (r * old) cells (r * stride) old
+    done;
+    for u = 0 to t.u_n - 1 do
+      let c = t.u_cell.(u) in
+      t.u_cell.(u) <- (c / old * stride) + (c mod old)
+    done;
+    t.cells <- cells;
+    t.stride <- stride;
+    t.jp <- Array.make stride (-1);
+    t.blk <- Array.make stride 0;
+    t.race_pos <- Array.make stride 0;
+    t.race_init <- Array.make stride 0
   end
 
-(* Key [key]'s row if any event filed one, else the empty [no_row]. *)
-let find_key tbl key =
-  if key >= 0 && key < Array.length tbl.rows then tbl.rows.(key) else no_row
+(* Key [key]'s row, created on first use. *)
+let keyed t tbl key =
+  if key < 0 then invalid_arg "Hb: negative key";
+  if key >= Array.length tbl.ids then tbl.ids <- grow tbl.ids (key + 1) (-1);
+  let r = tbl.ids.(key) in
+  if r >= 0 then r
+  else begin
+    let r = t.nrows in
+    if (r + 1) * t.stride > Array.length t.cells then
+      t.cells <- grow t.cells ((r + 1) * t.stride) (-1);
+    t.nrows <- r + 1;
+    tbl.ids.(key) <- r;
+    r
+  end
 
-(* w.(p) := m, logging the old value. *)
-let set t w p m =
-  if t.u_n >= Array.length t.u_row then begin
-    t.u_row <- grow t.u_row (t.u_n + 1) w;
-    t.u_tid <- grow t.u_tid (t.u_n + 1) 0;
+(* Key [key]'s row if any event filed one, else -1. *)
+let find_key tbl key =
+  if key >= 0 && key < Array.length tbl.ids then tbl.ids.(key) else -1
+
+(* Row [r]'s cell for thread [p] := m, logging the old value. *)
+let set t r p m =
+  let c = (r * t.stride) + p in
+  if t.u_n >= Array.length t.u_cell then begin
+    t.u_cell <- grow t.u_cell (t.u_n + 1) 0;
     t.u_old <- grow t.u_old (t.u_n + 1) 0
   end;
-  t.u_row.(t.u_n) <- w;
-  t.u_tid.(t.u_n) <- p;
-  t.u_old.(t.u_n) <- row_get w p;
+  t.u_cell.(t.u_n) <- c;
+  t.u_old.(t.u_n) <- t.cells.(c);
   t.u_n <- t.u_n + 1;
-  if p >= Array.length w.r then w.r <- grow w.r (p + 1) (-1);
-  w.r.(p) <- m
+  t.cells.(c) <- m
 
 (* File the event at position m under every key it touches. *)
 let register t m (e : Decision.t) =
   let p = e.d_tid in
-  set t t.last p m;
+  set t r_last p m;
   (match e.d_foot with
-  | F_global | F_syscall _ -> set t t.world p m
+  | F_global | F_syscall _ -> set t r_world p m
   | F_local -> ()
   | F_atomic (l, k) ->
-      set t t.any_atomic p m;
-      set t (keyed t.loc_any l) p m;
-      if k <> Acc_read then set t (keyed t.loc_write l) p m
-  | F_fence -> set t t.fence p m
+      set t r_any_atomic p m;
+      set t (keyed t t.loc_any l) p m;
+      if k <> Acc_read then set t (keyed t t.loc_write l) p m
+  | F_fence -> set t r_fence p m
   | F_sync (y1, y2) ->
-      set t (keyed t.sync y1) p m;
-      if y2 >= 0 then set t (keyed t.sync y2) p m
+      set t (keyed t t.sync y1) p m;
+      if y2 >= 0 then set t (keyed t t.sync y2) p m
   | F_spawn c ->
-      set t t.spawn p m;
-      set t (keyed t.target c) p m
-  | F_join c -> set t (keyed t.target c) p m);
-  if e.d_rand then set t t.rand p m;
-  if e.d_draws > 0 then set t t.draws p m
+      set t r_spawn p m;
+      set t (keyed t t.target c) p m
+  | F_join c -> set t (keyed t t.target c) p m);
+  if e.d_rand then set t r_rand p m;
+  if e.d_draws > 0 then set t r_draws p m
 
 let pop t =
   if t.n = 0 then invalid_arg "Hb.pop";
   t.n <- t.n - 1;
   let mark = t.undo_mark.(t.n) in
+  let cells = t.cells in
   for u = t.u_n - 1 downto mark do
-    t.u_row.(u).r.(t.u_tid.(u)) <- t.u_old.(u)
+    cells.(t.u_cell.(u)) <- t.u_old.(u)
   done;
-  t.u_n <- mark;
-  t.clk.(t.n) <- [||];
-  t.enabled.(t.n) <- [||]
+  t.u_n <- mark
 
 (* ---- analysis ----------------------------------------------------- *)
 
-(* jp := max jp w over the first nt threads. *)
-let merge jp nt w =
-  let r = w.r in
-  for p = 0 to min nt (Array.length r) - 1 do
-    if r.(p) > jp.(p) then jp.(p) <- r.(p)
-  done
-
-let merge_key jp nt tbl key = merge jp nt (find_key tbl key)
+(* jp := max jp (row r) over the first nt threads; no row, no change. *)
+(* Indices below [nt <= stride] are in bounds of [jp] and of every
+   row, so these loops skip the bounds checks. *)
+let merge t jp nt r =
+  if r >= 0 then begin
+    let cells = t.cells and base = r * t.stride in
+    for p = 0 to nt - 1 do
+      let v = Array.unsafe_get cells (base + p) in
+      if v > Array.unsafe_get jp p then Array.unsafe_set jp p v
+    done
+  end
 
 let merge_thread t jp p =
-  let v = row_get t.last p in
+  let v = t.cells.((r_last * t.stride) + p) in
   if v > jp.(p) then jp.(p) <- v
 
 (* Fill t.jp.(0 .. nthreads-1) with j_p for e: the position of thread
@@ -214,94 +252,125 @@ let fill_jp t (e : Decision.t) =
     | F_spawn c | F_join c -> max t.nthreads (1 + max c e.d_tid)
     | _ -> max t.nthreads (e.d_tid + 1)
   in
+  ensure_stride t nt;
   t.nthreads <- nt;
-  if Array.length t.jp < nt then t.jp <- Array.make (max nt 8) (-1);
   let jp = t.jp in
-  Array.fill jp 0 nt (-1);
+  for p = 0 to nt - 1 do
+    jp.(p) <- -1
+  done;
   merge_thread t jp e.d_tid;
-  merge jp nt t.world;
+  merge t jp nt r_world;
   (match e.d_foot with
-  | F_global | F_syscall _ -> merge jp nt t.last
+  | F_global | F_syscall _ -> merge t jp nt r_last
   | F_local -> ()
   | F_atomic (l, k) ->
-      merge_key jp nt (if k = Acc_read then t.loc_write else t.loc_any) l;
-      merge jp nt t.fence
+      merge t jp nt (find_key (if k = Acc_read then t.loc_write else t.loc_any) l);
+      merge t jp nt r_fence
   | F_fence ->
-      merge jp nt t.any_atomic;
-      merge jp nt t.fence
+      merge t jp nt r_any_atomic;
+      merge t jp nt r_fence
   | F_sync (x1, x2) ->
-      merge_key jp nt t.sync x1;
-      if x2 >= 0 then merge_key jp nt t.sync x2
+      merge t jp nt (find_key t.sync x1);
+      if x2 >= 0 then merge t jp nt (find_key t.sync x2)
   | F_spawn c ->
-      merge jp nt t.spawn;
-      merge_key jp nt t.target c;
+      merge t jp nt r_spawn;
+      merge t jp nt (find_key t.target c);
       merge_thread t jp c
   | F_join c ->
-      merge_key jp nt t.target c;
+      merge t jp nt (find_key t.target c);
       merge_thread t jp c);
-  merge_key jp nt t.target e.d_tid;
-  if e.d_draws > 0 then merge jp nt t.rand;
-  if e.d_rand then merge jp nt t.draws;
+  merge t jp nt (find_key t.target e.d_tid);
+  if e.d_draws > 0 then merge t jp nt r_rand;
+  if e.d_rand then merge t jp nt r_draws;
   nt
 
 let last_dep t e p =
   let nt = fill_jp t e in
   if p >= 0 && p < nt then t.jp.(p) else -1
 
-let clk_get c q = if q < Array.length c then c.(q) else 0
+(* Room for the event at position k: its enabled set, undo mark and a
+   clock of nt entries. *)
+let ensure_position t k nt =
+  if k >= Array.length t.enabled then begin
+    t.enabled <- grow t.enabled (k + 1) [||];
+    t.undo_mark <- grow t.undo_mark (k + 1) 0;
+    t.clk_off <- grow t.clk_off (k + 2) 0
+  end;
+  if t.clk_off.(k) + nt > Array.length t.clk then
+    t.clk <- grow t.clk (t.clk_off.(k) + nt) 0
 
-let push t ~enabled (e : Decision.t) =
+(* The first thread of [en] from index [j] on that is [tid] or whose
+   entry in the clock at [clk.(o ..)] of [nt] entries passes [i]; -1
+   when none does. *)
+let rec initial (en : int array) tid clk o nt i j =
+  if j >= Array.length en then -1
+  else
+    let q = en.(j) in
+    if q = tid || (q < nt && clk.(o + q) - 1 > i) then q
+    else initial en tid clk o nt i (j + 1)
+
+let add t ~enabled (e : Decision.t) =
   let nt = fill_jp t e in
-  let jp = t.jp in
+  let jp = t.jp and blk = t.blk and clk_off = t.clk_off in
   (* blk: the join of the j_p's clocks — every event e inherits from
      through an intermediate. An earlier dependent event of thread p
      is covered by j_p's own clock, so only j_p can race. *)
-  let blk = Array.make nt 0 in
+  for q = 0 to nt - 1 do
+    blk.(q) <- 0
+  done;
+  let clk = t.clk in
   for p = 0 to nt - 1 do
-    let j = jp.(p) in
+    let j = Array.unsafe_get jp p in
     if j >= 0 then begin
-      let c = t.clk.(j) in
-      for q = 0 to Array.length c - 1 do
-        if c.(q) > blk.(q) then blk.(q) <- c.(q)
+      (* position j's clock has at most nt entries, all in [clk] *)
+      let o = clk_off.(j) in
+      for q = 0 to clk_off.(j + 1) - o - 1 do
+        let v = Array.unsafe_get clk (o + q) in
+        if v > Array.unsafe_get blk q then Array.unsafe_set blk q v
       done
     end
   done;
   (* e's clock: blk plus the j_p themselves. *)
-  let clk = Array.copy blk in
-  for p = 0 to nt - 1 do
-    if jp.(p) + 1 > clk.(p) then clk.(p) <- jp.(p) + 1
-  done;
-  (* Reversible races, descending positions consed into ascending. *)
-  let races = ref [] in
   let k = t.n in
+  ensure_position t k nt;
+  let clk = t.clk and o = t.clk_off.(k) in
+  for p = 0 to nt - 1 do
+    let b = blk.(p) and j = jp.(p) + 1 in
+    clk.(o + p) <- (if j > b then j else b)
+  done;
+  t.clk_off.(k + 1) <- o + nt;
+  (* Reversible races, insertion-sorted into ascending positions
+     (distinct threads' events sit at distinct positions). *)
+  let pos = t.race_pos in
+  let nr = ref 0 in
   for p = 0 to nt - 1 do
     let i = jp.(p) in
-    if i >= 0 && p <> e.d_tid && blk.(p) <= i then races := i :: !races
+    if i >= 0 && p <> e.d_tid && blk.(p) <= i then begin
+      let j = ref !nr in
+      while !j > 0 && pos.(!j - 1) > i do
+        pos.(!j) <- pos.(!j - 1);
+        decr j
+      done;
+      pos.(!j) <- i;
+      incr nr
+    end
   done;
-  let races =
-    List.map
-      (fun i ->
-        (* Initials of the reordered segment: the least thread enabled
-           at i that is e's own or has an event in (i, k) feeding e. *)
-        let en = t.enabled.(i) in
-        let rec first j =
-          if j >= Array.length en then None
-          else
-            let q = en.(j) in
-            if q = e.d_tid || clk_get clk q - 1 > i then Some q
-            else first (j + 1)
-        in
-        (i, first 0))
-      (List.sort Int.compare !races)
-  in
-  if k >= Array.length t.clk then begin
-    t.clk <- grow t.clk (k + 1) [||];
-    t.enabled <- grow t.enabled (k + 1) [||];
-    t.undo_mark <- grow t.undo_mark (k + 1) 0
-  end;
-  t.clk.(k) <- clk;
+  (* Initials of each reordered segment: the least thread enabled at i
+     that is e's own or has an event in (i, k) feeding e. *)
+  for r = 0 to !nr - 1 do
+    let i = pos.(r) in
+    t.race_init.(r) <- initial t.enabled.(i) e.d_tid clk o nt i 0
+  done;
+  t.n_races <- !nr;
   t.enabled.(k) <- enabled;
   t.undo_mark.(k) <- t.u_n;
   register t k e;
   t.n <- k + 1;
-  races
+  !nr
+
+let race_pos t r =
+  if r < 0 || r >= t.n_races then invalid_arg "Hb.race_pos" else t.race_pos.(r)
+
+let race_initial t r =
+  if r < 0 || r >= t.n_races then invalid_arg "Hb.race_initial"
+  else t.race_init.(r)

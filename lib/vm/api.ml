@@ -148,7 +148,7 @@ let reset_auto_names () = Domain.DLS.get fresh_name := 0
 let auto prefix =
   let r = Domain.DLS.get fresh_name in
   incr r;
-  Printf.sprintf "%s%d" prefix !r
+  prefix ^ string_of_int !r
 
 module Atomic = struct
   let create ?name init =

@@ -50,7 +50,15 @@
    [T11r_util.Codec] became a slice reader; [Demo_codec] reads with
    it, and [Decisions] and [Journal_frame] keep the DECISIONS and
    journal readers written on it, which test_diff.ml compares with
-   [T11r_race.Predict.decode_input] and [T11r_util.Journal.read]. *)
+   [T11r_race.Predict.decode_input] and [T11r_util.Journal.read].
+
+   [Capture] is decision capture as the interpreter did it before its
+   arena logs: one fresh record, footprint and lock event consed per
+   tick (the footprint read off the parked request as
+   [footprint_of_next] read it), one access record consed per logged
+   access, and the lists reversed into arrays when the run ends. It
+   builds them from an [Interp] tap; test_diff.ml requires them to
+   equal the result's [decisions] and [accesses]. *)
 
 module Memord = T11r_mem.Memord
 module Report = T11r_race.Report
@@ -1716,4 +1724,93 @@ module Journal_frame = struct
         (String.split_on_char '\n' (Codec.read_file path))
     in
     (entries, !dropped)
+end
+
+(* ------------------------------------------------------------------ *)
+
+module Capture = struct
+  module Api = T11r_vm.Api
+  module Decision = T11r_race.Decision
+  module Interp = Tsan11rec.Interp
+
+  type t = {
+    mutable decisions : Decision.t list;  (* reversed *)
+    mutable accesses : Decision.acc list;  (* reversed *)
+  }
+
+  let footprint ~next_tid (op : Interp.tap_op) : Decision.footprint =
+    match op with
+    | Interp.Tap_signal -> F_global
+    | Interp.Tap_none -> F_local
+    | Interp.Tap_req r -> (
+        match r with
+        | Api.A_load (a, _) ->
+            F_atomic (T11r_mem.Atomics.loc_id a.Api.a_loc, Acc_read)
+        | Api.A_store (a, _, _) ->
+            F_atomic (T11r_mem.Atomics.loc_id a.Api.a_loc, Acc_write)
+        | Api.A_rmw (a, _, _) ->
+            F_atomic (T11r_mem.Atomics.loc_id a.Api.a_loc, Acc_update)
+        | Api.A_cas (a, _, _, _, _) ->
+            F_atomic (T11r_mem.Atomics.loc_id a.Api.a_loc, Acc_update)
+        | Api.Fence _ -> F_fence
+        | Api.Mutex_lock m | Api.Mutex_trylock m | Api.Mutex_unlock m ->
+            F_sync (m.Api.mu_id, -1)
+        | Api.Rw_rdlock l | Api.Rw_wrlock l | Api.Rw_tryrdlock l
+        | Api.Rw_trywrlock l | Api.Rw_unlock l ->
+            F_sync (l.Api.rw_id, -1)
+        | Api.Cond_wait (c, m, timeout) -> (
+            match timeout with
+            | Some _ -> F_global
+            | None -> F_sync (c.Api.cv_id, m.Api.mu_id))
+        | Api.Cond_signal c | Api.Cond_broadcast c -> F_sync (c.Api.cv_id, -1)
+        | Api.Spawn _ -> F_spawn next_tid
+        | Api.Join target -> F_join target
+        | Api.Syscall req -> F_syscall (T11r_vm.Syscall.footprint_id req)
+        | Api.Set_signal_handler _ | Api.Raise_sync _ -> F_global
+        | _ -> F_local)
+
+  let lock code : Decision.lock_event =
+    match code land 3 with
+    | 0 -> L_none
+    | 1 -> L_acquire (code asr 2)
+    | 2 -> L_release (code asr 2)
+    | _ -> L_blocked (code asr 2)
+
+  let tap t =
+    {
+      Interp.on_decision =
+        (fun ~tid ~enabled ~op ~next_tid ~draws ~rand ~lock:code ->
+          t.decisions <-
+            {
+              Decision.d_tid = tid;
+              d_enabled = Array.copy enabled;
+              d_foot = footprint ~next_tid op;
+              d_draws = draws;
+              d_rand = rand;
+              d_lock = lock code;
+            }
+            :: t.decisions);
+      on_access =
+        (fun ~tick ~tid ~pos ~var ~write ~name ->
+          t.accesses <-
+            {
+              Decision.a_tick = tick;
+              a_tid = tid;
+              a_pos = pos;
+              a_var = var;
+              a_write = write;
+              a_name = name;
+            }
+            :: t.accesses);
+    }
+
+  (* [run arena f]: [f ()] with the tap on [arena], and the decisions
+     and accesses the reference built from it. *)
+  let run arena f =
+    let t = { decisions = []; accesses = [] } in
+    Interp.set_tap arena (Some (tap t));
+    let r =
+      Fun.protect ~finally:(fun () -> Interp.set_tap arena None) f
+    in
+    (r, Array.of_list (List.rev t.decisions), Array.of_list (List.rev t.accesses))
 end

@@ -1653,6 +1653,57 @@ let prop_same_result =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Decision capture: the arena logs, the shared footprints, enabled
+   sets and lock events and the memo of recurring decisions, against
+   the list-built capture ([Ref_model.Capture]) fed by the interpreter's
+   tap. One arena runs every golden workload under Guided at several
+   prefixes, so later runs read decisions the memo kept from earlier
+   ones, of the same workload and of others. *)
+
+let test_capture_golden () =
+  let arena = Interp.create_arena () in
+  let prefixes =
+    [ T11r_harness.Predictor.recording_prefix 1; [||]; [| 1 |]; [| 0; 1; 1; 2 |] ]
+  in
+  List.iter
+    (fun (w : Workloads.t) ->
+      List.iteri
+        (fun i prefix ->
+          let what = Printf.sprintf "%s, prefix %d" w.Workloads.w_name i in
+          let world = World.create ~seed:43L () in
+          let conf =
+            Conf.with_max_ticks
+              (Conf.with_policy
+                 (Conf.with_seeds
+                    (Conf.tsan11rec
+                       ~strategy:(Conf.Guided { prefix; observed = ref [] })
+                       ())
+                    1L 7920L)
+                 w.Workloads.w_policy)
+              Golden.tick_budget
+          in
+          let r, decisions, accesses =
+            R.Capture.run arena (fun () ->
+                Interp.run ~world ~arena conf (w.Workloads.w_instance world ()))
+          in
+          Alcotest.(check int) (what ^ ": decisions") (Array.length decisions)
+            (Array.length r.Interp.decisions);
+          Array.iteri
+            (fun k d ->
+              if d <> r.Interp.decisions.(k) then
+                Alcotest.failf "%s: decision %d differs from the reference" what k)
+            decisions;
+          Alcotest.(check int) (what ^ ": accesses") (Array.length accesses)
+            (Array.length r.Interp.accesses);
+          Array.iteri
+            (fun k a ->
+              if a <> r.Interp.accesses.(k) then
+                Alcotest.failf "%s: access %d differs from the reference" what k)
+            accesses)
+        prefixes)
+    Workloads.all
+
 let () =
   Alcotest.run "diff"
     [
@@ -1700,5 +1751,10 @@ let () =
           Alcotest.test_case "codes that do not fit are refused" `Quick
             test_schedule_refusals;
           qtest prop_legacy_digest;
+        ] );
+      ( "capture",
+        [
+          Alcotest.test_case "golden workloads: arena logs = list-built" `Quick
+            test_capture_golden;
         ] );
     ]

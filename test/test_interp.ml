@@ -100,6 +100,39 @@ let test_crash_propagates () =
       check Alcotest.bool "message mentions boom" true (contains msg "boom")
   | _ -> Alcotest.failf "expected crash, got %s" (outcome_str r)
 
+(* Unnamed objects and threads are named by kind and a per-run counter
+   shared by every kind, byte for byte: race reports, thread names and
+   result digests embed these names. *)
+let test_generated_names () =
+  let names = ref [] in
+  let child = ref (-1) in
+  let prog =
+    Api.program ~name:"names" (fun () ->
+        let a = Api.Atomic.create 0 in
+        let v = Api.Var.create 0 in
+        let m = Api.Mutex.create () in
+        let l = Api.Rwlock.create () in
+        let c = Api.Cond.create () in
+        let t = Api.Thread.spawn ignore in
+        Api.Thread.join t;
+        child := t;
+        names :=
+          [
+            T11r_mem.Atomics.loc_name a.Api.a_loc;
+            T11r_race.Detector.var_name v.Api.v_var;
+            m.Api.mu_name;
+            l.Api.rw_name;
+            c.Api.cv_name;
+          ])
+  in
+  let r = run prog in
+  check_completed r;
+  check Alcotest.(list string) "object names"
+    [ "atomic1"; "var2"; "mutex3"; "rwlock4"; "cond5" ]
+    !names;
+  check Alcotest.string "thread name" "thread6"
+    (List.assoc !child r.Interp.thread_names)
+
 (* ------------------------------------------------------------------ *)
 (* Mutexes *)
 
@@ -1079,6 +1112,7 @@ let () =
           Alcotest.test_case "spawn/join" `Quick test_spawn_join;
           Alcotest.test_case "many threads" `Quick test_many_threads;
           Alcotest.test_case "crash" `Quick test_crash_propagates;
+          Alcotest.test_case "generated names" `Quick test_generated_names;
         ] );
       ( "mutex",
         [

@@ -79,6 +79,31 @@ let check_runs ~observed path =
    switch away from a thread that was still enabled). [~per_run:false]
    skips the check for a walk whose journal would be too large to
    write and read back in a unit test. *)
+(* The outcome histogram and distinct races the explorer's aggregate
+   gave before it counted per constructor: journalled results in
+   analysis order folded into a string-keyed [Hashtbl] (listed by
+   [Hashtbl.fold]) and a polymorphic race set. *)
+let reference_aggregate path =
+  let outcomes = Hashtbl.create 4 and seen = Hashtbl.create 16 in
+  let races = ref [] in
+  List.iter
+    (fun (e : T11r_util.Journal.entry) ->
+      if e.kind = "sys" then begin
+        let _, (r : Interp.result) = Marshal.from_string e.payload 0 in
+        List.iter
+          (fun race ->
+            if not (Hashtbl.mem seen race) then begin
+              Hashtbl.replace seen race ();
+              races := race :: !races
+            end)
+          r.Interp.races;
+        let k = T11r_harness.Outcome.key r.Interp.outcome in
+        Hashtbl.replace outcomes k
+          (1 + Option.value ~default:0 (Hashtbl.find_opt outcomes k))
+      end)
+    (fst (T11r_util.Journal.read path));
+  (Hashtbl.fold (fun k v acc -> (k, v) :: acc) outcomes [], List.rev !races)
+
 let explore ?(per_run = true) ?max_runs ?jobs ?dpor ?deadline_s ?tick_budget
     ?(world_seed = 7L) ?(seeds = (11L, 13L)) ?journal ?cancel ~build () =
   let path =
@@ -99,6 +124,11 @@ let explore ?(per_run = true) ?max_runs ?jobs ?dpor ?deadline_s ?tick_budget
       if journal = None then begin
         check Alcotest.int "max_depth_seen = longest decision array" depth
           r.Systematic.max_depth_seen;
+        let outcomes, races = reference_aggregate path in
+        check Alcotest.bool "outcomes = the Hashtbl fold's, in its order" true
+          (outcomes = r.Systematic.outcomes);
+        check Alcotest.bool "races = the polymorphic set's, in order" true
+          (races = r.Systematic.races);
         Sys.remove path
       end
   | _ -> ());
@@ -397,52 +427,112 @@ let trim c =
   done;
   Array.sub c 0 !n
 
+(* Walks that cross the index's growth edges both ways: bursts of up to
+   40 pushes or pops, 150-400 ops deep, so the path outgrows the
+   per-position arrays (64), the flat clocks and the undo log (256
+   entries), a spawn or join of thread 9 or 40 widens every row while
+   the undo log holds cells of the narrower layout, and bursts of pops
+   then unwind across those edges. *)
+let hb_ops_deep =
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat "; "
+        (List.map (function Push d -> pp_decision d | Pop -> "pop") ops))
+    QCheck.Gen.(
+      let burst =
+        let* k = int_range 1 40 in
+        frequency
+          [
+            (3, list_repeat k (map (fun d -> Push d) decision_gen));
+            (1, return (List.init k (fun _ -> Pop)));
+          ]
+      in
+      map List.concat (list_size (int_range 8 20) burst))
+
+(* [e]'s reversible races as [Hb.add] reports them, after appending it:
+   (position, initial thread or [None]) in ascending positions. *)
+let push hb (e : D.t) =
+  let n = Hb.add hb ~enabled:e.D.d_enabled e in
+  List.init n (fun r ->
+      let q = Hb.race_initial hb r in
+      (Hb.race_pos hb r, if q < 0 then None else Some q))
+
 (* Per event: the same clock, the same race set and the same backtrack
    additions as the O(path) analysis, and a key index that finds each
    thread's latest dependent event — across pushes and pops. *)
+let hb_matches_reference ops =
+  let hb = Hb.create () in
+  let path = ref [||] in
+  List.for_all
+    (function
+      | Pop ->
+          let k = Array.length !path in
+          if k > 0 then begin
+            Hb.pop hb;
+            path := Array.sub !path 0 (k - 1)
+          end;
+          Hb.length hb = Array.length !path
+      | Push e ->
+          let k = Array.length !path in
+          let latest_ok =
+            List.for_all
+              (fun p ->
+                let want = ref (-1) in
+                Array.iteri
+                  (fun m (f : Ref_model.Dpor.frame) ->
+                    if f.ev.D.d_tid = p && Ref_model.Dpor.dep f.ev e then
+                      want := m)
+                  !path;
+                Hb.last_dep hb e p = !want)
+              [ 0; 1; 2; 3; 4 ]
+          in
+          let clk, races = Ref_model.Dpor.analyse !path e in
+          let got = push hb e in
+          let want =
+            List.map
+              (fun (i, cand) ->
+                (i, match cand with [] -> None | cs -> Some (List.fold_left min max_int cs)))
+              races
+          in
+          path :=
+            Array.append !path
+              [| { Ref_model.Dpor.ev = e; enabled = e.D.d_enabled; clk } |];
+          latest_ok && got = want
+          && trim (Hb.clock hb k) = trim clk
+          && Hb.length hb = k + 1)
+    ops
+
 let qcheck_hb_matches_reference =
   QCheck.Test.make ~count:500 ~name:"Hb = O(path) race analysis" hb_ops
+    hb_matches_reference
+
+let qcheck_hb_growth_edges =
+  QCheck.Test.make ~count:60 ~name:"Hb = O(path) across growth edges" hb_ops_deep
     (fun ops ->
+      hb_matches_reference ops
+      &&
+      (* Every clock still on the path survives the later growth. *)
       let hb = Hb.create () in
-      let path = ref [||] in
-      List.for_all
+      let path = ref [] in
+      List.iter
         (function
-          | Pop ->
-              let k = Array.length !path in
-              if k > 0 then begin
-                Hb.pop hb;
-                path := Array.sub !path 0 (k - 1)
-              end;
-              Hb.length hb = Array.length !path
           | Push e ->
-              let k = Array.length !path in
-              let latest_ok =
-                List.for_all
-                  (fun p ->
-                    let want = ref (-1) in
-                    Array.iteri
-                      (fun m (f : Ref_model.Dpor.frame) ->
-                        if f.ev.D.d_tid = p && Ref_model.Dpor.dep f.ev e then
-                          want := m)
-                      !path;
-                    Hb.last_dep hb e p = !want)
-                  [ 0; 1; 2; 3; 4 ]
-              in
-              let clk, races = Ref_model.Dpor.analyse !path e in
-              let got = Hb.push hb ~enabled:e.D.d_enabled e in
-              let want =
-                List.map
-                  (fun (i, cand) ->
-                    (i, match cand with [] -> None | cs -> Some (List.fold_left min max_int cs)))
-                  races
-              in
-              path :=
-                Array.append !path
-                  [| { Ref_model.Dpor.ev = e; enabled = e.D.d_enabled; clk } |];
-              latest_ok && got = want
-              && trim (Hb.clock hb k) = trim clk
-              && Hb.length hb = k + 1)
-        ops)
+              ignore (push hb e);
+              path := e :: !path
+          | Pop -> (
+              match !path with
+              | [] -> ()
+              | _ :: rest ->
+                  Hb.pop hb;
+                  path := rest))
+        ops;
+      let fresh = Hb.create () in
+      List.iter
+        (fun (e : D.t) -> ignore (push fresh e))
+        (List.rev !path);
+      List.for_all
+        (fun m -> trim (Hb.clock hb m) = trim (Hb.clock fresh m))
+        (List.init (Hb.length hb) Fun.id))
 
 let qcheck_hb_index_is_dep =
   QCheck.Test.make ~count:2000 ~name:"Hb key index = dep, pairwise"
@@ -452,7 +542,7 @@ let qcheck_hb_index_is_dep =
         Gen.(pair decision_gen decision_gen))
     (fun (a, b) ->
       let hb = Hb.create () in
-      ignore (Hb.push hb ~enabled:a.D.d_enabled a);
+      ignore (push hb a);
       let d = Ref_model.Dpor.dep a b in
       Hb.dep a b = d
       && Hb.dep b a = d
@@ -931,6 +1021,7 @@ let () =
           Alcotest.test_case "actually reduces" `Quick test_dpor_actually_reduces;
           QCheck_alcotest.to_alcotest qcheck_hb_matches_reference;
           QCheck_alcotest.to_alcotest qcheck_hb_index_is_dep;
+          QCheck_alcotest.to_alcotest qcheck_hb_growth_edges;
           Alcotest.test_case "golden exploration pin" `Quick
             test_golden_exploration;
         ] );
