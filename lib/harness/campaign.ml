@@ -29,10 +29,7 @@ let world_seed i = Int64.of_int ((i * 7919) + 3)
    invisible (Interp.run results never alias arena state; World.reset
    reproduces World.create bit-for-bit), so campaigns with and without
    them have identical digests — recycling is therefore always on. *)
-let dls_arena : Interp.arena Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Interp.create_arena ())
-
-let domain_arena () = Domain.DLS.get dls_arena
+let domain_arena = Interp.domain_arena
 
 let dls_world : World.t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)

@@ -48,9 +48,9 @@ val scheduler_seeds : Tsan11rec.Conf.t -> int -> Tsan11rec.Conf.t
 (** {1 Domain-local recycling} *)
 
 val domain_arena : unit -> Tsan11rec.Interp.arena
-(** The calling domain's run arena (created on first use). Every
-    {!run_one} executes through it; other per-domain run loops (the
-    benchmark) may share it. Never hand it to another domain. *)
+(** The calling domain's run arena, {!Tsan11rec.Interp.domain_arena}.
+    Every {!run_one} executes through it; other per-domain run loops
+    (the benchmark) may share it. Never hand it to another domain. *)
 
 val recycled_world : seed:int64 -> T11r_env.World.t
 (** The calling domain's recycled default-config world, reset in place

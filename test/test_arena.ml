@@ -114,18 +114,23 @@ let arena_differential_test =
             in
             Interp.run ~world:(world_for w ~recycled) ?arena conf (w.build ())
           in
-          let fresh = run ~recycled:false "fresh" in
+          let fresh = run ~arena:(Interp.create_arena ()) ~recycled:false "fresh" in
           let recycled = run ~arena:shared_arena ~recycled:true "recycled" in
-          if fingerprint fresh <> fingerprint recycled then
-            QCheck.Test.fail_reportf "%s (record %b): arena run diverged"
-              w.name record;
-          if
-            record
-            && dir_bytes (Filename.concat base "fresh")
-               <> dir_bytes (Filename.concat base "recycled")
-          then
-            QCheck.Test.fail_reportf "%s: arena run wrote different demo bytes"
-              w.name;
+          (* no arena: the domain's, recycled across every iteration *)
+          let default = run ~recycled:false "default" in
+          List.iter
+            (fun (shape, r) ->
+              if fingerprint fresh <> fingerprint r then
+                QCheck.Test.fail_reportf "%s (record %b): %s run diverged"
+                  w.name record shape;
+              if
+                record
+                && dir_bytes (Filename.concat base "fresh")
+                   <> dir_bytes (Filename.concat base shape)
+              then
+                QCheck.Test.fail_reportf "%s: %s run wrote different demo bytes"
+                  w.name shape)
+            [ ("recycled", recycled); ("default", default) ];
           true))
 
 (* A run cut short by the tick limit leaves the arena mid-execution:
@@ -157,7 +162,10 @@ let test_abort_then_full_run () =
       let after = Interp.run ~world:(world_for ()) ~arena conf (w.build ()) in
       let fresh_world = World.create ~seed:w.world_seed () in
       w.setup fresh_world;
-      let fresh = Interp.run ~world:fresh_world conf (w.build ()) in
+      let fresh =
+        Interp.run ~world:fresh_world ~arena:(Interp.create_arena ()) conf
+          (w.build ())
+      in
       Alcotest.(check string)
         (w.name ^ ": run after the cut = fresh run")
         (fingerprint fresh) (fingerprint after))
@@ -172,14 +180,14 @@ let test_long_then_short_run () =
   let world = World.create ~seed:1L () in
   let conf = Conf.with_seeds (Conf.tsan11rec ~strategy:Conf.Random ()) 7L 11L in
   let run ?arena w =
-    let world =
+    let world, arena =
       match arena with
-      | Some _ ->
+      | Some a ->
           World.reset world ~seed:w.world_seed ~faults:Fault.none;
-          world
-      | None -> World.create ~seed:w.world_seed ()
+          (world, a)
+      | None -> (World.create ~seed:w.world_seed (), Interp.create_arena ())
     in
-    Interp.run ~world ?arena conf (w.build ())
+    Interp.run ~world ~arena conf (w.build ())
   in
   let by_name n = List.find (fun w -> w.name = n) (Array.to_list workloads) in
   let busy =
@@ -208,6 +216,95 @@ let test_long_then_short_run () =
         ("fig1 after " ^ long.name ^ " = fresh run")
         fresh (fingerprint short))
     [ by_name "ms-queue"; busy; by_name "ms-queue" ]
+
+(* A run given no arena recycles the domain's, unless a run is live on
+   it: a program that runs another program inside one of its ticks must
+   see the inner run get a fresh arena, and both runs must end as they
+   do when the outer one runs on an arena of its own. *)
+let test_run_inside_run () =
+  let conf = Conf.with_seeds (Conf.tsan11rec ~strategy:Conf.Random ()) 7L 11L in
+  let fig1 () =
+    Interp.run ~world:(World.create ~seed:3L ()) conf
+      (T11r_litmus.Registry.fig1.build ())
+  in
+  let alone = fingerprint (fig1 ()) in
+  let outer ?arena () =
+    let inner = ref "" in
+    let prog =
+      T11r_vm.Api.program ~name:"outer" (fun () ->
+          let a = T11r_vm.Api.Atomic.create ~name:"a" 0 in
+          let t =
+            T11r_vm.Api.Thread.spawn ~name:"t" (fun () ->
+                ignore (T11r_vm.Api.Atomic.fetch_add a 1))
+          in
+          inner := fingerprint (fig1 ());
+          ignore (T11r_vm.Api.Atomic.fetch_add a 1);
+          T11r_vm.Api.Thread.join t)
+    in
+    let r = Interp.run ~world:(World.create ~seed:1L ()) ?arena conf prog in
+    (fingerprint r, !inner)
+  in
+  let own_arena, inner_own = outer ~arena:(Interp.create_arena ()) () in
+  let default, inner_default = outer () in
+  Alcotest.(check string) "inner run on the idle domain arena" alone inner_own;
+  Alcotest.(check string) "inner run while the domain arena is live" alone
+    inner_default;
+  Alcotest.(check string) "outer run on the domain arena" own_arena default;
+  Alcotest.(check string) "fig1 on the domain arena after both" alone
+    (fingerprint (fig1 ()))
+
+(* A run that raises out of the interpreter (here from the capture
+   tap) never reaches [finish]: it leaves its decision logs and threads
+   mid-run on the arena, as a domain's arena is left when a run it
+   serves raises. After a run of [p1] and a run of [p2] cut once it has
+   left [p1], a full run of [p2] must equal [p2] on a fresh arena. *)
+exception Cut
+
+let test_capture_after_escape () =
+  let w = Option.get (T11r_litmus.Registry.find "mcs-lock") in
+  let conf prefix =
+    Conf.make ~base:(Conf.tsan11rec ())
+      ~strategy:(Conf.Guided { prefix; observed = ref [] })
+      ~seeds:(7L, 11L) ()
+  in
+  let run ?tap arena prefix =
+    Interp.set_tap arena tap;
+    Fun.protect
+      ~finally:(fun () -> Interp.set_tap arena None)
+      (fun () ->
+        Interp.run ~world:(World.create ~seed:3L ()) ~arena (conf prefix)
+          (w.build ()))
+  in
+  let arena = Interp.create_arena () in
+  let r1 = run arena [||] in
+  let d1 = r1.Interp.decisions in
+  let fork =
+    let rec go i =
+      if Array.length d1.(i).T11r_race.Decision.d_enabled >= 2 then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let p2 = Array.init (fork + 1) (fun i -> if i = fork then 1 else 0) in
+  let fresh = run (Interp.create_arena ()) p2 in
+  Alcotest.(check bool) "p2 leaves p1" true
+    (fresh.Interp.decisions.(fork).d_tid <> d1.(fork).d_tid);
+  let seen = ref 0 in
+  let cut =
+    {
+      Interp.on_decision =
+        (fun ~tid:_ ~enabled:_ ~op:_ ~next_tid:_ ~draws:_ ~rand:_ ~lock:_ ->
+          incr seen;
+          if !seen > fork + 2 then raise Cut);
+      on_access =
+        (fun ~tick:_ ~tid:_ ~pos:_ ~var:_ ~write:_ ~name:_ -> ());
+    }
+  in
+  (match run ~tap:cut arena p2 with
+  | _ -> Alcotest.fail "the tap did not cut the run"
+  | exception Cut -> ());
+  Alcotest.(check string) "p2 after a cut run of p2 = fresh p2"
+    (fingerprint fresh) (fingerprint (run arena p2))
 
 (* A Diagnose replay's trail is the last 8 entries of the trace log
    before the divergence. Delaying the thread that starts last by one
@@ -282,6 +379,10 @@ let () =
         [
           Alcotest.test_case "tick-limited run, then full run = fresh run"
             `Quick test_abort_then_full_run;
+          Alcotest.test_case "run inside a run gets a fresh arena" `Quick
+            test_run_inside_run;
+          Alcotest.test_case "capture after a run that raised" `Quick
+            test_capture_after_escape;
         ] );
       ( "trace",
         [
