@@ -2,7 +2,8 @@
    evaluation (§5) plus the quantitative prose claims, the ablations
    and the fault-injection sweep. The implementation's own performance
    is measured by perfbench/ (BENCHMARK.json); [costs] only takes one
-   hunt run apart on the host it runs on.
+   hunt run, one DPOR schedule and one guided-hunt run apart on the
+   host it runs on.
 
      dune exec bench/main.exe              -- everything
      dune exec bench/main.exe -- table1    -- one experiment
@@ -1017,6 +1018,85 @@ let dpor_costs () =
   Table.print t2
 
 (* ------------------------------------------------------------------ *)
+(* Cost of one guided-hunt run                                          *)
+
+(* Where a guided hunt's run goes, in host µs and minor words per run,
+   on two of perfbench predict's hunt benchmarks (its guided spec, at
+   salts 7920 .. 7967, the workload-seed-1 salts it hunts). Three rows
+   per workload: 32 coverage-on runs of the spec's configurations,
+   each on the domain's arena with its own world, keeping no result; a
+   [Campaign.run] (jobs 1) of the same 32, which adds the results and
+   the coverage merge; and [Guided.hunt] to the first race, per run it
+   made, which adds breeding, corpus admission and the round fold.
+   Timings are the best of 15 passes (the hunts: of 5), so they read
+   the host's floor, not its noise; words are exact. *)
+let guided_costs () =
+  let module Workloads = T11r_harness.Workloads in
+  let module Guided = T11r_harness.Guided in
+  let n = 32 and salts = 48 in
+  (* Best-of-[reps] seconds and words of one call of [f]; [f] returns
+     how many runs it made. *)
+  let measure reps f =
+    let runs = f () in
+    let best = ref infinity and words = ref 0.0 in
+    for _ = 1 to reps do
+      Gc.minor ();
+      let w0 = Gc.minor_words () in
+      let t0 = Unix.gettimeofday () in
+      ignore (f ());
+      best := Float.min !best (Unix.gettimeofday () -. t0);
+      words := Gc.minor_words () -. w0
+    done;
+    let runs = float_of_int runs in
+    (!best *. 1e6 /. runs, !words /. runs)
+  in
+  let t =
+    Table.create
+      ~title:
+        "Cost of one guided-hunt run: a bare coverage-on run, Campaign.run of \
+         32, Guided.hunt to the first race (host µs per run, best of 15; \
+         minor words per run)"
+      ~headers:[ "workload"; "row"; "µs"; "words" ]
+  in
+  List.iter
+    (fun name ->
+      let spec =
+        Workloads.spec_of ~base_conf:(Conf.tsan11rec ())
+          (Option.get (Workloads.find name))
+      in
+      let covered =
+        { spec with Campaign.conf = (fun i -> Conf.with_coverage (spec.Campaign.conf i) true) }
+      in
+      let row what (us, w) =
+        Table.add_row t [ name; what; Printf.sprintf "%.2f" us; Printf.sprintf "%.0f" w ]
+      in
+      row "bare coverage-on run"
+        (measure 15 (fun () ->
+             for i = 0 to n - 1 do
+               let world, program = covered.Campaign.instance i in
+               ignore
+                 (Interp.run ~world ~arena:(Campaign.domain_arena ())
+                    (covered.Campaign.conf i) program)
+             done;
+             n));
+      row "Campaign.run of 32"
+        (measure 15 (fun () ->
+             ignore (Campaign.run covered ~n ~jobs:1 []);
+             n));
+      row "Guided.hunt, per run"
+        (measure 5 (fun () ->
+             let runs = ref 0 in
+             for k = 1 to salts do
+               let g =
+                 Guided.hunt spec ~salt:(Int64.of_int (7919 + k)) ~stop_on_race:true ()
+               in
+               runs := !runs + g.Guided.g_runs
+             done;
+             !runs)))
+    [ "fig1"; "chase-lev-deque" ];
+  Table.print t
+
+(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1030,7 +1110,7 @@ let experiments =
     ("limits", limits);
     ("ablations", ablations);
     ("faults", faults);
-    ("costs", fun () -> costs (); dpor_costs ());
+    ("costs", fun () -> costs (); dpor_costs (); guided_costs ());
   ]
 
 let () =

@@ -256,6 +256,8 @@ type ctx = {
   invisible : Api.handler;  (* answers the running thread's invisible requests *)
   charge_report : T11r_race.Report.t -> unit;
       (* the detector's hook for [Conf.report_cost] *)
+  cover_report : T11r_race.Report.t -> unit;
+      (* the detector's hook marking a race's coverage site *)
 }
 
 (* A schedule code is [tid lsl 16 lor k], [k] the label's index in the
@@ -319,7 +321,10 @@ let rec add it l =
         Array.blit it.table 0 table 0 k;
         it.table <- table
       end;
-      it.table.(k) <- l;
+      (* A build of the same program interns the same labels in the
+         same order: the slot mostly holds [l] already, and a store to
+         the long-lived table costs a write barrier. *)
+      if Array.unsafe_get it.table k != l then it.table.(k) <- l;
       it.n <- k + 1;
       it.slots.(i) <- (it.epoch lsl epoch_shift) lor (k + 1);
       k
@@ -1939,6 +1944,15 @@ let create_arena () =
           match thread_opt ctx ctx.cur with
           | Some t -> spend t ctx.conf.Conf.report_cost
           | None -> ());
+      cover_report =
+        (fun r ->
+          let open T11r_race.Report in
+          let kind =
+            match r.kind with Write_write -> 0 | Write_read -> 1 | Read_write -> 2
+          in
+          Coverage.mark ctx.cov
+            (Coverage.site_race ~var:r.var ~kind ~first_tid:r.first_tid
+               ~second_tid:r.second_tid));
     }
   in
   ctx
@@ -1974,23 +1988,30 @@ let prepare ctx conf world program replayed =
   Detector.reset ctx.det;
   Detector.set_suppressions ctx.det conf.Conf.suppressions;
   Lockorder.reset ctx.lockorder;
-  ctx.obs <-
-    (if not conf.Conf.trace_events then Trace.disabled
-     else begin
-       if
-         Trace.enabled ctx.obs_buf
-         && Trace.capacity ctx.obs_buf = conf.Conf.trace_capacity
-       then Trace.reset ctx.obs_buf
-       else ctx.obs_buf <- Trace.create ~capacity:conf.Conf.trace_capacity ();
-       ctx.obs_buf
-     end);
-  ctx.cov <-
-    (if not conf.Conf.coverage then Coverage.disabled
-     else begin
-       if Coverage.enabled ctx.cov_buf then Coverage.reset ctx.cov_buf
-       else ctx.cov_buf <- Coverage.create ();
-       ctx.cov_buf
-     end);
+  (* The arena is long-lived, so every pointer store below costs a
+     write barrier: a field that already holds its value, as it mostly
+     does between runs of one campaign, is not written again. *)
+  let obs =
+    if not conf.Conf.trace_events then Trace.disabled
+    else begin
+      if
+        Trace.enabled ctx.obs_buf
+        && Trace.capacity ctx.obs_buf = conf.Conf.trace_capacity
+      then Trace.reset ctx.obs_buf
+      else ctx.obs_buf <- Trace.create ~capacity:conf.Conf.trace_capacity ();
+      ctx.obs_buf
+    end
+  in
+  if ctx.obs != obs then ctx.obs <- obs;
+  let cov =
+    if not conf.Conf.coverage then Coverage.disabled
+    else begin
+      if Coverage.enabled ctx.cov_buf then Coverage.reset ctx.cov_buf
+      else ctx.cov_buf <- Coverage.create ();
+      ctx.cov_buf
+    end
+  in
+  if ctx.cov != cov then ctx.cov <- cov;
   (* [Hashtbl.clear] keeps the grown bucket array, so recycled tables
      are automatically sized by their high-water mark. *)
   Hashtbl.clear ctx.mutexes;
@@ -1998,36 +2019,36 @@ let prepare ctx conf world program replayed =
   Hashtbl.clear ctx.rwlocks;
   Hashtbl.clear ctx.handlers;
   Hashtbl.clear ctx.fd_classes;
-  ctx.conf <- conf;
-  ctx.world <- world;
-  ctx.program <- program;
+  if ctx.conf != conf then ctx.conf <- conf;
+  if ctx.world != world then ctx.world <- world;
+  if ctx.program != program then ctx.program <- program;
   ctx.ready_n <- 0;
   ctx.next_tid <- 0;
   ctx.next_obj <- 0;
   ctx.gclock <- 0;
   ctx.makespan <- 0;
   ctx.tick <- 0;
-  ctx.deadline_at <-
-    (if conf.Conf.deadline_s > 0. then Unix.gettimeofday () +. conf.Conf.deadline_s
-     else infinity);
+  if conf.Conf.deadline_s > 0. then
+    ctx.deadline_at <- Unix.gettimeofday () +. conf.Conf.deadline_s
+  else if ctx.deadline_at <> infinity then ctx.deadline_at <- infinity;
   ctx.cur <- -1;
   ctx.tr_n <- 0;
   start_build ctx.labels;
   ctx.recording <- (match conf.Conf.mode with Conf.Record _ -> true | _ -> false);
-  ctx.rec_signals <- [];
-  ctx.rec_syscalls <- [];
-  ctx.rec_asyncs <- [];
+  (match ctx.rec_signals with [] -> () | _ :: _ -> ctx.rec_signals <- []);
+  (match ctx.rec_syscalls with [] -> () | _ :: _ -> ctx.rec_syscalls <- []);
+  (match ctx.rec_asyncs with [] -> () | _ :: _ -> ctx.rec_asyncs <- []);
   (match replayed with
   | None ->
-      ctx.cursor <- None;
-      ctx.recorded <- None;
+      (match ctx.cursor with None -> () | Some _ -> ctx.cursor <- None);
+      (match ctx.recorded with None -> () | Some _ -> ctx.recorded <- None);
       ctx.replaying <- false
   | Some (d : Demo.t) ->
       ctx.cursor <- Some (Demo.cursor d);
       ctx.recorded <-
         Some (d.meta, Option.value (List.assoc_opt "TRACE" d.extra) ~default:[]);
       ctx.replaying <- true);
-  ctx.finished <- None;
+  (match ctx.finished with None -> () | Some _ -> ctx.finished <- None);
   ctx.strat_budget <-
     (match conf.Conf.sched with
     | Conf.Controlled (Conf.Delay_bounded d) -> d
@@ -2035,7 +2056,7 @@ let prepare ctx conf world program replayed =
     | _ -> 0);
   ctx.last_sched <- -1;
   ctx.desync_count <- 0;
-  ctx.desyncs <- [];
+  (match ctx.desyncs with [] -> () | _ :: _ -> ctx.desyncs <- []);
   ctx.last_cs_start <- 0;
   ctx.waits <- 0;
   ctx.preemptions <- 0;
@@ -2065,15 +2086,7 @@ let prepare ctx conf world program replayed =
         in
         Trace.emit ctx.obs Trace.Race ~tick:ctx.tick ~tid
           ~label:r.T11r_race.Report.var ~ts:ctx.gclock ~dur:0);
-  if Coverage.enabled ctx.cov then
-    Detector.on_report ctx.det (fun r ->
-        let open T11r_race.Report in
-        let kind =
-          match r.kind with Write_write -> 0 | Write_read -> 1 | Read_write -> 2
-        in
-        Coverage.mark ctx.cov
-          (Coverage.site_race ~var:r.var ~kind ~first_tid:r.first_tid
-             ~second_tid:r.second_tid))
+  if Coverage.enabled ctx.cov then Detector.on_report ctx.det ctx.cover_report
 
 let pp_outcome fmt = function
   | Completed -> Format.fprintf fmt "completed"

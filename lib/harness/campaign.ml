@@ -417,7 +417,8 @@ let mean_or_zero sum runs =
    was, exactly (every partial sum is far below 2^53). Slot [k] of
    [results] is run [index k]; the caller counts the schedules. A run
    whose outcome and races earlier runs showed is counted without
-   allocating, unless it has a coverage summary to union. *)
+   allocating; coverage summaries are ORed into one accumulator
+   ([Coverage.merge]), which allocates once per campaign. *)
 let fold ~label ~n ~first ~jobs ~wall_s ~supervision ~distinct_schedules
     ~index results =
   let runs = Array.length results in
@@ -431,7 +432,7 @@ let fold ~label ~n ~first ~jobs ~wall_s ~supervision ~distinct_schedules
   let completed = ref 0 and racy = ref 0 in
   let reports = ref 0 and ticks = ref 0 in
   let metrics = T11r_obs.Metrics.sum () in
-  let coverage = ref T11r_race.Coverage.empty in
+  let coverage = T11r_race.Coverage.merge () in
   for k = 0 to runs - 1 do
     let i = index k and (r : Interp.result) = results.(k) in
     makespans_ms.(k) <- float_of_int r.Interp.makespan_us /. 1000.0;
@@ -452,7 +453,7 @@ let fold ~label ~n ~first ~jobs ~wall_s ~supervision ~distinct_schedules
     T11r_obs.Metrics.accumulate metrics r.Interp.metrics;
     (* Union is not commutative on bytes when an all-zero summary
        meets the empty one (Coverage.union): index order here too. *)
-    coverage := T11r_race.Coverage.union !coverage r.Interp.coverage
+    T11r_race.Coverage.merge_add coverage r.Interp.coverage
   done;
   let supervision =
     {
@@ -490,7 +491,7 @@ let fold ~label ~n ~first ~jobs ~wall_s ~supervision ~distinct_schedules
       |> List.sort compare_sighting;
     crashes = List.rev !crashes;
     metrics = T11r_obs.Metrics.total metrics;
-    coverage = !coverage;
+    coverage = T11r_race.Coverage.merge_result coverage;
     supervision;
   }
 

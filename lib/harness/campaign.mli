@@ -161,7 +161,11 @@ type report = {
           bit-identical whatever [jobs] was *)
   coverage : T11r_race.Coverage.summary;
       (** union of every run's schedule-coverage fingerprint, folded in
-          run-index order; [T11r_race.Coverage.empty] unless the
+          run-index order into one accumulator
+          ([T11r_race.Coverage.merge]: one buffer per campaign, each
+          run's non-zero words ORed in place) with the bytes and the
+          [Invalid_argument] of [List.fold_left Coverage.union
+          Coverage.empty]; [T11r_race.Coverage.empty] unless the
           campaign's configurations enabled [Conf.coverage] *)
   supervision : supervision;
       (** excluded from {!equal}/{!digest}, like [wall_s] and [jobs] *)

@@ -49,7 +49,7 @@ let create ?(max_history = 8) () =
 
 let reset t =
   t.next_loc <- 0;
-  t.sc_clock <- Vclock.empty;
+  if t.sc_clock != Vclock.empty then t.sc_clock <- Vclock.empty;
   t.evictions <- 0;
   t.stale_reads <- 0;
   t.rand_choices <- 0
@@ -78,15 +78,18 @@ let fresh_loc t ~name ~init =
   if id < t.reg_n then begin
     (* Recycled location: every observable field is re-initialised; the
        stale ring slots beyond [len] are dead (append overwrites every
-       field of a non-dummy slot before it becomes live again). *)
+       field of a non-dummy slot before it becomes live again). A
+       pointer field that already holds its value is not written: the
+       records are long-lived, and the store would cost a write
+       barrier. *)
     let l = t.reg.(id) in
     l.id <- id;
-    l.name <- name;
+    if l.name != name then l.name <- name;
     let s0 = l.ring.(0) in
     s0.value <- init;
     s0.s_tid <- -1;
     s0.epoch <- 0;
-    s0.rel_clock <- Vclock.empty;
+    if s0.rel_clock != Vclock.empty then s0.rel_clock <- Vclock.empty;
     s0.index <- 0;
     l.len <- 1;
     l.start <- 0;
@@ -173,7 +176,9 @@ let append t l ~value ~s_tid ~epoch ~rel_clock =
   s.value <- value;
   s.s_tid <- s_tid;
   s.epoch <- epoch;
-  s.rel_clock <- rel_clock;
+  (* A recycled slot mostly held no release clock and gets none (a
+     relaxed store), so the write barrier is skipped. *)
+  if s.rel_clock != rel_clock then s.rel_clock <- rel_clock;
   s.index <- l.base + l.len - 1;
   s
 

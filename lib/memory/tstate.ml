@@ -73,25 +73,27 @@ let fork ~parent ~tid =
 
 (* In-place equivalents of [create]/[fork] for recycled thread states:
    observable state after a reinit is indistinguishable from the fresh
-   constructor's result. *)
+   constructor's result. A recycled state is long-lived, so a clock
+   field that is already empty is not written again: the store would
+   cost a write barrier. *)
+
+let clear_clocks t =
+  if t.snap != Vclock.empty then t.snap <- Vclock.empty;
+  t.snap_ok <- false;
+  if t.acq_pending != Vclock.empty then t.acq_pending <- Vclock.empty;
+  if t.rel_fence != Vclock.empty then t.rel_fence <- Vclock.empty
 
 let reinit t ~tid =
   Vclock.Mut.reset t.mut;
   Vclock.Mut.incr t.mut tid;
   t.tid <- tid;
-  t.snap <- Vclock.empty;
-  t.snap_ok <- false;
-  t.ep <- 1;
-  t.acq_pending <- Vclock.empty;
-  t.rel_fence <- Vclock.empty
+  clear_clocks t;
+  t.ep <- 1
 
 let reinit_fork t ~parent ~tid =
   Vclock.Mut.reset_to_mut t.mut parent.mut;
   Vclock.Mut.incr t.mut tid;
   t.tid <- tid;
-  t.snap <- Vclock.empty;
-  t.snap_ok <- false;
+  clear_clocks t;
   t.ep <- Vclock.Mut.get t.mut tid;
-  t.acq_pending <- Vclock.empty;
-  t.rel_fence <- Vclock.empty;
   tick parent

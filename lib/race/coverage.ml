@@ -76,9 +76,17 @@ let empty = ""
 let summarize t = if t.on then Bytes.to_string t.bits else empty
 
 (* The kernels below walk a summary 8 bytes at a time, then finish any
-   tail shorter than a word byte by byte. Everything stays an unboxed
-   int64 or an immediate: no closure, no allocation except [union]'s
-   result. *)
+   tail shorter than a word byte by byte. A word is read in native byte
+   order, without a bounds check (every index is below the length):
+   or, and-not, zero tests and population counts give the same bytes
+   and counts whatever the order. A run sets a few dozen of the 4,096
+   bits, so most words are zero, and the kernels skip them before any
+   other work. Everything stays an unboxed int64 or an immediate: no
+   closure, no allocation except [union]'s result. *)
+
+external get64 : string -> int -> int64 = "%caml_string_get64u"
+external bget64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+external bset64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* SWAR population count of one 64-bit word. *)
 let[@inline] popcount64 x =
@@ -98,7 +106,8 @@ let popcount (s : summary) =
   let n = String.length s in
   let acc = ref 0 and i = ref 0 in
   while !i + 8 <= n do
-    acc := !acc + popcount64 (String.get_int64_le s !i);
+    let w = get64 s !i in
+    if w <> 0L then acc := !acc + popcount64 w;
     i := !i + 8
   done;
   while !i < n do
@@ -110,7 +119,7 @@ let popcount (s : summary) =
 let is_empty (s : summary) =
   let n = String.length s in
   let i = ref 0 in
-  while !i + 8 <= n && String.get_int64_le s !i = 0L do
+  while !i + 8 <= n && get64 s !i = 0L do
     i := !i + 8
   done;
   while !i < n && byte s !i = 0 do
@@ -118,24 +127,32 @@ let is_empty (s : summary) =
   done;
   !i = n
 
+(* [r] := [r] or [s], over [r]'s length; [s] is at least as long. *)
+let or_into r (s : summary) =
+  let n = Bytes.length r in
+  let i = ref 0 in
+  while !i + 8 <= n do
+    let w = get64 s !i in
+    if w <> 0L then bset64 r !i (Int64.logor (bget64 r !i) w);
+    i := !i + 8
+  done;
+  while !i < n do
+    let c = byte s !i in
+    if c <> 0 then
+      Bytes.unsafe_set r !i (Char.unsafe_chr (Char.code (Bytes.unsafe_get r !i) lor c));
+    incr i
+  done
+
+let width_mismatch () =
+  invalid_arg "Coverage.union: summaries of different widths"
+
 let union (a : summary) (b : summary) =
   if is_empty a then b
   else if is_empty b then a
   else begin
-    let n = String.length a in
-    if String.length b <> n then
-      invalid_arg "Coverage.union: summaries of different widths";
-    let r = Bytes.create n in
-    let i = ref 0 in
-    while !i + 8 <= n do
-      Bytes.set_int64_le r !i
-        (Int64.logor (String.get_int64_le a !i) (String.get_int64_le b !i));
-      i := !i + 8
-    done;
-    while !i < n do
-      Bytes.unsafe_set r !i (Char.unsafe_chr (byte a !i lor byte b !i));
-      incr i
-    done;
+    if String.length b <> String.length a then width_mismatch ();
+    let r = Bytes.of_string a in
+    or_into r b;
     Bytes.unsafe_to_string r
   end
 
@@ -150,11 +167,9 @@ let new_bits ~base (s : summary) =
       invalid_arg "Coverage.new_bits: summaries of different widths";
     let acc = ref 0 and i = ref 0 in
     while !i + 8 <= n do
-      acc :=
-        !acc
-        + popcount64
-            (Int64.logand (String.get_int64_le s !i)
-               (Int64.lognot (String.get_int64_le base !i)));
+      let w = get64 s !i in
+      if w <> 0L then
+        acc := !acc + popcount64 (Int64.logand w (Int64.lognot (get64 base !i)));
       i := !i + 8
     done;
     while !i < n do
@@ -162,6 +177,52 @@ let new_bits ~base (s : summary) =
       incr i
     done;
     !acc
+  end
+
+(* [List.fold_left union empty], one operand at a time, ORing into one
+   buffer. While no operand is non-empty the value is the last operand
+   (an empty one); with exactly one non-empty operand it is that
+   operand; from the second on it is the buffer, a copy of the first
+   that every later non-empty operand is ORed into. So the bytes, the
+   physical sharing and the width check are [union]'s. *)
+type merge = {
+  mutable nonempty : int; (* non-empty operands so far, capped at 2 *)
+  mutable value : summary; (* the fold's value while [nonempty] < 2 *)
+  mutable buf : Bytes.t; (* the fold's value once [nonempty] = 2 *)
+}
+
+let merge () = { nonempty = 0; value = empty; buf = Bytes.empty }
+
+let merge_add m (s : summary) =
+  if is_empty s then begin
+    if m.nonempty = 0 then m.value <- s
+  end
+  else
+    match m.nonempty with
+    | 0 ->
+        m.value <- s;
+        m.nonempty <- 1
+    | 1 ->
+        if String.length s <> String.length m.value then width_mismatch ();
+        let r = Bytes.of_string m.value in
+        or_into r s;
+        m.buf <- r;
+        m.nonempty <- 2
+    | _ ->
+        if String.length s <> Bytes.length m.buf then width_mismatch ();
+        or_into m.buf s
+
+let merge_result m =
+  if m.nonempty < 2 then m.value
+  else begin
+    (* The buffer becomes the result, frozen: the fold goes on from it
+       as from a single non-empty operand, so a later one ORs into a
+       copy. *)
+    let r = Bytes.unsafe_to_string m.buf in
+    m.value <- r;
+    m.buf <- Bytes.empty;
+    m.nonempty <- 1;
+    r
   end
 
 let digest (s : summary) =

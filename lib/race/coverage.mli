@@ -60,8 +60,9 @@ val summarize : t -> summary
 (** Freeze a collector's bits. {!empty} for a {!disabled} collector. *)
 
 (** The operations below read a summary a 64-bit word at a time (any
-    tail shorter than a word byte by byte) and allocate nothing but
-    {!union}'s result. *)
+    tail shorter than a word byte by byte), skip a zero word before any
+    other work on it (a run sets a few dozen of the 4,096 bits), and
+    allocate nothing but {!union}'s result and a {!merge}'s buffer. *)
 
 val union : summary -> summary -> summary
 (** Bitwise or. An operand that {!is_empty} — {!empty} or an all-zero
@@ -73,6 +74,28 @@ val union : summary -> summary -> summary
     in run-index order.
     @raise Invalid_argument when neither operand {!is_empty} and their
     widths differ. *)
+
+type merge
+(** A left fold of {!union} over summaries, ORed into one buffer:
+    [merge_add] of [s1 .. sn] on a fresh {!merge}, then
+    {!merge_result}, gives the bytes of
+    [List.fold_left union empty [s1; ...; sn]], its physical sharing
+    (the last operand when none is non-empty, the non-empty one when
+    there is exactly one) and its [Invalid_argument]. Only the second
+    non-empty operand allocates (a copy of the first); later ones are
+    ORed in place. *)
+
+val merge : unit -> merge
+(** A fold with no operand yet: its result is {!empty}. *)
+
+val merge_add : merge -> summary -> unit
+(** Fold in the next operand.
+    @raise Invalid_argument as {!union} does, on a non-empty operand
+    whose width differs from the non-empty ones before it. *)
+
+val merge_result : merge -> summary
+(** The fold's value. The merge can go on after it: a later non-empty
+    operand ORs into a fresh copy, never into the returned summary. *)
 
 val new_bits : base:summary -> summary -> int
 (** Bits set in the summary but not in [base] — the corpus admission

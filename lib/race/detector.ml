@@ -53,14 +53,17 @@ let create () =
     reg_n = 0;
   }
 
+(* A detector lives as long as its arena, so a pointer field that
+   already holds its reset value is not written again: the store would
+   cost a write barrier. *)
 let reset t =
   t.next_var <- 0;
-  t.reports_rev <- [];
+  (match t.reports_rev with [] -> () | _ :: _ -> t.reports_rev <- []);
   t.n_reports <- 0;
   Hashtbl.clear t.seen;
-  t.callbacks <- [];
-  t.acc_cb <- None;
-  t.suppressions <- [];
+  (match t.callbacks with [] -> () | _ :: _ -> t.callbacks <- []);
+  (match t.acc_cb with None -> () | Some _ -> t.acc_cb <- None);
+  (match t.suppressions with [] -> () | _ :: _ -> t.suppressions <- []);
   t.checks <- 0
 
 let checks t = t.checks
@@ -85,7 +88,8 @@ let check_packable (st : Tstate.t) =
           limit of %d"
          epoch st.Tstate.tid max_epoch)
 
-let set_suppressions t pats = t.suppressions <- pats
+let set_suppressions t pats =
+  if t.suppressions != pats then t.suppressions <- pats
 
 (* tsan-suppression-style matching: exact name, or a '*'-terminated
    prefix pattern ("scoreboard*"). *)
@@ -114,7 +118,7 @@ let fresh_var t ~name =
   if id < t.reg_n then begin
     let v = t.reg.(id) in
     v.id <- id;
-    v.name <- name;
+    if v.name != name then v.name <- name;
     v.w_packed <- -1;
     (* Clear the FULL array, not just [nreads]: stale epochs below a
        regrown [nreads] would otherwise surface as phantom reads. *)

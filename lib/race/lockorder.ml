@@ -23,7 +23,8 @@ let reset t =
   Hashtbl.clear t.edges;
   Hashtbl.clear t.names;
   Hashtbl.clear t.held;
-  t.found <- [];
+  (* no write barrier when there is nothing to drop *)
+  (match t.found with [] -> () | _ :: _ -> t.found <- []);
   Hashtbl.clear t.seen
 
 let successors t l =

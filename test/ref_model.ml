@@ -1516,9 +1516,8 @@ module Campaign_aggregate = struct
           T11r_obs.Metrics.zero results;
       coverage =
         Array.fold_left
-          (fun acc (r : Interp.result) ->
-            T11r_race.Coverage.union acc r.Interp.coverage)
-          T11r_race.Coverage.empty results;
+          (fun acc (r : Interp.result) -> Coverage.union acc r.Interp.coverage)
+          "" results;
       supervision;
     }
 end

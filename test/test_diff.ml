@@ -1318,6 +1318,62 @@ let prop_schedule_count =
       r.Campaign.distinct_schedules = naive_distinct traces
       && Campaign.digest r = Campaign.digest theirs)
 
+(* Campaign coverage is one accumulator ORed in place; it must give the
+   bytes and the [Invalid_argument] of the left fold of [Coverage.union]
+   it replaced, and of the byte-at-a-time reference fold. The
+   sequences mix the empty summary, all-zero bitmaps (of the run's
+   width and of others: while no summary is non-empty, the last one
+   wins), single bits, dense maps and a width mismatch. *)
+let coverage_seq_gen =
+  QCheck.Gen.(
+    let empties w =
+      list_size (int_range 0 6)
+        (frequency
+           [ (1, return ""); (2, return (String.make w '\000'));
+             (1, map (fun v -> String.make v '\000') (int_range 1 600)) ])
+    in
+    width_gen >>= fun w ->
+    frequency
+      [
+        (1, empties w);
+        ( 3,
+          list_size (int_range 0 12)
+            (frequency
+               [
+                 (1, return "");
+                 (6, summary_of_width w);
+                 (1, width_gen >>= summary_of_width);
+               ]) );
+      ])
+
+let exn_outcome f =
+  match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let prop_aggregate_coverage =
+  QCheck.Test.make ~name:"aggregate coverage = left fold of union" ~count:2000
+    (QCheck.make
+       ~print:(fun l -> String.concat " " (List.map show_summary l))
+       coverage_seq_gen) (fun summaries ->
+      let pairs =
+        Array.of_list
+          (List.mapi
+             (fun i s ->
+               ( i,
+                 { (Interp.result_of_outcome Interp.Completed) with
+                   Interp.coverage = s } ))
+             summaries)
+      in
+      let n = Array.length pairs in
+      let ours =
+        exn_outcome (fun () ->
+            (Campaign.aggregate ~label:"cov" ~n ~first:0 ~jobs:1 ~wall_s:0. pairs)
+              .Campaign.coverage)
+      in
+      ours = exn_outcome (fun () -> List.fold_left Cov.union Cov.empty summaries)
+      && ours
+         = exn_outcome (fun () ->
+               List.fold_left R.Coverage.union Cov.empty summaries))
+
 (* ------------------------------------------------------------------ *)
 (* The schedule as int codes, against the (tick, tid, label) list it
    replaced: [Interp.result_digest] streams a result's bytes in the old
@@ -1738,6 +1794,7 @@ let () =
           Alcotest.test_case "schedule key is exact" `Quick
             test_schedule_key_exact;
           qtest prop_schedule_count;
+          qtest prop_aggregate_coverage;
           Alcotest.test_case "same_result = compare, golden results" `Quick
             test_same_result_golden;
           qtest prop_same_result;

@@ -66,6 +66,52 @@ let prng_int_covers =
       done;
       Array.for_all Fun.id seen)
 
+(* [Prng.int] as it was before its power-of-two path: the high 63 bits
+   of one draw, reduced with [Int64.rem]. *)
+let reference_int p bound =
+  let x = Int64.shift_right_logical (Prng.bits64 p) 1 in
+  Int64.to_int (Int64.rem x (Int64.of_int bound))
+
+(* 1, the powers of two up to 2^61 (the largest below [max_int]),
+   random odd bounds and random bounds. *)
+let bound_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return 1);
+        (4, map (fun k -> 1 lsl k) (int_range 1 61));
+        (2, map (fun b -> (2 * b) + 1) (int_bound (max_int / 2 - 1)));
+        (2, map (fun b -> (2 * b) + 1) (int_bound 500));
+        (1, int_range 1 max_int);
+      ])
+
+let prng_int_reference =
+  QCheck.Test.make ~name:"prng int = reference Int64.rem draw" ~count:500
+    (QCheck.make
+       ~print:(fun ((s1, s2), bounds) ->
+         Printf.sprintf "seeds %Ld %Ld, bounds %s" s1 s2
+           (String.concat " " (List.map string_of_int bounds)))
+       QCheck.Gen.(pair (pair ui64 ui64) (list_size (int_range 1 40) bound_gen)))
+    (fun ((s1, s2), bounds) ->
+      let p = Prng.create ~seed1:s1 ~seed2:s2 in
+      let q = Prng.create ~seed1:s1 ~seed2:s2 in
+      List.for_all (fun b -> Prng.int p b = reference_int q b) bounds
+      && Prng.draws p = Prng.draws q
+      && Prng.draws p = List.length bounds)
+
+let prng_reseed_seeds =
+  QCheck.Test.make ~name:"prng reseed then seeds round-trips" ~count:500
+    QCheck.(pair (pair int64 int64) (pair int64 int64))
+    (fun ((a1, a2), (s1, s2)) ->
+      let p = Prng.create ~seed1:a1 ~seed2:a2 in
+      ignore (Prng.bits64 p);
+      Prng.reseed p ~seed1:s1 ~seed2:s2;
+      let fresh = Prng.create ~seed1:s1 ~seed2:s2 in
+      Prng.seeds p = (s1, s2)
+      && Prng.seeds (Prng.copy p) = (s1, s2)
+      && Prng.draws p = 0
+      && Prng.bits64 p = Prng.bits64 fresh)
+
 let test_prng_pick_empty () =
   let p = Prng.create ~seed1:1L ~seed2:1L in
   Alcotest.check_raises "empty pick" (Invalid_argument "Prng.pick: empty array")
@@ -1048,6 +1094,8 @@ let () =
           Alcotest.test_case "pick empty" `Quick test_prng_pick_empty;
           qtest prng_int_bounds;
           qtest prng_int_covers;
+          qtest prng_int_reference;
+          qtest prng_reseed_seeds;
         ] );
       ( "rle",
         [
