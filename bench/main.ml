@@ -670,6 +670,32 @@ let smoke = ref false
 let faults () = T11r_harness.Faultsweep.run ~smoke:!smoke ~jobs:!jobs ()
 
 (* ------------------------------------------------------------------ *)
+(* The cost tables' one measuring loop                                  *)
+
+(* Host time (scaled by [unit]: 1e9 for ns, 1e6 for µs) and minor
+   words per unit of work of each of [passes], a pass returning how
+   many units (runs, schedules) it did: the fastest of [reps] (default
+   15) calls after one untimed call of each, so a row reads the host's
+   floor, not its noise; words are exact. The passes take turns, so a
+   drift in the host's speed moves them together. *)
+let measure ?(reps = 15) ~unit passes =
+  let per = Array.map (fun pass -> float_of_int (pass ())) passes in
+  let best = Array.map (fun _ -> infinity) passes in
+  let words = Array.map (fun _ -> 0.0) passes in
+  for _ = 1 to reps do
+    Array.iteri
+      (fun i pass ->
+        Gc.minor ();
+        let w0 = Gc.minor_words () in
+        let t0 = Unix.gettimeofday () in
+        ignore (pass ());
+        best.(i) <- Float.min best.(i) (Unix.gettimeofday () -. t0);
+        words.(i) <- Gc.minor_words () -. w0)
+      passes
+  done;
+  Array.mapi (fun i b -> (b *. unit /. per.(i), words.(i) /. per.(i))) best
+
+(* ------------------------------------------------------------------ *)
 (* Cost of one hunt run                                                 *)
 
 (* Where a random-strategy hunt run's time goes, in host ns and minor
@@ -683,9 +709,7 @@ let faults () = T11r_harness.Faultsweep.run ~smoke:!smoke ~jobs:!jobs ()
    that return at once, as every thread ever spawned stays in the
    scheduler's scan). The last table is [Campaign.run] (jobs 1)
    against a bare [Interp.run] loop over the same runs that keeps no
-   result; their difference is the campaign's own per-run work.
-   Timings are the best of 15 repetitions, so they read the host's
-   floor, not its noise; words are exact. *)
+   result; their difference is the campaign's own per-run work. *)
 let costs () =
   let module Api = T11r_vm.Api in
   let module Workloads = T11r_harness.Workloads in
@@ -697,32 +721,17 @@ let costs () =
     Conf.with_seeds base (Int64.of_int (off + i)) (Int64.of_int (off + i + 7919))
   in
   let fresh_world i = World.create ~seed:(Int64.of_int (off + i)) () in
-  (* Best-of-15 ns and words per call of [f 0 .. f (n - 1)], after one
-     untimed pass. *)
-  let measure n f =
-    for i = 0 to n - 1 do
-      f i
-    done;
-    let best = ref infinity and words = ref 0.0 in
-    for _ = 1 to 15 do
-      Gc.minor ();
-      let w0 = Gc.minor_words () in
-      let t0 = Unix.gettimeofday () in
-      for i = 0 to n - 1 do
-        f i
-      done;
-      best := Float.min !best (Unix.gettimeofday () -. t0);
-      words := Gc.minor_words () -. w0
-    done;
-    (!best *. 1e9 /. float_of_int n, !words /. float_of_int n)
-  in
   let arena = Interp.create_arena () in
   let fig1_conf = conf (base (Option.get (Workloads.find "fig1"))) in
   let runs = 2_000 in
-  let run ~world body i =
-    ignore
-      (Interp.run ~world:(world i) ~arena (fig1_conf i)
-         (Api.program ~name:"costs" body))
+  (* A pass of [runs] runs of [body]. *)
+  let run_all ~world body () =
+    for i = 0 to runs - 1 do
+      ignore
+        (Interp.run ~world:(world i) ~arena (fig1_conf i)
+           (Api.program ~name:"costs" body))
+    done;
+    runs
   in
   let recycled = World.create ~seed:1L () in
   let reset_world _ =
@@ -736,9 +745,11 @@ let costs () =
         op a
       done
     in
-    let ns, w = measure runs (run ~world:fresh_world (program k)) in
-    let ns0, w0 = measure runs (run ~world:fresh_world (program 0)) in
-    let k = float_of_int k in
+    let m =
+      measure ~unit:1e9
+        [| run_all ~world:fresh_world (program k); run_all ~world:fresh_world (program 0) |]
+    in
+    let (ns, w), (ns0, w0) = (m.(0), m.(1)) and k = float_of_int k in
     ((ns -. ns0) /. k, (w -. w0) /. k)
   in
   let t =
@@ -751,8 +762,12 @@ let costs () =
   let row name (ns, w) =
     Table.add_row t [ name; Printf.sprintf "%.0f" ns; Printf.sprintf "%.1f" w ]
   in
-  row "empty run, recycled world" (measure runs (run ~world:reset_world ignore));
-  row "empty run, fresh world" (measure runs (run ~world:fresh_world ignore));
+  let empty =
+    measure ~unit:1e9
+      [| run_all ~world:reset_world ignore; run_all ~world:fresh_world ignore |]
+  in
+  row "empty run, recycled world" empty.(0);
+  row "empty run, fresh world" empty.(1);
   row "relaxed load tick"
     (per_tick 64 (fun a -> ignore (Api.Atomic.load ~mo:T11r_mem.Memord.Relaxed a)));
   row "seq_cst fence tick"
@@ -780,22 +795,29 @@ let costs () =
         (world, w.w_instance world ())
       in
       let spec = { Campaign.label = name; conf; instance } in
-      let bare_ns, bare_w =
-        measure n (fun i ->
-            let world, program = instance i in
-            ignore (Interp.run ~world ~arena:(Campaign.domain_arena ()) (conf i) program))
+      let m =
+        measure ~unit:1e6
+          [|
+            (fun () ->
+              ignore (Campaign.run spec ~n ~jobs:1 []);
+              n);
+            (fun () ->
+              for i = 0 to n - 1 do
+                let world, program = instance i in
+                ignore
+                  (Interp.run ~world ~arena:(Campaign.domain_arena ()) (conf i) program)
+              done;
+              n);
+          |]
       in
-      let camp_ns, camp_w =
-        let ns, w = measure 1 (fun _ -> ignore (Campaign.run spec ~n ~jobs:1 [])) in
-        (ns /. float_of_int n, w /. float_of_int n)
-      in
+      let (camp_us, camp_w), (bare_us, bare_w) = (m.(0), m.(1)) in
       Table.add_row t2
         [
           name;
           string_of_int n;
-          Printf.sprintf "%.2f" (camp_ns /. 1e3);
-          Printf.sprintf "%.2f" (bare_ns /. 1e3);
-          Printf.sprintf "%.2f" ((camp_ns -. bare_ns) /. 1e3);
+          Printf.sprintf "%.2f" camp_us;
+          Printf.sprintf "%.2f" bare_us;
+          Printf.sprintf "%.2f" (camp_us -. bare_us);
           Printf.sprintf "%.0f" camp_w;
           Printf.sprintf "%.0f" bare_w;
         ])
@@ -815,7 +837,7 @@ let costs () =
    builds (decision capture on); and as many Random runs of the same
    programs (no capture; they run shorter schedules, as the ticks
    column shows). Explore less the prefixes is the explorer's own step
-   (analysis, frames, prefixes, aggregate). Best of 15 passes. *)
+   (analysis, frames, prefixes, aggregate). *)
 let dpor_costs () =
   let module Systematic = T11r_harness.Systematic in
   let module Registry = T11r_litmus.Registry in
@@ -883,7 +905,7 @@ let dpor_costs () =
     ticks := !ticks + r.Interp.ticks
   in
   let passes =
-    [
+    [|
       ( "Systematic.explore",
         fun () ->
           List.iter
@@ -905,33 +927,20 @@ let dpor_costs () =
             (fun (s, build, ps) ->
               Array.iteri (fun i _ -> run_one (random i s) s build) ps)
             trees );
-    ]
+    |]
   in
-  (* Best-of-15 µs and words of each pass over [per], and the ticks its
-     runs executed over [per] (the explore pass runs none outside the
-     explorer, so it reports none). The passes take turns, so a drift
-     in the host's speed moves them together. *)
-  let measure_all ~per passes =
-    List.iter (fun pass -> pass ()) passes;
-    let n = List.length passes in
-    let best = Array.make n infinity and words = Array.make n 0.0 in
-    let tk = Array.make n 0 in
-    for _ = 1 to 15 do
-      List.iteri
-        (fun i pass ->
-          ticks := 0;
-          Gc.minor ();
-          let w0 = Gc.minor_words () in
-          let t0 = Unix.gettimeofday () in
-          pass ();
-          best.(i) <- Float.min best.(i) (Unix.gettimeofday () -. t0);
-          words.(i) <- Gc.minor_words () -. w0;
-          tk.(i) <- !ticks)
-        passes
-    done;
-    let per = float_of_int per in
-    List.init n (fun i ->
-        (best.(i) *. 1e6 /. per, words.(i) /. per, float_of_int tk.(i) /. per))
+  (* The ticks each pass's runs executed (the explore pass runs none
+     outside the explorer, so it reports none). *)
+  let tk = Array.map (fun _ -> 0) passes in
+  let m =
+    measure ~unit:1e6
+      (Array.mapi
+         (fun i (_, pass) () ->
+           ticks := 0;
+           pass ();
+           tk.(i) <- !ticks;
+           schedules)
+         passes)
   in
   let t =
     Table.create
@@ -943,79 +952,19 @@ let dpor_costs () =
            schedules)
       ~headers:[ "row"; "µs"; "words"; "ticks" ]
   in
-  let rows =
-    List.combine (List.map fst passes)
-      (measure_all ~per:schedules (List.map snd passes))
-  in
-  List.iter
-    (fun (name, (us, w, tk)) ->
+  Array.iteri
+    (fun i (name, _) ->
+      let us, w = m.(i) in
+      let tk = float_of_int tk.(i) /. float_of_int schedules in
       Table.add_row t
         [ name; Printf.sprintf "%.2f" us; Printf.sprintf "%.0f" w;
           (if tk > 0. then Printf.sprintf "%.1f" tk else "-") ])
-    rows;
-  let get name = let us, w, _ = List.assoc name rows in (us, w) in
-  let diff name a b =
-    let ua, wa = get a and ub, wb = get b in
-    Table.add_row t
-      [ name; Printf.sprintf "%.2f" (ua -. ub); Printf.sprintf "%.0f" (wa -. wb); "" ]
-  in
-  diff "explorer's own step" "Systematic.explore" "the same prefixes, Campaign.run_one";
-  Table.print t;
-  (* Capture alone: Guided against Random where both follow the one
-     schedule there is, one thread's — the empty run, and one more
-     relaxed load (64 of them, less none). With [t] ticks a schedule,
-     empty + t x tick is a floor: one thread has a one-entry enabled
-     set, one footprint kind and no shadow-checked access, and reads
-     about half of what capture costs on check's schedules. *)
-  let arena = Interp.create_arena () in
-  let world = World.create ~seed:1L () in
-  let one_thread k () =
-    let a = T11r_vm.Api.Atomic.create ~name:"a" 0 in
-    for _ = 1 to k do
-      ignore (T11r_vm.Api.Atomic.load ~mo:T11r_mem.Memord.Relaxed a)
-    done
-  in
-  let runs = 2_000 in
-  let per_run conf k =
-    let program = T11r_vm.Api.program ~name:"costs" (one_thread k) in
-    let pass () =
-      for i = 1 to runs do
-        World.reset world ~seed:1L;
-        ignore (Interp.run ~world ~arena (conf i) program)
-      done
-    in
-    let us, w, _ = List.hd (measure_all ~per:runs [ pass ]) in
-    (us, w)
-  in
-  (* Both build one configuration record per run, as the explorer does. *)
-  let base = guided_base 4 in
-  let random_one _ = { base with Conf.sched = Conf.Controlled Conf.Random } in
-  let guided_one _ = guided base [||] in
-  let capture k =
-    let gu, gw = per_run guided_one k and ru, rw = per_run random_one k in
-    (gu -. ru, gw -. rw)
-  in
-  let e_us, e_w = capture 0 in
-  let l_us, l_w = capture 64 in
-  let t_us = (l_us -. e_us) /. 64. and t_w = (l_w -. e_w) /. 64. in
-  let _, _, guided_ticks = List.assoc "the same prefixes, Campaign.run_one" rows in
-  let t2 =
-    Table.create
-      ~title:
-        "Cost of one DPOR schedule: decision capture, Guided less Random on \
-         one thread (host µs, best of 15; minor words)"
-      ~headers:[ "row"; "µs"; "words" ]
-  in
-  let row name us w =
-    Table.add_row t2 [ name; Printf.sprintf "%.3f" us; Printf.sprintf "%.1f" w ]
-  in
-  row "per run" e_us e_w;
-  row "per tick" t_us t_w;
-  row
-    (Printf.sprintf "per schedule, floor (run + %.1f ticks)" guided_ticks)
-    (e_us +. (guided_ticks *. t_us))
-    (e_w +. (guided_ticks *. t_w));
-  Table.print t2
+    passes;
+  let (ue, we), (up, wp) = (m.(0), m.(1)) in
+  Table.add_row t
+    [ "explorer's own step"; Printf.sprintf "%.2f" (ue -. up);
+      Printf.sprintf "%.0f" (we -. wp); "" ];
+  Table.print t
 
 (* ------------------------------------------------------------------ *)
 (* Cost of one guided-hunt run                                          *)
@@ -1028,28 +977,11 @@ let dpor_costs () =
    [Campaign.run] (jobs 1) of the same 32, which adds the results and
    the coverage merge; and [Guided.hunt] to the first race, per run it
    made, which adds breeding, corpus admission and the round fold.
-   Timings are the best of 15 passes (the hunts: of 5), so they read
-   the host's floor, not its noise; words are exact. *)
+   The hunts are timed over 5 passes, not 15. *)
 let guided_costs () =
   let module Workloads = T11r_harness.Workloads in
   let module Guided = T11r_harness.Guided in
   let n = 32 and salts = 48 in
-  (* Best-of-[reps] seconds and words of one call of [f]; [f] returns
-     how many runs it made. *)
-  let measure reps f =
-    let runs = f () in
-    let best = ref infinity and words = ref 0.0 in
-    for _ = 1 to reps do
-      Gc.minor ();
-      let w0 = Gc.minor_words () in
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      best := Float.min !best (Unix.gettimeofday () -. t0);
-      words := Gc.minor_words () -. w0
-    done;
-    let runs = float_of_int runs in
-    (!best *. 1e6 /. runs, !words /. runs)
-  in
   let t =
     Table.create
       ~title:
@@ -1070,29 +1002,33 @@ let guided_costs () =
       let row what (us, w) =
         Table.add_row t [ name; what; Printf.sprintf "%.2f" us; Printf.sprintf "%.0f" w ]
       in
-      row "bare coverage-on run"
-        (measure 15 (fun () ->
-             for i = 0 to n - 1 do
-               let world, program = covered.Campaign.instance i in
-               ignore
-                 (Interp.run ~world ~arena:(Campaign.domain_arena ())
-                    (covered.Campaign.conf i) program)
-             done;
-             n));
-      row "Campaign.run of 32"
-        (measure 15 (fun () ->
-             ignore (Campaign.run covered ~n ~jobs:1 []);
-             n));
-      row "Guided.hunt, per run"
-        (measure 5 (fun () ->
-             let runs = ref 0 in
-             for k = 1 to salts do
-               let g =
-                 Guided.hunt spec ~salt:(Int64.of_int (7919 + k)) ~stop_on_race:true ()
-               in
-               runs := !runs + g.Guided.g_runs
-             done;
-             !runs)))
+      let m =
+        measure ~unit:1e6
+          [|
+            (fun () ->
+              for i = 0 to n - 1 do
+                let world, program = covered.Campaign.instance i in
+                ignore
+                  (Interp.run ~world ~arena:(Campaign.domain_arena ())
+                     (covered.Campaign.conf i) program)
+              done;
+              n);
+            (fun () ->
+              ignore (Campaign.run covered ~n ~jobs:1 []);
+              n);
+          |]
+      in
+      row "bare coverage-on run" m.(0);
+      row "Campaign.run of 32" m.(1);
+      let hunt () =
+        let runs = ref 0 in
+        for k = 1 to salts do
+          let g = Guided.hunt spec ~salt:(Int64.of_int (7919 + k)) ~stop_on_race:true () in
+          runs := !runs + g.Guided.g_runs
+        done;
+        !runs
+      in
+      row "Guided.hunt, per run" (measure ~reps:5 ~unit:1e6 [| hunt |]).(0))
     [ "fig1"; "chase-lev-deque" ];
   Table.print t
 

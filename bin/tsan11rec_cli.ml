@@ -30,6 +30,7 @@ module World = T11r_env.World
 module Workloads = T11r_harness.Workloads
 module Campaign = T11r_harness.Campaign
 module Guided = T11r_harness.Guided
+module Outcome = T11r_harness.Outcome
 module Corpus = T11r_harness.Corpus
 module Predictor = T11r_harness.Predictor
 module Predict = T11r_race.Predict
@@ -241,7 +242,9 @@ let journal_row =
      campaign continues exactly where it stopped, and the final report \
      and digest are bit-identical to an uninterrupted run. A journal of \
      another run (other workload, strategy, seeds, $(b,--env-seed) or \
-     $(b,--tick-budget)) is refused with exit status 2 and left as it is."
+     $(b,--tick-budget)) is refused with exit status 2 and left as it is. \
+     $(b,hunt --guided) refuses this option (exit status 2): its journal \
+     is the $(b,--corpus) directory."
   in
   Arg.(
     value
@@ -643,6 +646,12 @@ let hunt_cmd =
       }
     in
     if guided then begin
+      (* A guided hunt journals into its corpus directory, never into a
+         campaign journal: refuse the flag rather than ignore it. *)
+      if co.co_journal <> None then
+        usage
+          "--resume/--journal does not apply to --guided: a guided hunt \
+           journals and resumes through --corpus DIR";
       if batch < 1 then usage "--batch must be >= 1 (got %d)" batch;
       let rounds = max 1 ((co.co_runs + batch - 1) / batch) in
       let g =
@@ -662,13 +671,11 @@ let hunt_cmd =
                --corpus DIR next time)@.");
         exit 130
       end;
-      let crashed =
-        List.fold_left
-          (fun acc (k, v) -> if k = "crashed" then acc + v else acc)
-          0 g.Guided.g_outcomes
-      in
       Fmt.pr "digest:    %s@." (Guided.digest g);
-      exit (if g.Guided.g_racy > 0 || crashed > 0 then 1 else 0)
+      exit
+        (if g.Guided.g_racy > 0 || Outcome.count g.Guided.g_outcomes "crashed" > 0
+         then 1
+         else 0)
     end;
     let c =
       refused_journal co.co_journal (fun () ->

@@ -30,11 +30,14 @@ type strategy =
           [Guided] is the substrate of {!T11r_harness.Systematic}'s
           stateless model checking: at tick [i] it picks the
           [prefix.(i)]-th enabled thread (tid order), leftmost beyond
-          the prefix, and appends each tick's enabled-thread count to
-          [observed] (in reverse) so the explorer can enumerate the
-          untried alternatives. Not replayable — but recordable: guided
-          recordings carry the DECISIONS metadata the offline
-          predictive race analysis ([T11r_race.Predict]) consumes. *)
+          the prefix. Each tick's [T11r_race.Decision.t] (in
+          [Interp.result.decisions]) holds its enabled set, from which
+          the explorer enumerates the untried alternatives. [observed]
+          is no longer written: it stays only because benchmark code
+          outside the library builds the record. Not replayable — but
+          recordable: guided recordings carry the DECISIONS metadata
+          the offline predictive race analysis ([T11r_race.Predict])
+          consumes. *)
 
 type sched_model =
   | Os_model

@@ -1026,11 +1026,10 @@ let pick_preempt_bounded ctx =
   t
 
 (* Guided picks for systematic exploration: deterministic choice by
-   index in tid order, logging the fan-out at every scheduling point. *)
-let pick_guided ctx ~prefix ~observed =
+   index in tid order. The tick's decision records the fan-out. *)
+let pick_guided ctx ~prefix =
   (* the scratch is already sorted by tid *)
   let n = ctx.ready_n in
-  observed := n :: !observed;
   let idx =
     if ctx.tick < Array.length prefix then min prefix.(ctx.tick) (n - 1) else 0
   in
@@ -1048,8 +1047,8 @@ let pick_thread ctx ~rescheds =
   | Conf.Controlled Conf.Queue -> pick_queue ctx
   | Conf.Controlled (Conf.Delay_bounded _) -> pick_delay_bounded ctx
   | Conf.Controlled (Conf.Preempt_bounded _) -> pick_preempt_bounded ctx
-  | Conf.Controlled (Conf.Guided { prefix; observed }) ->
-      pick_guided ctx ~prefix ~observed
+  | Conf.Controlled (Conf.Guided { prefix; observed = _ }) ->
+      pick_guided ctx ~prefix
 
 (* ------------------------------------------------------------------ *)
 (* Syscalls                                                             *)

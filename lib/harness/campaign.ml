@@ -107,7 +107,7 @@ type report = {
   completed : int;
   racy_runs : int;
   distinct_schedules : int;
-  outcomes : (string * int) list;
+  outcomes : Outcome.histogram;
   sightings : sighting list;
   crashes : (int * string) list;
   metrics : T11r_obs.Metrics.t;
@@ -345,17 +345,6 @@ let compare_sighting a b =
       | c -> c)
   | c -> c
 
-(* Count one more [key] in an outcome histogram (a handful of keys, so
-   an association list); false when [key] has no entry yet. *)
-let rec bump_outcome key = function
-  | [] -> false
-  | (k, c) :: rest ->
-      if String.equal k key then begin
-        incr c;
-        true
-      end
-      else bump_outcome key rest
-
 (* The sighting counts, keyed on the race as [Report.norm] has it; the
    key's hash and equality read the normalized fields in place, so
    counting a race sighted before allocates nothing. *)
@@ -423,29 +412,24 @@ let fold ~label ~n ~first ~jobs ~wall_s ~supervision ~distinct_schedules
     ~index results =
   let runs = Array.length results in
   let makespans_ms = Array.make runs 0.0 in
-  let outcomes = ref [] in
+  let outcomes = Outcome.tally () in
   (* Keyed on the canonical orientation: the same unordered pair
      sighted in opposite observation orders across runs is one race,
      not two histogram rows. *)
   let sightings = Sightings.create 16 in
-  let crashes = ref [] and quarantined = ref [] and timeouts = ref 0 in
-  let completed = ref 0 and racy = ref 0 in
+  let crashes = ref [] and quarantined = ref [] and racy = ref 0 in
   let reports = ref 0 and ticks = ref 0 in
   let metrics = T11r_obs.Metrics.sum () in
   let coverage = T11r_race.Coverage.merge () in
   for k = 0 to runs - 1 do
     let i = index k and (r : Interp.result) = results.(k) in
     makespans_ms.(k) <- float_of_int r.Interp.makespan_us /. 1000.0;
-    let key = Outcome.key r.Interp.outcome in
-    if not (bump_outcome key !outcomes) then
-      outcomes := (key, ref 1) :: !outcomes;
+    Outcome.add outcomes r.Interp.outcome;
     sight sightings i r.Interp.races;
     (match r.Interp.outcome with
-    | Interp.Completed -> incr completed
     | Interp.Crashed (tid, msg) ->
         crashes := (i, msg) :: !crashes;
         if tid = -1 then quarantined := (i, msg) :: !quarantined
-    | Interp.Timeout -> incr timeouts
     | _ -> ());
     if r.Interp.race_count > 0 then incr racy;
     reports := !reports + r.Interp.race_count;
@@ -455,13 +439,14 @@ let fold ~label ~n ~first ~jobs ~wall_s ~supervision ~distinct_schedules
        meets the empty one (Coverage.union): index order here too. *)
     T11r_race.Coverage.merge_add coverage r.Interp.coverage
   done;
+  let outcomes = Outcome.histogram outcomes in
   let supervision =
     {
       supervision with
       sup_done = runs;
       sup_interrupted = runs < n;
       sup_quarantined = List.rev !quarantined;
-      sup_timeouts = !timeouts;
+      sup_timeouts = Outcome.count outcomes "timeout";
     }
   in
   {
@@ -480,10 +465,10 @@ let fold ~label ~n ~first ~jobs ~wall_s ~supervision ~distinct_schedules
        else 100.0 *. float_of_int !racy /. float_of_int runs);
     mean_reports = mean_or_zero !reports runs;
     mean_ticks = mean_or_zero !ticks runs;
-    completed = !completed;
+    completed = Outcome.count outcomes "completed";
     racy_runs = !racy;
     distinct_schedules;
-    outcomes = List.sort compare (List.map (fun (k, c) -> (k, !c)) !outcomes);
+    outcomes;
     sightings =
       Sightings.fold
         (fun race c acc -> { s_race = race; s_first = c.c_first; s_count = c.c_n } :: acc)
@@ -752,6 +737,15 @@ let digest r =
         r.results;
       Mdigest.value s (totals r))
 
+let pp_tally fmt metrics outcomes sightings =
+  Format.fprintf fmt "  totals: %a@." T11r_obs.Metrics.pp metrics;
+  Outcome.pp fmt outcomes;
+  List.iter
+    (fun s ->
+      Format.fprintf fmt "  %a — %d sighting(s), first at run %d@." Report.pp
+        s.s_race s.s_count s.s_first)
+    sightings
+
 (* Counts are over the runs this report holds, so an interrupted
    report prints what it has, not what it was asked for. *)
 let pp fmt r =
@@ -761,15 +755,7 @@ let pp fmt r =
     r.label runs r.jobs r.wall_s r.distinct_schedules r.racy_runs
     (100.0 *. float_of_int r.racy_runs /. float_of_int (max 1 runs))
     r.completed;
-  Format.fprintf fmt "  totals: %a@." T11r_obs.Metrics.pp r.metrics;
-  List.iter
-    (fun (k, v) -> Format.fprintf fmt "  outcome %-12s %d@." k v)
-    r.outcomes;
-  List.iter
-    (fun s ->
-      Format.fprintf fmt "  %a — %d sighting(s), first at run %d@." Report.pp
-        s.s_race s.s_count s.s_first)
-    r.sightings;
+  pp_tally fmt r.metrics r.outcomes r.sightings;
   (match r.crashes with
   | [] -> ()
   | (i, msg) :: _ -> Format.fprintf fmt "  first crash at run %d: %s@." i msg);

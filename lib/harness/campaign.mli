@@ -151,7 +151,7 @@ type report = {
       (** distinct [(tid, op)] sequences of the runs' schedules,
           counted exactly, once: {!run} counts them in the table it
           shares the schedules through *)
-  outcomes : (string * int) list;  (** outcome histogram, sorted by key *)
+  outcomes : Outcome.histogram;  (** sorted by key *)
   sightings : sighting list;  (** distinct races, most-sighted first *)
   crashes : (int * string) list;  (** (run index, message), in run order *)
   metrics : T11r_obs.Metrics.t;
@@ -278,6 +278,11 @@ val digest : report -> string
     [(tick, tid, label)] list, the demo dropped), streamed one result
     at a time ({!T11r_util.Mdigest}) rather than built as one string.
     A result held in many slots is written once a pass. *)
+
+val pp_tally :
+  Format.formatter -> T11r_obs.Metrics.t -> Outcome.histogram -> sighting list -> unit
+(** The lines campaign and guided-hunt reports share: the totals, the
+    outcome histogram and each sighting with its first run index. *)
 
 val pp : Format.formatter -> report -> unit
 (** The one printer of a report: run count and racy percentage over

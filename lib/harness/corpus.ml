@@ -10,9 +10,9 @@ module Conf = Tsan11rec.Conf
 module Coverage = T11r_race.Coverage
 
 (* A marshal-safe description of a strategy. [Conf.strategy]'s [Guided]
-   carries a mutable [observed] ref the interpreter writes into —
-   never something to store or share — so the corpus keeps the prefix
-   alone and rebuilds a fresh [Guided] per run. *)
+   carries a mutable [observed] ref (no longer written, but a ref all
+   the same: never something to store or share), so the corpus keeps
+   the prefix alone and rebuilds a fresh [Guided] per run. *)
 type strategy_desc =
   | S_random
   | S_queue

@@ -23,7 +23,7 @@ type report = {
   g_first_race : int option;  (* global run index of the first racy run *)
   g_corpus : Corpus.t;
   g_coverage : Coverage.summary;
-  g_outcomes : (string * int) list;
+  g_outcomes : Outcome.histogram;
   g_sightings : Campaign.sighting list;
   g_metrics : Metrics.t;
   g_wall_s : float;
@@ -53,7 +53,7 @@ type state = {
   st_runs : int;
   st_racy : int;
   st_first : int option;
-  st_outcomes : (string * int) list;
+  st_outcomes : Outcome.histogram;
   st_sightings : (Report.t * (int * int)) list;  (* race -> (first, count) *)
   st_metrics : Metrics.t;
 }
@@ -187,14 +187,6 @@ let check_round0 (s : Campaign.spec) w dir ~batch ~salt ~tick_budget =
 
 (* -- folding one round's campaign into the state --------------------- *)
 
-let merge_outcomes a b =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (k, v) ->
-      Hashtbl.replace tbl k (v + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-    (a @ b);
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-
 (* The round's campaign report already holds its racy count,
    sightings, outcomes, metrics and coverage; only corpus admission
    walks the runs. Sightings from earlier rounds keep their first
@@ -235,7 +227,7 @@ let fold_round st corpus cands (rep : Campaign.report) ~round =
     st_runs = st.st_runs + Array.length rep.Campaign.results;
     st_racy = st.st_racy + rep.Campaign.racy_runs;
     st_first = first_race;
-    st_outcomes = merge_outcomes st.st_outcomes rep.Campaign.outcomes;
+    st_outcomes = Outcome.merge st.st_outcomes rep.Campaign.outcomes;
     st_sightings = sightings;
     st_metrics = Metrics.add st.st_metrics rep.Campaign.metrics;
   }
@@ -332,15 +324,7 @@ let pp fmt r =
   (match r.g_first_race with
   | Some i -> Format.fprintf fmt "  first race at run %d@." i
   | None -> ());
-  Format.fprintf fmt "  totals: %a@." Metrics.pp r.g_metrics;
-  List.iter
-    (fun (k, v) -> Format.fprintf fmt "  outcome %-12s %d@." k v)
-    r.g_outcomes;
-  List.iter
-    (fun (s : Campaign.sighting) ->
-      Format.fprintf fmt "  %a — %d sighting(s), first at run %d@." Report.pp
-        s.Campaign.s_race s.Campaign.s_count s.Campaign.s_first)
-    r.g_sightings;
+  Campaign.pp_tally fmt r.g_metrics r.g_outcomes r.g_sightings;
   if r.g_interrupted then
     Format.fprintf fmt
       "  INTERRUPTED after %d round(s) — resume with the same --corpus dir@."

@@ -28,7 +28,7 @@ type report = {
       (** global run index of the first racy run, if any *)
   g_corpus : Corpus.t;
   g_coverage : Coverage.summary;  (** union over every run *)
-  g_outcomes : (string * int) list;  (** outcome histogram, sorted *)
+  g_outcomes : Outcome.histogram;  (** sorted by key *)
   g_sightings : Campaign.sighting list;  (** distinct races, most-sighted first *)
   g_metrics : Metrics.t;
       (** summed per-run counters, with [m_corpus_adds] and [m_energy]

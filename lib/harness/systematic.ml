@@ -13,7 +13,7 @@ type result = {
   races : Report.t list;
   deadlock_schedules : int;
   crash_schedules : int;
-  outcomes : (string * int) list;
+  outcomes : Outcome.histogram;
   max_depth_seen : int;
 }
 
@@ -58,23 +58,6 @@ module Races = Hashtbl.Make (struct
     in
     ((!h * 3) + k) land max_int
 end)
-
-(* Outcome constructors, numbered for the aggregate's counters. *)
-let outcome_kinds = 9
-
-let outcome_index : Interp.outcome -> int = function
-  | Interp.Completed -> 0
-  | Interp.Deadlock _ -> 1
-  | Interp.Crashed _ -> 2
-  | Interp.Hard_desync _ -> 3
-  | Interp.Unsupported_app _ -> 4
-  | Interp.App_error _ -> 5
-  | Interp.Tick_limit -> 6
-  | Interp.Timeout -> 7
-  | Interp.Corrupt_demo _ -> 8
-
-let deadlock_kind = outcome_index (Interp.Deadlock [])
-let crashed_kind = outcome_index (Interp.Crashed (-1, ""))
 
 (* ------------------------------------------------------------------ *)
 (* DFS frames. A frame is the node reached after [fr_depth] scheduling
@@ -237,19 +220,15 @@ let explore ?(max_runs = 2000) ?jobs:_ ?(dpor = true) ?(deadline_s = 0.)
         w)
       journal
   in
-  (* Aggregation, in analysis order: counters, the distinct races, and
-     per outcome constructor a count and the first outcome seen (whose
-     key names it), with the constructors in first-seen order. *)
+  (* Aggregation, in analysis order: counters, the distinct races and
+     the outcome tally. *)
   let runs = ref 0 in
   let resumed = ref 0 in
   let racy = ref 0 in
   let max_depth = ref 0 in
   let races = ref [] in
   let seen_races = Races.create 16 in
-  let counts = Array.make outcome_kinds 0 in
-  let first_seen = Array.make outcome_kinds Interp.Completed in
-  let order = Array.make outcome_kinds 0 in
-  let kinds = ref 0 in
+  let outcomes = Outcome.tally () in
   let rec note_races = function
     | [] -> ()
     | race :: rest ->
@@ -265,24 +244,7 @@ let explore ?(max_runs = 2000) ?jobs:_ ?(dpor = true) ?(deadline_s = 0.)
     if depth > !max_depth then max_depth := depth;
     if r.Interp.race_count > 0 then incr racy;
     note_races r.Interp.races;
-    let i = outcome_index r.Interp.outcome in
-    if counts.(i) = 0 then begin
-      first_seen.(i) <- r.Interp.outcome;
-      order.(!kinds) <- i;
-      incr kinds
-    end;
-    counts.(i) <- counts.(i) + 1
-  in
-  (* The outcome histogram in the order a string-keyed [Hashtbl] fed
-     the outcomes run by run lists it: that order depends only on the
-     keys and the order they first appeared in. *)
-  let outcomes () =
-    let h = Hashtbl.create 4 in
-    for j = 0 to !kinds - 1 do
-      let i = order.(j) in
-      Hashtbl.replace h (Outcome.key first_seen.(i)) counts.(i)
-    done;
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []
+    Outcome.add outcomes r.Interp.outcome
   in
   let journal_entry prefix (r : Interp.result) =
     match jw with
@@ -473,15 +435,16 @@ let explore ?(max_runs = 2000) ?jobs:_ ?(dpor = true) ?(deadline_s = 0.)
         end
   done;
   Option.iter Journal.close jw;
+  let outcomes = Outcome.histogram outcomes in
   {
     runs = !runs;
     resumed_runs = !resumed;
     complete = !sp = 0;
     racy_schedules = !racy;
     races = List.rev !races;
-    deadlock_schedules = counts.(deadlock_kind);
-    crash_schedules = counts.(crashed_kind);
-    outcomes = outcomes ();
+    deadlock_schedules = Outcome.count outcomes "deadlock";
+    crash_schedules = Outcome.count outcomes "crashed";
+    outcomes;
     max_depth_seen = !max_depth;
   }
 
@@ -494,7 +457,5 @@ let pp fmt r =
      else "")
     (if r.complete then " (schedule space exhausted)" else " (budget hit)")
     r.racy_schedules r.deadlock_schedules r.crash_schedules r.max_depth_seen;
-  List.iter
-    (fun (k, v) -> Format.fprintf fmt "  outcome %-12s %d@." k v)
-    (List.sort compare r.outcomes);
+  Outcome.pp fmt r.outcomes;
   List.iter (fun race -> Format.fprintf fmt "  %a@." Report.pp race) r.races

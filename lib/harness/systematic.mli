@@ -42,10 +42,10 @@
     and its sleep set a slice of one sleep stack, so neither is rebuilt
     as a list. Each frame keeps the guided index of its current
     transition, so a fresh schedule's prefix is one array, a copy of
-    the stack's indices. The aggregate counts outcomes per constructor
-    and dedupes races in a table hashed over their fields; the
-    journal's tables are consulted only when a resumed journal served
-    entries. Following a run of depth D therefore costs O(D ×
+    the stack's indices. The aggregate tallies outcomes in an
+    {!Outcome.tally}, as every engine does, and dedupes races in a
+    table hashed over their fields; the journal's tables are consulted
+    only when a resumed journal served entries. Following a run of depth D therefore costs O(D ×
     threads²) analysis on top of the run itself. Over perfbench
     check's exhausting set (10 litmus programs at 4 seed pairs, 15,357
     schedules, about 23 ticks each) the explorer's own step costs
@@ -80,7 +80,7 @@ type result = {
   crash_schedules : int;
       (** schedules whose run crashed: a program thread raised, or the
           run itself raised and was quarantined as [Crashed (-1, _)] *)
-  outcomes : (string * int) list;
+  outcomes : Outcome.histogram;  (** sorted by key *)
   max_depth_seen : int;  (** longest run, in scheduling points *)
 }
 

@@ -58,7 +58,14 @@
    [footprint_of_next] read it), one access record consed per logged
    access, and the lists reversed into arrays when the run ends. It
    builds them from an [Interp] tap; test_diff.ml requires them to
-   equal the result's [decisions] and [accesses]. *)
+   equal the result's [decisions] and [accesses].
+
+   [Outcome_tally] is how the engines counted outcomes before
+   [T11r_harness.Outcome] kept one tally for all of them: each key (a
+   match on the constructor) folded into a string-keyed [Hashtbl] and
+   listed sorted by key, and the guided hunt's merge of two histograms
+   through a [Hashtbl]. test_diff.ml compares both on random outcome
+   sequences. *)
 
 module Memord = T11r_mem.Memord
 module Report = T11r_race.Report
@@ -1812,4 +1819,39 @@ module Capture = struct
       Fun.protect ~finally:(fun () -> Interp.set_tap arena None) f
     in
     (r, Array.of_list (List.rev t.decisions), Array.of_list (List.rev t.accesses))
+end
+
+(* ------------------------------------------------------------------ *)
+
+module Outcome_tally = struct
+  module Interp = Tsan11rec.Interp
+
+  let key (o : Interp.outcome) =
+    match o with
+    | Interp.Completed -> "completed"
+    | Interp.Deadlock _ -> "deadlock"
+    | Interp.Crashed _ -> "crashed"
+    | Interp.Hard_desync _ -> "hard-desync"
+    | Interp.Unsupported_app _ -> "unsupported"
+    | Interp.App_error _ -> "app-error"
+    | Interp.Tick_limit -> "tick-limit"
+    | Interp.Timeout -> "timeout"
+    | Interp.Corrupt_demo _ -> "corrupt-demo"
+
+  let histogram outcomes =
+    let tbl = Hashtbl.create 8 in
+    List.iter
+      (fun o ->
+        let k = key o in
+        Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
+      outcomes;
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+  let merge_outcomes a b =
+    let tbl = Hashtbl.create 8 in
+    List.iter
+      (fun (k, v) ->
+        Hashtbl.replace tbl k (v + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
+      (a @ b);
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 end

@@ -153,7 +153,8 @@ let observability_rows =
    and a reseed boxed its SplitMix64 state. run_decisions_off is a fig1
    run with decision capture off (Random strategy): the plain-run
    floor. run_decisions_on is the same run under Guided with capture
-   live, so its budget bounds the metadata cost: 418 words, 635 when
+   live, so its budget bounds the metadata cost: 379 words, 418 while
+   Guided consed each tick's fan-out onto its [observed] log, 635 when
    each tick consed its decision. predict_analyze is the
    offline pass over that recording's input. *)
 let run_conf = Conf.with_seeds (Conf.tsan11rec ~strategy:Conf.Random ()) 3L 5L
@@ -593,12 +594,13 @@ let test_aggregate_coverage () =
 
 (* The capture-on twin of visible_op: the same one-thread relaxed-load
    loop under Guided, per tick, a configuration per run as the explorer
-   builds one per schedule. Measured at 23 words: visible_op's 19,
-   Guided's fan-out cons (3) and the tick's slot in the run's decision
-   array. The capture logs ints in the arena and finds a recurring
-   decision's record in its memo; it was 36 words when each tick consed a fresh record, a list
-   cell and a footprint. *)
-let guided_tick_budget = 46
+   builds one per schedule. Measured at 20 words: visible_op's 19 and
+   the tick's slot in the run's decision array. The capture logs ints
+   in the arena and finds a recurring decision's record in its memo;
+   it was 36 words when each tick consed a fresh record, a list cell
+   and a footprint, and 23 while Guided also consed each tick's
+   fan-out onto its [observed] log. *)
+let guided_tick_budget = 40
 
 let guided_run_conf () =
   Conf.make ~base:(Conf.tsan11rec ())

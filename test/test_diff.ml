@@ -31,7 +31,11 @@
    - Schedule: a result's streamed digest equals the Marshal digest of
      the same result in its old layout (the trace a (tick, tid, label)
      list), on every golden workload and on random schedules; the list
-     rendered from the codes equals a recording's TRACE file. *)
+     rendered from the codes equals a recording's TRACE file;
+   - Outcome tally: the histogram of random outcome sequences (every
+     constructor, repeats, the empty sequence) equals the string-keyed
+     [Hashtbl] fold sorted by key, and its linear merge equals the
+     [Hashtbl] merge it replaced. *)
 
 module Vc = T11r_util.Vclock
 module Ts = T11r_mem.Tstate
@@ -1760,6 +1764,56 @@ let test_capture_golden () =
         prefixes)
     Workloads.all
 
+(* ------------------------------------------------------------------ *)
+(* Outcome tally: the one histogram every engine counts with, against
+   the string-keyed [Hashtbl] fold sorted by key, and its merge against
+   the [Hashtbl] merge the guided hunt used. *)
+
+module Outcome = T11r_harness.Outcome
+
+let outcome_gen =
+  QCheck.Gen.(
+    let msg = oneofl [ ""; "boom"; "x" ] in
+    oneof
+      [
+        return Interp.Completed;
+        map (fun l -> Interp.Deadlock l) (list_size (int_range 0 3) small_nat);
+        map2 (fun t m -> Interp.Crashed (t, m)) (int_range (-1) 4) msg;
+        map (fun m -> Interp.Hard_desync m) msg;
+        map (fun m -> Interp.Unsupported_app m) msg;
+        map (fun m -> Interp.App_error m) msg;
+        return Interp.Tick_limit;
+        return Interp.Timeout;
+        map (fun m -> Interp.Corrupt_demo m) msg;
+      ])
+
+let tally outcomes =
+  let t = Outcome.tally () in
+  List.iter (Outcome.add t) outcomes;
+  Outcome.histogram t
+
+let prop_outcome_tally =
+  QCheck.Test.make ~name:"tally and merge = the Hashtbl folds" ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         let keys l = String.concat " " (List.map R.Outcome_tally.key l) in
+         keys a ^ " | " ^ keys b)
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 40) outcome_gen)
+           (list_size (int_range 0 40) outcome_gen)))
+    (fun (a, b) ->
+      let ha = tally a and hb = tally b in
+      let ra = R.Outcome_tally.histogram a and rb = R.Outcome_tally.histogram b in
+      List.for_all (fun o -> Outcome.key o = R.Outcome_tally.key o) (a @ b)
+      && ha = ra && hb = rb
+      && Outcome.merge ha hb = R.Outcome_tally.merge_outcomes ra rb
+      && Outcome.merge ha hb = R.Outcome_tally.histogram (a @ b)
+      && List.for_all
+           (fun (k, v) -> Outcome.count ha k = v)
+           ra
+      && Outcome.count ha "no-such-key" = 0)
+
 let () =
   Alcotest.run "diff"
     [
@@ -1814,4 +1868,5 @@ let () =
           Alcotest.test_case "golden workloads: arena logs = list-built" `Quick
             test_capture_golden;
         ] );
+      ("outcome", [ qtest prop_outcome_tally ]);
     ]

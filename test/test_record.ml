@@ -1233,6 +1233,25 @@ let test_salvage_drops_damaged_extra () =
       check Alcotest.bool "and counted" true
         (List.assoc_opt "DECISIONS" rep.Demo.sv_dropped > Some 0)
 
+(* A guided hunt journals into its --corpus directory: --resume and
+   --journal are refused as a usage error, before any run, and create
+   no file, where they were once accepted and ignored. *)
+let test_guided_hunt_refuses_journal () =
+  with_tmpdir @@ fun base ->
+  List.iter
+    (fun flag ->
+      let path = Filename.concat base ("g.journal" ^ flag) in
+      let rc, out, err =
+        cli
+          [ "hunt"; "fig1"; "--guided"; "-n"; "40"; "--batch"; "20"; flag; path ]
+      in
+      check Alcotest.int (flag ^ ": usage error") 2 rc;
+      check Alcotest.bool (flag ^ ": names --corpus DIR") true
+        (contains err "--corpus DIR");
+      check Alcotest.bool (flag ^ ": no digest") false (contains out "digest:");
+      check Alcotest.bool (flag ^ ": no file") false (Sys.file_exists path))
+    [ "--resume"; "--journal" ]
+
 let record_httpd dir =
   let rc, _, _ =
     cli
@@ -1386,5 +1405,10 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_debug_trace_roundtrip;
           Alcotest.test_case "pinpoints divergence" `Quick
             test_debug_trace_pinpoints_divergence;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "hunt --guided refuses --resume" `Quick
+            test_guided_hunt_refuses_journal;
         ] );
     ]

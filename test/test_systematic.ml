@@ -30,13 +30,12 @@ let decided_preemptions (ds : Decision.t array) =
     ds;
   !n
 
-(* The choice counts the Guided strategy observes when [prefix] runs
-   again under the exploration's configuration. *)
-let observed_counts ~world_seed ~seeds:(s1, s2) ~tick_budget ~build prefix =
-  let observed = ref [] in
+(* The choice counts of [prefix]'s decisions when it runs again, on a
+   fresh world, under the exploration's configuration. *)
+let rerun_counts ~world_seed ~seeds:(s1, s2) ~tick_budget ~build prefix =
   let conf =
     Conf.with_seeds
-      (Conf.tsan11rec ~strategy:(Conf.Guided { prefix; observed }) ())
+      (Conf.tsan11rec ~strategy:(Conf.Guided { prefix; observed = ref [] }) ())
       s1 s2
   in
   let conf =
@@ -44,13 +43,12 @@ let observed_counts ~world_seed ~seeds:(s1, s2) ~tick_budget ~build prefix =
     | Some b when b < conf.Conf.max_ticks -> Conf.with_max_ticks conf b
     | _ -> conf
   in
-  ignore
+  enabled_sizes
     (Interp.run ~world:(T11r_env.World.create ~seed:world_seed ()) conf
-       (build ()));
-  Array.of_list (List.rev !observed)
+       (build ()))
 
 (* Check every run journalled at [path]; the longest decision array. *)
-let check_runs ~observed path =
+let check_runs ~rerun path =
   let _, entries, _ =
     T11r_util.Journal.load_pinned ~kind:"systematic"
       ~schema:Systematic.journal_schema ~payload:"sys" path
@@ -60,9 +58,19 @@ let check_runs ~observed path =
       let where =
         String.concat "," (Array.to_list (Array.map string_of_int prefix))
       in
-      if observed prefix <> enabled_sizes run then
-        Alcotest.failf "prefix [%s]: observed counts differ from decisions"
+      if rerun prefix <> enabled_sizes run then
+        Alcotest.failf "prefix [%s]: rerun choice counts differ from decisions"
           where;
+      (* Guided's pick, read back from each decision: the prefix's
+         index (0 beyond it) into the enabled set, clamped to it. *)
+      Array.iteri
+        (fun k (d : Decision.t) ->
+          let n = Array.length d.Decision.d_enabled in
+          let idx = if k < Array.length prefix then min prefix.(k) (n - 1) else 0 in
+          if d.Decision.d_enabled.(idx) <> d.Decision.d_tid then
+            Alcotest.failf "prefix [%s]: tick %d picked %d, not enabled index %d"
+              where k d.Decision.d_tid idx)
+        run.Interp.decisions;
       let m = run.Interp.metrics.T11r_obs.Metrics.m_preemptions in
       let d = decided_preemptions run.Interp.decisions in
       if m <> d then
@@ -72,9 +80,9 @@ let check_runs ~observed path =
     0 entries
 
 (* Every exploration in this file goes through [explore], which
-   journals the walk and then checks each run it executed: the choice
-   counts the Guided strategy observes when the run's prefix executes
-   again are the enabled-set sizes of the run's decisions, and the
+   journals the walk and then checks each run it executed: the
+   enabled-set sizes of the decisions the run's prefix makes when it
+   executes again are those of the run's own decisions, and the
    preemptions its metrics count are the ones its decisions show (a
    switch away from a thread that was still enabled). [~per_run:false]
    skips the check for a walk whose journal would be too large to
@@ -82,7 +90,8 @@ let check_runs ~observed path =
 (* The outcome histogram and distinct races the explorer's aggregate
    gave before it counted per constructor: journalled results in
    analysis order folded into a string-keyed [Hashtbl] (listed by
-   [Hashtbl.fold]) and a polymorphic race set. *)
+   [Hashtbl.fold], then sorted by key, the order the explorer lists
+   its histogram in) and a polymorphic race set. *)
 let reference_aggregate path =
   let outcomes = Hashtbl.create 4 and seen = Hashtbl.create 16 in
   let races = ref [] in
@@ -102,7 +111,10 @@ let reference_aggregate path =
           (1 + Option.value ~default:0 (Hashtbl.find_opt outcomes k))
       end)
     (fst (T11r_util.Journal.read path));
-  (Hashtbl.fold (fun k v acc -> (k, v) :: acc) outcomes [], List.rev !races)
+  ( List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) outcomes []),
+    List.rev !races )
 
 let explore ?(per_run = true) ?max_runs ?jobs ?dpor ?deadline_s ?tick_budget
     ?(world_seed = 7L) ?(seeds = (11L, 13L)) ?journal ?cancel ~build () =
@@ -119,13 +131,13 @@ let explore ?(per_run = true) ?max_runs ?jobs ?dpor ?deadline_s ?tick_budget
   | Some path when per_run ->
       let depth =
         check_runs path
-          ~observed:(observed_counts ~world_seed ~seeds ~tick_budget ~build)
+          ~rerun:(rerun_counts ~world_seed ~seeds ~tick_budget ~build)
       in
       if journal = None then begin
         check Alcotest.int "max_depth_seen = longest decision array" depth
           r.Systematic.max_depth_seen;
         let outcomes, races = reference_aggregate path in
-        check Alcotest.bool "outcomes = the Hashtbl fold's, in its order" true
+        check Alcotest.bool "outcomes = the Hashtbl fold's, sorted by key" true
           (outcomes = r.Systematic.outcomes);
         check Alcotest.bool "races = the polymorphic set's, in order" true
           (races = r.Systematic.races);
