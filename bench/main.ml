@@ -1033,6 +1033,109 @@ let guided_costs () =
   Table.print t
 
 (* ------------------------------------------------------------------ *)
+(* Cost of one record-replay session                                    *)
+
+(* Where one session of perfbench record-replay goes, in host µs and
+   minor words, for httpd and pbzip at workload seed 1 (scheduler seeds
+   1000 and 8919, world seed 1000; the replay on world seed
+   1,001,003). Rows: the queue-strategy record run without its save
+   (an [Interp.run] in [Record] mode less the whole durable save, as
+   measured below); [Interp.build_demo] on that run's logs, a part of
+   the row before; the save's stages:
+   [Demo.render] (every file framed into one buffer), [Demo.write]
+   (each file on its own descriptor, over the files a previous pass
+   wrote, then closed) and the fsync pass (a write and [Demo.sync],
+   less the write); the whole durable [Demo.save], which adds the
+   sibling directory, its fsync, the renames, removing the previous
+   demo and the parent's fsync;
+   [Demo.load]; the replay run, which loads the demo itself; and the
+   native run on the record's world seed. *)
+let rr_costs () =
+  let module Workloads = T11r_harness.Workloads in
+  let t =
+    Table.create
+      ~title:
+        "Cost of one record-replay session: perfbench record-replay's \
+         session at seed 1 (host µs, best of 15; minor words)"
+      ~headers:[ "workload"; "row"; "µs"; "words" ]
+  in
+  Tmp.with_dir ~prefix:"t11r_rr_costs" @@ fun base ->
+  List.iter
+    (fun name ->
+      let w = Option.get (Workloads.find name) in
+      let policy = w.Workloads.w_policy in
+      let seeded c = Conf.with_seeds (Conf.with_policy c policy) 1000L 8919L in
+      let dir = Filename.concat base name in
+      let record = seeded (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Record dir) ()) in
+      let replay =
+        Conf.with_policy
+          (Conf.tsan11rec ~strategy:Conf.Queue ~mode:(Conf.Replay dir) ())
+          policy
+      in
+      let run conf seed () =
+        let world = World.create ~seed () in
+        ignore (Interp.run ~world conf (w.Workloads.w_instance world ()))
+      in
+      (* The recording: on disk for the load and replay rows, in memory
+         for the save's, which writes the same bytes over it as each
+         record run does. *)
+      let r =
+        let world = World.create ~seed:1000L () in
+        Interp.run ~world record (w.Workloads.w_instance world ())
+      in
+      let d = Option.get r.Interp.demo in
+      let build () =
+        ignore
+          (Interp.build_demo record
+             ~seeds:(d.Demo.meta.seed1, d.Demo.meta.seed2)
+             ~app:d.Demo.meta.app ~ticks:r.Interp.ticks ~output:r.Interp.output
+             r.Interp.trace ~signals:(List.rev d.Demo.signals)
+             ~syscalls:(List.rev d.Demo.syscalls) ~asyncs:(List.rev d.Demo.asyncs)
+             d.Demo.extra)
+      in
+      let rendered = Demo.render d in
+      let out = Filename.concat base (name ^ ".w") in
+      Unix.mkdir out 0o755;
+      let times k f () =
+        for _ = 1 to k do
+          f ()
+        done;
+        k
+      in
+      let m =
+        measure ~unit:1e6
+          [|
+            times 10 (run record 1000L);
+            times 50 build;
+            times 50 (fun () -> ignore (Demo.render d));
+            times 10 (fun () -> Demo.close (Demo.write rendered ~dir:out));
+            times 10 (fun () ->
+                let fds = Demo.write rendered ~dir:out in
+                Demo.sync fds;
+                Demo.close fds);
+            times 10 (fun () -> Demo.save d ~dir);
+            times 20 (fun () -> ignore (Demo.load ~dir));
+            times 10 (run replay 1_001_003L);
+            times 10 (run (seeded Conf.native) 1000L);
+          |]
+      in
+      let row what (us, words) =
+        Table.add_row t [ name; what; Printf.sprintf "%.1f" us; Printf.sprintf "%.0f" words ]
+      in
+      let less (a_us, a_w) (b_us, b_w) = (a_us -. b_us, a_w -. b_w) in
+      row "record run without its save" (less m.(0) m.(5));
+      row "build_demo (part of the row above)" m.(1);
+      row "Demo.render" m.(2);
+      row "Demo.write" m.(3);
+      row "fsync pass" (less m.(4) m.(3));
+      row "Demo.save, durable, whole" m.(5);
+      row "Demo.load" m.(6);
+      row "replay run (loads the demo)" m.(7);
+      row "native run" m.(8))
+    [ "httpd"; "pbzip" ];
+  Table.print t
+
+(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1046,7 +1149,7 @@ let experiments =
     ("limits", limits);
     ("ablations", ablations);
     ("faults", faults);
-    ("costs", fun () -> costs (); dpor_costs (); guided_costs ());
+    ("costs", fun () -> costs (); dpor_costs (); guided_costs (); rr_costs ());
   ]
 
 let () =

@@ -606,7 +606,8 @@ let corpus_arg =
         ~doc:
           "With $(b,--guided): persist the corpus and per-round run \
            journals in $(docv). Re-running with the same directory resumes \
-           a killed hunt and reproduces the uninterrupted digest.")
+           a killed hunt and reproduces the uninterrupted digest. Without \
+           $(b,--guided) this option is refused (exit status 2).")
 
 let batch_arg =
   Arg.(
@@ -677,6 +678,11 @@ let hunt_cmd =
          then 1
          else 0)
     end;
+    (* The corpus is the guided hunt's: refuse it rather than ignore it. *)
+    if corpus <> None then
+      usage
+        "--corpus DIR applies only to --guided: a plain hunt journals and \
+         resumes through --journal/--resume";
     let c =
       refused_journal co.co_journal (fun () ->
           Campaign.run spec ~n:co.co_runs ~jobs:co.co_jobs ~first:1

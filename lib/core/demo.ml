@@ -297,56 +297,104 @@ let trailer_tag = "#crc"
 (* Whether the line [s.[a .. e-1]] is a trailer. *)
 let is_trailer_at s a e = e - a >= 4 && Codec.is_at s a (a + 4) trailer_tag
 
-let render_manifest entries o =
-  List.iter
-    (fun (name, size, crc) ->
-      add_string o "file ";
-      add_string o name;
-      add_sp_int o size;
-      add_char o ' ';
-      add_line o (Crc.to_hex crc))
-    entries;
-  List.length entries
+(* [crc] as [Crc.to_hex] writes it: eight upper-case hex digits. *)
+let add_hex8 o crc =
+  reserve o 8;
+  for i = 0 to 7 do
+    Bytes.unsafe_set o.buf (o.len + i) hex_digits.[(crc lsr (28 - (4 * i))) land 0xF]
+  done;
+  o.len <- o.len + 8
+
+(* The MANIFEST of files [0, n): names, payload sizes and CRCs. *)
+let render_manifest names sizes crcs n o =
+  for k = 0 to n - 1 do
+    add_string o "file ";
+    add_string o names.(k);
+    add_sp_int o sizes.(k);
+    add_char o ' ';
+    add_hex8 o crcs.(k);
+    add_char o '\n'
+  done;
+  n
 
 (* -- crash-atomic save ---------------------------------------------- *)
 
-(* Render one file into [o] (cleared first), checksum the payload in
-   place, append the trailer and write the whole file with one output.
-   Returns the payload's size and CRC for the MANIFEST. *)
-let write_framed ~durable o path render =
-  o.len <- 0;
-  let lines = render o in
-  let size = o.len in
-  (* The string view is read before [o] changes again. *)
-  let crc = Crc.update 0 (Bytes.unsafe_to_string o.buf) 0 size in
-  add_string o trailer_tag;
-  add_char o ' ';
-  add_string o (Crc.to_hex crc);
-  add_sp_int o lines;
-  add_char o '\n';
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output oc o.buf 0 o.len;
-      flush oc;
-      if durable then Unix.fsync (Unix.descr_of_out_channel oc));
-  (size, crc)
+(* A demo's files, framed, back to back in one buffer: file [k] is
+   named [r_names.(k)] and is [r_out.buf.[r_ends.(k - 1) .. r_ends.(k)
+   - 1]] (from 0 for the first), its trailer included. The MANIFEST
+   comes last. *)
+type rendered = { r_out : out; r_names : string array; r_ends : int array }
 
-(* Frame every (name, renderer) into [dir], then the MANIFEST. *)
-let write_files ~durable ~dir files =
+(* Frame every (name, renderer), then their MANIFEST: each payload is
+   rendered into the one buffer, checksummed in place and followed by
+   its trailer. *)
+let render_files files =
   let o = out_create () in
-  let entries =
-    List.map
-      (fun (name, render) ->
-        let size, crc = write_framed ~durable o (Filename.concat dir name) render in
-        (name, size, crc))
-      files
+  let n = List.length files in
+  let names = Array.make (n + 1) manifest_name and ends = Array.make (n + 1) 0 in
+  let sizes = Array.make n 0 and crcs = Array.make n 0 in
+  let frame k render =
+    let start = o.len in
+    let lines = render o in
+    let size = o.len - start in
+    (* The string view is read before [o] changes again. *)
+    let crc = Crc.update 0 (Bytes.unsafe_to_string o.buf) start size in
+    add_string o trailer_tag;
+    add_char o ' ';
+    add_hex8 o crc;
+    add_sp_int o lines;
+    add_char o '\n';
+    ends.(k) <- o.len;
+    if k < n then begin
+      sizes.(k) <- size;
+      crcs.(k) <- crc
+    end
   in
-  ignore
-    (write_framed ~durable o
-       (Filename.concat dir manifest_name)
-       (render_manifest entries))
+  List.iteri
+    (fun k (name, render) ->
+      names.(k) <- name;
+      frame k render)
+    files;
+  frame n (render_manifest names sizes crcs n);
+  { r_out = o; r_names = names; r_ends = ends }
+
+(* The paper's files, then the extra ones. *)
+let render t =
+  render_files
+    (paper_files t @ List.map (fun (name, lines) -> (name, render_lines lines)) t.extra)
+
+type written = Unix.file_descr array
+
+let close_upto fds n =
+  for k = 0 to n - 1 do
+    try Unix.close fds.(k) with Unix.Unix_error _ -> ()
+  done
+
+(* Create each file in [dir] and write it whole on its own descriptor,
+   in order ([Unix.write] writes every byte or raises). The
+   descriptors stay open for the fsync pass; on a failure the ones
+   already opened are closed before the exception goes on. *)
+let write r ~dir =
+  let n = Array.length r.r_names in
+  let fds = Array.make n Unix.stdin and opened = ref 0 in
+  try
+    for k = 0 to n - 1 do
+      fds.(k) <-
+        Unix.openfile
+          (Filename.concat dir r.r_names.(k))
+          [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
+          0o666;
+      opened := k + 1;
+      let start = if k = 0 then 0 else r.r_ends.(k - 1) in
+      ignore (Unix.write fds.(k) r.r_out.buf start (r.r_ends.(k) - start))
+    done;
+    fds
+  with e ->
+    close_upto fds !opened;
+    raise e
+
+let sync fds = Array.iter Unix.fsync fds
+let close fds = close_upto fds (Array.length fds)
 
 let fsync_dir path =
   match Unix.openfile path [ Unix.O_RDONLY ] 0 with
@@ -359,18 +407,18 @@ let fsync_dir path =
 let save ?(durable = true) t ~dir =
   let parent = Filename.dirname dir in
   Codec.mkdir_p parent;
-  (* Write everything into a fresh sibling directory, fsync, then
-     rename into place. A crash before the first rename leaves the old
-     demo at [dir]; one after the second leaves the new demo there. In
+  (* Write everything into a fresh sibling directory, fsync every file
+     in one pass after the last write, then the directory, then rename
+     into place. A crash before the first rename leaves the old demo
+     at [dir]; one after the second leaves the new demo there. In
      between, [dir] is absent and the old demo is complete at
      [<tmp>.old]. *)
   let tmp =
     Tmp.fresh_dir ~base:parent ~prefix:(Filename.basename dir ^ ".save") ()
   in
   try
-    write_files ~durable ~dir:tmp
-      (paper_files t
-      @ List.map (fun (name, lines) -> (name, render_lines lines)) t.extra);
+    let fds = write (render t) ~dir:tmp in
+    Fun.protect ~finally:(fun () -> close fds) (fun () -> if durable then sync fds);
     if durable then fsync_dir tmp;
     if Sys.file_exists dir then begin
       let old = tmp ^ ".old" in
@@ -848,19 +896,22 @@ let reseal ~dir =
            && (not (Sys.is_directory (Filename.concat dir name))))
     |> List.sort compare
   in
-  write_files ~durable:false ~dir
-    (List.map
-       (fun name ->
-         let s = Codec.read_file (Filename.concat dir name) in
-         let lines = lines_in s (String.length s) in
-         let payload =
-           match List.rev lines with
-           | last :: rev_rest when is_trailer_at last 0 (String.length last) ->
-               List.rev rev_rest
-           | _ -> lines
-         in
-         (name, render_lines payload))
-       files)
+  let rendered =
+    render_files
+      (List.map
+         (fun name ->
+           let s = Codec.read_file (Filename.concat dir name) in
+           let lines = lines_in s (String.length s) in
+           let payload =
+             match List.rev lines with
+             | last :: rev_rest when is_trailer_at last 0 (String.length last) ->
+                 List.rev rev_rest
+             | _ -> lines
+           in
+           (name, render_lines payload))
+         files)
+  in
+  close (write rendered ~dir)
 
 (* -- replay cursor --------------------------------------------------- *)
 

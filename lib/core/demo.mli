@@ -22,16 +22,16 @@
     race prediction. They are part of the demo ({!t}'s [extra]).
 
     Durability (see docs/ARCHITECTURE.md "Durability & supervision"):
-    {!save} is crash-atomic — files are written and fsynced in a fresh
-    sibling directory which is then renamed into place — and every file
-    carries a [#crc] trailer plus an entry in a directory [MANIFEST],
-    so {!load} detects truncation, bit flips and missing files and
-    reports them as a structured {!Corrupt} instead of a stray parse
-    exception. {!load} is the one reader of a demo. {!salvage}
-    recovers the intact prefix of a torn recording, and of one made
-    before the framing change, which {!load} refuses.
+    {!save} is crash-atomic — files are written, then fsynced in one
+    pass, in a fresh sibling directory which is then renamed into
+    place — and every file carries a [#crc] trailer plus an entry in a
+    directory [MANIFEST], so {!load} detects truncation, bit flips and
+    missing files and reports them as a structured {!Corrupt} instead
+    of a stray parse exception. {!load} is the one reader of a demo.
+    {!salvage} recovers the intact prefix of a torn recording, and of
+    one made before the framing change, which {!load} refuses.
 
-    The codec's CPU cost is close to its I/O cost: each file is
+    The codec's CPU cost is close to its I/O cost: the files are
     rendered into one buffer and checksummed and written from it, and
     read once, verified with one scan and one CRC pass, and parsed in
     place (see docs/ARCHITECTURE.md "Durability & supervision"). *)
@@ -92,16 +92,48 @@ val corruption_to_string : corruption -> string
 val save : ?durable:bool -> t -> dir:string -> unit
 (** Crash-atomically (re)write the demo directory: all files — the
     paper's, then the [extra] ones — are CRC-framed, listed in a
-    [MANIFEST], written into a fresh sibling directory [<tmp>], fsynced
-    ([durable], default true; pass false for throwaway recordings where
-    the fsyncs would dominate) and renamed into place. Each file is
-    rendered once into one buffer, checksummed there and written from
-    it with its trailer in one output. A previous demo at [dir] is
-    first renamed to [<tmp>.old] and removed once the new one is in
-    place: a crash leaves the complete previous demo or the complete
-    new one, never a torn mix — at [dir], except between the two
-    renames, when [dir] is absent and the previous demo sits at
-    [<tmp>.old]. *)
+    [MANIFEST] and written into a fresh sibling directory [<tmp>], each
+    on its own descriptor; then ([durable], default true; pass false
+    for throwaway recordings where the fsyncs would dominate) every
+    file is fsynced in one pass after the last write, and [<tmp>]
+    after them; then [<tmp>] is renamed into place and ([durable]) the
+    parent directory fsynced. Every file is rendered once, into one
+    buffer, checksummed there and written from it with its trailer in
+    one write. A previous demo at [dir] is first renamed to
+    [<tmp>.old] and removed once the new one is in place: a crash
+    leaves the complete previous demo or the complete new one, never
+    a torn mix — at [dir], except between the two renames, when [dir]
+    is absent and the previous demo sits at [<tmp>.old]. A save that
+    fails removes [<tmp>], closes every descriptor it opened and
+    raises, leaving [dir] as it was. *)
+
+(** {2 The stages of a save}
+
+    {!save} is {!render}, {!write} into [<tmp>], {!sync} (when
+    durable) and {!close}, then the directory fsyncs and renames.
+    They are exposed to cost each on its own ([bench/main.exe
+    costs]). *)
+
+type rendered
+(** Every file of a demo, framed, in one buffer. *)
+
+val render : t -> rendered
+(** The paper's files, then the [extra] ones, then the [MANIFEST]. *)
+
+type written
+(** The open descriptors of a {!write}, one per file, in order. *)
+
+val write : rendered -> dir:string -> written
+(** Create (or truncate) each file in the existing directory [dir]
+    and write it whole on its own descriptor, which stays open. On a
+    failure the descriptors already opened are closed before the
+    exception goes on. *)
+
+val sync : written -> unit
+(** The fsync pass: every written file, in order. *)
+
+val close : written -> unit
+(** Close every descriptor (errors ignored). *)
 
 val load : dir:string -> t
 (** Load and verify a demo {!save} wrote: the [MANIFEST], a [#crc]

@@ -166,11 +166,11 @@ type ctx = {
   mutable ready_n : int;
   mutable next_tid : int;
   mutable next_obj : int;
-  mutexes : (int, mstate) Hashtbl.t;
-  conds : (int, cstate) Hashtbl.t;
-  rwlocks : (int, rwstate) Hashtbl.t;
-  handlers : (int, unit -> unit) Hashtbl.t;
-  fd_classes : (int, Policy.fd_class) Hashtbl.t;
+  mutexes : mstate Inttbl.t;
+  conds : cstate Inttbl.t;
+  rwlocks : rwstate Inttbl.t;
+  handlers : (unit -> unit) Inttbl.t;
+  fd_classes : Policy.fd_class Inttbl.t;
   mutable gclock : int;
   mutable makespan : int;
   mutable tick : int;
@@ -665,15 +665,15 @@ let handle_invisible : type a. ctx -> thread -> a Api.req -> a =
       { Api.v_var = Detector.fresh_var ctx.det ~name; v_val = init }
   | Api.New_mutex name ->
       let id = fresh_obj ctx in
-      Hashtbl.replace ctx.mutexes id { owner = None; m_clock = Vclock.empty };
+      Inttbl.replace ctx.mutexes id { owner = None; m_clock = Vclock.empty };
       { Api.mu_id = id; mu_name = name }
   | Api.New_cond name ->
       let id = fresh_obj ctx in
-      Hashtbl.replace ctx.conds id { c_clock = Vclock.empty };
+      Inttbl.replace ctx.conds id { c_clock = Vclock.empty };
       { Api.cv_id = id; cv_name = name }
   | Api.New_rwlock name ->
       let id = fresh_obj ctx in
-      Hashtbl.replace ctx.rwlocks id
+      Inttbl.replace ctx.rwlocks id
         { rw_readers = []; rw_writer = None; rw_clock = Vclock.empty };
       { Api.rw_id = id; rw_name = name }
   | Api.Var_load v ->
@@ -923,30 +923,38 @@ let pick_pct ctx =
   t
 
 (* Index in the scratch of the (arrival, tid)-minimal runnable thread
-   other than index [skip], optionally restricted to already-arrived
-   threads; -1 if none. The scratch is tid-ascending, so keeping the
-   first of equal arrivals reproduces the old list-fold's tie-break. *)
-let fifo_best ?(skip = -1) ctx ~arrived_only =
-  let best = ref (-1) in
+   other than index [skip], the FIFO head by default; -1 if none. The
+   scratch is tid-ascending, so keeping the first of equal arrivals
+   reproduces the old list-fold's tie-break. One scan: the best
+   arrival so far is kept in a local. *)
+let fifo_best ?(skip = -1) ctx =
+  let best = ref (-1) and best_at = ref 0 in
+  let s = ctx.ready_scratch and tvec = ctx.tvec in
   for i = 0 to ctx.ready_n - 1 do
-    let t = rget ctx i in
-    if i <> skip && ((not arrived_only) || t.arrival <= ctx.gclock) then
-      if !best < 0 || t.arrival < (rget ctx !best).arrival then best := i
+    if i <> skip then
+      match tvec.(s.(i)) with
+      | Some t ->
+          let a = t.arrival in
+          if !best < 0 || a < !best_at then begin
+            best := i;
+            best_at := a
+          end
+      | None -> assert false
   done;
   !best
 
 (* The free-mode FIFO pick, also the Resync fallback when the QUEUE
-   stream no longer matches the run. *)
+   stream no longer matches the run: the first arrived thread of least
+   arrival. That is the FIFO head if it has arrived; if it has not, no
+   thread has. *)
 let pick_fifo ctx =
-  match fifo_best ctx ~arrived_only:true with
-  | i when i >= 0 -> rget ctx i
-  | _ ->
-      (* Idle until the first thread finishes its invisible region.
-         Advance by the un-jittered clock so recorded timings are
-         reproducible on replay. *)
-      let t = rget ctx (fifo_best ctx ~arrived_only:false) in
-      ctx.gclock <- max ctx.gclock t.ltime;
-      t
+  let t = rget ctx (fifo_best ctx) in
+  if t.arrival > ctx.gclock then
+    (* Idle until the first thread finishes its invisible region.
+       Advance by the un-jittered clock so recorded timings are
+       reproducible on replay. *)
+    ctx.gclock <- max ctx.gclock t.ltime;
+  t
 
 (* A QUEUE desync: note it, then fall back to the FIFO pick. *)
 let queue_desync ctx ~tid expected actual =
@@ -985,14 +993,14 @@ let pick_delay_bounded ctx =
       if ctx.ready_n >= 2 then ignore (draw ctx 1000);
       t
   | None ->
-      let head = fifo_best ctx ~arrived_only:false in
+      let head = fifo_best ctx in
       let t =
         if ctx.ready_n < 2 then rget ctx head
         else
           let u = draw ctx 1000 in
           if ctx.strat_budget > 0 && u < 150 then begin
             ctx.strat_budget <- ctx.strat_budget - 1;
-            rget ctx (fifo_best ~skip:head ctx ~arrived_only:false)
+            rget ctx (fifo_best ~skip:head ctx)
           end
           else rget ctx head
       in
@@ -1041,7 +1049,7 @@ let pick_guided ctx ~prefix =
    after the [rescheds] Reschedule events a replay applied this tick. *)
 let pick_thread ctx ~rescheds =
   match ctx.conf.sched with
-  | Conf.Os_model -> rget ctx (fifo_best ctx ~arrived_only:false)
+  | Conf.Os_model -> rget ctx (fifo_best ctx)
   | Conf.Controlled Conf.Random -> pick_random ctx ~rescheds
   | Conf.Controlled (Conf.Pct _) -> pick_pct ctx
   | Conf.Controlled Conf.Queue -> pick_queue ctx
@@ -1055,21 +1063,21 @@ let pick_thread ctx ~rescheds =
 
 let fd_class ctx fd : Policy.fd_class =
   if fd = World.stdout_fd then `Stdout
-  else match Hashtbl.find_opt ctx.fd_classes fd with Some c -> c | None -> `Sock
+  else match Inttbl.find_opt ctx.fd_classes fd with Some c -> c | None -> `Sock
 
 let note_new_fd ctx (r : Syscall.request) (res : Syscall.result) =
   if res.ret >= 0 then
     match r.kind with
     | Syscall.Open_ ->
-        Hashtbl.replace ctx.fd_classes res.ret
+        Inttbl.replace ctx.fd_classes res.ret
           (if r.path = World.gpu_path then `Gpu else `File)
-    | Syscall.Bind -> Hashtbl.replace ctx.fd_classes res.ret `Listen
+    | Syscall.Bind -> Inttbl.replace ctx.fd_classes res.ret `Listen
     | Syscall.Pipe ->
-        Hashtbl.replace ctx.fd_classes res.ret `Pipe;
+        Inttbl.replace ctx.fd_classes res.ret `Pipe;
         (match int_of_string_opt (Bytes.to_string res.data) with
-        | Some wfd -> Hashtbl.replace ctx.fd_classes wfd `Pipe
+        | Some wfd -> Inttbl.replace ctx.fd_classes wfd `Pipe
         | None -> ())
-    | Syscall.Accept | Syscall.Accept4 -> Hashtbl.replace ctx.fd_classes res.ret `Sock
+    | Syscall.Accept | Syscall.Accept4 -> Inttbl.replace ctx.fd_classes res.ret `Sock
     | _ -> ()
 
 (* [r] served by the world. *)
@@ -1140,9 +1148,9 @@ let exec_syscall ctx t ~now ~recordable (r : Syscall.request) : Syscall.result =
 (* ------------------------------------------------------------------ *)
 (* Mutex / condvar helpers                                              *)
 
-let mstate ctx (m : Api.mutex) = Hashtbl.find ctx.mutexes m.Api.mu_id
-let cstate ctx (c : Api.cond) = Hashtbl.find ctx.conds c.Api.cv_id
-let rwstate ctx (l : Api.rwlock) = Hashtbl.find ctx.rwlocks l.Api.rw_id
+let mstate ctx (m : Api.mutex) = Inttbl.find ctx.mutexes m.Api.mu_id
+let cstate ctx (c : Api.cond) = Inttbl.find ctx.conds c.Api.cv_id
+let rwstate ctx (l : Api.rwlock) = Inttbl.find ctx.rwlocks l.Api.rw_id
 
 (* Waiter predicates, each over an object id: the threads disabled on
    mutex [mid], and the threads waiting on condvar [cid] (disabled
@@ -1358,7 +1366,7 @@ let exec_signal_entry ctx t =
       t.shelved <- p :: t.shelved;
       t.pending <- No_request
   | No_request -> ());
-  (match Hashtbl.find_opt ctx.handlers signo with
+  (match Inttbl.find_opt ctx.handlers signo with
   | Some f ->
       let on_return () =
         match t.shelved with
@@ -1637,7 +1645,7 @@ let exec_op : type a.
               finish_cs ctx t k label (max fin child.ltime) ()
           | _ -> fail_cs ctx t "join_wait" fin (On_join target)))
   | Api.Set_signal_handler (signo, f) ->
-      Hashtbl.replace ctx.handlers signo f;
+      Inttbl.replace ctx.handlers signo f;
       finish_cs ctx t k label fin ()
   | Api.Raise_sync signo -> (
       (* Synchronous signal: the handler runs right here, at this
@@ -1649,7 +1657,7 @@ let exec_op : type a.
          resumes just after the raise. *)
       note_cs ctx t label fin;
       t.pending <- No_request;
-      match Hashtbl.find_opt ctx.handlers signo with
+      match Inttbl.find_opt ctx.handlers signo with
       | None ->
           crash ctx t (Printf.sprintf "unhandled synchronous signal %d" signo)
       | Some f ->
@@ -1698,29 +1706,28 @@ let exec_cs ctx t =
 (* ------------------------------------------------------------------ *)
 (* Demo assembly                                                        *)
 
-let build_demo ctx app_name extra =
-  let s1, s2 = Prng.seeds ctx.rng in
+(* A recording's demo, from its logs (newest first). *)
+let build_demo conf ~seeds:(s1, s2) ~app ~ticks ~output (sch : schedule) ~signals
+    ~syscalls ~asyncs extra =
   {
     Demo.meta =
       {
-        app = app_name;
-        strategy = Conf.sched_name ctx.conf.sched;
+        app;
+        strategy = Conf.sched_name conf.Conf.sched;
         seed1 = s1;
         seed2 = s2;
-        ticks = ctx.tick;
-        output_digest = Digest.to_hex (Digest.string (World.output ctx.world));
+        ticks;
+        output_digest = Digest.to_hex (Digest.string output);
       };
     queue =
-      (match ctx.conf.sched with
+      (match conf.Conf.sched with
       | Conf.Controlled (Conf.Queue | Conf.Delay_bounded _) ->
-          Some
-            (Demo.queue_of_trace
-               (Array.init ctx.tr_n (fun i -> ctx.tr_codes.(i) lsr label_bits))
-               ctx.tr_n)
+          let tids = Array.map (fun c -> c lsr label_bits) sch.codes in
+          Some (Demo.queue_of_trace tids (Array.length tids))
       | _ -> None);
-    signals = List.rev ctx.rec_signals;
-    syscalls = List.rev ctx.rec_syscalls;
-    asyncs = List.rev ctx.rec_asyncs;
+    signals = List.rev signals;
+    syscalls = List.rev syscalls;
+    asyncs = List.rev asyncs;
     extra;
   }
 
@@ -1872,11 +1879,11 @@ let create_arena () =
       ready_n = 0;
       next_tid = 0;
       next_obj = 0;
-      mutexes = Hashtbl.create 8;
-      conds = Hashtbl.create 8;
-      rwlocks = Hashtbl.create 4;
-      handlers = Hashtbl.create 4;
-      fd_classes = Hashtbl.create 8;
+      mutexes = Inttbl.create 8;
+      conds = Inttbl.create 8;
+      rwlocks = Inttbl.create 4;
+      handlers = Inttbl.create 4;
+      fd_classes = Inttbl.create 8;
       gclock = 0;
       makespan = 0;
       tick = 0;
@@ -2011,13 +2018,13 @@ let prepare ctx conf world program replayed =
     end
   in
   if ctx.cov != cov then ctx.cov <- cov;
-  (* [Hashtbl.clear] keeps the grown bucket array, so recycled tables
+  (* [Inttbl.clear] keeps the grown bucket array, so recycled tables
      are automatically sized by their high-water mark. *)
-  Hashtbl.clear ctx.mutexes;
-  Hashtbl.clear ctx.conds;
-  Hashtbl.clear ctx.rwlocks;
-  Hashtbl.clear ctx.handlers;
-  Hashtbl.clear ctx.fd_classes;
+  Inttbl.clear ctx.mutexes;
+  Inttbl.clear ctx.conds;
+  Inttbl.clear ctx.rwlocks;
+  Inttbl.clear ctx.handlers;
+  Inttbl.clear ctx.fd_classes;
   if ctx.conf != conf then ctx.conf <- conf;
   if ctx.world != world then ctx.world <- world;
   if ctx.program != program then ctx.program <- program;
@@ -2272,9 +2279,10 @@ let finish ctx outcome =
   let decisions = logged_decisions ctx in
   let accesses = logged_accesses ctx in
   let races = Detector.reports ctx.det in
+  let trace = schedule_of_codes ctx.labels ctx.tr_codes ctx.tr_n in
   let demo =
     match (conf.Conf.mode, outcome) with
-    | Conf.Record dir, _ ->
+    | Conf.Record _, _ ->
         let extra =
           if conf.Conf.debug_trace then [ ("TRACE", map_trace ctx trace_line) ]
           else []
@@ -2290,9 +2298,11 @@ let finish ctx outcome =
             :: extra
           else extra
         in
-        let d = build_demo ctx ctx.program.Api.pname extra in
-        Demo.save d ~dir;
-        Some d
+        Some
+          (build_demo conf ~seeds:(Prng.seeds ctx.rng) ~app:ctx.program.Api.pname
+             ~ticks:ctx.tick ~output:(World.output world) trace
+             ~signals:ctx.rec_signals ~syscalls:ctx.rec_syscalls
+             ~asyncs:ctx.rec_asyncs extra)
     | _ -> None
   in
   (* Divergence detection runs on every replay, not only under
@@ -2351,7 +2361,7 @@ let finish ctx outcome =
       output = World.output world;
       soft_desync;
       demo;
-      trace = schedule_of_codes ctx.labels ctx.tr_codes ctx.tr_n;
+      trace;
       thread_names = thread_names ctx;
       trace_divergence;
       rng_draws = Prng.draws ctx.rng;
@@ -2589,9 +2599,13 @@ let run ?world ?arena conf (program : Api.program) =
     || (match conf.Conf.mode with
        | Conf.Free -> false
        | _ -> not conf.Conf.policy.Policy.ignore_ioctl)
-       && List.mem Syscall.Ioctl conf.Conf.policy.Policy.record_kinds);
+       && Policy.records_kind conf.Conf.policy Syscall.Ioctl);
   match conf.Conf.mode with
-  | Conf.Free | Conf.Record _ -> start ?arena conf world program None
+  | Conf.Free -> start ?arena conf world program None
+  | Conf.Record dir ->
+      let r = start ?arena conf world program None in
+      Option.iter (fun d -> Demo.save d ~dir) r.demo;
+      r
   | Conf.Replay dir -> (
       match replay_of conf dir with
       | Error refused -> refused

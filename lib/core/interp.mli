@@ -187,6 +187,25 @@ type tap = {
 
 val set_tap : arena -> tap option -> unit
 
+val build_demo :
+  Conf.t ->
+  seeds:int64 * int64 ->
+  app:string ->
+  ticks:int ->
+  output:string ->
+  schedule ->
+  signals:Demo.signal_entry list ->
+  syscalls:Demo.syscall_entry list ->
+  asyncs:Demo.async_entry list ->
+  (string * string list) list ->
+  Demo.t
+(** The demo of a recording: META from the configuration's strategy,
+    the scheduler [seeds], [app], [ticks] and the digest of [output];
+    the QUEUE of the schedule under the queue and delay-bounded
+    strategies; the three logs, given newest first as a recording
+    keeps them; and the extra files. A [Record] run builds its
+    result's [demo] this way, from its own logs. *)
+
 val completed : result -> bool
 (** [outcome = Completed]. *)
 

@@ -31,13 +31,17 @@ let games = { default with name = "games"; ignore_ioctl = true }
 
 let with_proc = { default with name = "with-proc"; record_file_rw = true }
 
+(* [kind] is a constant constructor, an immediate: physical equality
+   tests it without the polymorphic compare of [List.mem]. *)
+let records_kind t (kind : Syscall.kind) = List.memq kind t.record_kinds
+
 let should_record t ~fd_class (r : Syscall.request) =
   match (r.kind, fd_class) with
   | _, `Stdout -> false
   | Ioctl, _ when t.ignore_ioctl -> false
   | Clock_gettime, _ -> t.record_clock
-  | (Read | Write), `File -> t.record_file_rw && List.mem r.kind t.record_kinds
-  | _ -> List.mem r.kind t.record_kinds
+  | (Read | Write), `File -> t.record_file_rw && records_kind t r.kind
+  | _ -> records_kind t r.kind
 
 let supports t (k : Syscall.kind) =
   t.full_interposition || match k with Epoll_wait -> false | _ -> true

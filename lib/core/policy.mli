@@ -41,6 +41,9 @@ val with_proc : t
 (** [default] extended to record regular-file reads as well — what an
     htop-style application monitoring [/proc] would need (§4.4). *)
 
+val records_kind : t -> T11r_vm.Syscall.kind -> bool
+(** Whether [record_kinds] lists the kind. *)
+
 val should_record : t -> fd_class:fd_class -> T11r_vm.Syscall.request -> bool
 (** Decision procedure used by the recorder and replayer. Writes to
     stdout are never recorded (they are the observable output used for

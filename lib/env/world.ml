@@ -33,7 +33,7 @@ type fd_obj =
 type t = {
   rng : Prng.t;
   mutable deterministic_alloc : bool;
-  fds : (int, fd_obj) Hashtbl.t;
+  fds : fd_obj Inttbl.t;
   mutable next_fd : int;
   files : (string, string) Hashtbl.t;
   proc_files : (string, Prng.t -> string) Hashtbl.t;
@@ -42,7 +42,7 @@ type t = {
   out : Buffer.t;
   mutable alloc_base : int;
   mutable alloc_off : int;
-  alloc_used : (int, unit) Hashtbl.t;
+  alloc_used : unit Inttbl.t;
   mutable forbid_opaque_ioctl : bool;
   mutable gpu_frames : int;
   mutable faults : Fault.t;
@@ -57,8 +57,8 @@ let gpu_path = "/dev/gpu0"
    the point: a recycled world allocates almost nothing. *)
 let init t ~deterministic_alloc ~faults =
   t.deterministic_alloc <- deterministic_alloc;
-  Hashtbl.clear t.fds;
-  Hashtbl.replace t.fds stdout_fd Std_out;
+  Inttbl.clear t.fds;
+  Inttbl.replace t.fds stdout_fd Std_out;
   t.next_fd <- 3;
   Hashtbl.clear t.files;
   Hashtbl.clear t.proc_files;
@@ -69,7 +69,7 @@ let init t ~deterministic_alloc ~faults =
     (if deterministic_alloc then 0x10000000
      else 0x10000000 + (Prng.int t.rng 0xFFFF * 0x1000));
   t.alloc_off <- 0;
-  Hashtbl.clear t.alloc_used;
+  Inttbl.clear t.alloc_used;
   t.forbid_opaque_ioctl <- false;
   t.gpu_frames <- 0;
   t.faults <- faults
@@ -91,7 +91,7 @@ let create ?seed ?(deterministic_alloc = false) ?(faults = Fault.none) () =
     {
       rng = Prng.create ~seed1:seed ~seed2:(Int64.lognot seed);
       deterministic_alloc;
-      fds = Hashtbl.create 16;
+      fds = Inttbl.create 16;
       next_fd = 3;
       files = Hashtbl.create 8;
       proc_files = Hashtbl.create 4;
@@ -100,7 +100,7 @@ let create ?seed ?(deterministic_alloc = false) ?(faults = Fault.none) () =
       out = Buffer.create 256;
       alloc_base = 0;
       alloc_off = 0;
-      alloc_used = Hashtbl.create 16;
+      alloc_used = Inttbl.create 16;
       forbid_opaque_ioctl = false;
       gpu_frames = 0;
       faults;
@@ -115,13 +115,16 @@ let faults_injected t = Fault.injected t.faults
 let fresh_fd t obj =
   let fd = t.next_fd in
   t.next_fd <- fd + 1;
-  Hashtbl.replace t.fds fd obj;
+  Inttbl.replace t.fds fd obj;
   fd
 
-let insert_sorted xs x =
+(* Into a list sorted by time, after the entries of equal time. The
+   time is int-typed, so the test is a compare, not a call to the
+   polymorphic [caml_lessthan]. *)
+let insert_sorted xs (((at : int), _) as x) =
   let rec go = function
     | [] -> [ x ]
-    | y :: rest -> if fst x < fst y then x :: y :: rest else y :: go rest
+    | ((at', _) as y) :: rest -> if at < at' then x :: y :: rest else y :: go rest
   in
   go xs
 
@@ -183,9 +186,9 @@ let alloc t n =
   else begin
     let rec fresh () =
       let addr = t.alloc_base + (Prng.int t.rng 0xFFFFFF * 16) in
-      if Hashtbl.mem t.alloc_used addr then fresh ()
+      if Inttbl.mem t.alloc_used addr then fresh ()
       else begin
-        Hashtbl.replace t.alloc_used addr ();
+        Inttbl.replace t.alloc_used addr ();
         addr
       end
     in
@@ -289,7 +292,7 @@ let fd_next_event t = function
   | File _ | Std_out | Gpu | Pipe_w _ -> Some 0
 
 let do_poll t ~now ~fds ~timeout_ms =
-  let objs = List.filter_map (fun fd -> Hashtbl.find_opt t.fds fd) fds in
+  let objs = List.filter_map (fun fd -> Inttbl.find_opt t.fds fd) fds in
   let ready = List.filter (fd_ready t ~now) objs in
   if ready <> [] then Syscall.ok (List.length ready)
   else begin
@@ -312,7 +315,7 @@ let do_poll t ~now ~fds ~timeout_ms =
   end
 
 let do_accept t ~now fd =
-  match Hashtbl.find_opt t.fds fd with
+  match Inttbl.find_opt t.fds fd with
   | Some (Listen { port }) -> (
       let mine = pending_for t port in
       match List.sort (fun (_, a, _) (_, b, _) -> compare a b) mine with
@@ -363,7 +366,7 @@ let do_ioctl t ~code ~payload:_ fd_obj =
    clock can read skewed. Errors are injected *before* the call takes
    effect, so a retry observes the same world the first attempt did. *)
 let syscall t ~now (r : Syscall.request) : Syscall.result =
-  let obj fd = Hashtbl.find_opt t.fds fd in
+  let obj fd = Inttbl.find_opt t.fds fd in
   let fl = t.faults in
   let eintr () = Syscall.error ~errno:Syscall.eintr () in
   match r.kind with
@@ -454,13 +457,13 @@ let syscall t ~now (r : Syscall.request) : Syscall.result =
       match obj r.fd with
       | Some (Sock s) ->
           s.closed <- true;
-          Hashtbl.remove t.fds r.fd;
+          Inttbl.remove t.fds r.fd;
           Syscall.ok 0
       | Some (Pipe_w b) ->
           b.wclosed <- true;
-          Hashtbl.remove t.fds r.fd;
+          Inttbl.remove t.fds r.fd;
           Syscall.ok 0
       | Some _ ->
-          Hashtbl.remove t.fds r.fd;
+          Inttbl.remove t.fds r.fd;
           Syscall.ok 0
       | None -> bad_fd)

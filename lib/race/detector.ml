@@ -21,11 +21,22 @@ type var = {
   mutable nreads : int; (* live prefix of [reads] (rest is zero) *)
 }
 
+(* The reports already emitted, keyed by the report itself: its hash
+   is the generic one, and two reports are the same key when
+   [Report.equal], so a sighting of a known race neither allocates a
+   key nor calls the polymorphic compare. *)
+module Seen = Hashtbl.Make (struct
+  type t = Report.t
+
+  let equal = Report.equal
+  let hash (r : t) = Hashtbl.hash r
+end)
+
 type t = {
   mutable next_var : int;
   mutable reports_rev : Report.t list;
   mutable n_reports : int;
-  seen : (string * Report.kind * int * int, unit) Hashtbl.t;
+  seen : unit Seen.t;
   mutable callbacks : (Report.t -> unit) list;
   (* Access streaming for the offline predictive analysis: one branch
      per shadow check when unset, so every configuration that does not
@@ -44,7 +55,7 @@ let create () =
     next_var = 0;
     reports_rev = [];
     n_reports = 0;
-    seen = Hashtbl.create 16;
+    seen = Seen.create 16;
     callbacks = [];
     acc_cb = None;
     suppressions = [];
@@ -60,7 +71,7 @@ let reset t =
   t.next_var <- 0;
   (match t.reports_rev with [] -> () | _ :: _ -> t.reports_rev <- []);
   t.n_reports <- 0;
-  Hashtbl.clear t.seen;
+  Seen.clear t.seen;
   (match t.callbacks with [] -> () | _ :: _ -> t.callbacks <- []);
   (match t.acc_cb with None -> () | Some _ -> t.acc_cb <- None);
   (match t.suppressions with [] -> () | _ :: _ -> t.suppressions <- []);
@@ -137,9 +148,8 @@ let var_id v = v.id
 
 let emit t (r : Report.t) =
   if not (suppressed t r.var) then
-    let key = (r.var, r.kind, r.first_tid, r.second_tid) in
-    if not (Hashtbl.mem t.seen key) then begin
-      Hashtbl.replace t.seen key ();
+    if not (Seen.mem t.seen r) then begin
+      Seen.replace t.seen r ();
       t.reports_rev <- r :: t.reports_rev;
       t.n_reports <- t.n_reports + 1;
       List.iter (fun f -> f r) t.callbacks

@@ -1,44 +1,46 @@
+module Inttbl = T11r_util.Inttbl
+
 type edge = { from_lock : string; to_lock : string; witness_tid : int }
 type cycle = edge list
 
 type t = {
   (* lock -> locks it has been held under, with witness info *)
-  edges : (int, (int * edge) list ref) Hashtbl.t;  (* from -> [(to, edge)] *)
-  names : (int, string) Hashtbl.t;
-  held : (int, int list) Hashtbl.t;  (* tid -> locks currently held *)
+  edges : (int * edge) list ref Inttbl.t;  (* from -> [(to, edge)] *)
+  names : string Inttbl.t;
+  held : int list Inttbl.t;  (* tid -> locks currently held *)
   mutable found : cycle list;  (* reversed *)
   seen : (string list, unit) Hashtbl.t;  (* sorted lock-name sets reported *)
 }
 
 let create () =
   {
-    edges = Hashtbl.create 16;
-    names = Hashtbl.create 16;
-    held = Hashtbl.create 8;
+    edges = Inttbl.create 16;
+    names = Inttbl.create 16;
+    held = Inttbl.create 8;
     found = [];
     seen = Hashtbl.create 4;
   }
 
 let reset t =
-  Hashtbl.clear t.edges;
-  Hashtbl.clear t.names;
-  Hashtbl.clear t.held;
+  Inttbl.clear t.edges;
+  Inttbl.clear t.names;
+  Inttbl.clear t.held;
   (* no write barrier when there is nothing to drop *)
   (match t.found with [] -> () | _ :: _ -> t.found <- []);
   Hashtbl.clear t.seen
 
 let successors t l =
-  match Hashtbl.find_opt t.edges l with Some r -> !r | None -> []
+  match Inttbl.find_opt t.edges l with Some r -> !r | None -> []
 
 (* Find a path target ->* source in the edge graph; adding
    source -> target then closes a cycle along that path. *)
 let find_path t ~source ~target =
-  let visited = Hashtbl.create 8 in
+  let visited = Inttbl.create 8 in
   let rec dfs node path =
     if node = source then Some (List.rev path)
-    else if Hashtbl.mem visited node then None
+    else if Inttbl.mem visited node then None
     else begin
-      Hashtbl.replace visited node ();
+      Inttbl.replace visited node ();
       List.fold_left
         (fun acc (next, edge) ->
           match acc with
@@ -53,14 +55,14 @@ let cycle_locks (c : cycle) =
   List.sort_uniq compare (List.concat_map (fun e -> [ e.from_lock; e.to_lock ]) c)
 
 let acquired t ~tid ~lock ~name =
-  Hashtbl.replace t.names lock name;
-  let held = Option.value ~default:[] (Hashtbl.find_opt t.held tid) in
+  Inttbl.replace t.names lock name;
+  let held = Option.value ~default:[] (Inttbl.find_opt t.held tid) in
   List.iter
     (fun h ->
       if h <> lock then begin
         let edge =
           {
-            from_lock = Option.value ~default:"?" (Hashtbl.find_opt t.names h);
+            from_lock = Option.value ~default:"?" (Inttbl.find_opt t.names h);
             to_lock = name;
             witness_tid = tid;
           }
@@ -76,21 +78,21 @@ let acquired t ~tid ~lock ~name =
             end
         | None -> ());
         let r =
-          match Hashtbl.find_opt t.edges h with
+          match Inttbl.find_opt t.edges h with
           | Some r -> r
           | None ->
               let r = ref [] in
-              Hashtbl.replace t.edges h r;
+              Inttbl.replace t.edges h r;
               r
         in
         if not (List.exists (fun (l', _) -> l' = lock) !r) then
           r := (lock, edge) :: !r
       end)
     held;
-  Hashtbl.replace t.held tid (lock :: held)
+  Inttbl.replace t.held tid (lock :: held)
 
 let released t ~tid ~lock =
-  let held = Option.value ~default:[] (Hashtbl.find_opt t.held tid) in
+  let held = Option.value ~default:[] (Inttbl.find_opt t.held tid) in
   (* remove one instance (locks can in principle be re-entrant) *)
   let removed = ref false in
   let held' =
@@ -103,7 +105,7 @@ let released t ~tid ~lock =
         else true)
       held
   in
-  Hashtbl.replace t.held tid held'
+  Inttbl.replace t.held tid held'
 
 let cycles t = List.rev t.found
 let cycle_count t = List.length t.found

@@ -142,8 +142,6 @@ module Mut = struct
     end;
     m.n <- lc
 
-  let reset_to m (c : t) = load m c (Array.length c)
-
   let of_imm (c : t) =
     let n = Array.length c in
     let a = Array.make (max 4 n) 0 in

@@ -80,13 +80,9 @@ module Mut : sig
   val reset : mut -> unit
   (** Back to the zero clock in place, keeping the backing array. *)
 
-  val reset_to : mut -> t -> unit
-  (** [reset_to m c] makes [m] equal to [c] in place — the recycled
-      equivalent of [of_imm]. *)
-
   val reset_to_mut : mut -> mut -> unit
-  (** [reset_to_mut m src] is [reset_to m (snapshot src)], without
-      building the snapshot. *)
+  (** [reset_to_mut m src] makes [m] equal to [src] in place, as
+      [of_imm (snapshot src)] would, without building either. *)
 
   val of_imm : t -> mut
   (** Mutable copy of an immutable clock. *)

@@ -65,7 +65,12 @@
    match on the constructor) folded into a string-keyed [Hashtbl] and
    listed sorted by key, and the guided hunt's merge of two histograms
    through a [Hashtbl]. test_diff.ml compares both on random outcome
-   sequences. *)
+   sequences.
+
+   [Policy_record] is [Tsan11rec.Policy.should_record] as it was before
+   it tested the kind by physical equality: the polymorphic [List.mem]
+   over the policy's kinds. test_diff.ml compares the two over every
+   kind, descriptor class and policy. *)
 
 module Memord = T11r_mem.Memord
 module Report = T11r_race.Report
@@ -1854,4 +1859,17 @@ module Outcome_tally = struct
         Hashtbl.replace tbl k (v + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
       (a @ b);
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+end
+
+module Policy_record = struct
+  module Policy = Tsan11rec.Policy
+
+  let should_record (t : Policy.t) ~(fd_class : Policy.fd_class)
+      (r : T11r_vm.Syscall.request) =
+    match (r.kind, fd_class) with
+    | _, `Stdout -> false
+    | Ioctl, _ when t.ignore_ioctl -> false
+    | Clock_gettime, _ -> t.record_clock
+    | (Read | Write), `File -> t.record_file_rw && List.mem r.kind t.record_kinds
+    | _ -> List.mem r.kind t.record_kinds
 end

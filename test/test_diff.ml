@@ -35,7 +35,12 @@
    - Outcome tally: the histogram of random outcome sequences (every
      constructor, repeats, the empty sequence) equals the string-keyed
      [Hashtbl] fold sorted by key, and its linear merge equals the
-     [Hashtbl] merge it replaced. *)
+     [Hashtbl] merge it replaced;
+   - Policy: [Policy.should_record] equals the [List.mem] version over
+     every syscall kind and descriptor class, under the default, games
+     and with-proc policies and random ones;
+   - Inttbl: the same operations on an [Inttbl] and a generic [Hashtbl]
+     give the same lookups and the same iteration order. *)
 
 module Vc = T11r_util.Vclock
 module Ts = T11r_mem.Tstate
@@ -1814,6 +1819,101 @@ let prop_outcome_tally =
            ra
       && Outcome.count ha "no-such-key" = 0)
 
+(* ------------------------------------------------------------------ *)
+(* Policy.should_record *)
+
+module Policy = Tsan11rec.Policy
+module Syscall = T11r_vm.Syscall
+
+let all_kinds : Syscall.kind list =
+  [ Read; Write; Recv; Send; Recvmsg; Sendmsg; Poll; Select; Epoll_wait;
+    Accept; Accept4; Bind; Clock_gettime; Ioctl; Open_; Close; Pipe ]
+
+let all_fd_classes : Policy.fd_class list =
+  [ `Sock; `File; `Pipe; `Listen; `Gpu; `Stdout; `Unknown ]
+
+let policy_gen =
+  QCheck.Gen.(
+    let random =
+      map
+        (fun (kinds, (file_rw, ioctl, clock)) ->
+          {
+            Policy.default with
+            name = "random";
+            record_kinds = List.filter_map Fun.id kinds;
+            record_file_rw = file_rw;
+            ignore_ioctl = ioctl;
+            record_clock = clock;
+          })
+        (pair
+           (flatten_l
+              (List.map (fun k -> map (fun b -> if b then Some k else None) bool) all_kinds))
+           (triple bool bool bool))
+    in
+    frequency
+      [ (1, return Policy.default); (1, return Policy.games);
+        (1, return Policy.with_proc); (5, random) ])
+
+let prop_should_record =
+  QCheck.Test.make ~name:"should_record = the List.mem version" ~count:500
+    (QCheck.make
+       ~print:(fun (p : Policy.t) ->
+         Printf.sprintf "%s [%s] file_rw=%b ignore_ioctl=%b clock=%b" p.name
+           (String.concat " " (List.map Syscall.kind_to_string p.record_kinds))
+           p.record_file_rw p.ignore_ioctl p.record_clock)
+       policy_gen)
+    (fun p ->
+      List.for_all
+        (fun kind ->
+          let r = Syscall.request kind in
+          List.for_all
+            (fun fd_class ->
+              Policy.should_record p ~fd_class r
+              = R.Policy_record.should_record p ~fd_class r)
+            all_fd_classes)
+        all_kinds)
+
+(* ------------------------------------------------------------------ *)
+(* Inttbl *)
+
+module Inttbl = T11r_util.Inttbl
+
+type top = Treplace of int * int | Tremove of int | Tclear
+
+let prop_inttbl =
+  QCheck.Test.make ~name:"Inttbl = Hashtbl: lookups and iteration order" ~count:500
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat "; "
+           (List.map
+              (function
+                | Treplace (k, v) -> Printf.sprintf "replace %d %d" k v
+                | Tremove k -> Printf.sprintf "remove %d" k
+                | Tclear -> "clear")
+              ops))
+       QCheck.Gen.(
+         let key = frequency [ (4, int_range (-8) 64); (1, int) ] in
+         list_size (int_range 0 200)
+           (frequency
+              [ (8, map2 (fun k v -> Treplace (k, v)) key small_nat);
+                (3, map (fun k -> Tremove k) key); (1, return Tclear) ])))
+    (fun ops ->
+      let a = Inttbl.create 8 and b = Hashtbl.create 8 in
+      List.iter
+        (function
+          | Treplace (k, v) -> Inttbl.replace a k v; Hashtbl.replace b k v
+          | Tremove k -> Inttbl.remove a k; Hashtbl.remove b k
+          | Tclear -> Inttbl.clear a; Hashtbl.clear b)
+        ops;
+      let listed fold t = fold (fun k v acc -> (k, v) :: acc) t [] in
+      listed Inttbl.fold a = listed Hashtbl.fold b
+      && List.for_all
+           (function
+             | Treplace (k, _) | Tremove k ->
+                 Inttbl.find_opt a k = Hashtbl.find_opt b k
+             | Tclear -> true)
+           ops)
+
 let () =
   Alcotest.run "diff"
     [
@@ -1869,4 +1969,6 @@ let () =
             test_capture_golden;
         ] );
       ("outcome", [ qtest prop_outcome_tally ]);
+      ("policy", [ qtest prop_should_record ]);
+      ("inttbl", [ qtest prop_inttbl ]);
     ]

@@ -1252,6 +1252,18 @@ let test_guided_hunt_refuses_journal () =
       check Alcotest.bool (flag ^ ": no file") false (Sys.file_exists path))
     [ "--resume"; "--journal" ]
 
+(* A plain hunt has no corpus: --corpus without --guided is refused as
+   a usage error naming --guided, before any run, and creates no
+   directory, where it was once accepted and ignored. *)
+let test_plain_hunt_refuses_corpus () =
+  with_tmpdir @@ fun base ->
+  let dir = Filename.concat base "cx" in
+  let rc, out, err = cli [ "hunt"; "fig1"; "-n"; "10"; "--corpus"; dir ] in
+  check Alcotest.int "usage error" 2 rc;
+  check Alcotest.bool "names --guided" true (contains err "--guided");
+  check Alcotest.bool "no digest" false (contains out "digest:");
+  check Alcotest.bool "no directory" false (Sys.file_exists dir)
+
 let record_httpd dir =
   let rc, _, _ =
     cli
@@ -1320,6 +1332,41 @@ let test_format_version_rejected () =
   | _ -> Alcotest.fail "expected the loader to reject format 99"
 
 (* ------------------------------------------------------------------ *)
+
+(* ------------------------------------------------------------------ *)
+(* Save atomicity on failure *)
+
+(* Every file of a directory with its bytes, by name. *)
+let dir_bytes dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun name -> (name, read_file (Filename.concat dir name)))
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* A save that fails part-way (an extra file whose name cannot be
+   created, after the paper's files were written) raises, leaves the
+   demo it would have replaced byte-identical and loadable, leaves no
+   sibling save directory behind and closes every descriptor it
+   opened. *)
+let test_failed_save_keeps_old_demo () =
+  with_tmpdir @@ fun base ->
+  let dir = Filename.concat base "demo" in
+  record_httpd dir;
+  let before = dir_bytes dir in
+  let d = Demo.load ~dir in
+  let fds = open_fds () in
+  (match Demo.save { d with Demo.extra = [ ("a/b", [ "x" ]) ] } ~dir with
+  | () -> Alcotest.fail "the save did not raise"
+  | exception Unix.Unix_error _ -> ());
+  check Alcotest.int "no descriptor leaked" fds (open_fds ());
+  check
+    Alcotest.(list (pair string string))
+    "old demo's bytes" before (dir_bytes dir);
+  check Alcotest.bool "old demo loads" true (Demo.load ~dir = d);
+  check
+    Alcotest.(list string)
+    "no save sibling" [ "demo" ]
+    (List.sort compare (Array.to_list (Sys.readdir base)))
 
 let () =
   Alcotest.run "record"
@@ -1410,5 +1457,12 @@ let () =
         [
           Alcotest.test_case "hunt --guided refuses --resume" `Quick
             test_guided_hunt_refuses_journal;
+          Alcotest.test_case "hunt --corpus needs --guided" `Quick
+            test_plain_hunt_refuses_corpus;
+        ] );
+      ( "atomic-save",
+        [
+          Alcotest.test_case "failed save keeps the old demo" `Quick
+            test_failed_save_keeps_old_demo;
         ] );
     ]
